@@ -9,6 +9,9 @@ Gaussian perturbation of data, gradients, or shared variables trades
 accuracy for privacy.
 """
 
+# Defined before the submodules load: ``config`` records it in manifests.
+__version__ = "0.1.0"
+
 from .clustering import ClusterAssignment, kmeans, spectral_cluster
 from .config import PipelineConfig, parse_config, parse_config_file, render_manifest
 from .data import (
@@ -94,8 +97,6 @@ from .privacy import (
     perturb_variable,
     sensitivity_delta,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .config import parse_config_file
 from .errors import ConfigError, DataError, NumericalAbort
 from . import pipeline
@@ -72,7 +73,7 @@ def _report(outputs):
 
 
 @click.group()
-@click.version_option(package_name="feddl", prog_name="feddl")
+@click.version_option(__version__, prog_name="feddl")
 def main():
     """Federated distance learning: landmark training, matrix completion,
     embedding, and clustering over horizontally partitioned data."""

@@ -20,6 +20,7 @@ import io
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from . import __version__
 from .data import BlobSpec, DatasetSpec, PartitionSpec
 from .errors import ConfigError
 from .federation import FedConfig
@@ -27,8 +28,6 @@ from .nystrom import CompletionParams
 from .privacy import PrivacySpec
 
 __all__ = ["PipelineConfig", "parse_config", "parse_config_file", "render_manifest", "parse_manifest"]
-
-_VERSION = "0.1.0"
 
 _EMBED_KEYS = {
     "out_dim": int,
@@ -278,7 +277,7 @@ def render_manifest(
     d, b = cfg.dataset, cfg.dataset.blobs
     cp["run"] = {
         "command": command,
-        "version": _VERSION,
+        "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
         "seed": str(cfg.seed),
     }

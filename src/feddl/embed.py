@@ -22,11 +22,19 @@ UMAP
     mu_{i|j} mu_{j|i}``; full-batch descent on the dense fuzzy
     cross-entropy with low-dimensional memberships
     ``1 / (1 + a ||z_i - z_j||^{2b})``.
+
+Both descents run in ``_safeguarded_descent``: every step costs one pass
+over the n x n Student-t (or membership) matrix, which returns the loss
+and the gradient at the point reached, and an accepted step carries both
+into the next iteration.  The terms of each objective that do not depend
+on the embedding (``sum P log P``; ``sum mu log mu + (1 - mu) log(1 - mu)``)
+are computed once per run.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -223,30 +231,62 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     return AffinityMatrix(values=P, kind="tsne_joint", fallback_rows=tuple(fallbacks))
 
 
-def _student_t_weights(Z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unnormalised Student-t weights ``1/(1+||z_i-z_j||^2)`` and their sum."""
+def _sq_dists(Z: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``Z``, clipped at zero."""
     sq = np.einsum("ij,ij->i", Z, Z)
     d2 = sq[:, None] - 2.0 * (Z @ Z.T) + sq[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    W = 1.0 / (1.0 + d2)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _student_t_weights(Z: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unnormalised Student-t weights ``1/(1+||z_i-z_j||^2)`` and their sum."""
+    W = _sq_dists(Z)
+    W += 1.0
+    np.reciprocal(W, out=W)
     np.fill_diagonal(W, 0.0)
     return W, float(W.sum())
 
 
-def tsne_kl_gradient(P: np.ndarray, Z: np.ndarray) -> tuple[float, np.ndarray]:
+def _kl_constants(P: np.ndarray) -> tuple[float, float]:
+    """The ``Z``-free parts of ``KL(P || Q)``:
+    ``sum_{P>0} P log max(P, 1e-12)`` and ``sum_{P>0} P``."""
+    pos = P > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_log_p = float(np.sum(np.where(pos, P * np.log(np.maximum(P, _LOG_FLOOR)), 0.0)))
+    return p_log_p, float(P[pos].sum())
+
+
+def tsne_kl_gradient(
+    P: np.ndarray,
+    Z: np.ndarray,
+    *,
+    exaggeration: float = 1.0,
+    constants: tuple[float, float] | None = None,
+) -> tuple[float, np.ndarray]:
     """KL divergence ``KL(P || Q)`` and its gradient with respect to ``Z``.
 
     ``Q`` uses Student-t affinities; the gradient is
     ``4 sum_j (p_ij - q_ij) (1 + ||z_i - z_j||^2)^{-1} (z_i - z_j)``.
     Probabilities are floored at 1e-12 inside the logarithm only.
+
+    One pass over the unnormalised weights ``W`` (sum ``s``) gives both:
+    for non-negative ``P``, ``KL = sum_{P>0} P log max(P, f)
+    - sum P log max(W, f s) + (sum_{P>0} P) log s``, since
+    ``max(Q, f) = max(W, f s) / s`` keeps the floor ``f`` on ``Q`` exact.
+    The gradient uses ``exaggeration * P``; the loss is always against
+    ``P``.  ``constants`` are ``_kl_constants(P)``, computed here when
+    omitted.
     """
+    p_log_p, p_mass = _kl_constants(P) if constants is None else constants
     W, s = _student_t_weights(Z)
-    Q = W / s
-    PQ = (P - Q) * W
-    grad = 4.0 * (PQ.sum(axis=1)[:, None] * Z - PQ @ Z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logterm = np.log(np.maximum(P, _LOG_FLOOR) / np.maximum(Q, _LOG_FLOOR))
-    kl = float(np.sum(np.where(P > 0, P * logterm, 0.0)))
+        buf = np.maximum(W, _LOG_FLOOR * s)
+        np.log(buf, out=buf)
+        kl = p_log_p - float(np.multiply(P, buf, out=buf).sum()) + p_mass * float(np.log(s))
+        PQ = np.divide(W, -s, out=buf)
+        PQ += P if exaggeration == 1.0 else exaggeration * P
+        PQ *= W
+    grad = 4.0 * (PQ.sum(axis=1)[:, None] * Z - PQ @ Z)
     return kl, grad
 
 
@@ -269,6 +309,66 @@ def _canonical_rank(A: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _safeguarded_descent(
+    Z: np.ndarray,
+    loss_grad: Callable[[np.ndarray, int], tuple[float, np.ndarray]],
+    config: EmbedConfig,
+    *,
+    guard_from: int,
+    clip: float | None,
+    recentre: bool,
+    engine: str,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Momentum gradient descent from ``Z``, one loss+gradient pass per step.
+
+    ``loss_grad(Z, it)`` returns the loss at ``Z`` and the gradient that
+    iteration ``it`` steps along; each step's pass is made at the point
+    it reaches, so an accepted step carries its loss and gradient into
+    the next iteration.  From iteration ``guard_from`` on, a step that
+    would raise the loss is halved (damping the velocity) until it does
+    not; after 30 halvings the iterate stays put, the velocity restarts
+    and the current gradient is reused, so ``loss_grad`` must not depend
+    on ``it`` from ``guard_from`` on.  ``clip`` bounds the descent
+    direction elementwise; ``recentre`` moves every iterate's mean to the
+    origin.  Returns the final ``Z``, the loss at every iterate and the
+    number of damped steps.
+    """
+
+    def reach(Z: np.ndarray, step: np.ndarray, it: int) -> tuple[np.ndarray, float, np.ndarray]:
+        cand = Z + step
+        if recentre:
+            cand -= cand.mean(axis=0)
+        if not np.isfinite(cand).all():
+            raise NumericalAbort(f"{engine} produced non-finite coordinates at iteration {it + 1}")
+        return (cand, *loss_grad(cand, it + 1))
+
+    V = np.zeros_like(Z)
+    trace = np.empty(config.iterations + 1)
+    damped_steps = 0
+    loss, grad = loss_grad(Z, 0)
+    for it in range(config.iterations):
+        trace[it] = loss
+        mom = config.momentum if it < config.momentum_switch_iter else config.final_momentum
+        V = mom * V - config.learning_rate * (grad if clip is None else np.clip(grad, -clip, clip))
+        step = V
+        cand, loss_new, grad_new = reach(Z, step, it)
+        if it >= guard_from:
+            shrink = 0
+            while loss_new > loss and shrink < 30:
+                step = 0.5 * step
+                cand, loss_new, grad_new = reach(Z, step, it)
+                shrink += 1
+            if loss_new > loss:  # stay put and restart the velocity
+                V = np.zeros_like(Z)
+                cand, loss_new, grad_new = Z, loss, grad
+            elif shrink:
+                damped_steps += 1
+                V = step
+        Z, loss, grad = cand, loss_new, grad_new
+    trace[config.iterations] = loss
+    return Z, trace, damped_steps
+
+
 def tsne_embed(P: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embedding:
     """Momentum gradient descent on ``KL(P || Q)``.
 
@@ -281,60 +381,32 @@ def tsne_embed(P: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embedding
     proposed momentum step that would increase the loss is halved (with
     the velocity damped accordingly) until the loss is non-increasing,
     so the recorded trace never rises once exaggeration ends.
+
+    Every iterate and every halved candidate costs one Student-t pass,
+    which gives the unexaggerated KL and the (exaggerated) gradient
+    together; the ``Z``-free terms of the KL are computed once.
     """
     Pm = P.values if isinstance(P, AffinityMatrix) else np.asarray(P, dtype=np.float64)
     n = Pm.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
     noise = rng.normal(size=(n, config.out_dim))
     Z = config.init_scale * noise[_canonical_rank(Pm)]
-    V = np.zeros_like(Z)
-    trace = np.empty(config.iterations + 1)
-    damped_steps = 0
-    for it in range(config.iterations):
-        exaggerate = it < config.early_exaggeration_iters
-        P_eff = Pm * config.early_exaggeration if exaggerate else Pm
-        kl_eff, grad = tsne_kl_gradient(P_eff, Z)
-        trace[it] = _kl_only(Pm, Z) if exaggerate else kl_eff
-        mom = config.momentum if it < config.momentum_switch_iter else config.final_momentum
-        V = mom * V - config.learning_rate * grad
-        if exaggerate:
-            Z = Z + V
-        else:
-            kl_now = kl_eff
-            step = V
-            cand = Z + step
-            kl_new = _kl_only(Pm, cand)
-            shrink = 0
-            while kl_new > kl_now and shrink < 30:
-                step = 0.5 * step
-                cand = Z + step
-                kl_new = _kl_only(Pm, cand)
-                shrink += 1
-            if kl_new > kl_now:  # stay put and restart the velocity
-                V = np.zeros_like(Z)
-                cand = Z
-            elif shrink:
-                damped_steps += 1
-                V = step
-            Z = cand
-        Z = Z - Z.mean(axis=0)
-        if not np.isfinite(Z).all():
-            raise NumericalAbort(f"t-SNE produced non-finite coordinates at iteration {it + 1}")
-    trace[config.iterations] = _kl_only(Pm, Z)
+    constants = _kl_constants(Pm)
+
+    def loss_grad(Zc: np.ndarray, it: int) -> tuple[float, np.ndarray]:
+        ex = config.early_exaggeration if it < config.early_exaggeration_iters else 1.0
+        return tsne_kl_gradient(Pm, Zc, exaggeration=ex, constants=constants)
+
+    Z, trace, damped_steps = _safeguarded_descent(
+        Z, loss_grad, config, guard_from=config.early_exaggeration_iters, clip=None,
+        recentre=True, engine="t-SNE",
+    )
     return Embedding(
         Z=Z,
         objective_trace=trace,
         engine="tsne",
         diagnostics={"damped_steps": damped_steps},
     )
-
-
-def _kl_only(P: np.ndarray, Z: np.ndarray) -> float:
-    W, s = _student_t_weights(Z)
-    Q = W / s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logterm = np.log(np.maximum(P, _LOG_FLOOR) / np.maximum(Q, _LOG_FLOOR))
-    return float(np.sum(np.where(P > 0, P * logterm, 0.0)))
 
 
 def _smooth_knn_sigma(d_shifted: np.ndarray, target: float) -> float:
@@ -398,41 +470,66 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     return AffinityMatrix(values=mu, kind="umap_membership")
 
 
+def _ce_constants(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The ``Z``-free parts of the fuzzy cross-entropy.
+
+    Returns the off-diagonal ``mu`` and ``1 - mu`` (zero diagonal) and
+    ``sum mu log mu + (1 - mu) log(1 - mu)`` over the off-diagonal pairs,
+    each term taken where its weight is positive, logs floored at 1e-12.
+    """
+    off = ~np.eye(mu.shape[0], dtype=bool)
+    nu = 1.0 - mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = np.where(mu > 0, mu * np.log(np.maximum(mu, _LOG_FLOOR)), 0.0)
+        ent += np.where(nu > 0, nu * np.log(np.maximum(nu, _LOG_FLOOR)), 0.0)
+    return np.where(off, mu, 0.0), np.where(off, nu, 0.0), float(np.sum(ent[off]))
+
+
 def umap_ce_gradient(
-    mu: np.ndarray, Z: np.ndarray, a: float = 1.0, b: float = 1.0
+    mu: np.ndarray,
+    Z: np.ndarray,
+    a: float = 1.0,
+    b: float = 1.0,
+    *,
+    constants: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Fuzzy cross-entropy and its gradient for low-dim memberships
     ``w = 1 / (1 + a d^{2b})``.
 
     ``1 - w`` (and ``w``) are floored at 1e-12 consistently in the loss
     and the gradient, so finite differences of the returned loss match
-    the returned gradient away from the floor region.
-    ."""
-    n = Z.shape[0]
-    sq = np.einsum("ij,ij->i", Z, Z)
-    d2 = sq[:, None] - 2.0 * (Z @ Z.T) + sq[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    off = ~np.eye(n, dtype=bool)
-    d2b = np.power(np.maximum(d2, _LOG_FLOOR), b) if b != 1.0 else d2
-    w = 1.0 / (1.0 + a * d2b)
-    one_minus_w = np.maximum(1.0 - w, _LOG_FLOOR)
-    wf = np.maximum(w, _LOG_FLOOR)
+    the returned gradient away from the floor region.  ``mu`` holds
+    memberships in [0, 1].  The ``mu``-only terms of the loss come from
+    ``constants`` (``_ce_constants(mu)``, computed here when omitted), so
+    a call takes only ``log max(w, f)`` and ``log max(1 - w, f)``.
+    """
+    mu_off, nu_off, entropy = _ce_constants(mu) if constants is None else constants
+    d2 = _sq_dists(Z)
+    if b == 1.0:
+        d2b, d2bm1 = d2, 1.0
+    else:
+        np.maximum(d2, _LOG_FLOOR, out=d2)
+        d2b, d2bm1 = np.power(d2, b), np.power(d2, b - 1.0)
+    w = a * d2b
+    w += 1.0
+    np.reciprocal(w, out=w)
+    one_minus_w = 1.0 - w
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        attract = np.where(mu > 0, mu * np.log(np.maximum(mu, _LOG_FLOOR) / wf), 0.0)
-        rep_mu = 1.0 - mu
-        repulse = np.where(
-            rep_mu > 0, rep_mu * np.log(np.maximum(rep_mu, _LOG_FLOOR) / one_minus_w), 0.0
-        )
-    loss = float(np.sum(np.where(off, attract + repulse, 0.0)))
+    buf = np.maximum(w, _LOG_FLOOR)
+    np.log(buf, out=buf)
+    loss = entropy - float(np.multiply(mu_off, buf, out=buf).sum())
+    np.maximum(one_minus_w, _LOG_FLOOR, out=buf)
+    np.log(buf, out=buf)
+    loss -= float(np.multiply(nu_off, buf, out=buf).sum())
 
-    # d w / d d2 = -a b d2^{b-1} w^2; chain through both log terms.
-    d2bm1 = np.power(np.maximum(d2, _LOG_FLOOR), b - 1.0) if b != 1.0 else 1.0
-    dldw = np.where(off & (w > _LOG_FLOOR), -mu / wf, 0.0) + np.where(
-        off & (1.0 - w > _LOG_FLOOR), (1.0 - mu) / one_minus_w, 0.0
-    )
-    coeff = dldw * (-a * b * d2bm1 * w * w)  # d loss / d d2_ij (per ordered pair)
-    coeff = np.where(off, coeff, 0.0)
+    # d w / d d2 = -a b d2^{b-1} w^2; chain through both log terms, each
+    # only where its membership is above the floor.
+    buf.fill(0.0)
+    dldw = np.divide(nu_off, one_minus_w, out=buf, where=one_minus_w > _LOG_FLOOR)
+    dldw -= np.divide(mu_off, w, out=np.zeros_like(w), where=w > _LOG_FLOOR)
+    coeff = -a * b * d2bm1 * w  # d loss / d d2_ij (per ordered pair)
+    coeff *= w
+    coeff *= dldw
     grad = 4.0 * (coeff.sum(axis=1)[:, None] * Z - coeff @ Z)
     return loss, grad
 
@@ -482,7 +579,9 @@ def umap_embed(mu: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embeddin
 
     Any step that would increase the loss is halved (damping the
     velocity) until it does not, so the objective trace is
-    non-increasing from the first iteration.
+    non-increasing from the first iteration.  Every iterate and every
+    halved candidate costs one membership pass; the ``mu``-only terms of
+    the loss are computed once.
     """
     M = mu.values if isinstance(mu, AffinityMatrix) else np.asarray(mu, dtype=np.float64)
     n = M.shape[0]
@@ -491,39 +590,18 @@ def umap_embed(mu: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embeddin
     start_noise = rng.normal(size=(n, config.out_dim))[rank]
     jitter = rng.normal(size=(n, config.out_dim))[rank]
     Z = config.init_scale * (_spectral_layout(M, config.out_dim, start_noise) + 1e-4 * jitter)
-    V = np.zeros_like(Z)
-    trace = np.empty(config.iterations + 1)
-    damped_steps = 0
-    loss, grad = umap_ce_gradient(M, Z, a=config.a, b=config.b)
-    for it in range(config.iterations):
-        trace[it] = loss
-        mom = config.momentum if it < config.momentum_switch_iter else config.final_momentum
-        # The repulsive part of the cross-entropy diverges for
-        # near-coincident non-neighbours; clip the descent direction
-        # elementwise (the conventional remedy) so one colliding pair
-        # cannot fling points across the layout.
-        V = mom * V - config.learning_rate * np.clip(grad, -4.0, 4.0)
-        step = V
-        cand = Z + step
-        loss_new, grad_new = umap_ce_gradient(M, cand, a=config.a, b=config.b)
-        shrink = 0
-        while loss_new > loss and shrink < 30:
-            step = 0.5 * step
-            cand = Z + step
-            loss_new, grad_new = umap_ce_gradient(M, cand, a=config.a, b=config.b)
-            shrink += 1
-        if loss_new > loss:  # stay put and restart the velocity
-            V = np.zeros_like(Z)
-            grad_new = grad
-            loss_new = loss
-            cand = Z
-        elif shrink:
-            damped_steps += 1
-            V = step
-        Z, loss, grad = cand, loss_new, grad_new
-        if not np.isfinite(Z).all():
-            raise NumericalAbort(f"UMAP produced non-finite coordinates at iteration {it + 1}")
-    trace[config.iterations] = loss
+    constants = _ce_constants(M)
+
+    def loss_grad(Zc: np.ndarray, it: int) -> tuple[float, np.ndarray]:
+        return umap_ce_gradient(M, Zc, a=config.a, b=config.b, constants=constants)
+
+    # The repulsive part of the cross-entropy diverges for near-coincident
+    # non-neighbours; clipping the descent direction elementwise (the
+    # conventional remedy) keeps one colliding pair from flinging points
+    # across the layout.
+    Z, trace, damped_steps = _safeguarded_descent(
+        Z, loss_grad, config, guard_from=0, clip=4.0, recentre=False, engine="UMAP"
+    )
     return Embedding(
         Z=Z,
         objective_trace=trace,

@@ -194,19 +194,35 @@ def run_fit(cfg: PipelineConfig, out_dir) -> RunOutputs:
     return RunOutputs(out_dir=out, files=files, fed=fed, gamma=prep.kernel_params.gamma)
 
 
+def _embed_config(cfg: PipelineConfig, engine: str, n: int) -> EmbedConfig:
+    """The engine's resolved settings, checked against the ``n`` points
+    loaded so that an infeasible setting fails before any compute."""
+    defaults = EmbedConfig.tsne_defaults if engine == "tsne" else EmbedConfig.umap_defaults
+    try:
+        econf = defaults(**cfg.embed_overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if engine == "tsne" and not econf.perplexity < n:
+        raise ConfigError(f"perplexity = {econf.perplexity:g} must be below the {n} points loaded")
+    if engine == "umap" and econf.n_neighbors > n - 1:
+        raise ConfigError(
+            f"n_neighbors = {econf.n_neighbors} exceeds the {n - 1} other points "
+            f"of the {n} loaded"
+        )
+    return econf
+
+
 def _run_embedding(cfg: PipelineConfig, out_dir, engine: str) -> RunOutputs:
     out = _ensure_out(out_dir)
     prep = prepare_run(cfg)
+    econf = _embed_config(cfg, engine, prep.n_points)
     fed = run_feddl(prep.shards, cfg.fed, prep.kernel_params, privacy=cfg.privacy, Y0=prep.Y0)
     completed = _complete(prep, fed.landmarks, cfg, MatrixKind.DISTANCE)
 
-    overrides = dict(cfg.embed_overrides)
     if engine == "tsne":
-        econf = EmbedConfig.tsne_defaults(**overrides)
         aff = tsne_affinities(completed, perplexity=econf.perplexity)
         emb = tsne_embed(aff, econf)
     else:
-        econf = EmbedConfig.umap_defaults(**overrides)
         aff = umap_graph(completed, n_neighbors=econf.n_neighbors)
         emb = umap_embed(aff, econf)
     report, km_labels = _embedding_metrics(completed, emb.Z, prep.labels, cfg)

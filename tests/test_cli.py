@@ -104,6 +104,25 @@ def test_divergent_run_exits_4(runner, tmp_path):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize(
+    "command,default,setting",
+    [
+        ("tsne", "perplexity = 8.0", "perplexity = 100"),
+        ("umap", "n_neighbors = 8", "n_neighbors = 30"),
+        ("tsne", "iterations = 60", "iterations = 0"),
+    ],
+)
+def test_infeasible_embedding_setting_exits_2(runner, tmp_path, command, default, setting):
+    # 30 points: perplexity must stay below 30, n_neighbors at most 29
+    p = tmp_path / "small.ini"
+    p.write_text(
+        TINY_INI.replace("points_per_blob = 20", "points_per_blob = 10").replace(default, setting)
+    )
+    result = runner.invoke(main, [command, "--config", str(p), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {setting.split()[0]} " in result.output
+
+
 def test_seed_override_changes_outputs(runner, config_file, tmp_path):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     for out, seed in ((a, "1"), (b, "2"), (c, "2")):

@@ -11,7 +11,8 @@ from feddl.embed import (
     tsne_embed,
     tsne_kl_gradient,
 )
-from helpers import central_fd, random_sq_distance_matrix
+from feddl.errors import NumericalAbort
+from helpers import central_fd, random_sq_distance_matrix, rel_err
 
 # frozen output of tests/oracles/gen_embed_metrics_reference.py
 TSNE_ROW_P = [0.72717726082691506, 0.23646217201215894, 0.036360567160926005]
@@ -109,6 +110,84 @@ def test_kl_nonnegative_for_probability_inputs(seed):
     assert kl >= -1e-12
 
 
+def _kl_direct(P, Z, P_grad):
+    """KL(P || Q) and the gradient with ``P_grad`` in place of ``P``,
+    each from its own Student-t matrix, term by term."""
+    sq = np.einsum("ij,ij->i", Z, Z)
+    d2 = sq[:, None] - 2.0 * (Z @ Z.T) + sq[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    W = 1.0 / (1.0 + d2)
+    np.fill_diagonal(W, 0.0)
+    Q = W / W.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logterm = np.log(np.maximum(P, 1e-12) / np.maximum(Q, 1e-12))
+    kl = float(np.sum(np.where(P > 0, P * logterm, 0.0)))
+    PQ = (P_grad - Q) * W
+    return kl, 4.0 * (PQ.sum(axis=1)[:, None] * Z - PQ @ Z), Q
+
+
+@pytest.mark.parametrize("case", ["zero_entries", "exaggerated", "q_floor"])
+def test_fused_kl_gradient_matches_direct_formula(rng, case):
+    n = 24
+    P = tsne_affinities(random_sq_distance_matrix(n, 3, rng), perplexity=5.0).values
+    Z = rng.normal(size=(n, 2))
+    exaggeration = 1.0
+    if case == "zero_entries":
+        drop = np.triu(rng.random((n, n)) < 0.3, 1)
+        P = np.where(drop | drop.T, 0.0, P)
+        P /= P.sum()
+    elif case == "exaggerated":
+        exaggeration = 12.0
+    else:  # half the points far away: their Q entries fall below the floor
+        Z[n // 2 :] += 1e7
+    kl, g = tsne_kl_gradient(P, Z, exaggeration=exaggeration)
+    kl_ref, g_ref, Q = _kl_direct(P, Z, exaggeration * P)
+    if case == "zero_entries":
+        assert (P == 0).sum() > n
+    if case == "q_floor":
+        assert (Q[P > 0] < 1e-12).any()
+    assert abs(kl - kl_ref) <= 1e-12 * abs(kl_ref)
+    assert rel_err(g, g_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("learning_rate,halved", [(1000.0, False), (50.0, True)])
+def test_embed_makes_one_student_t_pass_per_iterate(rng, monkeypatch, learning_rate, halved):
+    import feddl.embed as embed_mod
+
+    losses, weight_passes = [], []
+    real_pass, real_weights = embed_mod.tsne_kl_gradient, embed_mod._student_t_weights
+
+    def counted_pass(*args, **kwargs):
+        kl, g = real_pass(*args, **kwargs)
+        losses.append(kl)
+        return kl, g
+
+    def counted_weights(Z):
+        weight_passes.append(Z.shape)
+        return real_weights(Z)
+
+    monkeypatch.setattr(embed_mod, "tsne_kl_gradient", counted_pass)
+    monkeypatch.setattr(embed_mod, "_student_t_weights", counted_weights)
+    P = tsne_affinities(random_sq_distance_matrix(30, 4, rng, scale=2.0), perplexity=6.0)
+    config = EmbedConfig.tsne_defaults(
+        iterations=60,
+        early_exaggeration_iters=15,
+        momentum_switch_iter=15,
+        learning_rate=learning_rate,
+        seed=1,
+    )
+    emb = tsne_embed(P, config)
+    # Every accepted pass's loss is on the trace (the exaggerated phase
+    # included); a loss that is not is a rejected candidate, one halving.
+    # A step refused 31 times would repeat a trace entry; none is here.
+    on_trace = set(emb.objective_trace.tolist())
+    assert len(on_trace) == config.iterations + 1
+    halvings = sum(kl not in on_trace for kl in losses)
+    assert len(weight_passes) == len(losses) == config.iterations + 1 + halvings
+    assert halvings >= emb.diagnostics["damped_steps"]
+    assert (halvings > 0) == halved
+
+
 def test_embed_trace_monotone_after_exaggeration(rng):
     D2 = random_sq_distance_matrix(40, 4, rng, scale=2.0)
     P = tsne_affinities(D2, perplexity=8.0)
@@ -146,6 +225,13 @@ def test_embed_equivariant_under_point_reordering(rng):
     shuffled = tsne_embed(P[np.ix_(perm, perm)], config)
     # identical up to floating-point drift from permuted reductions
     npt.assert_allclose(shuffled.Z, base.Z[perm], atol=1e-6)
+
+
+def test_embed_aborts_on_non_finite_coordinates(rng):
+    P = tsne_affinities(random_sq_distance_matrix(20, 3, rng), perplexity=5.0)
+    config = EmbedConfig.tsne_defaults(iterations=20, learning_rate=1e300)
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort, match="iteration 2"):
+        tsne_embed(P, config)
 
 
 def test_embed_recovers_separated_blobs(blob_points):

@@ -10,7 +10,8 @@ from feddl.embed import (
     umap_embed,
     umap_graph,
 )
-from helpers import central_fd, random_sq_distance_matrix
+from feddl.errors import NumericalAbort
+from helpers import central_fd, random_sq_distance_matrix, rel_err
 
 # frozen output of tests/oracles/gen_embed_metrics_reference.py
 SMOOTH_KNN_SIGMA = 1.778096575017367  # shifted distances [0,1,2,4], target log2(4)
@@ -105,6 +106,52 @@ def test_ce_minimised_when_memberships_match():
         assert loss2 > loss
 
 
+def _ce_direct(mu, Z, a, b):
+    """Fuzzy cross-entropy and gradient, every term taken per call."""
+    n = Z.shape[0]
+    sq = np.einsum("ij,ij->i", Z, Z)
+    d2 = sq[:, None] - 2.0 * (Z @ Z.T) + sq[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    off = ~np.eye(n, dtype=bool)
+    d2b = np.power(np.maximum(d2, 1e-12), b) if b != 1.0 else d2
+    w = 1.0 / (1.0 + a * d2b)
+    one_minus_w = np.maximum(1.0 - w, 1e-12)
+    wf = np.maximum(w, 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        attract = np.where(mu > 0, mu * np.log(np.maximum(mu, 1e-12) / wf), 0.0)
+        rep_mu = 1.0 - mu
+        repulse = np.where(
+            rep_mu > 0, rep_mu * np.log(np.maximum(rep_mu, 1e-12) / one_minus_w), 0.0
+        )
+    loss = float(np.sum(np.where(off, attract + repulse, 0.0)))
+    d2bm1 = np.power(np.maximum(d2, 1e-12), b - 1.0) if b != 1.0 else 1.0
+    dldw = np.where(off & (w > 1e-12), -mu / wf, 0.0) + np.where(
+        off & (1.0 - w > 1e-12), (1.0 - mu) / one_minus_w, 0.0
+    )
+    coeff = np.where(off, dldw * (-a * b * d2bm1 * w * w), 0.0)
+    return loss, 4.0 * (coeff.sum(axis=1)[:, None] * Z - coeff @ Z)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.577, 0.895)])
+@pytest.mark.parametrize("case", ["spread", "coincident", "zero_one_memberships"])
+def test_hoisted_ce_matches_direct_formula(rng, case, a, b):
+    n = 12
+    mu = rng.uniform(0.05, 0.95, size=(n, n))
+    mu = 0.5 * (mu + mu.T)
+    Z = 2.0 * rng.normal(size=(n, 2))
+    if case == "coincident":
+        Z[1], Z[5], Z[6] = Z[0], Z[4], Z[4]
+    elif case == "zero_one_memberships":
+        mu[np.triu(rng.random((n, n)) < 0.3, 1)] = 0.0
+        mu[np.triu(rng.random((n, n)) < 0.3, 1)] = 1.0
+        mu = np.triu(mu, 1) + np.triu(mu, 1).T
+    np.fill_diagonal(mu, 0.0)
+    loss, g = umap_ce_gradient(mu, Z, a=a, b=b)
+    loss_ref, g_ref = _ce_direct(mu, Z, a, b)
+    assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+    assert rel_err(g, g_ref) <= 1e-12
+
+
 def test_embed_trace_monotone_from_start(rng):
     D2 = random_sq_distance_matrix(30, 4, rng, scale=2.0)
     G = umap_graph(D2, n_neighbors=6)
@@ -135,6 +182,13 @@ def test_embed_equivariant_under_point_reordering(rng):
     shuffled = umap_embed(G[np.ix_(perm, perm)], config)
     # identical up to floating-point drift from permuted reductions
     npt.assert_allclose(shuffled.Z, base.Z[perm], atol=1e-6)
+
+
+def test_embed_aborts_on_non_finite_coordinates(rng):
+    G = umap_graph(random_sq_distance_matrix(20, 3, rng), n_neighbors=5)
+    config = EmbedConfig.umap_defaults(iterations=20, learning_rate=1e300)
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort, match="iteration 2"):
+        umap_embed(G, config)
 
 
 def test_embed_recovers_separated_blobs(blob_points):
