@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .nystrom import CompletedMatrix, MatrixKind
+from .kernels import sq_dists
+from .nystrom import MatrixKind, _symmetric_values
 
 __all__ = ["ClusterAssignment", "kmeans", "spectral_cluster"]
 
@@ -53,13 +54,6 @@ def _kmeans_pp_init(Z: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _sq_dists_to_centers(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    sz = np.einsum("ij,ij->i", Z, Z)
-    sc = np.einsum("ij,ij->i", centers, centers)
-    d2 = sz[:, None] - 2.0 * (Z @ centers.T) + sc[None, :]
-    return np.maximum(d2, 0.0)
-
-
 def _kmeans_single(
     Z: np.ndarray, c: int, rng: np.random.Generator, max_iter: int, rel_tol: float
 ) -> ClusterAssignment:
@@ -68,7 +62,7 @@ def _kmeans_single(
     prev_inertia = np.inf
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = _sq_dists_to_centers(Z, centers)
+        d2 = sq_dists(Z, centers)
         labels = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), labels]
         for j in range(c):
@@ -82,7 +76,7 @@ def _kmeans_single(
                 point_d2[far] = 0.0
                 continue
             centers[j] = Z[members].mean(axis=0)
-        d2 = _sq_dists_to_centers(Z, centers)
+        d2 = sq_dists(Z, centers)
         labels = d2.argmin(axis=1)
         inertia = float(d2[np.arange(n), labels].sum())
         if prev_inertia - inertia <= rel_tol * max(prev_inertia, 1e-300) and np.isfinite(
@@ -137,25 +131,11 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     ``c`` spectral clusters); any point with a nonzero row participates
     in the spectral embedding as usual.
     """
-    if isinstance(K, CompletedMatrix):
-        if K.kind is not MatrixKind.KERNEL:
-            raise ValueError("spectral clustering expects a kernel-kind completion")
-        Kv = K.values
-    else:
-        Kv = np.asarray(K, dtype=np.float64)
-    if Kv.ndim != 2 or Kv.shape[0] != Kv.shape[1]:
-        raise ValueError(f"similarity matrix must be square, got shape {Kv.shape}")
-    if not np.isfinite(Kv).all():
-        raise ValueError("similarity matrix contains non-finite entries")
-    if Kv.size and Kv.min() < 0:
-        raise ValueError("similarity matrix must be non-negative")
-    if float(np.abs(Kv - Kv.T).max()) > 1e-8 * max(1.0, float(Kv.max())):
-        raise ValueError("similarity matrix is not symmetric")
+    Kv = _symmetric_values(K, MatrixKind.KERNEL, "similarity matrix")
     n = Kv.shape[0]
     if not (2 <= c <= n):
         raise ValueError(f"cluster count must lie in [2, {n}], got {c}")
 
-    Kv = 0.5 * (Kv + Kv.T)
     deg = Kv.sum(axis=1)
     active = deg > 0
     n_active = int(active.sum())

@@ -40,7 +40,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalAbort
-from .nystrom import CompletedMatrix, MatrixKind
+from .kernels import knn_indices, sq_dists
+from .nystrom import MatrixKind, _symmetric_values
 
 __all__ = [
     "EmbedConfig",
@@ -154,25 +155,6 @@ class Embedding:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _distance_values(D) -> np.ndarray:
-    """Accept a CompletedMatrix (distance kind) or a plain symmetric array."""
-    if isinstance(D, CompletedMatrix):
-        if D.kind is not MatrixKind.DISTANCE:
-            raise ValueError("embedding inputs must be distance-kind matrices")
-        vals = D.values
-    else:
-        vals = np.asarray(D, dtype=np.float64)
-    if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-        raise ValueError(f"distance matrix must be square, got shape {vals.shape}")
-    if not np.isfinite(vals).all():
-        raise ValueError("distance matrix contains non-finite entries")
-    if vals.size and vals.min() < 0:
-        raise ValueError("distance matrix contains negative entries")
-    if float(np.abs(vals - vals.T).max()) > 1e-8 * max(1.0, float(vals.max())):
-        raise ValueError("distance matrix is not symmetric")
-    return 0.5 * (vals + vals.T)
-
-
 def _row_affinity(d2_row: np.ndarray, target_perp: float) -> tuple[np.ndarray, bool]:
     """Binary search on the precision ``beta = 1/(2 tau^2)`` of one row.
 
@@ -211,7 +193,7 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     conditional row sums to one; the joint matrix ``(P + P') / (2N)``
     sums to one and has a zero diagonal.
     """
-    D2 = _distance_values(D)
+    D2 = _symmetric_values(D, MatrixKind.DISTANCE, "distance matrix")
     n = D2.shape[0]
     if n < 3:
         raise ValueError(f"t-SNE affinities need >= 3 points, got {n}")
@@ -231,16 +213,9 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     return AffinityMatrix(values=P, kind="tsne_joint", fallback_rows=tuple(fallbacks))
 
 
-def _sq_dists(Z: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of ``Z``, clipped at zero."""
-    sq = np.einsum("ij,ij->i", Z, Z)
-    d2 = sq[:, None] - 2.0 * (Z @ Z.T) + sq[None, :]
-    return np.maximum(d2, 0.0, out=d2)
-
-
 def _student_t_weights(Z: np.ndarray) -> tuple[np.ndarray, float]:
     """Unnormalised Student-t weights ``1/(1+||z_i-z_j||^2)`` and their sum."""
-    W = _sq_dists(Z)
+    W = sq_dists(Z)
     W += 1.0
     np.reciprocal(W, out=W)
     np.fill_diagonal(W, 0.0)
@@ -444,27 +419,23 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     point's nearest neighbour receives membership one; memberships are
     symmetrised with the fuzzy union.
     """
-    D2 = _distance_values(D)
-    n = D2.shape[0]
+    Dd = np.sqrt(_symmetric_values(D, MatrixKind.DISTANCE, "distance matrix"))
+    n = Dd.shape[0]
     if n < 2:
         raise ValueError(f"the UMAP graph needs >= 2 points, got {n}")
     if not (1 <= n_neighbors <= n - 1):
         raise ValueError(f"n_neighbors must lie in [1, {n - 1}], got {n_neighbors}")
-    Dd = np.sqrt(D2)
-    target = math.log2(n_neighbors) if n_neighbors > 1 else 1.0
+    # neighbours are ranked on the square roots: sqrt can tie distinct d2
+    order = knn_indices(Dd, n_neighbors)
+    nd = np.take_along_axis(Dd, order, axis=1)
+    shifted = np.maximum(nd - nd[:, :1], 0.0)  # rho_i is the nearest distance
+    if n_neighbors == 1:
+        memberships = np.ones_like(shifted)
+    else:
+        target = math.log2(n_neighbors)
+        memberships = np.array([np.exp(-row / _smooth_knn_sigma(row, target)) for row in shifted])
     cond = np.zeros((n, n))
-    for i in range(n):
-        d = Dd[i].copy()
-        d[i] = math.inf
-        order = np.argsort(d, kind="stable")[:n_neighbors]
-        nd = d[order]
-        rho = float(nd[0])
-        shifted = np.maximum(nd - rho, 0.0)
-        if n_neighbors == 1:
-            cond[i, order] = 1.0
-            continue
-        sigma = _smooth_knn_sigma(shifted, target)
-        cond[i, order] = np.exp(-shifted / sigma)
+    np.put_along_axis(cond, order, memberships, axis=1)
     mu = cond + cond.T - cond * cond.T
     np.fill_diagonal(mu, 0.0)
     return AffinityMatrix(values=mu, kind="umap_membership")
@@ -504,7 +475,7 @@ def umap_ce_gradient(
     a call takes only ``log max(w, f)`` and ``log max(1 - w, f)``.
     """
     mu_off, nu_off, entropy = _ce_constants(mu) if constants is None else constants
-    d2 = _sq_dists(Z)
+    d2 = sq_dists(Z)
     if b == 1.0:
         d2b, d2bm1 = d2, 1.0
     else:

@@ -66,6 +66,35 @@ def _as_points(a, name: str) -> np.ndarray:
     return arr
 
 
+def sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the *rows* of ``A`` and ``B``
+    (``B`` defaults to ``A``), by the Gram expansion with negative
+    round-off clamped to zero.
+
+    The one distance core of the package.  It does no validation: callers
+    pass finite 2-D float arrays with equal column counts.
+    """
+    B = A if B is None else B
+    sq_a = np.einsum("ij,ij->i", A, A)
+    sq_b = sq_a if B is A else np.einsum("ij,ij->i", B, B)
+    D2 = sq_a[:, None] - 2.0 * (A @ B.T) + sq_b[None, :]
+    return np.maximum(D2, 0.0, out=D2)
+
+
+def knn_indices(D: np.ndarray, k: int, *, exclude_self: bool = True) -> np.ndarray:
+    """Column indices of the ``k`` smallest entries of every row of ``D``.
+
+    Ties break by index (stable sort).  With ``exclude_self`` the square
+    ``D`` is read with its diagonal at infinity, so a row never selects
+    itself; ``D`` is not modified.  Returns a compact ``rows x k`` array,
+    so the full row-wise ordering is freed on return.
+    """
+    if exclude_self:
+        D = D.copy()
+        np.fill_diagonal(D, np.inf)
+    return np.argsort(D, axis=1, kind="stable")[:, :k].copy()
+
+
 def pairwise_sq_dist(X, Y) -> np.ndarray:
     """Squared Euclidean distances between column points of ``X`` and ``Y``.
 
@@ -84,10 +113,7 @@ def pairwise_sq_dist(X, Y) -> np.ndarray:
         raise ValueError(
             f"feature dimensions differ: X has {X.shape[0]} rows, Y has {Y.shape[0]}"
         )
-    sx = np.einsum("ij,ij->j", X, X)
-    sy = sx if Y is X else np.einsum("ij,ij->j", Y, Y)
-    D2 = sx[:, None] - 2.0 * (X.T @ Y) + sy[None, :]
-    np.maximum(D2, 0.0, out=D2)
+    D2 = sq_dists(X.T, Y.T)
     same = Y is X or (X.shape == Y.shape and np.array_equal(X, Y))
     if same:
         D2 = 0.5 * (D2 + D2.T)

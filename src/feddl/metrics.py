@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import knn_indices, sq_dists
 from .nystrom import CompletedMatrix
 
 __all__ = [
@@ -33,12 +34,6 @@ __all__ = [
     "ari",
     "summarize_reports",
 ]
-
-
-def _pairwise_dist_rows(Z: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", Z, Z)
-    d2 = sq[:, None] - 2.0 * (Z @ Z.T) + sq[None, :]
-    return np.sqrt(np.maximum(d2, 0.0))
 
 
 def _check_labels(labels, n: int, name: str = "labels") -> np.ndarray:
@@ -81,10 +76,7 @@ def ca_knn(
         raise ValueError("stratified split produced an empty test side; lower split_ratio")
     if k > train.size:
         raise ValueError(f"k={k} exceeds the training-side size {train.size}")
-    sq_tr = np.einsum("ij,ij->i", Z[train], Z[train])
-    sq_te = np.einsum("ij,ij->i", Z[test], Z[test])
-    d2 = sq_te[:, None] - 2.0 * (Z[test] @ Z[train].T) + sq_tr[None, :]
-    nbr = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    nbr = knn_indices(sq_dists(Z[test], Z[train]), k, exclude_self=False)
     votes = enc[train][nbr]
     n_classes = classes.size
     counts = np.zeros((test.size, n_classes), dtype=np.int64)
@@ -123,25 +115,16 @@ def npa_knn(
         raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
     if variant not in ("overlap", "labels"):
         raise ValueError(f"variant must be 'overlap' or 'labels', got {variant!r}")
-    Dl = _pairwise_dist_rows(Z)
+    nl = knn_indices(np.sqrt(sq_dists(Z)), k)
     if variant == "labels":
         lab = _check_labels(labels, n)
-        agree = 0.0
-        for i in range(n):
-            lo = Dl[i].copy()
-            lo[i] = math.inf
-            nl = np.argsort(lo, kind="stable")[:k]
-            agree += float(np.mean(lab[nl] == lab[i]))
-        return agree / n
-    overlap = 0.0
-    for i in range(n):
-        hi = Dh[i].copy()
-        lo = Dl[i].copy()
-        hi[i] = lo[i] = math.inf
-        nh = set(np.argsort(hi, kind="stable")[:k].tolist())
-        nl = set(np.argsort(lo, kind="stable")[:k].tolist())
-        overlap += len(nh & nl) / k
-    return overlap / n
+        per_row = (lab[nl] == lab[:, None]).sum(axis=1) / k
+    else:
+        in_high = np.zeros((n, n), dtype=bool)
+        np.put_along_axis(in_high, knn_indices(Dh, k), True, axis=1)
+        per_row = np.take_along_axis(in_high, nl, axis=1).sum(axis=1) / k
+    # accumulated left to right: a pairwise sum would move the last bit of the metric
+    return float(np.cumsum(per_row)[-1]) / n
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -194,22 +177,22 @@ def silhouette(Z: np.ndarray, labels) -> float:
     classes, enc = np.unique(lab, return_inverse=True)
     if classes.size < 2:
         raise ValueError("silhouette needs at least two clusters")
-    D = _pairwise_dist_rows(Z)
+    D = np.sqrt(sq_dists(Z))
     sizes = np.bincount(enc, minlength=classes.size)
     # sums[i, c] = total distance from point i to all members of cluster c
     sums = np.zeros((n, classes.size))
     for ci in range(classes.size):
         sums[:, ci] = D[:, enc == ci].sum(axis=1)
-    scores = np.zeros(n)
-    for i in range(n):
-        ci = enc[i]
-        if sizes[ci] == 1:
-            continue  # singleton scores 0
-        a_i = sums[i, ci] / (sizes[ci] - 1)
-        others = [sums[i, cj] / sizes[cj] for cj in range(classes.size) if cj != ci]
-        b_i = min(others)
-        denom = max(a_i, b_i)
-        scores[i] = 0.0 if denom == 0.0 else (b_i - a_i) / denom
+    rows = np.arange(n)
+    own = sizes[enc]
+    means = sums / sizes[None, :]
+    means[rows, enc] = np.inf
+    b = means.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, enc] / (own - 1)
+        denom = np.maximum(a, b)
+        # singletons and 0/0 (all coincident points) score 0
+        scores = np.where((own > 1) & (denom != 0.0), (b - a) / denom, 0.0)
     return float(scores.mean())
 
 

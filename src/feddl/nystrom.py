@@ -188,16 +188,14 @@ def _select_eigenpairs(
     return kept[mags > eigen_floor * top]
 
 
-def resolve_ridge(W: np.ndarray, params: CompletionParams) -> float:
-    """Ridge actually applied: the configured one, or the automatic value
+def _rank(params: CompletionParams, n: int) -> int:
+    return min(params.rank_k if params.rank_k else n, n)
+
+
+def _auto_ridge(W: np.ndarray, w: np.ndarray, params: CompletionParams) -> float:
+    """The automatic ridge for ``W`` with eigenvalues ``w``: nonzero only
     when the kept spectrum is numerically singular."""
-    if params.ridge_lambda > 0:
-        return params.ridge_lambda
-    n = W.shape[0]
-    k = params.rank_k if params.rank_k else n
-    k = min(k, n)
-    w = scipy.linalg.eigvalsh(W)
-    kept = _select_eigenpairs(w, k, params.eigen_floor)
+    kept = _select_eigenpairs(w, _rank(params, W.shape[0]), params.eigen_floor)
     if kept.size == 0:
         return 0.0
     mags = np.abs(w[kept])
@@ -205,6 +203,36 @@ def resolve_ridge(W: np.ndarray, params: CompletionParams) -> float:
         adjacent = np.abs(np.diagonal(W, offset=1))
         return _AUTO_RIDGE_FACTOR * float(adjacent.mean()) if adjacent.size else 0.0
     return 0.0
+
+
+def resolve_ridge(W: np.ndarray, params: CompletionParams) -> float:
+    """Ridge actually applied: the configured one, or the automatic value
+    when the kept spectrum is numerically singular."""
+    if params.ridge_lambda > 0:
+        return params.ridge_lambda
+    return _auto_ridge(W, scipy.linalg.eigh(W)[0], params)
+
+
+def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, float]:
+    """``rank_k_pinv`` and the ridge it applied.
+
+    A configured ridge takes one eigendecomposition, of ``W + lambda I``.
+    Otherwise the one of ``W`` decides the automatic ridge and, when that
+    is zero, is the pseudo-inverse; a nonzero one takes a second.
+    """
+    n = W.shape[0]
+    lam = params.ridge_lambda
+    if lam == 0.0:
+        w, V = scipy.linalg.eigh(W)
+        lam = _auto_ridge(W, w, params)
+    if lam > 0.0:
+        w, V = scipy.linalg.eigh(W + lam * np.eye(n))
+    kept = _select_eigenpairs(w, _rank(params, n), params.eigen_floor)
+    if kept.size == 0:
+        raise ValueError("landmark block is numerically rank-zero; cannot invert")
+    Vk = V[:, kept]
+    M = (Vk / w[kept][None, :]) @ Vk.T
+    return 0.5 * (M + M.T), lam
 
 
 def rank_k_pinv(W: LandmarkBlock, params: CompletionParams) -> np.ndarray:
@@ -215,18 +243,7 @@ def rank_k_pinv(W: LandmarkBlock, params: CompletionParams) -> np.ndarray:
     blocks — squared-distance matrices — are valid inputs).  A block with
     no eigenvalue above the floor is numerically rank-zero and rejected.
     """
-    lam = resolve_ridge(W.values, params)
-    n = W.n_landmarks
-    k = params.rank_k if params.rank_k else n
-    k = min(k, n)
-    Wv = W.values if lam == 0.0 else W.values + lam * np.eye(n)
-    w, V = scipy.linalg.eigh(Wv)
-    kept = _select_eigenpairs(w, k, params.eigen_floor)
-    if kept.size == 0:
-        raise ValueError("landmark block is numerically rank-zero; cannot invert")
-    Vk = V[:, kept]
-    M = (Vk / w[kept][None, :]) @ Vk.T
-    return 0.5 * (M + M.T)
+    return _ridged_pinv(W.values, params)[0]
 
 
 @dataclass(frozen=True)
@@ -240,6 +257,27 @@ class CompletedMatrix:
     @property
     def n_points(self) -> int:
         return self.values.shape[0]
+
+
+def _symmetric_values(M, kind: MatrixKind, what: str) -> np.ndarray:
+    """The values of a ``kind``-kind completion or of a plain array,
+    checked to be square, finite, non-negative and symmetric (within
+    1e-8 of the largest entry, or of 1), and returned exactly symmetric."""
+    if isinstance(M, CompletedMatrix):
+        if M.kind is not kind:
+            raise ValueError(f"expected a {kind.value}-kind completion, got {M.kind.value}-kind")
+        vals = M.values
+    else:
+        vals = np.asarray(M, dtype=np.float64)
+    if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {vals.shape}")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    if vals.size and vals.min() < 0:
+        raise ValueError(f"{what} must be non-negative")
+    if float(np.abs(vals - vals.T).max()) > 1e-8 * max(1.0, float(vals.max())):
+        raise ValueError(f"{what} is not symmetric")
+    return 0.5 * (vals + vals.T)
 
 
 def nystrom_complete(
@@ -263,8 +301,7 @@ def nystrom_complete(
             f"cross block has {B.values.shape[1]} landmark columns but the landmark "
             f"block has {W.n_landmarks}"
         )
-    lam = resolve_ridge(W.values, params)
-    Winv = rank_k_pinv(W, params)
+    Winv, lam = _ridged_pinv(W.values, params)
     M = B.values @ Winv @ B.values.T
     M = 0.5 * (M + M.T)
     if W.kind is MatrixKind.DISTANCE:
@@ -273,13 +310,12 @@ def nystrom_complete(
     else:
         np.clip(M, 0.0, 1.0, out=M)
         np.fill_diagonal(M, 1.0)
-    k = params.rank_k if params.rank_k else W.n_landmarks
     return CompletedMatrix(
         values=M,
         kind=W.kind,
         provenance={
             "n_landmarks": W.n_landmarks,
-            "rank_k": min(k, W.n_landmarks),
+            "rank_k": _rank(params, W.n_landmarks),
             "ridge_lambda": lam,
             "privacy_mode": str(privacy_mode),
         },

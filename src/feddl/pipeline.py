@@ -97,7 +97,10 @@ def prepare_run(cfg: PipelineConfig) -> PreparedRun:
     """Load, partition, apply one-shot data perturbation, initialise
     landmarks, and resolve the kernel bandwidth."""
     X, labels = load_dataset(cfg.dataset)
-    shards = partition(X, labels, cfg.part)
+    try:
+        shards = partition(X, labels, cfg.part)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     shards = perturb_shards(shards, cfg.privacy)
     meta = shards_meta(shards, with_moments=cfg.fed.init is LandmarkInit.SEED_SAMPLE)
     Y0 = init_landmarks(meta, cfg.fed)
@@ -132,8 +135,13 @@ def _complete(
 
 
 def _embedding_metrics(
-    completed: CompletedMatrix, Z: np.ndarray, labels: np.ndarray | None, cfg: PipelineConfig
+    completed: CompletedMatrix | None,
+    Z: np.ndarray,
+    labels: np.ndarray | None,
+    cfg: PipelineConfig,
 ) -> tuple[MetricsReport, np.ndarray]:
+    """Metrics of an embedding; neighbourhood preservation needs the
+    high-dimensional ``completed`` distances and is skipped without them."""
     n = Z.shape[0]
     ca = {}
     if labels is not None:
@@ -142,7 +150,11 @@ def _embedding_metrics(
                 ca[k] = ca_knn(Z, labels, k=k, split_ratio=cfg.ca_split, seed=cfg.seed)
             except ValueError:
                 pass  # k exceeds the training side at this scale; skip
-    npa = {k: npa_knn(completed, Z, k=k) for k in cfg.npa_ks if 1 <= k <= n - 1}
+    npa = (
+        {k: npa_knn(completed, Z, k=k) for k in cfg.npa_ks if 1 <= k <= n - 1}
+        if completed is not None
+        else {}
+    )
     km = kmeans(Z, min(cfg.clusters, n), seed=cfg.seed)
     report = MetricsReport(
         ca=ca,
@@ -264,6 +276,11 @@ def run_fed_speclust(cfg: PipelineConfig, out_dir) -> RunOutputs:
     """Federated spectral clustering on the completed kernel matrix."""
     out = _ensure_out(out_dir)
     prep = prepare_run(cfg)
+    if not 2 <= cfg.clusters <= prep.n_points:
+        raise ConfigError(
+            f"clusters = {cfg.clusters} must lie in [2, {prep.n_points}] for the "
+            f"{prep.n_points} points loaded"
+        )
     fed = run_feddl(prep.shards, cfg.fed, prep.kernel_params, privacy=cfg.privacy, Y0=prep.Y0)
     completed = _complete(prep, fed.landmarks, cfg, MatrixKind.KERNEL)
     assign = spectral_cluster(completed, cfg.clusters, seed=cfg.seed)
@@ -308,27 +325,7 @@ def run_eval(
                 f"{Z.shape[0]} points"
             )
         completed = CompletedMatrix(values=D, kind=MatrixKind.DISTANCE)
-    n = Z.shape[0]
-    ca = {}
-    if labels is not None:
-        for k in cfg.ca_ks:
-            try:
-                ca[k] = ca_knn(Z, labels, k=k, split_ratio=cfg.ca_split, seed=cfg.seed)
-            except ValueError:
-                pass
-    npa = (
-        {k: npa_knn(completed, Z, k=k) for k in cfg.npa_ks if 1 <= k <= n - 1}
-        if completed is not None
-        else {}
-    )
-    km = kmeans(Z, min(cfg.clusters, n), seed=cfg.seed)
-    report = MetricsReport(
-        ca=ca,
-        npa=npa,
-        nmi=nmi(labels, km.labels) if labels is not None else None,
-        sc=silhouette(Z, km.labels) if km.n_clusters >= 2 else None,
-        ari=ari(labels, km.labels) if labels is not None else None,
-    )
+    report, _ = _embedding_metrics(completed, Z, labels, cfg)
     files = {"metrics.csv": out / "metrics.csv", "manifest.ini": out / "manifest.ini"}
     write_metrics_csv(files["metrics.csv"], report.rows())
     manifest = render_manifest(cfg, "eval", {}, ["metrics.csv"])

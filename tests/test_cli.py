@@ -1,6 +1,7 @@
 import pytest
 from click.testing import CliRunner
 
+from feddl import pipeline
 from feddl.cli import main
 from test_pipeline import TINY_INI
 
@@ -121,6 +122,39 @@ def test_infeasible_embedding_setting_exits_2(runner, tmp_path, command, default
     result = runner.invoke(main, [command, "--config", str(p), "--out-dir", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert f"error: {setting.split()[0]} " in result.output
+
+
+@pytest.mark.parametrize(
+    "command,default,setting,message",
+    [
+        ("tsne", "clients = 3", "clients = 40", "client 20 would receive 1 points"),
+        (
+            "umap",
+            "clients = 3\nmode = iid",
+            "clients = 2\nmode = noniid_one_class",
+            "needs exactly 1*P classes; got 3 classes for P=2",
+        ),
+        (
+            "speclust",
+            "[run]",
+            "[clustering]\nclusters = 100\n\n[run]",
+            "clusters = 100 must lie in [2, 60]",
+        ),
+    ],
+    ids=["clients", "one-class", "clusters"],
+)
+def test_infeasible_partition_or_cluster_setting_exits_2(
+    runner, tmp_path, monkeypatch, command, default, setting, message
+):
+    # 60 points in 3 classes; each setting must fail before the federated fit
+    fits = []
+    monkeypatch.setattr(pipeline, "run_feddl", lambda *args, **kwargs: fits.append(args))
+    p = tmp_path / "bad.ini"
+    p.write_text(TINY_INI.replace(default, setting))
+    result = runner.invoke(main, [command, "--config", str(p), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "error: " in result.output and message in result.output
+    assert fits == []
 
 
 def test_seed_override_changes_outputs(runner, config_file, tmp_path):

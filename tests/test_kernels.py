@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from feddl.kernels import (
     KernelParams,
     gaussian_kernel,
+    knn_indices,
     median_heuristic_gamma,
     mmd,
     mmd_gradient,
     pairwise_sq_dist,
+    sq_dists,
 )
 from helpers import central_fd
 
@@ -62,6 +64,43 @@ def test_pairwise_matches_direct_loop(seed):
 def test_pairwise_rejects_mismatched_dims():
     with pytest.raises(ValueError, match="feature dimensions differ"):
         pairwise_sq_dist(np.zeros((2, 3)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sq_dists_matches_pairwise_and_row_expansion_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 70))
+    X = rng.normal(size=(m, int(rng.integers(1, 80))))
+    Y = rng.normal(size=(m, int(rng.integers(1, 80))))
+    npt.assert_array_equal(sq_dists(X.T, Y.T), pairwise_sq_dist(X, Y))
+    Z = X.T.copy()
+    sq = np.einsum("ij,ij->i", Z, Z)
+    rows = sq[:, None] - 2.0 * (Z @ Z.T) + sq[None, :]
+    npt.assert_array_equal(sq_dists(Z), np.maximum(rows, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 39), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_knn_indices_matches_per_row_stable_argsort(n, k, levels, seed):
+    k = min(k, n - 1)
+    rng = np.random.default_rng(seed)
+    D = rng.integers(0, levels + 1, size=(n, n)).astype(np.float64)  # many ties
+    D = D + D.T
+    before = D.copy()
+    expected = []
+    for i in range(n):
+        row = D[i].copy()
+        row[i] = np.inf
+        expected.append(np.argsort(row, kind="stable")[:k])
+    got = knn_indices(D, k)
+    npt.assert_array_equal(got, np.array(expected))
+    assert got.shape == (n, k) and got.base is None  # compact, not a view
+    npt.assert_array_equal(D, before)
+    rect = D[: n // 2 + 1]
+    npt.assert_array_equal(
+        knn_indices(rect, k, exclude_self=False),
+        np.argsort(rect, axis=1, kind="stable")[:, :k],
+    )
 
 
 def test_gaussian_kernel_range_and_gamma_zero():

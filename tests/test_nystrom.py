@@ -155,6 +155,38 @@ def test_auto_ridge_applied_end_to_end():
     assert np.isfinite(completed.values).all()
 
 
+@pytest.mark.parametrize(
+    "W_values,params,decompositions",
+    [
+        (np.array([[1.0, 0.5], [0.5, 1.0]]), CompletionParams(), 1),
+        (np.array([[1.0, 0.5], [0.5, 1.0]]), CompletionParams(ridge_lambda=1e-3), 1),
+        # the automatic ridge needs the spectrum of W, then W + lambda I
+        (np.array([[1.0, 1.0 - 5e-12], [1.0 - 5e-12, 1.0]]), CompletionParams(eigen_floor=0.0), 2),
+    ],
+    ids=["no-ridge", "set-ridge", "auto-ridge"],
+)
+def test_completion_decomposes_landmark_block_once_unless_auto_ridge(
+    monkeypatch, W_values, params, decompositions
+):
+    calls = []
+
+    def counted(name):
+        real = getattr(scipy.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(scipy.linalg, name, counted(name))
+    W = LandmarkBlock(values=W_values, kind=MatrixKind.KERNEL)
+    completed = nystrom_complete(np.array([[0.9, 0.8], [0.2, 0.3], [0.5, 0.5]]), W, params)
+    assert calls == ["eigh"] * decompositions
+    assert completed.provenance["ridge_lambda"] == resolve_ridge(W.values, params)
+
+
 def test_assemble_cross_block_ranges():
     blocks = [np.zeros((3, 4)), np.ones((2, 4)), np.full((5, 4), 2.0)]
     cb = assemble_cross_block(blocks, client_ids=[7, 3, 9])

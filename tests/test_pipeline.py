@@ -159,6 +159,18 @@ def test_eval_on_stored_embedding(tmp_path):
     assert out.files["metrics.csv"].read_bytes() == again.files["metrics.csv"].read_bytes()
 
 
+@pytest.mark.parametrize("engine", [run_fed_tsne, run_fed_umap], ids=["tsne", "umap"])
+def test_eval_reproduces_run_metrics_bytes(tmp_path, engine):
+    run = engine(tiny_cfg(), tmp_path / "run")
+    out = run_eval(
+        tiny_cfg(),
+        tmp_path / "eval",
+        run.files["embedding.csv"],
+        run.files["completed_distance.fdlm"],
+    )
+    assert out.files["metrics.csv"].read_bytes() == run.files["metrics.csv"].read_bytes()
+
+
 def test_eval_without_distances_skips_neighborhood_metric(tmp_path):
     run = run_fed_tsne(tiny_cfg(), tmp_path / "run")
     out = run_eval(tiny_cfg(), tmp_path / "eval", run.files["embedding.csv"])
