@@ -11,75 +11,30 @@ names.  Feeding a manifest back through ``manifest rerun`` reproduces
 the run's outputs byte for byte; only the manifest itself and the
 optimisation trace carry timing information and are therefore not
 byte-stable.
+
+Every key is one row of ``_SCHEMA``, the one place to add a key: the
+unknown-key check, ``parse_config`` and ``render_manifest`` all loop over
+it, and defaults come only from the dataclasses the rows fill.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from enum import Enum
 
 from . import __version__
 from .data import BlobSpec, DatasetSpec, PartitionSpec
+from .embed import EmbedConfig
 from .errors import ConfigError
 from .federation import FedConfig
 from .nystrom import CompletionParams
 from .privacy import PrivacySpec
 
 __all__ = ["PipelineConfig", "parse_config", "parse_config_file", "render_manifest", "parse_manifest"]
-
-_EMBED_KEYS = {
-    "out_dim": int,
-    "iterations": int,
-    "learning_rate": float,
-    "momentum": float,
-    "final_momentum": float,
-    "momentum_switch_iter": int,
-    "early_exaggeration": float,
-    "early_exaggeration_iters": int,
-    "perplexity": float,
-    "n_neighbors": int,
-    "a": float,
-    "b": float,
-    "init_scale": float,
-}
-
-_SECTION_KEYS = {
-    "dataset": {
-        "source",
-        "images_path",
-        "labels_path",
-        "csv_path",
-        "label_column",
-        "normalize",
-        "subsample",
-        "blob_count",
-        "points_per_blob",
-        "blob_std",
-        "blob_separation",
-        "blob_dim",
-    },
-    "partition": {"clients", "mode"},
-    "federation": {
-        "rounds",
-        "local_steps",
-        "step_size",
-        "server_step_size",
-        "aggregation",
-        "landmarks",
-        "init",
-        "init_scale",
-        "workers",
-    },
-    "kernel": {"gamma"},
-    "privacy": {"mode", "sigma", "beta", "epsilon", "delta", "tau_x", "tau_y", "upsilon"},
-    "completion": {"rank", "ridge", "eigen_floor"},
-    "embedding": set(_EMBED_KEYS),
-    "clustering": {"clusters"},
-    "evaluation": {"ca_ks", "npa_ks", "ca_split"},
-    "run": {"seed"},
-}
 
 
 @dataclass
@@ -100,20 +55,77 @@ class PipelineConfig:
     seed: int = 0
 
 
-def _typed(section: str, key: str, raw: str, conv):
-    try:
-        if conv is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
 
 
-def _int_tuple(section: str, key: str, raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+def _auto_float(raw: str) -> float | None:
+    return None if raw.strip().lower() == "auto" else float(raw)
+
+
+def _opt_float(raw: str) -> float | None:
+    return None if raw.strip() == "" else float(raw)
+
+
+# (section, key, part, field, type).  ``part`` names where ``field``
+# lives: "" is PipelineConfig itself, "blobs" is ``dataset.blobs``, any
+# other name the PipelineConfig attribute of that name.  ``type`` parses
+# the raw text.  Manifests write sections and keys in this order.
+_SCHEMA = (
+    ("run", "seed", "", "seed", int),
+    ("dataset", "source", "dataset", "source", str),
+    ("dataset", "images_path", "dataset", "images_path", str),
+    ("dataset", "labels_path", "dataset", "labels_path", str),
+    ("dataset", "csv_path", "dataset", "csv_path", str),
+    ("dataset", "label_column", "dataset", "label_column", str),
+    ("dataset", "normalize", "dataset", "normalize", str),
+    ("dataset", "subsample", "dataset", "subsample", int),
+    ("dataset", "blob_count", "blobs", "n_blobs", int),
+    ("dataset", "points_per_blob", "blobs", "points_per_blob", int),
+    ("dataset", "blob_std", "blobs", "std", float),
+    ("dataset", "blob_separation", "blobs", "separation", float),
+    ("dataset", "blob_dim", "blobs", "dim", int),
+    ("partition", "clients", "part", "n_clients", int),
+    ("partition", "mode", "part", "mode", str),
+    ("federation", "rounds", "fed", "rounds", int),
+    ("federation", "local_steps", "fed", "local_steps", int),
+    ("federation", "step_size", "fed", "step_size", float),
+    ("federation", "server_step_size", "fed", "server_step_size", float),
+    ("federation", "aggregation", "fed", "aggregation", str),
+    ("federation", "landmarks", "fed", "n_landmarks", int),
+    ("federation", "init", "fed", "init", str),
+    ("federation", "init_scale", "fed", "init_scale", float),
+    ("federation", "workers", "fed", "workers", int),
+    ("kernel", "gamma", "", "gamma", _auto_float),
+    ("privacy", "mode", "privacy", "mode", str),
+    ("privacy", "sigma", "privacy", "sigma", float),
+    ("privacy", "beta", "privacy", "beta", float),
+    ("privacy", "epsilon", "privacy", "epsilon", _opt_float),
+    ("privacy", "delta", "privacy", "delta", _opt_float),
+    ("privacy", "tau_x", "privacy", "tau_x", _opt_float),
+    ("privacy", "tau_y", "privacy", "tau_y", _opt_float),
+    ("privacy", "upsilon", "privacy", "upsilon", _opt_float),
+    ("completion", "rank", "completion", "rank_k", int),
+    ("completion", "ridge", "completion", "ridge_lambda", float),
+    ("completion", "eigen_floor", "completion", "eigen_floor", float),
+    *(
+        ("embedding", f.name, "embed_overrides", f.name, type(f.default))
+        for f in fields(EmbedConfig)
+        if f.name != "seed"  # always the run seed
+    ),
+    ("clustering", "clusters", "", "clusters", int),
+    ("evaluation", "ca_ks", "", "ca_ks", _ints),
+    ("evaluation", "npa_ks", "", "npa_ks", _ints),
+    ("evaluation", "ca_split", "", "ca_split", float),
+)
+
+# The table's keys plus the bookkeeping keys a manifest writes to [run].
+_KEYS = {(section, key) for section, key, *_ in _SCHEMA} | {
+    ("run", "command"),
+    ("run", "version"),
+    ("run", "created"),
+}
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
@@ -125,13 +137,10 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     for section in cp.sections():
         if section in ("resolved", "outputs", "eval_inputs"):
             continue  # manifest-only bookkeeping sections
-        allowed = _SECTION_KEYS.get(section)
-        if allowed is None:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown configuration section [{section}]")
         for key in cp[section]:
-            if key == "command" or (section == "run" and key in ("version", "created", "command")):
-                continue
-            if key not in allowed:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     return cp
 
@@ -141,109 +150,32 @@ def parse_config(
 ) -> PipelineConfig:
     """Parse configuration text, applying optional CLI overrides."""
     cp = _read_ini(text)
-
-    def get(section, key, conv, default):
+    given = defaultdict(dict)  # part -> {field: value} of the keys present
+    for section, key, part, name, conv in _SCHEMA:
         if cp.has_option(section, key):
-            return _typed(section, key, cp.get(section, key), conv)
-        return default
+            raw = cp.get(section, key)
+            try:
+                given[part][name] = conv(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    top = given[""]
+    if seed is not None:
+        top["seed"] = seed
+    if workers is not None:
+        given["fed"]["workers"] = workers
+    run_seed = top.setdefault("seed", PipelineConfig.seed)
 
-    def get_opt(section, key, conv):
-        if cp.has_option(section, key) and cp.get(section, key).strip() != "":
-            return _typed(section, key, cp.get(section, key), conv)
-        return None
-
-    run_seed = seed if seed is not None else get("run", "seed", int, 0)
-
-    blobs = BlobSpec(
-        n_blobs=get("dataset", "blob_count", int, 3),
-        points_per_blob=get("dataset", "points_per_blob", int, 100),
-        std=get("dataset", "blob_std", float, 1.0),
-        separation=get("dataset", "blob_separation", float, 10.0),
-        dim=get("dataset", "blob_dim", int, 2),
-    )
     try:
-        dataset = DatasetSpec(
-            source=get("dataset", "source", str, "blobs"),
-            images_path=get("dataset", "images_path", str, ""),
-            labels_path=get("dataset", "labels_path", str, ""),
-            csv_path=get("dataset", "csv_path", str, ""),
-            label_column=get("dataset", "label_column", str, "label"),
-            blobs=blobs,
-            normalize=get("dataset", "normalize", str, "none"),
-            subsample=get("dataset", "subsample", int, 0),
-            seed=run_seed,
-        )
-        part = PartitionSpec(
-            n_clients=get("partition", "clients", int, 10),
-            mode=get("partition", "mode", str, "iid"),
-            seed=run_seed,
-        )
-        fed = FedConfig(
-            rounds=get("federation", "rounds", int, 50),
-            local_steps=get("federation", "local_steps", int, 3),
-            step_size=get("federation", "step_size", float, 1.0),
-            server_step_size=get("federation", "server_step_size", float, 1.0),
-            aggregation=get("federation", "aggregation", str, "average_landmarks"),
-            n_landmarks=get("federation", "landmarks", int, 200),
-            init=get("federation", "init", str, "seed_sample"),
-            init_scale=get("federation", "init_scale", float, 1.0),
-            seed=run_seed,
-            workers=workers if workers is not None else get("federation", "workers", int, 1),
-        )
-        gamma_raw = cp.get("kernel", "gamma") if cp.has_option("kernel", "gamma") else "auto"
-        gamma = None if gamma_raw.strip().lower() == "auto" else _typed(
-            "kernel", "gamma", gamma_raw, float
-        )
-        privacy = PrivacySpec(
-            mode=get("privacy", "mode", str, "none"),
-            sigma=get("privacy", "sigma", float, 0.0),
-            beta=get("privacy", "beta", float, 0.0),
-            epsilon=get_opt("privacy", "epsilon", float),
-            delta=get_opt("privacy", "delta", float),
-            tau_x=get_opt("privacy", "tau_x", float),
-            tau_y=get_opt("privacy", "tau_y", float),
-            upsilon=get_opt("privacy", "upsilon", float),
-            seed=run_seed,
-        )
-        completion = CompletionParams(
-            rank_k=get("completion", "rank", int, 0),
-            ridge_lambda=get("completion", "ridge", float, 0.0),
-            eigen_floor=get("completion", "eigen_floor", float, 1e-12),
-        )
+        blobs = BlobSpec(**given["blobs"])
+        top["dataset"] = DatasetSpec(blobs=blobs, seed=run_seed, **given["dataset"])
+        top["part"] = PartitionSpec(seed=run_seed, **given["part"])
+        top["fed"] = FedConfig(seed=run_seed, **given["fed"])
+        top["privacy"] = PrivacySpec(seed=run_seed, **given["privacy"])
+        top["completion"] = CompletionParams(**given["completion"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    embed_overrides = {}
-    if cp.has_section("embedding"):
-        for key, conv in _EMBED_KEYS.items():
-            if cp.has_option("embedding", key):
-                embed_overrides[key] = _typed("embedding", key, cp.get("embedding", key), conv)
-    embed_overrides["seed"] = run_seed
-
-    ca_ks = (
-        _int_tuple("evaluation", "ca_ks", cp.get("evaluation", "ca_ks"))
-        if cp.has_option("evaluation", "ca_ks")
-        else (1, 10, 50)
-    )
-    npa_ks = (
-        _int_tuple("evaluation", "npa_ks", cp.get("evaluation", "npa_ks"))
-        if cp.has_option("evaluation", "npa_ks")
-        else (10,)
-    )
-    return PipelineConfig(
-        dataset=dataset,
-        part=part,
-        fed=fed,
-        gamma=gamma,
-        privacy=privacy,
-        completion=completion,
-        embed_overrides=embed_overrides,
-        clusters=get("clustering", "clusters", int, 3),
-        ca_ks=ca_ks,
-        npa_ks=npa_ks,
-        ca_split=get("evaluation", "ca_split", float, 0.7),
-        seed=run_seed,
-    )
+    top["embed_overrides"] = {**given["embed_overrides"], "seed": run_seed}
+    return PipelineConfig(**top)
 
 
 def parse_config_file(path, seed: int | None = None, workers: int | None = None) -> PipelineConfig:
@@ -255,8 +187,15 @@ def parse_config_file(path, seed: int | None = None, workers: int | None = None)
     return parse_config(text, seed=seed, workers=workers)
 
 
-def _opt_str(v) -> str:
-    return "" if v is None else repr(float(v))
+def _text(value, conv) -> str:
+    """``value`` as manifest text that ``conv`` parses back to it."""
+    if value is None:
+        return "auto" if conv is _auto_float else ""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return str(value)
 
 
 def render_manifest(
@@ -273,79 +212,34 @@ def render_manifest(
     result parses back through ``parse_manifest`` into an equivalent
     configuration.
     """
-    cp = configparser.ConfigParser(interpolation=None)
-    d, b = cfg.dataset, cfg.dataset.blobs
-    cp["run"] = {
-        "command": command,
-        "version": __version__,
-        "created": datetime.now(timezone.utc).isoformat(),
-        "seed": str(cfg.seed),
+    extra = dict(resolved)
+    if "gamma" in extra:
+        cfg = replace(cfg, gamma=extra.pop("gamma"))
+    values = {
+        "": vars(cfg),
+        "dataset": vars(cfg.dataset),
+        "blobs": vars(cfg.dataset.blobs),
+        "part": vars(cfg.part),
+        "fed": vars(cfg.fed),
+        "privacy": vars(cfg.privacy),
+        "completion": vars(cfg.completion),
+        "embed_overrides": embed_resolved or cfg.embed_overrides,
     }
-    cp["dataset"] = {
-        "source": d.source,
-        "images_path": d.images_path,
-        "labels_path": d.labels_path,
-        "csv_path": d.csv_path,
-        "label_column": d.label_column,
-        "normalize": d.normalize,
-        "subsample": str(d.subsample),
-        "blob_count": str(b.n_blobs),
-        "points_per_blob": str(b.points_per_blob),
-        "blob_std": repr(b.std),
-        "blob_separation": repr(b.separation),
-        "blob_dim": str(b.dim),
-    }
-    cp["partition"] = {"clients": str(cfg.part.n_clients), "mode": cfg.part.mode.value}
-    f = cfg.fed
-    cp["federation"] = {
-        "rounds": str(f.rounds),
-        "local_steps": str(f.local_steps),
-        "step_size": repr(f.step_size),
-        "server_step_size": repr(f.server_step_size),
-        "aggregation": f.aggregation.value,
-        "landmarks": str(f.n_landmarks),
-        "init": f.init.value,
-        "init_scale": repr(f.init_scale),
-        "workers": str(f.workers),
-    }
-    cp["kernel"] = {
-        "gamma": repr(resolved["gamma"]) if "gamma" in resolved else (
-            "auto" if cfg.gamma is None else repr(cfg.gamma)
-        )
-    }
-    p = cfg.privacy
-    cp["privacy"] = {
-        "mode": p.mode.value,
-        "sigma": repr(p.sigma),
-        "beta": repr(p.beta),
-        "epsilon": _opt_str(p.epsilon),
-        "delta": _opt_str(p.delta),
-        "tau_x": _opt_str(p.tau_x),
-        "tau_y": _opt_str(p.tau_y),
-        "upsilon": _opt_str(p.upsilon),
-    }
-    c = cfg.completion
-    cp["completion"] = {
-        "rank": str(c.rank_k),
-        "ridge": repr(c.ridge_lambda),
-        "eigen_floor": repr(c.eigen_floor),
-    }
-    emb = dict(embed_resolved or cfg.embed_overrides)
-    emb.pop("seed", None)
-    if emb:
-        cp["embedding"] = {
-            k: (repr(v) if isinstance(v, float) else str(v)) for k, v in emb.items()
+    sections = {
+        "run": {
+            "command": command,
+            "version": __version__,
+            "created": datetime.now(timezone.utc).isoformat(),
         }
-    cp["clustering"] = {"clusters": str(cfg.clusters)}
-    cp["evaluation"] = {
-        "ca_ks": " ".join(map(str, cfg.ca_ks)),
-        "npa_ks": " ".join(map(str, cfg.npa_ks)),
-        "ca_split": repr(cfg.ca_split),
     }
-    extra = {k: v for k, v in resolved.items() if k != "gamma"}
+    for section, key, part, name, conv in _SCHEMA:
+        if name in values[part]:  # embedding keys: only those set
+            sections.setdefault(section, {})[key] = _text(values[part][name], conv)
     if extra:
-        cp["resolved"] = {k: str(v) for k, v in extra.items()}
-    cp["outputs"] = {f"file{i}": name for i, name in enumerate(outputs)}
+        sections["resolved"] = {k: str(v) for k, v in extra.items()}
+    sections["outputs"] = {f"file{i}": name for i, name in enumerate(outputs)}
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict(sections)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

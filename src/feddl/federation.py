@@ -214,27 +214,27 @@ def local_update(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run ``local_steps`` gradient-descent steps on ``mmd(data, Y)``.
 
-    Returns the final landmark iterate and the list of per-step gradients
-    (the gradient used at step ``t``, after any ``step_noise`` hook).
-    ``norm_cap`` triggers a divergence abort when the iterate's Frobenius
-    norm exceeds it.
+    Returns the final landmark iterate and the list of iterates after
+    each step (step ``t`` applies the gradient after any ``step_noise``
+    hook).  ``norm_cap`` triggers a divergence abort when the iterate's
+    Frobenius norm exceeds it.
     """
     Yp = np.asarray(Y, dtype=np.float64)
-    grads: list[np.ndarray] = []
+    iterates: list[np.ndarray] = []
     for t in range(1, local_steps + 1):
         g = mmd_gradient(data, Yp, kernel_params)
         if step_noise is not None:
             g = step_noise(t, g)
         if not np.isfinite(g).all():
             raise NumericalAbort(f"non-finite gradient at local step {t}")
-        grads.append(g)
         Yp = Yp - step_size * g
+        iterates.append(Yp)
         if norm_cap is not None and np.linalg.norm(Yp) > norm_cap:
             raise NumericalAbort(
                 f"landmark norm exceeded divergence threshold at local step {t}: "
                 f"step size {step_size} too large"
             )
-    return Yp, grads
+    return Yp, iterates
 
 
 def _weighted_sum(updates: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
@@ -402,21 +402,24 @@ def run_feddl(
 
     S, Q, eta = config.rounds, config.local_steps, config.step_size
     grad_agg = config.aggregation is Aggregation.AVERAGE_GRADIENTS
+    gradient_noise = privacy.mode is PrivacyMode.GRADIENT
+
+    def noised_gradient(g: np.ndarray, pos: int, s: int, t: int) -> np.ndarray:
+        """Client ``pos``'s gradient-mode noise on ``g`` (round ``s``, stream step ``t``)."""
+        rng = noise_rng(privacy.seed, shards[pos].client_id, s, t)
+        if grad_sigmas is not None:
+            return _add_noise(g, grad_sigmas[pos], rng)
+        return perturb_gradient(g, privacy.beta, rng)
 
     def client_round(pos: int, s: int, Y_global: np.ndarray):
         shard = shards[pos]
         step_noise = None
-        if privacy.mode is PrivacyMode.GRADIENT and not grad_agg:
+        if gradient_noise and not grad_agg:
             # Only the final local step's gradient shapes what is uploaded.
-            def step_noise(t: int, g: np.ndarray, _pos=pos, _s=s):
-                if t != Q:
-                    return g
-                rng = noise_rng(privacy.seed, shards[_pos].client_id, _s, t)
-                if grad_sigmas is not None:
-                    return _add_noise(g, grad_sigmas[_pos], rng)
-                return perturb_gradient(g, privacy.beta, rng)
+            def step_noise(t: int, g: np.ndarray):
+                return noised_gradient(g, pos, s, t) if t == Q else g
 
-        Yp, grads = local_update(
+        Yp, iterates = local_update(
             shard.data,
             Y_global,
             step_size=eta,
@@ -427,15 +430,10 @@ def run_feddl(
         )
         upload = None
         if grad_agg:
-            g_up = mmd_gradient(shard.data, Yp, kernel_params)
-            if privacy.mode is PrivacyMode.GRADIENT:
-                rng = noise_rng(privacy.seed, shard.client_id, s, Q + 1)
-                if grad_sigmas is not None:
-                    g_up = _add_noise(g_up, grad_sigmas[pos], rng)
-                else:
-                    g_up = perturb_gradient(g_up, privacy.beta, rng)
-            upload = g_up
-        return Yp, grads, upload
+            upload = mmd_gradient(shard.data, Yp, kernel_params)
+            if gradient_noise:
+                upload = noised_gradient(upload, pos, s, Q + 1)
+        return Yp, iterates, upload
 
     P = len(shards)
     rows_s = np.empty(S * Q, dtype=np.int64)
@@ -454,23 +452,17 @@ def run_feddl(
             else:
                 results = [client_round(pos, s, Y) for pos in range(P)]
 
-            # Reconstruct the weighted-average iterate at every local step
-            # (same update expression as the clients ran, so the step-Q
+            # The weighted-average iterate at every local step (the step-Q
             # average coincides bit-for-bit with landmark aggregation).
             prev_virtual = Y
-            locals_prev = [Y] * P
             for t in range(1, Q + 1):
-                locals_t = [
-                    locals_prev[p] - eta * results[p][1][t - 1] for p in range(P)
-                ]
-                virtual = _weighted_sum(locals_t, weights)
+                virtual = _weighted_sum([r[1][t - 1] for r in results], weights)
                 row = (s - 1) * Q + (t - 1)
                 rows_s[row] = s
                 rows_t[row] = t
                 rows_f[row] = objective(virtual)
                 rows_d[row] = float(np.linalg.norm(virtual - prev_virtual) ** 2)
                 prev_virtual = virtual
-                locals_prev = locals_t
 
             if grad_agg:
                 uploads = [r[2] for r in results]

@@ -319,10 +319,10 @@ def run_eval(
     completed = None
     if distances_path:
         D = read_matrix(distances_path)
-        if D.shape[0] != Z.shape[0]:
+        if D.shape != (Z.shape[0], Z.shape[0]):
             raise DataError(
                 f"distance matrix is {D.shape[0]}x{D.shape[1]} but the embedding has "
-                f"{Z.shape[0]} points"
+                f"{Z.shape[0]} points (expected {Z.shape[0]}x{Z.shape[0]})"
             )
         completed = CompletedMatrix(values=D, kind=MatrixKind.DISTANCE)
     report, _ = _embedding_metrics(completed, Z, labels, cfg)

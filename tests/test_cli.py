@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from feddl import pipeline
 from feddl.cli import main
+from feddl.matrixio import write_embedding_csv, write_matrix
 from test_pipeline import TINY_INI
 
 
@@ -208,6 +210,28 @@ def test_eval_and_plot_round(runner, config_file, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert (tmp_path / "plot" / "scatter.svg").exists()
+
+
+def test_eval_with_non_square_distances_exits_3(runner, config_file, tmp_path):
+    rng = np.random.default_rng(0)
+    write_embedding_csv(tmp_path / "embedding.csv", rng.normal(size=(60, 2)))
+    write_matrix(tmp_path / "distances.fdlm", rng.random((60, 5)))
+    result = runner.invoke(
+        main,
+        [
+            "eval",
+            "--config",
+            str(config_file),
+            "--out-dir",
+            str(tmp_path / "eval"),
+            "--embedding",
+            str(tmp_path / "embedding.csv"),
+            "--distances",
+            str(tmp_path / "distances.fdlm"),
+        ],
+    )
+    assert result.exit_code == 3, result.output
+    assert "distance matrix is 60x5" in result.output
 
 
 def test_manifest_rerun_command(runner, config_file, tmp_path):

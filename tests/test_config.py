@@ -1,6 +1,7 @@
 import pytest
 
 from feddl.config import (
+    _SCHEMA,
     PipelineConfig,
     parse_config,
     parse_config_file,
@@ -117,6 +118,11 @@ def test_unknown_section_and_key_are_errors():
         parse_config("[nope]\nx = 1\n")
     with pytest.raises(ConfigError, match=r"unknown key 'gamm' in section \[kernel\]"):
         parse_config("[kernel]\ngamm = 1\n")
+    # manifest bookkeeping keys belong to [run] only
+    with pytest.raises(ConfigError, match=r"unknown key 'command' in section \[dataset\]"):
+        parse_config("[dataset]\ncommand = x\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'version' in section \[kernel\]"):
+        parse_config("[kernel]\nversion = 0.1.0\n")
 
 
 def test_value_errors_name_the_key():
@@ -142,6 +148,89 @@ def test_manifest_round_trip():
     assert command == "tsne"
     assert cfg2 == cfg
     assert "[outputs]" in text and "embedding.csv" in text
+
+
+_BUDGET = {"epsilon": "2.0", "delta": "1e-06", "tau_x": "1.5", "tau_y": "2.5", "upsilon": "0.75"}
+
+# One non-default value per key of the schema.
+KEY_SAMPLES = {
+    ("run", "seed"): "7",
+    ("dataset", "source"): "csv",
+    ("dataset", "images_path"): "train-images.idx",
+    ("dataset", "labels_path"): "train-labels.idx",
+    ("dataset", "csv_path"): "points.csv",
+    ("dataset", "label_column"): "class",
+    ("dataset", "normalize"): "minmax01",
+    ("dataset", "subsample"): "40",
+    ("dataset", "blob_count"): "5",
+    ("dataset", "points_per_blob"): "30",
+    ("dataset", "blob_std"): "0.1",
+    ("dataset", "blob_separation"): "7.300000000000001",
+    ("dataset", "blob_dim"): "4",
+    ("partition", "clients"): "6",
+    ("partition", "mode"): "noniid_two_class",
+    ("federation", "rounds"): "9",
+    ("federation", "local_steps"): "4",
+    ("federation", "step_size"): "2.5",
+    ("federation", "server_step_size"): "0.75",
+    ("federation", "aggregation"): "average_gradients",
+    ("federation", "landmarks"): "40",
+    ("federation", "init"): "gaussian_scaled",
+    ("federation", "init_scale"): "3.0",
+    ("federation", "workers"): "3",
+    ("kernel", "gamma"): "0.3",
+    ("privacy", "mode"): "variable",
+    ("privacy", "sigma"): "0.2",
+    ("privacy", "beta"): "1.25",
+    **{("privacy", key): value for key, value in _BUDGET.items()},
+    ("completion", "rank"): "8",
+    ("completion", "ridge"): "0.01",
+    ("completion", "eigen_floor"): "1e-09",
+    ("embedding", "out_dim"): "3",
+    ("embedding", "iterations"): "77",
+    ("embedding", "learning_rate"): "150.0",
+    ("embedding", "momentum"): "0.4",
+    ("embedding", "final_momentum"): "0.7",
+    ("embedding", "momentum_switch_iter"): "30",
+    ("embedding", "early_exaggeration"): "6.0",
+    ("embedding", "early_exaggeration_iters"): "25",
+    ("embedding", "perplexity"): "12.5",
+    ("embedding", "n_neighbors"): "9",
+    ("embedding", "a"): "1.5",
+    ("embedding", "b"): "0.8",
+    ("embedding", "init_scale"): "0.001",
+    ("clustering", "clusters"): "5",
+    ("evaluation", "ca_ks"): "3 7",
+    ("evaluation", "npa_ks"): "5 15",
+    ("evaluation", "ca_split"): "0.6",
+}
+
+# Other lines of its section that a sample needs to be valid.
+SAMPLE_CONTEXT = {
+    ("privacy", "sigma"): "mode = data",
+    ("privacy", "beta"): "mode = gradient",
+    **{
+        ("privacy", key): "mode = gradient\n"
+        + "\n".join(f"{other} = {v}" for other, v in _BUDGET.items() if other != key)
+        for key in _BUDGET
+    },
+}
+
+
+def _field_value(cfg, part, name):
+    holder = {"": cfg, "blobs": cfg.dataset.blobs}.get(part) or getattr(cfg, part)
+    return holder.get(name) if isinstance(holder, dict) else getattr(holder, name)
+
+
+def test_every_key_round_trips_through_the_manifest():
+    assert set(KEY_SAMPLES) == {(section, key) for section, key, *_ in _SCHEMA}
+    default = parse_config("")
+    for section, key, part, name, _ in _SCHEMA:
+        context = SAMPLE_CONTEXT.get((section, key), "")
+        cfg = parse_config(f"[{section}]\n{context}\n{key} = {KEY_SAMPLES[section, key]}\n")
+        assert _field_value(cfg, part, name) != _field_value(default, part, name), key
+        _, cfg2 = parse_manifest(render_manifest(cfg, "fit", {}, []))
+        assert cfg2 == cfg, key
 
 
 def test_manifest_resolved_values_stick():
