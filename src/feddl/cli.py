@@ -79,40 +79,18 @@ def main():
     embedding, and clustering over horizontally partitioned data."""
 
 
-@main.command()
-@_common_options
-@_run
-def fit(config_path, out_dir, seed, workers):
-    """Learn landmarks only; write landmarks, trace, and manifest."""
-    cfg = _load_cfg(config_path, seed, workers)
-    _report(pipeline.run_fit(cfg, out_dir))
+def _pipeline_command(name: str, entry) -> None:
+    """Register ``feddl <name>``, which runs the pipeline entry point ``entry``."""
+
+    @main.command(name=name, help=entry.__doc__)
+    @_common_options
+    @_run
+    def command(config_path, out_dir, seed, workers):
+        _report(entry(_load_cfg(config_path, seed, workers), out_dir))
 
 
-@main.command()
-@_common_options
-@_run
-def tsne(config_path, out_dir, seed, workers):
-    """Federated t-SNE: fit, complete distances, embed, evaluate."""
-    cfg = _load_cfg(config_path, seed, workers)
-    _report(pipeline.run_fed_tsne(cfg, out_dir))
-
-
-@main.command()
-@_common_options
-@_run
-def umap(config_path, out_dir, seed, workers):
-    """Federated UMAP: fit, complete distances, embed, evaluate."""
-    cfg = _load_cfg(config_path, seed, workers)
-    _report(pipeline.run_fed_umap(cfg, out_dir))
-
-
-@main.command()
-@_common_options
-@_run
-def speclust(config_path, out_dir, seed, workers):
-    """Federated spectral clustering on the completed kernel matrix."""
-    cfg = _load_cfg(config_path, seed, workers)
-    _report(pipeline.run_fed_speclust(cfg, out_dir))
+for _name, _entry in pipeline.COMMANDS.items():
+    _pipeline_command(_name, _entry)
 
 
 @main.command(name="eval")

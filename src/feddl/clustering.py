@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import sq_dists
+from .kernels import normalized_adjacency, sq_dists
 from .nystrom import MatrixKind, _symmetric_values
 
 __all__ = ["ClusterAssignment", "kmeans", "spectral_cluster"]
@@ -136,16 +136,13 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     if not (2 <= c <= n):
         raise ValueError(f"cluster count must lie in [2, {n}], got {c}")
 
-    deg = Kv.sum(axis=1)
-    active = deg > 0
+    _, active, S = normalized_adjacency(Kv)
     n_active = int(active.sum())
     if n_active < c:
         raise ValueError(
             f"only {n_active} points have nonzero degree; cannot form {c} clusters"
         )
-    Ka = Kv[np.ix_(active, active)]
-    inv_sqrt = 1.0 / np.sqrt(deg[active])
-    Lsym = np.eye(n_active) - inv_sqrt[:, None] * Ka * inv_sqrt[None, :]
+    Lsym = np.eye(n_active) - S
     Lsym = 0.5 * (Lsym + Lsym.T)
     _, vecs = scipy.linalg.eigh(Lsym, subset_by_index=(0, c - 1))
     norms = np.linalg.norm(vecs, axis=1)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -53,6 +54,19 @@ class PipelineConfig:
     npa_ks: tuple[int, ...] = (10,)
     ca_split: float = 0.7
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.gamma is not None and not (self.gamma >= 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.clusters < 1:
+            raise ValueError(f"clusters must be >= 1, got {self.clusters}")
+        for name in ("ca_ks", "npa_ks"):
+            if any(k < 1 for k in getattr(self, name)):
+                raise ValueError(f"{name} entries must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.ca_split < 1:
+            raise ValueError(f"ca_split must lie in (0, 1), got {self.ca_split!r}")
 
 
 def _ints(raw: str) -> tuple[int, ...]:
@@ -172,10 +186,10 @@ def parse_config(
         top["fed"] = FedConfig(seed=run_seed, **given["fed"])
         top["privacy"] = PrivacySpec(seed=run_seed, **given["privacy"])
         top["completion"] = CompletionParams(**given["completion"])
+        top["embed_overrides"] = {**given["embed_overrides"], "seed": run_seed}
+        return PipelineConfig(**top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    top["embed_overrides"] = {**given["embed_overrides"], "seed": run_seed}
-    return PipelineConfig(**top)
 
 
 def parse_config_file(path, seed: int | None = None, workers: int | None = None) -> PipelineConfig:

@@ -86,6 +86,13 @@ class BlobSpec:
     dim: int = 2
     centers: tuple[tuple[float, ...], ...] = ()
 
+    def __post_init__(self) -> None:
+        for name in ("n_blobs", "points_per_blob", "dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (self.std >= 0 and np.isfinite(self.std)):
+            raise ValueError(f"blob std must be finite and >= 0, got {self.std!r}")
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -108,6 +115,10 @@ class DatasetSpec:
             raise ValueError(f"unknown normalisation {self.normalize!r}")
         if self.subsample < 0:
             raise ValueError(f"subsample must be >= 0, got {self.subsample}")
+        if self.source == "idx" and not (self.images_path and self.labels_path):
+            raise ValueError("idx source needs images_path and labels_path")
+        if self.source == "csv" and not self.csv_path:
+            raise ValueError("csv source needs csv_path")
 
 
 def _read_exact(f, count: int, path: str, what: str) -> bytes:
@@ -242,10 +253,6 @@ def _blob_centers(spec: BlobSpec) -> np.ndarray:
 
 def generate_blobs(spec: BlobSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Sample isotropic Gaussian blobs; returns ``(X, labels)``."""
-    if spec.n_blobs < 1 or spec.points_per_blob < 1 or spec.dim < 1:
-        raise ValueError("blob counts and dimension must be >= 1")
-    if spec.std < 0:
-        raise ValueError(f"blob std must be >= 0, got {spec.std!r}")
     centers = _blob_centers(spec)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
     cols, labels = [], []
@@ -300,14 +307,10 @@ def resolve_data_path(path) -> str:
 def load_dataset(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray | None]:
     """Load + normalise + subsample according to ``spec``."""
     if spec.source == "idx":
-        if not spec.images_path or not spec.labels_path:
-            raise ValueError("idx source needs images_path and labels_path")
         X, labels = load_idx(
             resolve_data_path(spec.images_path), resolve_data_path(spec.labels_path)
         )
     elif spec.source == "csv":
-        if not spec.csv_path:
-            raise ValueError("csv source needs csv_path")
         X, labels = load_csv_dataset(resolve_data_path(spec.csv_path), spec.label_column)
     else:
         X, labels = generate_blobs(spec.blobs, seed=spec.seed)

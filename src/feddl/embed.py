@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalAbort
-from .kernels import knn_indices, sq_dists
+from .kernels import knn_indices, normalized_adjacency, sq_dists
 from .nystrom import MatrixKind, _symmetric_values
 
 __all__ = [
@@ -516,14 +516,9 @@ def _spectral_layout(M: np.ndarray, out_dim: int, noise: np.ndarray) -> np.ndarr
     is an equivariant map of the equivariant starting block.  The layout
     is scaled to a maximum absolute coordinate of 10.
     """
-    n = M.shape[0]
-    deg = M.sum(axis=1)
-    active = deg > 0
-    V = np.zeros((n, out_dim))
-    n_act = int(active.sum())
-    if n_act >= 2:
-        d_isqrt = 1.0 / np.sqrt(deg[active])
-        S = d_isqrt[:, None] * M[np.ix_(active, active)] * d_isqrt[None, :]
+    deg, active, S = normalized_adjacency(M)
+    V = np.zeros((M.shape[0], out_dim))
+    if int(active.sum()) >= 2:
         trivial = np.sqrt(deg[active])
         trivial = trivial / np.linalg.norm(trivial)
         B = noise[active]

@@ -214,3 +214,13 @@ def median_heuristic_gamma(Y, max_sample: int = 256) -> float:
     if not np.isfinite(med) or med <= 0.0:
         return 1.0
     return 1.0 / (2.0 * med)
+
+
+def normalized_adjacency(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degrees ``d`` of a symmetric non-negative matrix ``M``, the mask of
+    points with ``d > 0``, and the symmetrically normalised adjacency
+    ``d^{-1/2} M d^{-1/2}`` restricted to those points."""
+    deg = M.sum(axis=1)
+    active = deg > 0
+    d_isqrt = 1.0 / np.sqrt(deg[active])
+    return deg, active, d_isqrt[:, None] * M[np.ix_(active, active)] * d_isqrt[None, :]

@@ -17,6 +17,8 @@ aggregates several runs (one per seed) into mean/std pairs.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,19 +45,29 @@ def _check_labels(labels, n: int, name: str = "labels") -> np.ndarray:
     return lab
 
 
+def _ks(k) -> tuple[int, ...]:
+    ks = (k,) if isinstance(k, numbers.Integral) else tuple(k)
+    if min(ks, default=1) < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
+    return ks
+
+
 def ca_knn(
     Z: np.ndarray,
     labels,
-    k: int = 10,
+    k: int | Sequence[int] = 10,
     split_ratio: float = 0.7,
     seed: int = 0,
-) -> float:
+) -> float | dict[int, float]:
     """k-NN classification accuracy on a stratified split of ``Z``.
 
     Per class, a ``split_ratio`` fraction (rounded, at least one point)
     goes to the training side.  Votes are majority with ties resolved
-    toward the smallest label id; neighbour ties resolve by index.
+    toward the smallest label id; neighbour ties resolve by index.  With
+    a sequence ``k``, one split and one neighbour ordering serve every k:
+    the result maps each k the split can score to its accuracy.
     """
+    ks, single = _ks(k), isinstance(k, numbers.Integral)
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
     lab = _check_labels(labels, n)
@@ -72,27 +84,31 @@ def ca_knn(
         test_idx.append(members[n_train:])
     train = np.sort(np.concatenate(train_idx))
     test = np.sort(np.concatenate(test_idx))
-    if test.size == 0:
+    if single and test.size == 0:
         raise ValueError("stratified split produced an empty test side; lower split_ratio")
-    if k > train.size:
+    if single and k > train.size:
         raise ValueError(f"k={k} exceeds the training-side size {train.size}")
-    nbr = knn_indices(sq_dists(Z[test], Z[train]), k, exclude_self=False)
-    votes = enc[train][nbr]
-    n_classes = classes.size
-    counts = np.zeros((test.size, n_classes), dtype=np.int64)
-    for j in range(k):
+    scored = {v for v in ks if v <= train.size} if test.size else set()
+    k_max = max(scored, default=0)
+    # a stable ordering: its first k columns are exactly the k nearest
+    votes = enc[train][knn_indices(sq_dists(Z[test], Z[train]), k_max, exclude_self=False)]
+    counts = np.zeros((test.size, classes.size), dtype=np.int64)
+    acc = {}
+    for j in range(k_max):
         np.add.at(counts, (np.arange(test.size), votes[:, j]), 1)
-    pred = counts.argmax(axis=1)  # argmax returns the smallest index on ties
-    return float(np.mean(pred == enc[test]))
+        if j + 1 in scored:
+            pred = counts.argmax(axis=1)  # argmax returns the smallest index on ties
+            acc[j + 1] = float(np.mean(pred == enc[test]))
+    return acc[k] if single else acc
 
 
 def npa_knn(
     D_high,
     Z: np.ndarray,
-    k: int = 10,
+    k: int | Sequence[int] = 10,
     labels=None,
     variant: str = "overlap",
-) -> float:
+) -> float | dict[int, float]:
     """Neighbourhood preservation of the embedding.
 
     ``variant="overlap"`` (default): mean fraction of each point's k
@@ -101,8 +117,10 @@ def npa_knn(
     of each point's k nearest *embedding* neighbours sharing the point's
     true label (requires ``labels``); an alternative reading of
     neighbourhood quality, provided for comparison.  Self is excluded;
-    ties break by index.
+    ties break by index.  With a sequence ``k``, one ordering per side
+    serves every k: the result maps each k up to n - 1 to its score.
     """
+    ks, single = _ks(k), isinstance(k, numbers.Integral)
     if isinstance(D_high, CompletedMatrix):
         Dh = D_high.values
     else:
@@ -111,20 +129,29 @@ def npa_knn(
     n = Z.shape[0]
     if Dh.shape != (n, n):
         raise ValueError(f"high-dim distances must be {n}x{n}, got {Dh.shape}")
-    if not (1 <= k <= n - 1):
+    if single and k > n - 1:
         raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
     if variant not in ("overlap", "labels"):
         raise ValueError(f"variant must be 'overlap' or 'labels', got {variant!r}")
-    nl = knn_indices(np.sqrt(sq_dists(Z)), k)
+    scored = sorted({v for v in ks if v <= n - 1})
+    k_max = max(scored, default=0)
+    # stable orderings: their first k columns are exactly the k nearest
+    nl = knn_indices(np.sqrt(sq_dists(Z)), k_max)
     if variant == "labels":
         lab = _check_labels(labels, n)
-        per_row = (lab[nl] == lab[:, None]).sum(axis=1) / k
     else:
-        in_high = np.zeros((n, n), dtype=bool)
-        np.put_along_axis(in_high, knn_indices(Dh, k), True, axis=1)
-        per_row = np.take_along_axis(in_high, nl, axis=1).sum(axis=1) / k
-    # accumulated left to right: a pairwise sum would move the last bit of the metric
-    return float(np.cumsum(per_row)[-1]) / n
+        nh = knn_indices(Dh, k_max)
+    out = {}
+    for v in scored:
+        if variant == "labels":
+            per_row = (lab[nl[:, :v]] == lab[:, None]).sum(axis=1) / v
+        else:
+            in_high = np.zeros((n, n), dtype=bool)
+            np.put_along_axis(in_high, nh[:, :v], True, axis=1)
+            per_row = np.take_along_axis(in_high, nl[:, :v], axis=1).sum(axis=1) / v
+        # accumulated left to right: a pairwise sum would move the last bit of the metric
+        out[v] = float(np.cumsum(per_row)[-1]) / n
+    return out[k] if single else out
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:

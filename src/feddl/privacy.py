@@ -116,10 +116,10 @@ class PrivacySpec:
     def __post_init__(self) -> None:
         mode = PrivacyMode(self.mode)
         object.__setattr__(self, "mode", mode)
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta!r}")
+        for name in ("sigma", "beta"):
+            v = getattr(self, name)
+            if not (v >= 0 and np.isfinite(v)):
+                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
         budgeted = self.epsilon is not None or self.delta is not None
         if mode is PrivacyMode.NONE:
             if self.sigma or self.beta or budgeted:
@@ -141,6 +141,14 @@ class PrivacySpec:
                     raise ValueError(
                         "budget calibration needs tau_x, tau_y, and upsilon norm bounds"
                     )
+                if not (self.epsilon > 0 and np.isfinite(self.epsilon)):
+                    raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
+                if not (0 < self.delta <= 1):
+                    raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
+                for name in ("tau_x", "tau_y", "upsilon"):
+                    v = getattr(self, name)
+                    if not (v >= 0 and np.isfinite(v)):
+                        raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
             elif self.sigma:
                 raise ValueError("gradient mode without a budget is beta-driven; sigma must be 0")
 

@@ -107,56 +107,134 @@ def test_divergent_run_exits_4(runner, tmp_path):
     assert "error:" in result.output
 
 
-@pytest.mark.parametrize(
-    "command,default,setting",
-    [
-        ("tsne", "perplexity = 8.0", "perplexity = 100"),
-        ("umap", "n_neighbors = 8", "n_neighbors = 30"),
-        ("tsne", "iterations = 60", "iterations = 0"),
-    ],
-)
-def test_infeasible_embedding_setting_exits_2(runner, tmp_path, command, default, setting):
-    # 30 points: perplexity must stay below 30, n_neighbors at most 29
-    p = tmp_path / "small.ini"
-    p.write_text(
-        TINY_INI.replace("points_per_blob = 20", "points_per_blob = 10").replace(default, setting)
-    )
-    result = runner.invoke(main, [command, "--config", str(p), "--out-dir", str(tmp_path / "out")])
-    assert result.exit_code == 2, result.output
-    assert f"error: {setting.split()[0]} " in result.output
+_BUDGET = "[privacy]\nmode = gradient\ntau_x = 1\ntau_y = 1\nupsilon = 1\n"
+_BLOBS = "blob_count = 3\npoints_per_blob = 20\nblob_std = 0.5\nblob_separation = 10.0\n\n[partition]\nclients = 3"
 
 
-@pytest.mark.parametrize(
-    "command,default,setting,message",
-    [
-        ("tsne", "clients = 3", "clients = 40", "client 20 would receive 1 points"),
-        (
-            "umap",
-            "clients = 3\nmode = iid",
-            "clients = 2\nmode = noniid_one_class",
-            "needs exactly 1*P classes; got 3 classes for P=2",
-        ),
-        (
-            "speclust",
-            "[run]",
-            "[clustering]\nclusters = 100\n\n[run]",
-            "clusters = 100 must lie in [2, 60]",
-        ),
-    ],
-    ids=["clients", "one-class", "clusters"],
-)
-def test_infeasible_partition_or_cluster_setting_exits_2(
+def _section(text: str) -> str:
+    return f"{text}\n\n[run]"
+
+
+# id -> (command, text of TINY_INI, its replacement, message).  TINY_INI
+# loads 60 points in 3 classes.  The rows up to "npa-ks" are rejected when
+# the configuration is parsed, the rest right after the data load.
+INFEASIBLE = {
+    "gamma-negative": (
+        "fit", "[run]", _section("[kernel]\ngamma = -1"), "gamma must be finite and >= 0, got -1.0"
+    ),
+    "gamma-inf": (
+        "fit", "[run]", _section("[kernel]\ngamma = inf"), "gamma must be finite and >= 0, got inf"
+    ),
+    "blob-count": ("fit", "blob_count = 3", "blob_count = 0", "n_blobs must be >= 1, got 0"),
+    "points-per-blob": (
+        "fit", "points_per_blob = 20", "points_per_blob = 0", "points_per_blob must be >= 1, got 0"
+    ),
+    "blob-dim": ("fit", "blob_std = 0.5", "blob_std = 0.5\nblob_dim = 0", "dim must be >= 1, got 0"),
+    "blob-std": ("fit", "blob_std = 0.5", "blob_std = -1", "blob std must be finite and >= 0, got -1.0"),
+    "csv-no-path": ("fit", "source = blobs", "source = csv", "csv source needs csv_path"),
+    "idx-one-path": (
+        "fit",
+        "source = blobs",
+        "source = idx\nimages_path = a.idx",
+        "idx source needs images_path and labels_path",
+    ),
+    "seed-ini": ("fit", "seed = 1", "seed = -1", "seed must be >= 0, got -1"),
+    "seed-flag": ("fit --seed -1", "", "", "seed must be >= 0, got -1"),
+    "epsilon": (
+        "fit",
+        "[run]",
+        _section(_BUDGET + "epsilon = 0\ndelta = 0.1"),
+        "epsilon must be finite and > 0, got 0.0",
+    ),
+    "delta": (
+        "fit", "[run]", _section(_BUDGET + "epsilon = 1\ndelta = 2"), "delta must lie in (0, 1], got 2.0"
+    ),
+    "tau-x": (
+        "fit",
+        "[run]",
+        _section(_BUDGET.replace("tau_x = 1", "tau_x = -1") + "epsilon = 1\ndelta = 0.1"),
+        "tau_x must be finite and >= 0, got -1.0",
+    ),
+    "sigma-nan": (
+        "fit",
+        "[run]",
+        _section("[privacy]\nmode = data\nsigma = nan"),
+        "sigma must be finite and >= 0, got nan",
+    ),
+    "beta-inf": (
+        "fit",
+        "[run]",
+        _section("[privacy]\nmode = gradient\nbeta = inf"),
+        "beta must be finite and >= 0, got inf",
+    ),
+    "clusters-tsne": (
+        "tsne", "[run]", _section("[clustering]\nclusters = 0"), "clusters must be >= 1, got 0"
+    ),
+    "ca-split": (
+        "tsne", "[run]", _section("[evaluation]\nca_split = 1.0"), "ca_split must lie in (0, 1), got 1.0"
+    ),
+    "ca-ks": (
+        "tsne", "[run]", _section("[evaluation]\nca_ks = 0 10"), "ca_ks entries must be >= 1, got (0, 10)"
+    ),
+    "npa-ks": (
+        "umap", "[run]", _section("[evaluation]\nnpa_ks = 0"), "npa_ks entries must be >= 1, got (0,)"
+    ),
+    "iterations": ("tsne", "iterations = 60", "iterations = 0", "iterations must be >= 1, got 0"),
+    "perplexity": (
+        "tsne",
+        "perplexity = 8.0",
+        "perplexity = 100",
+        "perplexity = 100 must be below the 60 points loaded",
+    ),
+    "n-neighbors": (
+        "umap", "n_neighbors = 8", "n_neighbors = 60", "n_neighbors = 60 exceeds the 59 other points"
+    ),
+    "tsne-two-points": (
+        "tsne",
+        _BLOBS,
+        "blob_count = 2\npoints_per_blob = 1\nblob_std = 0.5\nblob_separation = 10.0\n\n"
+        "[partition]\nclients = 1",
+        "t-SNE needs at least 3 points, got the 2 loaded",
+    ),
+    "clients": ("tsne", "clients = 3", "clients = 40", "client 20 would receive 1 points"),
+    "one-class": (
+        "umap",
+        "clients = 3\nmode = iid",
+        "clients = 2\nmode = noniid_one_class",
+        "partition mode noniid_one_class needs exactly 1*P classes; got 3 classes for P=2",
+    ),
+    "clusters-speclust": (
+        "speclust",
+        "[run]",
+        _section("[clustering]\nclusters = 100"),
+        "clusters = 100 must lie in [2, 60]",
+    ),
+}
+
+
+@pytest.mark.parametrize("command,default,setting,message", INFEASIBLE.values(), ids=INFEASIBLE)
+def test_infeasible_setting_exits_2_before_the_fit(
     runner, tmp_path, monkeypatch, command, default, setting, message
 ):
-    # 60 points in 3 classes; each setting must fail before the federated fit
     fits = []
     monkeypatch.setattr(pipeline, "run_feddl", lambda *args, **kwargs: fits.append(args))
+    text = TINY_INI.replace(default, setting)
+    assert (text != TINY_INI) == (default != ""), "the row must change TINY_INI"
     p = tmp_path / "bad.ini"
-    p.write_text(TINY_INI.replace(default, setting))
-    result = runner.invoke(main, [command, "--config", str(p), "--out-dir", str(tmp_path / "out")])
+    p.write_text(text)
+    args = [*command.split(), "--config", str(p), "--out-dir", str(tmp_path / "out")]
+    result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
-    assert "error: " in result.output and message in result.output
+    assert f"error: {message}" in result.output
     assert fits == []
+
+
+def test_out_dir_under_a_file_exits_2(runner, config_file, tmp_path):
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / "out"
+    result = runner.invoke(main, ["fit", "--config", str(config_file), "--out-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "error: cannot create output directory" in result.output
 
 
 def test_seed_override_changes_outputs(runner, config_file, tmp_path):

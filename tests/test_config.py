@@ -207,6 +207,7 @@ KEY_SAMPLES = {
 
 # Other lines of its section that a sample needs to be valid.
 SAMPLE_CONTEXT = {
+    ("dataset", "source"): "csv_path = points.csv",
     ("privacy", "sigma"): "mode = data",
     ("privacy", "beta"): "mode = gradient",
     **{

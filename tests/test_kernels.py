@@ -12,6 +12,7 @@ from feddl.kernels import (
     median_heuristic_gamma,
     mmd,
     mmd_gradient,
+    normalized_adjacency,
     pairwise_sq_dist,
     sq_dists,
 )
@@ -206,3 +207,15 @@ def test_median_heuristic_subsample_deterministic(rng):
     assert median_heuristic_gamma(Y, max_sample=256) == median_heuristic_gamma(
         Y, max_sample=256
     )
+
+
+def test_normalized_adjacency_drops_isolated_points(rng):
+    A = rng.random((6, 6))
+    M = A + A.T
+    M[2, :] = M[:, 2] = 0.0  # an isolated point
+    deg, active, S = normalized_adjacency(M)
+    keep = [0, 1, 3, 4, 5]
+    npt.assert_array_equal(deg, M.sum(axis=1))
+    npt.assert_array_equal(active, [True, True, False, True, True, True])
+    d = M.sum(axis=1)[keep]
+    npt.assert_allclose(S, M[np.ix_(keep, keep)] / np.sqrt(np.outer(d, d)), rtol=1e-14)

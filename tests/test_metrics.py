@@ -147,3 +147,19 @@ def test_summarize_reports_mean_and_std():
     assert summary.std["ca_knn_1"] == pytest.approx(np.sqrt(0.02))
     assert summary.std["sc"] == 0.0
     assert "0.5000" in summary.format("ca_knn_1")
+
+
+def test_sequence_k_scores_every_k_from_one_ordering(rng):
+    # integer coordinates give tied distances, so the tie-break is exercised
+    Z = rng.integers(0, 4, size=(40, 2)).astype(float)
+    labels = rng.integers(0, 3, size=40)
+    D_high = rng.integers(0, 5, size=(40, 40)).astype(float)
+    D_high = D_high + D_high.T
+    ca = ca_knn(Z, labels, k=(10, 1, 3, 500), split_ratio=0.6, seed=2)
+    assert ca == {k: ca_knn(Z, labels, k=k, split_ratio=0.6, seed=2) for k in (1, 3, 10)}
+    npa = npa_knn(D_high, Z, k=(5, 1, 39, 40))
+    assert npa == {k: npa_knn(D_high, Z, k=k) for k in (1, 5, 39)}
+    # one class per point leaves the test side empty: no k can be scored
+    assert ca_knn(Z, np.arange(40), k=(1, 3)) == {}
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        ca_knn(Z, labels, k=(0, 3))
