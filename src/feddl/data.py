@@ -187,7 +187,9 @@ def load_csv_dataset(path, label_column: str = "label") -> tuple[np.ndarray, np.
     """Load a CSV with one point per row and a header line.
 
     The ``label_column`` (if present) becomes the label vector; all other
-    columns must be numeric features.
+    columns must be finite numeric features.  Numeric labels must be
+    integers (``1.0`` counts as 1) and keep their value; labels that are
+    not all numeric are coded by their distinct values.
     """
     path = str(path)
     try:
@@ -217,14 +219,24 @@ def load_csv_dataset(path, label_column: str = "label") -> tuple[np.ndarray, np.
             raise DataError(f"{path}: non-numeric feature in row {i + 2}: {exc}") from exc
         if labels is not None:
             labels.append(row[label_idx])
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: non-finite feature in row {bad[0] + 2}")
     lab = None
     if labels is not None:
         arr = np.asarray(labels)
         try:
-            arr = arr.astype(np.float64).astype(np.int64)
+            lab = arr.astype(np.float64)
         except ValueError:
-            _, arr = np.unique(arr, return_inverse=True)
-        lab = arr.astype(np.int64)
+            _, lab = np.unique(arr, return_inverse=True)
+        else:
+            # ``< 2**63`` is false for nan and inf, and keeps the cast exact.
+            bad = np.flatnonzero((lab != np.floor(lab)) | ~(np.abs(lab) < 2.0**63))
+            if bad.size:
+                raise DataError(
+                    f"{path}: label {labels[bad[0]]!r} in row {bad[0] + 2} is not an integer"
+                )
+        lab = lab.astype(np.int64)
     return feats.T, lab
 
 

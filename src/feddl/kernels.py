@@ -17,6 +17,10 @@ Conventions used throughout the package:
 
 All reductions go through ``numpy`` sums (pairwise summation with a fixed
 traversal order), so results do not depend on thread count.
+
+Validation boundary: the public functions here and ``federation.ClientShard``
+check their arrays; ``sq_dists``, ``_gaussian_block`` and the MMD terms
+built on them run unchecked on arrays that were checked there.
 """
 
 from __future__ import annotations
@@ -95,30 +99,45 @@ def knn_indices(D: np.ndarray, k: int, *, exclude_self: bool = True) -> np.ndarr
     return np.argsort(D, axis=1, kind="stable")[:, :k].copy()
 
 
+def _check_pair(X, Y, x_name: str, needs_two: str = ""):
+    """The argument check of ``pairwise_sq_dist``, ``mmd`` and ``mmd_gradient``."""
+    X, Y = _as_points(X, x_name), _as_points(Y, "Y")
+    if X.shape[0] != Y.shape[0]:
+        raise ValueError(
+            f"feature dimensions differ: {x_name} has {X.shape[0]} rows, Y has {Y.shape[0]}"
+        )
+    if needs_two and min(X.shape[1], Y.shape[1]) < 2:
+        raise ValueError(
+            f"{needs_two} needs >= 2 points on each side, got {X.shape[1]} and {Y.shape[1]}"
+        )
+    return X, Y
+
+
+def _col_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``pairwise_sq_dist`` without the argument check."""
+    D2 = sq_dists(A.T, B.T)
+    if B is A or (A.shape == B.shape and np.array_equal(A, B)):
+        D2 = 0.5 * (D2 + D2.T)
+        np.fill_diagonal(D2, 0.0)
+    return D2
+
+
+def _gaussian_block(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """``exp(-gamma * pairwise_sq_dist(A, B))`` bit for bit, unchecked and in place."""
+    K = _col_sq_dists(A, B)
+    K *= -gamma
+    return np.exp(K, out=K)
+
+
 def pairwise_sq_dist(X, Y) -> np.ndarray:
     """Squared Euclidean distances between column points of ``X`` and ``Y``.
 
     Returns an ``n_x x n_y`` matrix with entry ``(i, j)`` equal to
-    ``||X[:, i] - Y[:, j]||^2``, computed through the Gram expansion
-
-        D2 = diag(X'X) 1' - 2 X'Y + 1 diag(Y'Y)'
-
-    with negative round-off clamped to zero.  When both arguments hold the
-    same points the result is symmetrised and its diagonal pinned to
-    exactly zero.
+    ``||X[:, i] - Y[:, j]||^2``, computed by the Gram expansion of
+    ``sq_dists``.  When both arguments hold the same points the result is
+    symmetrised and its diagonal pinned to exactly zero.
     """
-    X = _as_points(X, "X")
-    Y = _as_points(Y, "Y")
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError(
-            f"feature dimensions differ: X has {X.shape[0]} rows, Y has {Y.shape[0]}"
-        )
-    D2 = sq_dists(X.T, Y.T)
-    same = Y is X or (X.shape == Y.shape and np.array_equal(X, Y))
-    if same:
-        D2 = 0.5 * (D2 + D2.T)
-        np.fill_diagonal(D2, 0.0)
-    return D2
+    return _col_sq_dists(*_check_pair(X, Y, "X"))
 
 
 def gaussian_kernel(D2, params: KernelParams) -> np.ndarray:
@@ -138,14 +157,12 @@ def gaussian_kernel(D2, params: KernelParams) -> np.ndarray:
 def _self_term(A: np.ndarray, params: KernelParams) -> float:
     """``[1' K_AA 1 - n] / (n (n - 1))`` for the columns of ``A``."""
     n = A.shape[1]
-    K = gaussian_kernel(pairwise_sq_dist(A, A), params)
-    return (float(K.sum()) - n) / (n * (n - 1))
+    return (float(_gaussian_block(A, A, params.gamma).sum()) - n) / (n * (n - 1))
 
 
 def _cross_term(Xp: np.ndarray, Y: np.ndarray, params: KernelParams) -> float:
     """``-2 * 1' K_XY 1 / (n_x n_y)``."""
-    K = gaussian_kernel(pairwise_sq_dist(Xp, Y), params)
-    return -2.0 * float(K.sum()) / (Xp.shape[1] * Y.shape[1])
+    return -2.0 * float(_gaussian_block(Xp, Y, params.gamma).sum()) / (Xp.shape[1] * Y.shape[1])
 
 
 def mmd(Xp, Y, params: KernelParams) -> float:
@@ -155,16 +172,7 @@ def mmd(Xp, Y, params: KernelParams) -> float:
     negative; it is exactly zero when both sides are copies of a single
     repeated point.
     """
-    Xp = _as_points(Xp, "Xp")
-    Y = _as_points(Y, "Y")
-    if Xp.shape[0] != Y.shape[0]:
-        raise ValueError(
-            f"feature dimensions differ: Xp has {Xp.shape[0]} rows, Y has {Y.shape[0]}"
-        )
-    if Xp.shape[1] < 2 or Y.shape[1] < 2:
-        raise ValueError(
-            f"mmd needs >= 2 points on each side, got {Xp.shape[1]} and {Y.shape[1]}"
-        )
+    Xp, Y = _check_pair(Xp, Y, "Xp", "mmd")
     return _self_term(Xp, params) + _cross_term(Xp, Y, params) + _self_term(Y, params)
 
 
@@ -177,18 +185,11 @@ def mmd_gradient(Xp, Y, params: KernelParams) -> np.ndarray:
     Returns an array with the shape of ``Y``.  ``gamma == 0`` gives an
     exactly zero gradient.
     """
-    Xp = _as_points(Xp, "Xp")
-    Y = _as_points(Y, "Y")
-    if Xp.shape[0] != Y.shape[0]:
-        raise ValueError(
-            f"feature dimensions differ: Xp has {Xp.shape[0]} rows, Y has {Y.shape[0]}"
-        )
+    Xp, Y = _check_pair(Xp, Y, "Xp", "mmd_gradient")
     n_p, n_y = Xp.shape[1], Y.shape[1]
-    if n_p < 2 or n_y < 2:
-        raise ValueError(f"mmd_gradient needs >= 2 points on each side, got {n_p} and {n_y}")
     g = params.gamma
-    Kxy = gaussian_kernel(pairwise_sq_dist(Xp, Y), params)
-    Kyy = gaussian_kernel(pairwise_sq_dist(Y, Y), params)
+    Kxy = _gaussian_block(Xp, Y, g)
+    Kyy = _gaussian_block(Y, Y, g)
     cross = (Xp @ Kxy) - Y * Kxy.sum(axis=0)[None, :]
     self_ = (Y @ Kyy) - Y * Kyy.sum(axis=0)[None, :]
     return (-4.0 * g / (n_p * n_y)) * cross + (4.0 * g / (n_y * (n_y - 1))) * self_
@@ -202,14 +203,12 @@ def median_heuristic_gamma(Y, max_sample: int = 256) -> float:
     median vanishes (all sampled points identical).
     """
     Y = _as_points(Y, "Y")
+    if Y.shape[1] > max_sample:
+        Y = Y[:, np.linspace(0, Y.shape[1] - 1, max_sample).round().astype(int)]
     n = Y.shape[1]
-    if n > max_sample:
-        idx = np.linspace(0, n - 1, max_sample).round().astype(int)
-        Y = Y[:, idx]
-        n = max_sample
     if n < 2:
         return 1.0
-    D2 = pairwise_sq_dist(Y, Y)
+    D2 = _col_sq_dists(Y, Y)
     med = float(np.median(D2[np.triu_indices(n, k=1)]))
     if not np.isfinite(med) or med <= 0.0:
         return 1.0

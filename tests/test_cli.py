@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -5,6 +7,7 @@ from click.testing import CliRunner
 from feddl import pipeline
 from feddl.cli import main
 from feddl.matrixio import write_embedding_csv, write_matrix
+from helpers import write_idx_pair
 from test_pipeline import TINY_INI
 
 
@@ -310,6 +313,87 @@ def test_eval_with_non_square_distances_exits_3(runner, config_file, tmp_path):
     )
     assert result.exit_code == 3, result.output
     assert "distance matrix is 60x5" in result.output
+
+
+def _points(labels=(0, 1, 2)):
+    """CSV rows of 60 points in 3 classes, TINY_INI's size."""
+    return [f"{i % 7}.5,{i % 5}.25,{labels[i % 3]}" for i in range(60)]
+
+
+def _csv_fit(tmp_path, rows):
+    csv = tmp_path / "points.csv"
+    csv.write_text("\n".join(["x0,x1,label", *rows, ""]))
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI.replace("source = blobs", f"source = csv\ncsv_path = {csv}"))
+    return ["fit", "--config", str(ini)]
+
+
+def _idx_fit(tmp_path, corrupt):
+    """A ``fit`` on an IDX pair of 60 2x2 images after ``corrupt(images, labels)``."""
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    X01 = np.random.default_rng(0).random((4, 60))
+    write_idx_pair(images, labels, X01, np.arange(60) % 3, rows=2, cols=2)
+    corrupt(images, labels)
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        TINY_INI.replace(
+            "source = blobs", f"source = idx\nimages_path = {images}\nlabels_path = {labels}"
+        )
+    )
+    return ["fit", "--config", str(ini)]
+
+
+def _eval_truncated_distances(tmp_path):
+    rng = np.random.default_rng(0)
+    write_embedding_csv(tmp_path / "embedding.csv", rng.normal(size=(60, 2)))
+    distances = tmp_path / "distances.fdlm"
+    write_matrix(distances, rng.random((60, 60)))
+    distances.write_bytes(distances.read_bytes()[:-8])
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI)
+    return [
+        "eval", "--config", str(ini), "--embedding", str(tmp_path / "embedding.csv"),
+        "--distances", str(distances),
+    ]
+
+
+def _cut_last_byte(path, _other):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def _bad_label_magic(_images, labels):
+    labels.write_bytes(struct.pack(">i", 0x00000802) + labels.read_bytes()[4:])
+
+
+# id -> (writes the input files and returns the command, message)
+BAD_INPUTS = {
+    "csv-nan-feature": (
+        lambda p: _csv_fit(p, _points()[:3] + ["nan,1.25,0"] + _points()[4:]),
+        "non-finite feature in row 5",
+    ),
+    "csv-fractional-labels": (
+        lambda p: _csv_fit(p, _points(labels=("0.2", "0.7", "1.4"))),
+        "label '0.2' in row 2 is not an integer",
+    ),
+    "csv-ragged-row": (
+        lambda p: _csv_fit(p, _points()[:3] + ["1.5,0"] + _points()[4:]),
+        "row 5 has 2 fields, header has 3",
+    ),
+    "idx-truncated-images": (
+        lambda p: _idx_fit(p, _cut_last_byte),
+        "truncated while reading 60 images",
+    ),
+    "idx-bad-label-magic": (lambda p: _idx_fit(p, _bad_label_magic), "bad label magic 0x00000802"),
+    "fdlm-truncated": (_eval_truncated_distances, "expected 28800 for 60x60 float64"),
+}
+
+
+@pytest.mark.parametrize("setup,message", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_file_exits_3(runner, tmp_path, setup, message):
+    result = runner.invoke(main, [*setup(tmp_path), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 3, result.output
+    assert "error: " in result.output
+    assert message in result.output
 
 
 def test_manifest_rerun_command(runner, config_file, tmp_path):

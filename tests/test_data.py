@@ -115,6 +115,8 @@ def test_csv_with_labels(tmp_path):
     X, labels = load_csv_dataset(p)
     npt.assert_array_equal(X, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
     npt.assert_array_equal(labels, [0, 1, 0])  # string labels become codes
+    p.write_text("x,label\n1,1.0\n2,-2\n3,7\n")
+    npt.assert_array_equal(load_csv_dataset(p)[1], [1, -2, 7])  # integral labels keep their value
 
 
 def test_csv_without_label_column(tmp_path):
@@ -139,6 +141,14 @@ def test_csv_errors(tmp_path):
     p.write_text("x,label\nfoo,0\n")
     with pytest.raises(DataError, match="non-numeric feature in row 2"):
         load_csv_dataset(p)
+    for value in ("nan", "inf", "-inf"):
+        p.write_text(f"x,label\n1,0\n{value},1\n")
+        with pytest.raises(DataError, match="non-finite feature in row 3"):
+            load_csv_dataset(p)
+    for label in ("0.7", "nan", "inf", "1e300"):
+        p.write_text(f"x,label\n1,0\n2,{label}\n")
+        with pytest.raises(DataError, match=f"label '{label}' in row 3 is not an integer"):
+            load_csv_dataset(p)
 
 
 def test_blobs_shapes_and_labels():

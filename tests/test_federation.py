@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from feddl import federation, kernels
 from feddl.errors import NumericalAbort
 from feddl.federation import (
     Aggregation,
@@ -317,3 +318,26 @@ def test_shards_meta_rejects_mixed_dims():
         shards_meta(
             [ClientShard(0, np.zeros((2, 4)), 0.5), ClientShard(1, np.zeros((3, 4)), 0.5)]
         )
+
+
+@pytest.mark.parametrize("aggregation", list(Aggregation))
+def test_fit_checks_arrays_only_at_the_public_gradient(monkeypatch, aggregation):
+    calls = {"pairwise_sq_dist": 0, "gaussian_kernel": 0, "_as_points": 0, "mmd_gradient": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("pairwise_sq_dist", "gaussian_kernel", "_as_points"):
+        counted(kernels, name)
+    counted(federation, "mmd_gradient")
+    cfg = FedConfig(rounds=3, local_steps=2, n_landmarks=4, aggregation=aggregation)
+    run_feddl(make_shards(), cfg, PARAMS)
+    assert calls["mmd_gradient"] > 0
+    assert calls["pairwise_sq_dist"] == calls["gaussian_kernel"] == 0
+    assert calls["_as_points"] <= 2 * calls["mmd_gradient"]

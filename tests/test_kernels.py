@@ -16,6 +16,7 @@ from feddl.kernels import (
     pairwise_sq_dist,
     sq_dists,
 )
+from feddl.kernels import _gaussian_block
 from helpers import central_fd
 
 # frozen output of tests/oracles/gen_mmd_reference.py
@@ -109,6 +110,72 @@ def test_gaussian_kernel_range_and_gamma_zero():
     K = gaussian_kernel(D2, KernelParams(gamma=1.5))
     npt.assert_allclose(K, [[1.0, math.exp(-3.0)], [math.exp(-3.0), 1.0]])
     npt.assert_array_equal(gaussian_kernel(D2, KernelParams(gamma=0.0)), np.ones((2, 2)))
+
+
+@given(
+    st.integers(1, 20),
+    st.integers(1, 30),
+    st.integers(1, 30),
+    st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_gaussian_block_matches_public_kernel_bitwise(m, n_a, n_b, gamma, seed):
+    r = np.random.default_rng(seed)
+    A, B = r.normal(size=(m, n_a)), r.normal(size=(m, n_b))
+    for X, Y in ((A, B), (A, A), (A, A.copy())):
+        expected = gaussian_kernel(pairwise_sq_dist(X, Y), KernelParams(gamma))
+        assert _gaussian_block(X, Y, gamma).tobytes() == expected.tobytes()
+
+
+def _mmd(X, Y):
+    return mmd(X, Y, KernelParams(gamma=1.0))
+
+
+def _mmd_gradient(X, Y):
+    return mmd_gradient(X, Y, KernelParams(gamma=1.0))
+
+
+_OK = np.zeros((2, 3))
+_NAN, _INF = np.full((2, 3), np.nan), np.full((2, 3), np.inf)
+# id -> (function, first argument, second argument, exact message)
+REJECTIONS = {
+    "pairwise-non-finite": (pairwise_sq_dist, _NAN, _OK, "X contains non-finite entries"),
+    "pairwise-feature-dims": (
+        pairwise_sq_dist, _OK, np.zeros((3, 3)), "feature dimensions differ: X has 2 rows, Y has 3"
+    ),
+    "pairwise-1-d": (
+        pairwise_sq_dist, np.zeros(3), _OK, "X must be a 2-D array of column points, got ndim=1"
+    ),
+    "mmd-non-finite": (_mmd, _OK, _INF, "Y contains non-finite entries"),
+    "mmd-feature-dims": (
+        _mmd, _OK, np.zeros((3, 3)), "feature dimensions differ: Xp has 2 rows, Y has 3"
+    ),
+    "mmd-1-d": (_mmd, _OK, np.zeros(3), "Y must be a 2-D array of column points, got ndim=1"),
+    "mmd-one-point": (
+        _mmd, np.zeros((2, 1)), _OK, "mmd needs >= 2 points on each side, got 1 and 3"
+    ),
+    "mmd_gradient-non-finite": (_mmd_gradient, -_INF, _OK, "Xp contains non-finite entries"),
+    "mmd_gradient-feature-dims": (
+        _mmd_gradient, np.zeros((4, 3)), _OK, "feature dimensions differ: Xp has 4 rows, Y has 2"
+    ),
+    "mmd_gradient-1-d": (
+        _mmd_gradient, np.zeros(3), _OK, "Xp must be a 2-D array of column points, got ndim=1"
+    ),
+    "mmd_gradient-one-point": (
+        _mmd_gradient,
+        _OK,
+        np.zeros((2, 1)),
+        "mmd_gradient needs >= 2 points on each side, got 3 and 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("fn,X,Y,message", REJECTIONS.values(), ids=REJECTIONS)
+def test_public_kernel_functions_reject_bad_arguments(fn, X, Y, message):
+    with pytest.raises(ValueError) as excinfo:
+        fn(X, Y)
+    assert str(excinfo.value) == message
 
 
 def test_gaussian_kernel_rejects_negative_distances():
