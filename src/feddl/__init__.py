@@ -69,7 +69,6 @@ from .nystrom import (
     BoundReport,
     CompletedMatrix,
     CompletionParams,
-    CrossBlock,
     LandmarkBlock,
     MatrixKind,
     assemble_cross_block,
@@ -137,7 +136,6 @@ __all__ = [
     "MatrixKind",
     "CompletionParams",
     "LandmarkBlock",
-    "CrossBlock",
     "CompletedMatrix",
     "BoundReport",
     "assemble_cross_block",

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import normalized_adjacency, sq_dists
-from .nystrom import MatrixKind, _symmetric_values
+from .nystrom import CompletedMatrix, MatrixKind
 
 __all__ = ["ClusterAssignment", "kmeans", "spectral_cluster"]
 
@@ -131,7 +131,7 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     ``c`` spectral clusters); any point with a nonzero row participates
     in the spectral embedding as usual.
     """
-    Kv = _symmetric_values(K, MatrixKind.KERNEL, "similarity matrix")
+    Kv = CompletedMatrix.coerce(K, MatrixKind.KERNEL).values
     n = Kv.shape[0]
     if not (2 <= c <= n):
         raise ValueError(f"cluster count must lie in [2, {n}], got {c}")

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DataError
 from .federation import ClientShard
+from .matrixio import check_finite_rows, integer_labels
 
 __all__ = [
     "DatasetSpec",
@@ -219,24 +220,16 @@ def load_csv_dataset(path, label_column: str = "label") -> tuple[np.ndarray, np.
             raise DataError(f"{path}: non-numeric feature in row {i + 2}: {exc}") from exc
         if labels is not None:
             labels.append(row[label_idx])
-    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-    if bad.size:
-        raise DataError(f"{path}: non-finite feature in row {bad[0] + 2}")
+    check_finite_rows(path, feats, "feature")
     lab = None
     if labels is not None:
         arr = np.asarray(labels)
         try:
-            lab = arr.astype(np.float64)
+            values = arr.astype(np.float64)
         except ValueError:
-            _, lab = np.unique(arr, return_inverse=True)
+            lab = np.unique(arr, return_inverse=True)[1].astype(np.int64)
         else:
-            # ``< 2**63`` is false for nan and inf, and keeps the cast exact.
-            bad = np.flatnonzero((lab != np.floor(lab)) | ~(np.abs(lab) < 2.0**63))
-            if bad.size:
-                raise DataError(
-                    f"{path}: label {labels[bad[0]]!r} in row {bad[0] + 2} is not an integer"
-                )
-        lab = lab.astype(np.int64)
+            lab = integer_labels(path, values, labels)
     return feats.T, lab
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NumericalAbort
 from .kernels import knn_indices, normalized_adjacency, sq_dists
-from .nystrom import MatrixKind, _symmetric_values
+from .nystrom import CompletedMatrix, MatrixKind
 
 __all__ = [
     "EmbedConfig",
@@ -105,8 +105,8 @@ class EmbedConfig:
             v = getattr(self, name)
             if not (v > 0 and np.isfinite(v)):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-        if self.init_scale < 0:
-            raise ValueError(f"init_scale must be >= 0, got {self.init_scale!r}")
+        if not (self.init_scale > 0 and np.isfinite(self.init_scale)):
+            raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale!r}")
 
     @classmethod
     def tsne_defaults(cls, **overrides) -> "EmbedConfig":
@@ -193,7 +193,7 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     conditional row sums to one; the joint matrix ``(P + P') / (2N)``
     sums to one and has a zero diagonal.
     """
-    D2 = _symmetric_values(D, MatrixKind.DISTANCE, "distance matrix")
+    D2 = CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values
     n = D2.shape[0]
     if n < 3:
         raise ValueError(f"t-SNE affinities need >= 3 points, got {n}")
@@ -419,7 +419,7 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     point's nearest neighbour receives membership one; memberships are
     symmetrised with the fuzzy union.
     """
-    Dd = np.sqrt(_symmetric_values(D, MatrixKind.DISTANCE, "distance matrix"))
+    Dd = np.sqrt(CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values)
     n = Dd.shape[0]
     if n < 2:
         raise ValueError(f"the UMAP graph needs >= 2 points, got {n}")

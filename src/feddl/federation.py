@@ -186,20 +186,26 @@ def init_landmarks(meta: ShardsMeta, config: FedConfig) -> np.ndarray:
     ``init_scale``.  ``seed_sample`` pools the leaked per-client moments
     into a diagonal Gaussian (population pooling, weighted by shard size)
     and samples landmarks from it; shards that all sit on one constant
-    point therefore reproduce that point exactly.
+    point therefore reproduce that point exactly.  Landmarks that
+    overflow float64 (moments of finite but huge data, or a huge
+    ``init_scale``) raise ``NumericalAbort``.
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_STREAM_TAG]))
     m, n_y = meta.feature_dim, config.n_landmarks
     if config.init is LandmarkInit.GAUSSIAN_SCALED:
-        return config.init_scale * rng.normal(0.0, 1.0, size=(m, n_y))
-    if meta.means is None or meta.variances is None:
-        raise ValueError("seed_sample initialisation needs shard moments in ShardsMeta")
-    w = np.asarray(meta.counts, dtype=np.float64)
-    w /= w.sum()
-    mu = w @ meta.means
-    ex2 = w @ (meta.variances + meta.means**2)
-    var = np.maximum(ex2 - mu**2, 0.0)
-    return mu[:, None] + np.sqrt(var)[:, None] * rng.normal(0.0, 1.0, size=(m, n_y))
+        Y0 = config.init_scale * rng.normal(0.0, 1.0, size=(m, n_y))
+    else:
+        if meta.means is None or meta.variances is None:
+            raise ValueError("seed_sample initialisation needs shard moments in ShardsMeta")
+        w = np.asarray(meta.counts, dtype=np.float64)
+        w /= w.sum()
+        mu = w @ meta.means
+        ex2 = w @ (meta.variances + meta.means**2)
+        var = np.maximum(ex2 - mu**2, 0.0)
+        Y0 = mu[:, None] + np.sqrt(var)[:, None] * rng.normal(0.0, 1.0, size=(m, n_y))
+    if not np.isfinite(Y0).all():
+        raise NumericalAbort(f"{config.init.value} initial landmarks overflow float64")
+    return Y0
 
 
 def local_update(

@@ -7,7 +7,10 @@ little-endian float64 payload.
 
 CSV files are RFC-4180-style with a header row.  Floats are written with
 ``repr``, which round-trips float64 exactly, so identical runs produce
-byte-identical files.
+byte-identical files.  Every CSV reader (here and in ``data``) applies
+the same row rules: ``check_finite_rows`` rejects a non-finite value and
+``integer_labels`` a numeric label that is not an integer, each with a
+``DataError`` naming the row (the header is row 1).
 """
 
 from __future__ import annotations
@@ -75,6 +78,25 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
+def check_finite_rows(path, X: np.ndarray, what: str) -> None:
+    """Raise ``DataError`` naming the first row of ``X`` (one data row
+    per CSV row) that holds a non-finite ``what``."""
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: non-finite {what} in row {bad[0] + 2}")
+
+
+def integer_labels(path, values: np.ndarray, text) -> np.ndarray:
+    """Numeric labels ``values``, parsed from the strings ``text``, as
+    int64.  A value that is not an integer (non-integral, nan, inf or
+    beyond int64) raises ``DataError`` naming its row; ``1.0`` is 1."""
+    # ``< 2**63`` is false for nan and inf, and keeps the cast exact.
+    bad = np.flatnonzero((values != np.floor(values)) | ~(np.abs(values) < 2.0**63))
+    if bad.size:
+        raise DataError(f"{path}: label {text[bad[0]]!r} in row {bad[0] + 2} is not an integer")
+    return values.astype(np.int64)
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -97,6 +119,8 @@ def write_embedding_csv(path, Z: np.ndarray, labels=None) -> None:
 
 
 def read_embedding_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """Coordinates and integer labels (``None`` without a ``label``
+    column) of an embedding CSV; coordinates must be finite."""
     path = str(path)
     try:
         with open(path, newline="") as f:
@@ -112,14 +136,17 @@ def read_embedding_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     if not zcols or header[0] != "point_id":
         raise DataError(f"{path}: unexpected embedding header {header!r}")
     Z = np.empty((len(rows), len(zcols)))
-    labels = np.empty(len(rows), dtype=np.int64) if has_label else None
+    labels = np.empty(len(rows)) if has_label else None
     for i, row in enumerate(rows):
         try:
             Z[i] = [float(row[j]) for j in zcols]
             if labels is not None:
-                labels[i] = int(float(row[-1]))
+                labels[i] = float(row[-1])
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}: malformed row {i + 2}: {exc}") from exc
+    check_finite_rows(path, Z, "coordinate")
+    if labels is not None:
+        labels = integer_labels(path, labels, [row[-1] for row in rows])
     return Z, labels
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import knn_indices, sq_dists
-from .nystrom import CompletedMatrix
+from .nystrom import CompletedMatrix, MatrixKind
 
 __all__ = [
     "MetricsReport",
@@ -116,15 +116,13 @@ def npa_knn(
     nearest embedding neighbours.  ``variant="labels"``: mean fraction
     of each point's k nearest *embedding* neighbours sharing the point's
     true label (requires ``labels``); an alternative reading of
-    neighbourhood quality, provided for comparison.  Self is excluded;
+    neighbourhood quality, provided for comparison.  ``D_high`` is a
+    distance-kind completion or an array checked as one.  Self is excluded;
     ties break by index.  With a sequence ``k``, one ordering per side
     serves every k: the result maps each k up to n - 1 to its score.
     """
     ks, single = _ks(k), isinstance(k, numbers.Integral)
-    if isinstance(D_high, CompletedMatrix):
-        Dh = D_high.values
-    else:
-        Dh = np.asarray(D_high, dtype=np.float64)
+    Dh = CompletedMatrix.coerce(D_high, MatrixKind.DISTANCE).values
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
     if Dh.shape != (n, n):

@@ -19,6 +19,13 @@ Matrix kinds and their post-processing:
 * ``kernel`` — Gaussian-kernel values: clip to ``[0, 1]``, pin the
   diagonal to one.
 
+``LandmarkBlock`` and ``CompletedMatrix`` check themselves on
+construction (square, finite, symmetric, and the diagonal of its kind or
+non-negative entries) and store an exactly symmetric matrix, keeping an
+input that already is one, so consumers read ``values`` as it is;
+``CompletedMatrix.coerce`` turns a plain array into a checked completion
+of the kind a consumer needs.
+
 ``evaluate_bounds`` evaluates the a-priori error-bound diagnostics for a
 completed kernel matrix (condition number of the augmented kernel, MMD
 term, rank term, optional data-noise inflation) and, when the exact
@@ -41,11 +48,9 @@ __all__ = [
     "MatrixKind",
     "CompletionParams",
     "LandmarkBlock",
-    "CrossBlock",
     "CompletedMatrix",
     "BoundReport",
     "assemble_cross_block",
-    "resolve_ridge",
     "rank_k_pinv",
     "nystrom_complete",
     "evaluate_bounds",
@@ -87,6 +92,24 @@ class CompletionParams:
             raise ValueError(f"eigen_floor must lie in [0, 1), got {self.eigen_floor!r}")
 
 
+def _checked_symmetric(M, what: str, rtol: float) -> np.ndarray:
+    """``M`` as a float64 array, checked to be square, finite and
+    symmetric within ``rtol`` times max(1, largest |entry|), and returned
+    exactly symmetric: an exactly symmetric input is returned as is."""
+    A = np.asarray(M, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    asym = A - A.T
+    np.abs(asym, out=asym)
+    gap = float(asym.max(initial=0.0))
+    del asym
+    if gap > rtol * max(1.0, float(A.max(initial=0.0)), -float(A.min(initial=0.0))):
+        raise ValueError(f"{what} is not symmetric within {rtol:g}")
+    return A if gap == 0.0 else 0.5 * (A + A.T)
+
+
 @dataclass(frozen=True)
 class LandmarkBlock:
     """Symmetric landmark self-block ``W`` plus its matrix kind."""
@@ -95,23 +118,17 @@ class LandmarkBlock:
     kind: MatrixKind
 
     def __post_init__(self) -> None:
-        W = np.asarray(self.values, dtype=np.float64)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError(f"landmark block must be square, got shape {W.shape}")
+        W = _checked_symmetric(self.values, "landmark block", 1e-10)
         if W.shape[0] < 2:
             raise ValueError(f"landmark block needs >= 2 landmarks, got {W.shape[0]}")
-        if not np.isfinite(W).all():
-            raise ValueError("landmark block contains non-finite entries")
-        scale = max(1.0, float(np.abs(W).max()))
-        if float(np.abs(W - W.T).max()) > 1e-10 * scale:
-            raise ValueError("landmark block is not symmetric within 1e-10")
         kind = MatrixKind(self.kind)
         diag = np.diagonal(W)
+        scale = max(1.0, float(np.abs(W).max()))
         if kind is MatrixKind.DISTANCE and float(np.abs(diag).max()) > 1e-10 * scale:
             raise ValueError("distance-kind landmark block must have a zero diagonal")
         if kind is MatrixKind.KERNEL and float(np.abs(diag - 1.0).max()) > 1e-8:
             raise ValueError("kernel-kind landmark block must have a unit diagonal")
-        object.__setattr__(self, "values", 0.5 * (W + W.T))
+        object.__setattr__(self, "values", W)
         object.__setattr__(self, "kind", kind)
 
     @property
@@ -119,44 +136,14 @@ class LandmarkBlock:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class CrossBlock:
-    """Stacked client blocks against the landmarks (``n_x x n_y``).
-
-    ``row_ranges`` records, per client in upload order, the half-open row
-    interval its block occupies, so completed rows can always be traced
-    back to the owning client.
-    """
-
-    values: np.ndarray
-    row_ranges: tuple[tuple[int, int, int], ...]  # (client_id, start, stop)
-
-    def __post_init__(self) -> None:
-        B = np.asarray(self.values, dtype=np.float64)
-        if B.ndim != 2:
-            raise ValueError(f"cross block must be 2-D, got shape {B.shape}")
-        if not np.isfinite(B).all():
-            raise ValueError("cross block contains non-finite entries")
-        stops = 0
-        for cid, start, stop in self.row_ranges:
-            if start != stops or stop <= start:
-                raise ValueError(f"row ranges must tile the rows contiguously, got {self.row_ranges}")
-            stops = stop
-        if stops != B.shape[0]:
-            raise ValueError(
-                f"row ranges cover {stops} rows but the block has {B.shape[0]}"
-            )
-        object.__setattr__(self, "values", B)
-
-
 def assemble_cross_block(
     blocks: Sequence[np.ndarray], client_ids: Sequence[int] | None = None
-) -> CrossBlock:
-    """Stack per-client landmark blocks in client order.
+) -> np.ndarray:
+    """Stack per-client landmark blocks in client order into ``B``
+    (``n_x x n_y``).
 
-    All blocks must share the landmark (column) count.  ``client_ids``
-    defaults to positional ids; the recorded row ranges let callers map
-    completed rows back to clients even after reordering uploads.
+    All blocks must share the landmark (column) count; ``client_ids``
+    (positional by default) name the offending client in errors.
     """
     if not blocks:
         raise ValueError("at least one client block is required")
@@ -165,16 +152,12 @@ def assemble_cross_block(
         raise ValueError(f"got {len(blocks)} blocks but {len(ids)} client ids")
     mats = [np.asarray(b, dtype=np.float64) for b in blocks]
     n_y = mats[0].shape[1]
-    ranges = []
-    start = 0
     for cid, b in zip(ids, mats):
         if b.ndim != 2 or b.shape[1] != n_y:
             raise ValueError(
                 f"client {cid}: block shape {b.shape} incompatible with {n_y} landmarks"
             )
-        ranges.append((int(cid), start, start + b.shape[0]))
-        start += b.shape[0]
-    return CrossBlock(values=np.vstack(mats), row_ranges=tuple(ranges))
+    return np.vstack(mats)
 
 
 def _select_eigenpairs(
@@ -203,14 +186,6 @@ def _auto_ridge(W: np.ndarray, w: np.ndarray, params: CompletionParams) -> float
         adjacent = np.abs(np.diagonal(W, offset=1))
         return _AUTO_RIDGE_FACTOR * float(adjacent.mean()) if adjacent.size else 0.0
     return 0.0
-
-
-def resolve_ridge(W: np.ndarray, params: CompletionParams) -> float:
-    """Ridge actually applied: the configured one, or the automatic value
-    when the kept spectrum is numerically singular."""
-    if params.ridge_lambda > 0:
-        return params.ridge_lambda
-    return _auto_ridge(W, scipy.linalg.eigh(W)[0], params)
 
 
 def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, float]:
@@ -248,61 +223,66 @@ def rank_k_pinv(W: LandmarkBlock, params: CompletionParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompletedMatrix:
-    """Completed global matrix over all data points, with provenance."""
+    """Completed global matrix over all data points, with provenance.
+
+    ``values`` must be square, finite, non-negative and symmetric within
+    1e-8 of max(1, largest entry); it is stored exactly symmetric.
+    """
 
     values: np.ndarray
     kind: MatrixKind
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        kind = MatrixKind(self.kind)
+        what = f"{kind.value} matrix"
+        M = np.asarray(self.values, dtype=np.float64)
+        values = _checked_symmetric(M, what, 1e-8)
+        if M.min(initial=0.0) < 0:
+            raise ValueError(f"{what} must be non-negative")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "kind", kind)
+
+    @classmethod
+    def coerce(cls, M, kind: MatrixKind) -> "CompletedMatrix":
+        """``M`` as a checked ``kind``-kind completion: a completion must
+        already be of that kind, a plain array is checked and wrapped."""
+        if not isinstance(M, cls):
+            return cls(values=M, kind=kind)
+        if M.kind is not kind:
+            raise ValueError(f"expected a {kind.value}-kind completion, got {M.kind.value}-kind")
+        return M
 
     @property
     def n_points(self) -> int:
         return self.values.shape[0]
 
 
-def _symmetric_values(M, kind: MatrixKind, what: str) -> np.ndarray:
-    """The values of a ``kind``-kind completion or of a plain array,
-    checked to be square, finite, non-negative and symmetric (within
-    1e-8 of the largest entry, or of 1), and returned exactly symmetric."""
-    if isinstance(M, CompletedMatrix):
-        if M.kind is not kind:
-            raise ValueError(f"expected a {kind.value}-kind completion, got {M.kind.value}-kind")
-        vals = M.values
-    else:
-        vals = np.asarray(M, dtype=np.float64)
-    if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {vals.shape}")
-    if not np.isfinite(vals).all():
-        raise ValueError(f"{what} contains non-finite entries")
-    if vals.size and vals.min() < 0:
-        raise ValueError(f"{what} must be non-negative")
-    if float(np.abs(vals - vals.T).max()) > 1e-8 * max(1.0, float(vals.max())):
-        raise ValueError(f"{what} is not symmetric")
-    return 0.5 * (vals + vals.T)
-
-
 def nystrom_complete(
-    B: CrossBlock | np.ndarray,
+    B: np.ndarray,
     W: LandmarkBlock,
     params: CompletionParams,
     privacy_mode: str = "none",
 ) -> CompletedMatrix:
     """Complete the full data-by-data matrix from landmark blocks.
 
-    Computes ``B pinv_k(W + lambda I) B'``, symmetrises, and applies the
-    kind-specific post-processing.  ``B`` may be a plain array (treated
-    as a single client's block).  Provenance records the landmark count,
-    effective rank, resolved ridge, and privacy mode.
+    Computes ``B pinv_k(W + lambda I) B'`` from the stacked client blocks
+    ``B`` (``n_x x n_y``, see ``assemble_cross_block``), symmetrises, and
+    applies the kind-specific post-processing.  Provenance records the
+    landmark count, effective rank, resolved ridge, and privacy mode.
     """
-    if not isinstance(B, CrossBlock):
-        arr = np.asarray(B, dtype=np.float64)
-        B = CrossBlock(values=arr, row_ranges=((0, 0, arr.shape[0]),))
-    if B.values.shape[1] != W.n_landmarks:
+    B = np.asarray(B, dtype=np.float64)
+    if B.ndim != 2:
+        raise ValueError(f"cross block must be 2-D, got shape {B.shape}")
+    if not np.isfinite(B).all():
+        raise ValueError("cross block contains non-finite entries")
+    if B.shape[1] != W.n_landmarks:
         raise ValueError(
-            f"cross block has {B.values.shape[1]} landmark columns but the landmark "
+            f"cross block has {B.shape[1]} landmark columns but the landmark "
             f"block has {W.n_landmarks}"
         )
     Winv, lam = _ridged_pinv(W.values, params)
-    M = B.values @ Winv @ B.values.T
+    M = B @ Winv @ B.T
     M = 0.5 * (M + M.T)
     if W.kind is MatrixKind.DISTANCE:
         np.maximum(M, 0.0, out=M)

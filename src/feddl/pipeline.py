@@ -27,7 +27,7 @@ from .clustering import kmeans, spectral_cluster
 from .config import PipelineConfig, parse_manifest, render_manifest
 from .data import load_dataset, partition
 from .embed import EmbedConfig, tsne_affinities, tsne_embed, umap_embed, umap_graph
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalAbort
 from .federation import (
     FedResult,
     LandmarkInit,
@@ -140,18 +140,27 @@ def _complete(
     shards: list, Y: np.ndarray, kernel: KernelParams, cfg: PipelineConfig, kind: MatrixKind
 ) -> CompletedMatrix:
     """Clients compute their blocks against the final landmarks; the
-    server assembles and completes."""
+    server assembles and completes.  Blocks or a completion that leave
+    float64 (finite points whose squared distances overflow, a landmark
+    block too small to invert) abort numerically."""
     blocks = []
     for s in shards:
         D2 = pairwise_sq_dist(s.data, Y)
+        if not np.isfinite(D2).all():
+            raise NumericalAbort(
+                f"client {s.client_id}: squared distances to the landmarks overflow float64"
+            )
         blocks.append(D2 if kind is MatrixKind.DISTANCE else gaussian_kernel(D2, kernel))
     B = assemble_cross_block(blocks, [s.client_id for s in shards])
     W_D2 = pairwise_sq_dist(Y, Y)
-    W = LandmarkBlock(
-        values=W_D2 if kind is MatrixKind.DISTANCE else gaussian_kernel(W_D2, kernel),
-        kind=kind,
-    )
-    return nystrom_complete(B, W, cfg.completion, privacy_mode=cfg.privacy.mode.value)
+    try:
+        W = LandmarkBlock(
+            values=W_D2 if kind is MatrixKind.DISTANCE else gaussian_kernel(W_D2, kernel),
+            kind=kind,
+        )
+        return nystrom_complete(B, W, cfg.completion, privacy_mode=cfg.privacy.mode.value)
+    except ValueError as exc:
+        raise NumericalAbort(f"completion failed: {exc}") from exc
 
 
 def _embedding_metrics(
@@ -190,7 +199,12 @@ def _run(cfg: PipelineConfig, out_dir, command: str) -> RunOutputs:
     shards = perturb_shards(shards, cfg.privacy)
     meta = shards_meta(shards, with_moments=cfg.fed.init is LandmarkInit.SEED_SAMPLE)
     Y0 = init_landmarks(meta, cfg.fed)
-    kernel = KernelParams(gamma=cfg.gamma if cfg.gamma is not None else median_heuristic_gamma(Y0))
+    try:
+        kernel = KernelParams(
+            gamma=cfg.gamma if cfg.gamma is not None else median_heuristic_gamma(Y0)
+        )
+    except ValueError as exc:  # only the heuristic can fail: cfg.gamma is checked
+        raise NumericalAbort(f"bandwidth heuristic on the initial landmarks: {exc}") from exc
     order = np.concatenate([s.indices for s in shards])
     row_labels = labels[order] if labels is not None else None  # completion row order
 
@@ -291,7 +305,10 @@ def run_eval(
                 f"distance matrix is {D.shape[0]}x{D.shape[1]} but the embedding has "
                 f"{Z.shape[0]} points (expected {Z.shape[0]}x{Z.shape[0]})"
             )
-        completed = CompletedMatrix(values=D, kind=MatrixKind.DISTANCE)
+        try:
+            completed = CompletedMatrix(values=D, kind=MatrixKind.DISTANCE)
+        except ValueError as exc:
+            raise DataError(f"{distances_path}: {exc}") from exc
     report, _ = _embedding_metrics(completed, Z, labels, cfg)
     manifest = render_manifest(cfg, "eval", {}, ["metrics.csv"])
     manifest += f"\n[eval_inputs]\nembedding = {Path(embedding_path).resolve()}\n"

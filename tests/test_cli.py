@@ -1,11 +1,14 @@
+import configparser
 import struct
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from feddl import pipeline
+from feddl import config, pipeline
 from feddl.cli import main
+from feddl.kernels import pairwise_sq_dist
 from feddl.matrixio import write_embedding_csv, write_matrix
 from helpers import write_idx_pair
 from test_pipeline import TINY_INI
@@ -110,6 +113,53 @@ def test_divergent_run_exits_4(runner, tmp_path):
     assert "error:" in result.output
 
 
+def _scaled_points(scale):
+    """``_points()`` with every feature multiplied by ``scale``."""
+    return [f"{(i % 7 + 0.5) * scale!r},{(i % 5 + 0.25) * scale!r},{i % 3}" for i in range(60)]
+
+
+# landmarks drawn near the origin, whatever the data's scale, and no heuristic
+_GAUSSIAN_INIT = (
+    ("landmarks = 12", "landmarks = 12\ninit = gaussian_scaled"),
+    ("[run]", "[kernel]\ngamma = 0.5\n\n[run]"),
+)
+
+# id -> (command, features' scale, TINY_INI edits, message).  Every input
+# is finite; float64 overflows (or underflows) on the way.
+OVERFLOWS = {
+    "seed-sample-moments": ("fit", 1e160, (), "seed_sample initial landmarks overflow float64"),
+    "client-block-tsne": (
+        "tsne", 1e155, _GAUSSIAN_INIT, "client 0: squared distances to the landmarks overflow"
+    ),
+    "client-block-speclust": (
+        "speclust", 1e155, _GAUSSIAN_INIT, "client 0: squared distances to the landmarks overflow"
+    ),
+    "completion": (
+        "tsne", 1e120, _GAUSSIAN_INIT, "completion failed: distance matrix contains non-finite"
+    ),
+    "bandwidth-heuristic": ("umap", 1e-160, (), "bandwidth heuristic on the initial landmarks"),
+    "rank-zero-landmarks": (
+        "tsne", 1e-320, (), "completion failed: landmark block is numerically rank-zero"
+    ),
+}
+
+
+@pytest.mark.parametrize("command,scale,settings,message", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_overflow_from_finite_input_exits_4(runner, tmp_path, command, scale, settings, message):
+    args = _csv_run(tmp_path, _scaled_points(scale), command, settings)
+    result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 4, result.output
+    assert f"error: {message}" in result.output
+
+
+def test_huge_blob_separation_exits_4(runner, tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_text(TINY_INI.replace("blob_separation = 10.0", "blob_separation = 1e308"))
+    result = runner.invoke(main, ["fit", "--config", str(p), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 4, result.output
+    assert "error: seed_sample initial landmarks overflow float64" in result.output
+
+
 _BUDGET = "[privacy]\nmode = gradient\ntau_x = 1\ntau_y = 1\nupsilon = 1\n"
 _BLOBS = "blob_count = 3\npoints_per_blob = 20\nblob_std = 0.5\nblob_separation = 10.0\n\n[partition]\nclients = 3"
 
@@ -183,6 +233,12 @@ INFEASIBLE = {
         "umap", "[run]", _section("[evaluation]\nnpa_ks = 0"), "npa_ks entries must be >= 1, got (0,)"
     ),
     "iterations": ("tsne", "iterations = 60", "iterations = 0", "iterations must be >= 1, got 0"),
+    "init-scale": (
+        "umap",
+        "iterations = 60",
+        "iterations = 60\ninit_scale = 0",
+        "init_scale must be finite and > 0, got 0.0",
+    ),
     "perplexity": (
         "tsne",
         "perplexity = 8.0",
@@ -320,12 +376,17 @@ def _points(labels=(0, 1, 2)):
     return [f"{i % 7}.5,{i % 5}.25,{labels[i % 3]}" for i in range(60)]
 
 
-def _csv_fit(tmp_path, rows):
+def _csv_run(tmp_path, rows, command="fit", settings=()):
+    """``command`` on a CSV of ``rows``, TINY_INI edited by the
+    ``(text, replacement)`` pairs ``settings``."""
     csv = tmp_path / "points.csv"
     csv.write_text("\n".join(["x0,x1,label", *rows, ""]))
     ini = tmp_path / "run.ini"
-    ini.write_text(TINY_INI.replace("source = blobs", f"source = csv\ncsv_path = {csv}"))
-    return ["fit", "--config", str(ini)]
+    text = TINY_INI.replace("source = blobs", f"source = csv\ncsv_path = {csv}")
+    for old, new in settings:
+        text = text.replace(old, new)
+    ini.write_text(text)
+    return [command, "--config", str(ini)]
 
 
 def _idx_fit(tmp_path, corrupt):
@@ -343,18 +404,47 @@ def _idx_fit(tmp_path, corrupt):
     return ["fit", "--config", str(ini)]
 
 
-def _eval_truncated_distances(tmp_path):
-    rng = np.random.default_rng(0)
-    write_embedding_csv(tmp_path / "embedding.csv", rng.normal(size=(60, 2)))
-    distances = tmp_path / "distances.fdlm"
-    write_matrix(distances, rng.random((60, 60)))
-    distances.write_bytes(distances.read_bytes()[:-8])
+def _embedding(tmp_path, row=None):
+    """An embedding CSV of 60 labelled points, TINY_INI's size, with CSV
+    row 5 replaced by ``row``."""
+    path = tmp_path / "embedding.csv"
+    write_embedding_csv(path, np.random.default_rng(0).normal(size=(60, 2)), np.arange(60) % 3)
+    if row is not None:
+        lines = path.read_text().splitlines()
+        lines[4] = row
+        path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _eval(tmp_path, row=None, distances=None):
+    """``eval`` of ``_embedding(row)``, with ``distances(D)`` of the
+    squared distances ``D`` of 60 random points as ``--distances``."""
     ini = tmp_path / "run.ini"
     ini.write_text(TINY_INI)
-    return [
-        "eval", "--config", str(ini), "--embedding", str(tmp_path / "embedding.csv"),
-        "--distances", str(distances),
-    ]
+    args = ["eval", "--config", str(ini), "--embedding", str(_embedding(tmp_path, row))]
+    if distances is not None:
+        X = np.random.default_rng(1).normal(size=(3, 60))
+        path = tmp_path / "distances.fdlm"
+        write_matrix(path, distances(pairwise_sq_dist(X, X)))
+        args += ["--distances", str(path)]
+    return args
+
+
+def _eval_truncated_distances(tmp_path):
+    args = _eval(tmp_path, distances=lambda D: D)
+    distances = tmp_path / "distances.fdlm"
+    distances.write_bytes(distances.read_bytes()[:-8])
+    return args
+
+
+def _with_nan(D):
+    D[3, 7] = D[7, 3] = np.nan
+    return D
+
+
+def _asymmetric(D):
+    D[0, 1] += 1.0
+    return D
 
 
 def _cut_last_byte(path, _other):
@@ -368,15 +458,15 @@ def _bad_label_magic(_images, labels):
 # id -> (writes the input files and returns the command, message)
 BAD_INPUTS = {
     "csv-nan-feature": (
-        lambda p: _csv_fit(p, _points()[:3] + ["nan,1.25,0"] + _points()[4:]),
+        lambda p: _csv_run(p, _points()[:3] + ["nan,1.25,0"] + _points()[4:]),
         "non-finite feature in row 5",
     ),
     "csv-fractional-labels": (
-        lambda p: _csv_fit(p, _points(labels=("0.2", "0.7", "1.4"))),
+        lambda p: _csv_run(p, _points(labels=("0.2", "0.7", "1.4"))),
         "label '0.2' in row 2 is not an integer",
     ),
     "csv-ragged-row": (
-        lambda p: _csv_fit(p, _points()[:3] + ["1.5,0"] + _points()[4:]),
+        lambda p: _csv_run(p, _points()[:3] + ["1.5,0"] + _points()[4:]),
         "row 5 has 2 fields, header has 3",
     ),
     "idx-truncated-images": (
@@ -385,6 +475,30 @@ BAD_INPUTS = {
     ),
     "idx-bad-label-magic": (lambda p: _idx_fit(p, _bad_label_magic), "bad label magic 0x00000802"),
     "fdlm-truncated": (_eval_truncated_distances, "expected 28800 for 60x60 float64"),
+    "embedding-nan-coordinate": (
+        lambda p: _eval(p, row="3,nan,0.5,0"),
+        "non-finite coordinate in row 5",
+    ),
+    "plot-nan-coordinate": (
+        lambda p: ["plot", "--embedding", str(_embedding(p, row="3,nan,0.5,0"))],
+        "non-finite coordinate in row 5",
+    ),
+    "embedding-fractional-label": (
+        lambda p: _eval(p, row="3,0.25,0.5,1.5"),
+        "label '1.5' in row 5 is not an integer",
+    ),
+    "fdlm-nan-distances": (
+        lambda p: _eval(p, distances=_with_nan),
+        "distance matrix contains non-finite entries",
+    ),
+    "fdlm-negated-distances": (
+        lambda p: _eval(p, distances=np.negative),
+        "distance matrix must be non-negative",
+    ),
+    "fdlm-asymmetric-distances": (
+        lambda p: _eval(p, distances=_asymmetric),
+        "distance matrix is not symmetric",
+    ),
 }
 
 
@@ -431,3 +545,41 @@ def test_manifest_rerun_command(runner, config_file, tmp_path):
         ],
     )
     assert result.exit_code == 2
+
+
+# Every schema key but the data source and its paths, which only point
+# the loader at files.
+_SWEPT_KEYS = [
+    (section, key)
+    for section, key, *_ in config._SCHEMA
+    if key not in ("source", "images_path", "labels_path", "csv_path")
+]
+_SWEPT_INI = (
+    TINY_INI.replace("points_per_blob = 20", "points_per_blob = 10")
+    .replace("rounds = 3", "rounds = 2")
+    .replace("landmarks = 12", "landmarks = 6")
+    .replace("iterations = 60", "iterations = 20")
+    .replace("perplexity = 8.0", "perplexity = 5.0")
+    .replace("n_neighbors = 8", "n_neighbors = 5")
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    key=st.sampled_from(_SWEPT_KEYS),
+    value=st.sampled_from(["0", "-1", "nan", "inf", "1e308", "abc", "", "1.5", "2"]),
+    command=st.sampled_from(["tsne", "umap", "speclust"]),
+)
+def test_cli_never_exits_1(tmp_path_factory, key, value, command):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(_SWEPT_INI)
+    section, name = key
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, name, value)
+    d = tmp_path_factory.mktemp("sweep")
+    with open(d / "run.ini", "w") as f:
+        cp.write(f)
+    args = [command, "--config", str(d / "run.ini"), "--out-dir", str(d / "out")]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)

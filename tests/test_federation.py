@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -300,6 +302,28 @@ def test_gradient_mode_beta_zero_matches_clean_run():
         shards, cfg, PARAMS, privacy=PrivacySpec(mode="gradient", beta=1.0), Y0=Y0
     )
     assert np.any(noisy.landmarks != clean.landmarks)
+
+
+def test_gradient_averaging_noises_only_the_upload():
+    shards = make_shards(n_clients=4, per=6, seed=29)
+    Y0 = np.random.default_rng(8).normal(size=(2, 3))
+    cfg = FedConfig(
+        rounds=3, local_steps=2, n_landmarks=3, step_size=0.2,
+        aggregation=Aggregation.AVERAGE_GRADIENTS,
+    )
+    clean = run_feddl(shards, cfg, PARAMS, Y0=Y0)
+    spec = PrivacySpec(mode="gradient", beta=0.5)
+    noisy, threaded = (
+        run_feddl(shards, replace(cfg, workers=w), PARAMS, privacy=spec, Y0=Y0) for w in (1, 2)
+    )
+    # round 1's local steps start from Y0 and see no noise; its upload does
+    Q = cfg.local_steps
+    npt.assert_array_equal(noisy.trace.objective[:Q], clean.trace.objective[:Q])
+    npt.assert_array_equal(noisy.trace.displacement_sq[:Q], clean.trace.displacement_sq[:Q])
+    assert np.all(noisy.trace.objective[Q:] != clean.trace.objective[Q:])
+    assert np.any(noisy.landmarks != clean.landmarks)
+    npt.assert_array_equal(threaded.landmarks, noisy.landmarks)
+    npt.assert_array_equal(threaded.trace.objective, noisy.trace.objective)
 
 
 def test_perturb_shards_only_in_data_mode(rng):

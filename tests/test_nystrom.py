@@ -7,15 +7,14 @@ import scipy.linalg
 
 from feddl.kernels import KernelParams, gaussian_kernel, pairwise_sq_dist
 from feddl.nystrom import (
+    CompletedMatrix,
     CompletionParams,
-    CrossBlock,
     LandmarkBlock,
     MatrixKind,
     assemble_cross_block,
     evaluate_bounds,
     nystrom_complete,
     rank_k_pinv,
-    resolve_ridge,
 )
 
 PARAMS = KernelParams(gamma=0.5)
@@ -131,18 +130,23 @@ def test_nystrom_provenance(rng):
     assert completed.n_points == 6
 
 
+def _applied_ridge(W_values, params):
+    W = LandmarkBlock(values=W_values, kind=MatrixKind.KERNEL)
+    B = np.full((3, W.n_landmarks), 0.5)
+    return nystrom_complete(B, W, params).provenance["ridge_lambda"]
+
+
 def test_resolve_ridge_explicit_wins():
-    W = np.eye(3)
-    assert resolve_ridge(W, CompletionParams(ridge_lambda=0.5)) == 0.5
+    assert _applied_ridge(np.eye(3), CompletionParams(ridge_lambda=0.5)) == 0.5
 
 
 def test_resolve_ridge_auto_triggers_near_singularity():
     eps = 5e-12
     W = np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]])  # eigenvalues ~ {eps, 2}
-    lam = resolve_ridge(W, CompletionParams(eigen_floor=0.0))
+    lam = _applied_ridge(W, CompletionParams(eigen_floor=0.0))
     assert lam == pytest.approx(1e-6 * (1.0 - eps))
     # a well-conditioned block needs no ridge
-    assert resolve_ridge(np.eye(2), CompletionParams()) == 0.0
+    assert _applied_ridge(np.eye(2), CompletionParams()) == 0.0
 
 
 def test_auto_ridge_applied_end_to_end():
@@ -156,17 +160,22 @@ def test_auto_ridge_applied_end_to_end():
 
 
 @pytest.mark.parametrize(
-    "W_values,params,decompositions",
+    "W_values,params,decompositions,ridge",
     [
-        (np.array([[1.0, 0.5], [0.5, 1.0]]), CompletionParams(), 1),
-        (np.array([[1.0, 0.5], [0.5, 1.0]]), CompletionParams(ridge_lambda=1e-3), 1),
+        (np.array([[1.0, 0.5], [0.5, 1.0]]), CompletionParams(), 1, 0.0),
+        (np.array([[1.0, 0.5], [0.5, 1.0]]), CompletionParams(ridge_lambda=1e-3), 1, 1e-3),
         # the automatic ridge needs the spectrum of W, then W + lambda I
-        (np.array([[1.0, 1.0 - 5e-12], [1.0 - 5e-12, 1.0]]), CompletionParams(eigen_floor=0.0), 2),
+        (
+            np.array([[1.0, 1.0 - 5e-12], [1.0 - 5e-12, 1.0]]),
+            CompletionParams(eigen_floor=0.0),
+            2,
+            1e-6 * (1.0 - 5e-12),
+        ),
     ],
     ids=["no-ridge", "set-ridge", "auto-ridge"],
 )
 def test_completion_decomposes_landmark_block_once_unless_auto_ridge(
-    monkeypatch, W_values, params, decompositions
+    monkeypatch, W_values, params, decompositions, ridge
 ):
     calls = []
 
@@ -184,15 +193,13 @@ def test_completion_decomposes_landmark_block_once_unless_auto_ridge(
     W = LandmarkBlock(values=W_values, kind=MatrixKind.KERNEL)
     completed = nystrom_complete(np.array([[0.9, 0.8], [0.2, 0.3], [0.5, 0.5]]), W, params)
     assert calls == ["eigh"] * decompositions
-    assert completed.provenance["ridge_lambda"] == resolve_ridge(W.values, params)
+    assert completed.provenance["ridge_lambda"] == ridge
 
 
 def test_assemble_cross_block_ranges():
     blocks = [np.zeros((3, 4)), np.ones((2, 4)), np.full((5, 4), 2.0)]
-    cb = assemble_cross_block(blocks, client_ids=[7, 3, 9])
-    assert cb.values.shape == (10, 4)
-    assert cb.row_ranges == ((7, 0, 3), (3, 3, 5), (9, 5, 10))
-    npt.assert_array_equal(cb.values[3:5], np.ones((2, 4)))
+    B = assemble_cross_block(blocks, client_ids=[7, 3, 9])
+    npt.assert_array_equal(B, np.repeat([0.0, 1.0, 2.0], [3, 2, 5])[:, None] * np.ones(4))
 
 
 def test_assemble_cross_block_validation():
@@ -200,15 +207,20 @@ def test_assemble_cross_block_validation():
         assemble_cross_block([])
     with pytest.raises(ValueError, match="incompatible"):
         assemble_cross_block([np.zeros((2, 3)), np.zeros((2, 4))])
+    with pytest.raises(ValueError, match="client 4: block shape"):
+        assemble_cross_block([np.zeros((2, 3)), np.zeros((2, 4))], client_ids=[1, 4])
     with pytest.raises(ValueError, match="client ids"):
         assemble_cross_block([np.zeros((2, 3))], client_ids=[1, 2])
 
 
-def test_cross_block_requires_contiguous_tiling():
-    with pytest.raises(ValueError, match="contiguously"):
-        CrossBlock(values=np.zeros((4, 2)), row_ranges=((0, 0, 2), (1, 3, 4)))
-    with pytest.raises(ValueError, match="cover"):
-        CrossBlock(values=np.zeros((4, 2)), row_ranges=((0, 0, 2),))
+def test_nystrom_complete_checks_the_cross_block():
+    W = LandmarkBlock(values=np.array([[1.0, 0.5], [0.5, 1.0]]), kind=MatrixKind.KERNEL)
+    with pytest.raises(ValueError, match="2-D"):
+        nystrom_complete(np.zeros(2), W, CompletionParams())
+    with pytest.raises(ValueError, match="non-finite"):
+        nystrom_complete(np.array([[0.5, np.nan]]), W, CompletionParams())
+    with pytest.raises(ValueError, match="3 landmark columns"):
+        nystrom_complete(np.zeros((2, 3)), W, CompletionParams())
 
 
 def test_landmark_block_validation():
@@ -222,6 +234,40 @@ def test_landmark_block_validation():
         LandmarkBlock(values=np.array([[1.0, 0.5], [0.5, 1.0]]), kind=MatrixKind.DISTANCE)
     with pytest.raises(ValueError, match="unit diagonal"):
         LandmarkBlock(values=np.array([[0.0, 0.5], [0.5, 0.0]]), kind=MatrixKind.KERNEL)
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        (np.zeros((2, 3)), "distance matrix must be square"),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), "distance matrix contains non-finite"),
+        (np.array([[0.0, -1.0], [-1.0, 0.0]]), "distance matrix must be non-negative"),
+        (np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]), "distance matrix is not symmetric"),
+    ],
+    ids=["non-square", "nan", "negative", "asymmetric"],
+)
+def test_completed_matrix_checks_itself(values, message):
+    with pytest.raises(ValueError, match=message):
+        CompletedMatrix(values=values, kind=MatrixKind.DISTANCE)
+
+
+def test_completed_matrix_is_exactly_symmetric_and_keeps_symmetric_input():
+    exact = np.array([[0.0, 2.0], [2.0, 0.0]])
+    assert CompletedMatrix(values=exact, kind=MatrixKind.DISTANCE).values is exact
+    near = np.array([[0.0, 2.0], [2.0 + 1e-12, 0.0]])
+    stored = CompletedMatrix(values=near, kind=MatrixKind.DISTANCE).values
+    npt.assert_array_equal(stored, stored.T)
+    assert stored[0, 1] == 0.5 * (2.0 + (2.0 + 1e-12))
+
+
+def test_completed_matrix_coerce():
+    K = np.array([[1.0, 0.5], [0.5, 1.0]])
+    completed = CompletedMatrix(values=K, kind=MatrixKind.KERNEL)
+    assert CompletedMatrix.coerce(completed, MatrixKind.KERNEL) is completed
+    wrapped = CompletedMatrix.coerce(K, MatrixKind.KERNEL)
+    assert wrapped.kind is MatrixKind.KERNEL and wrapped.values is K
+    with pytest.raises(ValueError, match="expected a distance-kind completion, got kernel-kind"):
+        CompletedMatrix.coerce(completed, MatrixKind.DISTANCE)
 
 
 def test_completion_params_validation():

@@ -133,6 +133,25 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
     )
 
 
+def test_budget_gradient_privacy_records_sigmas_and_reruns(tmp_path):
+    text = TINY_INI.replace(
+        "[run]",
+        "[privacy]\nmode = gradient\nepsilon = 1\ndelta = 1e-5\n"
+        "tau_x = 1\ntau_y = 1\nupsilon = 1\n\n[run]",
+    )
+    first = run_fit(parse_config(text), tmp_path / "a")
+    sigmas = first.fed.gradient_sigmas
+    assert sigmas is not None and len(sigmas) == 3
+    manifest = first.files["manifest.ini"].read_text()
+    assert f"gradient_sigmas = {' '.join(repr(s) for s in sigmas)}\n" in manifest
+    second = rerun_manifest(first.files["manifest.ini"], tmp_path / "b", workers=2)
+    assert second.fed.gradient_sigmas == sigmas
+    assert first.files["landmarks.fdlm"].read_bytes() == second.files["landmarks.fdlm"].read_bytes()
+    assert _strip_timing(first.files["trace.csv"].read_text()) == _strip_timing(
+        second.files["trace.csv"].read_text()
+    )
+
+
 def test_rerun_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read manifest"):
         rerun_manifest(tmp_path / "missing.ini", tmp_path)
