@@ -174,8 +174,11 @@ def shards_meta(shards: Sequence[ClientShard], with_moments: bool = False) -> Sh
     counts = tuple(s.n_points for s in shards)
     means = variances = None
     if with_moments:
-        means = np.stack([s.data.mean(axis=1) for s in shards])
-        variances = np.stack([s.data.var(axis=1) for s in shards])
+        # Moments of finite but huge data overflow; init_landmarks rejects
+        # the landmarks drawn from them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = np.stack([s.data.mean(axis=1) for s in shards])
+            variances = np.stack([s.data.var(axis=1) for s in shards])
     return ShardsMeta(feature_dim=m, counts=counts, means=means, variances=variances)
 
 
@@ -199,10 +202,11 @@ def init_landmarks(meta: ShardsMeta, config: FedConfig) -> np.ndarray:
             raise ValueError("seed_sample initialisation needs shard moments in ShardsMeta")
         w = np.asarray(meta.counts, dtype=np.float64)
         w /= w.sum()
-        mu = w @ meta.means
-        ex2 = w @ (meta.variances + meta.means**2)
-        var = np.maximum(ex2 - mu**2, 0.0)
-        Y0 = mu[:, None] + np.sqrt(var)[:, None] * rng.normal(0.0, 1.0, size=(m, n_y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = w @ meta.means
+            ex2 = w @ (meta.variances + meta.means**2)
+            var = np.maximum(ex2 - mu**2, 0.0)
+            Y0 = mu[:, None] + np.sqrt(var)[:, None] * rng.normal(0.0, 1.0, size=(m, n_y))
     if not np.isfinite(Y0).all():
         raise NumericalAbort(f"{config.init.value} initial landmarks overflow float64")
     return Y0
@@ -371,7 +375,8 @@ def run_feddl(
     privacy perturbs only what leaves each client: the final local step's
     gradient under landmark averaging, or the uploaded gradient under
     gradient averaging.  Variable-mode privacy perturbs the aggregated
-    landmarks before each broadcast.
+    landmarks before each broadcast.  Client data whose squared
+    distances overflow float64 raise ``NumericalAbort``.
     """
     privacy = privacy or PrivacySpec()
     if not shards:
@@ -397,8 +402,21 @@ def run_feddl(
 
     grad_sigmas = _resolve_gradient_sigmas(shards, privacy, config, kernel_params)
     # Objective bookkeeping: the shard self-term of the MMD does not
-    # depend on Y, so it is computed once per client.
-    const_x = sum(w * _self_term(s.data, kernel_params) for w, s in zip(weights, shards))
+    # depend on Y, so it is computed once per client.  It is the one place
+    # the fit pairs data points with each other, so data whose squared
+    # distances overflow float64 abort here; the overflow is raised rather
+    # than looked for in the result, because the Gram expansion clamps an
+    # overflowing ``2 x.y`` to a distance of 0.
+    self_terms = []
+    for s in shards:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                self_terms.append(_self_term(s.data, kernel_params))
+        except FloatingPointError as exc:
+            raise NumericalAbort(
+                f"client {s.client_id}: MMD self-term overflows float64 ({exc})"
+            ) from exc
+    const_x = sum(w * v for w, v in zip(weights, self_terms))
 
     def objective(Y: np.ndarray) -> float:
         cross = sum(

@@ -48,7 +48,9 @@ def write_matrix(path, M: np.ndarray) -> None:
     rows, cols = M.shape
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, _VERSION, _DTYPE_F64, 0, rows, cols))
-        f.write(M.tobytes(order="C"))
+        # A byte view of the C-contiguous array, not a copy of the payload
+        # (``memoryview.cast`` would refuse an empty matrix).
+        f.write(M.reshape(-1).view(np.uint8))
 
 
 def read_matrix(path) -> np.ndarray:

@@ -282,8 +282,11 @@ def nystrom_complete(
             f"block has {W.n_landmarks}"
         )
     Winv, lam = _ridged_pinv(W.values, params)
-    M = B @ Winv @ B.T
-    M = 0.5 * (M + M.T)
+    # In a distance completion an overflow stays non-finite, which
+    # CompletedMatrix rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = B @ Winv @ B.T
+        M = 0.5 * (M + M.T)
     if W.kind is MatrixKind.DISTANCE:
         np.maximum(M, 0.0, out=M)
         np.fill_diagonal(M, 0.0)

@@ -145,7 +145,8 @@ def _complete(
     block too small to invert) abort numerically."""
     blocks = []
     for s in shards:
-        D2 = pairwise_sq_dist(s.data, Y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            D2 = pairwise_sq_dist(s.data, Y)
         if not np.isfinite(D2).all():
             raise NumericalAbort(
                 f"client {s.client_id}: squared distances to the landmarks overflow float64"

@@ -1,5 +1,6 @@
 import configparser
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -128,11 +129,16 @@ _GAUSSIAN_INIT = (
 # is finite; float64 overflows (or underflows) on the way.
 OVERFLOWS = {
     "seed-sample-moments": ("fit", 1e160, (), "seed_sample initial landmarks overflow float64"),
-    "client-block-tsne": (
-        "tsne", 1e155, _GAUSSIAN_INIT, "client 0: squared distances to the landmarks overflow"
+    "self-term-fit": (
+        "fit", 1e155, _GAUSSIAN_INIT, "client 0: MMD self-term overflows float64"
     ),
-    "client-block-speclust": (
-        "speclust", 1e155, _GAUSSIAN_INIT, "client 0: squared distances to the landmarks overflow"
+    "self-term-speclust": (
+        "speclust", 1e155, _GAUSSIAN_INIT, "client 0: MMD self-term overflows float64"
+    ),
+    # squared norms stay finite; only 2 x.y overflows, which the Gram
+    # expansion would clamp to a distance of 0
+    "self-term-gram-clamp": (
+        "fit", 1.5e153, _GAUSSIAN_INIT, "client 0: MMD self-term overflows float64"
     ),
     "completion": (
         "tsne", 1e120, _GAUSSIAN_INIT, "completion failed: distance matrix contains non-finite"
@@ -144,20 +150,32 @@ OVERFLOWS = {
 }
 
 
+def _assert_only_error_line(runner, args, message):
+    """``args`` exit with code 4, raise no warning of any kind, and print
+    nothing to stderr but one line starting ``error: message``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args)
+    assert result.exit_code == 4, result.output
+    assert [str(w.message) for w in caught] == []
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), result.stderr
+
+
 @pytest.mark.parametrize("command,scale,settings,message", OVERFLOWS.values(), ids=OVERFLOWS)
 def test_overflow_from_finite_input_exits_4(runner, tmp_path, command, scale, settings, message):
     args = _csv_run(tmp_path, _scaled_points(scale), command, settings)
-    result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
-    assert result.exit_code == 4, result.output
-    assert f"error: {message}" in result.output
+    _assert_only_error_line(runner, [*args, "--out-dir", str(tmp_path / "out")], message)
 
 
 def test_huge_blob_separation_exits_4(runner, tmp_path):
     p = tmp_path / "run.ini"
     p.write_text(TINY_INI.replace("blob_separation = 10.0", "blob_separation = 1e308"))
-    result = runner.invoke(main, ["fit", "--config", str(p), "--out-dir", str(tmp_path / "out")])
-    assert result.exit_code == 4, result.output
-    assert "error: seed_sample initial landmarks overflow float64" in result.output
+    _assert_only_error_line(
+        runner,
+        ["fit", "--config", str(p), "--out-dir", str(tmp_path / "out")],
+        "seed_sample initial landmarks overflow float64",
+    )
 
 
 _BUDGET = "[privacy]\nmode = gradient\ntau_x = 1\ntau_y = 1\nupsilon = 1\n"

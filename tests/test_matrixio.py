@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -47,6 +48,38 @@ def test_matrix_rewrite_is_byte_identical(tmp_path, rng):
     write_matrix(p1, M)
     write_matrix(p2, read_matrix(p1))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda M: M,
+        lambda M: np.asfortranarray(M),
+        lambda M: M[:, ::2],
+        lambda M: M.astype(">f8"),
+        lambda M: M.astype(np.float32),
+        lambda M: M[:0],
+    ],
+    ids=["c-order", "f-order", "strided", "big-endian", "float32", "empty"],
+)
+def test_matrix_bytes_match_the_tobytes_encoding(tmp_path, rng, layout):
+    M = layout(rng.normal(size=(6, 8)))
+    p = tmp_path / "m.fdlm"
+    write_matrix(p, M)
+    ref = np.ascontiguousarray(M, dtype="<f8")
+    expected = HEADER.pack(b"FDLM", 1, 1, 0, *ref.shape) + ref.tobytes(order="C")
+    assert p.read_bytes() == expected
+
+
+def test_matrix_write_makes_no_payload_copy(tmp_path, rng):
+    M = rng.normal(size=(500, 500))
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "m.fdlm", M)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * M.nbytes
 
 
 def test_matrix_rejects_non_2d():

@@ -3,9 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from feddl.config import parse_config
-from feddl.errors import ConfigError, DataError
+from feddl.errors import ConfigError, DataError, NumericalAbort
+from feddl.federation import ClientShard
+from feddl.kernels import KernelParams
 from feddl.matrixio import read_embedding_csv, read_labels_csv, read_matrix
+from feddl.nystrom import MatrixKind
 from feddl.pipeline import (
+    _complete,
     rerun_manifest,
     run_eval,
     run_fed_speclust,
@@ -112,6 +116,15 @@ def test_speclust_pipeline_recovers_blobs(tmp_path):
     labels = read_labels_csv(out.files["labels.csv"])
     assert labels.shape == (60,)
     assert out.metrics.nmi >= 0.9  # well-separated blobs
+
+
+@pytest.mark.parametrize("kind", list(MatrixKind), ids=lambda k: k.value)
+def test_client_block_overflow_aborts(kind):
+    # finite points whose squared distances to the landmarks overflow
+    shard = ClientShard(client_id=2, data=np.full((2, 4), 1e155), weight=1.0)
+    Y = np.linspace(-1.0, 1.0, 24).reshape(2, 12)
+    with pytest.raises(NumericalAbort, match="client 2: squared distances to the landmarks"):
+        _complete([shard], Y, KernelParams(gamma=0.5), tiny_cfg(), kind)
 
 
 def test_manifest_rerun_reproduces_outputs(tmp_path):
