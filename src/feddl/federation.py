@@ -15,6 +15,16 @@ weighted-average iterate ``Y^{s,t} = sum_p w_p Y_p^{s,t}``: the global
 objective ``F = sum_p w_p mmd(X_p, Y^{s,t})``, the squared displacement
 ``||Y^{s,t} - Y^{s,t-1}||_F^2`` (whose mean is the convergence
 diagnostic), and wall-clock time per round.
+
+The kernel blocks of one round are shared where the arithmetic allows:
+every client's local step 1 starts from the broadcast, so the landmark
+side of the gradient (``K_YY`` and its term) is computed once per round.
+Under landmark averaging without variable-mode noise the step-``Q``
+average *is* the next broadcast, so the objective of row ``(s, Q)`` is
+filled in during round ``s + 1`` from the clients' step-1 totals
+``1' K_XY 1`` and that round's ``1' K_YY 1``, with the same arithmetic
+as a direct evaluation; the last round, the other steps and the other
+modes evaluate it directly.
 """
 
 from __future__ import annotations
@@ -28,7 +38,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalAbort
-from .kernels import KernelParams, _cross_term, _self_term, mmd_gradient
+from .kernels import (
+    KernelParams,
+    _check_pair,
+    _cross_term,
+    _gaussian_block,
+    _landmark_side,
+    _LandmarkSide,
+    _mmd_gradient_core,
+    _self_term,
+    _sq_norms,
+    mmd_gradient,  # not called here; bench/tracer.py wraps this module's name
+)
 from .privacy import (
     SERVER_STREAM_ID,
     PrivacyMode,
@@ -115,13 +136,16 @@ class ClientShard:
     ``data`` is ``m x n_p`` with columns as points; ``weight`` is the
     aggregation weight ``n_p / n_x``; ``indices`` maps shard columns back
     to column positions in the original dataset (used to align labels and
-    to check that partitioning conserves the data).
+    to check that partitioning conserves the data).  ``sq_norms`` holds
+    the squared norms of ``data``'s columns, computed once since the
+    shard never changes.
     """
 
     client_id: int
     data: np.ndarray
     weight: float
     indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float64)
@@ -138,6 +162,7 @@ class ClientShard:
             )
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
+        object.__setattr__(self, "sq_norms", _sq_norms(data.T))
 
     @property
     def n_points(self) -> int:
@@ -221,6 +246,9 @@ def local_update(
     kernel_params: KernelParams,
     step_noise: Callable[[int, np.ndarray], np.ndarray] | None = None,
     norm_cap: float | None = None,
+    sq_norms: np.ndarray | None = None,
+    landmarks: _LandmarkSide | None = None,
+    on_cross_sum: Callable[[float], None] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Run ``local_steps`` gradient-descent steps on ``mmd(data, Y)``.
 
@@ -228,16 +256,34 @@ def local_update(
     each step (step ``t`` applies the gradient after any ``step_noise``
     hook).  ``norm_cap`` triggers a divergence abort when the iterate's
     Frobenius norm exceeds it.
+
+    ``sq_norms`` are the squared norms of ``data``'s columns as a
+    ``ClientShard`` caches them for its checked data; without them both
+    arrays are checked here.  ``landmarks`` is the landmark side of the
+    gradient at ``Y`` (``kernels._landmark_side``), which every client
+    starting from the same ``Y`` shares; it is computed when not given.
+    ``on_cross_sum`` receives ``1' K_XY 1`` of step 1, the cross-block
+    total of ``mmd(data, Y)``.
     """
+    g = kernel_params.gamma
+    if sq_norms is None:
+        data, Y = _check_pair(data, Y, "data", "local_update")
+        sq_norms = _sq_norms(data.T)
     Yp = np.asarray(Y, dtype=np.float64)
+    side = landmarks
     iterates: list[np.ndarray] = []
     for t in range(1, local_steps + 1):
-        g = mmd_gradient(data, Yp, kernel_params)
+        if side is None:
+            side = _landmark_side(Yp, g)
+        grad, Kxy = _mmd_gradient_core(data, sq_norms, side, g)
+        if t == 1 and on_cross_sum is not None:
+            on_cross_sum(float(Kxy.sum()))
+        side = Kxy = None  # neither is held while the next step builds its own
         if step_noise is not None:
-            g = step_noise(t, g)
-        if not np.isfinite(g).all():
+            grad = step_noise(t, grad)
+        if not np.isfinite(grad).all():
             raise NumericalAbort(f"non-finite gradient at local step {t}")
-        Yp = Yp - step_size * g
+        Yp = Yp - step_size * grad
         iterates.append(Yp)
         if norm_cap is not None and np.linalg.norm(Yp) > norm_cap:
             raise NumericalAbort(
@@ -375,8 +421,10 @@ def run_feddl(
     privacy perturbs only what leaves each client: the final local step's
     gradient under landmark averaging, or the uploaded gradient under
     gradient averaging.  Variable-mode privacy perturbs the aggregated
-    landmarks before each broadcast.  Client data whose squared
-    distances overflow float64 raise ``NumericalAbort``.
+    landmarks before each broadcast.  ``NumericalAbort`` is raised for
+    client data whose squared distances overflow float64, for landmarks
+    whose norm or kernel block overflows, and for initial landmarks that
+    see no data (every round-1 cross block is exactly 0).
     """
     privacy = privacy or PrivacySpec()
     if not shards:
@@ -398,8 +446,14 @@ def run_feddl(
                 f"client {s.client_id}: feature dim {s.data.shape[0]} != landmark dim "
                 f"{Y0.shape[0]}"
             )
-    norm_cap = 1e6 * max(float(np.linalg.norm(Y0)), 1.0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            norm_cap = 1e6 * max(float(np.linalg.norm(Y0)), 1.0)
+    except FloatingPointError as exc:
+        raise NumericalAbort(f"initial landmarks: norm overflows float64 ({exc})") from exc
 
+    g = kernel_params.gamma
+    n_y = Y0.shape[1]
     grad_sigmas = _resolve_gradient_sigmas(shards, privacy, config, kernel_params)
     # Objective bookkeeping: the shard self-term of the MMD does not
     # depend on Y, so it is computed once per client.  It is the one place
@@ -411,22 +465,36 @@ def run_feddl(
     for s in shards:
         try:
             with np.errstate(over="raise", invalid="raise"):
-                self_terms.append(_self_term(s.data, kernel_params))
+                K = _gaussian_block(s.data, s.data, g, s.sq_norms, s.sq_norms)
+                self_terms.append(_self_term(float(K.sum()), s.n_points))
         except FloatingPointError as exc:
             raise NumericalAbort(
                 f"client {s.client_id}: MMD self-term overflows float64 ({exc})"
             ) from exc
     const_x = sum(w * v for w, v in zip(weights, self_terms))
 
-    def objective(Y: np.ndarray) -> float:
+    def objective(cross_sums: Sequence[float], k_yy: float) -> float:
+        """``F`` from every client's ``1' K_XY 1`` and ``1' K_YY 1``."""
         cross = sum(
-            w * _cross_term(s.data, Y, kernel_params) for w, s in zip(weights, shards)
+            w * _cross_term(k, s.n_points, n_y) for w, k, s in zip(weights, cross_sums, shards)
         )
-        return const_x + cross + _self_term(Y, kernel_params) * float(np.sum(weights))
+        return const_x + cross + _self_term(k_yy, n_y) * float(np.sum(weights))
+
+    def objective_at(Y: np.ndarray) -> float:
+        """``F`` at ``Y``: every cross block shares ``Y``'s squared norms."""
+        sq_y = _sq_norms(Y.T)
+        cross_sums = [
+            float(_gaussian_block(s.data, Y, g, s.sq_norms, sq_y).sum()) for s in shards
+        ]
+        return objective(cross_sums, float(_gaussian_block(Y, Y, g, sq_y, sq_y).sum()))
 
     S, Q, eta = config.rounds, config.local_steps, config.step_size
     grad_agg = config.aggregation is Aggregation.AVERAGE_GRADIENTS
     gradient_noise = privacy.mode is PrivacyMode.GRADIENT
+    # Under landmark averaging with no server noise the step-Q average is
+    # the next broadcast bit for bit, so its objective is taken from the
+    # next round's step-1 blocks instead of being evaluated twice.
+    defer_step_q = not grad_agg and privacy.mode is not PrivacyMode.VARIABLE
 
     def noised_gradient(g: np.ndarray, pos: int, s: int, t: int) -> np.ndarray:
         """Client ``pos``'s gradient-mode noise on ``g`` (round ``s``, stream step ``t``)."""
@@ -435,7 +503,7 @@ def run_feddl(
             return _add_noise(g, grad_sigmas[pos], rng)
         return perturb_gradient(g, privacy.beta, rng)
 
-    def client_round(pos: int, s: int, Y_global: np.ndarray):
+    def client_round(pos: int, s: int, broadcast: _LandmarkSide):
         shard = shards[pos]
         step_noise = None
         if gradient_noise and not grad_agg:
@@ -443,21 +511,25 @@ def run_feddl(
             def step_noise(t: int, g: np.ndarray):
                 return noised_gradient(g, pos, s, t) if t == Q else g
 
+        cross_sum: list[float] = []
         Yp, iterates = local_update(
             shard.data,
-            Y_global,
+            broadcast.Y,
             step_size=eta,
             local_steps=Q,
             kernel_params=kernel_params,
             step_noise=step_noise,
             norm_cap=norm_cap,
+            sq_norms=shard.sq_norms,
+            landmarks=broadcast,
+            on_cross_sum=cross_sum.append,
         )
         upload = None
         if grad_agg:
-            upload = mmd_gradient(shard.data, Yp, kernel_params)
+            upload = _mmd_gradient_core(shard.data, shard.sq_norms, _landmark_side(Yp, g), g)[0]
             if gradient_noise:
                 upload = noised_gradient(upload, pos, s, Q + 1)
-        return Yp, iterates, upload
+        return Yp, iterates, upload, cross_sum[0]
 
     P = len(shards)
     rows_s = np.empty(S * Q, dtype=np.int64)
@@ -467,14 +539,35 @@ def run_feddl(
     rows_e = np.empty(S * Q)
 
     Y = Y0
+    deferred_row = None
     pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     try:
         for s in range(1, S + 1):
             t0 = time.perf_counter()
+            # One landmark side per round: every client's step 1 starts
+            # from the broadcast.  Its overflow is raised, as the clients'
+            # self-terms are.
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    broadcast = _landmark_side(Y, g, with_sum=True)
+            except FloatingPointError as exc:
+                raise NumericalAbort(
+                    f"landmarks of round {s}: MMD self-term overflows float64 ({exc})"
+                ) from exc
             if pool is not None:
-                results = list(pool.map(lambda pos: client_round(pos, s, Y), range(P)))
+                results = list(pool.map(lambda pos: client_round(pos, s, broadcast), range(P)))
             else:
-                results = [client_round(pos, s, Y) for pos in range(P)]
+                results = [client_round(pos, s, broadcast) for pos in range(P)]
+            cross_sums = [r[3] for r in results]
+            if s == 1 and not any(cross_sums):
+                raise NumericalAbort(
+                    f"the initial landmarks see no data: every client's kernel block with "
+                    f"them is 0 at gamma = {g:g}; lower [kernel] gamma or use "
+                    f"[federation] init = seed_sample"
+                )
+            if deferred_row is not None:
+                rows_f[deferred_row] = objective(cross_sums, broadcast.k_sum)
+                deferred_row = None
 
             # The weighted-average iterate at every local step (the step-Q
             # average coincides bit-for-bit with landmark aggregation).
@@ -484,7 +577,10 @@ def run_feddl(
                 row = (s - 1) * Q + (t - 1)
                 rows_s[row] = s
                 rows_t[row] = t
-                rows_f[row] = objective(virtual)
+                if defer_step_q and t == Q and s < S:
+                    deferred_row = row
+                else:
+                    rows_f[row] = objective_at(virtual)
                 rows_d[row] = float(np.linalg.norm(virtual - prev_virtual) ** 2)
                 prev_virtual = virtual
 

@@ -19,8 +19,12 @@ All reductions go through ``numpy`` sums (pairwise summation with a fixed
 traversal order), so results do not depend on thread count.
 
 Validation boundary: the public functions here and ``federation.ClientShard``
-check their arrays; ``sq_dists``, ``_gaussian_block`` and the MMD terms
-built on them run unchecked on arrays that were checked there.
+check their arrays; ``sq_dists``, ``_gaussian_block``, the MMD terms and
+``_mmd_gradient_core`` run unchecked on arrays that were checked there.
+The squared norms these cores take are supplied by the caller where it
+holds them (a shard caches its own; the landmarks' serve every client of
+a round) and are computed by ``_sq_norms`` otherwise, so a block is the
+same double whichever way its norms arrived.
 """
 
 from __future__ import annotations
@@ -70,18 +74,35 @@ def _as_points(a, name: str) -> np.ndarray:
     return arr
 
 
-def sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of the rows of ``A``, as ``sq_dists`` takes them."""
+    return np.einsum("ij,ij->i", A, A)
+
+
+def sq_dists(
+    A: np.ndarray,
+    B: np.ndarray | None = None,
+    sq_a: np.ndarray | None = None,
+    sq_b: np.ndarray | None = None,
+) -> np.ndarray:
     """Squared Euclidean distances between the *rows* of ``A`` and ``B``
     (``B`` defaults to ``A``), by the Gram expansion with negative
-    round-off clamped to zero.
+    round-off clamped to zero.  ``sq_a`` and ``sq_b`` are the rows'
+    squared norms (``_sq_norms``), computed here when not given.
 
-    The one distance core of the package.  It does no validation: callers
-    pass finite 2-D float arrays with equal column counts.
+    The one distance core of the package.  It builds the result in the
+    Gram product's own array: ``(-2 g) + sq_a`` is the same double as
+    ``sq_a - 2 g``.  It does no validation: callers pass finite 2-D float
+    arrays with equal column counts.
     """
     B = A if B is None else B
-    sq_a = np.einsum("ij,ij->i", A, A)
-    sq_b = sq_a if B is A else np.einsum("ij,ij->i", B, B)
-    D2 = sq_a[:, None] - 2.0 * (A @ B.T) + sq_b[None, :]
+    sq_a = _sq_norms(A) if sq_a is None else sq_a
+    if sq_b is None:
+        sq_b = sq_a if B is A else _sq_norms(B)
+    D2 = A @ B.T
+    D2 *= -2.0
+    D2 += sq_a[:, None]
+    D2 += sq_b[None, :]
     return np.maximum(D2, 0.0, out=D2)
 
 
@@ -113,18 +134,27 @@ def _check_pair(X, Y, x_name: str, needs_two: str = ""):
     return X, Y
 
 
-def _col_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``pairwise_sq_dist`` without the argument check."""
-    D2 = sq_dists(A.T, B.T)
+def _col_sq_dists(
+    A: np.ndarray, B: np.ndarray, sq_a: np.ndarray | None = None, sq_b: np.ndarray | None = None
+) -> np.ndarray:
+    """``pairwise_sq_dist`` without the argument check; ``sq_a``/``sq_b``
+    are the columns' squared norms when the caller holds them."""
+    D2 = sq_dists(A.T, B.T, sq_a, sq_b)
     if B is A or (A.shape == B.shape and np.array_equal(A, B)):
         D2 = 0.5 * (D2 + D2.T)
         np.fill_diagonal(D2, 0.0)
     return D2
 
 
-def _gaussian_block(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+def _gaussian_block(
+    A: np.ndarray,
+    B: np.ndarray,
+    gamma: float,
+    sq_a: np.ndarray | None = None,
+    sq_b: np.ndarray | None = None,
+) -> np.ndarray:
     """``exp(-gamma * pairwise_sq_dist(A, B))`` bit for bit, unchecked and in place."""
-    K = _col_sq_dists(A, B)
+    K = _col_sq_dists(A, B, sq_a, sq_b)
     K *= -gamma
     return np.exp(K, out=K)
 
@@ -154,15 +184,14 @@ def gaussian_kernel(D2, params: KernelParams) -> np.ndarray:
     return np.exp(-params.gamma * D2)
 
 
-def _self_term(A: np.ndarray, params: KernelParams) -> float:
-    """``[1' K_AA 1 - n] / (n (n - 1))`` for the columns of ``A``."""
-    n = A.shape[1]
-    return (float(_gaussian_block(A, A, params.gamma).sum()) - n) / (n * (n - 1))
+def _self_term(k_sum: float, n: int) -> float:
+    """``[1' K_AA 1 - n] / (n (n - 1))`` from the block total ``k_sum = 1' K_AA 1``."""
+    return (k_sum - n) / (n * (n - 1))
 
 
-def _cross_term(Xp: np.ndarray, Y: np.ndarray, params: KernelParams) -> float:
-    """``-2 * 1' K_XY 1 / (n_x n_y)``."""
-    return -2.0 * float(_gaussian_block(Xp, Y, params.gamma).sum()) / (Xp.shape[1] * Y.shape[1])
+def _cross_term(k_sum: float, n_x: int, n_y: int) -> float:
+    """``-2 * 1' K_XY 1 / (n_x n_y)`` from the block total ``k_sum = 1' K_XY 1``."""
+    return -2.0 * k_sum / (n_x * n_y)
 
 
 def mmd(Xp, Y, params: KernelParams) -> float:
@@ -173,7 +202,48 @@ def mmd(Xp, Y, params: KernelParams) -> float:
     repeated point.
     """
     Xp, Y = _check_pair(Xp, Y, "Xp", "mmd")
-    return _self_term(Xp, params) + _cross_term(Xp, Y, params) + _self_term(Y, params)
+    g, n_x, n_y = params.gamma, Xp.shape[1], Y.shape[1]
+    return (
+        _self_term(float(_gaussian_block(Xp, Xp, g).sum()), n_x)
+        + _cross_term(float(_gaussian_block(Xp, Y, g).sum()), n_x, n_y)
+        + _self_term(float(_gaussian_block(Y, Y, g).sum()), n_y)
+    )
+
+
+@dataclass(frozen=True)
+class _LandmarkSide:
+    """What the MMD gradient needs of the landmarks ``Y`` alone: their
+    column squared norms and the gradient's self-part
+    ``(4 gamma / (n_y (n_y - 1))) [Y K_YY - Y diag(1' K_YY)]``; ``k_sum``
+    is ``1' K_YY 1`` when it was asked for."""
+
+    Y: np.ndarray
+    sq_norms: np.ndarray
+    grad: np.ndarray
+    k_sum: float | None = None
+
+
+def _landmark_side(Y: np.ndarray, gamma: float, with_sum: bool = False) -> _LandmarkSide:
+    """The landmark side of ``mmd_gradient`` at ``Y``, unchecked.  ``K_YY``
+    itself is not kept, only its total when ``with_sum`` is set."""
+    n_y = Y.shape[1]
+    sq = _sq_norms(Y.T)
+    K = _gaussian_block(Y, Y, gamma, sq, sq)
+    grad = (4.0 * gamma / (n_y * (n_y - 1))) * ((Y @ K) - Y * K.sum(axis=0)[None, :])
+    return _LandmarkSide(Y=Y, sq_norms=sq, grad=grad, k_sum=float(K.sum()) if with_sum else None)
+
+
+def _mmd_gradient_core(
+    Xp: np.ndarray, sq_x: np.ndarray, side: _LandmarkSide, gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``mmd_gradient(Xp, side.Y)`` unchecked, from the squared norms
+    ``sq_x`` of ``Xp``'s columns and the landmark side; also returns the
+    cross block ``K_XY``."""
+    Y = side.Y
+    n_p, n_y = Xp.shape[1], Y.shape[1]
+    Kxy = _gaussian_block(Xp, Y, gamma, sq_x, side.sq_norms)
+    cross = (Xp @ Kxy) - Y * Kxy.sum(axis=0)[None, :]
+    return (-4.0 * gamma / (n_p * n_y)) * cross + side.grad, Kxy
 
 
 def mmd_gradient(Xp, Y, params: KernelParams) -> np.ndarray:
@@ -186,13 +256,8 @@ def mmd_gradient(Xp, Y, params: KernelParams) -> np.ndarray:
     exactly zero gradient.
     """
     Xp, Y = _check_pair(Xp, Y, "Xp", "mmd_gradient")
-    n_p, n_y = Xp.shape[1], Y.shape[1]
     g = params.gamma
-    Kxy = _gaussian_block(Xp, Y, g)
-    Kyy = _gaussian_block(Y, Y, g)
-    cross = (Xp @ Kxy) - Y * Kxy.sum(axis=0)[None, :]
-    self_ = (Y @ Kyy) - Y * Kyy.sum(axis=0)[None, :]
-    return (-4.0 * g / (n_p * n_y)) * cross + (4.0 * g / (n_y * (n_y - 1))) * self_
+    return _mmd_gradient_core(Xp, _sq_norms(Xp.T), _landmark_side(Y, g), g)[0]
 
 
 def median_heuristic_gamma(Y, max_sample: int = 256) -> float:

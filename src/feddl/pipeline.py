@@ -142,18 +142,26 @@ def _complete(
     """Clients compute their blocks against the final landmarks; the
     server assembles and completes.  Blocks or a completion that leave
     float64 (finite points whose squared distances overflow, a landmark
-    block too small to invert) abort numerically."""
+    block too small to invert) abort numerically.  The overflow is raised
+    rather than looked for in the blocks, because the Gram expansion
+    clamps an overflowing ``2 x.y`` to a distance of 0."""
+
+    def sq_dist_block(A: np.ndarray, what: str) -> np.ndarray:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                D2 = pairwise_sq_dist(A, Y)
+        except FloatingPointError as exc:
+            raise NumericalAbort(f"{what} overflow float64 ({exc})") from exc
+        if not np.isfinite(D2).all():  # einsum's squared norms overflow without raising
+            raise NumericalAbort(f"{what} overflow float64")
+        return D2
+
     blocks = []
     for s in shards:
-        with np.errstate(over="ignore", invalid="ignore"):
-            D2 = pairwise_sq_dist(s.data, Y)
-        if not np.isfinite(D2).all():
-            raise NumericalAbort(
-                f"client {s.client_id}: squared distances to the landmarks overflow float64"
-            )
+        D2 = sq_dist_block(s.data, f"client {s.client_id}: squared distances to the landmarks")
         blocks.append(D2 if kind is MatrixKind.DISTANCE else gaussian_kernel(D2, kernel))
     B = assemble_cross_block(blocks, [s.client_id for s in shards])
-    W_D2 = pairwise_sq_dist(Y, Y)
+    W_D2 = sq_dist_block(Y, "squared distances between the landmarks")
     try:
         W = LandmarkBlock(
             values=W_D2 if kind is MatrixKind.DISTANCE else gaussian_kernel(W_D2, kernel),

@@ -140,8 +140,22 @@ OVERFLOWS = {
     "self-term-gram-clamp": (
         "fit", 1.5e153, _GAUSSIAN_INIT, "client 0: MMD self-term overflows float64"
     ),
+    # gamma = 0 lets the landmarks near the origin see the data, so the
+    # fit passes and the completion overflows
     "completion": (
-        "tsne", 1e120, _GAUSSIAN_INIT, "completion failed: distance matrix contains non-finite"
+        "tsne",
+        1e120,
+        (_GAUSSIAN_INIT[0], ("[run]", "[kernel]\ngamma = 0\n\n[run]")),
+        "completion failed: distance matrix contains non-finite",
+    ),
+    "huge-initial-landmarks": (
+        "fit",
+        1.0,
+        (
+            ("landmarks = 12", "landmarks = 8\ninit = gaussian_scaled\ninit_scale = 1e154"),
+            _GAUSSIAN_INIT[1],
+        ),
+        "initial landmarks: norm overflows float64",
     ),
     "bandwidth-heuristic": ("umap", 1e-160, (), "bandwidth heuristic on the initial landmarks"),
     "rank-zero-landmarks": (
@@ -160,12 +174,27 @@ def _assert_only_error_line(runner, args, message):
     assert [str(w.message) for w in caught] == []
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}"), result.stderr
+    return result
 
 
 @pytest.mark.parametrize("command,scale,settings,message", OVERFLOWS.values(), ids=OVERFLOWS)
 def test_overflow_from_finite_input_exits_4(runner, tmp_path, command, scale, settings, message):
     args = _csv_run(tmp_path, _scaled_points(scale), command, settings)
     _assert_only_error_line(runner, [*args, "--out-dir", str(tmp_path / "out")], message)
+
+
+def test_landmarks_that_never_see_the_data_exit_4(runner, tmp_path):
+    # data offset by (110, 100) from landmarks drawn near the origin: at
+    # the heuristic gamma every kernel entry between them underflows to 0
+    rows = [f"{(i % 7 + 0.5) + 110!r},{(i % 5 + 0.25) + 100!r},{i % 3}" for i in range(60)]
+    args = _csv_run(tmp_path, rows, "fit", _GAUSSIAN_INIT[:1])
+    result = _assert_only_error_line(
+        runner,
+        [*args, "--out-dir", str(tmp_path / "out")],
+        "the initial landmarks see no data: every client's kernel block with them is 0 "
+        "at gamma = ",
+    )
+    assert "[kernel] gamma" in result.stderr and "init = seed_sample" in result.stderr
 
 
 def test_huge_blob_separation_exits_4(runner, tmp_path):

@@ -19,8 +19,16 @@ from feddl.federation import (
     run_feddl,
     shards_meta,
 )
-from feddl.kernels import KernelParams, mmd, mmd_gradient
-from feddl.privacy import PrivacySpec
+from feddl.kernels import KernelParams, gaussian_kernel, mmd_gradient, pairwise_sq_dist
+from feddl.privacy import (
+    SERVER_STREAM_ID,
+    PrivacyMode,
+    PrivacySpec,
+    _add_noise,
+    noise_rng,
+    perturb_gradient,
+    perturb_variable,
+)
 
 PARAMS = KernelParams(gamma=0.5)
 
@@ -112,39 +120,92 @@ def test_local_update_single_step_exact():
     npt.assert_array_equal(out, iterates[0])
 
 
-def test_trace_objective_matches_external_reconstruction():
-    shards = make_shards(n_clients=2, per=6, seed=9)
+# id -> privacy spec of the replayed run
+REPLAY_PRIVACY = {
+    "none": PrivacySpec(),
+    "data": PrivacySpec(mode="data", sigma=0.3, seed=5),
+    "gradient-beta": PrivacySpec(mode="gradient", beta=0.5, seed=5),
+    "gradient-budget": PrivacySpec(
+        mode="gradient", epsilon=1.0, delta=1e-5, tau_x=1.0, tau_y=2.0, upsilon=0.5, seed=5
+    ),
+    "variable": PrivacySpec(mode="variable", sigma=0.2, seed=5),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("local_steps", [1, 3])
+@pytest.mark.parametrize("privacy", REPLAY_PRIVACY.values(), ids=REPLAY_PRIVACY)
+@pytest.mark.parametrize("aggregation", list(Aggregation), ids=lambda a: a.value)
+def test_trace_objective_matches_external_reconstruction(
+    aggregation, privacy, local_steps, workers
+):
+    shards = make_shards(n_clients=3, per=6, seed=9)
     r = np.random.default_rng(1)
     Y0 = r.normal(size=(2, 4))
-    cfg = FedConfig(rounds=3, local_steps=2, step_size=0.4, n_landmarks=4)
-    fed = run_feddl(shards, cfg, PARAMS, Y0=Y0)
+    cfg = FedConfig(
+        rounds=3, local_steps=local_steps, step_size=0.4, n_landmarks=4,
+        aggregation=aggregation, server_step_size=0.7, workers=workers,
+    )
+    fed = run_feddl(perturb_shards(shards, privacy), cfg, PARAMS, privacy=privacy, Y0=Y0)
+
+    # replay the protocol by hand, through the public kernel functions
+    shards = perturb_shards(shards, privacy)
     weights = [s.weight for s in shards]
+    n_y, Q = Y0.shape[1], cfg.local_steps
+    grad_agg = aggregation is Aggregation.AVERAGE_GRADIENTS
 
-    def global_objective(Y):
-        return sum(w * mmd(s.data, Y, PARAMS) for w, s in zip(weights, shards))
+    def kernel_sum(A, B):
+        return float(gaussian_kernel(pairwise_sq_dist(A, B), PARAMS).sum())
 
-    # replay the protocol by hand
+    def self_term(A):
+        n = A.shape[1]
+        return (kernel_sum(A, A) - n) / (n * (n - 1))
+
+    const_x = sum(w * self_term(s.data) for w, s in zip(weights, shards))
+
+    def global_objective(Y):  # the association the trace has always used
+        cross = sum(
+            w * (-2.0 * kernel_sum(s.data, Y) / (s.n_points * n_y))
+            for w, s in zip(weights, shards)
+        )
+        return const_x + cross + self_term(Y) * float(np.sum(weights))
+
+    def noised(g, p, s, t):
+        rng = noise_rng(privacy.seed, shards[p].client_id, s, t)
+        if fed.gradient_sigmas is not None:
+            return _add_noise(g, fed.gradient_sigmas[p], rng)
+        return perturb_gradient(g, privacy.beta, rng)
+
+    gradient_noise = privacy.mode is PrivacyMode.GRADIENT
     Y = Y0
     expected_f, expected_d = [], []
-    for _ in range(cfg.rounds):
+    for s in range(1, cfg.rounds + 1):
         locals_prev = [Y] * len(shards)
         prev_virtual = Y
-        finals = []
-        for t in range(cfg.local_steps):
+        for t in range(1, Q + 1):
             locals_t = []
-            for p, s in enumerate(shards):
-                g = mmd_gradient(s.data, locals_prev[p], PARAMS)
+            for p, sh in enumerate(shards):
+                g = mmd_gradient(sh.data, locals_prev[p], PARAMS)
+                if gradient_noise and not grad_agg and t == Q:
+                    g = noised(g, p, s, t)
                 locals_t.append(locals_prev[p] - cfg.step_size * g)
             virtual = sum(w * L for w, L in zip(weights, locals_t))
             expected_f.append(global_objective(virtual))
-            expected_d.append(np.linalg.norm(virtual - prev_virtual) ** 2)
+            expected_d.append(float(np.linalg.norm(virtual - prev_virtual) ** 2))
             prev_virtual = virtual
             locals_prev = locals_t
-        finals = locals_prev
-        Y = sum(w * L for w, L in zip(weights, finals))
-    npt.assert_allclose(fed.trace.objective, expected_f, rtol=0, atol=1e-12)
-    npt.assert_allclose(fed.trace.displacement_sq, expected_d, rtol=1e-9, atol=1e-15)
-    npt.assert_allclose(fed.landmarks, Y, rtol=0, atol=1e-12)
+        if grad_agg:
+            uploads = [mmd_gradient(sh.data, L, PARAMS) for sh, L in zip(shards, locals_prev)]
+            if gradient_noise:
+                uploads = [noised(u, p, s, Q + 1) for p, u in enumerate(uploads)]
+            Y = Y - cfg.server_step_size * sum(w * u for w, u in zip(weights, uploads))
+        else:
+            Y = sum(w * L for w, L in zip(weights, locals_prev))
+        if privacy.mode is PrivacyMode.VARIABLE:
+            Y = perturb_variable(Y, privacy.sigma, noise_rng(privacy.seed, SERVER_STREAM_ID, s, 0))
+    npt.assert_array_equal(fed.trace.objective, expected_f)
+    npt.assert_array_equal(fed.trace.displacement_sq, expected_d)
+    npt.assert_array_equal(fed.landmarks, Y)
 
 
 def test_trace_shape_and_ordering():
@@ -346,7 +407,9 @@ def test_shards_meta_rejects_mixed_dims():
 
 @pytest.mark.parametrize("aggregation", list(Aggregation))
 def test_fit_checks_arrays_only_at_the_public_gradient(monkeypatch, aggregation):
-    calls = {"pairwise_sq_dist": 0, "gaussian_kernel": 0, "_as_points": 0, "mmd_gradient": 0}
+    # ClientShard and run_feddl check the fit's arrays once; the loop runs
+    # the unchecked gradient core and no argument check at all
+    calls = {"pairwise_sq_dist": 0, "gaussian_kernel": 0, "_as_points": 0, "_mmd_gradient_core": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -359,9 +422,32 @@ def test_fit_checks_arrays_only_at_the_public_gradient(monkeypatch, aggregation)
 
     for name in ("pairwise_sq_dist", "gaussian_kernel", "_as_points"):
         counted(kernels, name)
-    counted(federation, "mmd_gradient")
+    counted(federation, "_mmd_gradient_core")
+    shards = make_shards()
     cfg = FedConfig(rounds=3, local_steps=2, n_landmarks=4, aggregation=aggregation)
-    run_feddl(make_shards(), cfg, PARAMS)
-    assert calls["mmd_gradient"] > 0
-    assert calls["pairwise_sq_dist"] == calls["gaussian_kernel"] == 0
-    assert calls["_as_points"] <= 2 * calls["mmd_gradient"]
+    run_feddl(shards, cfg, PARAMS)
+    assert calls["_mmd_gradient_core"] > 0
+    assert calls["pairwise_sq_dist"] == calls["gaussian_kernel"] == calls["_as_points"] == 0
+
+
+@pytest.mark.parametrize("aggregation", list(Aggregation))
+def test_one_landmark_self_block_per_round_at_step_one(monkeypatch, aggregation):
+    sides = []
+    inner = federation._landmark_side
+
+    def counted(Y, gamma, **kwargs):
+        sides.append(Y)
+        return inner(Y, gamma, **kwargs)
+
+    monkeypatch.setattr(federation, "_landmark_side", counted)
+    P, S, Q = 3, 4, 3
+    cfg = FedConfig(
+        rounds=S, local_steps=Q, n_landmarks=3, step_size=0.1, aggregation=aggregation
+    )
+    Y0 = np.random.default_rng(4).normal(size=(2, 3))
+    run_feddl(make_shards(n_clients=P), cfg, PARAMS, Y0=Y0)
+    # per round: the broadcast's, each client's steps 2..Q, and each
+    # gradient upload's
+    uploads = P if aggregation is Aggregation.AVERAGE_GRADIENTS else 0
+    assert len(sides) == S * (1 + P * (Q - 1) + uploads)
+    assert sides[0] is Y0

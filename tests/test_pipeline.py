@@ -127,6 +127,16 @@ def test_client_block_overflow_aborts(kind):
         _complete([shard], Y, KernelParams(gamma=0.5), tiny_cfg(), kind)
 
 
+@pytest.mark.parametrize("kind", list(MatrixKind), ids=lambda k: k.value)
+def test_client_block_gram_clamp_aborts(kind):
+    # |x - y|^2 = 1e306 is finite, but 2 x.y overflows, which the Gram
+    # expansion would clamp to a distance of 0
+    shard = ClientShard(client_id=1, data=np.array([[1e154, 1e154], [0.0, 0.0]]), weight=1.0)
+    Y = np.array([[1.1e154], [0.0]])
+    with pytest.raises(NumericalAbort, match="client 1: squared distances to the landmarks"):
+        _complete([shard], Y, KernelParams(gamma=0.5), tiny_cfg(), kind)
+
+
 def test_manifest_rerun_reproduces_outputs(tmp_path):
     first = run_fed_tsne(tiny_cfg(), tmp_path / "a")
     second = rerun_manifest(first.files["manifest.ini"], tmp_path / "b")
