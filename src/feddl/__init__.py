@@ -45,7 +45,6 @@ from .federation import (
     convergence_diagnostic,
     init_landmarks,
     run_feddl,
-    shards_meta,
 )
 from .kernels import (
     KernelParams,
@@ -117,7 +116,6 @@ __all__ = [
     "ClientShard",
     "FedResult",
     "RoundTrace",
-    "shards_meta",
     "init_landmarks",
     "run_feddl",
     "convergence_diagnostic",

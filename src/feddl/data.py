@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, overflow_aborts
 from .federation import ClientShard
 from .matrixio import check_finite_rows, integer_labels
 
@@ -93,6 +93,8 @@ class BlobSpec:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (self.std >= 0 and np.isfinite(self.std)):
             raise ValueError(f"blob std must be finite and >= 0, got {self.std!r}")
+        if not np.isfinite(self.separation):
+            raise ValueError(f"blob separation must be finite, got {self.separation!r}")
 
 
 @dataclass(frozen=True)
@@ -257,14 +259,16 @@ def _blob_centers(spec: BlobSpec) -> np.ndarray:
 
 
 def generate_blobs(spec: BlobSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Sample isotropic Gaussian blobs; returns ``(X, labels)``."""
+    """Sample isotropic Gaussian blobs; returns ``(X, labels)``.  Points
+    that overflow float64 (a huge ``std``) raise ``NumericalAbort``."""
     centers = _blob_centers(spec)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
     cols, labels = [], []
     for j in range(spec.n_blobs):
-        pts = centers[j][:, None] + spec.std * rng.normal(
-            size=(spec.dim, spec.points_per_blob)
-        )
+        with overflow_aborts(f"blob {j}: points overflow float64"):
+            pts = centers[j][:, None] + spec.std * rng.normal(
+                size=(spec.dim, spec.points_per_blob)
+            )
         cols.append(pts)
         labels.append(np.full(spec.points_per_blob, j, dtype=np.int64))
     return np.hstack(cols), np.concatenate(labels)

@@ -1,10 +1,12 @@
 """Federated landmark learning by distributed MMD minimisation.
 
 A server keeps a landmark matrix ``Y`` (``m x n_y``, columns are
-landmarks).  Each round it broadcasts ``Y``; every client runs ``Q``
-gradient-descent steps on the MMD between its shard and ``Y`` and sends
-back either its updated landmarks or its gradient; the server aggregates
-with weights ``w_p = n_p / n_x`` and proceeds to the next round.
+landmarks), initialised by ``init_landmarks`` from what the clients
+disclose before training.  Each round it broadcasts ``Y``; every client
+runs ``Q`` gradient-descent steps on the MMD between its shard and ``Y``
+(``local_update``) and sends back either its updated landmarks or its
+gradient; the server aggregates with weights ``w_p = n_p / n_x`` and
+proceeds to the next round.
 
 Client updates within a round are independent and may run on a thread
 pool; aggregation reduces contributions in fixed client order, so the
@@ -18,7 +20,8 @@ diagnostic), and wall-clock time per round.
 
 The kernel blocks of one round are shared where the arithmetic allows:
 every client's local step 1 starts from the broadcast, so the landmark
-side of the gradient (``K_YY`` and its term) is computed once per round.
+side of the gradient (``K_YY`` and its term) is computed once per round
+and is what ``local_update`` receives as the broadcast.
 Under landmark averaging without variable-mode noise the step-``Q``
 average *is* the next broadcast, so the objective of row ``(s, Q)`` is
 filled in during round ``s + 1`` from the clients' step-1 totals
@@ -33,14 +36,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalAbort
+from .errors import NumericalAbort, overflow_aborts
 from .kernels import (
     KernelParams,
-    _check_pair,
     _cross_term,
     _gaussian_block,
     _landmark_side,
@@ -69,10 +72,8 @@ __all__ = [
     "LandmarkInit",
     "FedConfig",
     "ClientShard",
-    "ShardsMeta",
     "RoundTrace",
     "FedResult",
-    "shards_meta",
     "init_landmarks",
     "local_update",
     "aggregate",
@@ -169,24 +170,20 @@ class ClientShard:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class ShardsMeta:
-    """What the server may know before training starts.
+def init_landmarks(shards: Sequence[ClientShard], config: FedConfig) -> np.ndarray:
+    """Server-side landmark initialisation (``m x n_landmarks``).
 
-    Feature dimension and per-client point counts are always available.
-    Per-feature means/variances are populated only for the seeded
-    initialisation mode, which deliberately leaks first and second
-    moments of each shard to the server.
+    The server knows the feature dimension, which every shard must
+    share, and each client's point count.  ``gaussian_scaled`` draws
+    i.i.d. standard normal entries times ``init_scale``.  ``seed_sample``
+    has every client disclose its per-feature means and variances, which
+    deliberately leaks first and second moments of each shard to the
+    server; it pools them into a diagonal Gaussian (population pooling,
+    weighted by shard size) and samples landmarks from it, so shards
+    that all sit on one constant point reproduce that point exactly.
+    Landmarks that overflow float64 (moments of finite but huge data, or
+    a huge ``init_scale``) raise ``NumericalAbort``.
     """
-
-    feature_dim: int
-    counts: tuple[int, ...]
-    means: np.ndarray | None = None
-    variances: np.ndarray | None = None
-
-
-def shards_meta(shards: Sequence[ClientShard], with_moments: bool = False) -> ShardsMeta:
-    """Collect server-visible metadata (optionally shard moments) from clients."""
     if not shards:
         raise ValueError("at least one client shard is required")
     m = shards[0].data.shape[0]
@@ -196,40 +193,20 @@ def shards_meta(shards: Sequence[ClientShard], with_moments: bool = False) -> Sh
                 f"client {s.client_id}: feature dim {s.data.shape[0]} != {m} of client "
                 f"{shards[0].client_id}"
             )
-    counts = tuple(s.n_points for s in shards)
-    means = variances = None
-    if with_moments:
-        # Moments of finite but huge data overflow; init_landmarks rejects
-        # the landmarks drawn from them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = np.stack([s.data.mean(axis=1) for s in shards])
-            variances = np.stack([s.data.var(axis=1) for s in shards])
-    return ShardsMeta(feature_dim=m, counts=counts, means=means, variances=variances)
-
-
-def init_landmarks(meta: ShardsMeta, config: FedConfig) -> np.ndarray:
-    """Server-side landmark initialisation (``m x n_landmarks``).
-
-    ``gaussian_scaled`` draws i.i.d. standard normal entries times
-    ``init_scale``.  ``seed_sample`` pools the leaked per-client moments
-    into a diagonal Gaussian (population pooling, weighted by shard size)
-    and samples landmarks from it; shards that all sit on one constant
-    point therefore reproduce that point exactly.  Landmarks that
-    overflow float64 (moments of finite but huge data, or a huge
-    ``init_scale``) raise ``NumericalAbort``.
-    """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_STREAM_TAG]))
-    m, n_y = meta.feature_dim, config.n_landmarks
+    n_y = config.n_landmarks
     if config.init is LandmarkInit.GAUSSIAN_SCALED:
         Y0 = config.init_scale * rng.normal(0.0, 1.0, size=(m, n_y))
     else:
-        if meta.means is None or meta.variances is None:
-            raise ValueError("seed_sample initialisation needs shard moments in ShardsMeta")
-        w = np.asarray(meta.counts, dtype=np.float64)
+        w = np.array([s.n_points for s in shards], dtype=np.float64)
         w /= w.sum()
+        # Moments of finite but huge data overflow; the landmarks drawn
+        # from them are rejected below.
         with np.errstate(over="ignore", invalid="ignore"):
-            mu = w @ meta.means
-            ex2 = w @ (meta.variances + meta.means**2)
+            means = np.stack([s.data.mean(axis=1) for s in shards])
+            variances = np.stack([s.data.var(axis=1) for s in shards])
+            mu = w @ means
+            ex2 = w @ (variances + means**2)
             var = np.maximum(ex2 - mu**2, 0.0)
             Y0 = mu[:, None] + np.sqrt(var)[:, None] * rng.normal(0.0, 1.0, size=(m, n_y))
     if not np.isfinite(Y0).all():
@@ -237,60 +214,57 @@ def init_landmarks(meta: ShardsMeta, config: FedConfig) -> np.ndarray:
     return Y0
 
 
+def _exceeds(Y: np.ndarray, norm_cap: float) -> bool:
+    """``||Y||_F > norm_cap``; a norm that overflows float64 exceeds any cap."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(Y)) > norm_cap
+
+
 def local_update(
-    data: np.ndarray,
-    Y: np.ndarray,
+    shard: ClientShard,
+    broadcast: _LandmarkSide,
     *,
     step_size: float,
     local_steps: int,
     kernel_params: KernelParams,
-    step_noise: Callable[[int, np.ndarray], np.ndarray] | None = None,
+    final_noise: Callable[[np.ndarray], np.ndarray] | None = None,
     norm_cap: float | None = None,
-    sq_norms: np.ndarray | None = None,
-    landmarks: _LandmarkSide | None = None,
-    on_cross_sum: Callable[[float], None] | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run ``local_steps`` gradient-descent steps on ``mmd(data, Y)``.
+) -> tuple[np.ndarray, list[np.ndarray], float]:
+    """Run ``local_steps`` gradient-descent steps on ``mmd(shard.data, Y)``
+    from the broadcast landmarks ``Y = broadcast.Y``.
 
-    Returns the final landmark iterate and the list of iterates after
-    each step (step ``t`` applies the gradient after any ``step_noise``
-    hook).  ``norm_cap`` triggers a divergence abort when the iterate's
-    Frobenius norm exceeds it.
+    ``broadcast`` is the landmark side of the gradient at ``Y``
+    (``kernels._landmark_side``), which every client of a round shares.
+    Nothing is checked here: the shard checked its data and cached their
+    squared norms when it was built, and ``Y`` is the server's.
 
-    ``sq_norms`` are the squared norms of ``data``'s columns as a
-    ``ClientShard`` caches them for its checked data; without them both
-    arrays are checked here.  ``landmarks`` is the landmark side of the
-    gradient at ``Y`` (``kernels._landmark_side``), which every client
-    starting from the same ``Y`` shares; it is computed when not given.
-    ``on_cross_sum`` receives ``1' K_XY 1`` of step 1, the cross-block
-    total of ``mmd(data, Y)``.
+    Returns the final landmark iterate, the list of iterates after each
+    step, and ``1' K_XY 1`` of step 1 (the cross-block total of
+    ``mmd(shard.data, Y)``).  ``final_noise`` perturbs the last step's
+    gradient before it is applied; ``norm_cap`` triggers a divergence
+    abort when an iterate's Frobenius norm exceeds it.
     """
     g = kernel_params.gamma
-    if sq_norms is None:
-        data, Y = _check_pair(data, Y, "data", "local_update")
-        sq_norms = _sq_norms(data.T)
-    Yp = np.asarray(Y, dtype=np.float64)
-    side = landmarks
+    Yp = broadcast.Y
     iterates: list[np.ndarray] = []
     for t in range(1, local_steps + 1):
-        if side is None:
-            side = _landmark_side(Yp, g)
-        grad, Kxy = _mmd_gradient_core(data, sq_norms, side, g)
-        if t == 1 and on_cross_sum is not None:
-            on_cross_sum(float(Kxy.sum()))
+        side = broadcast if t == 1 else _landmark_side(Yp, g)
+        grad, Kxy = _mmd_gradient_core(shard.data, shard.sq_norms, side, g)
+        if t == 1:
+            cross_sum = float(Kxy.sum())
         side = Kxy = None  # neither is held while the next step builds its own
-        if step_noise is not None:
-            grad = step_noise(t, grad)
+        if t == local_steps and final_noise is not None:
+            grad = final_noise(grad)
         if not np.isfinite(grad).all():
             raise NumericalAbort(f"non-finite gradient at local step {t}")
         Yp = Yp - step_size * grad
         iterates.append(Yp)
-        if norm_cap is not None and np.linalg.norm(Yp) > norm_cap:
+        if norm_cap is not None and _exceeds(Yp, norm_cap):
             raise NumericalAbort(
                 f"landmark norm exceeded divergence threshold at local step {t}: "
                 f"step size {step_size} too large"
             )
-    return Yp, iterates
+    return Yp, iterates, cross_sum
 
 
 def _weighted_sum(updates: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
@@ -416,8 +390,7 @@ def run_feddl(
 ) -> FedResult:
     """Run the full federated optimisation loop.
 
-    ``Y0`` overrides the built-in initialisation (which uses shard
-    moments when ``config.init`` is ``seed_sample``).  Gradient-mode
+    ``Y0`` overrides ``init_landmarks(shards, config)``.  Gradient-mode
     privacy perturbs only what leaves each client: the final local step's
     gradient under landmark averaging, or the uploaded gradient under
     gradient averaging.  Variable-mode privacy perturbs the aggregated
@@ -437,8 +410,7 @@ def run_feddl(
         raise ValueError(f"shard weights must sum to 1, got {sum(weights)!r}")
 
     if Y0 is None:
-        meta = shards_meta(shards, with_moments=config.init is LandmarkInit.SEED_SAMPLE)
-        Y0 = init_landmarks(meta, config)
+        Y0 = init_landmarks(shards, config)
     Y0 = np.asarray(Y0, dtype=np.float64)
     for s in shards:
         if s.data.shape[0] != Y0.shape[0]:
@@ -446,11 +418,8 @@ def run_feddl(
                 f"client {s.client_id}: feature dim {s.data.shape[0]} != landmark dim "
                 f"{Y0.shape[0]}"
             )
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            norm_cap = 1e6 * max(float(np.linalg.norm(Y0)), 1.0)
-    except FloatingPointError as exc:
-        raise NumericalAbort(f"initial landmarks: norm overflows float64 ({exc})") from exc
+    with overflow_aborts("initial landmarks: norm overflows float64"):
+        norm_cap = 1e6 * max(float(np.linalg.norm(Y0)), 1.0)
 
     g = kernel_params.gamma
     n_y = Y0.shape[1]
@@ -463,14 +432,9 @@ def run_feddl(
     # overflowing ``2 x.y`` to a distance of 0.
     self_terms = []
     for s in shards:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                K = _gaussian_block(s.data, s.data, g, s.sq_norms, s.sq_norms)
-                self_terms.append(_self_term(float(K.sum()), s.n_points))
-        except FloatingPointError as exc:
-            raise NumericalAbort(
-                f"client {s.client_id}: MMD self-term overflows float64 ({exc})"
-            ) from exc
+        with overflow_aborts(f"client {s.client_id}: MMD self-term overflows float64"):
+            K = _gaussian_block(s.data, s.data, g, s.sq_norms, s.sq_norms)
+            self_terms.append(_self_term(float(K.sum()), s.n_points))
     const_x = sum(w * v for w, v in zip(weights, self_terms))
 
     def objective(cross_sums: Sequence[float], k_yy: float) -> float:
@@ -505,31 +469,25 @@ def run_feddl(
 
     def client_round(pos: int, s: int, broadcast: _LandmarkSide):
         shard = shards[pos]
-        step_noise = None
+        final_noise = None
         if gradient_noise and not grad_agg:
             # Only the final local step's gradient shapes what is uploaded.
-            def step_noise(t: int, g: np.ndarray):
-                return noised_gradient(g, pos, s, t) if t == Q else g
-
-        cross_sum: list[float] = []
-        Yp, iterates = local_update(
-            shard.data,
-            broadcast.Y,
+            final_noise = partial(noised_gradient, pos=pos, s=s, t=Q)
+        Yp, iterates, cross_sum = local_update(
+            shard,
+            broadcast,
             step_size=eta,
             local_steps=Q,
             kernel_params=kernel_params,
-            step_noise=step_noise,
+            final_noise=final_noise,
             norm_cap=norm_cap,
-            sq_norms=shard.sq_norms,
-            landmarks=broadcast,
-            on_cross_sum=cross_sum.append,
         )
         upload = None
         if grad_agg:
             upload = _mmd_gradient_core(shard.data, shard.sq_norms, _landmark_side(Yp, g), g)[0]
             if gradient_noise:
                 upload = noised_gradient(upload, pos, s, Q + 1)
-        return Yp, iterates, upload, cross_sum[0]
+        return Yp, iterates, upload, cross_sum
 
     P = len(shards)
     rows_s = np.empty(S * Q, dtype=np.int64)
@@ -547,13 +505,8 @@ def run_feddl(
             # One landmark side per round: every client's step 1 starts
             # from the broadcast.  Its overflow is raised, as the clients'
             # self-terms are.
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    broadcast = _landmark_side(Y, g, with_sum=True)
-            except FloatingPointError as exc:
-                raise NumericalAbort(
-                    f"landmarks of round {s}: MMD self-term overflows float64 ({exc})"
-                ) from exc
+            with overflow_aborts(f"landmarks of round {s}: MMD self-term overflows float64"):
+                broadcast = _landmark_side(Y, g, with_sum=True)
             if pool is not None:
                 results = list(pool.map(lambda pos: client_round(pos, s, broadcast), range(P)))
             else:
@@ -594,7 +547,7 @@ def run_feddl(
                 Y_next = perturb_variable(Y_next, privacy.sigma, rng)
             if not np.isfinite(Y_next).all():
                 raise NumericalAbort(f"non-finite landmarks after round {s}")
-            if float(np.linalg.norm(Y_next)) > norm_cap:
+            if _exceeds(Y_next, norm_cap):
                 raise NumericalAbort(
                     f"landmark norm exceeded divergence threshold after round {s}: "
                     f"step size {eta} too large"

@@ -133,6 +133,8 @@ def read_embedding_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
             rows = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read embedding CSV: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: embedding CSV has a header but no data rows")
     has_label = header and header[-1] == "label"
     zcols = [j for j, h in enumerate(header) if h.startswith("z")]
     if not zcols or header[0] != "point_id":

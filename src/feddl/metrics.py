@@ -102,24 +102,15 @@ def ca_knn(
     return acc[k] if single else acc
 
 
-def npa_knn(
-    D_high,
-    Z: np.ndarray,
-    k: int | Sequence[int] = 10,
-    labels=None,
-    variant: str = "overlap",
-) -> float | dict[int, float]:
-    """Neighbourhood preservation of the embedding.
+def npa_knn(D_high, Z: np.ndarray, k: int | Sequence[int] = 10) -> float | dict[int, float]:
+    """Neighbourhood preservation of the embedding: the mean fraction of
+    each point's k nearest high-dimensional neighbours that are also
+    among its k nearest embedding neighbours.
 
-    ``variant="overlap"`` (default): mean fraction of each point's k
-    nearest high-dimensional neighbours that are also among its k
-    nearest embedding neighbours.  ``variant="labels"``: mean fraction
-    of each point's k nearest *embedding* neighbours sharing the point's
-    true label (requires ``labels``); an alternative reading of
-    neighbourhood quality, provided for comparison.  ``D_high`` is a
-    distance-kind completion or an array checked as one.  Self is excluded;
-    ties break by index.  With a sequence ``k``, one ordering per side
-    serves every k: the result maps each k up to n - 1 to its score.
+    ``D_high`` is a distance-kind completion or an array checked as one.
+    Self is excluded; ties break by index.  With a sequence ``k``, one
+    ordering per side serves every k: the result maps each k up to n - 1
+    to its score.
     """
     ks, single = _ks(k), isinstance(k, numbers.Integral)
     Dh = CompletedMatrix.coerce(D_high, MatrixKind.DISTANCE).values
@@ -129,24 +120,16 @@ def npa_knn(
         raise ValueError(f"high-dim distances must be {n}x{n}, got {Dh.shape}")
     if single and k > n - 1:
         raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
-    if variant not in ("overlap", "labels"):
-        raise ValueError(f"variant must be 'overlap' or 'labels', got {variant!r}")
     scored = sorted({v for v in ks if v <= n - 1})
     k_max = max(scored, default=0)
     # stable orderings: their first k columns are exactly the k nearest
     nl = knn_indices(np.sqrt(sq_dists(Z)), k_max)
-    if variant == "labels":
-        lab = _check_labels(labels, n)
-    else:
-        nh = knn_indices(Dh, k_max)
+    nh = knn_indices(Dh, k_max)
     out = {}
     for v in scored:
-        if variant == "labels":
-            per_row = (lab[nl[:, :v]] == lab[:, None]).sum(axis=1) / v
-        else:
-            in_high = np.zeros((n, n), dtype=bool)
-            np.put_along_axis(in_high, nh[:, :v], True, axis=1)
-            per_row = np.take_along_axis(in_high, nl[:, :v], axis=1).sum(axis=1) / v
+        in_high = np.zeros((n, n), dtype=bool)
+        np.put_along_axis(in_high, nh[:, :v], True, axis=1)
+        per_row = np.take_along_axis(in_high, nl[:, :v], axis=1).sum(axis=1) / v
         # accumulated left to right: a pairwise sum would move the last bit of the metric
         out[v] = float(np.cumsum(per_row)[-1]) / n
     return out[k] if single else out

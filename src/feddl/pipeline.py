@@ -27,15 +27,8 @@ from .clustering import kmeans, spectral_cluster
 from .config import PipelineConfig, parse_manifest, render_manifest
 from .data import load_dataset, partition
 from .embed import EmbedConfig, tsne_affinities, tsne_embed, umap_embed, umap_graph
-from .errors import ConfigError, DataError, NumericalAbort
-from .federation import (
-    FedResult,
-    LandmarkInit,
-    init_landmarks,
-    perturb_shards,
-    run_feddl,
-    shards_meta,
-)
+from .errors import ConfigError, DataError, NumericalAbort, overflow_aborts
+from .federation import FedResult, init_landmarks, perturb_shards, run_feddl
 from .kernels import KernelParams, gaussian_kernel, median_heuristic_gamma, pairwise_sq_dist
 from .metrics import MetricsReport, ari, ca_knn, nmi, npa_knn, silhouette
 from .matrixio import (
@@ -124,6 +117,11 @@ def _check_feasible(
         econf = defaults(**cfg.embed_overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if econf.out_dim < 2:
+        raise ConfigError(
+            f"out_dim = {econf.out_dim} must be >= 2: the run plots the first two "
+            f"coordinates in scatter.svg"
+        )
     if command == "tsne" and n < 3:
         raise ConfigError(f"t-SNE needs at least 3 points, got the {n} loaded")
     if command == "tsne" and not econf.perplexity < n:
@@ -147,11 +145,8 @@ def _complete(
     clamps an overflowing ``2 x.y`` to a distance of 0."""
 
     def sq_dist_block(A: np.ndarray, what: str) -> np.ndarray:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                D2 = pairwise_sq_dist(A, Y)
-        except FloatingPointError as exc:
-            raise NumericalAbort(f"{what} overflow float64 ({exc})") from exc
+        with overflow_aborts(f"{what} overflow float64"):
+            D2 = pairwise_sq_dist(A, Y)
         if not np.isfinite(D2).all():  # einsum's squared norms overflow without raising
             raise NumericalAbort(f"{what} overflow float64")
         return D2
@@ -193,7 +188,7 @@ def _embedding_metrics(
         ca=ca,
         npa=npa,
         nmi=nmi(labels, km.labels) if labels is not None else None,
-        sc=silhouette(Z, km.labels) if km.n_clusters >= 2 else None,
+        sc=silhouette(Z, km.labels) if np.unique(km.labels).size >= 2 else None,
         ari=ari(labels, km.labels) if labels is not None else None,
     )
     return report, km.labels
@@ -206,8 +201,7 @@ def _run(cfg: PipelineConfig, out_dir, command: str) -> RunOutputs:
     X, labels = load_dataset(cfg.dataset)
     shards, econf = _check_feasible(cfg, command, X, labels)
     shards = perturb_shards(shards, cfg.privacy)
-    meta = shards_meta(shards, with_moments=cfg.fed.init is LandmarkInit.SEED_SAMPLE)
-    Y0 = init_landmarks(meta, cfg.fed)
+    Y0 = init_landmarks(shards, cfg.fed)
     try:
         kernel = KernelParams(
             gamma=cfg.gamma if cfg.gamma is not None else median_heuristic_gamma(Y0)
@@ -334,6 +328,11 @@ def run_plot(out_dir, embedding_path, title: str = "") -> RunOutputs:
     """Scatter SVG from a stored embedding CSV."""
     out = _output_dir(out_dir)
     Z, labels = read_embedding_csv(embedding_path)
+    if Z.shape[1] < 2:
+        raise DataError(
+            f"{embedding_path}: a scatter plot needs at least 2 coordinate columns, "
+            f"got {Z.shape[1]}"
+        )
     files = _write(
         out, [("scatter.svg", lambda p: emit_scatter_svg(p, Z, labels=labels, title=title))]
     )

@@ -157,6 +157,13 @@ OVERFLOWS = {
         ),
         "initial landmarks: norm overflows float64",
     ),
+    # the first local step's landmarks are finite, their norm is not
+    "landmark-norm": (
+        "fit",
+        1.0,
+        (("step_size = 5.0", "step_size = 1e308"),),
+        "landmark norm exceeded divergence threshold at local step 1",
+    ),
     "bandwidth-heuristic": ("umap", 1e-160, (), "bandwidth heuristic on the initial landmarks"),
     "rank-zero-landmarks": (
         "tsne", 1e-320, (), "completion failed: landmark block is numerically rank-zero"
@@ -207,6 +214,16 @@ def test_huge_blob_separation_exits_4(runner, tmp_path):
     )
 
 
+def test_huge_blob_std_exits_4(runner, tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_text(TINY_INI.replace("blob_std = 0.5", "blob_std = 1e308"))
+    _assert_only_error_line(
+        runner,
+        ["fit", "--config", str(p), "--out-dir", str(tmp_path / "out")],
+        "blob 0: points overflow float64",
+    )
+
+
 _BUDGET = "[privacy]\nmode = gradient\ntau_x = 1\ntau_y = 1\nupsilon = 1\n"
 _BLOBS = "blob_count = 3\npoints_per_blob = 20\nblob_std = 0.5\nblob_separation = 10.0\n\n[partition]\nclients = 3"
 
@@ -231,6 +248,12 @@ INFEASIBLE = {
     ),
     "blob-dim": ("fit", "blob_std = 0.5", "blob_std = 0.5\nblob_dim = 0", "dim must be >= 1, got 0"),
     "blob-std": ("fit", "blob_std = 0.5", "blob_std = -1", "blob std must be finite and >= 0, got -1.0"),
+    "blob-separation": (
+        "fit",
+        "blob_separation = 10.0",
+        "blob_separation = inf",
+        "blob separation must be finite, got inf",
+    ),
     "csv-no-path": ("fit", "source = blobs", "source = csv", "csv source needs csv_path"),
     "idx-one-path": (
         "fit",
@@ -294,6 +317,12 @@ INFEASIBLE = {
     ),
     "n-neighbors": (
         "umap", "n_neighbors = 8", "n_neighbors = 60", "n_neighbors = 60 exceeds the 59 other points"
+    ),
+    "out-dim-tsne": (
+        "tsne", "iterations = 60", "iterations = 60\nout_dim = 1", "out_dim = 1 must be >= 2"
+    ),
+    "out-dim-umap": (
+        "umap", "iterations = 60", "iterations = 60\nout_dim = 1", "out_dim = 1 must be >= 2"
     ),
     "tsne-two-points": (
         "tsne",
@@ -396,6 +425,20 @@ def test_eval_and_plot_round(runner, config_file, tmp_path):
     assert (tmp_path / "plot" / "scatter.svg").exists()
 
 
+def test_eval_of_coincident_points_has_no_silhouette(runner, tmp_path):
+    # k-means finds one distinct cluster, which has no silhouette
+    ini = tmp_path / "run.ini"
+    ini.write_text(TINY_INI)
+    path = tmp_path / "embedding.csv"
+    write_embedding_csv(path, np.ones((6, 2)), np.arange(6) % 2)
+    out = tmp_path / "out"
+    args = ["eval", "--config", str(ini), "--embedding", str(path), "--out-dir", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    names = [line.split(",")[0] for line in (out / "metrics.csv").read_text().splitlines()]
+    assert "nmi" in names and "sc" not in names
+
+
 def test_eval_with_non_square_distances_exits_3(runner, config_file, tmp_path):
     rng = np.random.default_rng(0)
     write_embedding_csv(tmp_path / "embedding.csv", rng.normal(size=(60, 2)))
@@ -484,6 +527,19 @@ def _eval_truncated_distances(tmp_path):
     return args
 
 
+def _eval_header_only(tmp_path):
+    args = _eval(tmp_path)
+    embedding = tmp_path / "embedding.csv"
+    embedding.write_text(embedding.read_text().splitlines()[0] + "\n")
+    return args
+
+
+def _plot_one_coordinate(tmp_path):
+    path = tmp_path / "embedding.csv"
+    write_embedding_csv(path, np.random.default_rng(0).normal(size=(60, 1)))
+    return ["plot", "--embedding", str(path)]
+
+
 def _with_nan(D):
     D[3, 7] = D[7, 3] = np.nan
     return D
@@ -529,6 +585,11 @@ BAD_INPUTS = {
     "plot-nan-coordinate": (
         lambda p: ["plot", "--embedding", str(_embedding(p, row="3,nan,0.5,0"))],
         "non-finite coordinate in row 5",
+    ),
+    "embedding-header-only": (_eval_header_only, "has a header but no data rows"),
+    "plot-one-coordinate": (
+        _plot_one_coordinate,
+        "a scatter plot needs at least 2 coordinate columns, got 1",
     ),
     "embedding-fractional-label": (
         lambda p: _eval(p, row="3,0.25,0.5,1.5"),
@@ -614,7 +675,7 @@ _SWEPT_INI = (
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     key=st.sampled_from(_SWEPT_KEYS),
-    value=st.sampled_from(["0", "-1", "nan", "inf", "1e308", "abc", "", "1.5", "2"]),
+    value=st.sampled_from(["0", "-1", "nan", "inf", "1e308", "abc", "", "1.5", "1", "2"]),
     command=st.sampled_from(["tsne", "umap", "speclust"]),
 )
 def test_cli_never_exits_1(tmp_path_factory, key, value, command):

@@ -17,9 +17,14 @@ from feddl.federation import (
     local_update,
     perturb_shards,
     run_feddl,
-    shards_meta,
 )
-from feddl.kernels import KernelParams, gaussian_kernel, mmd_gradient, pairwise_sq_dist
+from feddl.kernels import (
+    KernelParams,
+    _landmark_side,
+    gaussian_kernel,
+    mmd_gradient,
+    pairwise_sq_dist,
+)
 from feddl.privacy import (
     SERVER_STREAM_ID,
     PrivacyMode,
@@ -112,8 +117,12 @@ def test_local_update_single_step_exact():
     r = np.random.default_rng(11)
     X = r.normal(size=(2, 6))
     Y = r.normal(size=(2, 3))
-    out, iterates = local_update(
-        X, Y, step_size=0.2, local_steps=1, kernel_params=PARAMS
+    out, iterates, _ = local_update(
+        ClientShard(0, X, 1.0),
+        _landmark_side(Y, PARAMS.gamma),
+        step_size=0.2,
+        local_steps=1,
+        kernel_params=PARAMS,
     )
     assert len(iterates) == 1
     npt.assert_array_equal(iterates[0], Y - 0.2 * mmd_gradient(X, Y, PARAMS))
@@ -252,17 +261,15 @@ def test_seed_sample_constant_point_reproduced_exactly():
     shards = [
         ClientShard(p, np.tile(point[:, None], (1, 4)), 0.5) for p in range(2)
     ]
-    meta = shards_meta(shards, with_moments=True)
-    Y = init_landmarks(meta, FedConfig(n_landmarks=6, init=LandmarkInit.SEED_SAMPLE))
+    Y = init_landmarks(shards, FedConfig(n_landmarks=6, init=LandmarkInit.SEED_SAMPLE))
     npt.assert_array_equal(Y, np.tile(point[:, None], (1, 6)))
 
 
 def test_seed_sample_pools_shard_moments():
     r = np.random.default_rng(2)
     shards = [ClientShard(p, r.normal(size=(3, 50)) + p, 0.5) for p in range(2)]
-    meta = shards_meta(shards, with_moments=True)
     Y = init_landmarks(
-        meta, FedConfig(n_landmarks=4000, init=LandmarkInit.SEED_SAMPLE, seed=1)
+        shards, FedConfig(n_landmarks=4000, init=LandmarkInit.SEED_SAMPLE, seed=1)
     )
     pooled = np.hstack([s.data for s in shards])
     npt.assert_allclose(Y.mean(axis=1), pooled.mean(axis=1), atol=0.15)
@@ -270,13 +277,13 @@ def test_seed_sample_pools_shard_moments():
 
 
 def test_gaussian_init_is_seeded_and_scaled():
-    meta = shards_meta(make_shards())
+    shards = make_shards()
     cfg = FedConfig(n_landmarks=5, init=LandmarkInit.GAUSSIAN_SCALED, init_scale=3.0, seed=4)
-    A = init_landmarks(meta, cfg)
-    B = init_landmarks(meta, cfg)
+    A = init_landmarks(shards, cfg)
+    B = init_landmarks(shards, cfg)
     npt.assert_array_equal(A, B)
     base = init_landmarks(
-        meta,
+        shards,
         FedConfig(n_landmarks=5, init=LandmarkInit.GAUSSIAN_SCALED, init_scale=1.0, seed=4),
     )
     npt.assert_allclose(A, 3.0 * base, rtol=0, atol=0)
@@ -398,11 +405,20 @@ def test_perturb_shards_only_in_data_mode(rng):
         npt.assert_array_equal(a.data, b.data)
 
 
-def test_shards_meta_rejects_mixed_dims():
+def test_init_landmarks_rejects_mixed_dims():
     with pytest.raises(ValueError, match="feature dim"):
-        shards_meta(
-            [ClientShard(0, np.zeros((2, 4)), 0.5), ClientShard(1, np.zeros((3, 4)), 0.5)]
+        init_landmarks(
+            [ClientShard(0, np.zeros((2, 4)), 0.5), ClientShard(1, np.zeros((3, 4)), 0.5)],
+            FedConfig(),
         )
+
+
+@pytest.mark.parametrize("init", list(LandmarkInit), ids=lambda i: i.value)
+def test_run_feddl_initialises_through_init_landmarks(init):
+    shards = make_shards(seed=6)
+    cfg = FedConfig(rounds=1, local_steps=1, n_landmarks=4, init=init, init_scale=2.0, seed=3)
+    fed = run_feddl(shards, cfg, PARAMS)
+    npt.assert_array_equal(fed.initial_landmarks, init_landmarks(shards, cfg))
 
 
 @pytest.mark.parametrize("aggregation", list(Aggregation))

@@ -110,18 +110,9 @@ def test_npa_identical_geometry_full_overlap(rng):
     assert npa_knn(D_high, Z, k=5) == 1.0
 
 
-def test_npa_labels_variant_perfect_clusters(rng):
-    Z = np.vstack([rng.normal(size=(10, 2)), rng.normal(size=(10, 2)) + 50.0])
-    labels = np.repeat([0, 1], 10)
-    D_high = np.zeros((20, 20))  # unused by the labels variant
-    assert npa_knn(D_high, Z, k=5, labels=labels, variant="labels") == 1.0
-
-
 def test_npa_validation(rng):
     Z = rng.normal(size=(10, 2))
     D = np.zeros((10, 10))
-    with pytest.raises(ValueError, match="variant"):
-        npa_knn(D, Z, k=3, variant="nope")
     with pytest.raises(ValueError, match="k must lie"):
         npa_knn(D, Z, k=10)
     with pytest.raises(ValueError, match="must be"):
