@@ -2,12 +2,12 @@
 
 Both engines consume the completed matrix of *squared* Euclidean
 distances (``CompletedMatrix`` of distance kind, or a plain symmetric
-array with a zero diagonal) and perform full-batch gradient descent on a
-dense objective — appropriate for the desk scales this package targets.
+array with a zero diagonal) and perform full-batch gradient descent on an
+exact objective — appropriate for the desk scales this package targets.
 
 t-SNE
     Conditional affinities ``p_{j|i} ∝ exp(-d2_ij / (2 tau_i^2))`` with a
-    per-row binary search on the precision so that the perplexity
+    binary search on each row's precision so that the perplexity
     ``2^{H(p_.|i)}`` (entropy in bits) matches the target; symmetrised
     joint ``p_ij = (p_{i|j} + p_{j|i}) / (2N)``; Student-t low-dimensional
     affinities; gradient descent with momentum and early exaggeration on
@@ -19,16 +19,22 @@ UMAP
     and a scale ``sigma_i`` solving
     ``sum_j exp(-max(0, d_ij - rho_i) / sigma_i) = log2(n_neighbors)``;
     fuzzy-union symmetrisation ``mu_ij = mu_{i|j} + mu_{j|i} -
-    mu_{i|j} mu_{j|i}``; full-batch descent on the dense fuzzy
-    cross-entropy with low-dimensional memberships
-    ``1 / (1 + a ||z_i - z_j||^{2b})``.
+    mu_{i|j} mu_{j|i}``; full-batch descent on the fuzzy cross-entropy
+    with low-dimensional memberships ``1 / (1 + a ||z_i - z_j||^{2b})``,
+    its attraction taken on the kNN edge list (the nonzero ``mu``) and its
+    repulsion exactly over all pairs.
+
+Both calibrations search every row in lockstep: all rows bisect at once,
+each with its own bracket, stop rule and fallback, and each row's
+arithmetic is that of a search on the row alone (t-SNE's runs over
+blocks of rows to bound its memory).
 
 Both descents run in ``_safeguarded_descent``: every step costs one pass
 over the n x n Student-t (or membership) matrix, which returns the loss
 and the gradient at the point reached, and an accepted step carries both
 into the next iteration.  The terms of each objective that do not depend
-on the embedding (``sum P log P``; ``sum mu log mu + (1 - mu) log(1 - mu)``)
-are computed once per run.
+on the embedding (``sum P log P``; ``sum mu log mu + (1 - mu) log(1 - mu)``
+and the edge list) are computed once per run.
 """
 
 from __future__ import annotations
@@ -57,6 +63,11 @@ __all__ = [
 
 #: probability floor used wherever a log of an affinity is taken.
 _LOG_FLOOR = 1e-12
+
+#: rows per block of the t-SNE calibration, which holds a few
+#: ``(rows, n - 1)`` arrays at a time; at n = 600 64 rows keep its peak at
+#: the two n x n arrays of the result and run no slower than larger blocks
+_CALIBRATION_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -93,8 +104,10 @@ class EmbedConfig:
             v = getattr(self, name)
             if not (0 <= v < 1):
                 raise ValueError(f"{name} must lie in [0, 1), got {v!r}")
-        if self.early_exaggeration < 1:
-            raise ValueError(f"early_exaggeration must be >= 1, got {self.early_exaggeration!r}")
+        if not (self.early_exaggeration >= 1 and np.isfinite(self.early_exaggeration)):
+            raise ValueError(
+                f"early_exaggeration must be finite and >= 1, got {self.early_exaggeration!r}"
+            )
         if self.early_exaggeration_iters < 0 or self.momentum_switch_iter < 0:
             raise ValueError("iteration thresholds must be >= 0")
         if not (self.perplexity > 0 and np.isfinite(self.perplexity)):
@@ -155,35 +168,51 @@ class Embedding:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _row_affinity(d2_row: np.ndarray, target_perp: float) -> tuple[np.ndarray, bool]:
-    """Binary search on the precision ``beta = 1/(2 tau^2)`` of one row.
+def _row_affinities(d2_rows: np.ndarray, target_perp: float) -> tuple[np.ndarray, np.ndarray]:
+    """Binary search on the precision ``beta = 1/(2 tau^2)`` of every row
+    at once.
 
-    Returns the conditional distribution over the other points and a flag
-    marking a fallback to the uniform distribution when the search cannot
-    reach the target (within ``1e-4``).
+    Each row of ``d2_rows`` holds one point's squared distances to the
+    other points, and keeps its own bracket, precision and stop rule
+    (perplexity within ``1e-4`` of the target) for at most 128 steps.
+    Returns the conditional distributions and flags marking rows that
+    could not reach the target and fell back to the uniform distribution.
+
+    Every row's arithmetic is that of a search on the row alone (the
+    tests check it bit for bit): the block's row sums reduce each row as
+    its 1-D sum does, and the perplexity is taken with the scalar
+    ``math.log``/``math.exp``, whose last bit numpy's vector versions do
+    not always match.
     """
-    n_other = d2_row.size
-    d = d2_row - d2_row.min()
-    beta, lo, hi = 1.0, 0.0, math.inf
-    p = np.full(n_other, 1.0 / n_other)
+    m, n_other = d2_rows.shape
+    d = d2_rows - d2_rows.min(axis=1, keepdims=True)
+    P = np.full((m, n_other), 1.0 / n_other)
+    fallback = np.ones(m, dtype=bool)
+    rows = np.arange(m)  # rows still searching
+    beta, lo, hi = np.ones(m), np.zeros(m), np.full(m, math.inf)
     for _ in range(128):
-        e = np.exp(-beta * d)
-        s = float(e.sum())
-        p = e / s
+        e = np.exp(-beta[:, None] * d)
+        s = e.sum(axis=1)
+        q = beta * (d * e).sum(axis=1) / s
         # Perplexity is base-invariant: exp of the entropy in nats equals
         # 2 to the entropy in bits.
-        h = math.log(s) + beta * float((d * e).sum()) / s
-        perp = math.exp(h)
-        if abs(perp - target_perp) <= 1e-4:
-            return p, False
-        if perp > target_perp:  # too flat -> sharpen
-            lo = beta
-            beta = beta * 2.0 if hi == math.inf else 0.5 * (beta + hi)
-        else:
-            hi = beta
-            beta = 0.5 * (beta + lo)
-    # Could not bracket (e.g. all distances equal): uniform fallback.
-    return np.full(n_other, 1.0 / n_other), True
+        perp = np.array([math.exp(math.log(si) + qi) for si, qi in zip(s.tolist(), q.tolist())])
+        done = np.abs(perp - target_perp) <= 1e-4
+        P[rows[done]] = e[done] / s[done, None]
+        fallback[rows[done]] = False
+        flat = perp > target_perp  # too flat -> sharpen
+        sharper = np.where(hi == math.inf, beta * 2.0, 0.5 * (beta + hi))
+        beta, lo, hi = (
+            np.where(flat, sharper, 0.5 * (beta + lo)),
+            np.where(flat, beta, lo),
+            np.where(flat, hi, beta),
+        )
+        if done.any():
+            live = ~done
+            rows, d, beta, lo, hi = rows[live], d[live], beta[live], lo[live], hi[live]
+            if not rows.size:
+                break
+    return P, fallback
 
 
 def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
@@ -191,7 +220,8 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
 
     Requires ``3 <= n`` points and ``0 < perplexity < n``.  Each
     conditional row sums to one; the joint matrix ``(P + P') / (2N)``
-    sums to one and has a zero diagonal.
+    sums to one and has a zero diagonal.  Rows are calibrated in blocks
+    of ``_CALIBRATION_ROWS``.
     """
     D2 = CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values
     n = D2.shape[0]
@@ -201,14 +231,15 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
         raise ValueError(f"perplexity must lie in (0, {n}), got {perplexity!r}")
     cond = np.zeros((n, n))
     fallbacks = []
-    others = np.arange(n)
-    for i in range(n):
-        mask = others != i
-        row, fb = _row_affinity(D2[i, mask], perplexity)
-        cond[i, mask] = row
-        if fb:
-            fallbacks.append(i)
-    P = (cond + cond.T) / (2.0 * n)
+    cols = np.arange(n)
+    for start in range(0, n, _CALIBRATION_ROWS):
+        block = slice(start, min(start + _CALIBRATION_ROWS, n))
+        off = cols != cols[block, None]
+        rows, fb = _row_affinities(D2[block][off].reshape(-1, n - 1), perplexity)
+        cond[block][off] = rows.ravel()
+        fallbacks += (start + np.flatnonzero(fb)).tolist()
+    P = cond + cond.T
+    P /= 2.0 * n
     np.fill_diagonal(P, 0.0)
     return AffinityMatrix(values=P, kind="tsne_joint", fallback_rows=tuple(fallbacks))
 
@@ -384,31 +415,37 @@ def tsne_embed(P: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embedding
     )
 
 
-def _smooth_knn_sigma(d_shifted: np.ndarray, target: float) -> float:
-    """Binary search for the scale solving ``sum exp(-d/sigma) = target``.
+def _smooth_knn_sigmas(shifted: np.ndarray, target: float) -> np.ndarray:
+    """Bisection for every row's scale at once: ``sigma_i`` solves
+    ``sum_j exp(-shifted_ij / sigma_i) = target``.
 
-    ``d_shifted`` holds the rho-shifted non-negative neighbour distances.
+    ``shifted`` holds the rho-shifted non-negative neighbour distances.
+    Each row doubles its upper bound from 1 until the sum reaches the
+    target (a row still short after 64 doublings takes that bound), then
+    bisects 64 times; the midpoint is floored at 1e-12.
     """
+    m = shifted.shape[0]
+    lo, hi = np.zeros(m), np.ones(m)
 
-    def total(sigma: float) -> float:
-        return float(np.exp(-d_shifted / sigma).sum())
+    def below(rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        return np.exp(-shifted[rows] / sigma[:, None]).sum(axis=1) < target
 
-    lo, hi = 0.0, 1.0
+    rows = np.arange(m)  # rows still doubling
     for _ in range(64):
-        if total(hi) >= target:
+        rows = rows[below(rows, hi[rows])]
+        lo[rows], hi[rows] = hi[rows], hi[rows] * 2.0
+        if not rows.size:
             break
-        lo, hi = hi, hi * 2.0
-    else:
-        return hi
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            break
-        if total(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return max(0.5 * (lo + hi), 1e-12)
+    capped = rows
+    rows = np.setdiff1d(np.arange(m), capped)
+    for _ in range(64):  # hi starts >= 1 and halves at most 64 times: mid > 0
+        mid = 0.5 * (lo[rows] + hi[rows])
+        low = below(rows, mid)
+        lo[rows[low]] = mid[low]
+        hi[rows[~low]] = mid[~low]
+    sigma = np.maximum(0.5 * (lo + hi), 1e-12)
+    sigma[capped] = hi[capped]
+    return sigma
 
 
 def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
@@ -432,28 +469,36 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     if n_neighbors == 1:
         memberships = np.ones_like(shifted)
     else:
-        target = math.log2(n_neighbors)
-        memberships = np.array([np.exp(-row / _smooth_knn_sigma(row, target)) for row in shifted])
+        sigma = _smooth_knn_sigmas(shifted, math.log2(n_neighbors))
+        memberships = np.exp(-shifted / sigma[:, None])
     cond = np.zeros((n, n))
     np.put_along_axis(cond, order, memberships, axis=1)
-    mu = cond + cond.T - cond * cond.T
+    mu = cond + cond.T
+    mu -= cond * cond.T
     np.fill_diagonal(mu, 0.0)
     return AffinityMatrix(values=mu, kind="umap_membership")
 
 
-def _ce_constants(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The ``Z``-free parts of the fuzzy cross-entropy.
+def _ce_constants(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The ``Z``-free parts of the fuzzy cross-entropy: the edge list of
+    ``mu`` and ``sum mu log mu + (1 - mu) log(1 - mu)``.
 
-    Returns the off-diagonal ``mu`` and ``1 - mu`` (zero diagonal) and
-    ``sum mu log mu + (1 - mu) log(1 - mu)`` over the off-diagonal pairs,
-    each term taken where its weight is positive, logs floored at 1e-12.
+    The edges are the off-diagonal pairs with ``mu != 0``, a COO list in
+    row-major order (about ``2 n_neighbors`` per row for a UMAP graph).
+    Returns their flat indices ``i n + j``, ``mu`` and ``1 - mu`` on them,
+    and the entropy sum; off the edges ``mu = 0``, so its terms are zero
+    there.  Each term is taken where its weight is positive, logs floored
+    at 1e-12.
     """
-    off = ~np.eye(mu.shape[0], dtype=bool)
-    nu = 1.0 - mu
+    n = mu.shape[0]
+    edges = np.flatnonzero(mu)
+    edges = edges[edges % (n + 1) != 0]  # flat index i (n + 1) is the diagonal
+    mu_e = mu.take(edges)
+    nu_e = 1.0 - mu_e
     with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.where(mu > 0, mu * np.log(np.maximum(mu, _LOG_FLOOR)), 0.0)
-        ent += np.where(nu > 0, nu * np.log(np.maximum(nu, _LOG_FLOOR)), 0.0)
-    return np.where(off, mu, 0.0), np.where(off, nu, 0.0), float(np.sum(ent[off]))
+        ent = np.where(mu_e > 0, mu_e * np.log(np.maximum(mu_e, _LOG_FLOOR)), 0.0)
+        ent += np.where(nu_e > 0, nu_e * np.log(np.maximum(nu_e, _LOG_FLOOR)), 0.0)
+    return edges, mu_e, nu_e, float(ent.sum())
 
 
 def umap_ce_gradient(
@@ -462,7 +507,7 @@ def umap_ce_gradient(
     a: float = 1.0,
     b: float = 1.0,
     *,
-    constants: tuple[np.ndarray, np.ndarray, float] | None = None,
+    constants: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Fuzzy cross-entropy and its gradient for low-dim memberships
     ``w = 1 / (1 + a d^{2b})``.
@@ -470,35 +515,52 @@ def umap_ce_gradient(
     ``1 - w`` (and ``w``) are floored at 1e-12 consistently in the loss
     and the gradient, so finite differences of the returned loss match
     the returned gradient away from the floor region.  ``mu`` holds
-    memberships in [0, 1].  The ``mu``-only terms of the loss come from
-    ``constants`` (``_ce_constants(mu)``, computed here when omitted), so
-    a call takes only ``log max(w, f)`` and ``log max(1 - w, f)``.
+    memberships in [0, 1]; its edge list and ``mu``-only terms come from
+    ``constants`` (``_ce_constants(mu)``, computed here when omitted).
+
+    The attraction ``mu log w`` is taken on the edges.  The repulsion
+    ``(1 - mu) log(1 - w)`` is taken over all off-diagonal pairs with
+    ``1 - mu = 1``, then corrected on the edges; so a call takes one
+    n x n ``log max(1 - w, f)`` and gives the gradient of the dense
+    formula bit for bit.
     """
-    mu_off, nu_off, entropy = _ce_constants(mu) if constants is None else constants
+    edges, mu_e, nu_e, entropy = _ce_constants(mu) if constants is None else constants
     d2 = sq_dists(Z)
-    if b == 1.0:
-        d2b, d2bm1 = d2, 1.0
-    else:
+    if b != 1.0:
         np.maximum(d2, _LOG_FLOOR, out=d2)
-        d2b, d2bm1 = np.power(d2, b), np.power(d2, b - 1.0)
-    w = a * d2b
+        d2bm1 = np.power(d2, b - 1.0)
+        np.power(d2, b, out=d2)
+    w = np.multiply(d2, a, out=d2)
     w += 1.0
     np.reciprocal(w, out=w)
     one_minus_w = 1.0 - w
+    w_e = w.take(edges)
+    one_minus_w_e = 1.0 - w_e
 
-    buf = np.maximum(w, _LOG_FLOOR)
+    buf = np.maximum(one_minus_w, _LOG_FLOOR)
     np.log(buf, out=buf)
-    loss = entropy - float(np.multiply(mu_off, buf, out=buf).sum())
-    np.maximum(one_minus_w, _LOG_FLOOR, out=buf)
-    np.log(buf, out=buf)
-    loss -= float(np.multiply(nu_off, buf, out=buf).sum())
+    np.fill_diagonal(buf, 0.0)
+    buf.put(edges, nu_e * buf.take(edges))
+    loss = entropy - float(np.sum(mu_e * np.log(np.maximum(w_e, _LOG_FLOOR))))
+    loss -= float(buf.sum())
 
     # d w / d d2 = -a b d2^{b-1} w^2; chain through both log terms, each
-    # only where its membership is above the floor.
+    # only where its membership is above the floor: d loss / d w is
+    # 1 / (1 - w) off the edges and (1 - mu) / (1 - w) - mu / w on them.
     buf.fill(0.0)
-    dldw = np.divide(nu_off, one_minus_w, out=buf, where=one_minus_w > _LOG_FLOOR)
-    dldw -= np.divide(mu_off, w, out=np.zeros_like(w), where=w > _LOG_FLOOR)
-    coeff = -a * b * d2bm1 * w  # d loss / d d2_ij (per ordered pair)
+    dldw = np.divide(1.0, one_minus_w, out=buf, where=one_minus_w > _LOG_FLOOR)
+    np.fill_diagonal(dldw, 0.0)
+    on_edges = np.zeros_like(w_e)
+    np.divide(nu_e, one_minus_w_e, out=on_edges, where=one_minus_w_e > _LOG_FLOOR)
+    on_edges -= np.divide(mu_e, w_e, out=np.zeros_like(w_e), where=w_e > _LOG_FLOOR)
+    dldw.put(edges, on_edges)
+    # d loss / d d2_ij (per ordered pair), built over 1 - w or d2^{b-1},
+    # which are no longer needed
+    if b == 1.0:
+        coeff = np.multiply(w, -a * b, out=one_minus_w)
+    else:
+        coeff = np.multiply(d2bm1, -a * b, out=d2bm1)
+        coeff *= w
     coeff *= w
     coeff *= dldw
     grad = 4.0 * (coeff.sum(axis=1)[:, None] * Z - coeff @ Z)
@@ -540,14 +602,14 @@ def _spectral_layout(M: np.ndarray, out_dim: int, noise: np.ndarray) -> np.ndarr
 
 
 def umap_embed(mu: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embedding:
-    """Descent-safeguarded full-batch gradient descent on the dense
+    """Descent-safeguarded full-batch gradient descent on the exact
     fuzzy cross-entropy, started from a graph-spectral layout.
 
     Any step that would increase the loss is halved (damping the
     velocity) until it does not, so the objective trace is
     non-increasing from the first iteration.  Every iterate and every
-    halved candidate costs one membership pass; the ``mu``-only terms of
-    the loss are computed once.
+    halved candidate costs one membership pass; the edge list and the
+    ``mu``-only terms of the loss are computed once.
     """
     M = mu.values if isinstance(mu, AffinityMatrix) else np.asarray(mu, dtype=np.float64)
     n = M.shape[0]

@@ -223,10 +223,14 @@ def _run(cfg: PipelineConfig, out_dir, command: str) -> RunOutputs:
         name = f"completed_{kind.value}.fdlm"
         writers.append((name, lambda p: write_matrix(p, completed.values)))
     if econf is not None:
-        if command == "tsne":
-            emb = tsne_embed(tsne_affinities(completed, perplexity=econf.perplexity), econf)
-        else:
-            emb = umap_embed(umap_graph(completed, n_neighbors=econf.n_neighbors), econf)
+        # a huge learning rate, scale, exaggeration or UMAP a/b overflows in
+        # the initial layout or the descent; the guard sits here so that the
+        # engines keep their caller's errstate as library functions
+        with overflow_aborts(f"{command} embedding overflows float64"):
+            if command == "tsne":
+                emb = tsne_embed(tsne_affinities(completed, perplexity=econf.perplexity), econf)
+            else:
+                emb = umap_embed(umap_graph(completed, n_neighbors=econf.n_neighbors), econf)
         res.embedding = emb
         res.metrics, km_labels = _embedding_metrics(completed, emb.Z, row_labels, cfg)
         svg_labels = row_labels if row_labels is not None else km_labels

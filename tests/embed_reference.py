@@ -1,0 +1,199 @@
+"""The per-row calibrations and the dense UMAP pass, kept as references.
+
+These are the embedding routines as they were before the calibrations ran
+in lockstep and the UMAP pass moved its attraction to the kNN edge list:
+one binary search per row, and every term of the fuzzy cross-entropy
+weighted over all n x n pairs.  The tests check the package's routines
+against them bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from feddl.embed import AffinityMatrix
+from feddl.kernels import knn_indices, sq_dists
+from feddl.nystrom import CompletedMatrix, MatrixKind
+
+_LOG_FLOOR = 1e-12
+
+
+def _row_affinity(d2_row: np.ndarray, target_perp: float) -> tuple[np.ndarray, bool]:
+    """Binary search on the precision ``beta = 1/(2 tau^2)`` of one row.
+
+    Returns the conditional distribution over the other points and a flag
+    marking a fallback to the uniform distribution when the search cannot
+    reach the target (within ``1e-4``).
+    """
+    n_other = d2_row.size
+    d = d2_row - d2_row.min()
+    beta, lo, hi = 1.0, 0.0, math.inf
+    p = np.full(n_other, 1.0 / n_other)
+    for _ in range(128):
+        e = np.exp(-beta * d)
+        s = float(e.sum())
+        p = e / s
+        # Perplexity is base-invariant: exp of the entropy in nats equals
+        # 2 to the entropy in bits.
+        h = math.log(s) + beta * float((d * e).sum()) / s
+        perp = math.exp(h)
+        if abs(perp - target_perp) <= 1e-4:
+            return p, False
+        if perp > target_perp:  # too flat -> sharpen
+            lo = beta
+            beta = beta * 2.0 if hi == math.inf else 0.5 * (beta + hi)
+        else:
+            hi = beta
+            beta = 0.5 * (beta + lo)
+    # Could not bracket (e.g. all distances equal): uniform fallback.
+    return np.full(n_other, 1.0 / n_other), True
+
+
+def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
+    """Symmetrised joint t-SNE affinities from squared distances.
+
+    Requires ``3 <= n`` points and ``0 < perplexity < n``.  Each
+    conditional row sums to one; the joint matrix ``(P + P') / (2N)``
+    sums to one and has a zero diagonal.
+    """
+    D2 = CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values
+    n = D2.shape[0]
+    if n < 3:
+        raise ValueError(f"t-SNE affinities need >= 3 points, got {n}")
+    if not (0 < perplexity < n):
+        raise ValueError(f"perplexity must lie in (0, {n}), got {perplexity!r}")
+    cond = np.zeros((n, n))
+    fallbacks = []
+    others = np.arange(n)
+    for i in range(n):
+        mask = others != i
+        row, fb = _row_affinity(D2[i, mask], perplexity)
+        cond[i, mask] = row
+        if fb:
+            fallbacks.append(i)
+    P = (cond + cond.T) / (2.0 * n)
+    np.fill_diagonal(P, 0.0)
+    return AffinityMatrix(values=P, kind="tsne_joint", fallback_rows=tuple(fallbacks))
+
+
+def _smooth_knn_sigma(d_shifted: np.ndarray, target: float) -> float:
+    """Binary search for the scale solving ``sum exp(-d/sigma) = target``.
+
+    ``d_shifted`` holds the rho-shifted non-negative neighbour distances.
+    """
+
+    def total(sigma: float) -> float:
+        return float(np.exp(-d_shifted / sigma).sum())
+
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        if total(hi) >= target:
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        return hi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if mid <= 0.0:
+            break
+        if total(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return max(0.5 * (lo + hi), 1e-12)
+
+
+def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
+    """Fuzzy neighbourhood graph from squared distances.
+
+    Works on the square roots of the entries (plain distances);
+    neighbours are chosen by distance with ties broken by index.  Each
+    point's nearest neighbour receives membership one; memberships are
+    symmetrised with the fuzzy union.
+    """
+    Dd = np.sqrt(CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values)
+    n = Dd.shape[0]
+    if n < 2:
+        raise ValueError(f"the UMAP graph needs >= 2 points, got {n}")
+    if not (1 <= n_neighbors <= n - 1):
+        raise ValueError(f"n_neighbors must lie in [1, {n - 1}], got {n_neighbors}")
+    # neighbours are ranked on the square roots: sqrt can tie distinct d2
+    order = knn_indices(Dd, n_neighbors)
+    nd = np.take_along_axis(Dd, order, axis=1)
+    shifted = np.maximum(nd - nd[:, :1], 0.0)  # rho_i is the nearest distance
+    if n_neighbors == 1:
+        memberships = np.ones_like(shifted)
+    else:
+        target = math.log2(n_neighbors)
+        memberships = np.array([np.exp(-row / _smooth_knn_sigma(row, target)) for row in shifted])
+    cond = np.zeros((n, n))
+    np.put_along_axis(cond, order, memberships, axis=1)
+    mu = cond + cond.T - cond * cond.T
+    np.fill_diagonal(mu, 0.0)
+    return AffinityMatrix(values=mu, kind="umap_membership")
+
+
+def _ce_constants(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The ``Z``-free parts of the fuzzy cross-entropy.
+
+    Returns the off-diagonal ``mu`` and ``1 - mu`` (zero diagonal) and
+    ``sum mu log mu + (1 - mu) log(1 - mu)`` over the off-diagonal pairs,
+    each term taken where its weight is positive, logs floored at 1e-12.
+    """
+    off = ~np.eye(mu.shape[0], dtype=bool)
+    nu = 1.0 - mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = np.where(mu > 0, mu * np.log(np.maximum(mu, _LOG_FLOOR)), 0.0)
+        ent += np.where(nu > 0, nu * np.log(np.maximum(nu, _LOG_FLOOR)), 0.0)
+    return np.where(off, mu, 0.0), np.where(off, nu, 0.0), float(np.sum(ent[off]))
+
+
+def umap_ce_gradient(
+    mu: np.ndarray,
+    Z: np.ndarray,
+    a: float = 1.0,
+    b: float = 1.0,
+    *,
+    constants: tuple[np.ndarray, np.ndarray, float] | None = None,
+) -> tuple[float, np.ndarray]:
+    """Fuzzy cross-entropy and its gradient for low-dim memberships
+    ``w = 1 / (1 + a d^{2b})``.
+
+    ``1 - w`` (and ``w``) are floored at 1e-12 consistently in the loss
+    and the gradient, so finite differences of the returned loss match
+    the returned gradient away from the floor region.  ``mu`` holds
+    memberships in [0, 1].  The ``mu``-only terms of the loss come from
+    ``constants`` (``_ce_constants(mu)``, computed here when omitted), so
+    a call takes only ``log max(w, f)`` and ``log max(1 - w, f)``.
+    """
+    mu_off, nu_off, entropy = _ce_constants(mu) if constants is None else constants
+    d2 = sq_dists(Z)
+    if b == 1.0:
+        d2b, d2bm1 = d2, 1.0
+    else:
+        np.maximum(d2, _LOG_FLOOR, out=d2)
+        d2b, d2bm1 = np.power(d2, b), np.power(d2, b - 1.0)
+    w = a * d2b
+    w += 1.0
+    np.reciprocal(w, out=w)
+    one_minus_w = 1.0 - w
+
+    buf = np.maximum(w, _LOG_FLOOR)
+    np.log(buf, out=buf)
+    loss = entropy - float(np.multiply(mu_off, buf, out=buf).sum())
+    np.maximum(one_minus_w, _LOG_FLOOR, out=buf)
+    np.log(buf, out=buf)
+    loss -= float(np.multiply(nu_off, buf, out=buf).sum())
+
+    # d w / d d2 = -a b d2^{b-1} w^2; chain through both log terms, each
+    # only where its membership is above the floor.
+    buf.fill(0.0)
+    dldw = np.divide(nu_off, one_minus_w, out=buf, where=one_minus_w > _LOG_FLOOR)
+    dldw -= np.divide(mu_off, w, out=np.zeros_like(w), where=w > _LOG_FLOOR)
+    coeff = -a * b * d2bm1 * w  # d loss / d d2_ij (per ordered pair)
+    coeff *= w
+    coeff *= dldw
+    grad = 4.0 * (coeff.sum(axis=1)[:, None] * Z - coeff @ Z)
+    return loss, grad

@@ -27,7 +27,7 @@ from feddl.config import parse_config
 from feddl.data import load_dataset
 from feddl.embed import (
     EmbedConfig,
-    _row_affinity,
+    _row_affinities,
     tsne_affinities,
     tsne_embed,
     tsne_kl_gradient,
@@ -223,7 +223,8 @@ clusters = 4
     target = 30.0
     worst = 0.0
     for i in range(n):
-        row, fallback = _row_affinity(D2[i, np.arange(n) != i], target)
+        rows, fallbacks = _row_affinities(D2[i, np.arange(n) != i][None, :], target)
+        row, fallback = rows[0], fallbacks[0]
         assert not fallback
         entropy = -np.sum(np.where(row > 0, row * np.log(row), 0.0))
         worst = max(worst, abs(np.exp(entropy) - target))

@@ -125,6 +125,12 @@ _GAUSSIAN_INIT = (
     ("[run]", "[kernel]\ngamma = 0.5\n\n[run]"),
 )
 
+
+def _embedding_setting(line):
+    """TINY_INI edit adding ``line`` to its ``[embedding]`` section."""
+    return (("iterations = 60", f"iterations = 60\n{line}"),)
+
+
 # id -> (command, features' scale, TINY_INI edits, message).  Every input
 # is finite; float64 overflows (or underflows) on the way.
 OVERFLOWS = {
@@ -168,6 +174,23 @@ OVERFLOWS = {
     "rank-zero-landmarks": (
         "tsne", 1e-320, (), "completion failed: landmark block is numerically rank-zero"
     ),
+    # the embedding's initial layout or its descent leaves float64
+    **{
+        f"{key}-{command}": (
+            command,
+            1.0,
+            _embedding_setting(f"{key} = 1e308"),
+            f"{command} embedding overflows float64",
+        )
+        for key, commands in (
+            ("learning_rate", ("tsne", "umap")),
+            ("early_exaggeration", ("tsne",)),
+            ("init_scale", ("tsne", "umap")),
+            ("a", ("umap",)),
+            ("b", ("umap",)),
+        )
+        for command in commands
+    },
 }
 
 
@@ -303,6 +326,12 @@ INFEASIBLE = {
         "umap", "[run]", _section("[evaluation]\nnpa_ks = 0"), "npa_ks entries must be >= 1, got (0,)"
     ),
     "iterations": ("tsne", "iterations = 60", "iterations = 0", "iterations must be >= 1, got 0"),
+    "early-exaggeration-inf": (
+        "tsne",
+        "iterations = 60",
+        "iterations = 60\nearly_exaggeration = inf",
+        "early_exaggeration must be finite and >= 1, got inf",
+    ),
     "init-scale": (
         "umap",
         "iterations = 60",

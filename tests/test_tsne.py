@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 from feddl.embed import (
     AffinityMatrix,
     EmbedConfig,
-    _row_affinity,
+    _CALIBRATION_ROWS,
+    _row_affinities,
     tsne_affinities,
     tsne_embed,
     tsne_kl_gradient,
 )
 from feddl.errors import NumericalAbort
 from helpers import central_fd, random_sq_distance_matrix, rel_err
+import embed_reference as ref
 
 # frozen output of tests/oracles/gen_embed_metrics_reference.py
 TSNE_ROW_P = [0.72717726082691506, 0.23646217201215894, 0.036360567160926005]
@@ -20,6 +22,12 @@ TSNE_KL_REFERENCE = 0.065617267736727785
 
 KL_P3 = np.array([[0.0, 0.2, 0.15], [0.2, 0.0, 0.15], [0.15, 0.15, 0.0]])
 KL_Z3 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+
+
+def _row_affinity(d2_row, target_perp):
+    """``_row_affinities`` on one row."""
+    P, fallback = _row_affinities(d2_row[None, :], target_perp)
+    return P[0], fallback[0]
 
 
 def test_row_affinity_matches_reference():
@@ -42,6 +50,43 @@ def test_row_affinity_uniform_fallback_on_equal_distances():
     p, fallback = _row_affinity(np.full(5, 2.5), 2.0)
     assert fallback
     npt.assert_array_equal(p, np.full(5, 0.2))
+
+
+def _with_equal_rows(D2, rows, value=2.5):
+    """``D2`` with every distance from each point of ``rows`` set to ``value``."""
+    D2 = D2.copy()
+    for i in rows:
+        D2[i, :] = D2[:, i] = value
+        D2[i, i] = 0.0
+    return D2
+
+
+def test_lockstep_stop_rule_matches_the_per_row_search_at_its_edge():
+    # At beta = 1 this row's perplexity is 5.845022964596468 with the
+    # scalar math.exp/math.log, and one ulp less with numpy's vector
+    # exp/log on AVX-512 hosts; a target 1e-4 above it sits between the
+    # two, so the stop rule decides the first step the scalar way only.
+    d2 = np.array([
+        2.0957843814333823, 0.9839823798512485, 0.4847500561072885, 2.436614907703066,
+        0.39969349932341325, 0.0, 2.092157227132522, 1.8888690575540745,
+    ])
+    target = 5.8451229645964675
+    P, fallback = _row_affinities(d2[None, :], target)
+    p_ref, fb_ref = ref._row_affinity(d2, target)
+    npt.assert_array_equal(P[0], p_ref)
+    assert fallback[0] == fb_ref
+
+
+@pytest.mark.parametrize("n", [60, _CALIBRATION_ROWS, _CALIBRATION_ROWS + 45])
+def test_blocked_lockstep_affinities_match_the_per_row_reference(rng, n):
+    # all-equal rows in the first and the last row block take the fallback
+    D2 = _with_equal_rows(random_sq_distance_matrix(n, 4, rng, scale=2.0), (3, n - 2))
+    for perp in (5.0, 30.0):
+        P = tsne_affinities(D2, perplexity=perp)
+        P_ref = ref.tsne_affinities(D2, perplexity=perp)
+        npt.assert_array_equal(P.values, P_ref.values)
+        assert P.fallback_rows == P_ref.fallback_rows
+        assert {3, n - 2} <= set(P.fallback_rows)
 
 
 def test_affinities_joint_properties(rng):

@@ -5,13 +5,15 @@ import pytest
 from feddl.embed import (
     AffinityMatrix,
     EmbedConfig,
-    _smooth_knn_sigma,
+    _ce_constants,
+    _smooth_knn_sigmas,
     umap_ce_gradient,
     umap_embed,
     umap_graph,
 )
 from feddl.errors import NumericalAbort
 from helpers import central_fd, random_sq_distance_matrix, rel_err
+import embed_reference as ref
 
 # frozen output of tests/oracles/gen_embed_metrics_reference.py
 SMOOTH_KNN_SIGMA = 1.778096575017367  # shifted distances [0,1,2,4], target log2(4)
@@ -19,6 +21,11 @@ UMAP_CE_REFERENCE = 1.3239150792391131
 
 CE_MU3 = np.array([[0.0, 0.9, 0.2], [0.9, 0.0, 0.5], [0.2, 0.5, 0.0]])
 CE_Z3 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+
+
+def _smooth_knn_sigma(d_shifted, target):
+    """``_smooth_knn_sigmas`` on one row."""
+    return _smooth_knn_sigmas(d_shifted[None, :], target)[0]
 
 
 def test_smooth_knn_sigma_matches_reference():
@@ -33,6 +40,63 @@ def test_smooth_knn_sigma_satisfies_equation(rng):
         target = np.log2(8)
         sigma = _smooth_knn_sigma(d, target)
         assert np.exp(-d / sigma).sum() == pytest.approx(target, abs=1e-6)
+
+
+def test_lockstep_sigmas_match_the_per_row_search(rng):
+    shifted = np.sort(rng.uniform(0, 3, size=(40, 8)), axis=1)
+    shifted[:, 0] = 0.0
+    shifted[5] = 0.0  # all neighbours at rho: the sum is 8 at every scale
+    shifted[7] = [0.0, *(1e20 * np.arange(1, 8))]  # never reaches the target: doubling cap
+    for target in (np.log2(8), 1.5, 7.9):
+        sigma = _smooth_knn_sigmas(shifted, target)
+        npt.assert_array_equal(sigma, [ref._smooth_knn_sigma(row, target) for row in shifted])
+    assert sigma[7] == 2.0**64
+
+
+def _far_point(D2, i):
+    """``D2`` with point ``i`` moved about 1e20 away from all the others,
+    at distances spread enough that its smooth-kNN sum never reaches the
+    target."""
+    D2 = D2.copy()
+    D2[i, :] = D2[:, i] = (1e20 * np.arange(1, D2.shape[0] + 1)) ** 2
+    D2[i, i] = 0.0
+    return D2
+
+
+@pytest.mark.parametrize("n", [20, 60, 301])
+@pytest.mark.parametrize("k", [1, 4, 15])
+def test_lockstep_graph_matches_the_per_row_reference(rng, n, k):
+    D2 = _far_point(random_sq_distance_matrix(n, 4, rng, scale=2.0), 9)
+    npt.assert_array_equal(umap_graph(D2, n_neighbors=k).values, ref.umap_graph(D2, k).values)
+
+
+def _ce_case(rng, n, case):
+    """Memberships of a UMAP graph and a layout for one edge-pass case."""
+    mu = umap_graph(random_sq_distance_matrix(n, 4, rng, scale=2.0), n_neighbors=5).values
+    Z = 2.0 * rng.normal(size=(n, 2))
+    if case == "coincident":  # 0 <= 1 - w <= 1e-12 on and off the edges
+        Z[1], Z[5], Z[6], Z[n - 1] = Z[0], Z[4], Z[4], Z[0]
+        for i, j in np.argwhere(np.triu(mu, 1) > 0)[::7]:
+            Z[j] = Z[i] + 1e-7
+    elif case == "zero_one_memberships":  # nu = 0 on some edges
+        upper = np.triu(mu, 1)
+        upper[(upper > 0) & (rng.random((n, n)) < 0.3)] = 1.0
+        upper[rng.random((n, n)) < 0.02] = 0.0
+        mu = upper + upper.T
+    return mu, Z
+
+
+@pytest.mark.parametrize("n", [60, 600])
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.577, 0.895)])
+@pytest.mark.parametrize("case", ["spread", "coincident", "zero_one_memberships", "large_a"])
+def test_edge_pass_matches_the_dense_reference(rng, n, a, b, case):
+    mu, Z = _ce_case(rng, n, case)
+    if case == "large_a":  # the diagonal's 1 - w exceeds the floor
+        a *= 1e4
+    loss, g = umap_ce_gradient(mu, Z, a=a, b=b, constants=_ce_constants(mu))
+    loss_ref, g_ref = ref.umap_ce_gradient(mu, Z, a=a, b=b)
+    npt.assert_array_equal(g, g_ref)
+    assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
 
 
 def test_graph_nearest_neighbour_membership_one():
