@@ -30,11 +30,17 @@ arithmetic is that of a search on the row alone (t-SNE's runs over
 blocks of rows to bound its memory).
 
 Both descents run in ``_safeguarded_descent``: every step costs one pass
-over the n x n Student-t (or membership) matrix, which returns the loss
+over the n x n Student-t (or membership) weights, which returns the loss
 and the gradient at the point reached, and an accepted step carries both
 into the next iteration.  The terms of each objective that do not depend
 on the embedding (``sum P log P``; ``sum mu log mu + (1 - mu) log(1 - mu)``
 and the edge list) are computed once per run.
+
+A t-SNE pass writes into two n x n workspaces allocated once per descent,
+the weights ``W`` and the gradient coefficients ``PQ``.  Its two products
+run whole (``Z Z^T`` into ``W``, then ``PQ Z``), because a product taken
+by row blocks changes the last bit of the gradient; every element-wise
+step runs on blocks of ``_BLOCK_ROWS`` rows, which stay in cache.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalAbort
-from .kernels import knn_indices, normalized_adjacency, sq_dists
+from .kernels import _sq_norms, knn_indices, normalized_adjacency, sq_dists
 from .nystrom import CompletedMatrix, MatrixKind
 
 __all__ = [
@@ -64,10 +70,11 @@ __all__ = [
 #: probability floor used wherever a log of an affinity is taken.
 _LOG_FLOOR = 1e-12
 
-#: rows per block of the t-SNE calibration, which holds a few
-#: ``(rows, n - 1)`` arrays at a time; at n = 600 64 rows keep its peak at
-#: the two n x n arrays of the result and run no slower than larger blocks
-_CALIBRATION_ROWS = 64
+#: rows per block of the t-SNE calibration and of the t-SNE pass's
+#: element-wise steps, which hold a few ``(rows, n)`` arrays at a time: at
+#: n = 600 64 rows keep the calibration's peak at the two n x n arrays of
+#: its result, and a pass's four block arrays (1.2 MiB) within a 2 MiB L2
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,7 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     Requires ``3 <= n`` points and ``0 < perplexity < n``.  Each
     conditional row sums to one; the joint matrix ``(P + P') / (2N)``
     sums to one and has a zero diagonal.  Rows are calibrated in blocks
-    of ``_CALIBRATION_ROWS``.
+    of ``_BLOCK_ROWS``.
     """
     D2 = CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values
     n = D2.shape[0]
@@ -232,8 +239,8 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     cond = np.zeros((n, n))
     fallbacks = []
     cols = np.arange(n)
-    for start in range(0, n, _CALIBRATION_ROWS):
-        block = slice(start, min(start + _CALIBRATION_ROWS, n))
+    for start in range(0, n, _BLOCK_ROWS):
+        block = slice(start, min(start + _BLOCK_ROWS, n))
         off = cols != cols[block, None]
         rows, fb = _row_affinities(D2[block][off].reshape(-1, n - 1), perplexity)
         cond[block][off] = rows.ravel()
@@ -244,13 +251,38 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     return AffinityMatrix(values=P, kind="tsne_joint", fallback_rows=tuple(fallbacks))
 
 
-def _student_t_weights(Z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unnormalised Student-t weights ``1/(1+||z_i-z_j||^2)`` and their sum."""
-    W = sq_dists(Z)
-    W += 1.0
-    np.reciprocal(W, out=W)
+class _KLWorkspace:
+    """The arrays a t-SNE pass on n points writes into, allocated once per
+    descent: the Student-t weights ``W`` and the gradient coefficients
+    ``PQ`` (both n x n) and a ``(_BLOCK_ROWS, n)`` scratch block."""
+
+    def __init__(self, n: int) -> None:
+        self.W = np.empty((n, n))
+        self.PQ = np.empty((n, n))
+        self.scratch = np.empty((min(_BLOCK_ROWS, n), n))
+
+
+def _student_t_weights(Z: np.ndarray, W: np.ndarray) -> float:
+    """Unnormalised Student-t weights ``1/(1+||z_i-z_j||^2)``, written into
+    the n x n ``W``, and their sum.
+
+    ``W`` holds ``1 / (1 + sq_dists(Z))`` with a zero diagonal, bit for
+    bit: the Gram product runs whole (numpy takes ``Z @ Z.T`` as one
+    syrk), and the rest of ``sq_dists``, the ``+ 1`` and the reciprocal run
+    in place on blocks of ``_BLOCK_ROWS`` rows, which stay in cache.
+    """
+    sq = _sq_norms(Z)
+    np.matmul(Z, Z.T, out=W)
+    for start in range(0, W.shape[0], _BLOCK_ROWS):
+        block = W[start : start + _BLOCK_ROWS]
+        block *= -2.0
+        block += sq[start : start + _BLOCK_ROWS, None]
+        block += sq[None, :]
+        np.maximum(block, 0.0, out=block)
+        block += 1.0
+        np.reciprocal(block, out=block)
     np.fill_diagonal(W, 0.0)
-    return W, float(W.sum())
+    return float(W.sum())
 
 
 def _kl_constants(P: np.ndarray) -> tuple[float, float]:
@@ -268,6 +300,7 @@ def tsne_kl_gradient(
     *,
     exaggeration: float = 1.0,
     constants: tuple[float, float] | None = None,
+    workspace: _KLWorkspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """KL divergence ``KL(P || Q)`` and its gradient with respect to ``Z``.
 
@@ -282,17 +315,37 @@ def tsne_kl_gradient(
     The gradient uses ``exaggeration * P``; the loss is always against
     ``P``.  ``constants`` are ``_kl_constants(P)``, computed here when
     omitted.
+
+    The pass writes into ``workspace`` (a ``_KLWorkspace(n)``, allocated
+    here when omitted).  Its two products run whole, ``Z @ Z.T`` into
+    ``W`` and ``PQ @ Z`` over the coefficients, and every element-wise
+    step runs on blocks of ``_BLOCK_ROWS`` rows, so a block's arrays stay
+    in cache and the exaggerated ``P`` is formed one block at a time.
+    The gradient is that of the whole-array formula bit for bit; only the
+    loss's ``sum P log max(W, f s)`` is summed block by block.
     """
+    n = P.shape[0]
     p_log_p, p_mass = _kl_constants(P) if constants is None else constants
-    W, s = _student_t_weights(Z)
+    ws = _KLWorkspace(n) if workspace is None else workspace
+    W, PQ = ws.W, ws.PQ
+    s = _student_t_weights(Z, W)
+    floor = _LOG_FLOOR * s
+    p_log_w = 0.0
+    row_sums = np.empty(n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        buf = np.maximum(W, _LOG_FLOOR * s)
-        np.log(buf, out=buf)
-        kl = p_log_p - float(np.multiply(P, buf, out=buf).sum()) + p_mass * float(np.log(s))
-        PQ = np.divide(W, -s, out=buf)
-        PQ += P if exaggeration == 1.0 else exaggeration * P
-        PQ *= W
-    grad = 4.0 * (PQ.sum(axis=1)[:, None] * Z - PQ @ Z)
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            Wb, Pb, PQb = W[rows], P[rows], PQ[rows]
+            buf = ws.scratch[: Wb.shape[0]]
+            np.maximum(Wb, floor, out=buf)
+            np.log(buf, out=buf)
+            p_log_w += float(np.multiply(Pb, buf, out=buf).sum())
+            np.divide(Wb, -s, out=PQb)
+            PQb += Pb if exaggeration == 1.0 else np.multiply(Pb, exaggeration, out=buf)
+            PQb *= Wb
+            row_sums[rows] = PQb.sum(axis=1)
+    kl = p_log_p - p_log_w + p_mass * float(np.log(s))
+    grad = 4.0 * (row_sums[:, None] * Z - PQ @ Z)
     return kl, grad
 
 
@@ -390,7 +443,8 @@ def tsne_embed(P: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embedding
 
     Every iterate and every halved candidate costs one Student-t pass,
     which gives the unexaggerated KL and the (exaggerated) gradient
-    together; the ``Z``-free terms of the KL are computed once.
+    together; the ``Z``-free terms of the KL and the pass's workspace
+    are made once.
     """
     Pm = P.values if isinstance(P, AffinityMatrix) else np.asarray(P, dtype=np.float64)
     n = Pm.shape[0]
@@ -398,10 +452,11 @@ def tsne_embed(P: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embedding
     noise = rng.normal(size=(n, config.out_dim))
     Z = config.init_scale * noise[_canonical_rank(Pm)]
     constants = _kl_constants(Pm)
+    workspace = _KLWorkspace(n)
 
     def loss_grad(Zc: np.ndarray, it: int) -> tuple[float, np.ndarray]:
         ex = config.early_exaggeration if it < config.early_exaggeration_iters else 1.0
-        return tsne_kl_gradient(Pm, Zc, exaggeration=ex, constants=constants)
+        return tsne_kl_gradient(Pm, Zc, exaggeration=ex, constants=constants, workspace=workspace)
 
     Z, trace, damped_steps = _safeguarded_descent(
         Z, loss_grad, config, guard_from=config.early_exaggeration_iters, clip=None,

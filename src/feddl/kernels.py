@@ -109,15 +109,33 @@ def sq_dists(
 def knn_indices(D: np.ndarray, k: int, *, exclude_self: bool = True) -> np.ndarray:
     """Column indices of the ``k`` smallest entries of every row of ``D``.
 
-    Ties break by index (stable sort).  With ``exclude_self`` the square
-    ``D`` is read with its diagonal at infinity, so a row never selects
-    itself; ``D`` is not modified.  Returns a compact ``rows x k`` array,
-    so the full row-wise ordering is freed on return.
+    Ties break by index, as in a stable sort of the row.  With
+    ``exclude_self`` the square ``D`` is read with its diagonal at
+    infinity, so a row never selects itself; ``D`` is not modified and
+    holds no NaN.  Returns a compact ``rows x k`` array.
+
+    A partial selection finds each row's k-th smallest value; the row
+    keeps every entry below it and the lowest-index entries equal to it,
+    k in all, and only those k are sorted (stably, from index order).
     """
     if exclude_self:
         D = D.copy()
         np.fill_diagonal(D, np.inf)
-    return np.argsort(D, axis=1, kind="stable")[:, :k].copy()
+    m, n = D.shape
+    k = min(k, n)
+    if k < 1:
+        return np.empty((m, 0), dtype=np.intp)
+    kth = np.partition(D, k - 1, axis=1)[:, k - 1 : k].copy()  # frees the partitioned rows
+    below = D < kth
+    rows, cols = np.nonzero(D <= kth)  # row-major: each row's columns ascending
+    tie = ~below[rows, cols]
+    first = np.searchsorted(rows, np.arange(m))  # every row has k >= 1 entries here
+    tie_rank = np.cumsum(tie)  # 1-based rank of a tie among all rows' ties...
+    tie_rank -= (tie_rank - tie)[first][rows]  # ... and among its row's
+    keep = ~tie | (tie_rank <= k - below.sum(axis=1)[rows])
+    kept = cols[keep].reshape(m, k)
+    order = np.argsort(np.take_along_axis(D, kept, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(kept, order, axis=1)
 
 
 def _check_pair(X, Y, x_name: str, needs_two: str = ""):

@@ -94,24 +94,37 @@ def _write(out: Path, writers: list) -> dict:
     return files
 
 
-def _check_feasible(
-    cfg: PipelineConfig, command: str, X: np.ndarray, labels: np.ndarray | None
-) -> tuple[list, EmbedConfig | None]:
-    """Partition the loaded data and check every setting that depends on
-    the number ``n`` of points loaded, raising ``ConfigError`` before any
-    compute.  Returns the shards and, for an embedding, the engine's
-    resolved settings."""
-    n = X.shape[1]
+#: each command's peak of dense n x n float64 arrays, in units of
+#: n^2 x 8 B, as tracemalloc measured it over whole runs at n = 2500:
+#: t-SNE 4.18 and UMAP 5.24 (both in the descent), spectral clustering 2.25
+#: (in the completion); ``fit`` holds no n x n array
+_DENSE_PEAK_N2 = {"tsne": 4.2, "umap": 5.3, "speclust": 2.3}
+
+
+def _available_memory(
+    meminfo: str = "/proc/meminfo", cgroup_max: str = "/sys/fs/cgroup/memory.max"
+) -> int | None:
+    """Bytes a run may allocate: ``MemAvailable`` of ``meminfo``, or the
+    cgroup's ``memory.max`` when that is lower; None when neither reads."""
+    limits = []
     try:
-        shards = partition(X, labels, cfg.part)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if command == "speclust" and not 2 <= cfg.clusters <= n:
-        raise ConfigError(
-            f"clusters = {cfg.clusters} must lie in [2, {n}] for the {n} points loaded"
-        )
-    if command not in ("tsne", "umap"):
-        return shards, None
+        with open(meminfo) as f:
+            kib = [line.split()[1] for line in f if line.startswith("MemAvailable:")]
+        limits += [int(v) * 1024 for v in kib]
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        raw = Path(cgroup_max).read_text().strip()
+        if raw != "max":
+            limits.append(int(raw))
+    except (OSError, ValueError):
+        pass
+    return min(limits, default=None)
+
+
+def _embed_settings(cfg: PipelineConfig, command: str, n: int) -> EmbedConfig:
+    """The t-SNE or UMAP engine's resolved settings, checked against the
+    ``n`` points loaded."""
     defaults = EmbedConfig.tsne_defaults if command == "tsne" else EmbedConfig.umap_defaults
     try:
         econf = defaults(**cfg.embed_overrides)
@@ -131,6 +144,35 @@ def _check_feasible(
             f"n_neighbors = {econf.n_neighbors} exceeds the {n - 1} other points "
             f"of the {n} loaded"
         )
+    return econf
+
+
+def _check_feasible(
+    cfg: PipelineConfig, command: str, X: np.ndarray, labels: np.ndarray | None
+) -> tuple[list, EmbedConfig | None]:
+    """Partition the loaded data and check every setting that depends on
+    the number ``n`` of points loaded, and that the command's n x n arrays
+    fit in the memory available, raising ``ConfigError`` before any
+    compute.  Returns the shards and, for an embedding, the engine's
+    resolved settings."""
+    n = X.shape[1]
+    try:
+        shards = partition(X, labels, cfg.part)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if command == "speclust" and not 2 <= cfg.clusters <= n:
+        raise ConfigError(
+            f"clusters = {cfg.clusters} must lie in [2, {n}] for the {n} points loaded"
+        )
+    econf = _embed_settings(cfg, command, n) if command in ("tsne", "umap") else None
+    if command in _DENSE_PEAK_N2:
+        need, available = _DENSE_PEAK_N2[command] * n * n * 8, _available_memory()
+        if available is not None and need > available:
+            raise ConfigError(
+                f"{command} on the {n} points loaded needs about {need / 2**20:.1f} MiB of "
+                f"n x n arrays ({_DENSE_PEAK_N2[command]} x n^2 x 8 B), more than the "
+                f"{available / 2**20:.1f} MiB of memory available"
+            )
     return shards, econf
 
 

@@ -1,10 +1,12 @@
-"""The per-row calibrations and the dense UMAP pass, kept as references.
+"""The per-row calibrations and the whole-array embedding passes, kept as
+references.
 
 These are the embedding routines as they were before the calibrations ran
-in lockstep and the UMAP pass moved its attraction to the kNN edge list:
-one binary search per row, and every term of the fuzzy cross-entropy
-weighted over all n x n pairs.  The tests check the package's routines
-against them bit for bit.
+in lockstep, the UMAP pass moved its attraction to the kNN edge list and
+the t-SNE pass ran its element-wise steps in row blocks: one binary search
+per row, every term of the fuzzy cross-entropy weighted over all n x n
+pairs, and every step of the t-SNE pass on whole n x n arrays.  The tests
+check the package's routines against them bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from feddl.embed import AffinityMatrix
+from feddl.embed import AffinityMatrix, _kl_constants
 from feddl.kernels import knn_indices, sq_dists
 from feddl.nystrom import CompletedMatrix, MatrixKind
 
@@ -197,3 +199,46 @@ def umap_ce_gradient(
     coeff *= dldw
     grad = 4.0 * (coeff.sum(axis=1)[:, None] * Z - coeff @ Z)
     return loss, grad
+
+
+def _student_t_weights(Z: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unnormalised Student-t weights ``1/(1+||z_i-z_j||^2)`` and their sum."""
+    W = sq_dists(Z)
+    W += 1.0
+    np.reciprocal(W, out=W)
+    np.fill_diagonal(W, 0.0)
+    return W, float(W.sum())
+
+
+def tsne_kl_gradient(
+    P: np.ndarray,
+    Z: np.ndarray,
+    *,
+    exaggeration: float = 1.0,
+    constants: tuple[float, float] | None = None,
+) -> tuple[float, np.ndarray]:
+    """KL divergence ``KL(P || Q)`` and its gradient with respect to ``Z``.
+
+    ``Q`` uses Student-t affinities; the gradient is
+    ``4 sum_j (p_ij - q_ij) (1 + ||z_i - z_j||^2)^{-1} (z_i - z_j)``.
+    Probabilities are floored at 1e-12 inside the logarithm only.
+
+    One pass over the unnormalised weights ``W`` (sum ``s``) gives both:
+    for non-negative ``P``, ``KL = sum_{P>0} P log max(P, f)
+    - sum P log max(W, f s) + (sum_{P>0} P) log s``, since
+    ``max(Q, f) = max(W, f s) / s`` keeps the floor ``f`` on ``Q`` exact.
+    The gradient uses ``exaggeration * P``; the loss is always against
+    ``P``.  ``constants`` are ``_kl_constants(P)``, computed here when
+    omitted.
+    """
+    p_log_p, p_mass = _kl_constants(P) if constants is None else constants
+    W, s = _student_t_weights(Z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        buf = np.maximum(W, _LOG_FLOOR * s)
+        np.log(buf, out=buf)
+        kl = p_log_p - float(np.multiply(P, buf, out=buf).sum()) + p_mass * float(np.log(s))
+        PQ = np.divide(W, -s, out=buf)
+        PQ += P if exaggeration == 1.0 else exaggeration * P
+        PQ *= W
+    grad = 4.0 * (PQ.sum(axis=1)[:, None] * Z - PQ @ Z)
+    return kl, grad

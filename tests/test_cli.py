@@ -393,6 +393,33 @@ def test_infeasible_setting_exits_2_before_the_fit(
     assert fits == []
 
 
+@pytest.mark.parametrize("command", ["tsne", "umap", "speclust"])
+def test_run_whose_n_by_n_arrays_do_not_fit_exits_2_before_the_fit(
+    runner, config_file, tmp_path, monkeypatch, command
+):
+    fits = []
+    monkeypatch.setattr(pipeline, "run_feddl", lambda *args, **kwargs: fits.append(args))
+    need = pipeline._DENSE_PEAK_N2[command] * 60 * 60 * 8  # TINY_INI loads 60 points
+    monkeypatch.setattr(pipeline, "_available_memory", lambda: int(need) - 1)
+    args = [command, "--config", str(config_file), "--out-dir", str(tmp_path / "out")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"error: {command} on the 60 points loaded needs about {need / 2**20:.1f} MiB" in (
+        result.output
+    )
+    assert fits == []
+
+
+@pytest.mark.parametrize("command,available", [("fit", 0), ("tsne", None), ("umap", 10**6)])
+def test_memory_guard_passes_a_run_that_fits(
+    runner, config_file, tmp_path, monkeypatch, command, available
+):
+    monkeypatch.setattr(pipeline, "_available_memory", lambda: available)
+    args = [command, "--config", str(config_file), "--out-dir", str(tmp_path / "out")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+
+
 def test_out_dir_under_a_file_exits_2(runner, config_file, tmp_path):
     (tmp_path / "taken").write_text("")
     out = tmp_path / "taken" / "out"

@@ -88,21 +88,24 @@ def test_knn_indices_matches_per_row_stable_argsort(n, k, levels, seed):
     rng = np.random.default_rng(seed)
     D = rng.integers(0, levels + 1, size=(n, n)).astype(np.float64)  # many ties
     D = D + D.T
-    before = D.copy()
-    expected = []
-    for i in range(n):
-        row = D[i].copy()
-        row[i] = np.inf
-        expected.append(np.argsort(row, kind="stable")[:k])
-    got = knn_indices(D, k)
-    npt.assert_array_equal(got, np.array(expected))
-    assert got.shape == (n, k) and got.base is None  # compact, not a view
-    npt.assert_array_equal(D, before)
-    rect = D[: n // 2 + 1]
-    npt.assert_array_equal(
-        knn_indices(rect, k, exclude_self=False),
-        np.argsort(rect, axis=1, kind="stable")[:, :k],
-    )
+    with_equal_rows = D.copy()
+    with_equal_rows[rng.random(n) < 0.25] = 1.0  # every entry of the row ties
+    for M, kk in [(D, k), (D, n - 1), (with_equal_rows, k), (with_equal_rows, n - 1)]:
+        before = M.copy()
+        expected = []
+        for i in range(n):
+            row = M[i].copy()
+            row[i] = np.inf
+            expected.append(np.argsort(row, kind="stable")[:kk])
+        got = knn_indices(M, kk)
+        npt.assert_array_equal(got, np.array(expected))
+        assert got.shape == (n, kk) and got.base is None  # compact, not a view
+        npt.assert_array_equal(M, before)
+        rect = M[: n // 2 + 1]
+        npt.assert_array_equal(
+            knn_indices(rect, kk, exclude_self=False),
+            np.argsort(rect, axis=1, kind="stable")[:, :kk],
+        )
 
 
 def test_gaussian_kernel_range_and_gamma_zero():

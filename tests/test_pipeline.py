@@ -9,6 +9,7 @@ from feddl.kernels import KernelParams
 from feddl.matrixio import read_embedding_csv, read_labels_csv, read_matrix
 from feddl.nystrom import MatrixKind
 from feddl.pipeline import (
+    _available_memory,
     _complete,
     rerun_manifest,
     run_eval,
@@ -236,3 +237,23 @@ def test_plot_from_embedding_csv(tmp_path):
     svg = out.files["scatter.svg"].read_text()
     assert svg.lstrip().startswith("<svg")
     assert "demo" in svg
+
+
+def test_available_memory_is_the_lower_of_meminfo_and_the_cgroup_limit(tmp_path):
+    meminfo, limit = tmp_path / "meminfo", tmp_path / "memory.max"
+    meminfo.write_text("MemTotal:        8000000 kB\nMemAvailable:       2048 kB\n")
+
+    def available():
+        return _available_memory(str(meminfo), str(limit))
+
+    assert available() == 2048 * 1024  # no cgroup file
+    limit.write_text("max\n")
+    assert available() == 2048 * 1024
+    limit.write_text("1000000\n")
+    assert available() == 1000000
+    limit.write_text("4096000\n")
+    assert available() == 2048 * 1024
+    meminfo.unlink()
+    assert available() == 4096000
+    limit.unlink()
+    assert available() is None

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from feddl.embed import (
     AffinityMatrix,
     EmbedConfig,
-    _CALIBRATION_ROWS,
+    _BLOCK_ROWS,
+    _KLWorkspace,
     _row_affinities,
     tsne_affinities,
     tsne_embed,
@@ -77,7 +80,7 @@ def test_lockstep_stop_rule_matches_the_per_row_search_at_its_edge():
     assert fallback[0] == fb_ref
 
 
-@pytest.mark.parametrize("n", [60, _CALIBRATION_ROWS, _CALIBRATION_ROWS + 45])
+@pytest.mark.parametrize("n", [60, _BLOCK_ROWS, _BLOCK_ROWS + 45])
 def test_blocked_lockstep_affinities_match_the_per_row_reference(rng, n):
     # all-equal rows in the first and the last row block take the fallback
     D2 = _with_equal_rows(random_sq_distance_matrix(n, 4, rng, scale=2.0), (3, n - 2))
@@ -195,6 +198,58 @@ def test_fused_kl_gradient_matches_direct_formula(rng, case):
     assert rel_err(g, g_ref) <= 1e-12
 
 
+@functools.cache
+def _joint_affinities(n):
+    rng = np.random.default_rng(n)
+    D2 = random_sq_distance_matrix(n, 5, rng, scale=2.0)
+    return tsne_affinities(D2, perplexity=min(30.0, n - 1.5)).values
+
+
+def _assert_matches_whole_array_pass(P, Z, exaggeration, workspace=None):
+    kl, g = tsne_kl_gradient(P, Z, exaggeration=exaggeration, workspace=workspace)
+    kl_ref, g_ref = ref.tsne_kl_gradient(P, Z, exaggeration=exaggeration)
+    npt.assert_array_equal(g, g_ref)
+    assert abs(kl - kl_ref) <= 1e-12 * abs(kl_ref)
+
+
+# a partial last block (65, 127, 129, 641), exactly one block (64) and less (3, 60)
+@pytest.mark.parametrize("n", [3, 60, 64, 65, 127, 129, 600, 641])
+@pytest.mark.parametrize("out_dim", [2, 3])
+@pytest.mark.parametrize("exaggeration", [1.0, 12.0])
+def test_blocked_kl_pass_matches_the_whole_array_reference(n, out_dim, exaggeration):
+    Z = np.random.default_rng([n, out_dim]).normal(scale=3.0, size=(n, out_dim))
+    _assert_matches_whole_array_pass(_joint_affinities(n), Z, exaggeration)
+
+
+def test_kl_pass_leaves_nothing_in_its_workspace_for_the_next():
+    n = 129
+    P = _joint_affinities(n)
+    rng = np.random.default_rng(7)
+    workspace = _KLWorkspace(n)
+    for arr in (workspace.W, workspace.PQ, workspace.scratch):
+        arr.fill(np.nan)
+    _assert_matches_whole_array_pass(P, rng.normal(size=(n, 2)), 12.0, workspace)
+    _assert_matches_whole_array_pass(P, 5.0 * rng.normal(size=(n, 2)), 1.0, workspace)
+
+
+def test_embed_matches_a_descent_on_the_whole_array_pass(monkeypatch):
+    import feddl.embed as embed_mod
+
+    P = _joint_affinities(65)
+    config = EmbedConfig.tsne_defaults(
+        out_dim=3, iterations=80, early_exaggeration_iters=20, momentum_switch_iter=20, seed=3
+    )
+    emb = tsne_embed(P, config)
+
+    def whole_array_pass(P, Z, *, workspace=None, **kwargs):
+        return ref.tsne_kl_gradient(P, Z, **kwargs)
+
+    monkeypatch.setattr(embed_mod, "tsne_kl_gradient", whole_array_pass)
+    emb_ref = tsne_embed(P, config)
+    npt.assert_array_equal(emb.Z, emb_ref.Z)
+    npt.assert_allclose(emb.objective_trace, emb_ref.objective_trace, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("learning_rate,halved", [(1000.0, False), (50.0, True)])
 def test_embed_makes_one_student_t_pass_per_iterate(rng, monkeypatch, learning_rate, halved):
     import feddl.embed as embed_mod
@@ -207,9 +262,9 @@ def test_embed_makes_one_student_t_pass_per_iterate(rng, monkeypatch, learning_r
         losses.append(kl)
         return kl, g
 
-    def counted_weights(Z):
+    def counted_weights(Z, *args):
         weight_passes.append(Z.shape)
-        return real_weights(Z)
+        return real_weights(Z, *args)
 
     monkeypatch.setattr(embed_mod, "tsne_kl_gradient", counted_pass)
     monkeypatch.setattr(embed_mod, "_student_t_weights", counted_weights)
