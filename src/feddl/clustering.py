@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import normalized_adjacency, sq_dists
-from .nystrom import CompletedMatrix, MatrixKind
+from .nystrom import CompletedMatrix, MatrixKind, _symmetrize
 
 __all__ = ["ClusterAssignment", "kmeans", "spectral_cluster"]
 
@@ -77,14 +77,17 @@ def _kmeans_pp_init(Z: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarr
 def _kmeans_single(
     Z: np.ndarray, c: int, rng: np.random.Generator, max_iter: int, rel_tol: float
 ) -> ClusterAssignment:
+    """One Lloyd run from a k-means++ start.  An iteration starts from the
+    distances, labels and point distances the previous one ended with:
+    its centres are unchanged since."""
     n = Z.shape[0]
+    rows = np.arange(n)
     centers = _kmeans_pp_init(Z, c, rng)
+    d2 = sq_dists(Z, centers)
+    labels = d2.argmin(axis=1)
+    point_d2 = d2[rows, labels]
     prev_inertia = np.inf
-    labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = sq_dists(Z, centers)
-        labels = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(n), labels]
         for j in range(c):
             members = labels == j
             if not members.any():
@@ -98,7 +101,8 @@ def _kmeans_single(
             centers[j] = Z[members].mean(axis=0)
         d2 = sq_dists(Z, centers)
         labels = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(n), labels].sum())
+        point_d2 = d2[rows, labels]
+        inertia = float(point_d2.sum())
         if prev_inertia - inertia <= rel_tol * max(prev_inertia, 1e-300) and np.isfinite(
             prev_inertia
         ):
@@ -133,6 +137,8 @@ def kmeans(
         raise ValueError(f"cluster count must lie in [1, {n}], got {c}")
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     best: ClusterAssignment | None = None
     for restart in range(n_init):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 4, restart]))
@@ -147,8 +153,7 @@ def _dense_embedding(Kv: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     LAPACK eigensolve of ``L = I - S`` (the fallback of the iterative
     path and the reference its tests compare against)."""
     _, active, S = normalized_adjacency(Kv)
-    Lsym = np.eye(S.shape[0]) - S
-    Lsym = 0.5 * (Lsym + Lsym.T)
+    Lsym = _symmetrize(np.eye(S.shape[0]) - S)
     w, vecs = scipy.linalg.eigh(Lsym, subset_by_index=(0, c - 1))
     return 1.0 - w, vecs
 

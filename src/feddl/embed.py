@@ -40,7 +40,11 @@ A t-SNE pass writes into two n x n workspaces allocated once per descent,
 the weights ``W`` and the gradient coefficients ``PQ``.  Its two products
 run whole (``Z Z^T`` into ``W``, then ``PQ Z``), because a product taken
 by row blocks changes the last bit of the gradient; every element-wise
-step runs on blocks of ``_BLOCK_ROWS`` rows, which stay in cache.
+step runs on blocks of ``_BLOCK_ROWS`` rows, which stay in cache.  A
+UMAP pass writes into three n x n workspaces (four at ``b != 1``), also
+allocated once per descent, so neither pass allocates an n x n array per
+step and a descent's speed does not depend on how the allocator happens
+to place its arrays.
 """
 
 from __future__ import annotations
@@ -556,6 +560,19 @@ def _ce_constants(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     return edges, mu_e, nu_e, float(ent.sum())
 
 
+class _CEWorkspace:
+    """The n x n arrays a UMAP pass on n points writes into, allocated
+    once per descent: ``d2`` (then ``w``), ``1 - w`` (then the gradient
+    coefficients at ``b = 1``), ``buf`` (the log terms, then
+    ``d loss / d w``) and, at ``b != 1``, ``d2^(b-1)``."""
+
+    def __init__(self, n: int, b: float) -> None:
+        self.d2 = np.empty((n, n))
+        self.one_minus_w = np.empty((n, n))
+        self.buf = np.empty((n, n))
+        self.d2bm1 = np.empty((n, n)) if b != 1.0 else None
+
+
 def umap_ce_gradient(
     mu: np.ndarray,
     Z: np.ndarray,
@@ -563,6 +580,7 @@ def umap_ce_gradient(
     b: float = 1.0,
     *,
     constants: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None,
+    workspace: _CEWorkspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Fuzzy cross-entropy and its gradient for low-dim memberships
     ``w = 1 / (1 + a d^{2b})``.
@@ -578,21 +596,26 @@ def umap_ce_gradient(
     ``1 - mu = 1``, then corrected on the edges; so a call takes one
     n x n ``log max(1 - w, f)`` and gives the gradient of the dense
     formula bit for bit.
+
+    The pass writes into ``workspace`` (a ``_CEWorkspace(n, b)``,
+    allocated here when omitted), so a descent that passes one allocates
+    nothing of size n x n per call.
     """
     edges, mu_e, nu_e, entropy = _ce_constants(mu) if constants is None else constants
-    d2 = sq_dists(Z)
+    ws = _CEWorkspace(Z.shape[0], b) if workspace is None else workspace
+    d2 = sq_dists(Z, out=ws.d2)
     if b != 1.0:
         np.maximum(d2, _LOG_FLOOR, out=d2)
-        d2bm1 = np.power(d2, b - 1.0)
+        d2bm1 = np.power(d2, b - 1.0, out=ws.d2bm1)
         np.power(d2, b, out=d2)
     w = np.multiply(d2, a, out=d2)
     w += 1.0
     np.reciprocal(w, out=w)
-    one_minus_w = 1.0 - w
+    one_minus_w = np.subtract(1.0, w, out=ws.one_minus_w)
     w_e = w.take(edges)
     one_minus_w_e = 1.0 - w_e
 
-    buf = np.maximum(one_minus_w, _LOG_FLOOR)
+    buf = np.maximum(one_minus_w, _LOG_FLOOR, out=ws.buf)
     np.log(buf, out=buf)
     np.fill_diagonal(buf, 0.0)
     buf.put(edges, nu_e * buf.take(edges))
@@ -674,9 +697,12 @@ def umap_embed(mu: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embeddin
     jitter = rng.normal(size=(n, config.out_dim))[rank]
     Z = config.init_scale * (_spectral_layout(M, config.out_dim, start_noise) + 1e-4 * jitter)
     constants = _ce_constants(M)
+    workspace = _CEWorkspace(n, config.b)
 
     def loss_grad(Zc: np.ndarray, it: int) -> tuple[float, np.ndarray]:
-        return umap_ce_gradient(M, Zc, a=config.a, b=config.b, constants=constants)
+        return umap_ce_gradient(
+            M, Zc, a=config.a, b=config.b, constants=constants, workspace=workspace
+        )
 
     # The repulsive part of the cross-entropy diverges for near-coincident
     # non-neighbours; clipping the descent direction elementwise (the

@@ -84,6 +84,8 @@ def sq_dists(
     B: np.ndarray | None = None,
     sq_a: np.ndarray | None = None,
     sq_b: np.ndarray | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared Euclidean distances between the *rows* of ``A`` and ``B``
     (``B`` defaults to ``A``), by the Gram expansion with negative
@@ -91,7 +93,8 @@ def sq_dists(
     squared norms (``_sq_norms``), computed here when not given.
 
     The one distance core of the package.  It builds the result in the
-    Gram product's own array: ``(-2 g) + sq_a`` is the same double as
+    Gram product's own array (``out`` when given, a C-contiguous float64
+    array of the result's shape): ``(-2 g) + sq_a`` is the same double as
     ``sq_a - 2 g``.  It does no validation: callers pass finite 2-D float
     arrays with equal column counts.
     """
@@ -99,7 +102,7 @@ def sq_dists(
     sq_a = _sq_norms(A) if sq_a is None else sq_a
     if sq_b is None:
         sq_b = sq_a if B is A else _sq_norms(B)
-    D2 = A @ B.T
+    D2 = np.matmul(A, B.T, out=out)
     D2 *= -2.0
     D2 += sq_a[:, None]
     D2 += sq_b[None, :]

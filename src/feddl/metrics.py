@@ -123,13 +123,22 @@ def npa_knn(D_high, Z: np.ndarray, k: int | Sequence[int] = 10) -> float | dict[
     scored = sorted({v for v in ks if v <= n - 1})
     k_max = max(scored, default=0)
     # stable orderings: their first k columns are exactly the k nearest
-    nl = knn_indices(np.sqrt(sq_dists(Z)), k_max)
+    Dz = sq_dists(Z)
+    np.sqrt(Dz, out=Dz)
+    np.fill_diagonal(Dz, np.inf)  # Dz is ours: self is excluded here, not in a copy
+    nl = knn_indices(Dz, k_max, exclude_self=False)
+    del Dz
     nh = knn_indices(Dh, k_max)
+    # neighbour j of row i as the flat index i n + j: sorting each row of
+    # the high-dimensional lists sorts them all, so one search tests every
+    # embedding neighbour for membership in its row's list
+    offsets = np.arange(n)[:, None] * n
     out = {}
     for v in scored:
-        in_high = np.zeros((n, n), dtype=bool)
-        np.put_along_axis(in_high, nh[:, :v], True, axis=1)
-        per_row = np.take_along_axis(in_high, nl[:, :v], axis=1).sum(axis=1) / v
+        high = (np.sort(nh[:, :v], axis=1) + offsets).ravel()
+        low = (nl[:, :v] + offsets).ravel()
+        found = high[np.minimum(np.searchsorted(high, low), high.size - 1)] == low
+        per_row = found.reshape(n, v).sum(axis=1) / v
         # accumulated left to right: a pairwise sum would move the last bit of the metric
         out[v] = float(np.cumsum(per_row)[-1]) / n
     return out[k] if single else out

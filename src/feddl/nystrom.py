@@ -26,6 +26,12 @@ input that already is one, so consumers read ``values`` as it is;
 ``CompletedMatrix.coerce`` turns a plain array into a checked completion
 of the kind a consumer needs.
 
+The completion holds one n x n array: the product ``B W_k^+ B'`` is
+symmetrised in place, one pair of 64 x 64 tiles at a time, and the
+checks read it one 64-row panel at a time, so neither forms an n x n
+temporary.  Every entry is the double of the whole-array formula
+``0.5 (M + M')``.
+
 ``evaluate_bounds`` evaluates the a-priori error-bound diagnostics for a
 completed kernel matrix (condition number of the augmented kernel, MMD
 term, rank term, optional data-noise inflation) and, when the exact
@@ -92,22 +98,59 @@ class CompletionParams:
             raise ValueError(f"eigen_floor must lie in [0, 1), got {self.eigen_floor!r}")
 
 
+#: side of the square tiles and height of the row panels that the n x n
+#: passes below work on, so that each step's temporaries stay in cache
+_TILE = 64
+
+
+def _symmetrize(M: np.ndarray) -> np.ndarray:
+    """``M <- 0.5 (M + M')`` in place, one pair of 64 x 64 tiles
+    ``(I, J), I <= J`` at a time; returns ``M``.  Float addition
+    commutes, so every entry is the double of the whole-array formula and
+    the result is exactly symmetric."""
+    n = M.shape[0]
+    for i0 in range(0, n, _TILE):
+        i1 = min(i0 + _TILE, n)
+        for j0 in range(i0, n, _TILE):
+            j1 = min(j0 + _TILE, n)
+            s = M[i0:i1, j0:j1] + M[j0:j1, i0:i1].T
+            s *= 0.5
+            M[i0:i1, j0:j1] = s
+            M[j0:j1, i0:i1] = s.T
+    return M
+
+
+def _all_finite(A: np.ndarray) -> bool:
+    """Whether every entry of ``A`` is finite, checked one row panel at a time."""
+    return all(np.isfinite(A[i0 : i0 + _TILE]).all() for i0 in range(0, A.shape[0], _TILE))
+
+
+def _symmetry_gap(A: np.ndarray) -> float:
+    """``max |A - A'|`` of a square ``A``, one row panel of the upper
+    triangle at a time (the gap matrix is symmetric)."""
+    n = A.shape[0]
+    gap = 0.0
+    for i0 in range(0, n, _TILE):
+        i1 = min(i0 + _TILE, n)
+        d = A[i0:i1, i0:] - A[i0:, i0:i1].T
+        gap = max(gap, float(np.abs(d, out=d).max(initial=0.0)))
+    return gap
+
+
 def _checked_symmetric(M, what: str, rtol: float) -> np.ndarray:
     """``M`` as a float64 array, checked to be square, finite and
     symmetric within ``rtol`` times max(1, largest |entry|), and returned
-    exactly symmetric: an exactly symmetric input is returned as is."""
+    exactly symmetric: an exactly symmetric input is returned as is, any
+    other is symmetrised in a copy, since it belongs to the caller."""
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{what} must be square, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    if not _all_finite(A):
         raise ValueError(f"{what} contains non-finite entries")
-    asym = A - A.T
-    np.abs(asym, out=asym)
-    gap = float(asym.max(initial=0.0))
-    del asym
+    gap = _symmetry_gap(A)
     if gap > rtol * max(1.0, float(A.max(initial=0.0)), -float(A.min(initial=0.0))):
         raise ValueError(f"{what} is not symmetric within {rtol:g}")
-    return A if gap == 0.0 else 0.5 * (A + A.T)
+    return A if gap == 0.0 else _symmetrize(A.copy())
 
 
 @dataclass(frozen=True)
@@ -206,8 +249,7 @@ def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, f
     if kept.size == 0:
         raise ValueError("landmark block is numerically rank-zero; cannot invert")
     Vk = V[:, kept]
-    M = (Vk / w[kept][None, :]) @ Vk.T
-    return 0.5 * (M + M.T), lam
+    return _symmetrize((Vk / w[kept][None, :]) @ Vk.T), lam
 
 
 def rank_k_pinv(W: LandmarkBlock, params: CompletionParams) -> np.ndarray:
@@ -285,8 +327,7 @@ def nystrom_complete(
     # In a distance completion an overflow stays non-finite, which
     # CompletedMatrix rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        M = B @ Winv @ B.T
-        M = 0.5 * (M + M.T)
+        M = _symmetrize(B @ Winv @ B.T)
     if W.kind is MatrixKind.DISTANCE:
         np.maximum(M, 0.0, out=M)
         np.fill_diagonal(M, 0.0)

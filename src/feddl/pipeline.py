@@ -96,9 +96,10 @@ def _write(out: Path, writers: list) -> dict:
 
 #: each command's peak of dense n x n float64 arrays, in units of
 #: n^2 x 8 B, as tracemalloc measured it over whole runs at n = 2500:
-#: t-SNE 4.18 and UMAP 5.24 (both in the descent), spectral clustering 2.25
-#: (in the completion); ``fit`` holds no n x n array
-_DENSE_PEAK_N2 = {"tsne": 4.2, "umap": 5.3, "speclust": 2.3}
+#: t-SNE 4.18 and UMAP 5.24 (both in the descent), spectral clustering 1.25
+#: (in the completion: the one n x n product, symmetrised and checked in
+#: place, over the stacked blocks); ``fit`` holds no n x n array
+_DENSE_PEAK_N2 = {"tsne": 4.2, "umap": 5.3, "speclust": 1.3}
 
 
 def _available_memory(
@@ -198,6 +199,7 @@ def _complete(
         D2 = sq_dist_block(s.data, f"client {s.client_id}: squared distances to the landmarks")
         blocks.append(D2 if kind is MatrixKind.DISTANCE else gaussian_kernel(D2, kernel))
     B = assemble_cross_block(blocks, [s.client_id for s in shards])
+    del blocks  # B holds their values; freeing them lowers the completion's peak
     W_D2 = sq_dist_block(Y, "squared distances between the landmarks")
     try:
         W = LandmarkBlock(

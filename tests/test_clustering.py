@@ -11,7 +11,7 @@ from feddl import clustering
 from feddl.clustering import ClusterAssignment, kmeans, spectral_cluster
 from feddl.config import parse_config
 from feddl.data import BlobSpec, generate_blobs
-from feddl.kernels import KernelParams, gaussian_kernel, pairwise_sq_dist
+from feddl.kernels import KernelParams, gaussian_kernel, pairwise_sq_dist, sq_dists
 from feddl.matrixio import read_matrix
 from feddl.metrics import nmi
 from feddl.nystrom import CompletedMatrix, MatrixKind
@@ -60,8 +60,68 @@ def test_kmeans_validation(rng):
         kmeans(Z, 6)
     with pytest.raises(ValueError):
         kmeans(Z, 2, n_init=0)
+    with pytest.raises(ValueError, match="max_iter"):
+        kmeans(Z, 2, max_iter=0)
     with pytest.raises(ValueError):
         kmeans(np.empty((0, 2)), 1)
+
+
+def _kmeans_single_reference(
+    Z: np.ndarray, c: int, rng: np.random.Generator, max_iter: int, rel_tol: float
+) -> ClusterAssignment:
+    """``clustering._kmeans_single`` as it was when every Lloyd iteration
+    recomputed the distances to the centres it started from."""
+    n = Z.shape[0]
+    centers = clustering._kmeans_pp_init(Z, c, rng)
+    prev_inertia = np.inf
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = sq_dists(Z, centers)
+        labels = d2.argmin(axis=1)
+        point_d2 = d2[np.arange(n), labels]
+        for j in range(c):
+            members = labels == j
+            if not members.any():
+                far = int(point_d2.argmax())
+                centers[j] = Z[far]
+                labels[far] = j
+                d2j = np.einsum("ij,ij->i", Z - centers[j], Z - centers[j])
+                point_d2 = np.minimum(point_d2, d2j)
+                point_d2[far] = 0.0
+                continue
+            centers[j] = Z[members].mean(axis=0)
+        d2 = sq_dists(Z, centers)
+        labels = d2.argmin(axis=1)
+        inertia = float(d2[np.arange(n), labels].sum())
+        if prev_inertia - inertia <= rel_tol * max(prev_inertia, 1e-300) and np.isfinite(
+            prev_inertia
+        ):
+            prev_inertia = inertia
+            break
+        prev_inertia = inertia
+    return ClusterAssignment(labels=labels, n_clusters=c, inertia=float(prev_inertia))
+
+
+@pytest.mark.parametrize(
+    "make_z,c",
+    [
+        (lambda r: r.normal(size=(300, 2)), 5),
+        (lambda r: r.normal(size=(500, 10)) + 4 * np.eye(10)[r.integers(0, 10, 500)], 10),
+        # four distinct points and six clusters: empty clusters are re-seeded
+        (lambda r: np.repeat(r.normal(size=(4, 2)), 5, axis=0), 6),
+    ],
+    ids=["gaussian", "blobs", "reseeded"],
+)
+@pytest.mark.parametrize("max_iter", [1, 2, 300])
+def test_kmeans_single_matches_the_reference(make_z, c, max_iter):
+    Z = make_z(np.random.default_rng(c))
+    for restart in range(4):
+        runs = [
+            f(Z, c, np.random.default_rng([restart, 4]), max_iter, 1e-6)
+            for f in (clustering._kmeans_single, _kmeans_single_reference)
+        ]
+        npt.assert_array_equal(runs[0].labels, runs[1].labels)
+        assert runs[0].inertia == runs[1].inertia
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(2, 5))

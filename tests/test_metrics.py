@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from feddl.kernels import knn_indices, sq_dists
 from feddl.metrics import (
     MetricsReport,
     MetricsSummary,
@@ -108,6 +109,32 @@ def test_npa_identical_geometry_full_overlap(rng):
     diff = Z[:, None, :] - Z[None, :, :]
     D_high = np.sqrt((diff**2).sum(axis=2))
     assert npa_knn(D_high, Z, k=5) == 1.0
+
+
+def _npa_knn_reference(Dh: np.ndarray, Z: np.ndarray, ks: list[int]) -> dict[int, float]:
+    """``npa_knn``'s scores as they were computed with an n x n membership
+    mask of the high-dimensional neighbours per k."""
+    n = Z.shape[0]
+    nl = knn_indices(np.sqrt(sq_dists(Z)), max(ks))
+    nh = knn_indices(Dh, max(ks))
+    out = {}
+    for v in ks:
+        in_high = np.zeros((n, n), dtype=bool)
+        np.put_along_axis(in_high, nh[:, :v], True, axis=1)
+        per_row = np.take_along_axis(in_high, nl[:, :v], axis=1).sum(axis=1) / v
+        out[v] = float(np.cumsum(per_row)[-1]) / n
+    return out
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+def test_npa_matches_the_mask_reference(rng, ties):
+    X = rng.normal(size=(200, 5))
+    Z = X[:, :2] + 0.3 * rng.normal(size=(200, 2))
+    if ties:  # integer grids: many equal distances on both sides
+        X, Z = np.round(2 * X), np.round(2 * Z)
+    Dh = sq_dists(X)
+    ks = [1, 2, 10, 50, 199]
+    assert npa_knn(Dh, Z, k=ks) == _npa_knn_reference(Dh, Z, ks)
 
 
 def test_npa_validation(rng):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,9 @@ from feddl.nystrom import (
     CompletionParams,
     LandmarkBlock,
     MatrixKind,
+    _all_finite,
+    _symmetrize,
+    _symmetry_gap,
     assemble_cross_block,
     evaluate_bounds,
     nystrom_complete,
@@ -258,6 +262,57 @@ def test_completed_matrix_is_exactly_symmetric_and_keeps_symmetric_input():
     stored = CompletedMatrix(values=near, kind=MatrixKind.DISTANCE).values
     npt.assert_array_equal(stored, stored.T)
     assert stored[0, 1] == 0.5 * (2.0 + (2.0 + 1e-12))
+
+
+# 1, 2, 63 and 64 fit in one tile, 65 and 129 end on a one-row tile,
+# 600 is many tiles
+TILE_SIZES = [1, 2, 63, 64, 65, 129, 600]
+
+
+@pytest.mark.parametrize("n", TILE_SIZES)
+def test_tiled_symmetrize_is_the_whole_array_formula(n):
+    M = np.random.default_rng(n).normal(size=(n, n))
+    expected = 0.5 * (M + M.T)
+    assert _symmetrize(M) is M
+    npt.assert_array_equal(M, expected)
+    npt.assert_array_equal(M, M.T)
+
+
+@pytest.mark.parametrize("n", TILE_SIZES)
+def test_panel_checks_are_the_whole_array_checks(n):
+    A = np.random.default_rng(n).normal(size=(n, n))
+    assert _symmetry_gap(A) == np.abs(A - A.T).max()
+    assert _symmetry_gap(0.5 * (A + A.T)) == 0.0
+    assert _all_finite(A)
+    A[n - 1, 0] = np.nan  # in the last row panel
+    assert not _all_finite(A)
+
+
+def test_completed_matrix_symmetrises_a_copy_of_an_asymmetric_input():
+    n = 129
+    A = np.abs(np.random.default_rng(0).normal(size=(n, n)))
+    A = A + A.T
+    A[n - 1, 0] += 1e-12
+    before = A.copy()
+    stored = CompletedMatrix(values=A, kind=MatrixKind.DISTANCE).values
+    npt.assert_array_equal(A, before)
+    npt.assert_array_equal(stored, 0.5 * (before + before.T))
+
+
+def test_completion_holds_one_n_by_n_array(rng):
+    n, n_y = 1000, 40
+    X, Y = rng.normal(size=(3, n)), rng.normal(size=(3, n_y))
+    B = kernel_block(X, Y)
+    W = LandmarkBlock(values=kernel_block(Y, Y), kind=MatrixKind.KERNEL)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        completed = nystrom_complete(B, W, CompletionParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert completed.n_points == n
+    assert peak - base <= 1.5 * n * n * 8
 
 
 def test_completed_matrix_coerce():

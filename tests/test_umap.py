@@ -5,6 +5,7 @@ import pytest
 from feddl.embed import (
     AffinityMatrix,
     EmbedConfig,
+    _CEWorkspace,
     _ce_constants,
     _smooth_knn_sigmas,
     umap_ce_gradient,
@@ -97,6 +98,21 @@ def test_edge_pass_matches_the_dense_reference(rng, n, a, b, case):
     loss_ref, g_ref = ref.umap_ce_gradient(mu, Z, a=a, b=b)
     npt.assert_array_equal(g, g_ref)
     assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.577, 0.895)])
+def test_edge_pass_leaves_nothing_in_its_workspace_for_the_next(rng, a, b):
+    n = 129
+    workspace = _CEWorkspace(n, b)
+    for arr in vars(workspace).values():
+        if arr is not None:
+            arr.fill(np.nan)
+    for case in ("spread", "zero_one_memberships"):
+        mu, Z = _ce_case(rng, n, case)
+        loss, g = umap_ce_gradient(mu, Z, a=a, b=b, workspace=workspace)
+        loss_ref, g_ref = ref.umap_ce_gradient(mu, Z, a=a, b=b)
+        npt.assert_array_equal(g, g_ref)
+        assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
 
 
 def test_graph_nearest_neighbour_membership_one():
