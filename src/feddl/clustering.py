@@ -9,12 +9,18 @@ The spectral path follows the normalised-cut recipe: with degree matrix
 The eigenvectors come from LOBPCG (``scipy.sparse.linalg.lobpcg``) on
 the operator ``X -> d ⊙ (K @ (d ⊙ X))`` with ``d = deg^{-1/2}`` on
 points of nonzero degree and 0 elsewhere, so neither ``S`` nor ``L`` nor
-any other n x n intermediate is formed.  The starting block is drawn
-from ``SeedSequence([seed, 9])`` and LOBPCG draws nothing itself, so a
-rerun is byte-identical.  A dense LAPACK eigensolve of ``L`` is the one
-fallback: it runs when fewer than ``5 c`` points are active (too few for
-a block of ``c`` vectors) or when the returned block is not orthonormal
-or has an eigen-residual ``|S v - lambda v|`` above 1e-6.
+any other n x n intermediate is formed.  When the completion carries
+``NystromFactors`` (``K = B W_k^+ B' + diag(pin)``, rank ``n_y``), LOBPCG
+applies ``K @ Y`` as ``B (W_k^+ (B' Y)) + pin ⊙ Y``, at ``O(n n_y)`` per column
+instead of ``O(n^2)``; the degrees and the acceptance check below still
+use the dense ``K``.  The starting block is drawn from
+``SeedSequence([seed, 9])`` and LOBPCG draws nothing itself, so a rerun
+is byte-identical.  A returned block is accepted when it is orthonormal
+and its eigen-residual ``|S v - lambda v|`` against the dense ``K`` is
+at most 1e-6.  A factored block that fails is solved again on the dense
+``K``, from the same start; a dense LAPACK eigensolve of ``L`` is the
+last fallback, and the only path when fewer than ``5 c`` points are
+active (too few for a block of ``c`` vectors).
 
 k-means is implemented here (rather than pulled in) because its exact
 semantics are pinned: k-means++ seeding, Lloyd iterations until the
@@ -25,13 +31,14 @@ all deterministic for a given seed.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .kernels import normalized_adjacency, sq_dists
+from .kernels import _sq_norms, normalized_adjacency, sq_dists
 from .nystrom import CompletedMatrix, MatrixKind, _symmetrize
 
 __all__ = ["ClusterAssignment", "kmeans", "spectral_cluster"]
@@ -79,27 +86,43 @@ def _kmeans_single(
 ) -> ClusterAssignment:
     """One Lloyd run from a k-means++ start.  An iteration starts from the
     distances, labels and point distances the previous one ended with:
-    its centres are unchanged since."""
+    its centres are unchanged since.
+
+    The centre sums are one ``bincount`` per coordinate, which adds each
+    cluster's points in index order as ``Z[members].mean(axis=0)`` does
+    for two or more coordinates, so the centres are its doubles.  An
+    iteration with an empty cluster updates the centres one by one
+    instead (re-seeding moves a point into the empty cluster before the
+    later clusters are averaged), and so does one-coordinate data, whose
+    ``mean`` sums pairwise."""
     n = Z.shape[0]
     rows = np.arange(n)
+    columns = np.ascontiguousarray(Z.T)
+    sq_z = _sq_norms(Z)
     centers = _kmeans_pp_init(Z, c, rng)
-    d2 = sq_dists(Z, centers)
+    d2 = sq_dists(Z, centers, sq_z)
     labels = d2.argmin(axis=1)
     point_d2 = d2[rows, labels]
     prev_inertia = np.inf
     for _ in range(max_iter):
-        for j in range(c):
-            members = labels == j
-            if not members.any():
-                far = int(point_d2.argmax())
-                centers[j] = Z[far]
-                labels[far] = j
-                d2j = np.einsum("ij,ij->i", Z - centers[j], Z - centers[j])
-                point_d2 = np.minimum(point_d2, d2j)
-                point_d2[far] = 0.0
-                continue
-            centers[j] = Z[members].mean(axis=0)
-        d2 = sq_dists(Z, centers)
+        counts = np.bincount(labels, minlength=c)
+        if counts.all() and columns.shape[0] > 1:
+            for k, col in enumerate(columns):
+                centers[:, k] = np.bincount(labels, weights=col, minlength=c)
+            centers /= counts[:, None]
+        else:
+            for j in range(c):
+                members = labels == j
+                if not members.any():
+                    far = int(point_d2.argmax())
+                    centers[j] = Z[far]
+                    labels[far] = j
+                    d2j = np.einsum("ij,ij->i", Z - centers[j], Z - centers[j])
+                    point_d2 = np.minimum(point_d2, d2j)
+                    point_d2[far] = 0.0
+                    continue
+                centers[j] = Z[members].mean(axis=0)
+        d2 = sq_dists(Z, centers, sq_z)
         labels = d2.argmin(axis=1)
         point_d2 = d2[rows, labels]
         inertia = float(point_d2.sum())
@@ -158,17 +181,26 @@ def _dense_embedding(Kv: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 - w, vecs
 
 
+def _scaled_product(K, d: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``d ⊙ (K @ (d ⊙ X))`` for the dense ``K`` or its ``NystromFactors``."""
+    X = X.reshape(d.size, -1)
+    return d[:, None] * (K @ (d[:, None] * X))
+
+
 def _iterative_embedding(
-    Kv: np.ndarray, deg: np.ndarray, active: np.ndarray, c: int, seed: int
+    Kv: np.ndarray, deg: np.ndarray, active: np.ndarray, c: int, seed: int, factors=None
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Leading ``c`` eigenpairs of ``d ⊙ (K @ (d ⊙ X))`` by LOBPCG from a
-    seeded starting block, or ``None`` when the returned block is not an
-    orthonormal set of eigenvectors within ``_RESIDUAL_TOL``.
+    seeded starting block, or ``None`` when no returned block is an
+    orthonormal set of eigenvectors of the dense ``Kv`` within
+    ``_RESIDUAL_TOL``.
 
     ``d`` is ``deg^{-1/2}`` on the ``active`` points and 0 elsewhere.
     Inactive rows and columns of a non-negative ``K`` are all zero, so the
     operator runs on the full ``K`` with vectors that are zero on the
-    inactive points, and nothing of size n x n is formed.
+    inactive points, and nothing of size n x n is formed.  With the
+    completion's ``factors`` LOBPCG applies ``K`` through them first; a
+    block that fails the check against ``Kv`` is solved again on ``Kv``.
     """
     # Imported here, not at module level, so that commands which never
     # cluster do not pay for it (about 5 MiB of peak RSS on the t-SNE and
@@ -178,31 +210,32 @@ def _iterative_embedding(
     n = Kv.shape[0]
     d = np.zeros(n)
     d[active] = 1.0 / np.sqrt(deg[active])
-
-    def matmat(X: np.ndarray) -> np.ndarray:
-        X = X.reshape(n, -1)
-        return d[:, None] * (Kv @ (d[:, None] * X))
-
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matmat, matmat=matmat, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _START_STREAM_TAG]))
     X0 = rng.standard_normal((n, c))
     X0[~active] = 0.0
-    # Non-convergence is judged below by the residual of the returned
-    # block, which is what decides the fallback; lobpcg's own warnings
-    # about its tolerance would only repeat that.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        lam, V = scipy.sparse.linalg.lobpcg(
-            op, X0, tol=_LOBPCG_TOL, maxiter=_LOBPCG_MAXITER, largest=True
+    for K in [Kv] if factors is None else [factors, Kv]:
+        matmat = functools.partial(_scaled_product, K, d)
+        op = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=matmat, matmat=matmat, dtype=np.float64
         )
-    order = np.argsort(-lam, kind="stable")
-    lam, V = lam[order], V[:, order]
-    resid = np.linalg.norm(matmat(V) - V * lam[None, :], axis=0).max(initial=0.0)
-    gram_gap = np.abs(V.T @ V - np.eye(c)).max(initial=0.0)
-    # ``not <=`` also rejects a block holding nan.
-    if not (resid <= _RESIDUAL_TOL and gram_gap <= _RESIDUAL_TOL):
-        return None
-    return lam, V[active]
+        # Non-convergence is judged below by the residual of the returned
+        # block, which is what decides the fallback; lobpcg's own warnings
+        # about its tolerance would only repeat that.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            lam, V = scipy.sparse.linalg.lobpcg(
+                op, X0.copy(), tol=_LOBPCG_TOL, maxiter=_LOBPCG_MAXITER, largest=True
+            )
+        order = np.argsort(-lam, kind="stable")
+        lam, V = lam[order], V[:, order]
+        resid = np.linalg.norm(_scaled_product(Kv, d, V) - V * lam[None, :], axis=0).max(
+            initial=0.0
+        )
+        gram_gap = np.abs(V.T @ V - np.eye(c)).max(initial=0.0)
+        # a block holding nan fails both comparisons
+        if resid <= _RESIDUAL_TOL and gram_gap <= _RESIDUAL_TOL:
+            return lam, V[active]
+    return None
 
 
 def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
@@ -212,17 +245,20 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     The ``c`` leading eigenvectors of ``S = Dg^{-1/2} K Dg^{-1/2}`` (the
     ``c`` smallest of the normalised Laplacian) come from LOBPCG on the
     operator ``X -> d ⊙ (K @ (d ⊙ X))`` with ``d = deg^{-1/2}``, started
-    from a block drawn from ``seed``; no n x n intermediate is formed.  A dense eigensolve
-    replaces it when fewer than ``5 c`` points are active, or when the
-    returned block is not orthonormal or its largest residual
-    ``|S v - lambda v|`` exceeds 1e-6.
+    from a block drawn from ``seed``; no n x n intermediate is formed.
+    A completion's factors, when it has them, apply ``K`` inside LOBPCG;
+    the returned block is checked against the dense ``K``.  A dense
+    eigensolve replaces it when fewer than ``5 c`` points are active, or
+    when no returned block is orthonormal with a largest residual
+    ``|S v - lambda v|`` of at most 1e-6.
 
     Points with exactly zero degree cannot be related to anything: each
     one is put in its own extra singleton cluster (appended after the
     ``c`` spectral clusters); any point with a nonzero row participates
     in the spectral embedding as usual.
     """
-    Kv = CompletedMatrix.coerce(K, MatrixKind.KERNEL).values
+    completed = CompletedMatrix.coerce(K, MatrixKind.KERNEL)
+    Kv = completed.values
     n = Kv.shape[0]
     if not (2 <= c <= n):
         raise ValueError(f"cluster count must lie in [2, {n}], got {c}")
@@ -234,7 +270,11 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
         raise ValueError(
             f"only {n_active} points have nonzero degree; cannot form {c} clusters"
         )
-    found = _iterative_embedding(Kv, deg, active, c, seed) if n_active >= 5 * c else None
+    found = (
+        _iterative_embedding(Kv, deg, active, c, seed, completed.factors)
+        if n_active >= 5 * c
+        else None
+    )
     _, vecs = found if found is not None else _dense_embedding(Kv, c)
     norms = np.linalg.norm(vecs, axis=1)
     rows = np.where(norms[:, None] > 0, vecs / np.where(norms == 0, 1.0, norms)[:, None], 0.0)

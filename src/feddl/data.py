@@ -21,6 +21,7 @@ Partition modes:
 from __future__ import annotations
 
 import csv as _csv
+import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -186,25 +187,54 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     return X, labels
 
 
-def load_csv_dataset(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray | None]:
-    """Load a CSV with one point per row and a header line.
+def _fast_csv(text: str, label_column: str) -> tuple[np.ndarray, list | None] | None:
+    """Features and label strings of a plain CSV ``text``, the numbers
+    parsed by ``np.loadtxt``; None when the text is not plain or the parse
+    fails.
 
-    The ``label_column`` (if present) becomes the label vector; all other
-    columns must be finite numeric features.  Numeric labels must be
-    integers (``1.0`` counts as 1) and keep their value; labels that are
-    not all numeric are coded by their distinct values.
+    Plain means no quote, carriage return or NUL, no blank line, a data
+    row, a feature column and the header's field count on every row.
+    Then each line is one record split at every comma, as ``csv.reader``
+    splits it, and ``np.loadtxt`` and ``float`` both round with
+    ``PyOS_string_to_double``: the features are the doubles of the row
+    loop.  ``loadtxt`` refuses some fields ``float`` takes (``1_0``,
+    non-ASCII digits); those fall back to the loop.
     """
-    path = str(path)
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or not all(lines):
+        return None
+    header = lines[0].split(",")
+    if any(line.count(",") != len(header) - 1 for line in lines):
+        return None
+    label_idx = header.index(label_column) if label_column in header else None
+    feat_idx = [j for j in range(len(header)) if j != label_idx]
+    if not feat_idx:
+        return None
     try:
-        with open(path, newline="") as f:
-            reader = _csv.reader(f)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty CSV") from None
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read CSV data: {exc}") from exc
+        feats = np.loadtxt(
+            lines[1:], dtype=np.float64, delimiter=",", comments=None, usecols=feat_idx, ndmin=2
+        )
+    except ValueError:
+        return None
+    if feats.shape != (len(lines) - 1, len(feat_idx)):
+        return None
+    labels = None if label_idx is None else [line.split(",")[label_idx] for line in lines[1:]]
+    return feats, labels
+
+
+def _slow_csv(path: str, text: str, label_column: str) -> tuple[np.ndarray, list | None]:
+    """Features and label strings of the CSV ``text`` by ``csv.reader``
+    and ``float``, row by row, raising ``DataError`` on the first bad row."""
+    reader = _csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty CSV") from None
+    rows = list(reader)
     if not rows:
         raise DataError(f"{path}: CSV has a header but no data rows")
     label_idx = header.index(label_column) if label_column in header else None
@@ -222,6 +252,27 @@ def load_csv_dataset(path, label_column: str = "label") -> tuple[np.ndarray, np.
             raise DataError(f"{path}: non-numeric feature in row {i + 2}: {exc}") from exc
         if labels is not None:
             labels.append(row[label_idx])
+    return feats, labels
+
+
+def load_csv_dataset(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray | None]:
+    """Load a CSV with one point per row and a header line.
+
+    The ``label_column`` (if present) becomes the label vector; all other
+    columns must be finite numeric features.  Numeric labels must be
+    integers (``1.0`` counts as 1) and keep their value; labels that are
+    not all numeric are coded by their distinct values.  A plain CSV is
+    parsed by ``np.loadtxt`` (``_fast_csv``); any other, and any the fast
+    parse refuses, row by row with ``csv`` and ``float``, which names the
+    first bad row.
+    """
+    path = str(path)
+    try:
+        with open(path, newline="") as f:
+            text = f.read()
+    except OSError as exc:
+        raise DataError(f"cannot read CSV data: {exc}") from exc
+    feats, labels = _fast_csv(text, label_column) or _slow_csv(path, text, label_column)
     check_finite_rows(path, feats, "feature")
     lab = None
     if labels is not None:

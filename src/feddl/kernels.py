@@ -109,6 +109,10 @@ def sq_dists(
     return np.maximum(D2, 0.0, out=D2)
 
 
+#: rows of ``D`` that ``knn_indices`` selects from at a time
+_KNN_ROWS = 128
+
+
 def knn_indices(D: np.ndarray, k: int, *, exclude_self: bool = True) -> np.ndarray:
     """Column indices of the ``k`` smallest entries of every row of ``D``.
 
@@ -117,17 +121,31 @@ def knn_indices(D: np.ndarray, k: int, *, exclude_self: bool = True) -> np.ndarr
     infinity, so a row never selects itself; ``D`` is not modified and
     holds no NaN.  Returns a compact ``rows x k`` array.
 
-    A partial selection finds each row's k-th smallest value; the row
-    keeps every entry below it and the lowest-index entries equal to it,
-    k in all, and only those k are sorted (stably, from index order).
+    Rows are taken 128 at a time, so the working arrays are
+    ``O(128 n)`` whatever the number of rows.  A partial selection finds
+    each row's k-th smallest value; the row keeps every entry below it
+    and the lowest-index entries equal to it, k in all, and only those k
+    are sorted (stably, from index order).
     """
-    if exclude_self:
-        D = D.copy()
-        np.fill_diagonal(D, np.inf)
     m, n = D.shape
     k = min(k, n)
+    out = np.empty((m, max(k, 0)), dtype=np.intp)
     if k < 1:
-        return np.empty((m, 0), dtype=np.intp)
+        return out
+    for i0 in range(0, m, _KNN_ROWS):
+        i1 = min(i0 + _KNN_ROWS, m)
+        rows = D[i0:i1]
+        if exclude_self:
+            rows = rows.copy()
+            own = np.arange(i0, min(i1, n))
+            rows[own - i0, own] = np.inf
+        out[i0:i1] = _knn_rows(rows, k)
+    return out
+
+
+def _knn_rows(D: np.ndarray, k: int) -> np.ndarray:
+    """``knn_indices`` of the rows ``D``, self included, for ``1 <= k <= n``."""
+    m = D.shape[0]
     kth = np.partition(D, k - 1, axis=1)[:, k - 1 : k].copy()  # frees the partitioned rows
     below = D < kth
     rows, cols = np.nonzero(D <= kth)  # row-major: each row's columns ascending

@@ -180,6 +180,27 @@ def nmi(a, b) -> float:
     return mi / math.sqrt(ha * hb)
 
 
+#: rows of the distance matrix ``_cluster_sums`` gathers columns from at a time
+_SUM_ROWS = 256
+
+
+def _cluster_sums(D: np.ndarray, enc: np.ndarray, n_classes: int) -> np.ndarray:
+    """``sums[i, c]``: the total of row ``i`` of ``D`` over the columns of
+    cluster ``c``, gathered one block of rows at a time.  numpy sums a
+    gather of two or more rows column by column in index order, as it
+    does the whole-array gather ``D[:, enc == c]``, but a one-row gather
+    pairwise, so no block has one row."""
+    n = D.shape[0]
+    members = [np.flatnonzero(enc == ci) for ci in range(n_classes)]
+    sums = np.zeros((n, n_classes))
+    starts = range(0, n - 1, _SUM_ROWS)
+    for i0, i1 in zip(starts, [*starts[1:], n]):
+        block = D[i0:i1]
+        for ci, cols in enumerate(members):
+            sums[i0:i1, ci] = block[:, cols].sum(axis=1)
+    return sums
+
+
 def silhouette(Z: np.ndarray, labels) -> float:
     """Mean silhouette coefficient over all points.
 
@@ -194,12 +215,11 @@ def silhouette(Z: np.ndarray, labels) -> float:
     classes, enc = np.unique(lab, return_inverse=True)
     if classes.size < 2:
         raise ValueError("silhouette needs at least two clusters")
-    D = np.sqrt(sq_dists(Z))
+    D = sq_dists(Z)
+    np.sqrt(D, out=D)
     sizes = np.bincount(enc, minlength=classes.size)
-    # sums[i, c] = total distance from point i to all members of cluster c
-    sums = np.zeros((n, classes.size))
-    for ci in range(classes.size):
-        sums[:, ci] = D[:, enc == ci].sum(axis=1)
+    sums = _cluster_sums(D, enc, classes.size)
+    del D
     rows = np.arange(n)
     own = sizes[enc]
     means = sums / sizes[None, :]

@@ -32,6 +32,13 @@ checks read it one 64-row panel at a time, so neither forms an n x n
 temporary.  Every entry is the double of the whole-array formula
 ``0.5 (M + M')``.
 
+A kernel completion is clipped to ``[0, 1]`` on the same tiles, which
+also tell whether any entry off the diagonal was clipped.  When none
+was, the completion keeps ``NystromFactors``: ``B``, ``W_k^+`` and
+``pin = 1 - diag(B W_k^+ B')``, so that ``K = B W_k^+ B' + diag(pin)``
+up to rounding and ``K @ X`` costs ``O(n n_y)`` per column.  A clipped
+completion is no longer a product of the factors and keeps none.
+
 ``evaluate_bounds`` evaluates the a-priori error-bound diagnostics for a
 completed kernel matrix (condition number of the augmented kernel, MMD
 term, rank term, optional data-noise inflation) and, when the exact
@@ -55,6 +62,7 @@ __all__ = [
     "CompletionParams",
     "LandmarkBlock",
     "CompletedMatrix",
+    "NystromFactors",
     "BoundReport",
     "assemble_cross_block",
     "rank_k_pinv",
@@ -103,21 +111,48 @@ class CompletionParams:
 _TILE = 64
 
 
+def _tile_pairs(n: int):
+    """The 64 x 64 tile pairs ``(I, J), I <= J`` of an n x n array, as
+    ``(i0, i1, j0, j1)`` bounds."""
+    for i0 in range(0, n, _TILE):
+        i1 = min(i0 + _TILE, n)
+        for j0 in range(i0, n, _TILE):
+            yield i0, i1, j0, min(j0 + _TILE, n)
+
+
 def _symmetrize(M: np.ndarray) -> np.ndarray:
     """``M <- 0.5 (M + M')`` in place, one pair of 64 x 64 tiles
     ``(I, J), I <= J`` at a time; returns ``M``.  Float addition
     commutes, so every entry is the double of the whole-array formula and
     the result is exactly symmetric."""
-    n = M.shape[0]
-    for i0 in range(0, n, _TILE):
-        i1 = min(i0 + _TILE, n)
-        for j0 in range(i0, n, _TILE):
-            j1 = min(j0 + _TILE, n)
-            s = M[i0:i1, j0:j1] + M[j0:j1, i0:i1].T
-            s *= 0.5
-            M[i0:i1, j0:j1] = s
-            M[j0:j1, i0:i1] = s.T
+    for i0, i1, j0, j1 in _tile_pairs(M.shape[0]):
+        s = M[i0:i1, j0:j1] + M[j0:j1, i0:i1].T
+        s *= 0.5
+        M[i0:i1, j0:j1] = s
+        M[j0:j1, i0:i1] = s.T
     return M
+
+
+def _symmetrize_clip(M: np.ndarray, lo: float, hi: float) -> bool:
+    """``M <- clip(0.5 (M + M'), lo, hi)`` in place, tile pair by tile
+    pair as in ``_symmetrize``: every entry is the double of the
+    whole-array ``np.clip`` of the symmetrised ``M``.  Returns whether an
+    entry off the diagonal lay outside ``[lo, hi]``, found on the tiles
+    on the way, with no pass over ``M`` of its own."""
+    clipped = False
+    for i0, i1, j0, j1 in _tile_pairs(M.shape[0]):
+        s = M[i0:i1, j0:j1] + M[j0:j1, i0:i1].T
+        s *= 0.5
+        off = s if i0 != j0 else s[~np.eye(i1 - i0, dtype=bool)]
+        low, high = off.min(initial=hi), off.max(initial=lo)
+        clipped |= bool(low < lo or high > hi)
+        # a tile strictly inside (lo, hi] off the diagonal is left as it is
+        # (nan fails the test); the diagonal is clipped regardless
+        if i0 == j0 or not (low > lo and high <= hi):
+            np.clip(s, lo, hi, out=s)
+        M[i0:i1, j0:j1] = s
+        M[j0:j1, i0:i1] = s.T
+    return clipped
 
 
 def _all_finite(A: np.ndarray) -> bool:
@@ -148,7 +183,8 @@ def _checked_symmetric(M, what: str, rtol: float) -> np.ndarray:
     if not _all_finite(A):
         raise ValueError(f"{what} contains non-finite entries")
     gap = _symmetry_gap(A)
-    if gap > rtol * max(1.0, float(A.max(initial=0.0)), -float(A.min(initial=0.0))):
+    # an exactly symmetric A (every completion) needs no scale for its gap
+    if gap and gap > rtol * max(1.0, float(A.max(initial=0.0)), -float(A.min(initial=0.0))):
         raise ValueError(f"{what} is not symmetric within {rtol:g}")
     return A if gap == 0.0 else _symmetrize(A.copy())
 
@@ -264,16 +300,40 @@ def rank_k_pinv(W: LandmarkBlock, params: CompletionParams) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class NystromFactors:
+    """A completed matrix as ``K = B Winv B' + diag(pin)``, within rounding.
+
+    For a kernel completion ``B`` (``n x n_y``) is the stacked cross block
+    it shares, ``Winv = pinv_k(W + lambda I)`` and ``pin = 1 - diag(B
+    Winv B')`` undoes the unit-diagonal pin.  ``K @ X`` through the
+    factors costs ``O(n n_y)`` per column instead of ``O(n^2)``, and they
+    hold one ``n x n_y`` array.
+    """
+
+    B: np.ndarray
+    Winv: np.ndarray
+    pin: np.ndarray
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        """``K @ X`` for an ``n x m`` block ``X``."""
+        return self.B @ (self.Winv @ (self.B.T @ X)) + self.pin[:, None] * X
+
+
+@dataclass(frozen=True)
 class CompletedMatrix:
     """Completed global matrix over all data points, with provenance.
 
     ``values`` must be square, finite, non-negative and symmetric within
     1e-8 of max(1, largest entry); it is stored exactly symmetric.
+    ``factors``, when present, give the same matrix in rank-``r`` form
+    (see ``NystromFactors``), so a consumer can apply it at ``O(n r)``
+    per column.
     """
 
     values: np.ndarray
     kind: MatrixKind
     provenance: dict = field(default_factory=dict)
+    factors: NystromFactors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         kind = MatrixKind(self.kind)
@@ -282,6 +342,14 @@ class CompletedMatrix:
         values = _checked_symmetric(M, what, 1e-8)
         if M.min(initial=0.0) < 0:
             raise ValueError(f"{what} must be non-negative")
+        f = self.factors
+        if f is not None:
+            n, r = values.shape[0], f.Winv.shape[0]
+            if f.B.shape != (n, r) or f.Winv.shape != (r, r) or f.pin.shape != (n,):
+                raise ValueError(
+                    f"factors of shapes {f.B.shape}, {f.Winv.shape}, {f.pin.shape} do not "
+                    f"fit a {n} x {n} matrix"
+                )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "kind", kind)
 
@@ -311,7 +379,9 @@ def nystrom_complete(
     Computes ``B pinv_k(W + lambda I) B'`` from the stacked client blocks
     ``B`` (``n_x x n_y``, see ``assemble_cross_block``), symmetrises, and
     applies the kind-specific post-processing.  Provenance records the
-    landmark count, effective rank, resolved ridge, and privacy mode.
+    landmark count, effective rank, resolved ridge, and privacy mode.  A
+    kernel completion that clipped no entry off the diagonal carries its
+    ``factors``, which share ``B``.
     """
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
@@ -324,16 +394,19 @@ def nystrom_complete(
             f"block has {W.n_landmarks}"
         )
     Winv, lam = _ridged_pinv(W.values, params)
-    # In a distance completion an overflow stays non-finite, which
-    # CompletedMatrix rejects.
+    factors = None
+    # An overflow stays non-finite, which CompletedMatrix rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _symmetrize(B @ Winv @ B.T)
-    if W.kind is MatrixKind.DISTANCE:
-        np.maximum(M, 0.0, out=M)
-        np.fill_diagonal(M, 0.0)
-    else:
-        np.clip(M, 0.0, 1.0, out=M)
-        np.fill_diagonal(M, 1.0)
+        M = B @ Winv @ B.T
+        if W.kind is MatrixKind.DISTANCE:
+            _symmetrize(M)
+            np.maximum(M, 0.0, out=M)
+            np.fill_diagonal(M, 0.0)
+        else:
+            pin = 1.0 - np.diagonal(M)
+            if not _symmetrize_clip(M, 0.0, 1.0):
+                factors = NystromFactors(B=B, Winv=Winv, pin=pin)
+            np.fill_diagonal(M, 1.0)
     return CompletedMatrix(
         values=M,
         kind=W.kind,
@@ -343,6 +416,7 @@ def nystrom_complete(
             "ridge_lambda": lam,
             "privacy_mode": str(privacy_mode),
         },
+        factors=factors,
     )
 
 

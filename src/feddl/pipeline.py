@@ -96,9 +96,10 @@ def _write(out: Path, writers: list) -> dict:
 
 #: each command's peak of dense n x n float64 arrays, in units of
 #: n^2 x 8 B, as tracemalloc measured it over whole runs at n = 2500:
-#: t-SNE 4.18 and UMAP 5.24 (both in the descent), spectral clustering 1.25
+#: t-SNE 4.18 and UMAP 5.24 (both in the descent), spectral clustering 1.22
 #: (in the completion: the one n x n product, symmetrised and checked in
-#: place, over the stacked blocks); ``fit`` holds no n x n array
+#: place, over the stacked blocks; the eigensolve, which also holds the
+#: n x n_y factor ``B``, peaks at 1.21); ``fit`` holds no n x n array
 _DENSE_PEAK_N2 = {"tsne": 4.2, "umap": 5.3, "speclust": 1.3}
 
 
@@ -244,6 +245,7 @@ def _run(cfg: PipelineConfig, out_dir, command: str) -> RunOutputs:
     out = _output_dir(out_dir)
     X, labels = load_dataset(cfg.dataset)
     shards, econf = _check_feasible(cfg, command, X, labels)
+    del X  # the shards hold copies of its columns
     shards = perturb_shards(shards, cfg.privacy)
     Y0 = init_landmarks(shards, cfg.fed)
     try:
@@ -264,6 +266,7 @@ def _run(cfg: PipelineConfig, out_dir, command: str) -> RunOutputs:
     if command != "fit":
         kind = MatrixKind.KERNEL if command == "speclust" else MatrixKind.DISTANCE
         completed = res.completed = _complete(shards, fed.landmarks, kernel, cfg, kind)
+        del shards  # nothing after the completion reads the points
         name = f"completed_{kind.value}.fdlm"
         writers.append((name, lambda p: write_matrix(p, completed.values)))
     if econf is not None:

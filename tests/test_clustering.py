@@ -14,7 +14,7 @@ from feddl.data import BlobSpec, generate_blobs
 from feddl.kernels import KernelParams, gaussian_kernel, pairwise_sq_dist, sq_dists
 from feddl.matrixio import read_matrix
 from feddl.metrics import nmi
-from feddl.nystrom import CompletedMatrix, MatrixKind
+from feddl.nystrom import CompletedMatrix, MatrixKind, NystromFactors
 from feddl.pipeline import run_fed_speclust
 from test_pipeline import TINY_INI
 
@@ -66,6 +66,12 @@ def test_kmeans_validation(rng):
         kmeans(np.empty((0, 2)), 1)
 
 
+def _unit_rows(r):
+    """Unit rows around ten axes, as ``spectral_cluster`` hands them to k-means."""
+    Z = r.normal(size=(2500, 10)) + 3 * np.eye(10)[r.integers(0, 10, 2500)]
+    return Z / np.linalg.norm(Z, axis=1, keepdims=True)
+
+
 def _kmeans_single_reference(
     Z: np.ndarray, c: int, rng: np.random.Generator, max_iter: int, rel_tol: float
 ) -> ClusterAssignment:
@@ -109,8 +115,11 @@ def _kmeans_single_reference(
         (lambda r: r.normal(size=(500, 10)) + 4 * np.eye(10)[r.integers(0, 10, 500)], 10),
         # four distinct points and six clusters: empty clusters are re-seeded
         (lambda r: np.repeat(r.normal(size=(4, 2)), 5, axis=0), 6),
+        # one coordinate: ``mean`` sums pairwise, so the centres come one by one
+        (lambda r: r.normal(size=(400, 1)), 4),
+        (_unit_rows, 10),
     ],
-    ids=["gaussian", "blobs", "reseeded"],
+    ids=["gaussian", "blobs", "reseeded", "one-coordinate", "unit-rows"],
 )
 @pytest.mark.parametrize("max_iter", [1, 2, 300])
 def test_kmeans_single_matches_the_reference(make_z, c, max_iter):
@@ -122,6 +131,23 @@ def test_kmeans_single_matches_the_reference(make_z, c, max_iter):
         ]
         npt.assert_array_equal(runs[0].labels, runs[1].labels)
         assert runs[0].inertia == runs[1].inertia
+
+
+def test_kmeans_single_reseeds_a_cluster_that_empties_mid_run(monkeypatch):
+    Z = np.array([[1, 6], [6, 2], [2, 8], [4, 9], [9, 2], [0, 8], [3, 0], [6, 1]], dtype=float)
+    start = np.array([[7, 7], [1, 2], [1, 4]], dtype=float)
+    # every cluster has points at the start, and the first Lloyd step empties one
+    first = sq_dists(Z, start).argmin(axis=1)
+    assert np.bincount(first, minlength=3).all()
+    centers = np.array([Z[first == j].mean(axis=0) for j in range(3)])
+    assert not np.bincount(sq_dists(Z, centers).argmin(axis=1), minlength=3).all()
+    monkeypatch.setattr(clustering, "_kmeans_pp_init", lambda Z, c, rng: start.copy())
+    runs = [
+        f(Z, 3, np.random.default_rng(0), 300, 1e-6)
+        for f in (clustering._kmeans_single, _kmeans_single_reference)
+    ]
+    npt.assert_array_equal(runs[0].labels, runs[1].labels)
+    assert runs[0].inertia == runs[1].inertia
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
@@ -336,3 +362,114 @@ def test_iterative_path_allocates_nothing_of_size_n_squared(monkeypatch):
     assert len(calls) == 1
     assert peak < 0.25 * K.nbytes
     assert nmi(out.labels, truth) > 0.9
+
+
+def _factored(K):
+    """``K`` as a kernel completion carrying exact factors of itself (from
+    its eigendecomposition), like the ones ``nystrom_complete`` keeps."""
+    w, V = np.linalg.eigh(K)
+    pin = np.diagonal(K) - np.einsum("ij,ij->i", V * w, V)
+    return CompletedMatrix(
+        values=K, kind=MatrixKind.KERNEL, factors=NystromFactors(B=V, Winv=np.diag(w), pin=pin)
+    )
+
+
+def _tiny_speclust_factored(tmp_path):
+    completed = run_fed_speclust(parse_config(TINY_INI), tmp_path).completed
+    assert completed.factors is not None  # nystrom_complete clipped nothing
+    return completed
+
+
+FACTORED_CASES = {
+    name: ((lambda tmp, make=make: _factored(make(tmp))), c)
+    for name, (make, c) in SPECTRAL_CASES.items()
+    if name != "tiny-speclust"
+}
+FACTORED_CASES["tiny-speclust"] = (_tiny_speclust_factored, 3)
+
+
+def _product_spy(monkeypatch):
+    """Record each ``_scaled_product`` as (operand type, inside lobpcg)."""
+    calls, inside = [], [False]
+    real_lobpcg, real_product = scipy.sparse.linalg.lobpcg, clustering._scaled_product
+
+    def lobpcg(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_lobpcg(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def product(K, d, X):
+        calls.append((type(K), inside[0]))
+        return real_product(K, d, X)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", lobpcg)
+    monkeypatch.setattr(clustering, "_scaled_product", product)
+    return calls
+
+
+@pytest.mark.parametrize("make,c", FACTORED_CASES.values(), ids=FACTORED_CASES)
+def test_factored_path_matches_dense_path(monkeypatch, tmp_path, make, c):
+    completed = make(tmp_path)
+    K = completed.values
+    calls = _product_spy(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = spectral_cluster(completed, c, seed=3)
+    # LOBPCG ran on the factors alone; the dense K served only the final check
+    assert {t for t, inside in calls if inside} == {NystromFactors}
+    assert [t for t, inside in calls if not inside] == [np.ndarray]
+    dense = spectral_cluster(K, c, seed=3)
+    assert out.labels.tobytes() == dense.labels.tobytes()
+    assert out.n_clusters == dense.n_clusters and out.inertia == pytest.approx(dense.inertia)
+
+    deg = K.sum(axis=1)
+    args = (K, deg, deg > 0, c, 3)
+    lam, _ = clustering._iterative_embedding(*args, completed.factors)
+    lam_dense, _ = clustering._iterative_embedding(*args)
+    npt.assert_allclose(lam, lam_dense, rtol=0, atol=1e-8)
+
+
+def test_clipping_completion_takes_the_dense_operator(monkeypatch, tmp_path):
+    # the speclust configuration CI reruns for the path without factors:
+    # rank 3 of the landmark block undershoots 0, so the completion clips
+    cfg = parse_config(
+        "[dataset]\npoints_per_blob = 20\n\n[partition]\nclients = 3\n\n"
+        "[federation]\nrounds = 3\nlandmarks = 12\n\n[completion]\nrank = 3\n\n"
+        "[run]\nseed = 1\n"
+    )
+    calls = _product_spy(monkeypatch)
+    out = run_fed_speclust(cfg, tmp_path)
+    assert out.completed.factors is None
+    assert out.completed.values.min() == 0.0
+    assert calls and {t for t, _ in calls} == {np.ndarray}
+    assert out.metrics.nmi == pytest.approx(1.0)
+
+
+def _scaled_factors(scale):
+    real = NystromFactors.__matmul__
+    return lambda self, X: scale * real(self, X)
+
+
+@pytest.mark.parametrize("make,c", FACTORED_CASES.values(), ids=FACTORED_CASES)
+def test_corrupted_factors_fall_back_to_the_dense_operator(monkeypatch, tmp_path, make, c):
+    completed = make(tmp_path)
+    ref = spectral_cluster(completed.values, c, seed=3)
+    monkeypatch.setattr(NystromFactors, "__matmul__", _scaled_factors(1.05))
+    calls = _lobpcg_spy(monkeypatch)
+    out = spectral_cluster(completed, c, seed=3)
+    assert len(calls) == 2  # the factored block failed the dense check
+    assert out.labels.tobytes() == ref.labels.tobytes()
+
+
+@pytest.mark.parametrize("wrong", WRONG_BLOCKS.values(), ids=WRONG_BLOCKS)
+def test_wrong_factored_and_dense_blocks_fall_back_to_eigh(monkeypatch, wrong):
+    K, truth = _blob_kernel(3, 30, 7)
+    ref = _dense_reference(K, 3, seed=0)
+    calls = _lobpcg_spy(monkeypatch, replace=wrong)
+    out = spectral_cluster(_factored(K), 3, seed=0)
+    assert len(calls) == 2
+    assert out.labels.tobytes() == ref.labels.tobytes()
+    assert nmi(out.labels, truth) == pytest.approx(1.0)
+

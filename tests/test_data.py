@@ -1,10 +1,13 @@
 import os
+import re
 import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from feddl import data
 from feddl.data import (
     BlobSpec,
     DatasetSpec,
@@ -149,6 +152,85 @@ def test_csv_errors(tmp_path):
         p.write_text(f"x,label\n1,0\n2,{label}\n")
         with pytest.raises(DataError, match=f"label '{label}' in row 3 is not an integer"):
             load_csv_dataset(p)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+_FIELD_FORMATS = [repr, "{:.17e}".format, "{:.3g}".format, "{:E}".format, lambda x: f" {x!r} "]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals and zeros
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, 2.2250738585072014e-308]),
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from(range(len(_FIELD_FORMATS))),
+    st.integers(0, 3),
+)
+def test_fast_csv_parse_is_the_row_loop_bit_for_bit(tmp_path_factory, rows, fmt, label_at):
+    write = _FIELD_FORMATS[fmt]
+    lines = []
+    for i, row in enumerate(rows):
+        fields = [write(v) for v in row]
+        fields.insert(label_at, str(i % 3))
+        lines.append(",".join(fields))
+    header = ["a", "b", "c"]
+    header.insert(label_at, "label")
+    text = ",".join(header) + "\n" + "\n".join(lines) + "\n"
+    fast = data._fast_csv(text, "label")
+    assert fast is not None
+    slow = data._slow_csv("d.csv", text, "label")
+    npt.assert_array_equal(_bits(fast[0]), _bits(slow[0]))
+    assert fast[1] == slow[1]
+    p = tmp_path_factory.mktemp("csv") / "d.csv"
+    p.write_text(text)
+    if not np.isfinite(slow[0]).all():  # a short format can round past the largest double
+        with pytest.raises(DataError, match="non-finite feature"):
+            load_csv_dataset(p)
+        return
+    X, labels = load_csv_dataset(p)
+    npt.assert_array_equal(_bits(X.T), _bits(slow[0]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'x,label\n"1.5",0\n2,1\n',  # a quoted feature
+        'x,label\n1.5,"7"\n2,1\n',  # a quoted label: csv reads 7
+        "x,label\r\n1.5,0\r\n2,1\r\n",  # CRLF line ends
+        "x,label\n1_5,0\n2,1\n",  # float() takes underscores, loadtxt does not
+        "x,label\n1.5,0\n\n2,1\n",  # a blank line
+        "x,label\n1.5,0\n2\n",  # a short row
+        "label\n0\n1\n",  # no feature column
+    ],
+    ids=["quoted", "quoted-label", "crlf", "underscore", "blank-line", "short-row", "labels-only"],
+)
+def test_csv_the_fast_parse_refuses_goes_through_the_row_loop(tmp_path, text):
+    assert data._fast_csv(text, "label") is None
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    try:
+        slow = data._slow_csv(str(p), text, "label")
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            load_csv_dataset(p)
+    else:
+        X, labels = load_csv_dataset(p)
+        npt.assert_array_equal(X.T, slow[0])
+        if "7" in text:
+            npt.assert_array_equal(labels, [7, 1])
 
 
 def test_blobs_shapes_and_labels():

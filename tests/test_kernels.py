@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -106,6 +107,41 @@ def test_knn_indices_matches_per_row_stable_argsort(n, k, levels, seed):
             knn_indices(rect, kk, exclude_self=False),
             np.argsort(rect, axis=1, kind="stable")[:, :kk],
         )
+
+
+@pytest.mark.parametrize(
+    "m,n", [(129, 129), (257, 257), (300, 40), (40, 300)], ids=["129", "257", "tall", "wide"]
+)
+def test_knn_indices_across_row_blocks(m, n):
+    # 128-row blocks: the last one has one row at 129 and 257 points
+    rng = np.random.default_rng(m + n)
+    D = rng.integers(0, 3, size=(m, n)).astype(np.float64)  # many ties
+    if m == n:
+        D = D + D.T
+    D[rng.random(m) < 0.1] = 1.0  # every entry of the row ties
+    for k in (1, 15, n - 1, n):
+        for exclude_self in (True, False):
+            expected = []
+            for i in range(m):
+                row = D[i].copy()
+                if exclude_self and i < n:
+                    row[i] = np.inf
+                expected.append(np.argsort(row, kind="stable")[:k])
+            npt.assert_array_equal(knn_indices(D, k, exclude_self=exclude_self), expected)
+
+
+def test_knn_indices_works_in_row_blocks():
+    n = 1000
+    D = sq_dists(np.random.default_rng(0).normal(size=(n, 3)))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        knn_indices(D, 15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two 128-row copies and their masks, where a whole copy was 2 n^2
+    assert peak - base <= 0.35 * n * n * 8
 
 
 def test_gaussian_kernel_range_and_gamma_zero():

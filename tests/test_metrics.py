@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,8 @@ from feddl.metrics import (
     silhouette,
     summarize_reports,
 )
+from feddl.metrics import _cluster_sums
+from feddl.nystrom import CompletedMatrix, MatrixKind
 
 # frozen output of tests/oracles/gen_embed_metrics_reference.py
 NMI_REFERENCE = 0.34559202994421136  # labels 0011 vs 0111
@@ -84,6 +87,40 @@ def test_silhouette_coincident_points_zero():
 def test_silhouette_needs_two_clusters():
     with pytest.raises(ValueError, match="two clusters"):
         silhouette(np.zeros((3, 1)), [0, 0, 0])
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 513, 600])
+def test_cluster_sums_by_row_blocks_are_the_whole_array_sums(n):
+    # 256-row blocks: at 257 and 513 points the last row joins the block before it
+    rng = np.random.default_rng(n)
+    D = np.sqrt(sq_dists(rng.normal(size=(n, 3))))
+    enc = np.arange(n) % 2 if n < 5 else rng.integers(0, 5, size=n)
+    expected = np.stack([D[:, enc == c].sum(axis=1) for c in range(enc.max() + 1)], axis=1)
+    npt.assert_array_equal(_cluster_sums(D, enc, enc.max() + 1), expected)
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+def test_npa_and_silhouette_hold_one_n_by_n_array():
+    n = 1000
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(n, 5))
+    Dh = CompletedMatrix(values=sq_dists(X), kind=MatrixKind.DISTANCE)
+    Z = X[:, :2] + 0.3 * rng.normal(size=(n, 2))
+    n2 = n * n * 8
+    # the embedding distances, plus 128-row blocks of the selection
+    assert _traced_peak(npa_knn, Dh, Z, [10, 30]) <= 1.35 * n2
+    # the distances, plus 256-row gathers of a cluster's columns
+    assert _traced_peak(silhouette, Z, rng.integers(0, 5, size=n)) <= 1.15 * n2
 
 
 def test_ca_perfectly_separated_clusters():

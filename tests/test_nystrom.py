@@ -12,8 +12,10 @@ from feddl.nystrom import (
     CompletionParams,
     LandmarkBlock,
     MatrixKind,
+    NystromFactors,
     _all_finite,
     _symmetrize,
+    _symmetrize_clip,
     _symmetry_gap,
     assemble_cross_block,
     evaluate_bounds,
@@ -279,6 +281,29 @@ def test_tiled_symmetrize_is_the_whole_array_formula(n):
 
 
 @pytest.mark.parametrize("n", TILE_SIZES)
+@pytest.mark.parametrize("case", ["inside", "bounds-and-diagonal", "last-tile", "everywhere"])
+def test_tiled_symmetrize_clip_is_the_whole_array_clip(n, case):
+    r = np.random.default_rng(n)
+    M = r.uniform(-0.5, 1.5, size=(n, n)) if case == "everywhere" else r.uniform(size=(n, n))
+    if case == "bounds-and-diagonal":
+        # entries at the bounds (signed zeros too) are not clipped, and the
+        # diagonal does not count
+        M[r.uniform(size=(n, n)) < 0.2] = 1.0
+        M[r.uniform(size=(n, n)) < 0.2] = r.choice([0.0, -0.0])
+        M[np.diag_indices(n)] = r.choice([-0.5, 1.5, -0.0], size=n)
+    if case == "last-tile" and n > 1:
+        M[n - 1, 0] = -1.0  # in the last tile pair, after every other
+    S = 0.5 * (M + M.T)
+    off = ~np.eye(n, dtype=bool)
+    clipped = _symmetrize_clip(M, 0.0, 1.0)
+    assert clipped is bool((S[off] < 0).any() or (S[off] > 1).any())
+    if case != "everywhere":
+        assert clipped is (case == "last-tile" and n > 1)
+    npt.assert_array_equal(M.view(np.int64), np.clip(S, 0.0, 1.0).view(np.int64))
+    npt.assert_array_equal(M, M.T)
+
+
+@pytest.mark.parametrize("n", TILE_SIZES)
 def test_panel_checks_are_the_whole_array_checks(n):
     A = np.random.default_rng(n).normal(size=(n, n))
     assert _symmetry_gap(A) == np.abs(A - A.T).max()
@@ -313,6 +338,57 @@ def test_completion_holds_one_n_by_n_array(rng):
         tracemalloc.stop()
     assert completed.n_points == n
     assert peak - base <= 1.5 * n * n * 8
+
+
+def _kernel_completion(rng, gamma, rank_k=0, n=150, n_y=20):
+    X, Y = rng.normal(size=(3, n)), rng.normal(size=(3, n_y))
+    params = KernelParams(gamma=gamma)
+    B = gaussian_kernel(pairwise_sq_dist(X, Y), params)
+    W_values = gaussian_kernel(pairwise_sq_dist(Y, Y), params)
+    W = LandmarkBlock(values=W_values, kind=MatrixKind.KERNEL)
+    return B, W, nystrom_complete(B, W, CompletionParams(rank_k=rank_k))
+
+
+def test_kernel_completion_keeps_its_factors(rng):
+    # a wide kernel: no entry of B W^+ B' leaves [0, 1]
+    B, W, completed = _kernel_completion(rng, gamma=0.02)
+    f = completed.factors
+    assert isinstance(f, NystromFactors) and f.B is B
+    Winv = rank_k_pinv(W, CompletionParams())
+    npt.assert_array_equal(f.Winv, Winv)
+    npt.assert_array_equal(f.pin, 1.0 - np.diagonal(B @ Winv @ B.T))
+    X = rng.normal(size=(B.shape[0], 4))
+    # equal up to rounding, which W^+ of a near-singular W magnifies
+    KX = completed.values @ X
+    npt.assert_allclose(f @ X, KX, rtol=0, atol=1e-9 * np.abs(KX).max())
+    # the factors change nothing of the matrix: same doubles as without them
+    expected = np.clip(_symmetrize(B @ Winv @ B.T), 0.0, 1.0)
+    np.fill_diagonal(expected, 1.0)
+    npt.assert_array_equal(completed.values, expected)
+
+
+def test_clipping_kernel_completion_has_no_factors(rng):
+    B, W, completed = _kernel_completion(rng, gamma=0.5, rank_k=2)
+    raw = B @ rank_k_pinv(W, CompletionParams(rank_k=2)) @ B.T
+    off = ~np.eye(raw.shape[0], dtype=bool)
+    assert (raw[off] < 0).any()  # rank 2 of a narrow kernel undershoots 0
+    assert completed.factors is None
+
+
+def test_distance_completion_has_no_factors(rng):
+    X, Y = rng.normal(size=(3, 50)), rng.normal(size=(3, 10))
+    W = LandmarkBlock(values=pairwise_sq_dist(Y, Y), kind=MatrixKind.DISTANCE)
+    completed = nystrom_complete(pairwise_sq_dist(X, Y), W, CompletionParams())
+    assert completed.factors is None
+
+
+def test_completed_matrix_checks_its_factors():
+    K = np.array([[1.0, 0.5], [0.5, 1.0]])
+    good = NystromFactors(B=np.ones((2, 1)), Winv=np.full((1, 1), 0.5), pin=np.full(2, 0.5))
+    assert CompletedMatrix(values=K, kind=MatrixKind.KERNEL, factors=good).factors is good
+    bad = NystromFactors(B=np.ones((3, 1)), Winv=np.ones((1, 1)), pin=np.zeros(3))
+    with pytest.raises(ValueError, match="do not fit a 2 x 2 matrix"):
+        CompletedMatrix(values=K, kind=MatrixKind.KERNEL, factors=bad)
 
 
 def test_completed_matrix_coerce():
