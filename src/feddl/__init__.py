@@ -56,13 +56,11 @@ from .kernels import (
 )
 from .metrics import (
     MetricsReport,
-    MetricsSummary,
     ari,
     ca_knn,
     nmi,
     npa_knn,
     silhouette,
-    summarize_reports,
 )
 from .nystrom import (
     BoundReport,
@@ -73,7 +71,6 @@ from .nystrom import (
     assemble_cross_block,
     evaluate_bounds,
     nystrom_complete,
-    rank_k_pinv,
 )
 from .pipeline import (
     run_eval,
@@ -137,7 +134,6 @@ __all__ = [
     "CompletedMatrix",
     "BoundReport",
     "assemble_cross_block",
-    "rank_k_pinv",
     "nystrom_complete",
     "evaluate_bounds",
     # embedding
@@ -154,13 +150,11 @@ __all__ = [
     "spectral_cluster",
     # metrics
     "MetricsReport",
-    "MetricsSummary",
     "ca_knn",
     "npa_knn",
     "nmi",
     "silhouette",
     "ari",
-    "summarize_reports",
     # data
     "PartitionMode",
     "PartitionSpec",

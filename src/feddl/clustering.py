@@ -39,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import _sq_norms, normalized_adjacency, sq_dists
-from .nystrom import CompletedMatrix, MatrixKind, _symmetrize
+from .nystrom import CompletedMatrix, MatrixKind, _symmetrize_clip
 
 __all__ = ["ClusterAssignment", "kmeans", "spectral_cluster"]
 
@@ -50,6 +50,11 @@ _LOBPCG_TOL = 1e-8
 _LOBPCG_MAXITER = 200
 #: largest eigen-residual (and orthonormality gap) of an accepted block
 _RESIDUAL_TOL = 1e-6
+#: k-means restarts, Lloyd iterations per restart and the relative inertia
+#: change that ends them
+_KMEANS_RESTARTS = 10
+_KMEANS_MAX_ITER = 300
+_KMEANS_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -135,22 +140,16 @@ def _kmeans_single(
     return ClusterAssignment(labels=labels, n_clusters=c, inertia=float(prev_inertia))
 
 
-def kmeans(
-    Z: np.ndarray,
-    c: int,
-    seed: int = 0,
-    max_iter: int = 300,
-    rel_tol: float = 1e-6,
-    n_init: int = 10,
-) -> ClusterAssignment:
-    """Lloyd's algorithm with k-means++ seeding, best of ``n_init``
-    restarts by inertia.
+def kmeans(Z: np.ndarray, c: int, seed: int = 0) -> ClusterAssignment:
+    """Lloyd's algorithm with k-means++ seeding, best of 10 restarts by
+    inertia; each runs until the relative inertia change drops below 1e-6
+    or for 300 iterations.
 
     Ties in the assignment step go to the lowest cluster index.  An empty
     cluster is re-seeded at the point currently farthest from its
-    assigned centroid.  Restarts draw from per-restart substreams of the
-    seed, so the result is deterministic; on an inertia tie the earliest
-    restart wins.
+    assigned centroid.  Restart ``r`` draws from the substream
+    ``SeedSequence([seed, 4, r])``, so the result is deterministic; on an
+    inertia tie the earliest restart wins.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] == 0:
@@ -158,14 +157,10 @@ def kmeans(
     n = Z.shape[0]
     if not (1 <= c <= n):
         raise ValueError(f"cluster count must lie in [1, {n}], got {c}")
-    if n_init < 1:
-        raise ValueError(f"n_init must be >= 1, got {n_init}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     best: ClusterAssignment | None = None
-    for restart in range(n_init):
+    for restart in range(_KMEANS_RESTARTS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 4, restart]))
-        cand = _kmeans_single(Z, c, rng, max_iter, rel_tol)
+        cand = _kmeans_single(Z, c, rng, _KMEANS_MAX_ITER, _KMEANS_REL_TOL)
         if best is None or cand.inertia < best.inertia:
             best = cand
     return best
@@ -176,7 +171,8 @@ def _dense_embedding(Kv: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     LAPACK eigensolve of ``L = I - S`` (the fallback of the iterative
     path and the reference its tests compare against)."""
     _, active, S = normalized_adjacency(Kv)
-    Lsym = _symmetrize(np.eye(S.shape[0]) - S)
+    Lsym = np.eye(S.shape[0]) - S
+    _symmetrize_clip(Lsym, -np.inf, np.inf)
     w, vecs = scipy.linalg.eigh(Lsym, subset_by_index=(0, c - 1))
     return 1.0 - w, vecs
 

@@ -299,16 +299,16 @@ def mmd_gradient(Xp, Y, params: KernelParams) -> np.ndarray:
     return _mmd_gradient_core(Xp, _sq_norms(Xp.T), _landmark_side(Y, g), g)[0]
 
 
-def median_heuristic_gamma(Y, max_sample: int = 256) -> float:
+def median_heuristic_gamma(Y) -> float:
     """Bandwidth heuristic: ``1 / (2 * median pairwise squared distance)``.
 
-    Evaluated on at most ``max_sample`` columns of ``Y`` (evenly spaced,
-    so the choice is deterministic).  Falls back to ``1.0`` when the
-    median vanishes (all sampled points identical).
+    Evaluated on at most 256 columns of ``Y`` (evenly spaced, so the
+    choice is deterministic).  Falls back to ``1.0`` when the median
+    vanishes (all sampled points identical).
     """
     Y = _as_points(Y, "Y")
-    if Y.shape[1] > max_sample:
-        Y = Y[:, np.linspace(0, Y.shape[1] - 1, max_sample).round().astype(int)]
+    if Y.shape[1] > 256:
+        Y = Y[:, np.linspace(0, Y.shape[1] - 1, 256).round().astype(int)]
     n = Y.shape[1]
     if n < 2:
         return 1.0

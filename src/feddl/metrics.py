@@ -10,8 +10,8 @@
 * ``silhouette`` — mean silhouette coefficient (singletons score 0);
 * ``ari`` — adjusted Rand index.
 
-``MetricsReport`` bundles one run's numbers; ``summarize_reports``
-aggregates several runs (one per seed) into mean/std pairs.
+``MetricsReport`` bundles one run's numbers, in the rows that
+``metrics.csv`` holds.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ from .nystrom import CompletedMatrix, MatrixKind
 
 __all__ = [
     "MetricsReport",
-    "MetricsSummary",
     "ca_knn",
     "npa_knn",
     "nmi",
     "silhouette",
     "ari",
-    "summarize_reports",
 ]
 
 
@@ -283,32 +281,3 @@ class MetricsReport:
             if v is not None:
                 out.append((name, v))
         return out
-
-
-@dataclass(frozen=True)
-class MetricsSummary:
-    """Per-metric mean and sample standard deviation across seeds."""
-
-    mean: dict[str, float]
-    std: dict[str, float]
-    n_runs: int
-
-    def format(self, name: str, digits: int = 4) -> str:
-        return f"{self.mean[name]:.{digits}f}±{self.std[name]:.{digits}f}"
-
-
-def summarize_reports(reports: list[MetricsReport]) -> MetricsSummary:
-    """Aggregate per-seed reports into mean ± sample-std (ddof=1; a single
-    run reports std 0)."""
-    if not reports:
-        raise ValueError("at least one report is required")
-    names = [name for name, _ in reports[0].rows()]
-    values = {name: [] for name in names}
-    for rep in reports:
-        for name, v in rep.rows():
-            values[name].append(v)
-    mean = {k: float(np.mean(v)) for k, v in values.items()}
-    std = {
-        k: (float(np.std(v, ddof=1)) if len(v) > 1 else 0.0) for k, v in values.items()
-    }
-    return MetricsSummary(mean=mean, std=std, n_runs=len(reports))

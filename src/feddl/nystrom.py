@@ -65,7 +65,6 @@ __all__ = [
     "NystromFactors",
     "BoundReport",
     "assemble_cross_block",
-    "rank_k_pinv",
     "nystrom_complete",
     "evaluate_bounds",
 ]
@@ -120,25 +119,14 @@ def _tile_pairs(n: int):
             yield i0, i1, j0, min(j0 + _TILE, n)
 
 
-def _symmetrize(M: np.ndarray) -> np.ndarray:
-    """``M <- 0.5 (M + M')`` in place, one pair of 64 x 64 tiles
-    ``(I, J), I <= J`` at a time; returns ``M``.  Float addition
-    commutes, so every entry is the double of the whole-array formula and
-    the result is exactly symmetric."""
-    for i0, i1, j0, j1 in _tile_pairs(M.shape[0]):
-        s = M[i0:i1, j0:j1] + M[j0:j1, i0:i1].T
-        s *= 0.5
-        M[i0:i1, j0:j1] = s
-        M[j0:j1, i0:i1] = s.T
-    return M
-
-
 def _symmetrize_clip(M: np.ndarray, lo: float, hi: float) -> bool:
-    """``M <- clip(0.5 (M + M'), lo, hi)`` in place, tile pair by tile
-    pair as in ``_symmetrize``: every entry is the double of the
-    whole-array ``np.clip`` of the symmetrised ``M``.  Returns whether an
-    entry off the diagonal lay outside ``[lo, hi]``, found on the tiles
-    on the way, with no pass over ``M`` of its own."""
+    """``M <- clip(0.5 (M + M'), lo, hi)`` in place, one pair of 64 x 64
+    tiles ``(I, J), I <= J`` at a time.  Float addition commutes, so every
+    entry is the double of the whole-array ``np.clip`` of the symmetrised
+    ``M`` and the result is exactly symmetric; ``lo, hi = -inf, inf``
+    symmetrises alone.  Returns whether an entry off the diagonal lay
+    outside ``[lo, hi]``, found on the tiles on the way, with no pass over
+    ``M`` of its own."""
     clipped = False
     for i0, i1, j0, j1 in _tile_pairs(M.shape[0]):
         s = M[i0:i1, j0:j1] + M[j0:j1, i0:i1].T
@@ -162,13 +150,19 @@ def _all_finite(A: np.ndarray) -> bool:
 
 def _symmetry_gap(A: np.ndarray) -> float:
     """``max |A - A'|`` of a square ``A``, one row panel of the upper
-    triangle at a time (the gap matrix is symmetric)."""
+    triangle at a time (the gap matrix is symmetric).  It is not finite
+    when an entry is not (``x - x`` is nan on the diagonal) or when a
+    difference overflows; the first such panel ends the pass."""
     n = A.shape[0]
     gap = 0.0
-    for i0 in range(0, n, _TILE):
-        i1 = min(i0 + _TILE, n)
-        d = A[i0:i1, i0:] - A[i0:, i0:i1].T
-        gap = max(gap, float(np.abs(d, out=d).max(initial=0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n, _TILE):
+            i1 = min(i0 + _TILE, n)
+            d = A[i0:i1, i0:] - A[i0:, i0:i1].T
+            panel = float(np.abs(d, out=d).max(initial=0.0))
+            if not math.isfinite(panel):
+                return panel
+            gap = max(gap, panel)
     return gap
 
 
@@ -180,13 +174,17 @@ def _checked_symmetric(M, what: str, rtol: float) -> np.ndarray:
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{what} must be square, got shape {A.shape}")
-    if not _all_finite(A):
-        raise ValueError(f"{what} contains non-finite entries")
     gap = _symmetry_gap(A)
+    # a finite A whose gap is not finite has a pair whose difference overflows
+    if not math.isfinite(gap) and not _all_finite(A):
+        raise ValueError(f"{what} contains non-finite entries")
     # an exactly symmetric A (every completion) needs no scale for its gap
     if gap and gap > rtol * max(1.0, float(A.max(initial=0.0)), -float(A.min(initial=0.0))):
         raise ValueError(f"{what} is not symmetric within {rtol:g}")
-    return A if gap == 0.0 else _symmetrize(A.copy())
+    if gap:
+        A = A.copy()
+        _symmetrize_clip(A, -math.inf, math.inf)
+    return A
 
 
 @dataclass(frozen=True)
@@ -215,23 +213,20 @@ class LandmarkBlock:
         return self.values.shape[0]
 
 
-def assemble_cross_block(
-    blocks: Sequence[np.ndarray], client_ids: Sequence[int] | None = None
-) -> np.ndarray:
+def assemble_cross_block(blocks: Sequence[np.ndarray], client_ids: Sequence[int]) -> np.ndarray:
     """Stack per-client landmark blocks in client order into ``B``
     (``n_x x n_y``).
 
     All blocks must share the landmark (column) count; ``client_ids``
-    (positional by default) name the offending client in errors.
+    name the offending client in errors.
     """
     if not blocks:
         raise ValueError("at least one client block is required")
-    ids = list(client_ids) if client_ids is not None else list(range(len(blocks)))
-    if len(ids) != len(blocks):
-        raise ValueError(f"got {len(blocks)} blocks but {len(ids)} client ids")
+    if len(client_ids) != len(blocks):
+        raise ValueError(f"got {len(blocks)} blocks but {len(client_ids)} client ids")
     mats = [np.asarray(b, dtype=np.float64) for b in blocks]
     n_y = mats[0].shape[1]
-    for cid, b in zip(ids, mats):
+    for cid, b in zip(client_ids, mats):
         if b.ndim != 2 or b.shape[1] != n_y:
             raise ValueError(
                 f"client {cid}: block shape {b.shape} incompatible with {n_y} landmarks"
@@ -268,7 +263,13 @@ def _auto_ridge(W: np.ndarray, w: np.ndarray, params: CompletionParams) -> float
 
 
 def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, float]:
-    """``rank_k_pinv`` and the ridge it applied.
+    """Signed rank-``k`` pseudo-inverse of ``W + lambda I``, and the ridge
+    ``lambda`` it applied.
+
+    The ``k`` eigenvalues of largest magnitude above the floor are
+    inverted with their signs (indefinite blocks, squared-distance
+    matrices, are valid inputs).  A block with no eigenvalue above the
+    floor is numerically rank-zero and rejected.
 
     A configured ridge takes one eigendecomposition, of ``W + lambda I``.
     Otherwise the one of ``W`` decides the automatic ridge and, when that
@@ -285,18 +286,9 @@ def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, f
     if kept.size == 0:
         raise ValueError("landmark block is numerically rank-zero; cannot invert")
     Vk = V[:, kept]
-    return _symmetrize((Vk / w[kept][None, :]) @ Vk.T), lam
-
-
-def rank_k_pinv(W: LandmarkBlock, params: CompletionParams) -> np.ndarray:
-    """Signed rank-``k`` pseudo-inverse of ``W + lambda I``.
-
-    Symmetric eigendecomposition; the ``k`` eigenvalues of largest
-    magnitude above the floor are inverted with their signs (indefinite
-    blocks — squared-distance matrices — are valid inputs).  A block with
-    no eigenvalue above the floor is numerically rank-zero and rejected.
-    """
-    return _ridged_pinv(W.values, params)[0]
+    Winv = (Vk / w[kept][None, :]) @ Vk.T
+    _symmetrize_clip(Winv, -math.inf, math.inf)
+    return Winv, lam
 
 
 @dataclass(frozen=True)
@@ -399,7 +391,8 @@ def nystrom_complete(
     with np.errstate(over="ignore", invalid="ignore"):
         M = B @ Winv @ B.T
         if W.kind is MatrixKind.DISTANCE:
-            _symmetrize(M)
+            _symmetrize_clip(M, -math.inf, math.inf)
+            # not a clip to [0, inf): np.clip keeps -0.0, np.maximum gives +0.0
             np.maximum(M, 0.0, out=M)
             np.fill_diagonal(M, 0.0)
         else:

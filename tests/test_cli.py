@@ -606,6 +606,12 @@ def _asymmetric(D):
     return D
 
 
+def _overflowing_asymmetry(D):
+    # finite, but the difference of the pair overflows
+    D[0, 1], D[1, 0] = 1e308, -1e308
+    return D
+
+
 def _cut_last_byte(path, _other):
     path.write_bytes(path.read_bytes()[:-1])
 
@@ -661,6 +667,10 @@ BAD_INPUTS = {
     ),
     "fdlm-asymmetric-distances": (
         lambda p: _eval(p, distances=_asymmetric),
+        "distance matrix is not symmetric",
+    ),
+    "fdlm-overflowing-asymmetry": (
+        lambda p: _eval(p, distances=_overflowing_asymmetry),
         "distance matrix is not symmetric",
     ),
 }

@@ -48,7 +48,10 @@ def test_kmeans_deterministic_and_restart_never_worse(rng):
     a = kmeans(Z, 4, seed=7)
     b = kmeans(Z, 4, seed=7)
     npt.assert_array_equal(a.labels, b.labels)
-    single = kmeans(Z, 4, seed=7, n_init=1)
+    # the first restart alone, on its stream of the seed
+    single = clustering._kmeans_single(
+        Z, 4, np.random.default_rng(np.random.SeedSequence([7, 4, 0])), 300, 1e-6
+    )
     assert a.inertia <= single.inertia + 1e-12
 
 
@@ -58,10 +61,6 @@ def test_kmeans_validation(rng):
         kmeans(Z, 0)
     with pytest.raises(ValueError):
         kmeans(Z, 6)
-    with pytest.raises(ValueError):
-        kmeans(Z, 2, n_init=0)
-    with pytest.raises(ValueError, match="max_iter"):
-        kmeans(Z, 2, max_iter=0)
     with pytest.raises(ValueError):
         kmeans(np.empty((0, 2)), 1)
 
@@ -155,7 +154,7 @@ def test_kmeans_single_reseeds_a_cluster_that_empties_mid_run(monkeypatch):
 def test_kmeans_labels_in_range_and_no_empty_cluster(seed, c):
     r = np.random.default_rng(seed)
     Z = r.normal(size=(25, 3))
-    out = kmeans(Z, c, seed=0, n_init=2)
+    out = kmeans(Z, c, seed=0)
     assert out.labels.shape == (25,)
     assert out.labels.min() >= 0 and out.labels.max() < c
     assert len(np.unique(out.labels)) == c

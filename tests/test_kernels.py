@@ -310,9 +310,7 @@ def test_median_heuristic_constant_points_fallback():
 
 def test_median_heuristic_subsample_deterministic(rng):
     Y = rng.normal(size=(2, 600))
-    assert median_heuristic_gamma(Y, max_sample=256) == median_heuristic_gamma(
-        Y, max_sample=256
-    )
+    assert median_heuristic_gamma(Y) == median_heuristic_gamma(Y)
 
 
 def test_normalized_adjacency_drops_isolated_points(rng):

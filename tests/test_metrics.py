@@ -8,13 +8,11 @@ import pytest
 from feddl.kernels import knn_indices, sq_dists
 from feddl.metrics import (
     MetricsReport,
-    MetricsSummary,
     ari,
     ca_knn,
     nmi,
     npa_knn,
     silhouette,
-    summarize_reports,
 )
 from feddl.metrics import _cluster_sums
 from feddl.nystrom import CompletedMatrix, MatrixKind
@@ -189,19 +187,6 @@ def test_report_rows_ordering():
     )
     names = [name for name, _ in rep.rows()]
     assert names == ["ca_knn_1", "ca_knn_10", "npa_knn_10", "nmi", "sc", "ari"]
-
-
-def test_summarize_reports_mean_and_std():
-    reps = [
-        MetricsReport(ca={1: 0.4}, npa={}, nmi=0.2, sc=0.0, ari=0.1),
-        MetricsReport(ca={1: 0.6}, npa={}, nmi=0.4, sc=0.0, ari=0.3),
-    ]
-    summary = summarize_reports(reps)
-    assert isinstance(summary, MetricsSummary)
-    assert summary.mean["ca_knn_1"] == pytest.approx(0.5)
-    assert summary.std["ca_knn_1"] == pytest.approx(np.sqrt(0.02))
-    assert summary.std["sc"] == 0.0
-    assert "0.5000" in summary.format("ca_knn_1")
 
 
 def test_sequence_k_scores_every_k_from_one_ordering(rng):

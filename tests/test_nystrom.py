@@ -14,13 +14,12 @@ from feddl.nystrom import (
     MatrixKind,
     NystromFactors,
     _all_finite,
-    _symmetrize,
+    _ridged_pinv,
     _symmetrize_clip,
     _symmetry_gap,
     assemble_cross_block,
     evaluate_bounds,
     nystrom_complete,
-    rank_k_pinv,
 )
 
 PARAMS = KernelParams(gamma=0.5)
@@ -30,41 +29,46 @@ def kernel_block(Xa, Xb):
     return gaussian_kernel(pairwise_sq_dist(Xa, Xb), PARAMS)
 
 
-def test_rank_k_pinv_full_rank_is_inverse():
+def pinv(W, params):
+    """The rank-k pseudo-inverse ``nystrom_complete`` uses, without its ridge."""
+    return _ridged_pinv(W.values, params)[0]
+
+
+def test_ridged_pinv_full_rank_is_inverse():
     W = LandmarkBlock(values=np.array([[1.0, 0.5], [0.5, 1.0]]), kind=MatrixKind.KERNEL)
-    M = rank_k_pinv(W, CompletionParams(rank_k=0))
+    M = pinv(W, CompletionParams(rank_k=0))
     npt.assert_allclose(M, [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]], rtol=1e-14)
 
 
-def test_rank_k_pinv_rank_one_hand_value():
+def test_ridged_pinv_rank_one_hand_value():
     # keep only the eigenvalue 1.5 with eigenvector (1,1)/sqrt(2)
     W = LandmarkBlock(values=np.array([[1.0, 0.5], [0.5, 1.0]]), kind=MatrixKind.KERNEL)
-    M = rank_k_pinv(W, CompletionParams(rank_k=1))
+    M = pinv(W, CompletionParams(rank_k=1))
     npt.assert_allclose(M, np.full((2, 2), 1 / 3), rtol=1e-14)
 
 
-def test_rank_k_pinv_signed_matches_pinvh(rng):
+def test_ridged_pinv_signed_matches_pinvh(rng):
     # squared-distance blocks are indefinite; signed inversion must agree
     # with the general symmetric pseudo-inverse
     X = rng.normal(size=(3, 8))
     D2 = pairwise_sq_dist(X, X)
     W = LandmarkBlock(values=D2, kind=MatrixKind.DISTANCE)
-    M = rank_k_pinv(W, CompletionParams(rank_k=0))
+    M = pinv(W, CompletionParams(rank_k=0))
     npt.assert_allclose(M, scipy.linalg.pinvh(D2), rtol=1e-8, atol=1e-10)
 
 
-def test_rank_k_pinv_penrose_property(rng):
+def test_ridged_pinv_penrose_property(rng):
     X = rng.normal(size=(2, 6))
     W = LandmarkBlock(values=kernel_block(X, X), kind=MatrixKind.KERNEL)
-    M = rank_k_pinv(W, CompletionParams(rank_k=0))
+    M = pinv(W, CompletionParams(rank_k=0))
     npt.assert_allclose(M @ W.values @ M, M, rtol=1e-9, atol=1e-12)
     npt.assert_allclose(W.values @ M @ W.values, W.values, rtol=1e-9, atol=1e-12)
 
 
-def test_rank_k_pinv_truncates_rank(rng):
+def test_ridged_pinv_truncates_rank(rng):
     X = rng.normal(size=(2, 5))
     W = LandmarkBlock(values=kernel_block(X, X), kind=MatrixKind.KERNEL)
-    M = rank_k_pinv(W, CompletionParams(rank_k=2))
+    M = pinv(W, CompletionParams(rank_k=2))
     eigs = np.abs(scipy.linalg.eigvalsh(M))
     assert np.sum(eigs > 1e-10 * eigs.max()) == 2
 
@@ -204,19 +208,17 @@ def test_completion_decomposes_landmark_block_once_unless_auto_ridge(
 
 def test_assemble_cross_block_ranges():
     blocks = [np.zeros((3, 4)), np.ones((2, 4)), np.full((5, 4), 2.0)]
-    B = assemble_cross_block(blocks, client_ids=[7, 3, 9])
+    B = assemble_cross_block(blocks, [7, 3, 9])
     npt.assert_array_equal(B, np.repeat([0.0, 1.0, 2.0], [3, 2, 5])[:, None] * np.ones(4))
 
 
 def test_assemble_cross_block_validation():
     with pytest.raises(ValueError, match="at least one"):
-        assemble_cross_block([])
-    with pytest.raises(ValueError, match="incompatible"):
-        assemble_cross_block([np.zeros((2, 3)), np.zeros((2, 4))])
+        assemble_cross_block([], [])
     with pytest.raises(ValueError, match="client 4: block shape"):
-        assemble_cross_block([np.zeros((2, 3)), np.zeros((2, 4))], client_ids=[1, 4])
+        assemble_cross_block([np.zeros((2, 3)), np.zeros((2, 4))], [1, 4])
     with pytest.raises(ValueError, match="client ids"):
-        assemble_cross_block([np.zeros((2, 3))], client_ids=[1, 2])
+        assemble_cross_block([np.zeros((2, 3))], [1, 2])
 
 
 def test_nystrom_complete_checks_the_cross_block():
@@ -242,6 +244,12 @@ def test_landmark_block_validation():
         LandmarkBlock(values=np.array([[0.0, 0.5], [0.5, 0.0]]), kind=MatrixKind.KERNEL)
 
 
+def _with_entry(i, j, x):
+    M = np.ones((3, 3)) - np.eye(3)
+    M[i, j] = x
+    return M
+
+
 @pytest.mark.parametrize(
     "values,message",
     [
@@ -249,8 +257,16 @@ def test_landmark_block_validation():
         (np.array([[0.0, np.nan], [np.nan, 0.0]]), "distance matrix contains non-finite"),
         (np.array([[0.0, -1.0], [-1.0, 0.0]]), "distance matrix must be non-negative"),
         (np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]), "distance matrix is not symmetric"),
+        # the difference of this finite pair overflows
+        (np.array([[0.0, 1e308], [-1e308, 0.0]]), "distance matrix is not symmetric"),
+    ]
+    + [
+        (_with_entry(i, j, x), "distance matrix contains non-finite")
+        for i, j in [(1, 1), (0, 2), (2, 0)]
+        for x in [np.nan, np.inf, -np.inf]
     ],
-    ids=["non-square", "nan", "negative", "asymmetric"],
+    ids=["non-square", "nan", "negative", "asymmetric", "overflowing-pair"]
+    + [f"{x}-{where}" for where in ["diagonal", "above", "below"] for x in ["nan", "inf", "-inf"]],
 )
 def test_completed_matrix_checks_itself(values, message):
     with pytest.raises(ValueError, match=message):
@@ -272,12 +288,21 @@ TILE_SIZES = [1, 2, 63, 64, 65, 129, 600]
 
 
 @pytest.mark.parametrize("n", TILE_SIZES)
-def test_tiled_symmetrize_is_the_whole_array_formula(n):
-    M = np.random.default_rng(n).normal(size=(n, n))
-    expected = 0.5 * (M + M.T)
-    assert _symmetrize(M) is M
-    npt.assert_array_equal(M, expected)
-    npt.assert_array_equal(M, M.T)
+@pytest.mark.parametrize("special", [False, True], ids=["normal", "special-values"])
+def test_tiled_symmetrize_is_the_whole_array_formula(n, special):
+    # unbounded, the clip is the identity: signed zeros, nan, infinities
+    # and subnormals keep their bits
+    r = np.random.default_rng(n)
+    M = r.normal(size=(n, n))
+    if special:
+        values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310]
+        where = r.uniform(size=(n, n)) < 0.3
+        M[where] = r.choice(values, size=where.sum())
+        M[n - 1, 0] = r.choice(values)
+    with np.errstate(invalid="ignore"):  # inf + (-inf)
+        expected = 0.5 * (M + M.T)
+        assert _symmetrize_clip(M, -np.inf, np.inf) is False
+    npt.assert_array_equal(M.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("n", TILE_SIZES)
@@ -311,6 +336,7 @@ def test_panel_checks_are_the_whole_array_checks(n):
     assert _all_finite(A)
     A[n - 1, 0] = np.nan  # in the last row panel
     assert not _all_finite(A)
+    assert math.isnan(_symmetry_gap(A))
 
 
 def test_completed_matrix_symmetrises_a_copy_of_an_asymmetric_input():
@@ -354,7 +380,7 @@ def test_kernel_completion_keeps_its_factors(rng):
     B, W, completed = _kernel_completion(rng, gamma=0.02)
     f = completed.factors
     assert isinstance(f, NystromFactors) and f.B is B
-    Winv = rank_k_pinv(W, CompletionParams())
+    Winv = pinv(W, CompletionParams())
     npt.assert_array_equal(f.Winv, Winv)
     npt.assert_array_equal(f.pin, 1.0 - np.diagonal(B @ Winv @ B.T))
     X = rng.normal(size=(B.shape[0], 4))
@@ -362,14 +388,15 @@ def test_kernel_completion_keeps_its_factors(rng):
     KX = completed.values @ X
     npt.assert_allclose(f @ X, KX, rtol=0, atol=1e-9 * np.abs(KX).max())
     # the factors change nothing of the matrix: same doubles as without them
-    expected = np.clip(_symmetrize(B @ Winv @ B.T), 0.0, 1.0)
+    raw = B @ Winv @ B.T
+    expected = np.clip(0.5 * (raw + raw.T), 0.0, 1.0)
     np.fill_diagonal(expected, 1.0)
     npt.assert_array_equal(completed.values, expected)
 
 
 def test_clipping_kernel_completion_has_no_factors(rng):
     B, W, completed = _kernel_completion(rng, gamma=0.5, rank_k=2)
-    raw = B @ rank_k_pinv(W, CompletionParams(rank_k=2)) @ B.T
+    raw = B @ pinv(W, CompletionParams(rank_k=2)) @ B.T
     off = ~np.eye(raw.shape[0], dtype=bool)
     assert (raw[off] < 0).any()  # rank 2 of a narrow kernel undershoots 0
     assert completed.factors is None
