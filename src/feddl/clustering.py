@@ -186,17 +186,17 @@ def _scaled_product(K, d: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _iterative_embedding(
     Kv: np.ndarray, deg: np.ndarray, active: np.ndarray, c: int, seed: int, factors=None
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Leading ``c`` eigenpairs of ``d ⊙ (K @ (d ⊙ X))`` by LOBPCG from a
-    seeded starting block, or ``None`` when no returned block is an
-    orthonormal set of eigenvectors of the dense ``Kv`` within
+    """Leading ``c`` eigenpairs of ``d ⊙ (K @ (d ⊙ X))`` by one LOBPCG run
+    from a seeded starting block, or ``None`` when the returned block is
+    not an orthonormal set of eigenvectors of the dense ``Kv`` within
     ``_RESIDUAL_TOL``.
 
     ``d`` is ``deg^{-1/2}`` on the ``active`` points and 0 elsewhere.
     Inactive rows and columns of a non-negative ``K`` are all zero, so the
     operator runs on the full ``K`` with vectors that are zero on the
-    inactive points, and nothing of size n x n is formed.  With the
-    completion's ``factors`` LOBPCG applies ``K`` through them first; a
-    block that fails the check against ``Kv`` is solved again on ``Kv``.
+    inactive points, and nothing of size n x n is formed.  LOBPCG applies
+    ``K`` through the completion's ``factors`` when there are any, else
+    through ``Kv``; the check is against ``Kv`` either way.
     """
     # Imported here, not at module level, so that commands which never
     # cluster do not pay for it (about 5 MiB of peak RSS on the t-SNE and
@@ -209,28 +209,23 @@ def _iterative_embedding(
     rng = np.random.default_rng(np.random.SeedSequence([seed, _START_STREAM_TAG]))
     X0 = rng.standard_normal((n, c))
     X0[~active] = 0.0
-    for K in [Kv] if factors is None else [factors, Kv]:
-        matmat = functools.partial(_scaled_product, K, d)
-        op = scipy.sparse.linalg.LinearOperator(
-            (n, n), matvec=matmat, matmat=matmat, dtype=np.float64
+    matmat = functools.partial(_scaled_product, Kv if factors is None else factors, d)
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matmat, matmat=matmat, dtype=np.float64)
+    # Non-convergence is judged below by the residual of the returned
+    # block, which is what decides the fallback; lobpcg's own warnings
+    # about its tolerance would only repeat that.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        lam, V = scipy.sparse.linalg.lobpcg(
+            op, X0, tol=_LOBPCG_TOL, maxiter=_LOBPCG_MAXITER, largest=True
         )
-        # Non-convergence is judged below by the residual of the returned
-        # block, which is what decides the fallback; lobpcg's own warnings
-        # about its tolerance would only repeat that.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            lam, V = scipy.sparse.linalg.lobpcg(
-                op, X0.copy(), tol=_LOBPCG_TOL, maxiter=_LOBPCG_MAXITER, largest=True
-            )
-        order = np.argsort(-lam, kind="stable")
-        lam, V = lam[order], V[:, order]
-        resid = np.linalg.norm(_scaled_product(Kv, d, V) - V * lam[None, :], axis=0).max(
-            initial=0.0
-        )
-        gram_gap = np.abs(V.T @ V - np.eye(c)).max(initial=0.0)
-        # a block holding nan fails both comparisons
-        if resid <= _RESIDUAL_TOL and gram_gap <= _RESIDUAL_TOL:
-            return lam, V[active]
+    order = np.argsort(-lam, kind="stable")
+    lam, V = lam[order], V[:, order]
+    resid = np.linalg.norm(_scaled_product(Kv, d, V) - V * lam, axis=0).max(initial=0.0)
+    gram_gap = np.abs(V.T @ V - np.eye(c)).max(initial=0.0)
+    # a block holding nan fails both comparisons
+    if resid <= _RESIDUAL_TOL and gram_gap <= _RESIDUAL_TOL:
+        return lam, V[active]
     return None
 
 
@@ -245,8 +240,8 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     A completion's factors, when it has them, apply ``K`` inside LOBPCG;
     the returned block is checked against the dense ``K``.  A dense
     eigensolve replaces it when fewer than ``5 c`` points are active, or
-    when no returned block is orthonormal with a largest residual
-    ``|S v - lambda v|`` of at most 1e-6.
+    when the one LOBPCG run returns a block that is not orthonormal with a
+    largest residual ``|S v - lambda v|`` of at most 1e-6.
 
     Points with exactly zero degree cannot be related to anything: each
     one is put in its own extra singleton cluster (appended after the

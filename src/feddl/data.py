@@ -7,8 +7,8 @@ Data matrices are ``m x n`` with columns as points.  Supported sources:
   ``[0, 1]`` and each image flattened row-major into one column;
 * ``csv`` — one point per row, numeric feature columns, optional label
   column;
-* ``blobs`` — isotropic Gaussian clusters at configured (or
-  deterministically placed) centres.
+* ``blobs`` — isotropic Gaussian clusters at deterministically placed
+  centres.
 
 Partition modes:
 
@@ -76,9 +76,9 @@ class PartitionSpec:
 class BlobSpec:
     """Synthetic isotropic Gaussian clusters.
 
-    When ``centers`` is empty, ``n_blobs`` centres are placed
-    deterministically on a circle in the first two feature dimensions so
-    that adjacent centres sit ``separation`` apart (on a line for 1-D).
+    The ``n_blobs`` centres are placed deterministically on a circle in
+    the first two feature dimensions so that adjacent centres sit
+    ``separation`` apart (on a line for 1-D).
     """
 
     n_blobs: int = 3
@@ -86,7 +86,6 @@ class BlobSpec:
     std: float = 1.0
     separation: float = 10.0
     dim: int = 2
-    centers: tuple[tuple[float, ...], ...] = ()
 
     def __post_init__(self) -> None:
         for name in ("n_blobs", "points_per_blob", "dim"):
@@ -287,14 +286,6 @@ def load_csv_dataset(path, label_column: str = "label") -> tuple[np.ndarray, np.
 
 
 def _blob_centers(spec: BlobSpec) -> np.ndarray:
-    if spec.centers:
-        centers = np.asarray(spec.centers, dtype=np.float64)
-        if centers.shape != (spec.n_blobs, spec.dim):
-            raise ValueError(
-                f"explicit centers must have shape ({spec.n_blobs}, {spec.dim}), "
-                f"got {centers.shape}"
-            )
-        return centers
     k, d = spec.n_blobs, spec.dim
     centers = np.zeros((k, d))
     if k == 1:

@@ -330,7 +330,6 @@ class FedResult:
 
     landmarks: np.ndarray
     trace: RoundTrace
-    initial_landmarks: np.ndarray
     gradient_sigmas: tuple[float, ...] | None = None
 
 
@@ -565,9 +564,7 @@ def run_feddl(
         displacement_sq=rows_d,
         elapsed_ms=rows_e,
     )
-    return FedResult(
-        landmarks=Y, trace=trace, initial_landmarks=Y0, gradient_sigmas=grad_sigmas
-    )
+    return FedResult(landmarks=Y, trace=trace, gradient_sigmas=grad_sigmas)
 
 
 def convergence_diagnostic(trace: RoundTrace) -> float:

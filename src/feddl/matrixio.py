@@ -29,7 +29,6 @@ __all__ = [
     "write_embedding_csv",
     "read_embedding_csv",
     "write_labels_csv",
-    "read_labels_csv",
     "write_trace_csv",
     "write_metrics_csv",
 ]
@@ -165,20 +164,6 @@ def write_labels_csv(path, labels, true_labels=None) -> None:
             if true_labels is not None:
                 row.append(str(true_labels[i]))
             w.writerow(row)
-
-
-def read_labels_csv(path) -> np.ndarray:
-    path = str(path)
-    try:
-        with open(path, newline="") as f:
-            reader = _csv.reader(f)
-            header = next(reader, None)
-            if header is None or header[:2] != ["point_id", "label"]:
-                raise DataError(f"{path}: unexpected labels header {header!r}")
-            labels = [int(row[1]) for row in reader]
-    except (OSError, ValueError, IndexError) as exc:
-        raise DataError(f"cannot read labels CSV {path}: {exc}") from exc
-    return np.asarray(labels, dtype=np.int64)
 
 
 def write_trace_csv(path, trace) -> None:

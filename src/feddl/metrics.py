@@ -17,7 +17,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -43,29 +42,29 @@ def _check_labels(labels, n: int, name: str = "labels") -> np.ndarray:
     return lab
 
 
-def _ks(k) -> tuple[int, ...]:
-    ks = (k,) if isinstance(k, numbers.Integral) else tuple(k)
-    if min(ks, default=1) < 1:
+def _ks(k: Sequence[int]) -> tuple[int, ...]:
+    if min(k, default=1) < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
-    return ks
+    return tuple(k)
 
 
 def ca_knn(
     Z: np.ndarray,
     labels,
-    k: int | Sequence[int] = 10,
+    k: Sequence[int] = (10,),
     split_ratio: float = 0.7,
     seed: int = 0,
-) -> float | dict[int, float]:
-    """k-NN classification accuracy on a stratified split of ``Z``.
+) -> dict[int, float]:
+    """k-NN classification accuracy on a stratified split of ``Z``, per k.
 
     Per class, a ``split_ratio`` fraction (rounded, at least one point)
     goes to the training side.  Votes are majority with ties resolved
-    toward the smallest label id; neighbour ties resolve by index.  With
-    a sequence ``k``, one split and one neighbour ordering serve every k:
-    the result maps each k the split can score to its accuracy.
+    toward the smallest label id; neighbour ties resolve by index.  One
+    split and one neighbour ordering serve every k: the result maps each
+    k the split can score to its accuracy, so a k above the training
+    side's size, or any k when the test side is empty, gets no entry.
     """
-    ks, single = _ks(k), isinstance(k, numbers.Integral)
+    ks = _ks(k)
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
     lab = _check_labels(labels, n)
@@ -82,10 +81,6 @@ def ca_knn(
         test_idx.append(members[n_train:])
     train = np.sort(np.concatenate(train_idx))
     test = np.sort(np.concatenate(test_idx))
-    if single and test.size == 0:
-        raise ValueError("stratified split produced an empty test side; lower split_ratio")
-    if single and k > train.size:
-        raise ValueError(f"k={k} exceeds the training-side size {train.size}")
     scored = {v for v in ks if v <= train.size} if test.size else set()
     k_max = max(scored, default=0)
     # a stable ordering: its first k columns are exactly the k nearest
@@ -97,27 +92,25 @@ def ca_knn(
         if j + 1 in scored:
             pred = counts.argmax(axis=1)  # argmax returns the smallest index on ties
             acc[j + 1] = float(np.mean(pred == enc[test]))
-    return acc[k] if single else acc
+    return acc
 
 
-def npa_knn(D_high, Z: np.ndarray, k: int | Sequence[int] = 10) -> float | dict[int, float]:
-    """Neighbourhood preservation of the embedding: the mean fraction of
-    each point's k nearest high-dimensional neighbours that are also
-    among its k nearest embedding neighbours.
+def npa_knn(D_high, Z: np.ndarray, k: Sequence[int] = (10,)) -> dict[int, float]:
+    """Neighbourhood preservation of the embedding, per k: the mean
+    fraction of each point's k nearest high-dimensional neighbours that
+    are also among its k nearest embedding neighbours.
 
     ``D_high`` is a distance-kind completion or an array checked as one.
-    Self is excluded; ties break by index.  With a sequence ``k``, one
-    ordering per side serves every k: the result maps each k up to n - 1
-    to its score.
+    Self is excluded; ties break by index.  One ordering per side serves
+    every k: the result maps each k up to n - 1 to its score, and a
+    larger k gets no entry.
     """
-    ks, single = _ks(k), isinstance(k, numbers.Integral)
+    ks = _ks(k)
     Dh = CompletedMatrix.coerce(D_high, MatrixKind.DISTANCE).values
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
     if Dh.shape != (n, n):
         raise ValueError(f"high-dim distances must be {n}x{n}, got {Dh.shape}")
-    if single and k > n - 1:
-        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
     scored = sorted({v for v in ks if v <= n - 1})
     k_max = max(scored, default=0)
     # stable orderings: their first k columns are exactly the k nearest
@@ -139,7 +132,7 @@ def npa_knn(D_high, Z: np.ndarray, k: int | Sequence[int] = 10) -> float | dict[
         per_row = found.reshape(n, v).sum(axis=1) / v
         # accumulated left to right: a pairwise sum would move the last bit of the metric
         out[v] = float(np.cumsum(per_row)[-1]) / n
-    return out[k] if single else out
+    return out
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:

@@ -99,8 +99,13 @@ def _write(out: Path, writers: list) -> dict:
 #: t-SNE 4.18 and UMAP 5.24 (both in the descent), spectral clustering 1.22
 #: (in the completion: the one n x n product, symmetrised and checked in
 #: place, over the stacked blocks; the eigensolve, which also holds the
-#: n x n_y factor ``B``, peaks at 1.21); ``fit`` holds no n x n array
+#: n x n_y factor ``B``, peaks at 1.21); ``fit`` holds no n x n array.
+#: UMAP at ``b != 1`` holds a fourth n x n workspace: 6.24 at n = 1000.
 _DENSE_PEAK_N2 = {"tsne": 4.2, "umap": 5.3, "speclust": 1.3}
+_UMAP_B_PEAK_N2 = 6.3
+#: the fit's peak in n_p^2 x 8 B, n_p the largest shard: the MMD self-term's
+#: n_p x n_p kernel block and its distances (2.02 for one client at n = 1000)
+_SHARD_PEAK_N2 = 2.1
 
 
 def _available_memory(
@@ -154,9 +159,9 @@ def _check_feasible(
 ) -> tuple[list, EmbedConfig | None]:
     """Partition the loaded data and check every setting that depends on
     the number ``n`` of points loaded, and that the command's n x n arrays
-    fit in the memory available, raising ``ConfigError`` before any
-    compute.  Returns the shards and, for an embedding, the engine's
-    resolved settings."""
+    and the fit's blocks on the largest client fit in the memory
+    available, raising ``ConfigError`` before any compute.  Returns the
+    shards and, for an embedding, the engine's resolved settings."""
     n = X.shape[1]
     try:
         shards = partition(X, labels, cfg.part)
@@ -167,14 +172,23 @@ def _check_feasible(
             f"clusters = {cfg.clusters} must lie in [2, {n}] for the {n} points loaded"
         )
     econf = _embed_settings(cfg, command, n) if command in ("tsne", "umap") else None
-    if command in _DENSE_PEAK_N2:
-        need, available = _DENSE_PEAK_N2[command] * n * n * 8, _available_memory()
-        if available is not None and need > available:
-            raise ConfigError(
-                f"{command} on the {n} points loaded needs about {need / 2**20:.1f} MiB of "
-                f"n x n arrays ({_DENSE_PEAK_N2[command]} x n^2 x 8 B), more than the "
-                f"{available / 2**20:.1f} MiB of memory available"
-            )
+    dense = _DENSE_PEAK_N2.get(command, 0.0)
+    if command == "umap" and econf.b != 1.0:
+        dense = _UMAP_B_PEAK_N2
+    n_p = max(s.n_points for s in shards)
+    need, what = max(
+        (dense * n * n * 8, f"n x n arrays ({dense} x n^2 x 8 B)"),
+        (
+            _SHARD_PEAK_N2 * n_p * n_p * 8,
+            f"the fit's blocks on a client of {n_p} points ({_SHARD_PEAK_N2} x n_p^2 x 8 B)",
+        ),
+    )
+    available = _available_memory()
+    if available is not None and need > available:
+        raise ConfigError(
+            f"{command} on the {n} points loaded needs about {need / 2**20:.1f} MiB of "
+            f"{what}, more than the {available / 2**20:.1f} MiB of memory available"
+        )
     return shards, econf
 
 

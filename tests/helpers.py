@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import struct
 
 import numpy as np
@@ -25,6 +26,14 @@ def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     """Relative error in the Frobenius norm."""
     denom = np.linalg.norm(exact)
     return float(np.linalg.norm(np.asarray(approx) - np.asarray(exact)) / max(denom, 1e-300))
+
+
+def read_labels(path) -> np.ndarray:
+    """The ``label`` column of a ``labels.csv``."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0][:2] == ["point_id", "label"], rows[0]
+    return np.asarray([int(row[1]) for row in rows[1:]], dtype=np.int64)
 
 
 def write_idx_pair(images_path, labels_path, X01: np.ndarray, labels: np.ndarray,

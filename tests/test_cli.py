@@ -393,13 +393,31 @@ def test_infeasible_setting_exits_2_before_the_fit(
     assert fits == []
 
 
-@pytest.mark.parametrize("command", ["tsne", "umap", "speclust"])
+# TINY_INI loads 60 points; a case's (old, new) edit of it sets one client
+# or UMAP's b != 1
+ONE_CLIENT = ("clients = 3\n", "clients = 1\n")
+UMAP_B = ("n_neighbors = 8\n", "n_neighbors = 8\nb = 0.895\n")
+GUARD_CASES = {
+    "tsne": ("tsne", None, pipeline._DENSE_PEAK_N2["tsne"]),
+    "umap": ("umap", None, pipeline._DENSE_PEAK_N2["umap"]),
+    "umap-b": ("umap", UMAP_B, pipeline._UMAP_B_PEAK_N2),
+    "speclust": ("speclust", None, pipeline._DENSE_PEAK_N2["speclust"]),
+    "fit-1-client": ("fit", ONE_CLIENT, pipeline._SHARD_PEAK_N2),
+    "speclust-1-client": ("speclust", ONE_CLIENT, pipeline._SHARD_PEAK_N2),
+}
+
+
+@pytest.mark.parametrize("command,edit,multiple", GUARD_CASES.values(), ids=GUARD_CASES)
 def test_run_whose_n_by_n_arrays_do_not_fit_exits_2_before_the_fit(
-    runner, config_file, tmp_path, monkeypatch, command
+    runner, tmp_path, monkeypatch, command, edit, multiple
 ):
     fits = []
     monkeypatch.setattr(pipeline, "run_feddl", lambda *args, **kwargs: fits.append(args))
-    need = pipeline._DENSE_PEAK_N2[command] * 60 * 60 * 8  # TINY_INI loads 60 points
+    text = TINY_INI.replace(*edit) if edit else TINY_INI
+    assert (text != TINY_INI) == (edit is not None), "the edit must change TINY_INI"
+    config_file = tmp_path / "run.ini"
+    config_file.write_text(text)
+    need = multiple * 60 * 60 * 8
     monkeypatch.setattr(pipeline, "_available_memory", lambda: int(need) - 1)
     args = [command, "--config", str(config_file), "--out-dir", str(tmp_path / "out")]
     result = runner.invoke(main, args)
@@ -410,7 +428,7 @@ def test_run_whose_n_by_n_arrays_do_not_fit_exits_2_before_the_fit(
     assert fits == []
 
 
-@pytest.mark.parametrize("command,available", [("fit", 0), ("tsne", None), ("umap", 10**6)])
+@pytest.mark.parametrize("command,available", [("fit", 10**5), ("tsne", None), ("umap", 10**6)])
 def test_memory_guard_passes_a_run_that_fits(
     runner, config_file, tmp_path, monkeypatch, command, available
 ):

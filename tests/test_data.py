@@ -243,19 +243,6 @@ def test_blobs_shapes_and_labels():
     npt.assert_allclose(np.linalg.norm(centers[0] - centers[1]), 8.0, atol=0.2)
 
 
-def test_blobs_explicit_centers():
-    spec = BlobSpec(
-        n_blobs=2, points_per_blob=5, std=0.0, dim=2, centers=((0.0, 0.0), (1.0, 2.0))
-    )
-    X, labels = generate_blobs(spec, seed=1)
-    npt.assert_array_equal(X[:, :5], np.tile([[0.0], [0.0]], (1, 5)))
-    npt.assert_array_equal(X[:, 5:], np.tile([[1.0], [2.0]], (1, 5)))
-    with pytest.raises(ValueError, match="explicit centers"):
-        generate_blobs(
-            BlobSpec(n_blobs=3, centers=((0.0, 0.0), (1.0, 2.0))), seed=0
-        )
-
-
 def test_blobs_deterministic():
     spec = BlobSpec()
     X1, _ = generate_blobs(spec, seed=5)

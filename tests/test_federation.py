@@ -416,9 +416,10 @@ def test_init_landmarks_rejects_mixed_dims():
 @pytest.mark.parametrize("init", list(LandmarkInit), ids=lambda i: i.value)
 def test_run_feddl_initialises_through_init_landmarks(init):
     shards = make_shards(seed=6)
-    cfg = FedConfig(rounds=1, local_steps=1, n_landmarks=4, init=init, init_scale=2.0, seed=3)
+    # no rounds: the result's landmarks are the starting ones
+    cfg = FedConfig(rounds=0, local_steps=1, n_landmarks=4, init=init, init_scale=2.0, seed=3)
     fed = run_feddl(shards, cfg, PARAMS)
-    npt.assert_array_equal(fed.initial_landmarks, init_landmarks(shards, cfg))
+    npt.assert_array_equal(fed.landmarks, init_landmarks(shards, cfg))
 
 
 @pytest.mark.parametrize("aggregation", list(Aggregation))

@@ -125,25 +125,24 @@ def test_ca_perfectly_separated_clusters():
     r = np.random.default_rng(1)
     Z = np.vstack([r.normal(size=(20, 2)), r.normal(size=(20, 2)) + 100.0])
     labels = np.repeat([0, 1], 20)
-    assert ca_knn(Z, labels, k=1, seed=0) == 1.0
-    assert ca_knn(Z, labels, k=5, seed=0) == 1.0
+    assert ca_knn(Z, labels, k=(1, 5), seed=0) == {1: 1.0, 5: 1.0}
 
 
 def test_ca_split_is_seeded_and_validated(rng):
     Z = rng.normal(size=(30, 2))
     labels = rng.integers(0, 3, size=30)
-    assert ca_knn(Z, labels, k=3, seed=4) == ca_knn(Z, labels, k=3, seed=4)
-    with pytest.raises(ValueError, match="exceeds the training"):
-        ca_knn(Z, labels, k=25, seed=0)
+    assert ca_knn(Z, labels, k=(3,), seed=4) == ca_knn(Z, labels, k=(3,), seed=4)
+    # a k above the training side's size gets no entry
+    assert ca_knn(Z, labels, k=(25,), seed=0) == {}
     with pytest.raises(ValueError, match="split_ratio"):
-        ca_knn(Z, labels, k=1, split_ratio=1.0)
+        ca_knn(Z, labels, k=(1,), split_ratio=1.0)
 
 
 def test_npa_identical_geometry_full_overlap(rng):
     Z = rng.normal(size=(25, 2))
     diff = Z[:, None, :] - Z[None, :, :]
     D_high = np.sqrt((diff**2).sum(axis=2))
-    assert npa_knn(D_high, Z, k=5) == 1.0
+    assert npa_knn(D_high, Z, k=(5,)) == {5: 1.0}
 
 
 def _npa_knn_reference(Dh: np.ndarray, Z: np.ndarray, ks: list[int]) -> dict[int, float]:
@@ -175,10 +174,10 @@ def test_npa_matches_the_mask_reference(rng, ties):
 def test_npa_validation(rng):
     Z = rng.normal(size=(10, 2))
     D = np.zeros((10, 10))
-    with pytest.raises(ValueError, match="k must lie"):
-        npa_knn(D, Z, k=10)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        npa_knn(D, Z, k=(0,))
     with pytest.raises(ValueError, match="must be"):
-        npa_knn(np.zeros((9, 9)), Z, k=3)
+        npa_knn(np.zeros((9, 9)), Z, k=(3,))
 
 
 def test_report_rows_ordering():
@@ -196,9 +195,13 @@ def test_sequence_k_scores_every_k_from_one_ordering(rng):
     D_high = rng.integers(0, 5, size=(40, 40)).astype(float)
     D_high = D_high + D_high.T
     ca = ca_knn(Z, labels, k=(10, 1, 3, 500), split_ratio=0.6, seed=2)
-    assert ca == {k: ca_knn(Z, labels, k=k, split_ratio=0.6, seed=2) for k in (1, 3, 10)}
+    assert ca == {
+        k: ca_knn(Z, labels, k=(k,), split_ratio=0.6, seed=2)[k] for k in (1, 3, 10)
+    }
     npa = npa_knn(D_high, Z, k=(5, 1, 39, 40))
-    assert npa == {k: npa_knn(D_high, Z, k=k) for k in (1, 5, 39)}
+    assert npa == {k: npa_knn(D_high, Z, k=(k,))[k] for k in (1, 5, 39)}
+    # a k above n - 1 gets no entry
+    assert npa_knn(D_high, Z, k=(40,)) == {}
     # one class per point leaves the test side empty: no k can be scored
     assert ca_knn(Z, np.arange(40), k=(1, 3)) == {}
     with pytest.raises(ValueError, match="k must be >= 1"):

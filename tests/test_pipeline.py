@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from feddl import pipeline
 from feddl.config import parse_config
+from feddl.data import load_dataset
 from feddl.errors import ConfigError, DataError, NumericalAbort
 from feddl.federation import ClientShard
 from feddl.kernels import KernelParams
-from feddl.matrixio import read_embedding_csv, read_labels_csv, read_matrix
+from feddl.matrixio import read_embedding_csv, read_matrix
 from feddl.nystrom import MatrixKind
 from feddl.pipeline import (
     _available_memory,
+    _check_feasible,
     _complete,
     rerun_manifest,
     run_eval,
@@ -19,6 +24,8 @@ from feddl.pipeline import (
     run_fit,
     run_plot,
 )
+
+from helpers import read_labels
 
 TINY_INI = """\
 [dataset]
@@ -114,7 +121,7 @@ def test_speclust_pipeline_recovers_blobs(tmp_path):
         assert out.files[name].exists(), name
     K = read_matrix(out.files["completed_kernel.fdlm"])
     assert K.shape == (60, 60) and K.min() >= 0.0 and K.max() <= 1.0
-    labels = read_labels_csv(out.files["labels.csv"])
+    labels = read_labels(out.files["labels.csv"])
     assert labels.shape == (60,)
     assert out.metrics.nmi >= 0.9  # well-separated blobs
 
@@ -237,6 +244,42 @@ def test_plot_from_embedding_csv(tmp_path):
     svg = out.files["scatter.svg"].read_text()
     assert svg.lstrip().startswith("<svg")
     assert "demo" in svg
+
+
+GUARD_N = 1000
+GUARD_RUNS = {
+    "tsne": ("tsne", "[embedding]\niterations = 3\n"),
+    "umap": ("umap", "[embedding]\niterations = 3\n"),
+    "umap-b": ("umap", "[embedding]\niterations = 3\nb = 0.895\n"),
+    "speclust": ("speclust", ""),
+    "fit-1-client": ("fit", "[partition]\nclients = 1\n"),
+}
+
+
+@pytest.mark.parametrize("command,extra", GUARD_RUNS.values(), ids=GUARD_RUNS)
+def test_memory_guard_is_the_measured_peak(tmp_path, monkeypatch, command, extra):
+    # the guard's estimate may not lie below a whole run's traced peak, nor
+    # more than 0.5 x n^2 x 8 B above it
+    # imported untraced: the first spectral clustering of a process imports it
+    import scipy.sparse.linalg  # noqa: F401
+
+    cfg = parse_config(
+        "[dataset]\nblob_count = 4\npoints_per_blob = 250\n\n"
+        "[federation]\nrounds = 1\nlandmarks = 20\n\n" + extra
+    )
+    tracemalloc.start()
+    try:
+        pipeline._run(cfg, tmp_path, command)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    X, labels = load_dataset(cfg.dataset)
+    assert X.shape[1] == GUARD_N
+    monkeypatch.setattr(pipeline, "_available_memory", lambda: peak - 1)
+    with pytest.raises(ConfigError, match="needs about"):
+        _check_feasible(cfg, command, X, labels)
+    monkeypatch.setattr(pipeline, "_available_memory", lambda: peak + 0.5 * GUARD_N**2 * 8)
+    _check_feasible(cfg, command, X, labels)
 
 
 def test_available_memory_is_the_lower_of_meminfo_and_the_cgroup_limit(tmp_path):
