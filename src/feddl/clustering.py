@@ -13,14 +13,13 @@ any other n x n intermediate is formed.  When the completion carries
 ``NystromFactors`` (``K = B W_k^+ B' + diag(pin)``, rank ``n_y``), LOBPCG
 applies ``K @ Y`` as ``B (W_k^+ (B' Y)) + pin ⊙ Y``, at ``O(n n_y)`` per column
 instead of ``O(n^2)``; the degrees and the acceptance check below still
-use the dense ``K``.  The starting block is drawn from
-``SeedSequence([seed, 9])`` and LOBPCG draws nothing itself, so a rerun
-is byte-identical.  A returned block is accepted when it is orthonormal
+use the dense ``K``.  The starting block is drawn from the seed's
+``lobpcg_start`` stream and LOBPCG draws nothing itself, so a rerun is
+byte-identical.  A returned block is accepted when it is orthonormal
 and its eigen-residual ``|S v - lambda v|`` against the dense ``K`` is
-at most 1e-6.  A factored block that fails is solved again on the dense
-``K``, from the same start; a dense LAPACK eigensolve of ``L`` is the
-last fallback, and the only path when fewer than ``5 c`` points are
-active (too few for a block of ``c`` vectors).
+at most 1e-6.  A dense LAPACK eigensolve of ``L`` replaces a block that
+fails, and is the only path when fewer than ``5 c`` points are active
+(too few for a block of ``c`` vectors).
 
 k-means is implemented here (rather than pulled in) because its exact
 semantics are pinned: k-means++ seeding, Lloyd iterations until the
@@ -40,12 +39,10 @@ import scipy.linalg
 
 from .kernels import _sq_norms, normalized_adjacency, sq_dists
 from .nystrom import CompletedMatrix, MatrixKind, _symmetrize_clip
+from .privacy import stream_rng
 
 __all__ = ["ClusterAssignment", "kmeans", "spectral_cluster"]
 
-#: ``SeedSequence([seed, 9])`` draws the LOBPCG starting block; tags 1-8
-#: are other streams of the same seed.
-_START_STREAM_TAG = 9
 _LOBPCG_TOL = 1e-8
 _LOBPCG_MAXITER = 200
 #: largest eigen-residual (and orthonormality gap) of an accepted block
@@ -147,9 +144,9 @@ def kmeans(Z: np.ndarray, c: int, seed: int = 0) -> ClusterAssignment:
 
     Ties in the assignment step go to the lowest cluster index.  An empty
     cluster is re-seeded at the point currently farthest from its
-    assigned centroid.  Restart ``r`` draws from the substream
-    ``SeedSequence([seed, 4, r])``, so the result is deterministic; on an
-    inertia tie the earliest restart wins.
+    assigned centroid.  Restart ``r`` draws from the seed's
+    ``kmeans_restart`` stream at ``r``, so the result is deterministic; on
+    an inertia tie the earliest restart wins.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] == 0:
@@ -159,7 +156,7 @@ def kmeans(Z: np.ndarray, c: int, seed: int = 0) -> ClusterAssignment:
         raise ValueError(f"cluster count must lie in [1, {n}], got {c}")
     best: ClusterAssignment | None = None
     for restart in range(_KMEANS_RESTARTS):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 4, restart]))
+        rng = stream_rng(seed, "kmeans_restart", restart)
         cand = _kmeans_single(Z, c, rng, _KMEANS_MAX_ITER, _KMEANS_REL_TOL)
         if best is None or cand.inertia < best.inertia:
             best = cand
@@ -206,7 +203,7 @@ def _iterative_embedding(
     n = Kv.shape[0]
     d = np.zeros(n)
     d[active] = 1.0 / np.sqrt(deg[active])
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _START_STREAM_TAG]))
+    rng = stream_rng(seed, "lobpcg_start")
     X0 = rng.standard_normal((n, c))
     X0[~active] = 0.0
     matmat = functools.partial(_scaled_product, Kv if factors is None else factors, d)
@@ -240,8 +237,8 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     A completion's factors, when it has them, apply ``K`` inside LOBPCG;
     the returned block is checked against the dense ``K``.  A dense
     eigensolve replaces it when fewer than ``5 c`` points are active, or
-    when the one LOBPCG run returns a block that is not orthonormal with a
-    largest residual ``|S v - lambda v|`` of at most 1e-6.
+    when the one LOBPCG run returns a block that is not orthonormal, or
+    whose largest residual ``|S v - lambda v|`` exceeds 1e-6.
 
     Points with exactly zero degree cannot be related to anything: each
     one is put in its own extra singleton cluster (appended after the

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DataError, overflow_aborts
 from .federation import ClientShard
 from .matrixio import check_finite_rows, integer_labels
+from .privacy import stream_rng
 
 __all__ = [
     "DatasetSpec",
@@ -304,7 +305,7 @@ def generate_blobs(spec: BlobSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarra
     """Sample isotropic Gaussian blobs; returns ``(X, labels)``.  Points
     that overflow float64 (a huge ``std``) raise ``NumericalAbort``."""
     centers = _blob_centers(spec)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 6]))
+    rng = stream_rng(seed, "blobs")
     cols, labels = [], []
     for j in range(spec.n_blobs):
         with overflow_aborts(f"blob {j}: points overflow float64"):
@@ -339,7 +340,7 @@ def subsample(
     total = X.shape[1]
     if n <= 0 or n >= total:
         return X, labels
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    rng = stream_rng(seed, "subsample")
     idx = np.sort(rng.choice(total, size=n, replace=False))
     return X[:, idx], labels[idx] if labels is not None else None
 
@@ -383,7 +384,7 @@ def partition(
     n = X.shape[1]
     P = spec.n_clients
     if spec.mode is PartitionMode.IID:
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 8]))
+        rng = stream_rng(spec.seed, "iid_partition")
         perm = rng.permutation(n)
         groups = [np.sort(g) for g in np.array_split(perm, P)]
     else:

@@ -58,6 +58,7 @@ import numpy as np
 from .errors import NumericalAbort
 from .kernels import _sq_norms, knn_indices, normalized_adjacency, sq_dists
 from .nystrom import CompletedMatrix, MatrixKind
+from .privacy import stream_rng
 
 __all__ = [
     "EmbedConfig",
@@ -452,7 +453,7 @@ def tsne_embed(P: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embedding
     """
     Pm = P.values if isinstance(P, AffinityMatrix) else np.asarray(P, dtype=np.float64)
     n = Pm.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
+    rng = stream_rng(config.seed, "tsne_init")
     noise = rng.normal(size=(n, config.out_dim))
     Z = config.init_scale * noise[_canonical_rank(Pm)]
     constants = _kl_constants(Pm)
@@ -691,7 +692,7 @@ def umap_embed(mu: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embeddin
     """
     M = mu.values if isinstance(mu, AffinityMatrix) else np.asarray(mu, dtype=np.float64)
     n = M.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 3]))
+    rng = stream_rng(config.seed, "umap_init")
     rank = _canonical_rank(M)
     start_noise = rng.normal(size=(n, config.out_dim))[rank]
     jitter = rng.normal(size=(n, config.out_dim))[rank]

@@ -65,6 +65,7 @@ from .privacy import (
     perturb_gradient,
     perturb_variable,
     sensitivity_delta,
+    stream_rng,
 )
 
 __all__ = [
@@ -81,9 +82,6 @@ __all__ = [
     "perturb_shards",
     "convergence_diagnostic",
 ]
-
-#: fixed tag mixed into the seed stream used for landmark initialisation.
-_INIT_STREAM_TAG = 1
 
 
 class Aggregation(str, Enum):
@@ -193,7 +191,7 @@ def init_landmarks(shards: Sequence[ClientShard], config: FedConfig) -> np.ndarr
                 f"client {s.client_id}: feature dim {s.data.shape[0]} != {m} of client "
                 f"{shards[0].client_id}"
             )
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_STREAM_TAG]))
+    rng = stream_rng(config.seed, "landmark_init")
     n_y = config.n_landmarks
     if config.init is LandmarkInit.GAUSSIAN_SCALED:
         Y0 = config.init_scale * rng.normal(0.0, 1.0, size=(m, n_y))
@@ -336,21 +334,21 @@ class FedResult:
 def perturb_shards(shards: Sequence[ClientShard], spec: PrivacySpec) -> list[ClientShard]:
     """One-shot data perturbation, applied before any optimisation.
 
-    Each client adds ``N(0, sigma^2)`` noise to its shard using its own
-    noise stream ``(seed, client_id, 0, 0)``.  A no-op for other modes.
+    Each client adds ``N(0, sigma^2)`` noise to its shard from its own
+    ``data_noise`` stream, at its client id.  A no-op for other modes.
+    Noise that overflows float64 raises ``NumericalAbort``.
     """
     if spec.mode is not PrivacyMode.DATA:
         return list(shards)
     out = []
     for s in shards:
-        rng = noise_rng(spec.seed, s.client_id, 0, 0)
+        rng = stream_rng(spec.seed, "data_noise", s.client_id)
+        with np.errstate(over="ignore"):  # reported below, naming the client
+            data = perturb_data(s.data, spec.sigma, rng)
+        if not np.isfinite(data).all():
+            raise NumericalAbort(f"client {s.client_id}: data-mode noise overflows float64")
         out.append(
-            ClientShard(
-                client_id=s.client_id,
-                data=perturb_data(s.data, spec.sigma, rng),
-                weight=s.weight,
-                indices=s.indices,
-            )
+            ClientShard(client_id=s.client_id, data=data, weight=s.weight, indices=s.indices)
         )
     return out
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .kernels import knn_indices, sq_dists
 from .nystrom import CompletedMatrix, MatrixKind
+from .privacy import stream_rng
 
 __all__ = [
     "MetricsReport",
@@ -70,7 +71,7 @@ def ca_knn(
     lab = _check_labels(labels, n)
     if not (0 < split_ratio < 1):
         raise ValueError(f"split_ratio must lie in (0, 1), got {split_ratio!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
+    rng = stream_rng(seed, "ca_split")
     classes, enc = np.unique(lab, return_inverse=True)
     train_idx, test_idx = [], []
     for ci in range(classes.size):

@@ -23,7 +23,8 @@ Calibration helpers:
   when ``delta >= 2 c tau_X / epsilon`` with ``c = sqrt(2 ln(1.25/delta))``.
 
 Noise streams are seeded from ``(run_seed, client_id, round, step)`` so a
-run is reproducible regardless of client execution order.
+run is reproducible regardless of client execution order; every other
+seeded draw, data-mode noise included, has its own stream in ``_STREAMS``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,16 @@ __all__ = [
 
 #: client_id slot used for server-side (variable-mode) noise streams.
 SERVER_STREAM_ID = 0xFFFFFFFF
+
+#: Tags of ``stream_rng``'s streams ``[seed, tag, *coords]``; only
+#: ``kmeans_restart`` (the restart) and ``data_noise`` (the client id) have a
+#: coordinate.  ``SeedSequence`` pads entropy with zeros to four words, so
+#: ``noise_rng`` stays off them because gradient noise has round, step >= 1
+#: and variable noise the client slot ``SERVER_STREAM_ID``, which is no tag.
+_STREAMS = dict(
+    landmark_init=1, tsne_init=2, umap_init=3, kmeans_restart=4, ca_split=5,
+    blobs=6, subsample=7, iid_partition=8, lobpcg_start=9, data_noise=10,
+)
 
 
 class PrivacyMode(str, Enum):
@@ -157,6 +168,11 @@ def noise_rng(run_seed: int, client_id: int, round_idx: int, step: int) -> np.ra
     """Deterministic per-(client, round, step) noise stream."""
     seq = np.random.SeedSequence([int(run_seed), int(client_id), int(round_idx), int(step)])
     return np.random.default_rng(seq)
+
+
+def stream_rng(seed: int, name: str, *coords: int) -> np.random.Generator:
+    """The generator of the named stream of ``_STREAMS`` at ``coords``."""
+    return np.random.default_rng(np.random.SeedSequence([seed, _STREAMS[name], *coords]))
 
 
 def _add_noise(A, sigma: float, rng: np.random.Generator) -> np.ndarray:

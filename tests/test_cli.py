@@ -171,6 +171,16 @@ OVERFLOWS = {
         "landmark norm exceeded divergence threshold at local step 1",
     ),
     "bandwidth-heuristic": ("umap", 1e-160, (), "bandwidth heuristic on the initial landmarks"),
+    # data-mode noise itself leaves float64
+    **{
+        f"data-noise-{command}": (
+            command,
+            1.0,
+            (("[run]", "[privacy]\nmode = data\nsigma = 1e308\n\n[run]"),),
+            "client 1: data-mode noise overflows float64",
+        )
+        for command in ("fit", "speclust")
+    },
     "rank-zero-landmarks": (
         "tsne", 1e-320, (), "completion failed: landmark block is numerically rank-zero"
     ),

@@ -183,6 +183,41 @@ def test_budget_gradient_privacy_records_sigmas_and_reruns(tmp_path):
     )
 
 
+PRIVACY_MODES = {
+    "none": "",
+    "data": "[privacy]\nmode = data\nsigma = 0.1\n",
+    "gradient": "[privacy]\nmode = gradient\nbeta = 0.5\n",
+    "variable": "[privacy]\nmode = variable\nsigma = 0.05\n",
+}
+
+
+@pytest.mark.parametrize("privacy", PRIVACY_MODES.values(), ids=PRIVACY_MODES)
+@pytest.mark.parametrize("command", ["fit", "tsne", "umap", "speclust"])
+def test_every_seeded_stream_of_a_run_is_distinct(tmp_path, monkeypatch, command, privacy):
+    # SeedSequence pads its entropy with zero words, so two different
+    # entropies can seed one stream; client ids 0-9 span the tags 1-9
+    made = []
+    real = np.random.SeedSequence
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "SeedSequence", recording)
+    text = (
+        TINY_INI.replace("points_per_blob = 20", "points_per_blob = 22\nsubsample = 60")
+        .replace("clients = 3", "clients = 10")
+        .replace("iterations = 60", "iterations = 25")
+        .replace("[run]", privacy + "\n[run]")
+    )
+    pipeline._run(parse_config(text), tmp_path, command)
+    entropies = {}
+    for seq in made:
+        entropies.setdefault(tuple(seq.generate_state(4)), set()).add(tuple(seq.entropy))
+    assert len(entropies) >= 4  # blobs, subsample, partition, landmarks at least
+    assert [sorted(e) for e in entropies.values() if len(e) > 1] == []
+
+
 def test_rerun_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read manifest"):
         rerun_manifest(tmp_path / "missing.ini", tmp_path)
