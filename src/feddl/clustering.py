@@ -9,17 +9,19 @@ The spectral path follows the normalised-cut recipe: with degree matrix
 The eigenvectors come from LOBPCG (``scipy.sparse.linalg.lobpcg``) on
 the operator ``X -> d ⊙ (K @ (d ⊙ X))`` with ``d = deg^{-1/2}`` on
 points of nonzero degree and 0 elsewhere, so neither ``S`` nor ``L`` nor
-any other n x n intermediate is formed.  When the completion carries
-``NystromFactors`` (``K = B W_k^+ B' + diag(pin)``, rank ``n_y``), LOBPCG
-applies ``K @ Y`` as ``B (W_k^+ (B' Y)) + pin ⊙ Y``, at ``O(n n_y)`` per column
-instead of ``O(n^2)``; the degrees and the acceptance check below still
-use the dense ``K``.  The starting block is drawn from the seed's
+any other n x n intermediate is formed.  The degrees are the
+completion's row sums.  When the completion carries ``NystromFactors``
+(``K = B W_k^+ B' + diag(pin)``, rank ``n_y``), LOBPCG applies ``K @ Y``
+as ``B (W_k^+ (B' Y)) + pin ⊙ Y``, at ``O(n n_y)`` per column instead of
+``O(n^2)``, and a kernel completion that clipped nothing holds no dense
+``K`` at all.  The starting block is drawn from the seed's
 ``lobpcg_start`` stream and LOBPCG draws nothing itself, so a rerun is
 byte-identical.  A returned block is accepted when it is orthonormal
-and its eigen-residual ``|S v - lambda v|`` against the dense ``K`` is
-at most 1e-6.  A dense LAPACK eigensolve of ``L`` replaces a block that
-fails, and is the only path when fewer than ``5 c`` points are active
-(too few for a block of ``c`` vectors).
+and its eigen-residual ``|S v - lambda v|``, on the operator LOBPCG
+used, is at most 1e-6.  A dense LAPACK eigensolve of ``L`` replaces a
+block that fails, and is the only path when fewer than ``5 c`` points
+are active (too few for a block of ``c`` vectors); it assembles the
+dense ``K``.
 
 k-means is implemented here (rather than pulled in) because its exact
 semantics are pinned: k-means++ seeding, Lloyd iterations until the
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import _sq_norms, normalized_adjacency, sq_dists
-from .nystrom import CompletedMatrix, MatrixKind, _symmetrize_clip
+from .kernels import _sq_norms, _symmetrize_clip, normalized_adjacency, sq_dists
+from .nystrom import CompletedMatrix, MatrixKind
 from .privacy import stream_rng
 
 __all__ = ["ClusterAssignment", "kmeans", "spectral_cluster"]
@@ -181,32 +183,31 @@ def _scaled_product(K, d: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _iterative_embedding(
-    Kv: np.ndarray, deg: np.ndarray, active: np.ndarray, c: int, seed: int, factors=None
+    K, deg: np.ndarray, active: np.ndarray, c: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Leading ``c`` eigenpairs of ``d ⊙ (K @ (d ⊙ X))`` by one LOBPCG run
     from a seeded starting block, or ``None`` when the returned block is
-    not an orthonormal set of eigenvectors of the dense ``Kv`` within
+    not an orthonormal set of eigenvectors of that operator within
     ``_RESIDUAL_TOL``.
 
+    ``K`` is the dense matrix or the completion's ``NystromFactors``.
     ``d`` is ``deg^{-1/2}`` on the ``active`` points and 0 elsewhere.
     Inactive rows and columns of a non-negative ``K`` are all zero, so the
     operator runs on the full ``K`` with vectors that are zero on the
-    inactive points, and nothing of size n x n is formed.  LOBPCG applies
-    ``K`` through the completion's ``factors`` when there are any, else
-    through ``Kv``; the check is against ``Kv`` either way.
+    inactive points, and nothing of size n x n is formed.
     """
     # Imported here, not at module level, so that commands which never
     # cluster do not pay for it (about 5 MiB of peak RSS on the t-SNE and
     # UMAP benchmark workloads).
     import scipy.sparse.linalg
 
-    n = Kv.shape[0]
+    n = deg.size
     d = np.zeros(n)
     d[active] = 1.0 / np.sqrt(deg[active])
     rng = stream_rng(seed, "lobpcg_start")
     X0 = rng.standard_normal((n, c))
     X0[~active] = 0.0
-    matmat = functools.partial(_scaled_product, Kv if factors is None else factors, d)
+    matmat = functools.partial(_scaled_product, K, d)
     op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matmat, matmat=matmat, dtype=np.float64)
     # Non-convergence is judged below by the residual of the returned
     # block, which is what decides the fallback; lobpcg's own warnings
@@ -218,7 +219,7 @@ def _iterative_embedding(
         )
     order = np.argsort(-lam, kind="stable")
     lam, V = lam[order], V[:, order]
-    resid = np.linalg.norm(_scaled_product(Kv, d, V) - V * lam, axis=0).max(initial=0.0)
+    resid = np.linalg.norm(matmat(V) - V * lam, axis=0).max(initial=0.0)
     gram_gap = np.abs(V.T @ V - np.eye(c)).max(initial=0.0)
     # a block holding nan fails both comparisons
     if resid <= _RESIDUAL_TOL and gram_gap <= _RESIDUAL_TOL:
@@ -234,11 +235,13 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     ``c`` smallest of the normalised Laplacian) come from LOBPCG on the
     operator ``X -> d ⊙ (K @ (d ⊙ X))`` with ``d = deg^{-1/2}``, started
     from a block drawn from ``seed``; no n x n intermediate is formed.
-    A completion's factors, when it has them, apply ``K`` inside LOBPCG;
-    the returned block is checked against the dense ``K``.  A dense
-    eigensolve replaces it when fewer than ``5 c`` points are active, or
-    when the one LOBPCG run returns a block that is not orthonormal, or
-    whose largest residual ``|S v - lambda v|`` exceeds 1e-6.
+    The degrees are the completion's row sums.  A completion's factors,
+    when it has them, apply ``K`` inside LOBPCG and in the check of the
+    returned block, so a completion that holds only its factors is never
+    made dense on this path.  A dense eigensolve replaces the block when
+    fewer than ``5 c`` points are active, or when the one LOBPCG run
+    returns a block that is not orthonormal, or whose largest residual
+    ``|S v - lambda v|`` exceeds 1e-6.
 
     Points with exactly zero degree cannot be related to anything: each
     one is put in its own extra singleton cluster (appended after the
@@ -246,24 +249,20 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     in the spectral embedding as usual.
     """
     completed = CompletedMatrix.coerce(K, MatrixKind.KERNEL)
-    Kv = completed.values
-    n = Kv.shape[0]
+    n = completed.n_points
     if not (2 <= c <= n):
         raise ValueError(f"cluster count must lie in [2, {n}], got {c}")
 
-    deg = Kv.sum(axis=1)
+    deg = completed.row_sums()
     active = deg > 0
     n_active = int(active.sum())
     if n_active < c:
         raise ValueError(
             f"only {n_active} points have nonzero degree; cannot form {c} clusters"
         )
-    found = (
-        _iterative_embedding(Kv, deg, active, c, seed, completed.factors)
-        if n_active >= 5 * c
-        else None
-    )
-    _, vecs = found if found is not None else _dense_embedding(Kv, c)
+    operator = completed.factors if completed.factors is not None else completed.values
+    found = _iterative_embedding(operator, deg, active, c, seed) if n_active >= 5 * c else None
+    _, vecs = found if found is not None else _dense_embedding(completed.values, c)
     norms = np.linalg.norm(vecs, axis=1)
     rows = np.where(norms[:, None] > 0, vecs / np.where(norms == 0, 1.0, norms)[:, None], 0.0)
     inner = kmeans(rows, c, seed=seed)

@@ -226,6 +226,7 @@ def local_update(
     local_steps: int,
     kernel_params: KernelParams,
     final_noise: Callable[[np.ndarray], np.ndarray] | None = None,
+    noise_setting: str = "final_noise",
     norm_cap: float | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray], float]:
     """Run ``local_steps`` gradient-descent steps on ``mmd(shard.data, Y)``
@@ -240,7 +241,8 @@ def local_update(
     step, and ``1' K_XY 1`` of step 1 (the cross-block total of
     ``mmd(shard.data, Y)``).  ``final_noise`` perturbs the last step's
     gradient before it is applied; ``norm_cap`` triggers a divergence
-    abort when an iterate's Frobenius norm exceeds it.
+    abort when an iterate's Frobenius norm exceeds it, which names the
+    step size as the cause or, at the noised step, ``noise_setting``.
     """
     g = kernel_params.gamma
     Yp = broadcast.Y
@@ -258,11 +260,22 @@ def local_update(
         Yp = Yp - step_size * grad
         iterates.append(Yp)
         if norm_cap is not None and _exceeds(Yp, norm_cap):
+            noised = t == local_steps and final_noise is not None
+            cause = f"privacy noise ({noise_setting})" if noised else f"step size {step_size}"
             raise NumericalAbort(
                 f"landmark norm exceeded divergence threshold at local step {t}: "
-                f"step size {step_size} too large"
+                f"{cause} too large"
             )
     return Yp, iterates, cross_sum
+
+
+def _noise_setting(privacy: PrivacySpec) -> str:
+    """The ``[privacy]`` setting that scales the noise of a noised run."""
+    if privacy.mode is PrivacyMode.GRADIENT and privacy.epsilon is not None:
+        return f"[privacy] epsilon = {privacy.epsilon}, delta = {privacy.delta}"
+    if privacy.mode is PrivacyMode.GRADIENT:
+        return f"[privacy] beta = {privacy.beta}"
+    return f"[privacy] sigma = {privacy.sigma}"
 
 
 def _weighted_sum(updates: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
@@ -457,6 +470,8 @@ def run_feddl(
     # next round's step-1 blocks instead of being evaluated twice.
     defer_step_q = not grad_agg and privacy.mode is not PrivacyMode.VARIABLE
 
+    noise_setting = _noise_setting(privacy)  # named when noise breaks the norm cap
+
     def noised_gradient(g: np.ndarray, pos: int, s: int, t: int) -> np.ndarray:
         """Client ``pos``'s gradient-mode noise on ``g`` (round ``s``, stream step ``t``)."""
         rng = noise_rng(privacy.seed, shards[pos].client_id, s, t)
@@ -477,6 +492,7 @@ def run_feddl(
             local_steps=Q,
             kernel_params=kernel_params,
             final_noise=final_noise,
+            noise_setting=noise_setting,
             norm_cap=norm_cap,
         )
         upload = None
@@ -545,9 +561,12 @@ def run_feddl(
             if not np.isfinite(Y_next).all():
                 raise NumericalAbort(f"non-finite landmarks after round {s}")
             if _exceeds(Y_next, norm_cap):
+                # noise on the landmarks or on the uploaded gradients
+                noised = privacy.mode is PrivacyMode.VARIABLE or (gradient_noise and grad_agg)
+                cause = f"privacy noise ({noise_setting})" if noised else f"step size {eta}"
                 raise NumericalAbort(
                     f"landmark norm exceeded divergence threshold after round {s}: "
-                    f"step size {eta} too large"
+                    f"{cause} too large"
                 )
             Y = Y_next
             rows_e[(s - 1) * Q : s * Q] = (time.perf_counter() - t0) * 1e3

@@ -29,6 +29,7 @@ same double whichever way its norms arrived.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,14 +174,72 @@ def _check_pair(X, Y, x_name: str, needs_two: str = ""):
     return X, Y
 
 
+#: side of the square tiles and height of the row panels that the n x n
+#: passes here and in ``nystrom`` work on, so that each step's temporaries
+#: stay in cache
+_TILE = 64
+
+
+def _tile_pairs(n: int):
+    """The 64 x 64 tile pairs ``(I, J), I <= J`` of an n x n array, as
+    ``(i0, i1, j0, j1)`` bounds."""
+    for i0 in range(0, n, _TILE):
+        i1 = min(i0 + _TILE, n)
+        for j0 in range(i0, n, _TILE):
+            yield i0, i1, j0, min(j0 + _TILE, n)
+
+
+def _symmetrize_clip(M: np.ndarray, lo: float, hi: float) -> bool:
+    """``M <- clip(0.5 (M + M'), lo, hi)`` in place, one pair of 64 x 64
+    tiles ``(I, J), I <= J`` at a time.  Float addition commutes, so every
+    entry is the double of the whole-array ``np.clip`` of the symmetrised
+    ``M`` and the result is exactly symmetric; ``lo, hi = -inf, inf``
+    symmetrises alone, with no clip and no bounds test.  Returns whether
+    an entry off the diagonal lay outside ``[lo, hi]``, found on the tiles
+    on the way, with no pass over ``M`` of its own."""
+    bounded = lo > -math.inf or hi < math.inf
+    clipped = False
+    for i0, i1, j0, j1 in _tile_pairs(M.shape[0]):
+        s = M[i0:i1, j0:j1] + M[j0:j1, i0:i1].T
+        s *= 0.5
+        if bounded:
+            off = s if i0 != j0 else s[~np.eye(i1 - i0, dtype=bool)]
+            low, high = off.min(initial=hi), off.max(initial=lo)
+            clipped |= bool(low < lo or high > hi)
+            # a tile strictly inside (lo, hi] off the diagonal is left as it
+            # is (nan fails the test); the diagonal is clipped regardless
+            if i0 == j0 or not (low > lo and high <= hi):
+                np.clip(s, lo, hi, out=s)
+        M[i0:i1, j0:j1] = s
+        M[j0:j1, i0:i1] = s.T
+    return clipped
+
+
+#: the largest square block ``_col_sq_dists`` symmetrises by the
+#: whole-array formula, whose copy is then at most 512 KiB.  At 200
+#: points, the landmark count of the benchmark workloads, the formula
+#: takes 50 us and the tile loop 80-130 us (one BLAS thread, 2-vCPU VM),
+#: and the fit builds the landmarks' block about a thousand times a run,
+#: on a client pool whose threads the loop's many small calls serialise.
+_WHOLE_SYMMETRIZE_MAX = 256
+
+
 def _col_sq_dists(
     A: np.ndarray, B: np.ndarray, sq_a: np.ndarray | None = None, sq_b: np.ndarray | None = None
 ) -> np.ndarray:
     """``pairwise_sq_dist`` without the argument check; ``sq_a``/``sq_b``
-    are the columns' squared norms when the caller holds them."""
+    are the columns' squared norms when the caller holds them.  A square
+    block of one point set is symmetrised: in place when it is large, so
+    that a shard's self-term holds no second n x n array, and by the
+    whole-array formula, the same doubles, when it is small enough for
+    its copy not to matter and for the tile loop's overhead to, as the
+    landmarks' block the fit builds at every step is."""
     D2 = sq_dists(A.T, B.T, sq_a, sq_b)
     if B is A or (A.shape == B.shape and np.array_equal(A, B)):
-        D2 = 0.5 * (D2 + D2.T)
+        if D2.shape[0] > _WHOLE_SYMMETRIZE_MAX:
+            _symmetrize_clip(D2, -math.inf, math.inf)
+        else:
+            D2 = 0.5 * (D2 + D2.T)
         np.fill_diagonal(D2, 0.0)
     return D2
 

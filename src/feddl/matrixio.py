@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv as _csv
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -39,17 +40,31 @@ _DTYPE_F64 = 1
 _HEADER = struct.Struct("<4sBBHII")
 
 
-def write_matrix(path, M: np.ndarray) -> None:
-    """Write a 2-D float64 array to the binary matrix format."""
-    M = np.ascontiguousarray(M, dtype="<f8")
-    if M.ndim != 2:
-        raise ValueError(f"only 2-D matrices are supported, got ndim={M.ndim}")
-    rows, cols = M.shape
+def write_matrix(path, M) -> None:
+    """Write a 2-D matrix to the binary matrix format as float64.
+
+    ``M`` is the matrix, or an iterator over its row panels (2-D blocks of
+    whole rows, top to bottom) that is consumed as the file is written, so
+    the whole matrix need not be held; the header's row count is written
+    last.  An array is the one-panel case.  An exception from the iterator
+    ends the write and leaves the file partial.
+    """
+    panels = M if isinstance(M, Iterator) else iter([M])
+    rows, cols = 0, None
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, _VERSION, _DTYPE_F64, 0, rows, cols))
-        # A byte view of the C-contiguous array, not a copy of the payload
-        # (``memoryview.cast`` would refuse an empty matrix).
-        f.write(M.reshape(-1).view(np.uint8))
+        f.seek(_HEADER.size)
+        for P in panels:
+            P = np.ascontiguousarray(P, dtype="<f8")
+            if P.ndim != 2:
+                raise ValueError(f"only 2-D matrices are supported, got ndim={P.ndim}")
+            if cols is not None and P.shape[1] != cols:
+                raise ValueError(f"a row panel has {P.shape[1]} columns, the first had {cols}")
+            rows, cols = rows + P.shape[0], P.shape[1]
+            # A byte view of the C-contiguous panel, not a copy of the
+            # payload (``memoryview.cast`` would refuse an empty matrix).
+            f.write(P.reshape(-1).view(np.uint8))
+        f.seek(0)
+        f.write(_HEADER.pack(_MAGIC, _VERSION, _DTYPE_F64, 0, rows, cols or 0))
 
 
 def read_matrix(path) -> np.ndarray:

@@ -24,20 +24,24 @@ construction (square, finite, symmetric, and the diagonal of its kind or
 non-negative entries) and store an exactly symmetric matrix, keeping an
 input that already is one, so consumers read ``values`` as it is;
 ``CompletedMatrix.coerce`` turns a plain array into a checked completion
-of the kind a consumer needs.
+of the kind a consumer needs.  A completion ``nystrom_complete`` makes
+is symmetric and in range by construction, and only its finiteness is
+checked.
 
-The completion holds one n x n array: the product ``B W_k^+ B'`` is
-symmetrised in place, one pair of 64 x 64 tiles at a time, and the
-checks read it one 64-row panel at a time, so neither forms an n x n
-temporary.  Every entry is the double of the whole-array formula
-``0.5 (M + M')``.
-
-A kernel completion is clipped to ``[0, 1]`` on the same tiles, which
-also tell whether any entry off the diagonal was clipped.  When none
-was, the completion keeps ``NystromFactors``: ``B``, ``W_k^+`` and
-``pin = 1 - diag(B W_k^+ B')``, so that ``K = B W_k^+ B' + diag(pin)``
-up to rounding and ``K @ X`` costs ``O(n n_y)`` per column.  A clipped
-completion is no longer a product of the factors and keeps none.
+A kernel completion is made from its factors in one pass over 64-row
+panels, and holds no n x n array when no entry off the diagonal leaves
+``[0, 1]``: it keeps ``NystromFactors`` (``B``, ``W_k^+`` and ``pin = 1 -
+diag(B W_k^+ B')``, so that ``K = B W_k^+ B' + diag(pin)`` up to rounding
+and ``K @ X`` costs ``O(n n_y)`` per column) and its row sums, and hands
+each panel to the caller, which writes it out.  Each panel is assembled
+from 64 x 64 tiles that are computed with the same operands and shape
+wherever they appear, so the panels are exactly symmetric and within
+rounding of the whole product.  The pass checks every entry, and one
+out of range sends the completion down the dense path: the product
+``B W_k^+ B'`` formed whole, symmetrised and clipped in place, one pair
+of 64 x 64 tiles at a time, so that every entry is the double of the
+whole-array formula ``clip(0.5 (M + M'), 0, 1)``.  A distance completion
+always takes that path, clamped at zero instead of clipped.
 
 ``evaluate_bounds`` evaluates the a-priori error-bound diagnostics for a
 completed kernel matrix (condition number of the augmented kernel, MMD
@@ -48,14 +52,21 @@ matrix is available, the realized error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .kernels import KernelParams, gaussian_kernel, mmd, pairwise_sq_dist
+from .kernels import (
+    _TILE,
+    KernelParams,
+    _symmetrize_clip,
+    gaussian_kernel,
+    mmd,
+    pairwise_sq_dist,
+)
 
 __all__ = [
     "MatrixKind",
@@ -103,44 +114,6 @@ class CompletionParams:
             raise ValueError(f"ridge_lambda must be finite and >= 0, got {self.ridge_lambda!r}")
         if not (0 <= self.eigen_floor < 1):
             raise ValueError(f"eigen_floor must lie in [0, 1), got {self.eigen_floor!r}")
-
-
-#: side of the square tiles and height of the row panels that the n x n
-#: passes below work on, so that each step's temporaries stay in cache
-_TILE = 64
-
-
-def _tile_pairs(n: int):
-    """The 64 x 64 tile pairs ``(I, J), I <= J`` of an n x n array, as
-    ``(i0, i1, j0, j1)`` bounds."""
-    for i0 in range(0, n, _TILE):
-        i1 = min(i0 + _TILE, n)
-        for j0 in range(i0, n, _TILE):
-            yield i0, i1, j0, min(j0 + _TILE, n)
-
-
-def _symmetrize_clip(M: np.ndarray, lo: float, hi: float) -> bool:
-    """``M <- clip(0.5 (M + M'), lo, hi)`` in place, one pair of 64 x 64
-    tiles ``(I, J), I <= J`` at a time.  Float addition commutes, so every
-    entry is the double of the whole-array ``np.clip`` of the symmetrised
-    ``M`` and the result is exactly symmetric; ``lo, hi = -inf, inf``
-    symmetrises alone.  Returns whether an entry off the diagonal lay
-    outside ``[lo, hi]``, found on the tiles on the way, with no pass over
-    ``M`` of its own."""
-    clipped = False
-    for i0, i1, j0, j1 in _tile_pairs(M.shape[0]):
-        s = M[i0:i1, j0:j1] + M[j0:j1, i0:i1].T
-        s *= 0.5
-        off = s if i0 != j0 else s[~np.eye(i1 - i0, dtype=bool)]
-        low, high = off.min(initial=hi), off.max(initial=lo)
-        clipped |= bool(low < lo or high > hi)
-        # a tile strictly inside (lo, hi] off the diagonal is left as it is
-        # (nan fails the test); the diagonal is clipped regardless
-        if i0 == j0 or not (low > lo and high <= hi):
-            np.clip(s, lo, hi, out=s)
-        M[i0:i1, j0:j1] = s
-        M[j0:j1, i0:i1] = s.T
-    return clipped
 
 
 def _all_finite(A: np.ndarray) -> bool:
@@ -293,13 +266,13 @@ def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, f
 
 @dataclass(frozen=True)
 class NystromFactors:
-    """A completed matrix as ``K = B Winv B' + diag(pin)``, within rounding.
+    """A kernel completion as ``K = B Winv B' + diag(pin)``, within rounding.
 
-    For a kernel completion ``B`` (``n x n_y``) is the stacked cross block
-    it shares, ``Winv = pinv_k(W + lambda I)`` and ``pin = 1 - diag(B
-    Winv B')`` undoes the unit-diagonal pin.  ``K @ X`` through the
-    factors costs ``O(n n_y)`` per column instead of ``O(n^2)``, and they
-    hold one ``n x n_y`` array.
+    ``B`` (``n x n_y``) is the stacked cross block the completion shares,
+    ``Winv = pinv_k(W + lambda I)`` and ``pin = 1 - diag(B Winv B')``
+    undoes the unit-diagonal pin.  ``K @ X`` through the factors costs
+    ``O(n n_y)`` per column instead of ``O(n^2)``, and they hold one
+    ``n x n_y`` array.
     """
 
     B: np.ndarray
@@ -311,39 +284,98 @@ class NystromFactors:
         return self.B @ (self.Winv @ (self.B.T @ X)) + self.pin[:, None] * X
 
 
-@dataclass(frozen=True)
+def _kernel_panels(L: np.ndarray, B: np.ndarray):
+    """The kernel completion ``L B'`` (``L = B W_k^+``) with a unit
+    diagonal, as ``(i0, panel, diagonal)`` for each 64-row panel from the
+    top: the panel of rows ``i0:i0 + 64`` and the diagonal of ``L B'`` on
+    those rows.
+
+    A panel is assembled from tiles of fixed shape: ``t(I, J) = L[I]
+    B[J]'`` for ``I < J`` is computed in panel ``I`` and, from the same
+    operands, again in panel ``J``, which holds its transpose; a diagonal
+    tile is ``0.5 (t + t')``.  So the panels are exactly symmetric, which
+    products of whole row panels are not: those differ in the last bit
+    from the whole product, by an amount that depends on the panel
+    height.
+    """
+    n = L.shape[0]
+    bounds = [(j0, min(j0 + _TILE, n)) for j0 in range(0, n, _TILE)]
+    for i0, i1 in bounds:
+        P = np.empty((i1 - i0, n))
+        for j0, j1 in bounds:
+            if j0 < i0:
+                P[:, j0:j1] = (L[j0:j1] @ B[i0:i1].T).T
+            elif j0 > i0:
+                P[:, j0:j1] = L[i0:i1] @ B[j0:j1].T
+            else:
+                t = L[i0:i1] @ B[i0:i1].T
+                diagonal = np.diagonal(t).copy()
+                s = t + t.T
+                s *= 0.5
+                np.fill_diagonal(s, 1.0)
+                P[:, i0:i1] = s
+        yield i0, P, diagonal
+
+
+class _OutOfRange(Exception):
+    """An entry of a kernel completion is not finite or, off the diagonal,
+    outside [0, 1]."""
+
+
 class CompletedMatrix:
     """Completed global matrix over all data points, with provenance.
 
-    ``values`` must be square, finite, non-negative and symmetric within
-    1e-8 of max(1, largest entry); it is stored exactly symmetric.
-    ``factors``, when present, give the same matrix in rank-``r`` form
-    (see ``NystromFactors``), so a consumer can apply it at ``O(n r)``
-    per column.
+    Built from ``values``, which must be square, finite, non-negative and
+    symmetric within 1e-8 of max(1, largest entry); it is stored exactly
+    symmetric.  ``factors``, when present, give the same matrix in
+    rank-``r`` form (see ``NystromFactors``), so a consumer can apply it
+    at ``O(n r)`` per column.
+
+    A kernel completion that ``nystrom_complete`` made without clipping
+    holds no n x n array: only its factors and its row sums.  Its
+    ``values`` are assembled from ``row_panels()`` on each access, at the
+    cost of one n x n array and one product, so nothing on the pipeline's
+    path reads them.
     """
 
-    values: np.ndarray
-    kind: MatrixKind
-    provenance: dict = field(default_factory=dict)
-    factors: NystromFactors | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        kind = MatrixKind(self.kind)
+    def __init__(
+        self,
+        values,
+        kind: MatrixKind,
+        provenance: dict | None = None,
+        factors: NystromFactors | None = None,
+    ) -> None:
+        kind = MatrixKind(kind)
         what = f"{kind.value} matrix"
-        M = np.asarray(self.values, dtype=np.float64)
-        values = _checked_symmetric(M, what, 1e-8)
+        M = np.asarray(values, dtype=np.float64)
+        checked = _checked_symmetric(M, what, 1e-8)
         if M.min(initial=0.0) < 0:
             raise ValueError(f"{what} must be non-negative")
-        f = self.factors
+        f = factors
         if f is not None:
-            n, r = values.shape[0], f.Winv.shape[0]
+            n, r = checked.shape[0], f.Winv.shape[0]
             if f.B.shape != (n, r) or f.Winv.shape != (r, r) or f.pin.shape != (n,):
                 raise ValueError(
                     f"factors of shapes {f.B.shape}, {f.Winv.shape}, {f.pin.shape} do not "
                     f"fit a {n} x {n} matrix"
                 )
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "kind", kind)
+        self._set(checked, kind, provenance, factors, None)
+
+    def _set(self, values, kind, provenance, factors, row_sums) -> None:
+        self._values = values
+        self.kind = kind
+        self.provenance = {} if provenance is None else provenance
+        self.factors = factors
+        self._row_sums = row_sums
+
+    @classmethod
+    def _made(cls, values, kind, provenance, factors=None, row_sums=None) -> "CompletedMatrix":
+        """A completion ``nystrom_complete`` has made: exactly symmetric and
+        of its kind's range by construction, so it is not checked again.
+        ``values`` is None for a factored kernel completion."""
+        completed = cls.__new__(cls)
+        completed._set(values, kind, provenance, factors, row_sums)
+        return completed
 
     @classmethod
     def coerce(cls, M, kind: MatrixKind) -> "CompletedMatrix":
@@ -357,7 +389,71 @@ class CompletedMatrix:
 
     @property
     def n_points(self) -> int:
-        return self.values.shape[0]
+        return (self._values if self._values is not None else self.factors.B).shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense n x n matrix; assembled anew for a factored completion."""
+        if self._values is not None:
+            return self._values
+        n = self.n_points
+        M = np.empty((n, n))
+        i0 = 0
+        for P in self.row_panels():
+            M[i0 : i0 + P.shape[0]] = P
+            i0 += P.shape[0]
+        return M
+
+    def row_panels(self):
+        """The matrix's row panels, top to bottom: a dense completion is its
+        own one panel, a factored one is computed in the 64-row panels of
+        ``_kernel_panels``, the doubles ``nystrom_complete`` wrote."""
+        if self._values is not None:
+            yield self._values
+            return
+        f = self.factors
+        for _, P, _ in _kernel_panels(f.B @ f.Winv, f.B):
+            yield P
+
+    def row_sums(self) -> np.ndarray:
+        """Each row's sum, as ``values.sum(axis=1)`` computes it."""
+        if self._row_sums is None:
+            return self._values.sum(axis=1)
+        return self._row_sums
+
+
+def _factored_kernel(
+    B: np.ndarray, Winv: np.ndarray, L: np.ndarray, provenance: dict, write
+) -> CompletedMatrix | None:
+    """The kernel completion ``L B'`` (``L = B Winv``) in one pass over
+    its row panels (``_kernel_panels``), which checks every entry, records
+    the diagonal correction and the row sums, and hands the panels to
+    ``write`` as they come; None when an entry is not finite or, off the
+    diagonal, outside [0, 1], which ends the pass."""
+    n = B.shape[0]
+    pin = np.empty(n)
+    row_sums = np.empty(n)
+
+    def checked_panels():
+        for i0, P, diagonal in _kernel_panels(L, B):
+            i1 = i0 + P.shape[0]
+            # the unit diagonal lies in range, and nan fails both tests
+            if not (P.min() >= 0.0 and P.max() <= 1.0 and np.isfinite(diagonal).all()):
+                raise _OutOfRange
+            pin[i0:i1] = 1.0 - diagonal
+            row_sums[i0:i1] = P.sum(axis=1)
+            yield P
+
+    try:
+        if write is None:
+            for _ in checked_panels():
+                pass
+        else:
+            write(checked_panels())
+    except _OutOfRange:
+        return None
+    factors = NystromFactors(B=B, Winv=Winv, pin=pin)
+    return CompletedMatrix._made(None, MatrixKind.KERNEL, provenance, factors, row_sums)
 
 
 def nystrom_complete(
@@ -365,15 +461,26 @@ def nystrom_complete(
     W: LandmarkBlock,
     params: CompletionParams,
     privacy_mode: str = "none",
+    write=None,
 ) -> CompletedMatrix:
     """Complete the full data-by-data matrix from landmark blocks.
 
     Computes ``B pinv_k(W + lambda I) B'`` from the stacked client blocks
-    ``B`` (``n_x x n_y``, see ``assemble_cross_block``), symmetrises, and
-    applies the kind-specific post-processing.  Provenance records the
-    landmark count, effective rank, resolved ridge, and privacy mode.  A
-    kernel completion that clipped no entry off the diagonal carries its
-    ``factors``, which share ``B``.
+    ``B`` (``n_x x n_y``, see ``assemble_cross_block``) and applies the
+    kind-specific post-processing.  Provenance records the landmark count,
+    effective rank, resolved ridge, and privacy mode.
+
+    A kernel completion is first made in one pass over its row panels
+    (``_factored_kernel``).  When every entry is finite and, off the
+    diagonal, in [0, 1], it holds only its ``factors``, which share
+    ``B``, and its row sums.  Otherwise, and for a distance completion,
+    the product is formed whole, symmetrised in place and clamped or
+    clipped, and carries no factors.
+
+    ``write``, when given, is called with the completion as it is made:
+    with an iterator over a pass's row panels, which raises when the pass
+    ends early, and then with the dense array, which replaces what the
+    pass wrote.
     """
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
@@ -386,31 +493,37 @@ def nystrom_complete(
             f"block has {W.n_landmarks}"
         )
     Winv, lam = _ridged_pinv(W.values, params)
-    factors = None
-    # An overflow stays non-finite, which CompletedMatrix rejects.
+    provenance = {
+        "n_landmarks": W.n_landmarks,
+        "rank_k": _rank(params, W.n_landmarks),
+        "ridge_lambda": lam,
+        "privacy_mode": str(privacy_mode),
+    }
+    # An overflow stays non-finite, which the checks reject.
     with np.errstate(over="ignore", invalid="ignore"):
-        M = B @ Winv @ B.T
+        L = B @ Winv
+        if W.kind is MatrixKind.KERNEL:
+            completed = _factored_kernel(B, Winv, L, provenance, write)
+            if completed is not None:
+                return completed
+        M = L @ B.T  # the doubles of B @ Winv @ B.T
+        del L
         if W.kind is MatrixKind.DISTANCE:
             _symmetrize_clip(M, -math.inf, math.inf)
             # not a clip to [0, inf): np.clip keeps -0.0, np.maximum gives +0.0
             np.maximum(M, 0.0, out=M)
             np.fill_diagonal(M, 0.0)
         else:
-            pin = 1.0 - np.diagonal(M)
-            if not _symmetrize_clip(M, 0.0, 1.0):
-                factors = NystromFactors(B=B, Winv=Winv, pin=pin)
+            _symmetrize_clip(M, 0.0, 1.0)
             np.fill_diagonal(M, 1.0)
-    return CompletedMatrix(
-        values=M,
-        kind=W.kind,
-        provenance={
-            "n_landmarks": W.n_landmarks,
-            "rank_k": _rank(params, W.n_landmarks),
-            "ridge_lambda": lam,
-            "privacy_mode": str(privacy_mode),
-        },
-        factors=factors,
-    )
+    # clamped or clipped, M is non-negative but for nan, so its largest
+    # entry is finite exactly when every entry is
+    if not math.isfinite(float(M.max(initial=0.0))):
+        raise ValueError(f"{W.kind.value} matrix contains non-finite entries")
+    completed = CompletedMatrix._made(M, W.kind, provenance)
+    if write is not None:
+        write(M)
+    return completed
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ load the data and reject any setting infeasible for the points loaded
 complete the squared-distance (``tsne``/``umap``) or kernel
 (``speclust``) matrix from per-client blocks, embed and evaluate or
 cluster, and write the artefacts from one ordered list of ``(file name,
-writer)`` entries that also gives the manifest its ``[outputs]``.  Stage
-functions are called through this module's names at call time, so a
-wrapper installed on one of them sees every call.
+writer)`` entries that also gives the manifest its ``[outputs]``.  The
+completed matrix is written as it is made, so its entry has no writer
+and a run that fails after the completion leaves that file without a
+manifest.  Stage functions are called through this module's names at
+call time, so a wrapper installed on one of them sees every call.
 
 ``rerun_manifest`` re-executes a run's manifest.  With a fixed seed all
 outputs except the manifest and the optimisation trace (both carry
@@ -86,26 +88,32 @@ def _output_dir(out_dir) -> Path:
 
 
 def _write(out: Path, writers: list) -> dict:
-    """Run each ``(file name, writer)`` entry in order on ``out / name``."""
+    """Run each ``(file name, writer)`` entry in order on ``out / name``;
+    a ``None`` writer's file was written earlier in the run."""
     files = {}
     for name, write in writers:
         files[name] = out / name
-        write(files[name])
+        if write is not None:
+            write(files[name])
     return files
 
 
 #: each command's peak of dense n x n float64 arrays, in units of
 #: n^2 x 8 B, as tracemalloc measured it over whole runs at n = 2500:
 #: t-SNE 4.18 and UMAP 5.24 (both in the descent), spectral clustering 1.22
-#: (in the completion: the one n x n product, symmetrised and checked in
-#: place, over the stacked blocks; the eigensolve, which also holds the
-#: n x n_y factor ``B``, peaks at 1.21); ``fit`` holds no n x n array.
-#: UMAP at ``b != 1`` holds a fourth n x n workspace: 6.24 at n = 1000.
+#: when its kernel completion clips (the one n x n product, symmetrised
+#: and clipped in place, over the stacked blocks).  A completion that
+#: clips nothing holds no n x n array, but whether it clips is known only
+#: after its pass, so the guard covers the clipped case.  ``fit`` holds
+#: no n x n array.  UMAP at ``b != 1`` holds a fourth n x n workspace:
+#: 6.24 at n = 1000.
 _DENSE_PEAK_N2 = {"tsne": 4.2, "umap": 5.3, "speclust": 1.3}
 _UMAP_B_PEAK_N2 = 6.3
 #: the fit's peak in n_p^2 x 8 B, n_p the largest shard: the MMD self-term's
-#: n_p x n_p kernel block and its distances (2.02 for one client at n = 1000)
-_SHARD_PEAK_N2 = 2.1
+#: n_p x n_p block, its distances symmetrised and turned into kernel values
+#: in place (1.04 for one client at n = 1000; a shard of at most 256 points
+#: is symmetrised through a copy of at most 512 KiB)
+_SHARD_PEAK_N2 = 1.1
 
 
 def _available_memory(
@@ -193,14 +201,21 @@ def _check_feasible(
 
 
 def _complete(
-    shards: list, Y: np.ndarray, kernel: KernelParams, cfg: PipelineConfig, kind: MatrixKind
+    shards: list,
+    Y: np.ndarray,
+    kernel: KernelParams,
+    cfg: PipelineConfig,
+    kind: MatrixKind,
+    path: Path | None = None,
 ) -> CompletedMatrix:
     """Clients compute their blocks against the final landmarks; the
-    server assembles and completes.  Blocks or a completion that leave
-    float64 (finite points whose squared distances overflow, a landmark
-    block too small to invert) abort numerically.  The overflow is raised
-    rather than looked for in the blocks, because the Gram expansion
-    clamps an overflowing ``2 x.y`` to a distance of 0."""
+    server assembles and completes, writing the completion to ``path``,
+    when given, as it is made (by row panels when it holds no n x n
+    array).  Blocks or a completion that leave float64 (finite points
+    whose squared distances overflow, a landmark block too small to
+    invert) abort numerically.  The overflow is raised rather than looked
+    for in the blocks, because the Gram expansion clamps an overflowing
+    ``2 x.y`` to a distance of 0."""
 
     def sq_dist_block(A: np.ndarray, what: str) -> np.ndarray:
         with overflow_aborts(f"{what} overflow float64"):
@@ -221,7 +236,13 @@ def _complete(
             values=W_D2 if kind is MatrixKind.DISTANCE else gaussian_kernel(W_D2, kernel),
             kind=kind,
         )
-        return nystrom_complete(B, W, cfg.completion, privacy_mode=cfg.privacy.mode.value)
+        return nystrom_complete(
+            B,
+            W,
+            cfg.completion,
+            privacy_mode=cfg.privacy.mode.value,
+            write=None if path is None else (lambda M: write_matrix(path, M)),
+        )
     except ValueError as exc:
         raise NumericalAbort(f"completion failed: {exc}") from exc
 
@@ -279,10 +300,10 @@ def _run(cfg: PipelineConfig, out_dir, command: str) -> RunOutputs:
     ]
     if command != "fit":
         kind = MatrixKind.KERNEL if command == "speclust" else MatrixKind.DISTANCE
-        completed = res.completed = _complete(shards, fed.landmarks, kernel, cfg, kind)
-        del shards  # nothing after the completion reads the points
         name = f"completed_{kind.value}.fdlm"
-        writers.append((name, lambda p: write_matrix(p, completed.values)))
+        completed = res.completed = _complete(shards, fed.landmarks, kernel, cfg, kind, out / name)
+        del shards  # nothing after the completion reads the points
+        writers.append((name, None))  # written as the completion was made
     if econf is not None:
         # a huge learning rate, scale, exaggeration or UMAP a/b overflows in
         # the initial layout or the descent; the guard sits here so that the

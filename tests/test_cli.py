@@ -171,6 +171,33 @@ OVERFLOWS = {
         "landmark norm exceeded divergence threshold at local step 1",
     ),
     "bandwidth-heuristic": ("umap", 1e-160, (), "bandwidth heuristic on the initial landmarks"),
+    # noise, not the step size, breaks the landmark-norm cap: on the
+    # aggregated landmarks, on a client's final local step, and on the
+    # uploaded gradients
+    "variable-noise": (
+        "fit",
+        1.0,
+        (("[run]", "[privacy]\nmode = variable\nsigma = 1e308\n\n[run]"),),
+        "landmark norm exceeded divergence threshold after round 1: "
+        "privacy noise ([privacy] sigma = 1e+308) too large",
+    ),
+    "gradient-noise": (
+        "fit",
+        1.0,
+        (("[run]", "[privacy]\nmode = gradient\nbeta = 1e308\n\n[run]"),),
+        "landmark norm exceeded divergence threshold at local step 2: "
+        "privacy noise ([privacy] beta = 1e+308) too large",
+    ),
+    "averaged-gradient-noise": (
+        "fit",
+        1.0,
+        (
+            ("landmarks = 12", "landmarks = 12\naggregation = average_gradients"),
+            ("[run]", "[privacy]\nmode = gradient\nbeta = 1e308\n\n[run]"),
+        ),
+        "landmark norm exceeded divergence threshold after round 1: "
+        "privacy noise ([privacy] beta = 1e+308) too large",
+    ),
     # data-mode noise itself leaves float64
     **{
         f"data-noise-{command}": (

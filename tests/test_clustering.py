@@ -416,17 +416,16 @@ def test_factored_path_matches_dense_path(monkeypatch, tmp_path, make, c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = spectral_cluster(completed, c, seed=3)
-    # LOBPCG ran on the factors alone; the dense K served only the final check
+    # LOBPCG and the check of its block ran on the factors alone
     assert {t for t, inside in calls if inside} == {NystromFactors}
-    assert [t for t, inside in calls if not inside] == [np.ndarray]
+    assert [t for t, inside in calls if not inside] == [NystromFactors]
     dense = spectral_cluster(K, c, seed=3)
     assert out.labels.tobytes() == dense.labels.tobytes()
     assert out.n_clusters == dense.n_clusters and out.inertia == pytest.approx(dense.inertia)
 
     deg = K.sum(axis=1)
-    args = (K, deg, deg > 0, c, 3)
-    lam, _ = clustering._iterative_embedding(*args, completed.factors)
-    lam_dense, _ = clustering._iterative_embedding(*args)
+    lam, _ = clustering._iterative_embedding(completed.factors, deg, deg > 0, c, 3)
+    lam_dense, _ = clustering._iterative_embedding(K, deg, deg > 0, c, 3)
     npt.assert_allclose(lam, lam_dense, rtol=0, atol=1e-8)
 
 
@@ -444,23 +443,6 @@ def test_clipping_completion_takes_the_dense_operator(monkeypatch, tmp_path):
     assert out.completed.values.min() == 0.0
     assert calls and {t for t, _ in calls} == {np.ndarray}
     assert out.metrics.nmi == pytest.approx(1.0)
-
-
-def _scaled_factors(scale):
-    real = NystromFactors.__matmul__
-    return lambda self, X: scale * real(self, X)
-
-
-@pytest.mark.parametrize("make,c", FACTORED_CASES.values(), ids=FACTORED_CASES)
-def test_corrupted_factors_fall_back_to_eigh(monkeypatch, tmp_path, make, c):
-    completed = make(tmp_path)
-    ref = _dense_reference(completed.values, c, seed=3)
-    monkeypatch.setattr(NystromFactors, "__matmul__", _scaled_factors(1.05))
-    calls = _lobpcg_spy(monkeypatch)
-    out = spectral_cluster(completed, c, seed=3)
-    # one LOBPCG attempt: its block failed the dense check, so eigh ran
-    assert len(calls) == 1
-    assert out.labels.tobytes() == ref.labels.tobytes()
 
 
 @pytest.mark.parametrize("wrong", WRONG_BLOCKS.values(), ids=WRONG_BLOCKS)

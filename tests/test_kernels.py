@@ -51,6 +51,24 @@ def test_pairwise_self_is_symmetric_zero_diag(rng):
     assert D2.min() >= 0
 
 
+@pytest.mark.parametrize("n", [2, 65, 333, 1000])
+def test_self_distances_are_symmetrised_in_place(n):
+    # the doubles of the whole-array formula, without its second n x n array
+    X = np.random.default_rng(n).normal(size=(5, n))
+    D2 = sq_dists(X.T)
+    expected = 0.5 * (D2 + D2.T)
+    np.fill_diagonal(expected, 0.0)
+    npt.assert_array_equal(pairwise_sq_dist(X, X).view(np.int64), expected.view(np.int64))
+    if n == 1000:  # large enough for the 64 x 64 tiles not to count
+        tracemalloc.start()
+        try:
+            pairwise_sq_dist(X, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * n * n * 8
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_pairwise_matches_direct_loop(seed):

@@ -83,6 +83,21 @@ def test_matrix_write_makes_no_payload_copy(tmp_path, rng):
     assert peak < 0.1 * M.nbytes
 
 
+@pytest.mark.parametrize("heights", [[7], [1, 6], [3, 0, 4]], ids=["one", "two", "empty-panel"])
+def test_matrix_written_by_row_panels_is_the_matrix_file(tmp_path, rng, heights):
+    M = rng.normal(size=(7, 5))
+    bounds = np.cumsum([0, *heights])
+    panels, whole = tmp_path / "panels.fdlm", tmp_path / "whole.fdlm"
+    write_matrix(panels, (M[a:b] for a, b in zip(bounds[:-1], bounds[1:])))
+    write_matrix(whole, M)
+    assert panels.read_bytes() == whole.read_bytes()
+
+
+def test_row_panels_share_one_width(tmp_path):
+    with pytest.raises(ValueError, match="a row panel has 3 columns, the first had 4"):
+        write_matrix(tmp_path / "m.fdlm", iter([np.zeros((2, 4)), np.zeros((1, 3))]))
+
+
 def test_matrix_rejects_non_2d():
     with pytest.raises(ValueError, match="only 2-D"):
         write_matrix("/dev/null", np.zeros(3))

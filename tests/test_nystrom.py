@@ -6,7 +6,9 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
+from feddl import nystrom
 from feddl.kernels import KernelParams, gaussian_kernel, pairwise_sq_dist
+from feddl.matrixio import write_matrix
 from feddl.nystrom import (
     CompletedMatrix,
     CompletionParams,
@@ -14,6 +16,7 @@ from feddl.nystrom import (
     MatrixKind,
     NystromFactors,
     _all_finite,
+    _kernel_panels,
     _ridged_pinv,
     _symmetrize_clip,
     _symmetry_gap,
@@ -366,32 +369,113 @@ def test_completion_holds_one_n_by_n_array(rng):
     assert peak - base <= 1.5 * n * n * 8
 
 
-def _kernel_completion(rng, gamma, rank_k=0, n=150, n_y=20):
+def _kernel_inputs(rng, gamma, n=150, n_y=20):
+    """The cross block ``B`` and landmark block ``W`` of a Gaussian kernel
+    on normal 3-D points and landmarks."""
     X, Y = rng.normal(size=(3, n)), rng.normal(size=(3, n_y))
     params = KernelParams(gamma=gamma)
-    B = gaussian_kernel(pairwise_sq_dist(X, Y), params)
-    W_values = gaussian_kernel(pairwise_sq_dist(Y, Y), params)
-    W = LandmarkBlock(values=W_values, kind=MatrixKind.KERNEL)
+    W = gaussian_kernel(pairwise_sq_dist(Y, Y), params)
+    return (
+        gaussian_kernel(pairwise_sq_dist(X, Y), params),
+        LandmarkBlock(values=W, kind=MatrixKind.KERNEL),
+    )
+
+
+def _kernel_completion(rng, gamma, rank_k=0, n=150, n_y=20):
+    B, W = _kernel_inputs(rng, gamma, n, n_y)
     return B, W, nystrom_complete(B, W, CompletionParams(rank_k=rank_k))
 
 
 def test_kernel_completion_keeps_its_factors(rng):
-    # a wide kernel: no entry of B W^+ B' leaves [0, 1]
-    B, W, completed = _kernel_completion(rng, gamma=0.02)
+    # a wide kernel on few landmarks: no entry of B W^+ B' leaves [0, 1],
+    # and W is well enough conditioned for rounding to stay near 1e-16
+    B, W, completed = _kernel_completion(rng, gamma=0.05, n_y=8)
     f = completed.factors
     assert isinstance(f, NystromFactors) and f.B is B
     Winv = pinv(W, CompletionParams())
     npt.assert_array_equal(f.Winv, Winv)
-    npt.assert_array_equal(f.pin, 1.0 - np.diagonal(B @ Winv @ B.T))
-    X = rng.normal(size=(B.shape[0], 4))
-    # equal up to rounding, which W^+ of a near-singular W magnifies
-    KX = completed.values @ X
-    npt.assert_allclose(f @ X, KX, rtol=0, atol=1e-9 * np.abs(KX).max())
-    # the factors change nothing of the matrix: same doubles as without them
     raw = B @ Winv @ B.T
+    npt.assert_allclose(f.pin, 1.0 - np.diagonal(raw), rtol=0, atol=1e-12)
+    # exactly symmetric, and within rounding of the whole-array formula
+    K = completed.values
+    npt.assert_array_equal(K, K.T)
     expected = np.clip(0.5 * (raw + raw.T), 0.0, 1.0)
     np.fill_diagonal(expected, 1.0)
-    npt.assert_array_equal(completed.values, expected)
+    npt.assert_allclose(K, expected, rtol=0, atol=1e-12)
+    npt.assert_array_equal(completed.row_sums(), K.sum(axis=1))
+
+
+def test_factors_apply_the_completed_matrix(rng):
+    _, _, completed = _kernel_completion(rng, gamma=0.05, n_y=8)
+    X = rng.normal(size=(completed.n_points, 4))
+    KX = completed.values @ X
+    npt.assert_allclose(completed.factors @ X, KX, rtol=0, atol=1e-12 * np.abs(KX).max())
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 641])
+@pytest.mark.parametrize("n_y", [2, 12, 200])
+def test_kernel_panels_are_exactly_symmetric(n, n_y):
+    r = np.random.default_rng(1000 * n + n_y)
+    B = r.uniform(size=(n, n_y))
+    A = r.normal(size=(n_y, n_y))
+    Winv = A @ A.T / n_y
+    panels = list(_kernel_panels(B @ Winv, B))
+    assert [i0 for i0, _, _ in panels] == list(range(0, n, 64))
+    K = np.vstack([P for _, P, _ in panels])
+    npt.assert_array_equal(K, K.T)
+    npt.assert_array_equal(np.diagonal(K), np.ones(n))
+    # the reference: the whole product, symmetrised as a whole
+    raw = B @ Winv @ B.T
+    expected = 0.5 * (raw + raw.T)
+    np.fill_diagonal(expected, 1.0)
+    scale = np.abs(raw).max()
+    npt.assert_allclose(K, expected, rtol=0, atol=1e-12 * scale)
+    diagonal = np.concatenate([d for _, _, d in panels])
+    npt.assert_allclose(diagonal, np.diagonal(raw), rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "case,writes",
+    [
+        # the pass hands its panels over one by one
+        ("factored", ["panels"]),
+        # the pass meets an entry below 0 and stops; the dense array replaces it
+        ("clipping", ["panels", "array"]),
+        ("distance", ["array"]),
+    ],
+)
+def test_completion_file_is_the_file_of_its_values(tmp_path, rng, case, writes):
+    if case == "distance":
+        X, Y = rng.normal(size=(3, 150)), rng.normal(size=(3, 20))
+        B = pairwise_sq_dist(X, Y)
+        W = LandmarkBlock(values=pairwise_sq_dist(Y, Y), kind=MatrixKind.DISTANCE)
+    else:
+        B, W = _kernel_inputs(rng, 0.05 if case == "factored" else 0.5, n_y=8)
+    path, seen = tmp_path / "completed.fdlm", []
+
+    def write(M):
+        seen.append("array" if isinstance(M, np.ndarray) else "panels")
+        write_matrix(path, M)
+
+    completed = nystrom_complete(B, W, CompletionParams(), write=write)
+    assert seen == writes
+    assert (completed.factors is not None) is (case == "factored")
+    reference = tmp_path / "reference.fdlm"
+    write_matrix(reference, completed.values)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_only_user_arrays_pay_the_symmetry_pass(monkeypatch, rng):
+    calls = []
+    real = nystrom._symmetry_gap
+    monkeypatch.setattr(nystrom, "_symmetry_gap", lambda A: calls.append(A.shape) or real(A))
+    X, Y = rng.normal(size=(3, 150)), rng.normal(size=(3, 20))
+    W = LandmarkBlock(values=pairwise_sq_dist(Y, Y), kind=MatrixKind.DISTANCE)
+    assert calls == [(20, 20)]  # the landmark block is the caller's array
+    completed = nystrom_complete(pairwise_sq_dist(X, Y), W, CompletionParams())
+    assert calls == [(20, 20)]
+    CompletedMatrix.coerce(completed.values.copy(), MatrixKind.DISTANCE)
+    assert calls == [(20, 20), (150, 150)]
 
 
 def test_clipping_kernel_completion_has_no_factors(rng):

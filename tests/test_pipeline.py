@@ -286,9 +286,29 @@ GUARD_RUNS = {
     "tsne": ("tsne", "[embedding]\niterations = 3\n"),
     "umap": ("umap", "[embedding]\niterations = 3\n"),
     "umap-b": ("umap", "[embedding]\niterations = 3\nb = 0.895\n"),
-    "speclust": ("speclust", ""),
+    # rank 3 of the landmark block clips the kernel completion: the dense
+    # path, which the guard covers
+    "speclust": ("speclust", "[completion]\nrank = 3\n"),
     "fit-1-client": ("fit", "[partition]\nclients = 1\n"),
 }
+
+
+def _guard_cfg(extra):
+    return parse_config(
+        "[dataset]\nblob_count = 4\npoints_per_blob = 250\n\n"
+        "[federation]\nrounds = 1\nlandmarks = 20\n\n" + extra
+    )
+
+
+def _traced_peak(cfg, out_dir, command):
+    """tracemalloc's peak over one whole run, and the run's outputs."""
+    tracemalloc.start()
+    try:
+        out = pipeline._run(cfg, out_dir, command)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, out
 
 
 @pytest.mark.parametrize("command,extra", GUARD_RUNS.values(), ids=GUARD_RUNS)
@@ -298,16 +318,10 @@ def test_memory_guard_is_the_measured_peak(tmp_path, monkeypatch, command, extra
     # imported untraced: the first spectral clustering of a process imports it
     import scipy.sparse.linalg  # noqa: F401
 
-    cfg = parse_config(
-        "[dataset]\nblob_count = 4\npoints_per_blob = 250\n\n"
-        "[federation]\nrounds = 1\nlandmarks = 20\n\n" + extra
-    )
-    tracemalloc.start()
-    try:
-        pipeline._run(cfg, tmp_path, command)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    cfg = _guard_cfg(extra)
+    peak, out = _traced_peak(cfg, tmp_path, command)
+    if command == "speclust":
+        assert out.completed.factors is None
     X, labels = load_dataset(cfg.dataset)
     assert X.shape[1] == GUARD_N
     monkeypatch.setattr(pipeline, "_available_memory", lambda: peak - 1)
@@ -315,6 +329,19 @@ def test_memory_guard_is_the_measured_peak(tmp_path, monkeypatch, command, extra
         _check_feasible(cfg, command, X, labels)
     monkeypatch.setattr(pipeline, "_available_memory", lambda: peak + 0.5 * GUARD_N**2 * 8)
     _check_feasible(cfg, command, X, labels)
+
+
+def test_factored_speclust_holds_no_n_by_n_array(tmp_path):
+    # the guard's configuration at full rank clips nothing: the completion
+    # is written by row panels and clustered through its factors
+    import scipy.sparse.linalg  # noqa: F401  (imported untraced, as above)
+
+    peak, out = _traced_peak(_guard_cfg(""), tmp_path, "speclust")
+    assert out.completed.factors is not None
+    assert peak < 0.25 * GUARD_N**2 * 8
+    K = read_matrix(out.files["completed_kernel.fdlm"])
+    assert K.shape == (GUARD_N, GUARD_N)
+    npt.assert_array_equal(K, K.T)
 
 
 def test_available_memory_is_the_lower_of_meminfo_and_the_cgroup_limit(tmp_path):
