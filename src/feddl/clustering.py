@@ -6,22 +6,24 @@ The spectral path follows the normalised-cut recipe: with degree matrix
 ``S = Dg^{-1/2} K Dg^{-1/2}``), normalise the rows of the resulting
 ``n x c`` spectral embedding to unit length, and run k-means on them.
 
-The eigenvectors come from LOBPCG (``scipy.sparse.linalg.lobpcg``) on
-the operator ``X -> d ⊙ (K @ (d ⊙ X))`` with ``d = deg^{-1/2}`` on
-points of nonzero degree and 0 elsewhere, so neither ``S`` nor ``L`` nor
-any other n x n intermediate is formed.  The degrees are the
-completion's row sums.  When the completion carries ``NystromFactors``
-(``K = B W_k^+ B' + diag(pin)``, rank ``n_y``), LOBPCG applies ``K @ Y``
-as ``B (W_k^+ (B' Y)) + pin ⊙ Y``, at ``O(n n_y)`` per column instead of
-``O(n^2)``, and a kernel completion that clipped nothing holds no dense
-``K`` at all.  The starting block is drawn from the seed's
-``lobpcg_start`` stream and LOBPCG draws nothing itself, so a rerun is
-byte-identical.  A returned block is accepted when it is orthonormal
-and its eigen-residual ``|S v - lambda v|``, on the operator LOBPCG
-used, is at most 1e-6.  A dense LAPACK eigensolve of ``L`` replaces a
-block that fails, and is the only path when fewer than ``5 c`` points
-are active (too few for a block of ``c`` vectors); it assembles the
-dense ``K``.
+The eigenvectors come from a block eigensolver on the operator
+``X -> d ⊙ (K @ (d ⊙ X))`` with ``d = deg^{-1/2}`` on points of nonzero
+degree and 0 elsewhere, so neither ``S`` nor ``L`` nor any other n x n
+intermediate is formed.  The degrees are the completion's row sums.
+Each iteration is one Rayleigh–Ritz step on an orthonormal basis of
+``[X, S X, X_prev]``, the subspace LOBPCG searches, and applies the
+operator once, to the part of that basis that is new; the residual comes
+from the same products.  When the completion carries ``NystromFactors``
+(``K = B W_k^+ B' + diag(pin)``, rank ``n_y``), the operator applies
+``K @ Y`` as ``B (W_k^+ (B' Y)) + pin ⊙ Y``, at ``O(n n_y)`` per column
+instead of ``O(n^2)``, and a kernel completion that clipped nothing holds
+no dense ``K`` at all.  The starting block is drawn from the seed's
+``spectral_start`` stream and the solver draws nothing itself, so a rerun
+is byte-identical.  A returned block is accepted when it is orthonormal
+and its eigen-residual ``|S v - lambda v|``, on the operator the solver
+used, is at most 1e-6.  A dense eigensolve of ``L`` replaces a block that
+fails, and is the only path when fewer than ``5 c`` points are active
+(too few for a block of ``c`` vectors); it assembles the dense ``K``.
 
 k-means is implemented here (rather than pulled in) because its exact
 semantics are pinned: k-means++ seeding, Lloyd iterations until the
@@ -33,11 +35,9 @@ all deterministic for a given seed.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import _sq_norms, _symmetrize_clip, normalized_adjacency, sq_dists
 from .nystrom import CompletedMatrix, MatrixKind
@@ -45,8 +45,9 @@ from .privacy import stream_rng
 
 __all__ = ["ClusterAssignment", "kmeans", "spectral_cluster"]
 
-_LOBPCG_TOL = 1e-8
-_LOBPCG_MAXITER = 200
+#: largest eigen-residual at which the block solver stops, and its iteration cap
+_EIGEN_TOL = 1e-8
+_EIGEN_MAXITER = 200
 #: largest eigen-residual (and orthonormality gap) of an accepted block
 _RESIDUAL_TOL = 1e-6
 #: k-means restarts, Lloyd iterations per restart and the relative inertia
@@ -167,28 +168,71 @@ def kmeans(Z: np.ndarray, c: int, seed: int = 0) -> ClusterAssignment:
 
 def _dense_embedding(Kv: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading ``c`` eigenpairs of ``S`` on the active points, by a dense
-    LAPACK eigensolve of ``L = I - S`` (the fallback of the iterative
-    path and the reference its tests compare against)."""
-    _, active, S = normalized_adjacency(Kv)
-    Lsym = np.eye(S.shape[0]) - S
+    eigensolve of ``L = I - S`` (the fallback of the iterative path and
+    the reference its tests compare against)."""
+    _, active, Lsym = normalized_adjacency(Kv)
+    # I - S in place: the doubles of np.eye(n) - S (0 - s, not -s, keeps
+    # its +0.0), with no second n x n array
+    np.subtract(0.0, Lsym, out=Lsym)
+    Lsym[np.diag_indices_from(Lsym)] += 1.0
     _symmetrize_clip(Lsym, -np.inf, np.inf)
-    w, vecs = scipy.linalg.eigh(Lsym, subset_by_index=(0, c - 1))
-    return 1.0 - w, vecs
+    w, vecs = np.linalg.eigh(Lsym)
+    return 1.0 - w[:c], vecs[:, :c]
 
 
 def _scaled_product(K, d: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``d ⊙ (K @ (d ⊙ X))`` for the dense ``K`` or its ``NystromFactors``."""
-    X = X.reshape(d.size, -1)
     return d[:, None] * (K @ (d[:, None] * X))
+
+
+def _leading_eigenpairs(matmat, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``c = X.shape[1]`` largest eigenvalues, in descending order, and
+    their eigenvectors of the symmetric operator ``matmat``, from the
+    starting block ``X``.
+
+    Each iteration is a Rayleigh–Ritz step on the orthonormal basis ``Q =
+    [X, P, Z]`` of ``[X, S X, X_prev]``: ``X`` holds the current Ritz
+    vectors, ``P`` the part of the previous ones ``X`` does not span, and
+    ``Z`` the residuals orthonormalised against both.  ``X`` and ``P``
+    are combinations of the previous basis, so their images are too, and
+    ``matmat`` is applied once per iteration, to ``Z``.  The iteration
+    stops when every residual ``|S x - lambda x|``, taken from those same
+    images, is at most ``_EIGEN_TOL``, or after ``_EIGEN_MAXITER`` steps;
+    the caller judges the block it returns.
+    """
+    c = X.shape[1]
+    Q = np.linalg.qr(X)[0]
+    SQ = matmat(Q)
+    for _ in range(_EIGEN_MAXITER):
+        H = Q.T @ SQ
+        w, U = np.linalg.eigh(0.5 * (H + H.T))
+        lam, U = w[: -c - 1 : -1], U[:, : -c - 1 : -1]
+        # Q's first c columns are the previous block; in Q's coordinates,
+        # the last c columns of V span the part of it the Ritz vectors U
+        # do not
+        V = np.linalg.qr(np.hstack([U, np.eye(U.shape[0], c)]))[0]
+        V[:, :c] = U
+        XP, SXP = Q @ V, SQ @ V
+        X = XP[:, :c]
+        R = SXP[:, :c] - X * lam
+        if np.linalg.norm(R, axis=0).max() <= _EIGEN_TOL:
+            break
+        # twice: one pass leaves R short of orthogonal to XP when the
+        # residuals lie nearly in its span, as they do near convergence
+        for _ in range(2):
+            R -= XP @ (XP.T @ R)
+        Z = np.linalg.qr(R)[0]
+        Q, SQ = np.hstack([XP, Z]), np.hstack([SXP, matmat(Z)])
+    return lam, X
 
 
 def _iterative_embedding(
     K, deg: np.ndarray, active: np.ndarray, c: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Leading ``c`` eigenpairs of ``d ⊙ (K @ (d ⊙ X))`` by one LOBPCG run
-    from a seeded starting block, or ``None`` when the returned block is
-    not an orthonormal set of eigenvectors of that operator within
-    ``_RESIDUAL_TOL``.
+    """Leading ``c`` eigenpairs of ``d ⊙ (K @ (d ⊙ X))`` by one run of the
+    block solver from a seeded starting block, or ``None`` when the
+    returned block is not an orthonormal set of eigenvectors of that
+    operator within ``_RESIDUAL_TOL``.
 
     ``K`` is the dense matrix or the completion's ``NystromFactors``.
     ``d`` is ``deg^{-1/2}`` on the ``active`` points and 0 elsewhere.
@@ -196,29 +240,14 @@ def _iterative_embedding(
     operator runs on the full ``K`` with vectors that are zero on the
     inactive points, and nothing of size n x n is formed.
     """
-    # Imported here, not at module level, so that commands which never
-    # cluster do not pay for it (about 5 MiB of peak RSS on the t-SNE and
-    # UMAP benchmark workloads).
-    import scipy.sparse.linalg
-
     n = deg.size
     d = np.zeros(n)
     d[active] = 1.0 / np.sqrt(deg[active])
-    rng = stream_rng(seed, "lobpcg_start")
+    rng = stream_rng(seed, "spectral_start")
     X0 = rng.standard_normal((n, c))
     X0[~active] = 0.0
     matmat = functools.partial(_scaled_product, K, d)
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matmat, matmat=matmat, dtype=np.float64)
-    # Non-convergence is judged below by the residual of the returned
-    # block, which is what decides the fallback; lobpcg's own warnings
-    # about its tolerance would only repeat that.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        lam, V = scipy.sparse.linalg.lobpcg(
-            op, X0, tol=_LOBPCG_TOL, maxiter=_LOBPCG_MAXITER, largest=True
-        )
-    order = np.argsort(-lam, kind="stable")
-    lam, V = lam[order], V[:, order]
+    lam, V = _leading_eigenpairs(matmat, X0)
     resid = np.linalg.norm(matmat(V) - V * lam, axis=0).max(initial=0.0)
     gram_gap = np.abs(V.T @ V - np.eye(c)).max(initial=0.0)
     # a block holding nan fails both comparisons
@@ -232,16 +261,17 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     similarity matrix (kernel-kind completion or plain array).
 
     The ``c`` leading eigenvectors of ``S = Dg^{-1/2} K Dg^{-1/2}`` (the
-    ``c`` smallest of the normalised Laplacian) come from LOBPCG on the
-    operator ``X -> d ⊙ (K @ (d ⊙ X))`` with ``d = deg^{-1/2}``, started
-    from a block drawn from ``seed``; no n x n intermediate is formed.
-    The degrees are the completion's row sums.  A completion's factors,
-    when it has them, apply ``K`` inside LOBPCG and in the check of the
-    returned block, so a completion that holds only its factors is never
-    made dense on this path.  A dense eigensolve replaces the block when
-    fewer than ``5 c`` points are active, or when the one LOBPCG run
-    returns a block that is not orthonormal, or whose largest residual
-    ``|S v - lambda v|`` exceeds 1e-6.
+    ``c`` smallest of the normalised Laplacian) come from the block
+    eigensolver on the operator ``X -> d ⊙ (K @ (d ⊙ X))`` with ``d =
+    deg^{-1/2}``, started from a block drawn from ``seed``; no n x n
+    intermediate is formed.  The degrees are the completion's row sums.
+    A completion's factors, when it has them, apply ``K`` inside the
+    solver and in the check of the returned block, so a completion that
+    holds only its factors is never made dense on this path.  A dense
+    eigensolve replaces the block when fewer than ``5 c`` points are
+    active, or when the one solver run returns a block that is not
+    orthonormal, or whose largest residual ``|S v - lambda v|`` exceeds
+    1e-6.
 
     Points with exactly zero degree cannot be related to anything: each
     one is put in its own extra singleton cluster (appended after the

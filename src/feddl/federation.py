@@ -387,7 +387,10 @@ def _resolve_gradient_sigmas(
                 n_y=config.n_landmarks,
             )
         )
-        sigmas.append(gaussian_sigma_for_dp(spec.epsilon, spec.delta, config.rounds, d))
+        sigma = gaussian_sigma_for_dp(spec.epsilon, spec.delta, config.rounds, d)
+        if not np.isfinite(sigma):
+            raise NumericalAbort(f"gradient noise scale overflows float64 ({_noise_setting(spec)})")
+        sigmas.append(sigma)
     return tuple(sigmas)
 
 

@@ -57,7 +57,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import (
     _TILE,
@@ -251,10 +250,10 @@ def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, f
     n = W.shape[0]
     lam = params.ridge_lambda
     if lam == 0.0:
-        w, V = scipy.linalg.eigh(W)
+        w, V = np.linalg.eigh(W)
         lam = _auto_ridge(W, w, params)
     if lam > 0.0:
-        w, V = scipy.linalg.eigh(W + lam * np.eye(n))
+        w, V = np.linalg.eigh(W + lam * np.eye(n))
     kept = _select_eigenpairs(w, _rank(params, n), params.eigen_floor)
     if kept.size == 0:
         raise ValueError("landmark block is numerically rank-zero; cannot invert")
@@ -587,7 +586,7 @@ def evaluate_bounds(
     if X is not None:
         X = np.asarray(X, dtype=np.float64)
         aug = np.hstack([Y, X])
-        w = np.abs(scipy.linalg.eigvalsh(gaussian_kernel(pairwise_sq_dist(aug, aug), kernel_params)))
+        w = np.abs(np.linalg.eigvalsh(gaussian_kernel(pairwise_sq_dist(aug, aug), kernel_params)))
         wmin = float(w.min())
         cond = float(w.max()) / wmin if wmin > 0 else math.inf
         mmd_term = abs(mmd(X, Y, kernel_params)) / (n_x + n_y)

@@ -59,7 +59,7 @@ SERVER_STREAM_ID = 0xFFFFFFFF
 #: and variable noise the client slot ``SERVER_STREAM_ID``, which is no tag.
 _STREAMS = dict(
     landmark_init=1, tsne_init=2, umap_init=3, kmeans_restart=4, ca_split=5,
-    blobs=6, subsample=7, iid_partition=8, lobpcg_start=9, data_noise=10,
+    blobs=6, subsample=7, iid_partition=8, spectral_start=9, data_noise=10,
 )
 
 
@@ -231,6 +231,9 @@ def gaussian_sigma_for_dp(epsilon: float, delta: float, rounds: int, delta_sens:
     releases of a quantity with L2 sensitivity ``delta_sens``:
 
         sigma^2 = 8 * rounds * delta_sens^2 * ln(e + epsilon/delta) / epsilon^2
+
+    ``inf`` when that leaves float64: ``epsilon^2`` underflows to 0, or
+    ``delta_sens^2`` overflows.
     """
     if not (epsilon > 0 and np.isfinite(epsilon)):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
@@ -240,7 +243,10 @@ def gaussian_sigma_for_dp(epsilon: float, delta: float, rounds: int, delta_sens:
         raise ValueError(f"rounds must be >= 1, got {rounds!r}")
     if delta_sens < 0 or not np.isfinite(delta_sens):
         raise ValueError(f"delta_sens must be finite and >= 0, got {delta_sens!r}")
-    var = 8.0 * rounds * delta_sens**2 * math.log(math.e + epsilon / delta) / epsilon**2
+    try:
+        var = 8.0 * rounds * delta_sens**2 * math.log(math.e + epsilon / delta) / epsilon**2
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
     return math.sqrt(var)
 
 

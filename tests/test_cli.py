@@ -1,18 +1,24 @@
 import configparser
+import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import feddl
 from feddl import config, pipeline
 from feddl.cli import main
 from feddl.kernels import pairwise_sq_dist
 from feddl.matrixio import write_embedding_csv, write_matrix
 from helpers import write_idx_pair
-from test_pipeline import TINY_INI
+from test_pipeline import TINY_INI, _strip_timing
 
 
 @pytest.fixture
@@ -38,6 +44,65 @@ def test_help_lists_commands(runner):
     assert result.exit_code == 0
     for cmd in ("fit", "tsne", "umap", "speclust", "eval", "plot", "manifest"):
         assert cmd in result.output
+
+
+def _every_command(out, ini):
+    """Each command of the CLI on ``ini``, writing under ``out``."""
+    tsne, umap = out / "tsne", out / "umap"
+    return [
+        *(
+            [command, "--config", str(ini), "--out-dir", str(out / command)]
+            for command in ("fit", "tsne", "umap", "speclust")
+        ),
+        [
+            "eval", "--config", str(ini), "--out-dir", str(out / "eval"),
+            "--embedding", str(tsne / "embedding.csv"),
+            "--distances", str(tsne / "completed_distance.fdlm"),
+        ],
+        [
+            "plot", "--embedding", str(umap / "embedding.csv"), "--out-dir", str(out / "plot"),
+            "--title", "tiny",
+        ],
+    ]
+
+
+# runs each argument list of ``argv[1]`` (JSON) through the CLI, in order
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy raises ImportError
+from feddl.cli import main
+for args in json.loads(sys.argv[1]):
+    main(args, standalone_mode=False)
+"""
+
+
+def test_every_command_runs_without_scipy(runner, config_file, tmp_path):
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    src = str(Path(feddl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-W", "error::RuntimeWarning", "-c", _WITHOUT_SCIPY,
+            json.dumps(_every_command(blocked, config_file)),
+        ],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for args in _every_command(free, config_file):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    files = sorted(p.relative_to(free) for p in free.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(blocked) for p in blocked.rglob("*") if p.is_file())
+    for name in files:
+        if name.name == "manifest.ini":  # holds its creation time and the paths
+            continue
+        ours, theirs = (free / name).read_bytes(), (blocked / name).read_bytes()
+        if name.name == "trace.csv":
+            ours, theirs = _strip_timing(ours.decode()), _strip_timing(theirs.decode())
+        assert ours == theirs, name
 
 
 def test_fit_success(runner, config_file, tmp_path):
@@ -197,6 +262,19 @@ OVERFLOWS = {
         ),
         "landmark norm exceeded divergence threshold after round 1: "
         "privacy noise ([privacy] beta = 1e+308) too large",
+    ),
+    # epsilon^2 underflows to 0 in the calibrated gradient-noise scale
+    "budget-noise-scale": (
+        "fit",
+        1.0,
+        (
+            (
+                "[run]",
+                "[privacy]\nmode = gradient\nepsilon = 1e-300\ndelta = 0.5\n"
+                "tau_x = 1\ntau_y = 1\nupsilon = 1\n\n[run]",
+            ),
+        ),
+        "gradient noise scale overflows float64 ([privacy] epsilon = 1e-300, delta = 0.5)",
     ),
     # data-mode noise itself leaves float64
     **{

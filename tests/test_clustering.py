@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
@@ -11,11 +12,18 @@ from feddl import clustering
 from feddl.clustering import ClusterAssignment, kmeans, spectral_cluster
 from feddl.config import parse_config
 from feddl.data import BlobSpec, generate_blobs
-from feddl.kernels import KernelParams, gaussian_kernel, pairwise_sq_dist, sq_dists
+from feddl.kernels import (
+    KernelParams,
+    gaussian_kernel,
+    normalized_adjacency,
+    pairwise_sq_dist,
+    sq_dists,
+)
 from feddl.matrixio import read_matrix
 from feddl.metrics import nmi
 from feddl.nystrom import CompletedMatrix, MatrixKind, NystromFactors
 from feddl.pipeline import run_fed_speclust
+from feddl.privacy import stream_rng
 from test_pipeline import TINY_INI
 
 
@@ -246,19 +254,53 @@ def _tiny_speclust_completion(tmp_path):
     return read_matrix(out.files["completed_kernel.fdlm"])
 
 
-def _lobpcg_spy(monkeypatch, replace=None):
-    """Count the calls of ``lobpcg``; ``replace`` maps its result to
-    what the call returns instead."""
+def _solver_spy(monkeypatch, replace=None):
+    """Count the calls of the block eigensolver; ``replace`` maps its
+    result to what the call returns instead."""
     calls = []
-    real = scipy.sparse.linalg.lobpcg
+    real = clustering._leading_eigenpairs
 
-    def spy(*args, **kwargs):
-        calls.append(args[1].shape)
-        out = real(*args, **kwargs)
+    def spy(matmat, X):
+        calls.append(X.shape)
+        out = real(matmat, X)
         return out if replace is None else replace(*out)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", spy)
+    monkeypatch.setattr(clustering, "_leading_eigenpairs", spy)
     return calls
+
+
+def _lobpcg_reference(K, c, seed):
+    """The leading ``c`` eigenpairs of the scaled operator by scipy's
+    LOBPCG, from the solver's starting block, tolerance and iteration cap
+    (the eigensolver the block solver replaced)."""
+    deg = CompletedMatrix.coerce(K, MatrixKind.KERNEL).row_sums()
+    active = deg > 0
+    d = np.zeros(deg.size)
+    d[active] = 1.0 / np.sqrt(deg[active])
+    X0 = stream_rng(seed, "spectral_start").standard_normal((deg.size, c))
+    X0[~active] = 0.0
+    operand = K.factors if isinstance(K, CompletedMatrix) else K
+
+    def matmat(X):
+        return clustering._scaled_product(operand, d, X.reshape(deg.size, -1))
+
+    op = scipy.sparse.linalg.LinearOperator(
+        (deg.size,) * 2, matvec=matmat, matmat=matmat, dtype=np.float64
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        lam, V = scipy.sparse.linalg.lobpcg(
+            op, X0, tol=clustering._EIGEN_TOL, maxiter=clustering._EIGEN_MAXITER, largest=True
+        )
+    order = np.argsort(-lam, kind="stable")
+    return lam[order], V[:, order][active]
+
+
+def _largest_principal_angle(U, V):
+    """Largest principal angle between the column spans of the
+    orthonormal blocks ``U`` and ``V`` (its sine, from the part of ``V``
+    outside the span of ``U``)."""
+    return float(np.linalg.norm(V - U @ (U.T @ V), 2))
 
 
 def _dense_reference(K, c, seed):
@@ -282,7 +324,7 @@ SPECTRAL_CASES = {
 @pytest.mark.parametrize("make,c", SPECTRAL_CASES.values(), ids=SPECTRAL_CASES)
 def test_iterative_path_matches_dense_reference(monkeypatch, tmp_path, make, c):
     K = make(tmp_path)
-    calls = _lobpcg_spy(monkeypatch)
+    calls = _solver_spy(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = spectral_cluster(K, c, seed=3)
@@ -297,10 +339,21 @@ def test_iterative_path_matches_dense_reference(monkeypatch, tmp_path, make, c):
     npt.assert_allclose(lam, lam_ref, rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize("make,c", SPECTRAL_CASES.values(), ids=SPECTRAL_CASES)
+def test_dense_path_matches_scipy_eigh(tmp_path, make, c):
+    K = make(tmp_path)
+    lam, V = clustering._dense_embedding(K, c)
+    _, _, S = normalized_adjacency(K)
+    Lsym = np.eye(S.shape[0]) - S
+    w_ref, V_ref = scipy.linalg.eigh(0.5 * (Lsym + Lsym.T), subset_by_index=(0, c - 1))
+    npt.assert_allclose(lam, 1.0 - w_ref, rtol=0, atol=1e-8)
+    assert _largest_principal_angle(V_ref, V) <= 1e-6
+
+
 @pytest.mark.parametrize("n_active,c", [(14, 3), (4, 4), (9, 2)])
 def test_too_few_active_points_take_the_dense_path(monkeypatch, n_active, c):
     K = _with_zero_degree_rows(_blob_kernel(2, 10, 1)[0][:n_active, :n_active], [n_active])
-    calls = _lobpcg_spy(monkeypatch)
+    calls = _solver_spy(monkeypatch)
     out = spectral_cluster(K, c, seed=0)
     assert calls == []
     assert out.n_clusters == c + 1
@@ -320,10 +373,10 @@ WRONG_BLOCKS = {
 
 
 @pytest.mark.parametrize("wrong", WRONG_BLOCKS.values(), ids=WRONG_BLOCKS)
-def test_wrong_lobpcg_block_falls_back_to_dense(monkeypatch, wrong):
+def test_wrong_solver_block_falls_back_to_dense(monkeypatch, wrong):
     K, truth = _blob_kernel(3, 30, 7)
     ref = _dense_reference(K, 3, seed=0)
-    calls = _lobpcg_spy(monkeypatch, replace=wrong)
+    calls = _solver_spy(monkeypatch, replace=wrong)
     out = spectral_cluster(K, 3, seed=0)
     assert len(calls) == 1
     assert out.labels.tobytes() == ref.labels.tobytes()
@@ -333,7 +386,7 @@ def test_wrong_lobpcg_block_falls_back_to_dense(monkeypatch, wrong):
 def test_degenerate_kernel_reruns_are_identical(monkeypatch):
     # equal constant blocks: the leading eigenvalue 1 has multiplicity c
     K = np.kron(np.eye(3), np.ones((10, 10)))
-    calls = _lobpcg_spy(monkeypatch)
+    calls = _solver_spy(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         runs = [spectral_cluster(K, 3, seed=5).labels.tobytes() for _ in range(4)]
@@ -351,7 +404,7 @@ def test_degenerate_kernel_reruns_are_identical(monkeypatch):
 def test_iterative_path_allocates_nothing_of_size_n_squared(monkeypatch):
     K, truth = _blob_kernel(4, 250, 3)
     completed = CompletedMatrix(values=K, kind=MatrixKind.KERNEL)
-    calls = _lobpcg_spy(monkeypatch)
+    calls = _solver_spy(monkeypatch)
     tracemalloc.start()
     try:
         out = spectral_cluster(completed, 4, seed=0)
@@ -388,14 +441,14 @@ FACTORED_CASES["tiny-speclust"] = (_tiny_speclust_factored, 3)
 
 
 def _product_spy(monkeypatch):
-    """Record each ``_scaled_product`` as (operand type, inside lobpcg)."""
+    """Record each ``_scaled_product`` as (operand type, inside the solver)."""
     calls, inside = [], [False]
-    real_lobpcg, real_product = scipy.sparse.linalg.lobpcg, clustering._scaled_product
+    real_solver, real_product = clustering._leading_eigenpairs, clustering._scaled_product
 
-    def lobpcg(*args, **kwargs):
+    def solver(*args):
         inside[0] = True
         try:
-            return real_lobpcg(*args, **kwargs)
+            return real_solver(*args)
         finally:
             inside[0] = False
 
@@ -403,7 +456,7 @@ def _product_spy(monkeypatch):
         calls.append((type(K), inside[0]))
         return real_product(K, d, X)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", lobpcg)
+    monkeypatch.setattr(clustering, "_leading_eigenpairs", solver)
     monkeypatch.setattr(clustering, "_scaled_product", product)
     return calls
 
@@ -416,7 +469,7 @@ def test_factored_path_matches_dense_path(monkeypatch, tmp_path, make, c):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = spectral_cluster(completed, c, seed=3)
-    # LOBPCG and the check of its block ran on the factors alone
+    # the solver and the check of its block ran on the factors alone
     assert {t for t, inside in calls if inside} == {NystromFactors}
     assert [t for t, inside in calls if not inside] == [NystromFactors]
     dense = spectral_cluster(K, c, seed=3)
@@ -427,6 +480,21 @@ def test_factored_path_matches_dense_path(monkeypatch, tmp_path, make, c):
     lam, _ = clustering._iterative_embedding(completed.factors, deg, deg > 0, c, 3)
     lam_dense, _ = clustering._iterative_embedding(K, deg, deg > 0, c, 3)
     npt.assert_allclose(lam, lam_dense, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "make,c",
+    [*SPECTRAL_CASES.values(), *FACTORED_CASES.values()],
+    ids=[*SPECTRAL_CASES, *(f"factored-{name}" for name in FACTORED_CASES)],
+)
+def test_block_solver_matches_lobpcg(tmp_path, make, c):
+    K = make(tmp_path)
+    operand = K.factors if isinstance(K, CompletedMatrix) else K
+    deg = CompletedMatrix.coerce(K, MatrixKind.KERNEL).row_sums()
+    lam, V = clustering._iterative_embedding(operand, deg, deg > 0, c, 3)
+    lam_ref, V_ref = _lobpcg_reference(K, c, 3)
+    npt.assert_allclose(lam, lam_ref, rtol=0, atol=1e-8)
+    assert _largest_principal_angle(V_ref, V) <= 1e-6
 
 
 def test_clipping_completion_takes_the_dense_operator(monkeypatch, tmp_path):
@@ -449,7 +517,7 @@ def test_clipping_completion_takes_the_dense_operator(monkeypatch, tmp_path):
 def test_wrong_factored_block_falls_back_to_eigh(monkeypatch, wrong):
     K, truth = _blob_kernel(3, 30, 7)
     ref = _dense_reference(K, 3, seed=0)
-    calls = _lobpcg_spy(monkeypatch, replace=wrong)
+    calls = _solver_spy(monkeypatch, replace=wrong)
     out = spectral_cluster(_factored(K), 3, seed=0)
     assert len(calls) == 1
     assert out.labels.tobytes() == ref.labels.tobytes()

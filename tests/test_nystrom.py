@@ -193,7 +193,7 @@ def test_completion_decomposes_landmark_block_once_unless_auto_ridge(
     calls = []
 
     def counted(name):
-        real = getattr(scipy.linalg, name)
+        real = getattr(np.linalg, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
@@ -202,11 +202,34 @@ def test_completion_decomposes_landmark_block_once_unless_auto_ridge(
         return wrapper
 
     for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(scipy.linalg, name, counted(name))
+        monkeypatch.setattr(np.linalg, name, counted(name))
     W = LandmarkBlock(values=W_values, kind=MatrixKind.KERNEL)
     completed = nystrom_complete(np.array([[0.9, 0.8], [0.2, 0.3], [0.5, 0.5]]), W, params)
     assert calls == ["eigh"] * decompositions
     assert completed.provenance["ridge_lambda"] == ridge
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        (MatrixKind.KERNEL, CompletionParams()),
+        (MatrixKind.KERNEL, CompletionParams(rank_k=5)),
+        (MatrixKind.KERNEL, CompletionParams(ridge_lambda=1e-3)),
+        (MatrixKind.DISTANCE, CompletionParams()),
+        (MatrixKind.DISTANCE, CompletionParams(rank_k=5)),
+    ],
+    ids=["kernel", "kernel-rank-5", "kernel-ridge", "distance", "distance-rank-5"],
+)
+def test_completion_matches_the_scipy_eigensolver(monkeypatch, rng, kind, params):
+    # the completion with scipy's eigh of the landmark block, the
+    # eigensolver numpy's replaced, as the reference
+    X, Y = rng.normal(size=(3, 40)), rng.normal(size=(3, 12))
+    block = kernel_block if kind is MatrixKind.KERNEL else pairwise_sq_dist
+    W = LandmarkBlock(values=block(Y, Y), kind=kind)
+    ours = nystrom_complete(block(X, Y), W, params).values
+    monkeypatch.setattr(np.linalg, "eigh", scipy.linalg.eigh)
+    ref = nystrom_complete(block(X, Y), W, params).values
+    assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_assemble_cross_block_ranges():

@@ -315,9 +315,6 @@ def _traced_peak(cfg, out_dir, command):
 def test_memory_guard_is_the_measured_peak(tmp_path, monkeypatch, command, extra):
     # the guard's estimate may not lie below a whole run's traced peak, nor
     # more than 0.5 x n^2 x 8 B above it
-    # imported untraced: the first spectral clustering of a process imports it
-    import scipy.sparse.linalg  # noqa: F401
-
     cfg = _guard_cfg(extra)
     peak, out = _traced_peak(cfg, tmp_path, command)
     if command == "speclust":
@@ -334,8 +331,6 @@ def test_memory_guard_is_the_measured_peak(tmp_path, monkeypatch, command, extra
 def test_factored_speclust_holds_no_n_by_n_array(tmp_path):
     # the guard's configuration at full rank clips nothing: the completion
     # is written by row panels and clustered through its factors
-    import scipy.sparse.linalg  # noqa: F401  (imported untraced, as above)
-
     peak, out = _traced_peak(_guard_cfg(""), tmp_path, "speclust")
     assert out.completed.factors is not None
     assert peak < 0.25 * GUARD_N**2 * 8

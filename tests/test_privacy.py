@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -56,6 +58,13 @@ def test_calibrated_sigma_matches_reference(args, expected):
     epsilon, delta, rounds, delta_sens = args
     v = gaussian_sigma_for_dp(epsilon, delta, rounds, delta_sens)
     assert abs(v - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize(
+    "args", [(1e-300, 0.5, 3, 1.0), (1.0, 0.5, 1, 1e200)], ids=["epsilon-squared", "sensitivity-squared"]
+)
+def test_calibrated_sigma_that_leaves_float64_is_inf(args):
+    assert gaussian_sigma_for_dp(*args) == math.inf
 
 
 @pytest.mark.parametrize("args,feasible,c,min_sigma", FEASIBILITY_REFERENCE)
