@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _sq_norms, _symmetrize_clip, normalized_adjacency, sq_dists
+from .kernels import _sq_norms, _symmetrize, normalized_adjacency, sq_dists
 from .nystrom import CompletedMatrix, MatrixKind
 from .privacy import stream_rng
 
@@ -175,7 +175,7 @@ def _dense_embedding(Kv: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
     # its +0.0), with no second n x n array
     np.subtract(0.0, Lsym, out=Lsym)
     Lsym[np.diag_indices_from(Lsym)] += 1.0
-    _symmetrize_clip(Lsym, -np.inf, np.inf)
+    _symmetrize(Lsym)
     w, vecs = np.linalg.eigh(Lsym)
     return 1.0 - w[:c], vecs[:, :c]
 

@@ -29,7 +29,6 @@ same double whichever way its norms arrived.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,30 +188,16 @@ def _tile_pairs(n: int):
             yield i0, i1, j0, min(j0 + _TILE, n)
 
 
-def _symmetrize_clip(M: np.ndarray, lo: float, hi: float) -> bool:
-    """``M <- clip(0.5 (M + M'), lo, hi)`` in place, one pair of 64 x 64
-    tiles ``(I, J), I <= J`` at a time.  Float addition commutes, so every
-    entry is the double of the whole-array ``np.clip`` of the symmetrised
-    ``M`` and the result is exactly symmetric; ``lo, hi = -inf, inf``
-    symmetrises alone, with no clip and no bounds test.  Returns whether
-    an entry off the diagonal lay outside ``[lo, hi]``, found on the tiles
-    on the way, with no pass over ``M`` of its own."""
-    bounded = lo > -math.inf or hi < math.inf
-    clipped = False
+def _symmetrize(M: np.ndarray) -> None:
+    """``M <- 0.5 (M + M')`` in place, one pair of 64 x 64 tiles ``(I, J),
+    I <= J`` at a time.  Float addition commutes, so every entry is the
+    double of the whole-array formula and the result is exactly
+    symmetric."""
     for i0, i1, j0, j1 in _tile_pairs(M.shape[0]):
         s = M[i0:i1, j0:j1] + M[j0:j1, i0:i1].T
         s *= 0.5
-        if bounded:
-            off = s if i0 != j0 else s[~np.eye(i1 - i0, dtype=bool)]
-            low, high = off.min(initial=hi), off.max(initial=lo)
-            clipped |= bool(low < lo or high > hi)
-            # a tile strictly inside (lo, hi] off the diagonal is left as it
-            # is (nan fails the test); the diagonal is clipped regardless
-            if i0 == j0 or not (low > lo and high <= hi):
-                np.clip(s, lo, hi, out=s)
         M[i0:i1, j0:j1] = s
         M[j0:j1, i0:i1] = s.T
-    return clipped
 
 
 #: the largest square block ``_col_sq_dists`` symmetrises by the
@@ -237,7 +222,7 @@ def _col_sq_dists(
     D2 = sq_dists(A.T, B.T, sq_a, sq_b)
     if B is A or (A.shape == B.shape and np.array_equal(A, B)):
         if D2.shape[0] > _WHOLE_SYMMETRIZE_MAX:
-            _symmetrize_clip(D2, -math.inf, math.inf)
+            _symmetrize(D2)
         else:
             D2 = 0.5 * (D2 + D2.T)
         np.fill_diagonal(D2, 0.0)

@@ -28,20 +28,19 @@ of the kind a consumer needs.  A completion ``nystrom_complete`` makes
 is symmetric and in range by construction, and only its finiteness is
 checked.
 
-A kernel completion is made from its factors in one pass over 64-row
-panels, and holds no n x n array when no entry off the diagonal leaves
-``[0, 1]``: it keeps ``NystromFactors`` (``B``, ``W_k^+`` and ``pin = 1 -
-diag(B W_k^+ B')``, so that ``K = B W_k^+ B' + diag(pin)`` up to rounding
-and ``K @ X`` costs ``O(n n_y)`` per column) and its row sums, and hands
-each panel to the caller, which writes it out.  Each panel is assembled
-from 64 x 64 tiles that are computed with the same operands and shape
-wherever they appear, so the panels are exactly symmetric and within
-rounding of the whole product.  The pass checks every entry, and one
-out of range sends the completion down the dense path: the product
-``B W_k^+ B'`` formed whole, symmetrised and clipped in place, one pair
-of 64 x 64 tiles at a time, so that every entry is the double of the
-whole-array formula ``clip(0.5 (M + M'), 0, 1)``.  A distance completion
-always takes that path, clamped at zero instead of clipped.
+Every completion is made in one pass over its 64-row panels.  Each panel
+is assembled from 64 x 64 tiles that are computed with the same operands
+and shape wherever they appear, so the panels are exactly symmetric and
+within rounding of the whole product ``B W_k^+ B'``; each gets the
+diagonal of its kind and is clamped or clipped entry by entry, which
+keeps it symmetric.  The pass checks every entry, records the row sums
+and hands the panels to the caller, which writes them out.  A distance
+completion keeps its panels in one n x n array.  A kernel completion in
+which no entry off the diagonal leaves ``[0, 1]`` holds no n x n array:
+it keeps ``NystromFactors`` (``B``, ``W_k^+`` and ``pin = 1 - diag(B
+W_k^+ B')``, so that ``K = B W_k^+ B' + diag(pin)`` up to rounding and
+``K @ X`` costs ``O(n n_y)`` per column) and its row sums.  A kernel
+completion that clips is assembled by running the same panels again.
 
 ``evaluate_bounds`` evaluates the a-priori error-bound diagnostics for a
 completed kernel matrix (condition number of the augmented kernel, MMD
@@ -61,7 +60,7 @@ import numpy as np
 from .kernels import (
     _TILE,
     KernelParams,
-    _symmetrize_clip,
+    _symmetrize,
     gaussian_kernel,
     mmd,
     pairwise_sq_dist,
@@ -155,7 +154,7 @@ def _checked_symmetric(M, what: str, rtol: float) -> np.ndarray:
         raise ValueError(f"{what} is not symmetric within {rtol:g}")
     if gap:
         A = A.copy()
-        _symmetrize_clip(A, -math.inf, math.inf)
+        _symmetrize(A)
     return A
 
 
@@ -259,7 +258,7 @@ def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, f
         raise ValueError("landmark block is numerically rank-zero; cannot invert")
     Vk = V[:, kept]
     Winv = (Vk / w[kept][None, :]) @ Vk.T
-    _symmetrize_clip(Winv, -math.inf, math.inf)
+    _symmetrize(Winv)
     return Winv, lam
 
 
@@ -283,27 +282,36 @@ class NystromFactors:
         return self.B @ (self.Winv @ (self.B.T @ X)) + self.pin[:, None] * X
 
 
-def _kernel_panels(L: np.ndarray, B: np.ndarray):
-    """The kernel completion ``L B'`` (``L = B W_k^+``) with a unit
-    diagonal, as ``(i0, panel, diagonal)`` for each 64-row panel from the
-    top: the panel of rows ``i0:i0 + 64`` and the diagonal of ``L B'`` on
-    those rows.
+def _panels(L: np.ndarray, B: np.ndarray, kind: MatrixKind, out: np.ndarray | None = None):
+    """The completion ``L B'`` (``L = B W_k^+``) of ``kind``, as ``(i0,
+    panel, diagonal, low, high)`` for each 64-row panel from the top: the
+    panel of rows ``i0:i0 + 64`` with the diagonal of its kind (0 or 1),
+    clamped at 0 (distance) or clipped to [0, 1] (kernel); the diagonal of
+    ``L B'`` on those rows; and the panel's least and largest entry before
+    the clamp or clip, nan when an entry is (a tile copied from ``out``,
+    see below, enters as its own panel left it).  Each panel is a new
+    array, or those rows of the n x n ``out``, so that a pass assembles
+    the matrix in ``out``.
 
     A panel is assembled from tiles of fixed shape: ``t(I, J) = L[I]
     B[J]'`` for ``I < J`` is computed in panel ``I`` and, from the same
-    operands, again in panel ``J``, which holds its transpose; a diagonal
-    tile is ``0.5 (t + t')``.  So the panels are exactly symmetric, which
-    products of whole row panels are not: those differ in the last bit
-    from the whole product, by an amount that depends on the panel
-    height.
+    operands, again in panel ``J``, which holds its transpose (copied from
+    ``out`` when the panels are assembled there); a diagonal tile is
+    ``0.5 (t + t')``.  So the panels are exactly symmetric, which products
+    of whole row panels are not: those differ in the last bit from the
+    whole product, by an amount that depends on the panel height.  The
+    clamp and the clip act entry by entry, so they keep the panels
+    symmetric.
     """
     n = L.shape[0]
+    kernel = kind is MatrixKind.KERNEL
     bounds = [(j0, min(j0 + _TILE, n)) for j0 in range(0, n, _TILE)]
     for i0, i1 in bounds:
-        P = np.empty((i1 - i0, n))
+        P = np.empty((i1 - i0, n)) if out is None else out[i0:i1]
         for j0, j1 in bounds:
             if j0 < i0:
-                P[:, j0:j1] = (L[j0:j1] @ B[i0:i1].T).T
+                t = L[j0:j1] @ B[i0:i1].T if out is None else out[j0:j1, i0:i1]
+                P[:, j0:j1] = t.T
             elif j0 > i0:
                 P[:, j0:j1] = L[i0:i1] @ B[j0:j1].T
             else:
@@ -311,14 +319,25 @@ def _kernel_panels(L: np.ndarray, B: np.ndarray):
                 diagonal = np.diagonal(t).copy()
                 s = t + t.T
                 s *= 0.5
-                np.fill_diagonal(s, 1.0)
+                np.fill_diagonal(s, 1.0 if kernel else 0.0)
                 P[:, i0:i1] = s
-        yield i0, P, diagonal
+        low, high = float(P.min()), float(P.max())
+        if kernel:
+            if low < 0.0 or high > 1.0:  # an entry in range is its own clip
+                np.clip(P, 0.0, 1.0, out=P)
+        else:
+            # not a clip to [0, inf): np.clip keeps -0.0, np.maximum gives +0.0
+            np.maximum(P, 0.0, out=P)
+        yield i0, P, diagonal, low, high
 
 
-class _OutOfRange(Exception):
-    """An entry of a kernel completion is not finite or, off the diagonal,
-    outside [0, 1]."""
+def _dense(L: np.ndarray, B: np.ndarray, kind: MatrixKind) -> np.ndarray:
+    """The completion ``L B'`` of ``kind`` as one n x n array, assembled
+    by a pass of ``_panels``."""
+    M = np.empty((L.shape[0], L.shape[0]))
+    for _ in _panels(L, B, kind, M):
+        pass
+    return M
 
 
 class CompletedMatrix:
@@ -326,44 +345,29 @@ class CompletedMatrix:
 
     Built from ``values``, which must be square, finite, non-negative and
     symmetric within 1e-8 of max(1, largest entry); it is stored exactly
-    symmetric.  ``factors``, when present, give the same matrix in
-    rank-``r`` form (see ``NystromFactors``), so a consumer can apply it
-    at ``O(n r)`` per column.
+    symmetric.
 
     A kernel completion that ``nystrom_complete`` made without clipping
-    holds no n x n array: only its factors and its row sums.  Its
-    ``values`` are assembled from ``row_panels()`` on each access, at the
-    cost of one n x n array and one product, so nothing on the pipeline's
-    path reads them.
+    holds no n x n array: only its ``factors``, which give the matrix in
+    rank-``r`` form (see ``NystromFactors``) so that a consumer can apply
+    it at ``O(n r)`` per column, and its row sums.  Its ``values`` are
+    assembled from its panels on each access, at the cost of one n x n
+    array and one product, so nothing on the pipeline's path reads them.
     """
 
-    def __init__(
-        self,
-        values,
-        kind: MatrixKind,
-        provenance: dict | None = None,
-        factors: NystromFactors | None = None,
-    ) -> None:
+    def __init__(self, values, kind: MatrixKind) -> None:
         kind = MatrixKind(kind)
         what = f"{kind.value} matrix"
         M = np.asarray(values, dtype=np.float64)
         checked = _checked_symmetric(M, what, 1e-8)
         if M.min(initial=0.0) < 0:
             raise ValueError(f"{what} must be non-negative")
-        f = factors
-        if f is not None:
-            n, r = checked.shape[0], f.Winv.shape[0]
-            if f.B.shape != (n, r) or f.Winv.shape != (r, r) or f.pin.shape != (n,):
-                raise ValueError(
-                    f"factors of shapes {f.B.shape}, {f.Winv.shape}, {f.pin.shape} do not "
-                    f"fit a {n} x {n} matrix"
-                )
-        self._set(checked, kind, provenance, factors, None)
+        self._set(checked, kind, {}, None, None)
 
     def _set(self, values, kind, provenance, factors, row_sums) -> None:
         self._values = values
         self.kind = kind
-        self.provenance = {} if provenance is None else provenance
+        self.provenance = provenance
         self.factors = factors
         self._row_sums = row_sums
 
@@ -395,23 +399,18 @@ class CompletedMatrix:
         """The dense n x n matrix; assembled anew for a factored completion."""
         if self._values is not None:
             return self._values
-        n = self.n_points
-        M = np.empty((n, n))
-        i0 = 0
-        for P in self.row_panels():
-            M[i0 : i0 + P.shape[0]] = P
-            i0 += P.shape[0]
-        return M
+        f = self.factors
+        return _dense(f.B @ f.Winv, f.B, MatrixKind.KERNEL)
 
     def row_panels(self):
         """The matrix's row panels, top to bottom: a dense completion is its
         own one panel, a factored one is computed in the 64-row panels of
-        ``_kernel_panels``, the doubles ``nystrom_complete`` wrote."""
+        ``_panels``, the doubles ``nystrom_complete`` wrote."""
         if self._values is not None:
             yield self._values
             return
         f = self.factors
-        for _, P, _ in _kernel_panels(f.B @ f.Winv, f.B):
+        for _, P, *_ in _panels(f.B @ f.Winv, f.B, MatrixKind.KERNEL):
             yield P
 
     def row_sums(self) -> np.ndarray:
@@ -419,40 +418,6 @@ class CompletedMatrix:
         if self._row_sums is None:
             return self._values.sum(axis=1)
         return self._row_sums
-
-
-def _factored_kernel(
-    B: np.ndarray, Winv: np.ndarray, L: np.ndarray, provenance: dict, write
-) -> CompletedMatrix | None:
-    """The kernel completion ``L B'`` (``L = B Winv``) in one pass over
-    its row panels (``_kernel_panels``), which checks every entry, records
-    the diagonal correction and the row sums, and hands the panels to
-    ``write`` as they come; None when an entry is not finite or, off the
-    diagonal, outside [0, 1], which ends the pass."""
-    n = B.shape[0]
-    pin = np.empty(n)
-    row_sums = np.empty(n)
-
-    def checked_panels():
-        for i0, P, diagonal in _kernel_panels(L, B):
-            i1 = i0 + P.shape[0]
-            # the unit diagonal lies in range, and nan fails both tests
-            if not (P.min() >= 0.0 and P.max() <= 1.0 and np.isfinite(diagonal).all()):
-                raise _OutOfRange
-            pin[i0:i1] = 1.0 - diagonal
-            row_sums[i0:i1] = P.sum(axis=1)
-            yield P
-
-    try:
-        if write is None:
-            for _ in checked_panels():
-                pass
-        else:
-            write(checked_panels())
-    except _OutOfRange:
-        return None
-    factors = NystromFactors(B=B, Winv=Winv, pin=pin)
-    return CompletedMatrix._made(None, MatrixKind.KERNEL, provenance, factors, row_sums)
 
 
 def nystrom_complete(
@@ -469,17 +434,16 @@ def nystrom_complete(
     kind-specific post-processing.  Provenance records the landmark count,
     effective rank, resolved ridge, and privacy mode.
 
-    A kernel completion is first made in one pass over its row panels
-    (``_factored_kernel``).  When every entry is finite and, off the
-    diagonal, in [0, 1], it holds only its ``factors``, which share
-    ``B``, and its row sums.  Otherwise, and for a distance completion,
-    the product is formed whole, symmetrised in place and clamped or
-    clipped, and carries no factors.
+    The completion is made in one pass over its row panels (``_panels``),
+    which checks that every entry is finite and records the row sums.  A
+    distance completion's panels are the rows of one n x n array.  A kernel
+    completion in which every entry off the diagonal lay in [0, 1] holds
+    only its ``factors``, which share ``B``, and its row sums; one that
+    clipped is assembled by running the panels again, and carries no
+    factors.
 
-    ``write``, when given, is called with the completion as it is made:
-    with an iterator over a pass's row panels, which raises when the pass
-    ends early, and then with the dense array, which replaces what the
-    pass wrote.
+    ``write``, when given, is called once, with an iterator over the
+    pass's row panels that it consumes.
     """
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
@@ -498,31 +462,37 @@ def nystrom_complete(
         "ridge_lambda": lam,
         "privacy_mode": str(privacy_mode),
     }
+    n = B.shape[0]
+    diagonal, row_sums = np.empty(n), np.empty(n)
+    M = np.empty((n, n)) if W.kind is MatrixKind.DISTANCE else None
+    clipped = False  # whether a kernel panel left [0, 1] off its diagonal
+
+    def checked(panels):
+        nonlocal clipped
+        for i0, P, d, low, high in panels:
+            i1 = i0 + P.shape[0]
+            if not (math.isfinite(low) and math.isfinite(high) and np.isfinite(d).all()):
+                raise ValueError(f"{W.kind.value} matrix contains non-finite entries")
+            clipped |= low < 0.0 or high > 1.0
+            diagonal[i0:i1] = d
+            row_sums[i0:i1] = P.sum(axis=1)
+            yield P
+
     # An overflow stays non-finite, which the checks reject.
     with np.errstate(over="ignore", invalid="ignore"):
         L = B @ Winv
-        if W.kind is MatrixKind.KERNEL:
-            completed = _factored_kernel(B, Winv, L, provenance, write)
-            if completed is not None:
-                return completed
-        M = L @ B.T  # the doubles of B @ Winv @ B.T
-        del L
-        if W.kind is MatrixKind.DISTANCE:
-            _symmetrize_clip(M, -math.inf, math.inf)
-            # not a clip to [0, inf): np.clip keeps -0.0, np.maximum gives +0.0
-            np.maximum(M, 0.0, out=M)
-            np.fill_diagonal(M, 0.0)
+        panels = checked(_panels(L, B, W.kind, M))
+        if write is None:
+            for _ in panels:
+                pass
         else:
-            _symmetrize_clip(M, 0.0, 1.0)
-            np.fill_diagonal(M, 1.0)
-    # clamped or clipped, M is non-negative but for nan, so its largest
-    # entry is finite exactly when every entry is
-    if not math.isfinite(float(M.max(initial=0.0))):
-        raise ValueError(f"{W.kind.value} matrix contains non-finite entries")
-    completed = CompletedMatrix._made(M, W.kind, provenance)
-    if write is not None:
-        write(M)
-    return completed
+            write(panels)
+        if M is None:
+            if not clipped:
+                factors = NystromFactors(B=B, Winv=Winv, pin=1.0 - diagonal)
+                return CompletedMatrix._made(None, W.kind, provenance, factors, row_sums)
+            M = _dense(L, B, W.kind)
+    return CompletedMatrix._made(M, W.kind, provenance, row_sums=row_sums)
 
 
 @dataclass(frozen=True)
@@ -601,17 +571,21 @@ def evaluate_bounds(
                 * (sigma**2 * xi**2 + math.sqrt(2.0) * d_max * sigma * xi)
             )
 
-    rho_src = K_true if K_true is not None else K_hat.values
-    rho = float(np.diagonal(rho_src).max())
+    realized = None
+    if K_true is None:
+        # by row panels: a factored completion is not made dense for its diagonal
+        rho, i0 = -math.inf, 0
+        for P in K_hat.row_panels():
+            rho = max(rho, float(np.diagonal(P, offset=i0).max()))
+            i0 += P.shape[0]
+    else:
+        rho = float(np.diagonal(K_true).max())
+        realized = float(np.linalg.norm(K_hat.values - np.asarray(K_true, dtype=np.float64)))
 
     bound_f = bound_s = None
     if cond is not None:
         bound_f = math.sqrt(n_x + n_y - k) * cond * (mmd_term + 1.0) + rank_term + noise
         bound_s = cond * (mmd_term + 1.0) + 2.0 * n_x + noise
-
-    realized = None
-    if K_true is not None:
-        realized = float(np.linalg.norm(K_hat.values - np.asarray(K_true, dtype=np.float64)))
 
     return BoundReport(
         n_points=n_x,

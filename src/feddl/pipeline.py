@@ -100,14 +100,15 @@ def _write(out: Path, writers: list) -> dict:
 
 #: each command's peak of dense n x n float64 arrays, in units of
 #: n^2 x 8 B, as tracemalloc measured it over whole runs at n = 2500:
-#: t-SNE 4.18 and UMAP 5.24 (both in the descent), spectral clustering 1.22
-#: when its kernel completion clips (the one n x n product, symmetrised
-#: and clipped in place, over the stacked blocks).  A completion that
-#: clips nothing holds no n x n array, but whether it clips is known only
-#: after its pass, so the guard covers the clipped case.  ``fit`` holds
-#: no n x n array.  UMAP at ``b != 1`` holds a fourth n x n workspace:
-#: 6.24 at n = 1000.
-_DENSE_PEAK_N2 = {"tsne": 4.2, "umap": 5.3, "speclust": 1.3}
+#: t-SNE 4.18 and UMAP 5.24 (both in the descent).  Spectral clustering
+#: peaks at 1.06 (1.31 over the first run in a process at n = 1000) when its
+#: kernel completion clips: the one n x n array, which a second pass of
+#: the completion's panels fills in place.  A completion that clips
+#: nothing holds no n x n array, but whether it clips is known only after
+#: its pass, so the guard covers the clipped case.  ``fit`` holds no n x
+#: n array.  UMAP at ``b != 1`` holds a fourth n x n workspace: 6.24 at
+#: n = 1000.
+_DENSE_PEAK_N2 = {"tsne": 4.2, "umap": 5.3, "speclust": 1.32}
 _UMAP_B_PEAK_N2 = 6.3
 #: the fit's peak in n_p^2 x 8 B, n_p the largest shard: the MMD self-term's
 #: n_p x n_p block, its distances symmetrised and turned into kernel values
@@ -210,12 +211,11 @@ def _complete(
 ) -> CompletedMatrix:
     """Clients compute their blocks against the final landmarks; the
     server assembles and completes, writing the completion to ``path``,
-    when given, as it is made (by row panels when it holds no n x n
-    array).  Blocks or a completion that leave float64 (finite points
-    whose squared distances overflow, a landmark block too small to
-    invert) abort numerically.  The overflow is raised rather than looked
-    for in the blocks, because the Gram expansion clamps an overflowing
-    ``2 x.y`` to a distance of 0."""
+    when given, by row panels as it is made.  Blocks or a completion
+    that leave float64 (finite points whose squared distances overflow, a
+    landmark block too small to invert) abort numerically.  The overflow
+    is raised rather than looked for in the blocks, because the Gram
+    expansion clamps an overflowing ``2 x.y`` to a distance of 0."""
 
     def sq_dist_block(A: np.ndarray, what: str) -> np.ndarray:
         with overflow_aborts(f"{what} overflow float64"):

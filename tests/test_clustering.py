@@ -421,9 +421,8 @@ def _factored(K):
     its eigendecomposition), like the ones ``nystrom_complete`` keeps."""
     w, V = np.linalg.eigh(K)
     pin = np.diagonal(K) - np.einsum("ij,ij->i", V * w, V)
-    return CompletedMatrix(
-        values=K, kind=MatrixKind.KERNEL, factors=NystromFactors(B=V, Winv=np.diag(w), pin=pin)
-    )
+    factors = NystromFactors(B=V, Winv=np.diag(w), pin=pin)
+    return CompletedMatrix._made(K, MatrixKind.KERNEL, {}, factors)
 
 
 def _tiny_speclust_factored(tmp_path):

@@ -16,9 +16,10 @@ from feddl.nystrom import (
     MatrixKind,
     NystromFactors,
     _all_finite,
-    _kernel_panels,
+    _dense,
+    _panels,
     _ridged_pinv,
-    _symmetrize_clip,
+    _symmetrize,
     _symmetry_gap,
     assemble_cross_block,
     evaluate_bounds,
@@ -316,8 +317,7 @@ TILE_SIZES = [1, 2, 63, 64, 65, 129, 600]
 @pytest.mark.parametrize("n", TILE_SIZES)
 @pytest.mark.parametrize("special", [False, True], ids=["normal", "special-values"])
 def test_tiled_symmetrize_is_the_whole_array_formula(n, special):
-    # unbounded, the clip is the identity: signed zeros, nan, infinities
-    # and subnormals keep their bits
+    # signed zeros, nan, infinities and subnormals keep their bits
     r = np.random.default_rng(n)
     M = r.normal(size=(n, n))
     if special:
@@ -327,31 +327,8 @@ def test_tiled_symmetrize_is_the_whole_array_formula(n, special):
         M[n - 1, 0] = r.choice(values)
     with np.errstate(invalid="ignore"):  # inf + (-inf)
         expected = 0.5 * (M + M.T)
-        assert _symmetrize_clip(M, -np.inf, np.inf) is False
+        _symmetrize(M)
     npt.assert_array_equal(M.view(np.int64), expected.view(np.int64))
-
-
-@pytest.mark.parametrize("n", TILE_SIZES)
-@pytest.mark.parametrize("case", ["inside", "bounds-and-diagonal", "last-tile", "everywhere"])
-def test_tiled_symmetrize_clip_is_the_whole_array_clip(n, case):
-    r = np.random.default_rng(n)
-    M = r.uniform(-0.5, 1.5, size=(n, n)) if case == "everywhere" else r.uniform(size=(n, n))
-    if case == "bounds-and-diagonal":
-        # entries at the bounds (signed zeros too) are not clipped, and the
-        # diagonal does not count
-        M[r.uniform(size=(n, n)) < 0.2] = 1.0
-        M[r.uniform(size=(n, n)) < 0.2] = r.choice([0.0, -0.0])
-        M[np.diag_indices(n)] = r.choice([-0.5, 1.5, -0.0], size=n)
-    if case == "last-tile" and n > 1:
-        M[n - 1, 0] = -1.0  # in the last tile pair, after every other
-    S = 0.5 * (M + M.T)
-    off = ~np.eye(n, dtype=bool)
-    clipped = _symmetrize_clip(M, 0.0, 1.0)
-    assert clipped is bool((S[off] < 0).any() or (S[off] > 1).any())
-    if case != "everywhere":
-        assert clipped is (case == "last-tile" and n > 1)
-    npt.assert_array_equal(M.view(np.int64), np.clip(S, 0.0, 1.0).view(np.int64))
-    npt.assert_array_equal(M, M.T)
 
 
 @pytest.mark.parametrize("n", TILE_SIZES)
@@ -435,39 +412,73 @@ def test_factors_apply_the_completed_matrix(rng):
     npt.assert_allclose(completed.factors @ X, KX, rtol=0, atol=1e-12 * np.abs(KX).max())
 
 
+def _whole_product(B, Winv, kind):
+    """The completion as it was made before the panel pass, and the raw
+    product: ``B Winv B'`` formed whole, symmetrised as a whole, clamped
+    at 0 or clipped to [0, 1] and its diagonal pinned to 0 or 1."""
+    raw = B @ Winv @ B.T
+    M = 0.5 * (raw + raw.T)
+    if kind is MatrixKind.DISTANCE:
+        M = np.maximum(M, 0.0)
+        np.fill_diagonal(M, 0.0)
+    else:
+        M = np.clip(M, 0.0, 1.0)
+        np.fill_diagonal(M, 1.0)
+    return M, raw
+
+
+def _panel_inputs(r, n, n_y, case):
+    """``B`` and ``Winv`` whose product is a kernel completion with every
+    entry in [0, 1], one with entries above 1 and none below 0, one whose
+    last row and column lie below 0, or squared distances of an indefinite
+    ``Winv``."""
+    B = r.uniform(size=(n, n_y))
+    if case == "distance":
+        A = r.normal(size=(n_y, n_y))
+        return B, (A + A.T) / n_y, MatrixKind.DISTANCE
+    A = r.uniform(size=(n_y, n_y))
+    Winv = A @ A.T / n_y**3  # each entry of B Winv B' is in [0, 1]
+    if case == "above-1":
+        B = 8.0 * B
+    if case == "below-0":
+        B[-1] *= -1.0
+    return B, Winv, MatrixKind.KERNEL
+
+
 @pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 641])
 @pytest.mark.parametrize("n_y", [2, 12, 200])
-def test_kernel_panels_are_exactly_symmetric(n, n_y):
+@pytest.mark.parametrize("case", ["kernel", "above-1", "below-0", "distance"])
+def test_kernel_panels_are_exactly_symmetric(n, n_y, case):
     r = np.random.default_rng(1000 * n + n_y)
-    B = r.uniform(size=(n, n_y))
-    A = r.normal(size=(n_y, n_y))
-    Winv = A @ A.T / n_y
-    panels = list(_kernel_panels(B @ Winv, B))
-    assert [i0 for i0, _, _ in panels] == list(range(0, n, 64))
-    K = np.vstack([P for _, P, _ in panels])
-    npt.assert_array_equal(K, K.T)
-    npt.assert_array_equal(np.diagonal(K), np.ones(n))
+    B, Winv, kind = _panel_inputs(r, n, n_y, case)
+    panels = list(_panels(B @ Winv, B, kind))
+    assert [i0 for i0, *_ in panels] == list(range(0, n, 64))
+    M = np.vstack([P for _, P, *_ in panels])
+    npt.assert_array_equal(M, M.T)
+    # assembled in one array, with its lower tiles copied, it is the same
+    npt.assert_array_equal(_dense(B @ Winv, B, kind).view(np.int64), M.view(np.int64))
     # the reference: the whole product, symmetrised as a whole
-    raw = B @ Winv @ B.T
-    expected = 0.5 * (raw + raw.T)
-    np.fill_diagonal(expected, 1.0)
+    expected, raw = _whole_product(B, Winv, kind)
     scale = np.abs(raw).max()
-    npt.assert_allclose(K, expected, rtol=0, atol=1e-12 * scale)
-    diagonal = np.concatenate([d for _, _, d in panels])
+    npt.assert_allclose(M, expected, rtol=0, atol=1e-12 * scale)
+    npt.assert_array_equal(np.diagonal(M), np.diagonal(expected))
+    if n <= 64:  # one tile: the whole product itself
+        npt.assert_array_equal(M.view(np.int64), expected.view(np.int64))
+    diagonal = np.concatenate([d for _, _, d, _, _ in panels])
     npt.assert_allclose(diagonal, np.diagonal(raw), rtol=0, atol=1e-12 * scale)
+    # each panel's range before the clamp or clip, with its diagonal pinned
+    pinned = 0.5 * (raw + raw.T)
+    np.fill_diagonal(pinned, 1.0 if kind is MatrixKind.KERNEL else 0.0)
+    for i0, _, _, low, high in panels:
+        rows = pinned[i0 : i0 + 64]
+        npt.assert_allclose([low, high], [rows.min(), rows.max()], rtol=0, atol=1e-12 * scale)
+    if kind is MatrixKind.KERNEL:
+        low, high = min(p[3] for p in panels), max(p[4] for p in panels)
+        assert (low < 0.0, high > 1.0) == (case == "below-0", case == "above-1")
 
 
-@pytest.mark.parametrize(
-    "case,writes",
-    [
-        # the pass hands its panels over one by one
-        ("factored", ["panels"]),
-        # the pass meets an entry below 0 and stops; the dense array replaces it
-        ("clipping", ["panels", "array"]),
-        ("distance", ["array"]),
-    ],
-)
-def test_completion_file_is_the_file_of_its_values(tmp_path, rng, case, writes):
+@pytest.mark.parametrize("case", ["factored", "clipping", "distance"])
+def test_completion_file_is_the_file_of_its_values(tmp_path, rng, case):
     if case == "distance":
         X, Y = rng.normal(size=(3, 150)), rng.normal(size=(3, 20))
         B = pairwise_sq_dist(X, Y)
@@ -481,7 +492,8 @@ def test_completion_file_is_the_file_of_its_values(tmp_path, rng, case, writes):
         write_matrix(path, M)
 
     completed = nystrom_complete(B, W, CompletionParams(), write=write)
-    assert seen == writes
+    # every completion is written once, by the pass's row panels
+    assert seen == ["panels"]
     assert (completed.factors is not None) is (case == "factored")
     reference = tmp_path / "reference.fdlm"
     write_matrix(reference, completed.values)
@@ -514,15 +526,6 @@ def test_distance_completion_has_no_factors(rng):
     W = LandmarkBlock(values=pairwise_sq_dist(Y, Y), kind=MatrixKind.DISTANCE)
     completed = nystrom_complete(pairwise_sq_dist(X, Y), W, CompletionParams())
     assert completed.factors is None
-
-
-def test_completed_matrix_checks_its_factors():
-    K = np.array([[1.0, 0.5], [0.5, 1.0]])
-    good = NystromFactors(B=np.ones((2, 1)), Winv=np.full((1, 1), 0.5), pin=np.full(2, 0.5))
-    assert CompletedMatrix(values=K, kind=MatrixKind.KERNEL, factors=good).factors is good
-    bad = NystromFactors(B=np.ones((3, 1)), Winv=np.ones((1, 1)), pin=np.zeros(3))
-    with pytest.raises(ValueError, match="do not fit a 2 x 2 matrix"):
-        CompletedMatrix(values=K, kind=MatrixKind.KERNEL, factors=bad)
 
 
 def test_completed_matrix_coerce():
@@ -570,3 +573,14 @@ def test_evaluate_bounds_noise_inflation(rng):
     assert noisy.xi_m == pytest.approx(math.sqrt(m + math.sqrt(2 * m * t) + 2 * t))
     assert noisy.noise_term > 0
     assert noisy.bound_frobenius > clean.bound_frobenius
+
+
+def test_evaluate_bounds_without_k_true_never_assembles_the_values(monkeypatch, rng):
+    # a factored completion of 150 points: three row panels
+    _, _, K_hat = _kernel_completion(rng, gamma=0.05, n_y=8)
+    assert K_hat.factors is not None
+    monkeypatch.setattr(
+        CompletedMatrix, "values", property(lambda self: pytest.fail("values was read"))
+    )
+    rep = evaluate_bounds(rng.normal(size=(3, 8)), K_hat, PARAMS)
+    assert rep.spectral_rho == 1.0 and rep.realized_frobenius is None
