@@ -6,24 +6,25 @@ The spectral path follows the normalised-cut recipe: with degree matrix
 ``S = Dg^{-1/2} K Dg^{-1/2}``), normalise the rows of the resulting
 ``n x c`` spectral embedding to unit length, and run k-means on them.
 
-The eigenvectors come from a block eigensolver on the operator
-``X -> d ⊙ (K @ (d ⊙ X))`` with ``d = deg^{-1/2}`` on points of nonzero
-degree and 0 elsewhere, so neither ``S`` nor ``L`` nor any other n x n
+The eigenvectors come from a block eigensolver on the operator ``X -> d
+⊙ (K @ (d ⊙ X))`` with ``d = deg^{-1/2}`` on points of nonzero degree
+and 0 elsewhere, so neither ``S`` nor ``L`` nor any other n x n
 intermediate is formed.  The degrees are the completion's row sums.
 Each iteration is one Rayleigh–Ritz step on an orthonormal basis of
 ``[X, S X, X_prev]``, the subspace LOBPCG searches, and applies the
 operator once, to the part of that basis that is new; the residual comes
-from the same products.  When the completion carries ``NystromFactors``
-(``K = B W_k^+ B' + diag(pin)``, rank ``n_y``), the operator applies
-``K @ Y`` as ``B (W_k^+ (B' Y)) + pin ⊙ Y``, at ``O(n n_y)`` per column
-instead of ``O(n^2)``, and a kernel completion that clipped nothing holds
-no dense ``K`` at all.  The starting block is drawn from the seed's
-``spectral_start`` stream and the solver draws nothing itself, so a rerun
-is byte-identical.  A returned block is accepted when it is orthonormal
-and its eigen-residual ``|S v - lambda v|``, on the operator the solver
-used, is at most 1e-6.  A dense eigensolve of ``L`` replaces a block that
-fails, and is the only path when fewer than ``5 c`` points are active
-(too few for a block of ``c`` vectors); it assembles the dense ``K``.
+from the same products.  When the completion's ``operator`` is its
+``NystromFactors`` (``K = B W_k^+ B' + diag(pin)``, rank ``n_y``: a
+kernel completion that clipped nothing), the operator applies ``K @ Y``
+as ``B (W_k^+ (B' Y)) + pin ⊙ Y``, at ``O(n n_y)`` per column instead of
+``O(n^2)``, and no dense ``K`` is formed at all.  The starting block is
+drawn from the seed's ``spectral_start`` stream and the solver draws
+nothing itself, so a rerun is byte-identical.  A returned block is
+accepted when it is orthonormal and its eigen-residual ``|S v - lambda
+v|``, on the operator the solver used, is at most 1e-6.  A dense
+eigensolve of ``L`` replaces a block that fails, and is the only path
+when fewer than ``5 c`` points are active (too few for a block of ``c``
+vectors); it assembles the dense ``K``.
 
 k-means is implemented here (rather than pulled in) because its exact
 semantics are pinned: k-means++ seeding, Lloyd iterations until the
@@ -265,9 +266,10 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     eigensolver on the operator ``X -> d ⊙ (K @ (d ⊙ X))`` with ``d =
     deg^{-1/2}``, started from a block drawn from ``seed``; no n x n
     intermediate is formed.  The degrees are the completion's row sums.
-    A completion's factors, when it has them, apply ``K`` inside the
-    solver and in the check of the returned block, so a completion that
-    holds only its factors is never made dense on this path.  A dense
+    The completion's ``operator`` applies ``K`` inside the solver and in
+    the check of the returned block, so a completion whose factors give
+    ``K`` exactly is never made dense on this path, and one that clipped
+    is made dense once for the solver and once more for a fallback.  A dense
     eigensolve replaces the block when fewer than ``5 c`` points are
     active, or when the one solver run returns a block that is not
     orthonormal, or whose largest residual ``|S v - lambda v|`` exceeds
@@ -290,8 +292,8 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
         raise ValueError(
             f"only {n_active} points have nonzero degree; cannot form {c} clusters"
         )
-    operator = completed.factors if completed.factors is not None else completed.values
-    found = _iterative_embedding(operator, deg, active, c, seed) if n_active >= 5 * c else None
+    solve = n_active >= 5 * c  # enough active points for a block of c vectors
+    found = _iterative_embedding(completed.operator, deg, active, c, seed) if solve else None
     _, vecs = found if found is not None else _dense_embedding(completed.values, c)
     norms = np.linalg.norm(vecs, axis=1)
     rows = np.where(norms[:, None] > 0, vecs / np.where(norms == 0, 1.0, norms)[:, None], 0.0)

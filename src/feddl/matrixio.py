@@ -46,23 +46,29 @@ def write_matrix(path, M) -> None:
     ``M`` is the matrix, or an iterator over its row panels (2-D blocks of
     whole rows, top to bottom) that is consumed as the file is written, so
     the whole matrix need not be held; the header's row count is written
-    last.  An array is the one-panel case.  An exception from the iterator
-    ends the write and leaves the file partial.
+    last.  An array is the one-panel case.  An exception while writing,
+    one from the iterator too, deletes the partial file and is raised again.
     """
     panels = M if isinstance(M, Iterator) else iter([M])
     rows, cols = 0, None
     with open(path, "wb") as f:
         f.seek(_HEADER.size)
-        for P in panels:
-            P = np.ascontiguousarray(P, dtype="<f8")
-            if P.ndim != 2:
-                raise ValueError(f"only 2-D matrices are supported, got ndim={P.ndim}")
-            if cols is not None and P.shape[1] != cols:
-                raise ValueError(f"a row panel has {P.shape[1]} columns, the first had {cols}")
-            rows, cols = rows + P.shape[0], P.shape[1]
-            # A byte view of the C-contiguous panel, not a copy of the
-            # payload (``memoryview.cast`` would refuse an empty matrix).
-            f.write(P.reshape(-1).view(np.uint8))
+        try:
+            for P in panels:
+                P = np.ascontiguousarray(P, dtype="<f8")
+                if P.ndim != 2:
+                    raise ValueError(f"only 2-D matrices are supported, got ndim={P.ndim}")
+                if cols is not None and P.shape[1] != cols:
+                    raise ValueError(f"a row panel has {P.shape[1]} columns, the first had {cols}")
+                rows, cols = rows + P.shape[0], P.shape[1]
+                # A byte view of the C-contiguous panel, not a copy of the
+                # payload (``memoryview.cast`` would refuse an empty matrix).
+                f.write(P.reshape(-1).view(np.uint8))
+        except BaseException:
+            f.close()
+            if Path(path).is_file():  # a device such as /dev/null stays
+                Path(path).unlink()
+            raise
         f.seek(0)
         f.write(_HEADER.pack(_MAGIC, _VERSION, _DTYPE_F64, 0, rows, cols or 0))
 

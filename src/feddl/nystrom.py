@@ -34,13 +34,11 @@ and shape wherever they appear, so the panels are exactly symmetric and
 within rounding of the whole product ``B W_k^+ B'``; each gets the
 diagonal of its kind and is clamped or clipped entry by entry, which
 keeps it symmetric.  The pass checks every entry, records the row sums
-and hands the panels to the caller, which writes them out.  A distance
-completion keeps its panels in one n x n array.  A kernel completion in
-which no entry off the diagonal leaves ``[0, 1]`` holds no n x n array:
-it keeps ``NystromFactors`` (``B``, ``W_k^+`` and ``pin = 1 - diag(B
-W_k^+ B')``, so that ``K = B W_k^+ B' + diag(pin)`` up to rounding and
-``K @ X`` costs ``O(n n_y)`` per column) and its row sums.  A kernel
-completion that clips is assembled by running the same panels again.
+and hands the panels to the caller, which writes them out; it holds no
+n x n array.  Every completion keeps only ``NystromFactors`` (``B``,
+``W_k^+`` and ``pin``, the diagonal of its kind less ``diag(B W_k^+
+B')``), its row sums and whether a kernel panel clipped;
+``CompletedMatrix`` decides how it is read (``values``, ``operator``).
 
 ``evaluate_bounds`` evaluates the a-priori error-bound diagnostics for a
 completed kernel matrix (condition number of the augmented kernel, MMD
@@ -264,13 +262,13 @@ def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, f
 
 @dataclass(frozen=True)
 class NystromFactors:
-    """A kernel completion as ``K = B Winv B' + diag(pin)``, within rounding.
+    """The factors of a completion: ``B Winv B' + diag(pin)``.
 
     ``B`` (``n x n_y``) is the stacked cross block the completion shares,
-    ``Winv = pinv_k(W + lambda I)`` and ``pin = 1 - diag(B Winv B')``
-    undoes the unit-diagonal pin.  ``K @ X`` through the factors costs
-    ``O(n n_y)`` per column instead of ``O(n^2)``, and they hold one
-    ``n x n_y`` array.
+    ``Winv = pinv_k(W + lambda I)`` and ``pin`` the diagonal of its kind
+    less ``diag(B Winv B')``.  They give the completion exactly, within
+    rounding, only for a kernel completion that clipped nothing.  ``@``
+    costs ``O(n n_y)`` per column, and they hold one ``n x n_y`` array.
     """
 
     B: np.ndarray
@@ -347,12 +345,12 @@ class CompletedMatrix:
     symmetric within 1e-8 of max(1, largest entry); it is stored exactly
     symmetric.
 
-    A kernel completion that ``nystrom_complete`` made without clipping
-    holds no n x n array: only its ``factors``, which give the matrix in
-    rank-``r`` form (see ``NystromFactors``) so that a consumer can apply
-    it at ``O(n r)`` per column, and its row sums.  Its ``values`` are
-    assembled from its panels on each access, at the cost of one n x n
-    array and one product, so nothing on the pipeline's path reads them.
+    A completion ``nystrom_complete`` made holds no n x n array, only its
+    ``factors``, row sums and whether a kernel panel clipped.  Its
+    ``values`` are assembled from the factors on each access, at the cost
+    of one n x n array, and not kept.  Its ``operator``, what a consumer
+    applies by ``@``, is the factors where they give the matrix exactly (a
+    kernel completion that clipped nothing) and ``values`` otherwise.
     """
 
     def __init__(self, values, kind: MatrixKind) -> None:
@@ -362,22 +360,17 @@ class CompletedMatrix:
         checked = _checked_symmetric(M, what, 1e-8)
         if M.min(initial=0.0) < 0:
             raise ValueError(f"{what} must be non-negative")
-        self._set(checked, kind, {}, None, None)
-
-    def _set(self, values, kind, provenance, factors, row_sums) -> None:
-        self._values = values
-        self.kind = kind
-        self.provenance = provenance
-        self.factors = factors
-        self._row_sums = row_sums
+        self._values, self.kind, self.provenance = checked, kind, {}
+        self.factors, self._row_sums, self._clipped = None, None, False
 
     @classmethod
-    def _made(cls, values, kind, provenance, factors=None, row_sums=None) -> "CompletedMatrix":
-        """A completion ``nystrom_complete`` has made: exactly symmetric and
-        of its kind's range by construction, so it is not checked again.
-        ``values`` is None for a factored kernel completion."""
+    def _made(cls, kind, provenance, factors, row_sums, clipped) -> "CompletedMatrix":
+        """A completion ``nystrom_complete`` has made, as its factors, its
+        row sums and whether a kernel panel clipped: exactly symmetric and
+        of its kind's range by construction, so it is not checked again."""
         completed = cls.__new__(cls)
-        completed._set(values, kind, provenance, factors, row_sums)
+        completed._values, completed.kind, completed.provenance = None, kind, provenance
+        completed.factors, completed._row_sums, completed._clipped = factors, row_sums, clipped
         return completed
 
     @classmethod
@@ -392,32 +385,38 @@ class CompletedMatrix:
 
     @property
     def n_points(self) -> int:
-        return (self._values if self._values is not None else self.factors.B).shape[0]
+        return (self._values if self.factors is None else self.factors.B).shape[0]
 
     @property
     def values(self) -> np.ndarray:
-        """The dense n x n matrix; assembled anew for a factored completion."""
-        if self._values is not None:
+        """The dense n x n matrix; a made completion's is assembled anew."""
+        if self.factors is None:
             return self._values
         f = self.factors
-        return _dense(f.B @ f.Winv, f.B, MatrixKind.KERNEL)
+        return _dense(f.B @ f.Winv, f.B, self.kind)
+
+    @property
+    def operator(self):
+        """The matrix as a consumer applies it by ``@``: the factors of a
+        kernel completion that clipped nothing, ``values`` otherwise."""
+        if self.factors is not None and self.kind is MatrixKind.KERNEL and not self._clipped:
+            return self.factors
+        return self.values
 
     def row_panels(self):
-        """The matrix's row panels, top to bottom: a dense completion is its
-        own one panel, a factored one is computed in the 64-row panels of
-        ``_panels``, the doubles ``nystrom_complete`` wrote."""
-        if self._values is not None:
+        """The matrix's row panels, top to bottom: an array given to the
+        constructor is its own one panel; a made completion's are the
+        64-row panels of ``_panels``, the doubles ``nystrom_complete`` wrote."""
+        if self.factors is None:
             yield self._values
             return
         f = self.factors
-        for _, P, *_ in _panels(f.B @ f.Winv, f.B, MatrixKind.KERNEL):
+        for _, P, *_ in _panels(f.B @ f.Winv, f.B, self.kind):
             yield P
 
     def row_sums(self) -> np.ndarray:
         """Each row's sum, as ``values.sum(axis=1)`` computes it."""
-        if self._row_sums is None:
-            return self._values.sum(axis=1)
-        return self._row_sums
+        return self._values.sum(axis=1) if self._row_sums is None else self._row_sums
 
 
 def nystrom_complete(
@@ -435,12 +434,10 @@ def nystrom_complete(
     effective rank, resolved ridge, and privacy mode.
 
     The completion is made in one pass over its row panels (``_panels``),
-    which checks that every entry is finite and records the row sums.  A
-    distance completion's panels are the rows of one n x n array.  A kernel
-    completion in which every entry off the diagonal lay in [0, 1] holds
-    only its ``factors``, which share ``B``, and its row sums; one that
-    clipped is assembled by running the panels again, and carries no
-    factors.
+    which checks that every entry is finite and records the row sums; it
+    allocates no n x n array.  Every completion, of either kind, is
+    returned in one form: its ``factors``, which share ``B``, its row sums
+    and whether a kernel panel clipped (see ``CompletedMatrix``).
 
     ``write``, when given, is called once, with an iterator over the
     pass's row panels that it consumes.
@@ -464,8 +461,7 @@ def nystrom_complete(
     }
     n = B.shape[0]
     diagonal, row_sums = np.empty(n), np.empty(n)
-    M = np.empty((n, n)) if W.kind is MatrixKind.DISTANCE else None
-    clipped = False  # whether a kernel panel left [0, 1] off its diagonal
+    clipped = False  # whether a panel left [0, 1] off its diagonal: a kernel one clipped
 
     def checked(panels):
         nonlocal clipped
@@ -480,19 +476,14 @@ def nystrom_complete(
 
     # An overflow stays non-finite, which the checks reject.
     with np.errstate(over="ignore", invalid="ignore"):
-        L = B @ Winv
-        panels = checked(_panels(L, B, W.kind, M))
-        if write is None:
-            for _ in panels:
-                pass
-        else:
+        panels = checked(_panels(B @ Winv, B, W.kind))
+        if write is not None:
             write(panels)
-        if M is None:
-            if not clipped:
-                factors = NystromFactors(B=B, Winv=Winv, pin=1.0 - diagonal)
-                return CompletedMatrix._made(None, W.kind, provenance, factors, row_sums)
-            M = _dense(L, B, W.kind)
-    return CompletedMatrix._made(M, W.kind, provenance, row_sums=row_sums)
+        for _ in panels:  # the whole pass, or what ``write`` left of it
+            pass
+    pin = (1.0 if W.kind is MatrixKind.KERNEL else 0.0) - diagonal
+    factors = NystromFactors(B=B, Winv=Winv, pin=pin)
+    return CompletedMatrix._made(W.kind, provenance, factors, row_sums, clipped)
 
 
 @dataclass(frozen=True)

@@ -99,17 +99,16 @@ def _write(out: Path, writers: list) -> dict:
 
 
 #: each command's peak of dense n x n float64 arrays, in units of
-#: n^2 x 8 B, as tracemalloc measured it over whole runs at n = 2500:
-#: t-SNE 4.18 and UMAP 5.24 (both in the descent).  Spectral clustering
-#: peaks at 1.06 (1.31 over the first run in a process at n = 1000) when its
-#: kernel completion clips: the one n x n array, which a second pass of
-#: the completion's panels fills in place.  A completion that clips
-#: nothing holds no n x n array, but whether it clips is known only after
-#: its pass, so the guard covers the clipped case.  ``fit`` holds no n x
-#: n array.  UMAP at ``b != 1`` holds a fourth n x n workspace: 6.24 at
-#: n = 1000.
-_DENSE_PEAK_N2 = {"tsne": 4.2, "umap": 5.3, "speclust": 1.32}
-_UMAP_B_PEAK_N2 = 6.3
+#: n^2 x 8 B, as tracemalloc measured it over the second whole run in a
+#: process at n = 1000: t-SNE 3.16 and UMAP 4.26 (both in the descent,
+#: which holds no completion array), UMAP at ``b != 1`` 5.26 (a fourth
+#: workspace).  Spectral clustering peaks at 1.09 when its kernel
+#: completion clips: the one n x n array its ``operator`` assembles.  One
+#: that clips nothing holds no n x n array, but whether it clips is known
+#: only after its pass, so the guard covers the clipped case.  ``fit``
+#: holds no n x n array.
+_DENSE_PEAK_N2 = {"tsne": 3.2, "umap": 4.3, "speclust": 1.1}
+_UMAP_B_PEAK_N2 = 5.3
 #: the fit's peak in n_p^2 x 8 B, n_p the largest shard: the MMD self-term's
 #: n_p x n_p block, its distances symmetrised and turned into kernel values
 #: in place (1.04 for one client at n = 1000; a shard of at most 256 points

@@ -16,7 +16,7 @@ import feddl
 from feddl import config, pipeline
 from feddl.cli import main
 from feddl.kernels import pairwise_sq_dist
-from feddl.matrixio import write_embedding_csv, write_matrix
+from feddl.matrixio import read_matrix, write_embedding_csv, write_matrix
 from helpers import write_idx_pair
 from test_pipeline import TINY_INI, _strip_timing
 
@@ -326,6 +326,10 @@ def _assert_only_error_line(runner, args, message):
 def test_overflow_from_finite_input_exits_4(runner, tmp_path, command, scale, settings, message):
     args = _csv_run(tmp_path, _scaled_points(scale), command, settings)
     _assert_only_error_line(runner, [*args, "--out-dir", str(tmp_path / "out")], message)
+    # an aborted completion leaves no partial file; only one that finished
+    # before the embedding overflowed is left, whole
+    left = [read_matrix(p).shape for p in (tmp_path / "out").glob("completed_*.fdlm")]
+    assert left == ([(60, 60)] if message.endswith("embedding overflows float64") else [])
 
 
 def test_landmarks_that_never_see_the_data_exit_4(runner, tmp_path):

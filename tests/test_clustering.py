@@ -279,7 +279,7 @@ def _lobpcg_reference(K, c, seed):
     d[active] = 1.0 / np.sqrt(deg[active])
     X0 = stream_rng(seed, "spectral_start").standard_normal((deg.size, c))
     X0[~active] = 0.0
-    operand = K.factors if isinstance(K, CompletedMatrix) else K
+    operand = K.operator if isinstance(K, CompletedMatrix) else K
 
     def matmat(X):
         return clustering._scaled_product(operand, d, X.reshape(deg.size, -1))
@@ -417,22 +417,25 @@ def test_iterative_path_allocates_nothing_of_size_n_squared(monkeypatch):
 
 
 def _factored(K):
-    """``K`` as a kernel completion carrying exact factors of itself (from
-    its eigendecomposition), like the ones ``nystrom_complete`` keeps."""
+    """``K`` as a made kernel completion that clipped nothing, of exact
+    factors of ``K`` (from its eigendecomposition) and ``K``'s row sums.
+    Its ``values`` are assembled from the factors with a unit diagonal, so
+    they are ``K`` within rounding only where ``K``'s diagonal is 1."""
     w, V = np.linalg.eigh(K)
     pin = np.diagonal(K) - np.einsum("ij,ij->i", V * w, V)
     factors = NystromFactors(B=V, Winv=np.diag(w), pin=pin)
-    return CompletedMatrix._made(K, MatrixKind.KERNEL, {}, factors)
+    return CompletedMatrix._made(MatrixKind.KERNEL, {}, factors, K.sum(axis=1), False)
 
 
 def _tiny_speclust_factored(tmp_path):
     completed = run_fed_speclust(parse_config(TINY_INI), tmp_path).completed
-    assert completed.factors is not None  # nystrom_complete clipped nothing
-    return completed
+    assert isinstance(completed.operator, NystromFactors)  # nystrom_complete clipped nothing
+    return completed, completed.values
 
 
+# each case makes a factored completion and the dense matrix its factors apply
 FACTORED_CASES = {
-    name: ((lambda tmp, make=make: _factored(make(tmp))), c)
+    name: ((lambda tmp, make=make: (_factored(K := make(tmp)), K)), c)
     for name, (make, c) in SPECTRAL_CASES.items()
     if name != "tiny-speclust"
 }
@@ -462,8 +465,7 @@ def _product_spy(monkeypatch):
 
 @pytest.mark.parametrize("make,c", FACTORED_CASES.values(), ids=FACTORED_CASES)
 def test_factored_path_matches_dense_path(monkeypatch, tmp_path, make, c):
-    completed = make(tmp_path)
-    K = completed.values
+    completed, K = make(tmp_path)
     calls = _product_spy(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -476,19 +478,22 @@ def test_factored_path_matches_dense_path(monkeypatch, tmp_path, make, c):
     assert out.n_clusters == dense.n_clusters and out.inertia == pytest.approx(dense.inertia)
 
     deg = K.sum(axis=1)
-    lam, _ = clustering._iterative_embedding(completed.factors, deg, deg > 0, c, 3)
+    lam, _ = clustering._iterative_embedding(completed.operator, deg, deg > 0, c, 3)
     lam_dense, _ = clustering._iterative_embedding(K, deg, deg > 0, c, 3)
     npt.assert_allclose(lam, lam_dense, rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize(
     "make,c",
-    [*SPECTRAL_CASES.values(), *FACTORED_CASES.values()],
+    [
+        *SPECTRAL_CASES.values(),
+        *(((lambda tmp, make=make: make(tmp)[0]), c) for make, c in FACTORED_CASES.values()),
+    ],
     ids=[*SPECTRAL_CASES, *(f"factored-{name}" for name in FACTORED_CASES)],
 )
 def test_block_solver_matches_lobpcg(tmp_path, make, c):
     K = make(tmp_path)
-    operand = K.factors if isinstance(K, CompletedMatrix) else K
+    operand = K.operator if isinstance(K, CompletedMatrix) else K
     deg = CompletedMatrix.coerce(K, MatrixKind.KERNEL).row_sums()
     lam, V = clustering._iterative_embedding(operand, deg, deg > 0, c, 3)
     lam_ref, V_ref = _lobpcg_reference(K, c, 3)
@@ -497,8 +502,9 @@ def test_block_solver_matches_lobpcg(tmp_path, make, c):
 
 
 def test_clipping_completion_takes_the_dense_operator(monkeypatch, tmp_path):
-    # the speclust configuration CI reruns for the path without factors:
-    # rank 3 of the landmark block undershoots 0, so the completion clips
+    # the speclust configuration CI reruns for the dense operator: rank 3
+    # of the landmark block undershoots 0, so the completion clips and its
+    # factors no longer give it
     cfg = parse_config(
         "[dataset]\npoints_per_blob = 20\n\n[partition]\nclients = 3\n\n"
         "[federation]\nrounds = 3\nlandmarks = 12\n\n[completion]\nrank = 3\n\n"
@@ -506,8 +512,10 @@ def test_clipping_completion_takes_the_dense_operator(monkeypatch, tmp_path):
     )
     calls = _product_spy(monkeypatch)
     out = run_fed_speclust(cfg, tmp_path)
-    assert out.completed.factors is None
-    assert out.completed.values.min() == 0.0
+    operator = out.completed.operator
+    assert isinstance(out.completed.factors, NystromFactors)
+    assert isinstance(operator, np.ndarray) and operator.min() == 0.0
+    npt.assert_array_equal(operator, out.completed.values)
     assert calls and {t for t, _ in calls} == {np.ndarray}
     assert out.metrics.nmi == pytest.approx(1.0)
 

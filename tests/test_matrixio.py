@@ -98,6 +98,17 @@ def test_row_panels_share_one_width(tmp_path):
         write_matrix(tmp_path / "m.fdlm", iter([np.zeros((2, 4)), np.zeros((1, 3))]))
 
 
+def test_row_panel_iterator_that_raises_leaves_no_file(tmp_path):
+    def panels():
+        yield np.zeros((2, 4))
+        raise ValueError("the third row is not finite")
+
+    p = tmp_path / "m.fdlm"
+    with pytest.raises(ValueError, match="the third row is not finite"):
+        write_matrix(p, panels())
+    assert not p.exists()
+
+
 def test_matrix_rejects_non_2d():
     with pytest.raises(ValueError, match="only 2-D"):
         write_matrix("/dev/null", np.zeros(3))

@@ -492,9 +492,11 @@ def test_completion_file_is_the_file_of_its_values(tmp_path, rng, case):
         write_matrix(path, M)
 
     completed = nystrom_complete(B, W, CompletionParams(), write=write)
-    # every completion is written once, by the pass's row panels
+    # every completion is written once, by the pass's row panels, and kept
+    # as its factors; only a kernel one that clipped nothing operates by them
     assert seen == ["panels"]
-    assert (completed.factors is not None) is (case == "factored")
+    assert isinstance(completed.factors, NystromFactors)
+    assert isinstance(completed.operator, NystromFactors) is (case == "factored")
     reference = tmp_path / "reference.fdlm"
     write_matrix(reference, completed.values)
     assert path.read_bytes() == reference.read_bytes()
@@ -513,19 +515,55 @@ def test_only_user_arrays_pay_the_symmetry_pass(monkeypatch, rng):
     assert calls == [(20, 20), (150, 150)]
 
 
-def test_clipping_kernel_completion_has_no_factors(rng):
+def _distance_completion(rng, n=50, n_y=10):
+    X, Y = rng.normal(size=(3, n)), rng.normal(size=(3, n_y))
+    W = LandmarkBlock(values=pairwise_sq_dist(Y, Y), kind=MatrixKind.DISTANCE)
+    return nystrom_complete(pairwise_sq_dist(X, Y), W, CompletionParams())
+
+
+def test_factored_kernel_completion_operates_by_its_factors(rng):
+    _, _, completed = _kernel_completion(rng, gamma=0.05, n_y=8)
+    assert completed.operator is completed.factors
+    assert isinstance(completed.operator, NystromFactors)
+
+
+def test_clipping_kernel_completion_operates_by_its_values(rng):
     B, W, completed = _kernel_completion(rng, gamma=0.5, rank_k=2)
     raw = B @ pinv(W, CompletionParams(rank_k=2)) @ B.T
     off = ~np.eye(raw.shape[0], dtype=bool)
     assert (raw[off] < 0).any()  # rank 2 of a narrow kernel undershoots 0
-    assert completed.factors is None
+    operator = completed.operator
+    assert isinstance(operator, np.ndarray) and operator.min() == 0.0
+    npt.assert_array_equal(operator.view(np.int64), completed.values.view(np.int64))
 
 
-def test_distance_completion_has_no_factors(rng):
-    X, Y = rng.normal(size=(3, 50)), rng.normal(size=(3, 10))
-    W = LandmarkBlock(values=pairwise_sq_dist(Y, Y), kind=MatrixKind.DISTANCE)
-    completed = nystrom_complete(pairwise_sq_dist(X, Y), W, CompletionParams())
-    assert completed.factors is None
+def test_distance_completion_operates_by_its_values(rng):
+    completed = _distance_completion(rng)
+    operator = completed.operator
+    assert isinstance(operator, np.ndarray)
+    npt.assert_array_equal(operator.view(np.int64), completed.values.view(np.int64))
+    # the values are assembled anew on each access, and not kept
+    assert completed.values is not completed.values
+
+
+MADE_CASES = {
+    "distance": lambda rng: _distance_completion(rng, n=1000, n_y=20),
+    "factored": lambda rng: _kernel_completion(rng, gamma=0.05, n=1000, n_y=8)[2],
+    "clipping": lambda rng: _kernel_completion(rng, gamma=0.5, rank_k=2, n=1000)[2],
+}
+
+
+@pytest.mark.parametrize("case", MADE_CASES)
+def test_completion_allocates_no_n_by_n_array(rng, case):
+    tracemalloc.start()
+    try:
+        completed = MADE_CASES[case](rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert completed.n_points == 1000
+    assert isinstance(completed.operator, NystromFactors) is (case == "factored")
+    assert peak < 0.25 * 1000**2 * 8
 
 
 def test_completed_matrix_coerce():
