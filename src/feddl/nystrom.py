@@ -10,7 +10,8 @@ matrix over all data points is completed as
 
 where ``pinv_k`` keeps the ``k`` eigenvalues of largest magnitude (signed
 inversion, so indefinite squared-distance blocks are handled) and
-``lambda`` is an optional ridge for numerically singular blocks.
+``lambda`` a ridge, configured or automatic, that shifts the spectrum of
+``W``, which is decomposed once.
 
 Matrix kinds and their post-processing:
 
@@ -36,9 +37,9 @@ diagonal of its kind and is clamped or clipped entry by entry, which
 keeps it symmetric.  The pass checks every entry, records the row sums
 and hands the panels to the caller, which writes them out; it holds no
 n x n array.  Every completion keeps only ``NystromFactors`` (``B``,
-``W_k^+`` and ``pin``, the diagonal of its kind less ``diag(B W_k^+
-B')``), its row sums and whether a kernel panel clipped;
-``CompletedMatrix`` decides how it is read (``values``, ``operator``).
+``W_k^+`` and ``pin``, the diagonal of its kind less ``diag(B W_k^+ B')``),
+its row sums and whether a kernel panel clipped; ``CompletedMatrix``
+decides how it is read (``values``, ``operator``, ``diagonal``).
 
 ``evaluate_bounds`` evaluates the a-priori error-bound diagnostics for a
 completed kernel matrix (condition number of the augmented kernel, MMD
@@ -78,7 +79,7 @@ __all__ = [
 
 #: relative eigenvalue gap below which the automatic ridge kicks in.
 _AUTO_RIDGE_TRIGGER = 1e-10
-#: automatic ridge = this factor times the mean |off-diagonal-adjacent| entry.
+#: automatic ridge = this factor times the mean |off-diagonal entry| of W.
 _AUTO_RIDGE_FACTOR = 1e-6
 
 
@@ -86,17 +87,22 @@ class MatrixKind(str, Enum):
     DISTANCE = "distance"
     KERNEL = "kernel"
 
+    @property
+    def pinned(self) -> float:
+        """The diagonal of every completion of this kind: 0 or 1."""
+        return 1.0 if self is MatrixKind.KERNEL else 0.0
+
 
 @dataclass(frozen=True)
 class CompletionParams:
     """Rank and regularisation of the completion.
 
-    ``rank_k = 0`` means "use all landmarks" (``k = n_y``).
-    ``ridge_lambda = 0`` enables the automatic ridge: when the smallest
-    kept |eigenvalue| falls below ``1e-10`` times the largest, a ridge of
-    ``1e-6`` times the mean |entry adjacent to the diagonal| is applied.
-    ``eigen_floor`` drops eigenvalues below that fraction of the largest
-    magnitude.
+    ``rank_k = 0`` means "use all landmarks" (``k = n_y``).  The ridge
+    shifts the spectrum of ``W``; ``ridge_lambda = 0`` means automatic:
+    when the smallest kept |eigenvalue| of ``W`` is below 1e-10 times the
+    largest, 1e-6 times the mean |off-diagonal entry| of ``W`` (whatever
+    the landmarks' order), else 0.  ``eigen_floor`` drops shifted
+    eigenvalues below that fraction of the largest magnitude.
     """
 
     rank_k: int = 0
@@ -156,6 +162,12 @@ def _checked_symmetric(M, what: str, rtol: float) -> np.ndarray:
     return A
 
 
+def _zero_diagonal(A: np.ndarray) -> bool:
+    """Whether ``diag(A)`` is 0 within 1e-10 times max(1, largest |entry|)."""
+    scale = max(1.0, float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
+    return float(np.abs(np.diagonal(A)).max(initial=0.0)) <= 1e-10 * scale
+
+
 @dataclass(frozen=True)
 class LandmarkBlock:
     """Symmetric landmark self-block ``W`` plus its matrix kind."""
@@ -168,11 +180,9 @@ class LandmarkBlock:
         if W.shape[0] < 2:
             raise ValueError(f"landmark block needs >= 2 landmarks, got {W.shape[0]}")
         kind = MatrixKind(self.kind)
-        diag = np.diagonal(W)
-        scale = max(1.0, float(np.abs(W).max()))
-        if kind is MatrixKind.DISTANCE and float(np.abs(diag).max()) > 1e-10 * scale:
+        if kind is MatrixKind.DISTANCE and not _zero_diagonal(W):
             raise ValueError("distance-kind landmark block must have a zero diagonal")
-        if kind is MatrixKind.KERNEL and float(np.abs(diag - 1.0).max()) > 1e-8:
+        if kind is MatrixKind.KERNEL and float(np.abs(np.diagonal(W) - 1.0).max()) > 1e-8:
             raise ValueError("kernel-kind landmark block must have a unit diagonal")
         object.__setattr__(self, "values", W)
         object.__setattr__(self, "kind", kind)
@@ -203,9 +213,7 @@ def assemble_cross_block(blocks: Sequence[np.ndarray], client_ids: Sequence[int]
     return np.vstack(mats)
 
 
-def _select_eigenpairs(
-    w: np.ndarray, k: int, eigen_floor: float
-) -> np.ndarray:
+def _select_eigenpairs(w: np.ndarray, k: int, eigen_floor: float) -> np.ndarray:
     """Indices of the ``k`` eigenvalues of largest magnitude above the floor."""
     order = np.argsort(-np.abs(w), kind="stable")
     kept = order[:k]
@@ -218,46 +226,35 @@ def _rank(params: CompletionParams, n: int) -> int:
     return min(params.rank_k if params.rank_k else n, n)
 
 
-def _auto_ridge(W: np.ndarray, w: np.ndarray, params: CompletionParams) -> float:
-    """The automatic ridge for ``W`` with eigenvalues ``w``: nonzero only
-    when the kept spectrum is numerically singular."""
-    kept = _select_eigenpairs(w, _rank(params, W.shape[0]), params.eigen_floor)
-    if kept.size == 0:
-        return 0.0
-    mags = np.abs(w[kept])
-    if mags.min() < _AUTO_RIDGE_TRIGGER * mags.max():
-        adjacent = np.abs(np.diagonal(W, offset=1))
-        return _AUTO_RIDGE_FACTOR * float(adjacent.mean()) if adjacent.size else 0.0
-    return 0.0
+def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, float, np.ndarray]:
+    """Signed rank-``k`` pseudo-inverse of ``W + lambda I``, the ridge
+    ``lambda`` it applied and the kept |eigenvalue + lambda|.
 
-
-def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, float]:
-    """Signed rank-``k`` pseudo-inverse of ``W + lambda I``, and the ridge
-    ``lambda`` it applied.
-
-    The ``k`` eigenvalues of largest magnitude above the floor are
-    inverted with their signs (indefinite blocks, squared-distance
-    matrices, are valid inputs).  A block with no eigenvalue above the
-    floor is numerically rank-zero and rejected.
-
-    A configured ridge takes one eigendecomposition, of ``W + lambda I``.
-    Otherwise the one of ``W`` decides the automatic ridge and, when that
-    is zero, is the pseudo-inverse; a nonzero one takes a second.
+    ``W`` is decomposed once.  The ridge, configured or automatic (see
+    ``CompletionParams``), shifts its eigenvalues, which gives those of
+    ``W + lambda I`` with the same eigenvectors.  The ``k`` shifted
+    eigenvalues of largest magnitude above the floor are inverted with
+    their signs (indefinite blocks, squared-distance matrices, are valid
+    inputs).  A block with no eigenvalue above the floor is numerically
+    rank-zero and rejected.
     """
     n = W.shape[0]
+    k = _rank(params, n)
+    w, V = np.linalg.eigh(W)
     lam = params.ridge_lambda
     if lam == 0.0:
-        w, V = np.linalg.eigh(W)
-        lam = _auto_ridge(W, w, params)
-    if lam > 0.0:
-        w, V = np.linalg.eigh(W + lam * np.eye(n))
-    kept = _select_eigenpairs(w, _rank(params, n), params.eigen_floor)
+        mags = np.abs(w[_select_eigenpairs(w, k, params.eigen_floor)])
+        if mags.size and mags.min() < _AUTO_RIDGE_TRIGGER * mags.max():
+            lam = _AUTO_RIDGE_FACTOR * float(np.abs(W[~np.eye(n, dtype=bool)]).mean())
+    if lam:
+        w = w + lam
+    kept = _select_eigenpairs(w, k, params.eigen_floor)
     if kept.size == 0:
         raise ValueError("landmark block is numerically rank-zero; cannot invert")
     Vk = V[:, kept]
     Winv = (Vk / w[kept][None, :]) @ Vk.T
     _symmetrize(Winv)
-    return Winv, lam
+    return Winv, lam, np.abs(w[kept])
 
 
 @dataclass(frozen=True)
@@ -317,7 +314,7 @@ def _panels(L: np.ndarray, B: np.ndarray, kind: MatrixKind, out: np.ndarray | No
                 diagonal = np.diagonal(t).copy()
                 s = t + t.T
                 s *= 0.5
-                np.fill_diagonal(s, 1.0 if kernel else 0.0)
+                np.fill_diagonal(s, kind.pinned)
                 P[:, i0:i1] = s
         low, high = float(P.min()), float(P.max())
         if kernel:
@@ -403,16 +400,12 @@ class CompletedMatrix:
             return self.factors
         return self.values
 
-    def row_panels(self):
-        """The matrix's row panels, top to bottom: an array given to the
-        constructor is its own one panel; a made completion's are the
-        64-row panels of ``_panels``, the doubles ``nystrom_complete`` wrote."""
+    def diagonal(self) -> np.ndarray:
+        """The diagonal: a made completion's is pinned to its kind's (0 or
+        1), one built from an array is that array's."""
         if self.factors is None:
-            yield self._values
-            return
-        f = self.factors
-        for _, P, *_ in _panels(f.B @ f.Winv, f.B, self.kind):
-            yield P
+            return np.diagonal(self._values)
+        return np.full(self.n_points, self.kind.pinned)
 
     def row_sums(self) -> np.ndarray:
         """Each row's sum, as ``values.sum(axis=1)`` computes it."""
@@ -431,7 +424,9 @@ def nystrom_complete(
     Computes ``B pinv_k(W + lambda I) B'`` from the stacked client blocks
     ``B`` (``n_x x n_y``, see ``assemble_cross_block``) and applies the
     kind-specific post-processing.  Provenance records the landmark count,
-    effective rank, resolved ridge, and privacy mode.
+    the rank asked for, the resolved ridge, the eigenpairs kept
+    (``kept_rank``) and their least and largest |eigenvalue + ridge|
+    (``kept_abs_eigenvalues``), and the privacy mode.
 
     The completion is made in one pass over its row panels (``_panels``),
     which checks that every entry is finite and records the row sums; it
@@ -452,11 +447,13 @@ def nystrom_complete(
             f"cross block has {B.shape[1]} landmark columns but the landmark "
             f"block has {W.n_landmarks}"
         )
-    Winv, lam = _ridged_pinv(W.values, params)
+    Winv, lam, mags = _ridged_pinv(W.values, params)
     provenance = {
         "n_landmarks": W.n_landmarks,
         "rank_k": _rank(params, W.n_landmarks),
         "ridge_lambda": lam,
+        "kept_rank": int(mags.size),
+        "kept_abs_eigenvalues": (float(mags.min()), float(mags.max())),
         "privacy_mode": str(privacy_mode),
     }
     n = B.shape[0]
@@ -481,7 +478,7 @@ def nystrom_complete(
             write(panels)
         for _ in panels:  # the whole pass, or what ``write`` left of it
             pass
-    pin = (1.0 if W.kind is MatrixKind.KERNEL else 0.0) - diagonal
+    pin = W.kind.pinned - diagonal
     factors = NystromFactors(B=B, Winv=Winv, pin=pin)
     return CompletedMatrix._made(W.kind, provenance, factors, row_sums, clipped)
 
@@ -533,6 +530,8 @@ def evaluate_bounds(
     ``X``/``Y`` are the (possibly perturbed) data and landmarks actually
     used to build the completion; without ``X`` the condition/MMD terms —
     and hence the bounds — cannot be evaluated and come back ``None``.
+    Without ``K_true``, ``spectral_rho`` reads ``K_hat.diagonal()``, which
+    is the pinned unit diagonal of a completion ``nystrom_complete`` made.
     """
     if K_hat.kind is not MatrixKind.KERNEL:
         raise ValueError("bounds are defined for kernel-kind completions")
@@ -562,15 +561,9 @@ def evaluate_bounds(
                 * (sigma**2 * xi**2 + math.sqrt(2.0) * d_max * sigma * xi)
             )
 
+    rho = float(np.max(K_hat.diagonal() if K_true is None else np.diagonal(K_true)))
     realized = None
-    if K_true is None:
-        # by row panels: a factored completion is not made dense for its diagonal
-        rho, i0 = -math.inf, 0
-        for P in K_hat.row_panels():
-            rho = max(rho, float(np.diagonal(P, offset=i0).max()))
-            i0 += P.shape[0]
-    else:
-        rho = float(np.diagonal(K_true).max())
+    if K_true is not None:
         realized = float(np.linalg.norm(K_hat.values - np.asarray(K_true, dtype=np.float64)))
 
     bound_f = bound_s = None

@@ -46,6 +46,7 @@ from .nystrom import (
     CompletedMatrix,
     LandmarkBlock,
     MatrixKind,
+    _zero_diagonal,
     assemble_cross_block,
     nystrom_complete,
 )
@@ -382,7 +383,8 @@ def run_eval(
     embedding_path,
     distances_path=None,
 ) -> RunOutputs:
-    """Metrics for a stored embedding (labels come from its CSV)."""
+    """Metrics for a stored embedding (labels come from its CSV), and its
+    neighbourhood preservation when given its squared distances."""
     out = _output_dir(out_dir)
     Z, labels = read_embedding_csv(embedding_path)
     completed = None
@@ -397,6 +399,8 @@ def run_eval(
             completed = CompletedMatrix(values=D, kind=MatrixKind.DISTANCE)
         except ValueError as exc:
             raise DataError(f"{distances_path}: {exc}") from exc
+        if not _zero_diagonal(D):  # a kernel matrix, whose diagonal is 1
+            raise DataError(f"{distances_path}: distance matrix must have a zero diagonal")
     report, _ = _embedding_metrics(completed, Z, labels, cfg)
     manifest = render_manifest(cfg, "eval", {}, ["metrics.csv"])
     manifest += f"\n[eval_inputs]\nembedding = {Path(embedding_path).resolve()}\n"

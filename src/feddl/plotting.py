@@ -8,6 +8,8 @@ fixed precision so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 __all__ = ["emit_scatter_svg", "PALETTE"]
@@ -38,7 +40,7 @@ def emit_scatter_svg(path, Z: np.ndarray, labels=None, title: str = "") -> None:
 
     Handles the degenerate cases (no points, a single point, collapsed
     extent) by padding the view box; unknown labels default to a single
-    colour.
+    colour.  The title and the legend's labels are escaped as XML text.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or (Z.size and Z.shape[1] < 2):
@@ -81,7 +83,7 @@ def emit_scatter_svg(path, Z: np.ndarray, labels=None, title: str = "") -> None:
     if title:
         lines.append(
             f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
         )
     for i in range(n):
         lines.append(
@@ -95,7 +97,7 @@ def emit_scatter_svg(path, Z: np.ndarray, labels=None, title: str = "") -> None:
         )
         lines.append(
             f'<text x="{_WIDTH - _PAD - 60}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{lab}</text>'
+            f'font-size="12">{escape(str(lab))}</text>'
         )
     lines.append("</svg>")
     with open(path, "w", newline="") as f:

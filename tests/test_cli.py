@@ -810,6 +810,11 @@ BAD_INPUTS = {
         lambda p: _eval(p, distances=_overflowing_asymmetry),
         "distance matrix is not symmetric",
     ),
+    # a kernel matrix (unit diagonal) given as the distances
+    "fdlm-kernel-as-distances": (
+        lambda p: _eval(p, distances=lambda D: np.exp(-0.5 * D)),
+        "distances.fdlm: distance matrix must have a zero diagonal",
+    ),
 }
 
 

@@ -25,6 +25,7 @@ from feddl.nystrom import (
     evaluate_bounds,
     nystrom_complete,
 )
+from nystrom_reference import ridged_pinv as reference_ridged_pinv
 
 PARAMS = KernelParams(gamma=0.5)
 
@@ -135,10 +136,13 @@ def test_nystrom_provenance(rng):
     completed = nystrom_complete(
         kernel_block(X, Y), W, CompletionParams(rank_k=2), privacy_mode="data"
     )
+    top = np.sort(np.abs(np.linalg.eigvalsh(W.values)))[::-1][:2]
     assert completed.provenance == {
         "n_landmarks": 3,
         "rank_k": 2,
         "ridge_lambda": 0.0,
+        "kept_rank": 2,
+        "kept_abs_eigenvalues": pytest.approx((top[1], top[0]), rel=1e-12),
         "privacy_mode": "data",
     }
     assert completed.n_points == 6
@@ -174,23 +178,20 @@ def test_auto_ridge_applied_end_to_end():
 
 
 @pytest.mark.parametrize(
-    "W_values,params,decompositions,ridge",
+    "W_values,params,ridge",
     [
-        (np.array([[1.0, 0.5], [0.5, 1.0]]), CompletionParams(), 1, 0.0),
-        (np.array([[1.0, 0.5], [0.5, 1.0]]), CompletionParams(ridge_lambda=1e-3), 1, 1e-3),
-        # the automatic ridge needs the spectrum of W, then W + lambda I
+        (np.array([[1.0, 0.5], [0.5, 1.0]]), CompletionParams(), 0.0),
+        (np.array([[1.0, 0.5], [0.5, 1.0]]), CompletionParams(ridge_lambda=1e-3), 1e-3),
+        # the automatic ridge is decided by, and shifts, the one spectrum of W
         (
             np.array([[1.0, 1.0 - 5e-12], [1.0 - 5e-12, 1.0]]),
             CompletionParams(eigen_floor=0.0),
-            2,
             1e-6 * (1.0 - 5e-12),
         ),
     ],
     ids=["no-ridge", "set-ridge", "auto-ridge"],
 )
-def test_completion_decomposes_landmark_block_once_unless_auto_ridge(
-    monkeypatch, W_values, params, decompositions, ridge
-):
+def test_completion_decomposes_landmark_block_once(monkeypatch, W_values, params, ridge):
     calls = []
 
     def counted(name):
@@ -206,8 +207,70 @@ def test_completion_decomposes_landmark_block_once_unless_auto_ridge(
         monkeypatch.setattr(np.linalg, name, counted(name))
     W = LandmarkBlock(values=W_values, kind=MatrixKind.KERNEL)
     completed = nystrom_complete(np.array([[0.9, 0.8], [0.2, 0.3], [0.5, 0.5]]), W, params)
-    assert calls == ["eigh"] * decompositions
+    assert calls == ["eigh"]
     assert completed.provenance["ridge_lambda"] == ridge
+
+
+def _ridged_gaussian_case(dim, n_y, gamma, n=300):
+    """Points ``X``, landmarks ``Y`` and the Gaussian blocks of ``gamma``
+    of a landmark block near enough to singular for the automatic ridge."""
+    r = np.random.default_rng(1000 * dim + n_y)
+    X, Y = r.normal(size=(dim, n)), r.normal(size=(dim, n_y))
+    params = KernelParams(gamma=gamma)
+    block = lambda A, B: gaussian_kernel(pairwise_sq_dist(A, B), params)  # noqa: E731
+    return X, Y, block(X, Y), block(Y, Y), block(X, X)
+
+
+def test_auto_ridge_ignores_the_order_of_the_landmarks():
+    _, Y, B, Wv, _ = _ridged_gaussian_case(dim=2, n_y=40, gamma=0.05)
+    W = LandmarkBlock(values=Wv, kind=MatrixKind.KERNEL)
+    completed = nystrom_complete(B, W, CompletionParams())
+    ridge = completed.provenance["ridge_lambda"]
+    assert ridge > 0
+    for seed in range(3):
+        perm = np.random.default_rng(seed).permutation(Y.shape[1])
+        Wp = LandmarkBlock(values=Wv[np.ix_(perm, perm)], kind=MatrixKind.KERNEL)
+        permuted = nystrom_complete(B[:, perm], Wp, CompletionParams())
+        assert permuted.provenance["ridge_lambda"] == pytest.approx(ridge, rel=1e-12, abs=0)
+        assert np.abs(permuted.values - completed.values).max() <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "dim,n_y,gamma", [(2, 30, 0.05), (2, 120, 0.5), (3, 60, 0.05), (3, 200, 0.2), (4, 120, 0.05)]
+)
+def test_one_decomposition_is_as_accurate_as_two(dim, n_y, gamma):
+    # error against the exact kernel, with the ridged pseudo-inverse of one
+    # eigendecomposition and with the two-decomposition reference
+    _, _, B, Wv, K = _ridged_gaussian_case(dim, n_y, gamma)
+    params = CompletionParams()
+    ours, ridge, _ = _ridged_pinv(Wv, params)
+    ref, ref_ridge = reference_ridged_pinv(Wv, params)
+    assert ridge > 0 and ref_ridge > 0
+    err, ref_err = (
+        np.linalg.norm(_dense(B @ Winv, B, MatrixKind.KERNEL) - K) / np.linalg.norm(K)
+        for Winv in (ours, ref)
+    )
+    assert err <= 1.1 * ref_err
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_distance_block_keeps_at_most_m_plus_2_pairs(rng, m):
+    # squared distances of points in R^m have rank at most m + 2
+    X, Y = rng.normal(size=(m, 50)), rng.normal(size=(m, 20))
+    W = LandmarkBlock(values=pairwise_sq_dist(Y, Y), kind=MatrixKind.DISTANCE)
+    provenance = nystrom_complete(pairwise_sq_dist(X, Y), W, CompletionParams()).provenance
+    assert 1 <= provenance["kept_rank"] <= m + 2
+    low, high = provenance["kept_abs_eigenvalues"]
+    assert 1e-12 * high < low <= high
+
+
+def test_rank_k_keeps_k_pairs(rng):
+    X, Y = rng.normal(size=(3, 50)), rng.normal(size=(3, 12))
+    W = LandmarkBlock(values=kernel_block(Y, Y), kind=MatrixKind.KERNEL)
+    provenance = nystrom_complete(kernel_block(X, Y), W, CompletionParams(rank_k=3)).provenance
+    assert provenance["kept_rank"] == 3
+    top = np.sort(np.abs(np.linalg.eigvalsh(W.values)))[::-1][:3]
+    npt.assert_allclose(provenance["kept_abs_eigenvalues"], (top[2], top[0]), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -564,6 +627,20 @@ def test_completion_allocates_no_n_by_n_array(rng, case):
     assert completed.n_points == 1000
     assert isinstance(completed.operator, NystromFactors) is (case == "factored")
     assert peak < 0.25 * 1000**2 * 8
+
+
+@pytest.mark.parametrize("case", ["distance", "factored", "clipping", "array"])
+def test_diagonal_is_the_diagonal_of_the_values(rng, case):
+    if case == "array":
+        values = np.array([[0.0, 1.0], [1.0, 0.25]])  # its own diagonal, not a pinned one
+        completed = CompletedMatrix(values=values, kind=MatrixKind.DISTANCE)
+    else:
+        completed = {
+            "distance": lambda: _distance_completion(rng),
+            "factored": lambda: _kernel_completion(rng, gamma=0.05, n_y=8)[2],
+            "clipping": lambda: _kernel_completion(rng, gamma=0.5, rank_k=2)[2],
+        }[case]()
+    npt.assert_array_equal(completed.diagonal(), np.diagonal(completed.values))
 
 
 def test_completed_matrix_coerce():

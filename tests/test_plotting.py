@@ -50,6 +50,21 @@ def test_labels_get_distinct_palette_colors_and_legend(tmp_path):
     assert {"0", "1", "2"} <= set(texts)  # legend entries
 
 
+def test_title_and_labels_are_escaped(tmp_path):
+    p = tmp_path / "s.svg"
+    Z = np.array([[0.0, 0.0], [1.0, 1.0]])
+    emit_scatter_svg(p, Z, labels=["a<b", "c&d"], title="A & B <x>")
+    root, _ = _circles(p)  # parses only well-formed XML
+    texts = [t.text for t in root.findall(f"{SVG}text")]
+    assert texts == ["A & B <x>", "a<b", "c&d"]
+
+
+def test_plain_title_keeps_its_bytes(tmp_path):
+    p = tmp_path / "s.svg"
+    emit_scatter_svg(p, np.zeros((1, 2)), title="fed-tsne")
+    assert b'font-size="14">fed-tsne</text>' in p.read_bytes()
+
+
 def test_byte_stable_for_fixed_input(tmp_path, rng):
     Z = rng.normal(size=(30, 2))
     labels = rng.integers(0, 3, size=30)
