@@ -30,21 +30,29 @@ arithmetic is that of a search on the row alone (t-SNE's runs over
 blocks of rows to bound its memory).
 
 Both descents run in ``_safeguarded_descent``: every step costs one pass
-over the n x n Student-t (or membership) weights, which returns the loss
-and the gradient at the point reached, and an accepted step carries both
-into the next iteration.  The terms of each objective that do not depend
-on the embedding (``sum P log P``; ``sum mu log mu + (1 - mu) log(1 - mu)``
-and the edge list) are computed once per run.
+over the Student-t (or membership) weights of all pairs, which returns
+the loss and the gradient at the point reached, and an accepted step
+carries both into the next iteration.  The terms of each objective that
+do not depend on the embedding (``sum P log P``; ``sum mu log mu + (1 -
+mu) log(1 - mu)``) are computed once per run, with the affinities'
+upper-triangle row panels: contiguous copies of ``P`` (about n^2 / 2
+doubles) for t-SNE, per-panel kNN edge lists of ``mu`` for UMAP.
 
-A t-SNE pass writes into two n x n workspaces allocated once per descent,
-the weights ``W`` and the gradient coefficients ``PQ``.  Its two products
-run whole (``Z Z^T`` into ``W``, then ``PQ Z``), because a product taken
-by row blocks changes the last bit of the gradient; every element-wise
-step runs on blocks of ``_BLOCK_ROWS`` rows, which stay in cache.  A
-UMAP pass writes into three n x n workspaces (four at ``b != 1``), also
-allocated once per descent, so neither pass allocates an n x n array per
-step and a descent's speed does not depend on how the allocator happens
-to place its arrays.
+Both losses are sums over unordered pairs, so a pass is one sweep
+(``_panel_sweep``) over the upper-triangle row panels of the pairs:
+panel ``k`` holds rows ``[r0, r1)`` (``_BLOCK_ROWS`` of them) and columns
+``[r0, n)``, the lower part of its diagonal block masked.  Each panel's
+distances come from ``sq_dists``; its symmetric coefficients are folded
+into the gradient's row sums and product with ``Z`` from both sides.  A
+pass does half the element-wise work of one over all n^2 entries and
+writes only into three ``_BLOCK_ROWS x n`` buffers allocated once per
+descent (``_PanelWorkspace``), so no pass allocates an n x n array.  The
+t-SNE pass needs ``s = sum W`` for its coefficients ``(e P - W / s) W``,
+so it folds ``P W`` and ``W W`` apart and combines them once ``s`` is
+known, and it floors ``Q`` in the loss by a second, loss-only sweep only
+where an O(n) bound says the floor may bind.  Summed in this order, the
+passes agree with the whole-array formulas to about 1e-13 relative, not
+bit for bit.
 """
 
 from __future__ import annotations
@@ -75,11 +83,16 @@ __all__ = [
 #: probability floor used wherever a log of an affinity is taken.
 _LOG_FLOOR = 1e-12
 
-#: rows per block of the t-SNE calibration and of the t-SNE pass's
-#: element-wise steps, which hold a few ``(rows, n)`` arrays at a time: at
-#: n = 600 64 rows keep the calibration's peak at the two n x n arrays of
-#: its result, and a pass's four block arrays (1.2 MiB) within a 2 MiB L2
+#: rows per block of the t-SNE calibration and per row panel of the
+#: passes, the symmetrisations and the canonical ranking, each of which
+#: holds a few ``(rows, n)`` arrays at a time: at n = 600 a pass's three
+#: panel buffers (0.9 MiB) stay within a 2 MiB L2
 _BLOCK_ROWS = 64
+
+
+def _panel_rows(n: int) -> list[tuple[int, int]]:
+    """Row range ``[r0, r1)`` of every row panel of an n x n matrix."""
+    return [(r0, min(r0 + _BLOCK_ROWS, n)) for r0 in range(0, n, _BLOCK_ROWS)]
 
 
 @dataclass(frozen=True)
@@ -227,13 +240,26 @@ def _row_affinities(d2_rows: np.ndarray, target_perp: float) -> tuple[np.ndarray
     return P, fallback
 
 
+def _symmetrise(A: np.ndarray, combine: Callable) -> np.ndarray:
+    """``A`` overwritten with ``combine(A, A.T)``, which is symmetric,
+    one upper-triangle row panel and its mirror at a time: the entries
+    ``ij`` and ``ji`` are ``combine(a_ij, a_ji)`` of commutative
+    element-wise operations, so the result is that of the whole arrays
+    bit for bit and no n x n temporary is made."""
+    for r0, r1 in _panel_rows(A.shape[0]):
+        sym = combine(A[r0:r1, r0:], A[r0:, r0:r1].T)
+        A[r0:r1, r0:] = sym
+        A[r0:, r0:r1] = sym.T
+    return A
+
+
 def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     """Symmetrised joint t-SNE affinities from squared distances.
 
     Requires ``3 <= n`` points and ``0 < perplexity < n``.  Each
     conditional row sums to one; the joint matrix ``(P + P') / (2N)``
     sums to one and has a zero diagonal.  Rows are calibrated in blocks
-    of ``_BLOCK_ROWS``.
+    of ``_BLOCK_ROWS`` and symmetrised in place (``_symmetrise``).
     """
     D2 = CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values
     n = D2.shape[0]
@@ -250,53 +276,101 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
         rows, fb = _row_affinities(D2[block][off].reshape(-1, n - 1), perplexity)
         cond[block][off] = rows.ravel()
         fallbacks += (start + np.flatnonzero(fb)).tolist()
-    P = cond + cond.T
+    P = _symmetrise(cond, np.add)
     P /= 2.0 * n
     np.fill_diagonal(P, 0.0)
     return AffinityMatrix(values=P, kind="tsne_joint", fallback_rows=tuple(fallbacks))
 
 
-class _KLWorkspace:
-    """The arrays a t-SNE pass on n points writes into, allocated once per
-    descent: the Student-t weights ``W`` and the gradient coefficients
-    ``PQ`` (both n x n) and a ``(_BLOCK_ROWS, n)`` scratch block."""
+class _PanelWorkspace:
+    """The buffers a pass on n points writes into, allocated once per
+    descent: three flat arrays of ``min(_BLOCK_ROWS, n) x n`` doubles.  A
+    prefix of each, reshaped to the panel's ``(rows, columns)``, is that
+    panel's contiguous distances, log terms and coefficients."""
 
     def __init__(self, n: int) -> None:
-        self.W = np.empty((n, n))
-        self.PQ = np.empty((n, n))
-        self.scratch = np.empty((min(_BLOCK_ROWS, n), n))
+        self.flat = tuple(np.empty(min(_BLOCK_ROWS, n) * n) for _ in range(3))
+
+    def panel(self, m: int, w: int) -> tuple[np.ndarray, ...]:
+        return tuple(f[: m * w].reshape(m, w) for f in self.flat)
 
 
-def _student_t_weights(Z: np.ndarray, W: np.ndarray) -> float:
-    """Unnormalised Student-t weights ``1/(1+||z_i-z_j||^2)``, written into
-    the n x n ``W``, and their sum.
+#: True on and below the diagonal of a diagonal block
+_LOWER = np.tri(_BLOCK_ROWS, dtype=bool)
 
-    ``W`` holds ``1 / (1 + sq_dists(Z))`` with a zero diagonal, bit for
-    bit: the Gram product runs whole (numpy takes ``Z @ Z.T`` as one
-    syrk), and the rest of ``sq_dists``, the ``+ 1`` and the reciprocal run
-    in place on blocks of ``_BLOCK_ROWS`` rows, which stay in cache.
+
+def _mask_lower(A: np.ndarray) -> np.ndarray:
+    """Zero the diagonal and the strict lower part of the diagonal block
+    (the first ``rows`` columns) of the upper row panel ``A``."""
+    m = A.shape[0]
+    np.copyto(A[:, :m], 0.0, where=_LOWER[:m, :m])
+    return A
+
+
+def _upper_panels(M: np.ndarray, name: str):
+    """Each upper-triangle row panel of the square ``M``: rows ``[r0, r1)``
+    and columns ``[r0, n)`` as a contiguous copy, its diagonal block's
+    diagonal and lower part zeroed (the pairs another panel holds, or
+    none).  ``ValueError`` unless ``M`` is symmetric to 1e-12 relative,
+    because the passes read only its upper triangle."""
+    for r0, r1 in _panel_rows(M.shape[0]):
+        panel = M[r0:r1, r0:].copy()
+        if not np.allclose(panel, M[r0:, r0:r1].T, rtol=1e-12, atol=0.0):
+            raise ValueError(f"{name} must be symmetric")
+        yield _mask_lower(panel)
+
+
+def _panel_sweep(
+    Z: np.ndarray,
+    workspace: _PanelWorkspace,
+    visit: Callable[..., tuple[np.ndarray, ...]],
+    parts: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep over the upper-triangle row panels of the pairs of ``Z``.
+
+    Panel ``k`` covers rows ``[r0, r1)`` and columns ``[r0, n)``; its
+    squared distances come from ``sq_dists`` into the workspace's first
+    buffer, and ``visit(k, D, buf1, buf2)`` turns them into ``parts``
+    coefficient panels ``C`` of symmetric coefficient matrices (each
+    panel's diagonal block zero on and below its diagonal), the other two
+    buffers free for it.  Each ``C`` is folded on both of its sides into
+    its matrix's row sums ``rs[c]`` and product ``CZ[c]`` with ``Z``: one
+    product with ``Z`` and a column of ones gives both.
     """
+    n, d = Z.shape
     sq = _sq_norms(Z)
-    np.matmul(Z, Z.T, out=W)
-    for start in range(0, W.shape[0], _BLOCK_ROWS):
-        block = W[start : start + _BLOCK_ROWS]
-        block *= -2.0
-        block += sq[start : start + _BLOCK_ROWS, None]
-        block += sq[None, :]
-        np.maximum(block, 0.0, out=block)
-        block += 1.0
-        np.reciprocal(block, out=block)
-    np.fill_diagonal(W, 0.0)
-    return float(W.sum())
+    Z1 = np.ones((n, d + 1))
+    Z1[:, :d] = Z
+    acc = np.zeros((parts, n, d + 1))  # CZ, then rs in the last column
+    for k, (r0, r1) in enumerate(_panel_rows(n)):
+        D, *bufs = workspace.panel(r1 - r0, n - r0)
+        sq_dists(Z[r0:r1], Z[r0:], sq[r0:r1], sq[r0:], out=D)
+        for c, C in enumerate(visit(k, D, *bufs)):
+            acc[c, r0:r1] += C @ Z1[r0:]
+            acc[c, r0:] += C.T @ Z1[r0:r1]
+    return acc[:, :, d], acc[:, :, :d]
 
 
-def _kl_constants(P: np.ndarray) -> tuple[float, float]:
-    """The ``Z``-free parts of ``KL(P || Q)``:
-    ``sum_{P>0} P log max(P, 1e-12)`` and ``sum_{P>0} P``."""
-    pos = P > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_log_p = float(np.sum(np.where(pos, P * np.log(np.maximum(P, _LOG_FLOOR)), 0.0)))
-    return p_log_p, float(P[pos].sum())
+@dataclass(frozen=True)
+class _KLConstants:
+    """The ``Z``-free parts of ``KL(P || Q)``: ``P``'s upper-triangle row
+    panels (``_upper_panels``), ``sum_{P>0} P log max(P, 1e-12)`` and
+    ``sum_{P>0} P`` over the off-diagonal pairs."""
+
+    panels: tuple[np.ndarray, ...]
+    p_log_p: float
+    p_mass: float
+
+
+def _kl_constants(P: np.ndarray) -> _KLConstants:
+    """``_KLConstants`` of the symmetric ``P``, whose diagonal is not read."""
+    panels = tuple(_upper_panels(P, "P"))
+    p_log_p = p_mass = 0.0
+    for Pk in panels:
+        p = Pk[Pk > 0]
+        p_log_p += float(np.sum(p * np.log(np.maximum(p, _LOG_FLOOR))))
+        p_mass += float(p.sum())
+    return _KLConstants(panels, 2.0 * p_log_p, 2.0 * p_mass)
 
 
 def tsne_kl_gradient(
@@ -304,16 +378,17 @@ def tsne_kl_gradient(
     Z: np.ndarray,
     *,
     exaggeration: float = 1.0,
-    constants: tuple[float, float] | None = None,
-    workspace: _KLWorkspace | None = None,
+    constants: _KLConstants | None = None,
+    workspace: _PanelWorkspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """KL divergence ``KL(P || Q)`` and its gradient with respect to ``Z``.
 
     ``Q`` uses Student-t affinities; the gradient is
     ``4 sum_j (p_ij - q_ij) (1 + ||z_i - z_j||^2)^{-1} (z_i - z_j)``.
-    Probabilities are floored at 1e-12 inside the logarithm only.
+    Probabilities are floored at 1e-12 inside the logarithm only.  ``P``
+    is symmetric (its diagonal is not read).
 
-    One pass over the unnormalised weights ``W`` (sum ``s``) gives both:
+    One sweep over the unnormalised weights ``W`` (sum ``s``) gives both:
     for non-negative ``P``, ``KL = sum_{P>0} P log max(P, f)
     - sum P log max(W, f s) + (sum_{P>0} P) log s``, since
     ``max(Q, f) = max(W, f s) / s`` keeps the floor ``f`` on ``Q`` exact.
@@ -321,36 +396,44 @@ def tsne_kl_gradient(
     ``P``.  ``constants`` are ``_kl_constants(P)``, computed here when
     omitted.
 
-    The pass writes into ``workspace`` (a ``_KLWorkspace(n)``, allocated
-    here when omitted).  Its two products run whole, ``Z @ Z.T`` into
-    ``W`` and ``PQ @ Z`` over the coefficients, and every element-wise
-    step runs on blocks of ``_BLOCK_ROWS`` rows, so a block's arrays stay
-    in cache and the exaggerated ``P`` is formed one block at a time.
-    The gradient is that of the whole-array formula bit for bit; only the
-    loss's ``sum P log max(W, f s)`` is summed block by block.
+    The sweep (``_panel_sweep``) visits each unordered pair once, in the
+    upper-triangle row panels, and writes into ``workspace`` (a
+    ``_PanelWorkspace(n)``, allocated here when omitted).  The gradient's
+    coefficients ``(e P - W / s) W`` need ``s`` before they can be formed,
+    so the sweep folds the two parts ``P W`` and ``W W`` separately and
+    combines them once ``s`` is known.  It sums ``P log W`` unfloored:
+    every ``W`` is at least ``1 / (1 + 4 max ||z||^2)``, so the floor
+    ``f s`` binds nowhere when that bound clears it (by a factor 2, for
+    the rounding of ``W``); otherwise a second, loss-only sweep takes
+    ``P log max(W, f s)``.
     """
     n = P.shape[0]
-    p_log_p, p_mass = _kl_constants(P) if constants is None else constants
-    ws = _KLWorkspace(n) if workspace is None else workspace
-    W, PQ = ws.W, ws.PQ
-    s = _student_t_weights(Z, W)
+    consts = _kl_constants(P) if constants is None else constants
+    ws = _PanelWorkspace(n) if workspace is None else workspace
+    sums = np.zeros(2)  # sum of P log W and of W over the upper triangle
+
+    def visit(k: int, D: np.ndarray, L: np.ndarray, WW: np.ndarray):
+        Pk = consts.panels[k]
+        W = np.reciprocal(np.add(D, 1.0, out=D), out=D)
+        sums[0] += np.vdot(Pk, np.log(W, out=L))
+        sums[1] += _mask_lower(W).sum()
+        return np.multiply(Pk, W, out=L), np.square(W, out=WW)
+
+    (rs_pw, rs_ww), (pw_z, ww_z) = _panel_sweep(Z, ws, visit, 2)
+    s = 2.0 * float(sums[1])
     floor = _LOG_FLOOR * s
-    p_log_w = 0.0
-    row_sums = np.empty(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            Wb, Pb, PQb = W[rows], P[rows], PQ[rows]
-            buf = ws.scratch[: Wb.shape[0]]
-            np.maximum(Wb, floor, out=buf)
-            np.log(buf, out=buf)
-            p_log_w += float(np.multiply(Pb, buf, out=buf).sum())
-            np.divide(Wb, -s, out=PQb)
-            PQb += Pb if exaggeration == 1.0 else np.multiply(Pb, exaggeration, out=buf)
-            PQb *= Wb
-            row_sums[rows] = PQb.sum(axis=1)
-    kl = p_log_p - p_log_w + p_mass * float(np.log(s))
-    grad = 4.0 * (row_sums[:, None] * Z - PQ @ Z)
+    if 1.0 / (1.0 + 4.0 * float(_sq_norms(Z).max(initial=0.0))) < 2.0 * floor:
+        sums[0] = 0.0
+
+        def visit_floored(k: int, D: np.ndarray, L: np.ndarray, _: np.ndarray):
+            W = np.reciprocal(np.add(D, 1.0, out=D), out=D)
+            sums[0] += np.vdot(consts.panels[k], np.log(np.maximum(W, floor, out=L), out=L))
+            return ()
+
+        _panel_sweep(Z, ws, visit_floored, 0)
+    kl = consts.p_log_p - 2.0 * float(sums[0]) + consts.p_mass * math.log(s)
+    rs = exaggeration * rs_pw - rs_ww / s
+    grad = 4.0 * (rs[:, None] * Z - (exaggeration * pw_z - ww_z / s))
     return kl, grad
 
 
@@ -361,15 +444,20 @@ def _canonical_rank(A: np.ndarray) -> np.ndarray:
     over the *sorted* row, so a column permutation cannot change them
     even in the last bit; assigning seeded initialisation noise by
     canonical position then makes the embedding equivariant to global
-    point reordering.  Exact key ties fall back to input order.
+    point reordering.  Exact key ties fall back to input order.  Rows are
+    sorted ``_BLOCK_ROWS`` at a time, and a row's keys do not depend on
+    the rows sorted with it.
     """
-    S = np.sort(A, axis=1)
-    k1 = S.sum(axis=1)
-    k2 = (S * S).sum(axis=1)
-    k3 = S[:, -1] if A.size else k1
+    n = A.shape[0]
+    k1, k2, k3 = np.empty(n), np.empty(n), np.empty(n)
+    for r0, r1 in _panel_rows(n):
+        S = np.sort(A[r0:r1], axis=1)
+        k1[r0:r1] = S.sum(axis=1)
+        k2[r0:r1] = (S * S).sum(axis=1)
+        k3[r0:r1] = S[:, -1]
     order = np.lexsort((k3, k2, k1))
-    rank = np.empty(A.shape[0], dtype=np.intp)
-    rank[order] = np.arange(A.shape[0])
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
     return rank
 
 
@@ -457,7 +545,7 @@ def tsne_embed(P: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embedding
     noise = rng.normal(size=(n, config.out_dim))
     Z = config.init_scale * noise[_canonical_rank(Pm)]
     constants = _kl_constants(Pm)
-    workspace = _KLWorkspace(n)
+    workspace = _PanelWorkspace(n)
 
     def loss_grad(Zc: np.ndarray, it: int) -> tuple[float, np.ndarray]:
         ex = config.early_exaggeration if it < config.early_exaggeration_iters else 1.0
@@ -514,7 +602,7 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     Works on the square roots of the entries (plain distances);
     neighbours are chosen by distance with ties broken by index.  Each
     point's nearest neighbour receives membership one; memberships are
-    symmetrised with the fuzzy union.
+    symmetrised with the fuzzy union, in place (``_symmetrise``).
     """
     Dd = np.sqrt(CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values)
     n = Dd.shape[0]
@@ -531,47 +619,43 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     else:
         sigma = _smooth_knn_sigmas(shifted, math.log2(n_neighbors))
         memberships = np.exp(-shifted / sigma[:, None])
+    del Dd  # the graph's n x n array takes its place
     cond = np.zeros((n, n))
     np.put_along_axis(cond, order, memberships, axis=1)
-    mu = cond + cond.T
-    mu -= cond * cond.T
+    mu = _symmetrise(cond, lambda a, b: a + b - a * b)  # the fuzzy union
     np.fill_diagonal(mu, 0.0)
     return AffinityMatrix(values=mu, kind="umap_membership")
 
 
-def _ce_constants(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The ``Z``-free parts of the fuzzy cross-entropy: the edge list of
-    ``mu`` and ``sum mu log mu + (1 - mu) log(1 - mu)``.
+@dataclass(frozen=True)
+class _CEConstants:
+    """The ``Z``-free parts of the fuzzy cross-entropy: per upper-triangle
+    row panel, the flat indices into the panel of its edges (the pairs
+    ``i < j`` with ``mu != 0``, in row-major order) and ``mu`` and
+    ``1 - mu`` on them; and ``sum mu log mu + (1 - mu) log(1 - mu)`` over
+    the off-diagonal pairs."""
 
-    The edges are the off-diagonal pairs with ``mu != 0``, a COO list in
-    row-major order (about ``2 n_neighbors`` per row for a UMAP graph).
-    Returns their flat indices ``i n + j``, ``mu`` and ``1 - mu`` on them,
-    and the entropy sum; off the edges ``mu = 0``, so its terms are zero
-    there.  Each term is taken where its weight is positive, logs floored
-    at 1e-12.
+    edges: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    entropy: float
+
+
+def _ce_constants(mu: np.ndarray) -> _CEConstants:
+    """``_CEConstants`` of the symmetric ``mu``, whose diagonal is not read.
+
+    Off the edges ``mu = 0``, so the entropy's terms are zero there.  Each
+    term is taken where its weight is positive, logs floored at 1e-12.
     """
-    n = mu.shape[0]
-    edges = np.flatnonzero(mu)
-    edges = edges[edges % (n + 1) != 0]  # flat index i (n + 1) is the diagonal
-    mu_e = mu.take(edges)
-    nu_e = 1.0 - mu_e
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.where(mu_e > 0, mu_e * np.log(np.maximum(mu_e, _LOG_FLOOR)), 0.0)
-        ent += np.where(nu_e > 0, nu_e * np.log(np.maximum(nu_e, _LOG_FLOOR)), 0.0)
-    return edges, mu_e, nu_e, float(ent.sum())
-
-
-class _CEWorkspace:
-    """The n x n arrays a UMAP pass on n points writes into, allocated
-    once per descent: ``d2`` (then ``w``), ``1 - w`` (then the gradient
-    coefficients at ``b = 1``), ``buf`` (the log terms, then
-    ``d loss / d w``) and, at ``b != 1``, ``d2^(b-1)``."""
-
-    def __init__(self, n: int, b: float) -> None:
-        self.d2 = np.empty((n, n))
-        self.one_minus_w = np.empty((n, n))
-        self.buf = np.empty((n, n))
-        self.d2bm1 = np.empty((n, n)) if b != 1.0 else None
+    edges, ent = [], 0.0
+    for Mk in _upper_panels(mu, "mu"):
+        e = np.flatnonzero(Mk)
+        mu_e = Mk.take(e)
+        nu_e = 1.0 - mu_e
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(mu_e > 0, mu_e * np.log(np.maximum(mu_e, _LOG_FLOOR)), 0.0)
+            t += np.where(nu_e > 0, nu_e * np.log(np.maximum(nu_e, _LOG_FLOOR)), 0.0)
+        ent += float(t.sum())
+        edges.append((e, mu_e, nu_e))
+    return _CEConstants(tuple(edges), 2.0 * ent)
 
 
 def umap_ce_gradient(
@@ -580,8 +664,8 @@ def umap_ce_gradient(
     a: float = 1.0,
     b: float = 1.0,
     *,
-    constants: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None,
-    workspace: _CEWorkspace | None = None,
+    constants: _CEConstants | None = None,
+    workspace: _PanelWorkspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Fuzzy cross-entropy and its gradient for low-dim memberships
     ``w = 1 / (1 + a d^{2b})``.
@@ -589,60 +673,64 @@ def umap_ce_gradient(
     ``1 - w`` (and ``w``) are floored at 1e-12 consistently in the loss
     and the gradient, so finite differences of the returned loss match
     the returned gradient away from the floor region.  ``mu`` holds
-    memberships in [0, 1]; its edge list and ``mu``-only terms come from
-    ``constants`` (``_ce_constants(mu)``, computed here when omitted).
+    symmetric memberships in [0, 1] (its diagonal is not read); its edge
+    lists and ``mu``-only terms come from ``constants``
+    (``_ce_constants(mu)``, computed here when omitted).
 
-    The attraction ``mu log w`` is taken on the edges.  The repulsion
-    ``(1 - mu) log(1 - w)`` is taken over all off-diagonal pairs with
-    ``1 - mu = 1``, then corrected on the edges; so a call takes one
-    n x n ``log max(1 - w, f)`` and gives the gradient of the dense
-    formula bit for bit.
-
-    The pass writes into ``workspace`` (a ``_CEWorkspace(n, b)``,
-    allocated here when omitted), so a descent that passes one allocates
-    nothing of size n x n per call.
+    The sweep (``_panel_sweep``) visits each unordered pair once, in the
+    upper-triangle row panels, and writes into ``workspace`` (a
+    ``_PanelWorkspace(n)``, allocated here when omitted).  In each panel
+    the attraction ``mu log w`` is taken on the panel's edges, and the
+    repulsion ``(1 - mu) log(1 - w)`` over all its pairs with
+    ``1 - mu = 1``, then corrected on the edges; the gradient's
+    coefficients are formed per pair.
     """
-    edges, mu_e, nu_e, entropy = _ce_constants(mu) if constants is None else constants
-    ws = _CEWorkspace(Z.shape[0], b) if workspace is None else workspace
-    d2 = sq_dists(Z, out=ws.d2)
-    if b != 1.0:
-        np.maximum(d2, _LOG_FLOOR, out=d2)
-        d2bm1 = np.power(d2, b - 1.0, out=ws.d2bm1)
-        np.power(d2, b, out=d2)
-    w = np.multiply(d2, a, out=d2)
-    w += 1.0
-    np.reciprocal(w, out=w)
-    one_minus_w = np.subtract(1.0, w, out=ws.one_minus_w)
-    w_e = w.take(edges)
-    one_minus_w_e = 1.0 - w_e
+    consts = _ce_constants(mu) if constants is None else constants
+    ws = _PanelWorkspace(Z.shape[0]) if workspace is None else workspace
+    sums = np.zeros(1)  # the attraction and repulsion over the upper triangle
 
-    buf = np.maximum(one_minus_w, _LOG_FLOOR, out=ws.buf)
-    np.log(buf, out=buf)
-    np.fill_diagonal(buf, 0.0)
-    buf.put(edges, nu_e * buf.take(edges))
-    loss = entropy - float(np.sum(mu_e * np.log(np.maximum(w_e, _LOG_FLOOR))))
-    loss -= float(buf.sum())
+    def visit(k: int, d2: np.ndarray, one_minus_w: np.ndarray, coeff: np.ndarray):
+        edges, mu_e, nu_e = consts.edges[k]
+        if b != 1.0:
+            np.maximum(d2, _LOG_FLOOR, out=d2)
+            np.power(d2, b - 1.0, out=coeff)
+            np.power(d2, b, out=d2)
+        w = d2 if a == 1.0 else np.multiply(d2, a, out=d2)
+        w += 1.0
+        np.reciprocal(w, out=w)
+        np.subtract(1.0, w, out=one_minus_w)
+        w_e = w.take(edges)
+        one_minus_w_e = 1.0 - w_e
+        # d w / d d2 = -a b d2^{b-1} w^2, its factor -a b applied to the
+        # folded sums
+        if b == 1.0:
+            np.square(w, out=coeff)
+        else:
+            coeff *= w
+            coeff *= w
 
-    # d w / d d2 = -a b d2^{b-1} w^2; chain through both log terms, each
-    # only where its membership is above the floor: d loss / d w is
-    # 1 / (1 - w) off the edges and (1 - mu) / (1 - w) - mu / w on them.
-    buf.fill(0.0)
-    dldw = np.divide(1.0, one_minus_w, out=buf, where=one_minus_w > _LOG_FLOOR)
-    np.fill_diagonal(dldw, 0.0)
-    on_edges = np.zeros_like(w_e)
-    np.divide(nu_e, one_minus_w_e, out=on_edges, where=one_minus_w_e > _LOG_FLOOR)
-    on_edges -= np.divide(mu_e, w_e, out=np.zeros_like(w_e), where=w_e > _LOG_FLOOR)
-    dldw.put(edges, on_edges)
-    # d loss / d d2_ij (per ordered pair), built over 1 - w or d2^{b-1},
-    # which are no longer needed
-    if b == 1.0:
-        coeff = np.multiply(w, -a * b, out=one_minus_w)
-    else:
-        coeff = np.multiply(d2bm1, -a * b, out=d2bm1)
-        coeff *= w
-    coeff *= w
-    coeff *= dldw
-    grad = 4.0 * (coeff.sum(axis=1)[:, None] * Z - coeff @ Z)
+        logs = np.maximum(one_minus_w, _LOG_FLOOR, out=w)  # w is no longer needed
+        np.log(logs, out=logs)
+        logs.put(edges, nu_e * logs.take(edges))
+        sums[0] += np.sum(mu_e * np.log(np.maximum(w_e, _LOG_FLOOR)))
+        sums[0] += _mask_lower(logs).sum()
+
+        # chain through both log terms, each only where its membership is
+        # above the floor: d loss / d w is 1 / (1 - w) off the edges and
+        # (1 - mu) / (1 - w) - mu / w on them.
+        dldw = logs
+        dldw.fill(0.0)
+        np.divide(1.0, one_minus_w, out=dldw, where=one_minus_w > _LOG_FLOOR)
+        on_edges = np.zeros_like(w_e)
+        np.divide(nu_e, one_minus_w_e, out=on_edges, where=one_minus_w_e > _LOG_FLOOR)
+        on_edges -= np.divide(mu_e, w_e, out=np.zeros_like(w_e), where=w_e > _LOG_FLOOR)
+        dldw.put(edges, on_edges)
+        coeff *= _mask_lower(dldw)
+        return (coeff,)
+
+    (rs,), (CZ,) = _panel_sweep(Z, ws, visit, 1)
+    loss = consts.entropy - 2.0 * float(sums[0])
+    grad = (-4.0 * a * b) * (rs[:, None] * Z - CZ)
     return loss, grad
 
 
@@ -698,7 +786,7 @@ def umap_embed(mu: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embeddin
     jitter = rng.normal(size=(n, config.out_dim))[rank]
     Z = config.init_scale * (_spectral_layout(M, config.out_dim, start_noise) + 1e-4 * jitter)
     constants = _ce_constants(M)
-    workspace = _CEWorkspace(n, config.b)
+    workspace = _PanelWorkspace(n)
 
     def loss_grad(Zc: np.ndarray, it: int) -> tuple[float, np.ndarray]:
         return umap_ce_gradient(

@@ -366,8 +366,12 @@ def median_heuristic_gamma(Y) -> float:
 def normalized_adjacency(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Degrees ``d`` of a symmetric non-negative matrix ``M``, the mask of
     points with ``d > 0``, and the symmetrically normalised adjacency
-    ``d^{-1/2} M d^{-1/2}`` restricted to those points."""
+    ``d^{-1/2} M d^{-1/2}`` restricted to those points, scaled in place in
+    the one copy of ``M``'s active block."""
     deg = M.sum(axis=1)
     active = deg > 0
     d_isqrt = 1.0 / np.sqrt(deg[active])
-    return deg, active, d_isqrt[:, None] * M[np.ix_(active, active)] * d_isqrt[None, :]
+    S = M[np.ix_(active, active)]
+    S *= d_isqrt[:, None]
+    S *= d_isqrt[None, :]
+    return deg, active, S

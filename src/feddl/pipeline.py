@@ -101,15 +101,17 @@ def _write(out: Path, writers: list) -> dict:
 
 #: each command's peak of dense n x n float64 arrays, in units of
 #: n^2 x 8 B, as tracemalloc measured it over the second whole run in a
-#: process at n = 1000: t-SNE 3.16 and UMAP 4.26 (both in the descent,
-#: which holds no completion array), UMAP at ``b != 1`` 5.26 (a fourth
-#: workspace).  Spectral clustering peaks at 1.09 when its kernel
+#: process at n = 1000: t-SNE 2.48, in its calibration (the completion's
+#: values, the conditional affinities and one row block's work arrays),
+#: and UMAP 2.17, at ``b != 1`` too, in the metrics after the descent (the
+#: completion's values and the neighbour search on them); neither descent
+#: holds more than its affinities, their upper row panels and a few
+#: 64-row buffers.  Spectral clustering peaks at 1.09 when its kernel
 #: completion clips: the one n x n array its ``operator`` assembles.  One
 #: that clips nothing holds no n x n array, but whether it clips is known
 #: only after its pass, so the guard covers the clipped case.  ``fit``
 #: holds no n x n array.
-_DENSE_PEAK_N2 = {"tsne": 3.2, "umap": 4.3, "speclust": 1.1}
-_UMAP_B_PEAK_N2 = 5.3
+_DENSE_PEAK_N2 = {"tsne": 2.5, "umap": 2.2, "speclust": 1.1}
 #: the fit's peak in n_p^2 x 8 B, n_p the largest shard: the MMD self-term's
 #: n_p x n_p block, its distances symmetrised and turned into kernel values
 #: in place (1.04 for one client at n = 1000; a shard of at most 256 points
@@ -182,8 +184,6 @@ def _check_feasible(
         )
     econf = _embed_settings(cfg, command, n) if command in ("tsne", "umap") else None
     dense = _DENSE_PEAK_N2.get(command, 0.0)
-    if command == "umap" and econf.b != 1.0:
-        dense = _UMAP_B_PEAK_N2
     n_p = max(s.n_points for s in shards)
     need, what = max(
         (dense * n * n * 8, f"n x n arrays ({dense} x n^2 x 8 B)"),

@@ -2,11 +2,14 @@
 references.
 
 These are the embedding routines as they were before the calibrations ran
-in lockstep, the UMAP pass moved its attraction to the kNN edge list and
-the t-SNE pass ran its element-wise steps in row blocks: one binary search
-per row, every term of the fuzzy cross-entropy weighted over all n x n
-pairs, and every step of the t-SNE pass on whole n x n arrays.  The tests
-check the package's routines against them bit for bit.
+in lockstep, the symmetrisations and the canonical ranking ran by row
+panels, and the passes swept upper-triangle row panels: one binary search
+per row, whole-array symmetrisations and sorts, every term of the fuzzy
+cross-entropy weighted over all n x n pairs, and every step of the t-SNE
+pass on whole n x n arrays.  The tests check the calibrations, the
+symmetrisations and the ranking against them bit for bit, and the passes
+to within 1e-12 relative (a pass over each unordered pair once sums in
+another order).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 
 import numpy as np
 
-from feddl.embed import AffinityMatrix, _kl_constants
+from feddl.embed import AffinityMatrix
 from feddl.kernels import knn_indices, sq_dists
 from feddl.nystrom import CompletedMatrix, MatrixKind
 
@@ -210,6 +213,15 @@ def _student_t_weights(Z: np.ndarray) -> tuple[np.ndarray, float]:
     return W, float(W.sum())
 
 
+def _kl_constants(P: np.ndarray) -> tuple[float, float]:
+    """The ``Z``-free parts of ``KL(P || Q)``:
+    ``sum_{P>0} P log max(P, 1e-12)`` and ``sum_{P>0} P``."""
+    pos = P > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_log_p = float(np.sum(np.where(pos, P * np.log(np.maximum(P, _LOG_FLOOR)), 0.0)))
+    return p_log_p, float(P[pos].sum())
+
+
 def tsne_kl_gradient(
     P: np.ndarray,
     Z: np.ndarray,
@@ -242,3 +254,17 @@ def tsne_kl_gradient(
         PQ *= W
     grad = 4.0 * (PQ.sum(axis=1)[:, None] * Z - PQ @ Z)
     return kl, grad
+
+
+def _canonical_rank(A: np.ndarray) -> np.ndarray:
+    """Canonical position of every point from the keys (row sum, row
+    sum-of-squares, row maximum) of its sorted row, the whole array
+    sorted at once."""
+    S = np.sort(A, axis=1)
+    k1 = S.sum(axis=1)
+    k2 = (S * S).sum(axis=1)
+    k3 = S[:, -1] if A.size else k1
+    order = np.lexsort((k3, k2, k1))
+    rank = np.empty(A.shape[0], dtype=np.intp)
+    rank[order] = np.arange(A.shape[0])
+    return rank

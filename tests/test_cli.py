@@ -519,7 +519,7 @@ UMAP_B = ("n_neighbors = 8\n", "n_neighbors = 8\nb = 0.895\n")
 GUARD_CASES = {
     "tsne": ("tsne", None, pipeline._DENSE_PEAK_N2["tsne"]),
     "umap": ("umap", None, pipeline._DENSE_PEAK_N2["umap"]),
-    "umap-b": ("umap", UMAP_B, pipeline._UMAP_B_PEAK_N2),
+    "umap-b": ("umap", UMAP_B, pipeline._DENSE_PEAK_N2["umap"]),
     "speclust": ("speclust", None, pipeline._DENSE_PEAK_N2["speclust"]),
     "fit-1-client": ("fit", ONE_CLIENT, pipeline._SHARD_PEAK_N2),
     "speclust-1-client": ("speclust", ONE_CLIENT, pipeline._SHARD_PEAK_N2),
