@@ -40,19 +40,23 @@ doubles) for t-SNE, per-panel kNN edge lists of ``mu`` for UMAP.
 
 Both losses are sums over unordered pairs, so a pass is one sweep
 (``_panel_sweep``) over the upper-triangle row panels of the pairs:
-panel ``k`` holds rows ``[r0, r1)`` (``_BLOCK_ROWS`` of them) and columns
-``[r0, n)``, the lower part of its diagonal block masked.  Each panel's
-distances come from ``sq_dists``; its symmetric coefficients are folded
-into the gradient's row sums and product with ``Z`` from both sides.  A
-pass does half the element-wise work of one over all n^2 entries and
-writes only into three ``_BLOCK_ROWS x n`` buffers allocated once per
+panel ``k`` holds rows ``[r0, r1)`` (64 of them, ``kernels._TILE``) and
+columns ``[r0, n)``, the lower part of its diagonal block masked.  Each
+panel's distances come from ``sq_dists``; its symmetric coefficients are
+folded into the gradient's row sums and product with ``Z`` from both
+sides.  A pass does half the element-wise work of one over all n^2
+entries and writes only into three ``64 x n`` buffers allocated once per
 descent (``_PanelWorkspace``), so no pass allocates an n x n array.  The
 t-SNE pass needs ``s = sum W`` for its coefficients ``(e P - W / s) W``,
 so it folds ``P W`` and ``W W`` apart and combines them once ``s`` is
 known, and it floors ``Q`` in the loss by a second, loss-only sweep only
 where an O(n) bound says the floor may bind.  Summed in this order, the
 passes agree with the whole-array formulas to about 1e-13 relative, not
-bit for bit.
+bit for bit, wherever the gradient is not a cancellation of much larger
+terms: with points 1e7 from the origin, or coincident points at b != 1
+(a floored d2 gives coefficients near 1e12), ``4 (sum_j C_ij z_i -
+sum_j C_ij z_j)`` is rounding of those terms in either form, and the two
+differ by 1e-9 relative or more.
 """
 
 from __future__ import annotations
@@ -64,8 +68,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalAbort
-from .kernels import _sq_norms, knn_indices, normalized_adjacency, sq_dists
-from .nystrom import CompletedMatrix, MatrixKind
+from .kernels import (
+    _TILE,
+    _row_panels,
+    _sq_norms,
+    _symmetrize,
+    knn_indices,
+    normalized_adjacency,
+    sq_dists,
+)
+from .nystrom import CompletedMatrix, MatrixKind, _symmetry_gap
 from .privacy import stream_rng
 
 __all__ = [
@@ -82,18 +94,6 @@ __all__ = [
 
 #: probability floor used wherever a log of an affinity is taken.
 _LOG_FLOOR = 1e-12
-
-#: rows per block of the t-SNE calibration and per row panel of the
-#: passes, the symmetrisations and the canonical ranking, each of which
-#: holds a few ``(rows, n)`` arrays at a time: at n = 600 a pass's three
-#: panel buffers (0.9 MiB) stay within a 2 MiB L2
-_BLOCK_ROWS = 64
-
-
-def _panel_rows(n: int) -> list[tuple[int, int]]:
-    """Row range ``[r0, r1)`` of every row panel of an n x n matrix."""
-    return [(r0, min(r0 + _BLOCK_ROWS, n)) for r0 in range(0, n, _BLOCK_ROWS)]
-
 
 @dataclass(frozen=True)
 class EmbedConfig:
@@ -240,26 +240,13 @@ def _row_affinities(d2_rows: np.ndarray, target_perp: float) -> tuple[np.ndarray
     return P, fallback
 
 
-def _symmetrise(A: np.ndarray, combine: Callable) -> np.ndarray:
-    """``A`` overwritten with ``combine(A, A.T)``, which is symmetric,
-    one upper-triangle row panel and its mirror at a time: the entries
-    ``ij`` and ``ji`` are ``combine(a_ij, a_ji)`` of commutative
-    element-wise operations, so the result is that of the whole arrays
-    bit for bit and no n x n temporary is made."""
-    for r0, r1 in _panel_rows(A.shape[0]):
-        sym = combine(A[r0:r1, r0:], A[r0:, r0:r1].T)
-        A[r0:r1, r0:] = sym
-        A[r0:, r0:r1] = sym.T
-    return A
-
-
 def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     """Symmetrised joint t-SNE affinities from squared distances.
 
     Requires ``3 <= n`` points and ``0 < perplexity < n``.  Each
     conditional row sums to one; the joint matrix ``(P + P') / (2N)``
-    sums to one and has a zero diagonal.  Rows are calibrated in blocks
-    of ``_BLOCK_ROWS`` and symmetrised in place (``_symmetrise``).
+    sums to one and has a zero diagonal.  Rows are calibrated in 64-row
+    panels and symmetrised in place (``kernels._symmetrize``).
     """
     D2 = CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values
     n = D2.shape[0]
@@ -270,13 +257,13 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     cond = np.zeros((n, n))
     fallbacks = []
     cols = np.arange(n)
-    for start in range(0, n, _BLOCK_ROWS):
-        block = slice(start, min(start + _BLOCK_ROWS, n))
-        off = cols != cols[block, None]
-        rows, fb = _row_affinities(D2[block][off].reshape(-1, n - 1), perplexity)
-        cond[block][off] = rows.ravel()
-        fallbacks += (start + np.flatnonzero(fb)).tolist()
-    P = _symmetrise(cond, np.add)
+    for r0, r1 in _row_panels(n):
+        off = cols != cols[r0:r1, None]
+        rows, fb = _row_affinities(D2[r0:r1][off].reshape(-1, n - 1), perplexity)
+        cond[r0:r1][off] = rows.ravel()
+        fallbacks += (r0 + np.flatnonzero(fb)).tolist()
+    _symmetrize(cond, np.add)
+    P = cond
     P /= 2.0 * n
     np.fill_diagonal(P, 0.0)
     return AffinityMatrix(values=P, kind="tsne_joint", fallback_rows=tuple(fallbacks))
@@ -284,19 +271,20 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
 
 class _PanelWorkspace:
     """The buffers a pass on n points writes into, allocated once per
-    descent: three flat arrays of ``min(_BLOCK_ROWS, n) x n`` doubles.  A
-    prefix of each, reshaped to the panel's ``(rows, columns)``, is that
-    panel's contiguous distances, log terms and coefficients."""
+    descent: three flat arrays of ``min(64, n) x n`` doubles (at n = 600,
+    0.9 MiB together, within a 2 MiB L2).  A prefix of each, reshaped to
+    the panel's ``(rows, columns)``, is that panel's contiguous
+    distances, log terms and coefficients."""
 
     def __init__(self, n: int) -> None:
-        self.flat = tuple(np.empty(min(_BLOCK_ROWS, n) * n) for _ in range(3))
+        self.flat = tuple(np.empty(min(_TILE, n) * n) for _ in range(3))
 
     def panel(self, m: int, w: int) -> tuple[np.ndarray, ...]:
         return tuple(f[: m * w].reshape(m, w) for f in self.flat)
 
 
 #: True on and below the diagonal of a diagonal block
-_LOWER = np.tri(_BLOCK_ROWS, dtype=bool)
+_LOWER = np.tri(_TILE, dtype=bool)
 
 
 def _mask_lower(A: np.ndarray) -> np.ndarray:
@@ -311,13 +299,14 @@ def _upper_panels(M: np.ndarray, name: str):
     """Each upper-triangle row panel of the square ``M``: rows ``[r0, r1)``
     and columns ``[r0, n)`` as a contiguous copy, its diagonal block's
     diagonal and lower part zeroed (the pairs another panel holds, or
-    none).  ``ValueError`` unless ``M`` is symmetric to 1e-12 relative,
-    because the passes read only its upper triangle."""
-    for r0, r1 in _panel_rows(M.shape[0]):
-        panel = M[r0:r1, r0:].copy()
-        if not np.allclose(panel, M[r0:, r0:r1].T, rtol=1e-12, atol=0.0):
-            raise ValueError(f"{name} must be symmetric")
-        yield _mask_lower(panel)
+    none).  ``ValueError`` unless ``M`` is symmetric within 1e-12 of its
+    largest entry (``nystrom._symmetry_gap``), because the passes read
+    only its upper triangle."""
+    scale = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
+    if not _symmetry_gap(M) <= 1e-12 * scale:
+        raise ValueError(f"{name} must be symmetric")
+    for r0, r1 in _row_panels(M.shape[0]):
+        yield _mask_lower(M[r0:r1, r0:].copy())
 
 
 def _panel_sweep(
@@ -342,7 +331,7 @@ def _panel_sweep(
     Z1 = np.ones((n, d + 1))
     Z1[:, :d] = Z
     acc = np.zeros((parts, n, d + 1))  # CZ, then rs in the last column
-    for k, (r0, r1) in enumerate(_panel_rows(n)):
+    for k, (r0, r1) in enumerate(_row_panels(n)):
         D, *bufs = workspace.panel(r1 - r0, n - r0)
         sq_dists(Z[r0:r1], Z[r0:], sq[r0:r1], sq[r0:], out=D)
         for c, C in enumerate(visit(k, D, *bufs)):
@@ -445,12 +434,12 @@ def _canonical_rank(A: np.ndarray) -> np.ndarray:
     even in the last bit; assigning seeded initialisation noise by
     canonical position then makes the embedding equivariant to global
     point reordering.  Exact key ties fall back to input order.  Rows are
-    sorted ``_BLOCK_ROWS`` at a time, and a row's keys do not depend on
-    the rows sorted with it.
+    sorted 64 at a time, and a row's keys do not depend on the rows
+    sorted with it.
     """
     n = A.shape[0]
     k1, k2, k3 = np.empty(n), np.empty(n), np.empty(n)
-    for r0, r1 in _panel_rows(n):
+    for r0, r1 in _row_panels(n):
         S = np.sort(A[r0:r1], axis=1)
         k1[r0:r1] = S.sum(axis=1)
         k2[r0:r1] = (S * S).sum(axis=1)
@@ -602,7 +591,7 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     Works on the square roots of the entries (plain distances);
     neighbours are chosen by distance with ties broken by index.  Each
     point's nearest neighbour receives membership one; memberships are
-    symmetrised with the fuzzy union, in place (``_symmetrise``).
+    symmetrised with the fuzzy union, in place (``kernels._symmetrize``).
     """
     Dd = np.sqrt(CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values)
     n = Dd.shape[0]
@@ -622,7 +611,8 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     del Dd  # the graph's n x n array takes its place
     cond = np.zeros((n, n))
     np.put_along_axis(cond, order, memberships, axis=1)
-    mu = _symmetrise(cond, lambda a, b: a + b - a * b)  # the fuzzy union
+    _symmetrize(cond, lambda a, b: a + b - a * b)  # the fuzzy union
+    mu = cond
     np.fill_diagonal(mu, 0.0)
     return AffinityMatrix(values=mu, kind="umap_membership")
 

@@ -29,6 +29,7 @@ same double whichever way its norms arrived.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,28 +175,36 @@ def _check_pair(X, Y, x_name: str, needs_two: str = ""):
 
 
 #: side of the square tiles and height of the row panels that the n x n
-#: passes here and in ``nystrom`` work on, so that each step's temporaries
-#: stay in cache
+#: passes here, in ``nystrom`` and in ``embed`` work on, so that each
+#: step's temporaries stay in cache
 _TILE = 64
+
+
+def _row_panels(n: int) -> list[tuple[int, int]]:
+    """Row range ``[i0, i1)`` of every 64-row panel of an n-row array."""
+    return [(i0, min(i0 + _TILE, n)) for i0 in range(0, n, _TILE)]
 
 
 def _tile_pairs(n: int):
     """The 64 x 64 tile pairs ``(I, J), I <= J`` of an n x n array, as
     ``(i0, i1, j0, j1)`` bounds."""
-    for i0 in range(0, n, _TILE):
-        i1 = min(i0 + _TILE, n)
+    for i0, i1 in _row_panels(n):
         for j0 in range(i0, n, _TILE):
             yield i0, i1, j0, min(j0 + _TILE, n)
 
 
-def _symmetrize(M: np.ndarray) -> None:
-    """``M <- 0.5 (M + M')`` in place, one pair of 64 x 64 tiles ``(I, J),
-    I <= J`` at a time.  Float addition commutes, so every entry is the
-    double of the whole-array formula and the result is exactly
-    symmetric."""
+def _symmetrize(
+    M: np.ndarray,
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray] = lambda a, b: 0.5 * (a + b),
+) -> None:
+    """``M <- combine(M, M')`` in place, one pair of 64 x 64 tiles ``(I,
+    J), I <= J`` at a time; by default ``0.5 (M + M')``.  ``combine`` is an
+    element-wise formula symmetric in its arguments up to commuting float
+    additions and products (t-SNE's ``a + b``, UMAP's fuzzy union ``a + b
+    - a b``), so every entry is the double of the whole-array formula and
+    the result is exactly symmetric."""
     for i0, i1, j0, j1 in _tile_pairs(M.shape[0]):
-        s = M[i0:i1, j0:j1] + M[j0:j1, i0:i1].T
-        s *= 0.5
+        s = combine(M[i0:i1, j0:j1], M[j0:j1, i0:i1].T)
         M[i0:i1, j0:j1] = s
         M[j0:j1, i0:i1] = s.T
 

@@ -57,8 +57,8 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import (
-    _TILE,
     KernelParams,
+    _row_panels,
     _symmetrize,
     gaussian_kernel,
     mmd,
@@ -120,7 +120,7 @@ class CompletionParams:
 
 def _all_finite(A: np.ndarray) -> bool:
     """Whether every entry of ``A`` is finite, checked one row panel at a time."""
-    return all(np.isfinite(A[i0 : i0 + _TILE]).all() for i0 in range(0, A.shape[0], _TILE))
+    return all(np.isfinite(A[i0:i1]).all() for i0, i1 in _row_panels(A.shape[0]))
 
 
 def _symmetry_gap(A: np.ndarray) -> float:
@@ -128,11 +128,9 @@ def _symmetry_gap(A: np.ndarray) -> float:
     triangle at a time (the gap matrix is symmetric).  It is not finite
     when an entry is not (``x - x`` is nan on the diagonal) or when a
     difference overflows; the first such panel ends the pass."""
-    n = A.shape[0]
     gap = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, n, _TILE):
-            i1 = min(i0 + _TILE, n)
+        for i0, i1 in _row_panels(A.shape[0]):
             d = A[i0:i1, i0:] - A[i0:, i0:i1].T
             panel = float(np.abs(d, out=d).max(initial=0.0))
             if not math.isfinite(panel):
@@ -300,7 +298,7 @@ def _panels(L: np.ndarray, B: np.ndarray, kind: MatrixKind, out: np.ndarray | No
     """
     n = L.shape[0]
     kernel = kind is MatrixKind.KERNEL
-    bounds = [(j0, min(j0 + _TILE, n)) for j0 in range(0, n, _TILE)]
+    bounds = _row_panels(n)
     for i0, i1 in bounds:
         P = np.empty((i1 - i0, n)) if out is None else out[i0:i1]
         for j0, j1 in bounds:

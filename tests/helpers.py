@@ -28,15 +28,6 @@ def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(approx) - np.asarray(exact)) / max(denom, 1e-300))
 
 
-def cancelling_terms(C: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Size of the terms ``4 (sum_j C_ij z_i - sum_j C_ij z_j)`` sums, per
-    entry of the gradient it gives: ``4 (|C|.sum(1) |z_i| + |C| @ |Z|)``.
-    Two summation orders of that gradient can differ by a few ulps of
-    these terms, however small the gradient they cancel to."""
-    A = np.abs(C)
-    return 4.0 * (A.sum(axis=1)[:, None] * np.abs(Z) + A @ np.abs(Z))
-
-
 def read_labels(path) -> np.ndarray:
     """The ``label`` column of a ``labels.csv``."""
     with open(path, newline="") as f:

@@ -13,7 +13,7 @@ from feddl.embed import (
     umap_graph,
 )
 from feddl.errors import NumericalAbort
-from helpers import cancelling_terms, central_fd, random_sq_distance_matrix, rel_err
+from helpers import central_fd, random_sq_distance_matrix, rel_err
 import embed_reference as ref
 
 # frozen output of tests/oracles/gen_embed_metrics_reference.py
@@ -96,19 +96,8 @@ def test_edge_pass_matches_the_dense_reference(rng, n, a, b, case):
         a *= 1e4
     loss, g = umap_ce_gradient(mu, Z, a=a, b=b, constants=_ce_constants(mu))
     loss_ref, g_ref = ref.umap_ce_gradient(mu, Z, a=a, b=b)
+    assert rel_err(g, g_ref) <= 1e-12
     assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
-    _assert_gradients_agree(g, g_ref, mu, Z, a, b, case)
-
-
-def _assert_gradients_agree(g, g_ref, mu, Z, a, b, case):
-    """Within 1e-12 relative; at coincident points and b != 1 within 1e-12
-    of the terms that cancel: there d2 is floored at 1e-12, a coefficient
-    reaches 1e12 and the gradient is those terms' rounding."""
-    if case == "coincident" and b != 1.0:
-        coeff = _ce_direct(mu, Z, a, b)[2]
-        assert (np.abs(g - g_ref) <= 1e-12 * cancelling_terms(coeff, Z)).all()
-    else:
-        assert rel_err(g, g_ref) <= 1e-12
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.577, 0.895)])
@@ -209,8 +198,7 @@ def test_ce_minimised_when_memberships_match():
 
 
 def _ce_direct(mu, Z, a, b):
-    """Fuzzy cross-entropy, gradient and gradient coefficients, every term
-    taken per call."""
+    """Fuzzy cross-entropy and gradient, every term taken per call."""
     n = Z.shape[0]
     sq = np.einsum("ij,ij->i", Z, Z)
     d2 = sq[:, None] - 2.0 * (Z @ Z.T) + sq[None, :]
@@ -232,7 +220,7 @@ def _ce_direct(mu, Z, a, b):
         off & (1.0 - w > 1e-12), (1.0 - mu) / one_minus_w, 0.0
     )
     coeff = np.where(off, dldw * (-a * b * d2bm1 * w * w), 0.0)
-    return loss, 4.0 * (coeff.sum(axis=1)[:, None] * Z - coeff @ Z), coeff
+    return loss, 4.0 * (coeff.sum(axis=1)[:, None] * Z - coeff @ Z)
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.577, 0.895)])
@@ -250,9 +238,9 @@ def test_hoisted_ce_matches_direct_formula(rng, case, a, b):
         mu = np.triu(mu, 1) + np.triu(mu, 1).T
     np.fill_diagonal(mu, 0.0)
     loss, g = umap_ce_gradient(mu, Z, a=a, b=b)
-    loss_ref, g_ref, _ = _ce_direct(mu, Z, a, b)
+    loss_ref, g_ref = _ce_direct(mu, Z, a, b)
     assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
-    _assert_gradients_agree(g, g_ref, mu, Z, a, b, case)
+    assert rel_err(g, g_ref) <= 1e-12
 
 
 def test_embed_trace_monotone_from_start(rng):
