@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _sq_norms, _symmetrize, normalized_adjacency, sq_dists
+from .errors import ConfigError, _available_memory
+from .kernels import _distances, _operands, _symmetrize, normalized_adjacency
 from .nystrom import CompletedMatrix, MatrixKind
 from .privacy import stream_rng
 
@@ -56,6 +57,9 @@ _RESIDUAL_TOL = 1e-6
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-6
+#: the dense fallback's peak in n^2 x 8 B: the assembled kernel values and
+#: the full ``np.linalg.eigh`` of the Laplacian (4.19, measured at n = 2000)
+_DENSE_FALLBACK_PEAK_N2 = 5.2
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,9 @@ def _kmeans_single(
     n = Z.shape[0]
     rows = np.arange(n)
     columns = np.ascontiguousarray(Z.T)
-    sq_z = _sq_norms(Z)
+    left_z = _operands(Z)[0]
     centers = _kmeans_pp_init(Z, c, rng)
-    d2 = sq_dists(Z, centers, sq_z)
+    d2 = _distances(left_z, _operands(centers)[1])
     labels = d2.argmin(axis=1)
     point_d2 = d2[rows, labels]
     prev_inertia = np.inf
@@ -128,7 +132,7 @@ def _kmeans_single(
                     point_d2[far] = 0.0
                     continue
                 centers[j] = Z[members].mean(axis=0)
-        d2 = sq_dists(Z, centers, sq_z)
+        d2 = _distances(left_z, _operands(centers)[1])
         labels = d2.argmin(axis=1)
         point_d2 = d2[rows, labels]
         inertia = float(point_d2.sum())
@@ -165,6 +169,19 @@ def kmeans(Z: np.ndarray, c: int, seed: int = 0) -> ClusterAssignment:
         if best is None or cand.inertia < best.inertia:
             best = cand
     return best
+
+
+def _check_dense_fallback_fits(n: int) -> None:
+    """``ConfigError`` when the dense fallback's peak on ``n`` points is
+    more than the memory available, before it assembles anything."""
+    need = _DENSE_FALLBACK_PEAK_N2 * n * n * 8
+    available = _available_memory()
+    if available is not None and need > available:
+        raise ConfigError(
+            f"spectral clustering's dense eigensolve on {n} points needs about "
+            f"{need / 2**20:.1f} MiB ({_DENSE_FALLBACK_PEAK_N2} x n^2 x 8 B), more than the "
+            f"{available / 2**20:.1f} MiB of memory available"
+        )
 
 
 def _dense_embedding(Kv: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +290,8 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     eigensolve replaces the block when fewer than ``5 c`` points are
     active, or when the one solver run returns a block that is not
     orthonormal, or whose largest residual ``|S v - lambda v|`` exceeds
-    1e-6.
+    1e-6; ``ConfigError`` is raised instead when its peak (about 5.2 n^2
+    x 8 B) is more than the memory available.
 
     Points with exactly zero degree cannot be related to anything: each
     one is put in its own extra singleton cluster (appended after the
@@ -294,7 +312,10 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
         )
     solve = n_active >= 5 * c  # enough active points for a block of c vectors
     found = _iterative_embedding(completed.operator, deg, active, c, seed) if solve else None
-    _, vecs = found if found is not None else _dense_embedding(completed.values, c)
+    if found is None:
+        _check_dense_fallback_fits(n)
+        found = _dense_embedding(completed.values, c)
+    _, vecs = found
     norms = np.linalg.norm(vecs, axis=1)
     rows = np.where(norms[:, None] > 0, vecs / np.where(norms == 0, 1.0, norms)[:, None], 0.0)
     inner = kmeans(rows, c, seed=seed)

@@ -42,7 +42,8 @@ Both losses are sums over unordered pairs, so a pass is one sweep
 (``_panel_sweep``) over the upper-triangle row panels of the pairs:
 panel ``k`` holds rows ``[r0, r1)`` (64 of them, ``kernels._TILE``) and
 columns ``[r0, n)``, the lower part of its diagonal block masked.  Each
-panel's distances come from ``sq_dists``; its symmetric coefficients are
+panel's distances are one product of the layout's augmented operands
+(``kernels._distances``), built once per sweep; its symmetric coefficients are
 folded into the gradient's row sums and product with ``Z`` from both
 sides.  A pass does half the element-wise work of one over all n^2
 entries and writes only into three ``64 x n`` buffers allocated once per
@@ -70,12 +71,13 @@ import numpy as np
 from .errors import NumericalAbort
 from .kernels import (
     _TILE,
+    _distances,
+    _operands,
     _row_panels,
     _sq_norms,
     _symmetrize,
     knn_indices,
     normalized_adjacency,
-    sq_dists,
 )
 from .nystrom import CompletedMatrix, MatrixKind, _symmetry_gap
 from .privacy import stream_rng
@@ -318,8 +320,10 @@ def _panel_sweep(
     """One sweep over the upper-triangle row panels of the pairs of ``Z``.
 
     Panel ``k`` covers rows ``[r0, r1)`` and columns ``[r0, n)``; its
-    squared distances come from ``sq_dists`` into the workspace's first
-    buffer, and ``visit(k, D, buf1, buf2)`` turns them into ``parts``
+    squared distances are the product of rows ``[r0, r1)`` of ``Z``'s left
+    operand with rows ``[r0, n)`` of its right one (``kernels._operands``,
+    built once per sweep), written into the workspace's first buffer, and
+    ``visit(k, D, buf1, buf2)`` turns them into ``parts``
     coefficient panels ``C`` of symmetric coefficient matrices (each
     panel's diagonal block zero on and below its diagonal), the other two
     buffers free for it.  Each ``C`` is folded on both of its sides into
@@ -327,13 +331,13 @@ def _panel_sweep(
     product with ``Z`` and a column of ones gives both.
     """
     n, d = Z.shape
-    sq = _sq_norms(Z)
+    left, right = _operands(Z)
     Z1 = np.ones((n, d + 1))
     Z1[:, :d] = Z
     acc = np.zeros((parts, n, d + 1))  # CZ, then rs in the last column
     for k, (r0, r1) in enumerate(_row_panels(n)):
         D, *bufs = workspace.panel(r1 - r0, n - r0)
-        sq_dists(Z[r0:r1], Z[r0:], sq[r0:r1], sq[r0:], out=D)
+        _distances(left[r0:r1], right[r0:], out=D)
         for c, C in enumerate(visit(k, D, *bufs)):
             acc[c, r0:r1] += C @ Z1[r0:]
             acc[c, r0:] += C.T @ Z1[r0:r1]

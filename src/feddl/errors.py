@@ -11,12 +11,15 @@ command-line layer can map failures to distinct exit codes:
 
 ``overflow_aborts`` turns float64 overflow inside a block into a
 ``NumericalAbort``; it is how finite input whose arithmetic leaves
-float64 is reported.
+float64 is reported.  ``_available_memory`` is what the memory guards
+(``pipeline``'s before any compute, ``clustering``'s before its dense
+fallback) compare their estimates with.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -49,3 +52,24 @@ def overflow_aborts(what: str) -> Iterator[None]:
             yield
     except FloatingPointError as exc:
         raise NumericalAbort(f"{what} ({exc})") from exc
+
+
+def _available_memory(
+    meminfo: str = "/proc/meminfo", cgroup_max: str = "/sys/fs/cgroup/memory.max"
+) -> int | None:
+    """Bytes a run may allocate: ``MemAvailable`` of ``meminfo``, or the
+    cgroup's ``memory.max`` when that is lower; None when neither reads."""
+    limits = []
+    try:
+        with open(meminfo) as f:
+            kib = [line.split()[1] for line in f if line.startswith("MemAvailable:")]
+        limits += [int(v) * 1024 for v in kib]
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        raw = Path(cgroup_max).read_text().strip()
+        if raw != "max":
+            limits.append(int(raw))
+    except (OSError, ValueError):
+        pass
+    return min(limits, default=None)

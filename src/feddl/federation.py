@@ -20,8 +20,11 @@ diagnostic), and wall-clock time per round.
 
 The kernel blocks of one round are shared where the arithmetic allows:
 every client's local step 1 starts from the broadcast, so the landmark
-side of the gradient (``K_YY`` and its term) is computed once per round
-and is what ``local_update`` receives as the broadcast.
+side of the gradient (``K_YY``, its term and the landmarks' right
+operand) is computed once per round and is what ``local_update``
+receives as the broadcast.  Each shard's left operand
+(``kernels._operands``) is built once per ``run_feddl`` and dropped when
+it returns.
 Under landmark averaging without variable-mode noise the step-``Q``
 average *is* the next broadcast, so the objective of row ``(s, Q)`` is
 filled in during round ``s + 1`` from the clients' step-1 totals
@@ -49,8 +52,8 @@ from .kernels import (
     _landmark_side,
     _LandmarkSide,
     _mmd_gradient_core,
+    _operands,
     _self_term,
-    _sq_norms,
     mmd_gradient,  # not called here; bench/tracer.py wraps this module's name
 )
 from .privacy import (
@@ -135,16 +138,13 @@ class ClientShard:
     ``data`` is ``m x n_p`` with columns as points; ``weight`` is the
     aggregation weight ``n_p / n_x``; ``indices`` maps shard columns back
     to column positions in the original dataset (used to align labels and
-    to check that partitioning conserves the data).  ``sq_norms`` holds
-    the squared norms of ``data``'s columns, computed once since the
-    shard never changes.
+    to check that partitioning conserves the data).
     """
 
     client_id: int
     data: np.ndarray
     weight: float
     indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float64)
@@ -161,7 +161,6 @@ class ClientShard:
             )
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-        object.__setattr__(self, "sq_norms", _sq_norms(data.T))
 
     @property
     def n_points(self) -> int:
@@ -228,14 +227,16 @@ def local_update(
     final_noise: Callable[[np.ndarray], np.ndarray] | None = None,
     noise_setting: str = "final_noise",
     norm_cap: float | None = None,
+    left: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray], float]:
     """Run ``local_steps`` gradient-descent steps on ``mmd(shard.data, Y)``
     from the broadcast landmarks ``Y = broadcast.Y``.
 
     ``broadcast`` is the landmark side of the gradient at ``Y``
-    (``kernels._landmark_side``), which every client of a round shares.
-    Nothing is checked here: the shard checked its data and cached their
-    squared norms when it was built, and ``Y`` is the server's.
+    (``kernels._landmark_side``), which every client of a round shares;
+    ``left`` is the shard's left operand (``kernels._operands``), built
+    here when omitted.  Nothing is checked here: the shard checked its
+    data when it was built, and ``Y`` is the server's.
 
     Returns the final landmark iterate, the list of iterates after each
     step, and ``1' K_XY 1`` of step 1 (the cross-block total of
@@ -245,11 +246,13 @@ def local_update(
     step size as the cause or, at the noised step, ``noise_setting``.
     """
     g = kernel_params.gamma
+    if left is None:
+        left = _operands(shard.data.T)[0]
     Yp = broadcast.Y
     iterates: list[np.ndarray] = []
     for t in range(1, local_steps + 1):
         side = broadcast if t == 1 else _landmark_side(Yp, g)
-        grad, Kxy = _mmd_gradient_core(shard.data, shard.sq_norms, side, g)
+        grad, Kxy = _mmd_gradient_core(shard.data, left, side, g)
         if t == 1:
             cross_sum = float(Kxy.sum())
         side = Kxy = None  # neither is held while the next step builds its own
@@ -442,12 +445,16 @@ def run_feddl(
     # the fit pairs data points with each other, so data whose squared
     # distances overflow float64 abort here; the overflow is raised rather
     # than looked for in the result, because the Gram expansion clamps an
-    # overflowing ``2 x.y`` to a distance of 0.
-    self_terms = []
+    # overflowing ``2 x.y`` to a distance of 0.  Each shard's left operand
+    # serves all its blocks of the run; the right one only this block.
+    lefts, self_terms = [], []
     for s in shards:
         with overflow_aborts(f"client {s.client_id}: MMD self-term overflows float64"):
-            K = _gaussian_block(s.data, s.data, g, s.sq_norms, s.sq_norms)
+            left, right = _operands(s.data.T)
+            K = _gaussian_block(left, right, g, same=True)
             self_terms.append(_self_term(float(K.sum()), s.n_points))
+        lefts.append(left)
+    del K, left, right  # the last self-term block is not held through the fit
     const_x = sum(w * v for w, v in zip(weights, self_terms))
 
     def objective(cross_sums: Sequence[float], k_yy: float) -> float:
@@ -458,12 +465,10 @@ def run_feddl(
         return const_x + cross + _self_term(k_yy, n_y) * float(np.sum(weights))
 
     def objective_at(Y: np.ndarray) -> float:
-        """``F`` at ``Y``: every cross block shares ``Y``'s squared norms."""
-        sq_y = _sq_norms(Y.T)
-        cross_sums = [
-            float(_gaussian_block(s.data, Y, g, s.sq_norms, sq_y).sum()) for s in shards
-        ]
-        return objective(cross_sums, float(_gaussian_block(Y, Y, g, sq_y, sq_y).sum()))
+        """``F`` at ``Y``: every cross block shares ``Y``'s right operand."""
+        left_y, right_y = _operands(Y.T)
+        cross_sums = [float(_gaussian_block(left, right_y, g).sum()) for left in lefts]
+        return objective(cross_sums, float(_gaussian_block(left_y, right_y, g, same=True).sum()))
 
     S, Q, eta = config.rounds, config.local_steps, config.step_size
     grad_agg = config.aggregation is Aggregation.AVERAGE_GRADIENTS
@@ -497,10 +502,11 @@ def run_feddl(
             final_noise=final_noise,
             noise_setting=noise_setting,
             norm_cap=norm_cap,
+            left=lefts[pos],
         )
         upload = None
         if grad_agg:
-            upload = _mmd_gradient_core(shard.data, shard.sq_norms, _landmark_side(Yp, g), g)[0]
+            upload = _mmd_gradient_core(shard.data, lefts[pos], _landmark_side(Yp, g), g)[0]
             if gradient_noise:
                 upload = noised_gradient(upload, pos, s, Q + 1)
         return Yp, iterates, upload, cross_sum
@@ -524,10 +530,23 @@ def run_feddl(
             with overflow_aborts(f"landmarks of round {s}: MMD self-term overflows float64"):
                 broadcast = _landmark_side(Y, g, with_sum=True)
             if pool is not None:
-                results = list(pool.map(lambda pos: client_round(pos, s, broadcast), range(P)))
+                results = pool.map(lambda pos: client_round(pos, s, broadcast), range(P))
             else:
-                results = [client_round(pos, s, broadcast) for pos in range(P)]
-            cross_sums = [r[3] for r in results]
+                results = (client_round(pos, s, broadcast) for pos in range(P))
+            # Each client's step-t iterate is folded into the running
+            # average of step t as it arrives, in client order (the
+            # accumulation of ``_weighted_sum``), and is then dropped; what
+            # the server aggregates is kept.
+            virtuals: list[np.ndarray] = []
+            kept, cross_sums = [], []
+            for pos, (Yp, iterates, upload, cross_sum) in enumerate(results):
+                if pos == 0:
+                    virtuals = [weights[0] * Yt for Yt in iterates]
+                else:
+                    for acc, Yt in zip(virtuals, iterates):
+                        acc += weights[pos] * Yt
+                kept.append(upload if grad_agg else Yp)
+                cross_sums.append(cross_sum)
             if s == 1 and not any(cross_sums):
                 raise NumericalAbort(
                     f"the initial landmarks see no data: every client's kernel block with "
@@ -541,8 +560,7 @@ def run_feddl(
             # The weighted-average iterate at every local step (the step-Q
             # average coincides bit-for-bit with landmark aggregation).
             prev_virtual = Y
-            for t in range(1, Q + 1):
-                virtual = _weighted_sum([r[1][t - 1] for r in results], weights)
+            for t, virtual in enumerate(virtuals, start=1):
                 row = (s - 1) * Q + (t - 1)
                 rows_s[row] = s
                 rows_t[row] = t
@@ -554,10 +572,9 @@ def run_feddl(
                 prev_virtual = virtual
 
             if grad_agg:
-                uploads = [r[2] for r in results]
-                Y_next = aggregate(uploads, weights, config, Y_prev=Y)
+                Y_next = aggregate(kept, weights, config, Y_prev=Y)
             else:
-                Y_next = aggregate([r[0] for r in results], weights, config)
+                Y_next = aggregate(kept, weights, config)
             if privacy.mode is PrivacyMode.VARIABLE:
                 rng = noise_rng(privacy.seed, SERVER_STREAM_ID, s, 0)
                 Y_next = perturb_variable(Y_next, privacy.sigma, rng)

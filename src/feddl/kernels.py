@@ -18,13 +18,20 @@ Conventions used throughout the package:
 All reductions go through ``numpy`` sums (pairwise summation with a fixed
 traversal order), so results do not depend on thread count.
 
+Every squared distance in the package is one product of *augmented
+operands* (``_operands``): a point set with rows ``A`` gets ``left = [-2A
+| ||a||^2 | 1]`` and ``right = [A | 1 | ||a||^2]``, so that ``left_A @
+right_B' = ||a||^2 + ||b||^2 - 2 a.b`` and the clamp of negative
+round-off at zero is the one element-wise pass left (``_distances``).  A
+caller that pairs one point set with many builds its operands once (the
+fit: each shard's per run and each landmark matrix's once; the embedding
+passes: the layout's once per sweep), so a block is the same double
+whichever way its operands arrived.
+
 Validation boundary: the public functions here and ``federation.ClientShard``
-check their arrays; ``sq_dists``, ``_gaussian_block``, the MMD terms and
-``_mmd_gradient_core`` run unchecked on arrays that were checked there.
-The squared norms these cores take are supplied by the caller where it
-holds them (a shard caches its own; the landmarks' serve every client of
-a round) and are computed by ``_sq_norms`` otherwise, so a block is the
-same double whichever way its norms arrived.
+check their arrays; ``sq_dists``, ``_distances``, ``_gaussian_block``, the
+MMD terms and ``_mmd_gradient_core`` run unchecked on arrays that were
+checked there.
 """
 
 from __future__ import annotations
@@ -76,38 +83,53 @@ def _as_points(a, name: str) -> np.ndarray:
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norms of the rows of ``A``, as ``sq_dists`` takes them."""
+    """Squared Euclidean norms of the rows of ``A``."""
     return np.einsum("ij,ij->i", A, A)
 
 
-def sq_dists(
-    A: np.ndarray,
-    B: np.ndarray | None = None,
-    sq_a: np.ndarray | None = None,
-    sq_b: np.ndarray | None = None,
-    *,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Squared Euclidean distances between the *rows* of ``A`` and ``B``
-    (``B`` defaults to ``A``), by the Gram expansion with negative
-    round-off clamped to zero.  ``sq_a`` and ``sq_b`` are the rows'
-    squared norms (``_sq_norms``), computed here when not given.
+def _operands(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented operands ``left = [-2A | ||a||^2 | 1]`` and ``right =
+    [A | 1 | ||a||^2]`` of the rows of ``A``, as ``_distances`` takes them."""
+    n, d = A.shape
+    sq = _sq_norms(A)
+    left = np.empty((n, d + 2))
+    np.multiply(A, -2.0, out=left[:, :d])
+    left[:, d] = sq
+    left[:, d + 1] = 1.0
+    right = np.empty((n, d + 2))
+    right[:, :d] = A
+    right[:, d] = 1.0
+    right[:, d + 1] = sq
+    return left, right
 
-    The one distance core of the package.  It builds the result in the
-    Gram product's own array (``out`` when given, a C-contiguous float64
-    array of the result's shape): ``(-2 g) + sq_a`` is the same double as
-    ``sq_a - 2 g``.  It does no validation: callers pass finite 2-D float
-    arrays with equal column counts.
-    """
-    B = A if B is None else B
-    sq_a = _sq_norms(A) if sq_a is None else sq_a
-    if sq_b is None:
-        sq_b = sq_a if B is A else _sq_norms(B)
-    D2 = np.matmul(A, B.T, out=out)
-    D2 *= -2.0
-    D2 += sq_a[:, None]
-    D2 += sq_b[None, :]
+
+def _distances(
+    left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distances between the point sets of the operands ``left``
+    and ``right`` (``_operands``): the one product ``left @ right'``,
+    negative round-off clamped to zero in place, in ``out`` when given (a
+    C-contiguous float64 array of the result's shape).  The product sums
+    ``-2 a.b`` before ``||a||^2 + ||b||^2``, so finite points whose Gram
+    expansion leaves float64 overflow in it and are reported under
+    ``np.errstate(over="raise")``; it is within ``(d + 2) eps (||a||^2 +
+    ||b||^2)`` of the textbook expansion ``||a||^2 - 2 a.b + ||b||^2``."""
+    D2 = np.matmul(left, right.T, out=out)
     return np.maximum(D2, 0.0, out=D2)
+
+
+def sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between the *rows* of ``A`` and ``B``
+    (``B`` defaults to ``A``): ``_distances`` of their operands.
+
+    It does no validation: callers pass finite 2-D float arrays with equal
+    column counts.  A square result of one point set is neither
+    symmetrised nor given a zero diagonal (``pairwise_sq_dist`` does both).
+    """
+    left, right = _operands(A)
+    if B is not None:
+        right = _operands(B)[1]
+    return _distances(left, right)
 
 
 #: rows of ``D`` that ``knn_indices`` selects from at a time
@@ -209,44 +231,32 @@ def _symmetrize(
         M[j0:j1, i0:i1] = s.T
 
 
-#: the largest square block ``_col_sq_dists`` symmetrises by the
-#: whole-array formula, whose copy is then at most 512 KiB.  At 200
-#: points, the landmark count of the benchmark workloads, the formula
-#: takes 50 us and the tile loop 80-130 us (one BLAS thread, 2-vCPU VM),
-#: and the fit builds the landmarks' block about a thousand times a run,
-#: on a client pool whose threads the loop's many small calls serialise.
-_WHOLE_SYMMETRIZE_MAX = 256
-
-
-def _col_sq_dists(
-    A: np.ndarray, B: np.ndarray, sq_a: np.ndarray | None = None, sq_b: np.ndarray | None = None
-) -> np.ndarray:
-    """``pairwise_sq_dist`` without the argument check; ``sq_a``/``sq_b``
-    are the columns' squared norms when the caller holds them.  A square
-    block of one point set is symmetrised: in place when it is large, so
-    that a shard's self-term holds no second n x n array, and by the
-    whole-array formula, the same doubles, when it is small enough for
-    its copy not to matter and for the tile loop's overhead to, as the
-    landmarks' block the fit builds at every step is."""
-    D2 = sq_dists(A.T, B.T, sq_a, sq_b)
+def _col_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``pairwise_sq_dist`` without the argument check.  A square block of
+    one point set is symmetrised in place (``_symmetrize``), so that it
+    holds no second n x n array, and its diagonal is pinned at zero."""
+    D2 = sq_dists(A.T, B.T)
     if B is A or (A.shape == B.shape and np.array_equal(A, B)):
-        if D2.shape[0] > _WHOLE_SYMMETRIZE_MAX:
-            _symmetrize(D2)
-        else:
-            D2 = 0.5 * (D2 + D2.T)
+        _symmetrize(D2)
         np.fill_diagonal(D2, 0.0)
     return D2
 
 
 def _gaussian_block(
-    A: np.ndarray,
-    B: np.ndarray,
-    gamma: float,
-    sq_a: np.ndarray | None = None,
-    sq_b: np.ndarray | None = None,
+    left: np.ndarray, right: np.ndarray, gamma: float, same: bool = False
 ) -> np.ndarray:
-    """``exp(-gamma * pairwise_sq_dist(A, B))`` bit for bit, unchecked and in place."""
-    K = _col_sq_dists(A, B, sq_a, sq_b)
+    """``exp(-gamma D)`` of the distances ``D = _distances(left, right)``,
+    unchecked and in place: the MMD's one kernel block.  A ``same`` block
+    (``left`` and ``right`` of one point set) has its diagonal pinned at 1,
+    as the self-terms' ``- n`` assumes; it is not symmetrised.  A block of
+    two different point sets is ``gaussian_kernel(pairwise_sq_dist(A,
+    B))`` bit for bit.  ``-gamma`` scales the distances, not the right
+    operand: folded into the product it would shrink the Gram expansion
+    below float64's limit for finite points whose distances overflow,
+    which then go unreported."""
+    K = _distances(left, right)
+    if same:
+        np.fill_diagonal(K, 0.0)
     K *= -gamma
     return np.exp(K, out=K)
 
@@ -255,9 +265,9 @@ def pairwise_sq_dist(X, Y) -> np.ndarray:
     """Squared Euclidean distances between column points of ``X`` and ``Y``.
 
     Returns an ``n_x x n_y`` matrix with entry ``(i, j)`` equal to
-    ``||X[:, i] - Y[:, j]||^2``, computed by the Gram expansion of
-    ``sq_dists``.  When both arguments hold the same points the result is
-    symmetrised and its diagonal pinned to exactly zero.
+    ``||X[:, i] - Y[:, j]||^2``, computed by ``sq_dists``.  When both
+    arguments hold the same points the result is symmetrised and its
+    diagonal pinned to exactly zero.
     """
     return _col_sq_dists(*_check_pair(X, Y, "X"))
 
@@ -295,22 +305,24 @@ def mmd(Xp, Y, params: KernelParams) -> float:
     """
     Xp, Y = _check_pair(Xp, Y, "Xp", "mmd")
     g, n_x, n_y = params.gamma, Xp.shape[1], Y.shape[1]
+    (left_x, right_x), (left_y, right_y) = _operands(Xp.T), _operands(Y.T)
     return (
-        _self_term(float(_gaussian_block(Xp, Xp, g).sum()), n_x)
-        + _cross_term(float(_gaussian_block(Xp, Y, g).sum()), n_x, n_y)
-        + _self_term(float(_gaussian_block(Y, Y, g).sum()), n_y)
+        _self_term(float(_gaussian_block(left_x, right_x, g, same=True).sum()), n_x)
+        + _cross_term(float(_gaussian_block(left_x, right_y, g).sum()), n_x, n_y)
+        + _self_term(float(_gaussian_block(left_y, right_y, g, same=True).sum()), n_y)
     )
 
 
 @dataclass(frozen=True)
 class _LandmarkSide:
     """What the MMD gradient needs of the landmarks ``Y`` alone: their
-    column squared norms and the gradient's self-part
-    ``(4 gamma / (n_y (n_y - 1))) [Y K_YY - Y diag(1' K_YY)]``; ``k_sum``
-    is ``1' K_YY 1`` when it was asked for."""
+    right operand (``_operands``), which every cross block with them
+    takes, and the gradient's self-part ``(4 gamma / (n_y (n_y - 1))) [Y
+    K_YY - Y diag(1' K_YY)]``; ``k_sum`` is ``1' K_YY 1`` when it was
+    asked for."""
 
     Y: np.ndarray
-    sq_norms: np.ndarray
+    right: np.ndarray
     grad: np.ndarray
     k_sum: float | None = None
 
@@ -319,21 +331,21 @@ def _landmark_side(Y: np.ndarray, gamma: float, with_sum: bool = False) -> _Land
     """The landmark side of ``mmd_gradient`` at ``Y``, unchecked.  ``K_YY``
     itself is not kept, only its total when ``with_sum`` is set."""
     n_y = Y.shape[1]
-    sq = _sq_norms(Y.T)
-    K = _gaussian_block(Y, Y, gamma, sq, sq)
+    left, right = _operands(Y.T)
+    K = _gaussian_block(left, right, gamma, same=True)
     grad = (4.0 * gamma / (n_y * (n_y - 1))) * ((Y @ K) - Y * K.sum(axis=0)[None, :])
-    return _LandmarkSide(Y=Y, sq_norms=sq, grad=grad, k_sum=float(K.sum()) if with_sum else None)
+    return _LandmarkSide(Y=Y, right=right, grad=grad, k_sum=float(K.sum()) if with_sum else None)
 
 
 def _mmd_gradient_core(
-    Xp: np.ndarray, sq_x: np.ndarray, side: _LandmarkSide, gamma: float
+    Xp: np.ndarray, left_x: np.ndarray, side: _LandmarkSide, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``mmd_gradient(Xp, side.Y)`` unchecked, from the squared norms
-    ``sq_x`` of ``Xp``'s columns and the landmark side; also returns the
+    """``mmd_gradient(Xp, side.Y)`` unchecked, from the left operand
+    ``left_x`` of ``Xp``'s columns and the landmark side; also returns the
     cross block ``K_XY``."""
     Y = side.Y
     n_p, n_y = Xp.shape[1], Y.shape[1]
-    Kxy = _gaussian_block(Xp, Y, gamma, sq_x, side.sq_norms)
+    Kxy = _gaussian_block(left_x, side.right, gamma)
     cross = (Xp @ Kxy) - Y * Kxy.sum(axis=0)[None, :]
     return (-4.0 * gamma / (n_p * n_y)) * cross + side.grad, Kxy
 
@@ -349,7 +361,7 @@ def mmd_gradient(Xp, Y, params: KernelParams) -> np.ndarray:
     """
     Xp, Y = _check_pair(Xp, Y, "Xp", "mmd_gradient")
     g = params.gamma
-    return _mmd_gradient_core(Xp, _sq_norms(Xp.T), _landmark_side(Y, g), g)[0]
+    return _mmd_gradient_core(Xp, _operands(Xp.T)[0], _landmark_side(Y, g), g)[0]
 
 
 def median_heuristic_gamma(Y) -> float:

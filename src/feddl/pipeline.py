@@ -29,7 +29,7 @@ from .clustering import kmeans, spectral_cluster
 from .config import PipelineConfig, parse_manifest, render_manifest
 from .data import load_dataset, partition
 from .embed import EmbedConfig, tsne_affinities, tsne_embed, umap_embed, umap_graph
-from .errors import ConfigError, DataError, NumericalAbort, overflow_aborts
+from .errors import ConfigError, DataError, NumericalAbort, _available_memory, overflow_aborts
 from .federation import FedResult, init_landmarks, perturb_shards, run_feddl
 from .kernels import KernelParams, gaussian_kernel, median_heuristic_gamma, pairwise_sq_dist
 from .metrics import MetricsReport, ari, ca_knn, nmi, npa_knn, silhouette
@@ -113,31 +113,9 @@ def _write(out: Path, writers: list) -> dict:
 #: holds no n x n array.
 _DENSE_PEAK_N2 = {"tsne": 2.5, "umap": 2.2, "speclust": 1.1}
 #: the fit's peak in n_p^2 x 8 B, n_p the largest shard: the MMD self-term's
-#: n_p x n_p block, its distances symmetrised and turned into kernel values
-#: in place (1.04 for one client at n = 1000; a shard of at most 256 points
-#: is symmetrised through a copy of at most 512 KiB)
-_SHARD_PEAK_N2 = 1.1
-
-
-def _available_memory(
-    meminfo: str = "/proc/meminfo", cgroup_max: str = "/sys/fs/cgroup/memory.max"
-) -> int | None:
-    """Bytes a run may allocate: ``MemAvailable`` of ``meminfo``, or the
-    cgroup's ``memory.max`` when that is lower; None when neither reads."""
-    limits = []
-    try:
-        with open(meminfo) as f:
-            kib = [line.split()[1] for line in f if line.startswith("MemAvailable:")]
-        limits += [int(v) * 1024 for v in kib]
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        raw = Path(cgroup_max).read_text().strip()
-        if raw != "max":
-            limits.append(int(raw))
-    except (OSError, ValueError):
-        pass
-    return min(limits, default=None)
+#: n_p x n_p block, one product of the shard's augmented operands turned
+#: into kernel values in place (1.02 for one client at n = 1000)
+_SHARD_PEAK_N2 = 1.05
 
 
 def _embed_settings(cfg: PipelineConfig, command: str, n: int) -> EmbedConfig:

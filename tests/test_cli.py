@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import feddl
-from feddl import config, pipeline
+from feddl import clustering, config, pipeline
 from feddl.cli import main
 from feddl.kernels import pairwise_sq_dist
 from feddl.matrixio import read_matrix, write_embedding_csv, write_matrix
@@ -545,6 +545,25 @@ def test_run_whose_n_by_n_arrays_do_not_fit_exits_2_before_the_fit(
         result.output
     )
     assert fits == []
+
+
+def test_dense_spectral_fallback_that_does_not_fit_exits_2(runner, tmp_path, monkeypatch):
+    # 13 clusters of the 60 points loaded: fewer than 5 c points, so the
+    # dense eigensolve is the only path, and it is guarded before it runs
+    config_file = tmp_path / "run.ini"
+    config_file.write_text(TINY_INI + "\n[clustering]\nclusters = 13\n")
+    need = clustering._DENSE_FALLBACK_PEAK_N2 * 60 * 60 * 8
+    monkeypatch.setattr(clustering, "_available_memory", lambda: int(need) - 1)
+    args = ["speclust", "--config", str(config_file), "--out-dir", str(tmp_path / "out")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert (
+        f"error: spectral clustering's dense eigensolve on 60 points needs about "
+        f"{need / 2**20:.1f} MiB" in result.output
+    )
+    monkeypatch.setattr(clustering, "_available_memory", lambda: int(need))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize("command,available", [("fit", 10**5), ("tsne", None), ("umap", 10**6)])

@@ -20,10 +20,10 @@ from feddl.federation import (
 )
 from feddl.kernels import (
     KernelParams,
+    _gaussian_block,
     _landmark_side,
-    gaussian_kernel,
+    _operands,
     mmd_gradient,
-    pairwise_sq_dist,
 )
 from feddl.privacy import (
     SERVER_STREAM_ID,
@@ -163,8 +163,9 @@ def test_trace_objective_matches_external_reconstruction(
     n_y, Q = Y0.shape[1], cfg.local_steps
     grad_agg = aggregation is Aggregation.AVERAGE_GRADIENTS
 
-    def kernel_sum(A, B):
-        return float(gaussian_kernel(pairwise_sq_dist(A, B), PARAMS).sum())
+    def kernel_sum(A, B):  # the kernel block of mmd and mmd_gradient
+        left, right = _operands(A.T)[0], _operands(B.T)[1]
+        return float(_gaussian_block(left, right, PARAMS.gamma, same=B is A).sum())
 
     def self_term(A):
         n = A.shape[1]

@@ -17,8 +17,11 @@ from feddl.kernels import (
     pairwise_sq_dist,
     sq_dists,
 )
-from feddl.kernels import _gaussian_block
+from feddl.kernels import _gaussian_block, _operands
 from helpers import central_fd
+from kernels_reference import gram_gaussian_block, gram_sq_dists
+
+EPS = np.finfo(np.float64).eps
 
 # frozen output of tests/oracles/gen_mmd_reference.py
 MMD_1D_REFERENCE = 0.53344181796638596  # {0,1} vs {2,3}, gamma=1
@@ -87,8 +90,14 @@ def test_pairwise_rejects_mismatched_dims():
         pairwise_sq_dist(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
+def _gram_bound(A, B):
+    """``(d + 2) eps (||a||^2 + ||b||^2)`` between the rows of ``A`` and ``B``."""
+    sq_a, sq_b = np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B)
+    return (A.shape[1] + 2) * EPS * (sq_a[:, None] + sq_b[None, :])
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_sq_dists_matches_pairwise_and_row_expansion_bitwise(seed):
+def test_sq_dists_matches_pairwise_bitwise_and_the_gram_expansion_within_its_bound(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 70))
     X = rng.normal(size=(m, int(rng.integers(1, 80))))
@@ -96,8 +105,48 @@ def test_sq_dists_matches_pairwise_and_row_expansion_bitwise(seed):
     npt.assert_array_equal(sq_dists(X.T, Y.T), pairwise_sq_dist(X, Y))
     Z = X.T.copy()
     sq = np.einsum("ij,ij->i", Z, Z)
-    rows = sq[:, None] - 2.0 * (Z @ Z.T) + sq[None, :]
-    npt.assert_array_equal(sq_dists(Z), np.maximum(rows, 0.0))
+    rows = np.maximum(sq[:, None] - 2.0 * (Z @ Z.T) + sq[None, :], 0.0)
+    assert (np.abs(sq_dists(Z) - rows) <= _gram_bound(Z, Z)).all()
+
+
+def _far_points(rng, n, d, scale, offset):
+    """``n`` rows in ``d`` dimensions about a common offset, a quarter of
+    them repeating earlier rows."""
+    A = offset + scale * rng.normal(size=(n, d))
+    dup = rng.integers(0, n, size=n // 4)
+    A[rng.integers(0, n, size=dup.size)] = A[dup]
+    return A
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_augmented_core_is_within_its_bound_of_the_gram_expansion(seed):
+    # scales 1e-3 to 1e4, offsets up to 1e4 of the scale: where ||a||^2 +
+    # ||b||^2 - 2 a.b cancels most; rows repeated within and across sets
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 70))
+    scale = 10.0 ** rng.uniform(-3.0, 4.0)
+    offset = scale * rng.choice([0.0, 1.0, 1e2, 1e4]) * rng.normal(size=d)
+    A = _far_points(rng, int(rng.integers(2, 60)), d, scale, offset)
+    B = _far_points(rng, int(rng.integers(2, 60)), d, scale, offset)
+    B[: min(5, len(A), len(B))] = A[: min(5, len(A), len(B))]
+    gamma = 1.0 / (d * scale**2)  # kernel values away from 0 and 1
+    (left_a, right_a), right_b = _operands(A), _operands(B)[1]
+    for X, Y, right, same in ((A, B, right_b, False), (A, A, right_a, True)):
+        bound = _gram_bound(X, Y)
+        assert (np.abs(sq_dists(X, Y) - gram_sq_dists(X, Y)) <= bound).all()
+        K = _gaussian_block(left_a, right, gamma, same)
+        K_ref = gram_gaussian_block(A.T, A.T if same else B.T, gamma)
+        # gamma times the distances' bound, and exp's own rounding
+        assert (np.abs(K - K_ref) <= gamma * bound + EPS).all()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+def test_same_set_gaussian_blocks_have_a_unit_diagonal(offset):
+    # the self-terms of the MMD subtract n for the diagonal; far from the
+    # origin the product leaves a point a distance of a few ulps from itself
+    X = offset + np.random.default_rng(3).normal(size=(40, 5))
+    left, right = _operands(X)
+    assert (np.diagonal(_gaussian_block(left, right, 0.7, same=True)) == 1.0).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,11 +227,17 @@ def test_gaussian_kernel_range_and_gamma_zero():
 )
 @settings(max_examples=40, deadline=None)
 def test_gaussian_block_matches_public_kernel_bitwise(m, n_a, n_b, gamma, seed):
+    # a block of two point sets is the public kernel of their distances; a
+    # block of one set is that of its unsymmetrised distances, with its
+    # diagonal pinned at 1
     r = np.random.default_rng(seed)
     A, B = r.normal(size=(m, n_a)), r.normal(size=(m, n_b))
-    for X, Y in ((A, B), (A, A), (A, A.copy())):
-        expected = gaussian_kernel(pairwise_sq_dist(X, Y), KernelParams(gamma))
-        assert _gaussian_block(X, Y, gamma).tobytes() == expected.tobytes()
+    (left, right), right_b = _operands(A.T), _operands(B.T)[1]
+    expected = gaussian_kernel(pairwise_sq_dist(A, B), KernelParams(gamma))
+    assert _gaussian_block(left, right_b, gamma).tobytes() == expected.tobytes()
+    expected = gaussian_kernel(sq_dists(A.T), KernelParams(gamma))
+    np.fill_diagonal(expected, 1.0)
+    assert _gaussian_block(left, right, gamma, same=True).tobytes() == expected.tobytes()
 
 
 def _mmd(X, Y):
