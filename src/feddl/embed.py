@@ -26,8 +26,10 @@ UMAP
 
 Both calibrations search every row in lockstep: all rows bisect at once,
 each with its own bracket, stop rule and fallback, and each row's
-arithmetic is that of a search on the row alone (t-SNE's runs over
-blocks of rows to bound its memory).
+arithmetic is that of a search on the row alone.  Neither reads the
+distances as one n x n array: t-SNE's calibration and UMAP's neighbour
+lists are panel readers (``CompletedMatrix.read``) of the completion's
+64-row panels, which a pipeline run feeds from the completion's own pass.
 
 Both descents run in ``_safeguarded_descent``: every step costs one pass
 over the Student-t (or membership) weights of all pairs, which returns
@@ -71,12 +73,12 @@ import numpy as np
 from .errors import NumericalAbort
 from .kernels import (
     _TILE,
+    _NeighbourLists,
     _distances,
     _operands,
     _row_panels,
     _sq_norms,
     _symmetrize,
-    knn_indices,
     normalized_adjacency,
 )
 from .nystrom import CompletedMatrix, MatrixKind, _symmetry_gap
@@ -242,33 +244,55 @@ def _row_affinities(d2_rows: np.ndarray, target_perp: float) -> tuple[np.ndarray
     return P, fallback
 
 
+@dataclass
+class _Calibration:
+    """Panel reader (``CompletedMatrix.read``) of ``tsne_affinities``: the
+    conditional affinities of each 64-row panel of the squared distances
+    (``_row_affinities``, self left out), written into the panel's rows of
+    one n x n array, and the rows that fell back to the uniform
+    distribution.  Readers of one perplexity are equal."""
+
+    perplexity: float
+    cond: np.ndarray | None = field(default=None, compare=False, repr=False)
+    fallbacks: list = field(default_factory=list, compare=False, repr=False)
+
+    def read(self, r0: int, D2: np.ndarray) -> None:
+        m, n = D2.shape
+        if r0 == 0:
+            self.cond, self.fallbacks = np.zeros((n, n)), []
+        cols = np.arange(n)
+        off = cols != cols[r0 : r0 + m, None]
+        rows, fb = _row_affinities(D2[off].reshape(-1, n - 1), self.perplexity)
+        self.cond[r0 : r0 + m][off] = rows.ravel()
+        self.fallbacks += (r0 + np.flatnonzero(fb)).tolist()
+
+    def affinities(self) -> AffinityMatrix:
+        """The joint affinities ``(P + P') / (2N)`` with a zero diagonal,
+        made in place in the conditional array (``kernels._symmetrize``)."""
+        P = self.cond
+        _symmetrize(P, np.add)
+        P /= 2.0 * P.shape[0]
+        np.fill_diagonal(P, 0.0)
+        return AffinityMatrix(values=P, kind="tsne_joint", fallback_rows=tuple(self.fallbacks))
+
+
 def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     """Symmetrised joint t-SNE affinities from squared distances.
 
     Requires ``3 <= n`` points and ``0 < perplexity < n``.  Each
     conditional row sums to one; the joint matrix ``(P + P') / (2N)``
-    sums to one and has a zero diagonal.  Rows are calibrated in 64-row
-    panels and symmetrised in place (``kernels._symmetrize``).
+    sums to one and has a zero diagonal.  Rows are calibrated on the
+    64-row panels of ``D`` by a panel reader (``_Calibration``), the one
+    the completion's pass fed when there is one, and symmetrised in place
+    (``kernels._symmetrize``).
     """
-    D2 = CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values
-    n = D2.shape[0]
+    completed = CompletedMatrix.coerce(D, MatrixKind.DISTANCE)
+    n = completed.n_points
     if n < 3:
         raise ValueError(f"t-SNE affinities need >= 3 points, got {n}")
     if not (0 < perplexity < n):
         raise ValueError(f"perplexity must lie in (0, {n}), got {perplexity!r}")
-    cond = np.zeros((n, n))
-    fallbacks = []
-    cols = np.arange(n)
-    for r0, r1 in _row_panels(n):
-        off = cols != cols[r0:r1, None]
-        rows, fb = _row_affinities(D2[r0:r1][off].reshape(-1, n - 1), perplexity)
-        cond[r0:r1][off] = rows.ravel()
-        fallbacks += (r0 + np.flatnonzero(fb)).tolist()
-    _symmetrize(cond, np.add)
-    P = cond
-    P /= 2.0 * n
-    np.fill_diagonal(P, 0.0)
-    return AffinityMatrix(values=P, kind="tsne_joint", fallback_rows=tuple(fallbacks))
+    return completed.read(_Calibration(perplexity)).affinities()
 
 
 class _PanelWorkspace:
@@ -593,26 +617,27 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     """Fuzzy neighbourhood graph from squared distances.
 
     Works on the square roots of the entries (plain distances);
-    neighbours are chosen by distance with ties broken by index.  Each
-    point's nearest neighbour receives membership one; memberships are
+    neighbours are chosen by distance with ties broken by index, on the
+    64-row panels of ``D`` by a panel reader (``kernels._NeighbourLists``),
+    the one the completion's pass fed when there is one.  Each point's
+    nearest neighbour receives membership one; memberships are
     symmetrised with the fuzzy union, in place (``kernels._symmetrize``).
     """
-    Dd = np.sqrt(CompletedMatrix.coerce(D, MatrixKind.DISTANCE).values)
-    n = Dd.shape[0]
+    completed = CompletedMatrix.coerce(D, MatrixKind.DISTANCE)
+    n = completed.n_points
     if n < 2:
         raise ValueError(f"the UMAP graph needs >= 2 points, got {n}")
     if not (1 <= n_neighbors <= n - 1):
         raise ValueError(f"n_neighbors must lie in [1, {n - 1}], got {n_neighbors}")
     # neighbours are ranked on the square roots: sqrt can tie distinct d2
-    order = knn_indices(Dd, n_neighbors)
-    nd = np.take_along_axis(Dd, order, axis=1)
+    lists = completed.read(_NeighbourLists(n_neighbors, root=True))
+    order, nd = lists.indices, lists.entries
     shifted = np.maximum(nd - nd[:, :1], 0.0)  # rho_i is the nearest distance
     if n_neighbors == 1:
         memberships = np.ones_like(shifted)
     else:
         sigma = _smooth_knn_sigmas(shifted, math.log2(n_neighbors))
         memberships = np.exp(-shifted / sigma[:, None])
-    del Dd  # the graph's n x n array takes its place
     cond = np.zeros((n, n))
     np.put_along_axis(cond, order, memberships, axis=1)
     _symmetrize(cond, lambda a, b: a + b - a * b)  # the fuzzy union

@@ -37,7 +37,7 @@ checked there.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -164,6 +164,34 @@ def knn_indices(D: np.ndarray, k: int, *, exclude_self: bool = True) -> np.ndarr
             rows[own - i0, own] = np.inf
         out[i0:i1] = _knn_rows(rows, k)
     return out
+
+
+@dataclass
+class _NeighbourLists:
+    """Panel reader (``nystrom.CompletedMatrix.read``) of a square matrix
+    of squared distances: the ``k`` nearest other points of every row
+    (``indices``) and their entries (``entries``), ranked on the entries
+    or, with ``root``, on their square roots, which can tie distinct
+    entries.  ``_knn_rows`` selects row by row, so the lists are those of
+    ``knn_indices`` on the whole matrix, or on its square roots.  Readers
+    are equal when they select alike."""
+
+    k: int
+    root: bool = False
+    indices: np.ndarray | None = field(default=None, compare=False, repr=False)
+    entries: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def read(self, i0: int, panel: np.ndarray) -> None:
+        m, n = panel.shape
+        if i0 == 0:
+            self.indices = np.empty((n, self.k), dtype=np.intp)
+            self.entries = np.empty((n, self.k))
+        D = np.sqrt(panel) if self.root else panel.copy()
+        own = np.arange(m)
+        D[own, i0 + own] = np.inf  # a row never selects itself
+        order = knn_indices(D, self.k, exclude_self=False)
+        self.indices[i0 : i0 + m] = order
+        self.entries[i0 : i0 + m] = np.take_along_axis(D, order, axis=1)
 
 
 def _knn_rows(D: np.ndarray, k: int) -> np.ndarray:

@@ -16,6 +16,8 @@ the same row rules: ``check_finite_rows`` rejects a non-finite value and
 from __future__ import annotations
 
 import csv as _csv
+import os
+import stat
 import struct
 from collections.abc import Iterator
 from pathlib import Path
@@ -74,7 +76,11 @@ def write_matrix(path, M) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a binary matrix file, validating header and payload size."""
+    """Read a binary matrix file, validating header and payload size.
+
+    The payload is read into the returned array itself, so reading holds
+    one copy of the matrix.  A regular file's size is checked before the
+    array is allocated, so a corrupt header asks for no memory."""
     path = str(path)
     try:
         with open(path, "rb") as f:
@@ -88,16 +94,26 @@ def read_matrix(path) -> np.ndarray:
                 raise DataError(f"{path}: unsupported version {version} (expected {_VERSION})")
             if dtype != _DTYPE_F64:
                 raise DataError(f"{path}: unsupported dtype code {dtype} (expected {_DTYPE_F64})")
-            payload = f.read()
+            st = os.fstat(f.fileno())
+            if stat.S_ISREG(st.st_mode):
+                _check_payload(path, st.st_size - _HEADER.size, rows, cols)
+            M = np.empty((rows, cols), dtype="<f8")
+            got = f.readinto(M.reshape(-1).view(np.uint8))
+            _check_payload(path, got + len(f.read()), rows, cols)
     except OSError as exc:
         raise DataError(f"cannot read matrix file: {exc}") from exc
+    return M
+
+
+def _check_payload(path: str, size: int, rows: int, cols: int) -> None:
+    """``DataError`` unless the payload's ``size`` in bytes is that of a
+    ``rows x cols`` float64 matrix."""
     expected = rows * cols * 8
-    if len(payload) != expected:
+    if size != expected:
         raise DataError(
-            f"{path}: payload has {len(payload)} bytes at byte {_HEADER.size}, "
+            f"{path}: payload has {size} bytes at byte {_HEADER.size}, "
             f"expected {expected} for {rows}x{cols} float64"
         )
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
 def check_finite_rows(path, X: np.ndarray, what: str) -> None:

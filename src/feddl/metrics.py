@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import knn_indices, sq_dists
+from .kernels import _NeighbourLists, knn_indices, sq_dists
 from .nystrom import CompletedMatrix, MatrixKind
 from .privacy import stream_rng
 
@@ -96,6 +96,12 @@ def ca_knn(
     return acc
 
 
+def _npa_lists(ks: Sequence[int], n: int) -> _NeighbourLists:
+    """The panel reader of ``npa_knn``'s high-dimensional neighbour lists
+    at ``ks`` on ``n`` points: one selection of the largest k it scores."""
+    return _NeighbourLists(max((v for v in _ks(ks) if v <= n - 1), default=0))
+
+
 def npa_knn(D_high, Z: np.ndarray, k: Sequence[int] = (10,)) -> dict[int, float]:
     """Neighbourhood preservation of the embedding, per k: the mean
     fraction of each point's k nearest high-dimensional neighbours that
@@ -104,23 +110,27 @@ def npa_knn(D_high, Z: np.ndarray, k: Sequence[int] = (10,)) -> dict[int, float]
     ``D_high`` is a distance-kind completion or an array checked as one.
     Self is excluded; ties break by index.  One ordering per side serves
     every k: the result maps each k up to n - 1 to its score, and a
-    larger k gets no entry.
+    larger k gets no entry.  The high-dimensional ordering is selected on
+    the 64-row panels of ``D_high`` by a panel reader (``_npa_lists``),
+    the one the completion's pass fed when there is one.
     """
     ks = _ks(k)
-    Dh = CompletedMatrix.coerce(D_high, MatrixKind.DISTANCE).values
+    completed = CompletedMatrix.coerce(D_high, MatrixKind.DISTANCE)
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
-    if Dh.shape != (n, n):
-        raise ValueError(f"high-dim distances must be {n}x{n}, got {Dh.shape}")
+    if completed.n_points != n:
+        m = completed.n_points
+        raise ValueError(f"high-dim distances must be {n}x{n}, got {(m, m)}")
     scored = sorted({v for v in ks if v <= n - 1})
-    k_max = max(scored, default=0)
+    if not scored:
+        return {}
     # stable orderings: their first k columns are exactly the k nearest
+    nh = completed.read(_npa_lists(ks, n)).indices
     Dz = sq_dists(Z)
     np.sqrt(Dz, out=Dz)
     np.fill_diagonal(Dz, np.inf)  # Dz is ours: self is excluded here, not in a copy
-    nl = knn_indices(Dz, k_max, exclude_self=False)
+    nl = knn_indices(Dz, scored[-1], exclude_self=False)
     del Dz
-    nh = knn_indices(Dh, k_max)
     # neighbour j of row i as the flat index i n + j: sorting each row of
     # the high-dimensional lists sorts them all, so one search tests every
     # embedding neighbour for membership in its row's list

@@ -23,11 +23,10 @@ Matrix kinds and their post-processing:
 ``LandmarkBlock`` and ``CompletedMatrix`` check themselves on
 construction (square, finite, symmetric, and the diagonal of its kind or
 non-negative entries) and store an exactly symmetric matrix, keeping an
-input that already is one, so consumers read ``values`` as it is;
-``CompletedMatrix.coerce`` turns a plain array into a checked completion
-of the kind a consumer needs.  A completion ``nystrom_complete`` makes
-is symmetric and in range by construction, and only its finiteness is
-checked.
+input that already is one; ``CompletedMatrix.coerce`` turns a plain array
+into a checked completion of the kind a consumer needs.  A completion
+``nystrom_complete`` makes is symmetric and in range by construction, and
+only its finiteness is checked.
 
 Every completion is made in one pass over its 64-row panels.  Each panel
 is assembled from 64 x 64 tiles that are computed with the same operands
@@ -35,11 +34,19 @@ and shape wherever they appear, so the panels are exactly symmetric and
 within rounding of the whole product ``B W_k^+ B'``; each gets the
 diagonal of its kind and is clamped or clipped entry by entry, which
 keeps it symmetric.  The pass checks every entry, records the row sums
-and hands the panels to the caller, which writes them out; it holds no
-n x n array.  Every completion keeps only ``NystromFactors`` (``B``,
-``W_k^+`` and ``pin``, the diagonal of its kind less ``diag(B W_k^+ B')``),
-its row sums and whether a kernel panel clipped; ``CompletedMatrix``
-decides how it is read (``values``, ``operator``, ``diagonal``).
+and hands each panel to the caller's *panel readers* and to its writer;
+it holds no n x n array.  Every completion keeps only ``NystromFactors``
+(``B``, ``W_k^+`` and ``pin``, the diagonal of its kind less
+``diag(B W_k^+ B')``), its row sums, whether a kernel panel clipped and
+the readers its pass fed; ``CompletedMatrix`` decides how it is read
+(``read``, ``values``, ``operator``, ``diagonal``).
+
+A panel reader is an object whose ``read(i0, panel)`` takes the rows
+``i0:i0 + 64`` of the matrix, every panel once from the top; it must not
+modify the panel.  Those that compute from a matrix row by row (the
+t-SNE calibration, the neighbour lists of the UMAP graph and of the
+neighbourhood preservation) read its panels instead of its ``values``,
+and give the same bits, since a panel's rows are the assembled matrix's.
 
 ``evaluate_bounds`` evaluates the a-priori error-bound diagnostics for a
 completed kernel matrix (condition number of the augmented kernel, MMD
@@ -356,16 +363,18 @@ class CompletedMatrix:
         if M.min(initial=0.0) < 0:
             raise ValueError(f"{what} must be non-negative")
         self._values, self.kind, self.provenance = checked, kind, {}
-        self.factors, self._row_sums, self._clipped = None, None, False
+        self.factors, self._row_sums, self._clipped, self._fed = None, None, False, []
 
     @classmethod
-    def _made(cls, kind, provenance, factors, row_sums, clipped) -> "CompletedMatrix":
+    def _made(cls, kind, provenance, factors, row_sums, clipped, fed=()) -> "CompletedMatrix":
         """A completion ``nystrom_complete`` has made, as its factors, its
-        row sums and whether a kernel panel clipped: exactly symmetric and
-        of its kind's range by construction, so it is not checked again."""
+        row sums, whether a kernel panel clipped and the panel readers its
+        pass fed: exactly symmetric and of its kind's range by
+        construction, so it is not checked again."""
         completed = cls.__new__(cls)
         completed._values, completed.kind, completed.provenance = None, kind, provenance
         completed.factors, completed._row_sums, completed._clipped = factors, row_sums, clipped
+        completed._fed = list(fed)
         return completed
 
     @classmethod
@@ -381,6 +390,29 @@ class CompletedMatrix:
     @property
     def n_points(self) -> int:
         return (self._values if self.factors is None else self.factors.B).shape[0]
+
+    def read(self, reader):
+        """The panel ``reader`` (see the module docstring), fed every row
+        panel of the matrix.  A reader equal to it (``==``) that the
+        completion's own pass fed (``nystrom_complete``'s ``readers``) is
+        returned in its place, and only once, so that what it holds lives
+        no longer than its caller needs it.  Otherwise ``reader`` reads a
+        new pass: a made completion's panels are made again from its
+        factors, bit for bit those of its first pass, and an array's are
+        its rows.  Readers run with overflow and invalid operations
+        ignored, as in ``nystrom_complete``'s pass."""
+        for i, fed in enumerate(self._fed):
+            if fed == reader:
+                return self._fed.pop(i)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.factors is None:
+                for i0, i1 in _row_panels(self.n_points):
+                    reader.read(i0, self._values[i0:i1])
+            else:
+                f = self.factors
+                for i0, P, *_ in _panels(f.B @ f.Winv, f.B, self.kind):
+                    reader.read(i0, P)
+        return reader
 
     @property
     def values(self) -> np.ndarray:
@@ -416,6 +448,7 @@ def nystrom_complete(
     params: CompletionParams,
     privacy_mode: str = "none",
     write=None,
+    readers: Sequence = (),
 ) -> CompletedMatrix:
     """Complete the full data-by-data matrix from landmark blocks.
 
@@ -432,8 +465,16 @@ def nystrom_complete(
     returned in one form: its ``factors``, which share ``B``, its row sums
     and whether a kernel panel clipped (see ``CompletedMatrix``).
 
-    ``write``, when given, is called once, with an iterator over the
-    pass's row panels that it consumes.
+    The pass's panels go to two kinds of readers beside the checks.  Each
+    of the panel ``readers`` (see the module docstring) reads every
+    checked panel, under the pass's errstate, which ignores overflow and
+    invalid operations; the completion keeps them, and
+    ``CompletedMatrix.read`` hands each out once in place of an equal
+    reader, so that a consumer that reads its matrix through one (t-SNE's
+    calibration, the UMAP graph's and the neighbourhood preservation's
+    neighbour lists) needs no second pass.  ``write``, when given, is
+    called once, with an iterator over the checked panels that it
+    consumes, each panel after the readers have read it.
     """
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
@@ -467,6 +508,8 @@ def nystrom_complete(
             clipped |= low < 0.0 or high > 1.0
             diagonal[i0:i1] = d
             row_sums[i0:i1] = P.sum(axis=1)
+            for reader in readers:
+                reader.read(i0, P)
             yield P
 
     # An overflow stays non-finite, which the checks reject.
@@ -478,7 +521,7 @@ def nystrom_complete(
             pass
     pin = W.kind.pinned - diagonal
     factors = NystromFactors(B=B, Winv=Winv, pin=pin)
-    return CompletedMatrix._made(W.kind, provenance, factors, row_sums, clipped)
+    return CompletedMatrix._made(W.kind, provenance, factors, row_sums, clipped, readers)
 
 
 @dataclass(frozen=True)

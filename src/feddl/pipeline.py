@@ -9,8 +9,12 @@ cluster, and write the artefacts from one ordered list of ``(file name,
 writer)`` entries that also gives the manifest its ``[outputs]``.  The
 completed matrix is written as it is made, so its entry has no writer
 and a run that fails after the completion leaves that file without a
-manifest.  Stage functions are called through this module's names at
-call time, so a wrapper installed on one of them sees every call.
+manifest.  The completion's one pass over its row panels also feeds the
+panel readers of the affinities or graph and of the neighbourhood
+preservation (``_readers``), so that no stage after it reads the
+distances as an n x n array.  Stage functions are called through this
+module's names at call time, so a wrapper installed on one of them sees
+every call.
 
 ``rerun_manifest`` re-executes a run's manifest.  With a fixed seed all
 outputs except the manifest and the optimisation trace (both carry
@@ -28,11 +32,24 @@ import numpy as np
 from .clustering import kmeans, spectral_cluster
 from .config import PipelineConfig, parse_manifest, render_manifest
 from .data import load_dataset, partition
-from .embed import EmbedConfig, tsne_affinities, tsne_embed, umap_embed, umap_graph
+from .embed import (
+    EmbedConfig,
+    _Calibration,
+    tsne_affinities,
+    tsne_embed,
+    umap_embed,
+    umap_graph,
+)
 from .errors import ConfigError, DataError, NumericalAbort, _available_memory, overflow_aborts
 from .federation import FedResult, init_landmarks, perturb_shards, run_feddl
-from .kernels import KernelParams, gaussian_kernel, median_heuristic_gamma, pairwise_sq_dist
-from .metrics import MetricsReport, ari, ca_knn, nmi, npa_knn, silhouette
+from .kernels import (
+    KernelParams,
+    _NeighbourLists,
+    gaussian_kernel,
+    median_heuristic_gamma,
+    pairwise_sq_dist,
+)
+from .metrics import MetricsReport, _npa_lists, ari, ca_knn, nmi, npa_knn, silhouette
 from .matrixio import (
     read_embedding_csv,
     read_matrix,
@@ -101,17 +118,17 @@ def _write(out: Path, writers: list) -> dict:
 
 #: each command's peak of dense n x n float64 arrays, in units of
 #: n^2 x 8 B, as tracemalloc measured it over the second whole run in a
-#: process at n = 1000: t-SNE 2.48, in its calibration (the completion's
-#: values, the conditional affinities and one row block's work arrays),
-#: and UMAP 2.17, at ``b != 1`` too, in the metrics after the descent (the
-#: completion's values and the neighbour search on them); neither descent
-#: holds more than its affinities, their upper row panels and a few
-#: 64-row buffers.  Spectral clustering peaks at 1.09 when its kernel
+#: process at n = 1000: t-SNE 1.80, in its descent (the affinities, their
+#: upper row panels and a few 64-row buffers; the calibration in the
+#: completion's pass holds the conditional affinities and one row block's
+#: work arrays, 1.60), and UMAP 2.07, at ``b != 1`` too, in its spectral
+#: layout (the graph and its normalised copy); no stage reads the
+#: completion's values.  Spectral clustering peaks at 1.09 when its kernel
 #: completion clips: the one n x n array its ``operator`` assembles.  One
 #: that clips nothing holds no n x n array, but whether it clips is known
 #: only after its pass, so the guard covers the clipped case.  ``fit``
 #: holds no n x n array.
-_DENSE_PEAK_N2 = {"tsne": 2.5, "umap": 2.2, "speclust": 1.1}
+_DENSE_PEAK_N2 = {"tsne": 1.85, "umap": 2.1, "speclust": 1.1}
 #: the fit's peak in n_p^2 x 8 B, n_p the largest shard: the MMD self-term's
 #: n_p x n_p block, one product of the shard's augmented operands turned
 #: into kernel values in place (1.02 for one client at n = 1000)
@@ -179,6 +196,17 @@ def _check_feasible(
     return shards, econf
 
 
+def _readers(command: str, econf: EmbedConfig, cfg: PipelineConfig, n: int) -> tuple:
+    """The panel readers that a t-SNE or UMAP run's affinities or graph
+    and its neighbourhood preservation read its distance completion
+    through, for the completion's pass to feed."""
+    if command == "tsne":
+        affinity = _Calibration(econf.perplexity)
+    else:
+        affinity = _NeighbourLists(econf.n_neighbors, root=True)
+    return affinity, _npa_lists(cfg.npa_ks, n)
+
+
 def _complete(
     shards: list,
     Y: np.ndarray,
@@ -186,10 +214,12 @@ def _complete(
     cfg: PipelineConfig,
     kind: MatrixKind,
     path: Path | None = None,
+    readers: tuple = (),
 ) -> CompletedMatrix:
     """Clients compute their blocks against the final landmarks; the
     server assembles and completes, writing the completion to ``path``,
-    when given, by row panels as it is made.  Blocks or a completion
+    when given, by row panels as it is made, and feeding its panels to
+    ``readers``.  Blocks or a completion
     that leave float64 (finite points whose squared distances overflow, a
     landmark block too small to invert) abort numerically.  The overflow
     is raised rather than looked for in the blocks, because the Gram
@@ -220,6 +250,7 @@ def _complete(
             cfg.completion,
             privacy_mode=cfg.privacy.mode.value,
             write=None if path is None else (lambda M: write_matrix(path, M)),
+            readers=readers,
         )
     except ValueError as exc:
         raise NumericalAbort(f"completion failed: {exc}") from exc
@@ -279,7 +310,11 @@ def _run(cfg: PipelineConfig, out_dir, command: str) -> RunOutputs:
     if command != "fit":
         kind = MatrixKind.KERNEL if command == "speclust" else MatrixKind.DISTANCE
         name = f"completed_{kind.value}.fdlm"
-        completed = res.completed = _complete(shards, fed.landmarks, kernel, cfg, kind, out / name)
+        # no name holds the readers: the affinities' one lives only as long as they do
+        completed = res.completed = _complete(
+            shards, fed.landmarks, kernel, cfg, kind, out / name,
+            () if econf is None else _readers(command, econf, cfg, order.size),
+        )
         del shards  # nothing after the completion reads the points
         writers.append((name, None))  # written as the completion was made
     if econf is not None:

@@ -8,7 +8,7 @@ fixed precision so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def emit_scatter_svg(path, Z: np.ndarray, labels=None, title: str = "") -> None:
     if title:
         lines.append(
             f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>'
         )
     for i in range(n):
         lines.append(
@@ -97,7 +97,7 @@ def emit_scatter_svg(path, Z: np.ndarray, labels=None, title: str = "") -> None:
         )
         lines.append(
             f'<text x="{_WIDTH - _PAD - 60}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(str(lab))}</text>'
+            f'font-size="12">{escape(str(lab), quote=False)}</text>'
         )
     lines.append("</svg>")
     with open(path, "w", newline="") as f:

@@ -28,6 +28,17 @@ def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(approx) - np.asarray(exact)) / max(denom, 1e-300))
 
 
+def within_cancelled_terms(g: np.ndarray, g_ref: np.ndarray, C: np.ndarray, Z: np.ndarray) -> bool:
+    """Whether every entry of the gradient ``g`` is within 1e-12 of
+    ``g_ref`` relative to the terms ``4 (sum_j C_ij z_i - sum_j C_ij z_j)``
+    cancels, ``4 (|C|.sum(1) |z_i| + |C| @ |Z|)`` for the coefficients ``C``.
+    Where those terms are far larger than the gradient, any two orders of
+    summing them differ by far more than 1e-12 of the gradient."""
+    A, aZ = np.abs(C), np.abs(Z)
+    scale = 4.0 * (A.sum(axis=1)[:, None] * aZ + A @ aZ)
+    return bool((np.abs(g - g_ref) <= 1e-12 * scale).all())
+
+
 def read_labels(path) -> np.ndarray:
     """The ``label`` column of a ``labels.csv``."""
     with open(path, newline="") as f:

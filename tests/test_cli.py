@@ -69,7 +69,9 @@ def _every_command(out, ini):
 # runs each argument list of ``argv[1]`` (JSON) through the CLI, in order
 _WITHOUT_SCIPY = """
 import json, sys
-sys.modules["scipy"] = None  # every import of scipy raises ImportError
+# every import of scipy, or of the network stack, raises ImportError
+for name in ("scipy", "ssl", "urllib.request", "http.client"):
+    sys.modules[name] = None
 from feddl.cli import main
 for args in json.loads(sys.argv[1]):
     main(args, standalone_mode=False)
@@ -103,6 +105,25 @@ def test_every_command_runs_without_scipy(runner, config_file, tmp_path):
         if name.name == "trace.csv":
             ours, theirs = _strip_timing(ours.decode()), _strip_timing(theirs.decode())
         assert ours == theirs, name
+
+
+def test_no_command_imports_the_network_stack():
+    src = str(Path(feddl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    network = ["ssl", "http.client", "urllib.request", "email", "xml.sax"]
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys; import feddl.cli; from feddl import pipeline; "
+            f"print(' '.join(m for m in {network!r} if m in sys.modules))",
+        ],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_fit_success(runner, config_file, tmp_path):

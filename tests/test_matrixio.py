@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -133,6 +135,62 @@ def test_matrix_header_errors(tmp_path):
         read_matrix(p)
     with pytest.raises(DataError, match="cannot read matrix file"):
         read_matrix(tmp_path / "missing.fdlm")
+
+
+def _fifo_reads(tmp_path, data: bytes):
+    """``read_matrix`` of ``data`` written into a named pipe, whose size
+    cannot be known before it is read."""
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        return read_matrix(fifo)
+    finally:
+        writer.join()
+
+
+@pytest.mark.parametrize("source", ["file", "fifo"])
+@pytest.mark.parametrize(
+    "payload,size", [(bytes(8), 8), (bytes(40), 40)], ids=["short", "trailing-bytes"]
+)
+def test_matrix_payload_of_the_wrong_size(tmp_path, source, payload, size):
+    data = HEADER.pack(b"FDLM", 1, 1, 0, 2, 2) + payload
+    message = f"payload has {size} bytes at byte 16, expected 32 for 2x2 float64"
+    with pytest.raises(DataError, match=message):
+        if source == "file":
+            (tmp_path / "m.fdlm").write_bytes(data)
+            read_matrix(tmp_path / "m.fdlm")
+        else:
+            _fifo_reads(tmp_path, data)
+
+
+def test_matrix_from_a_fifo_round_trips(tmp_path, rng):
+    M = rng.normal(size=(3, 4))
+    write_matrix(tmp_path / "m.fdlm", M)
+    npt.assert_array_equal(_fifo_reads(tmp_path, (tmp_path / "m.fdlm").read_bytes()), M)
+
+
+def test_matrix_read_holds_one_copy(tmp_path, rng):
+    M = rng.normal(size=(500, 500))
+    write_matrix(tmp_path / "m.fdlm", M)
+    tracemalloc.start()
+    try:
+        R = read_matrix(tmp_path / "m.fdlm")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    npt.assert_array_equal(R, M)
+    assert R.flags.writeable
+    assert peak < 1.1 * M.nbytes
+
+
+def test_corrupt_header_allocates_nothing(tmp_path):
+    # 2^31 x 2^31 float64 is 32 EiB: the size check comes before the array
+    p = tmp_path / "m.fdlm"
+    p.write_bytes(HEADER.pack(b"FDLM", 1, 1, 0, 2**31, 2**31) + bytes(8))
+    with pytest.raises(DataError, match="payload has 8 bytes at byte 16"):
+        read_matrix(p)
 
 
 def test_embedding_csv_round_trip(tmp_path, rng):

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from feddl import pipeline
+from feddl import nystrom, pipeline
 from feddl.config import parse_config
 from feddl.data import load_dataset
 from feddl.errors import ConfigError, DataError, NumericalAbort
@@ -113,6 +113,22 @@ def test_umap_pipeline_runs(tmp_path):
     Z, _ = read_embedding_csv(out.files["embedding.csv"])
     assert Z.shape == (60, 2) and np.isfinite(Z).all()
     assert "command = umap" in out.files["manifest.ini"].read_text()
+
+
+@pytest.mark.parametrize("run", [run_fed_tsne, run_fed_umap], ids=["tsne", "umap"])
+def test_embedding_run_reads_its_distances_in_the_completion_pass(tmp_path, monkeypatch, run):
+    # the completion's one pass feeds the file, the affinities or graph and
+    # the neighbourhood preservation; nothing assembles the n x n distances
+    passes, real = [], nystrom._panels
+    monkeypatch.setattr(nystrom, "_panels", lambda *a, **k: passes.append(1) or real(*a, **k))
+
+    def assembled(self):
+        raise AssertionError("the run assembled the completion's values")
+
+    monkeypatch.setattr(nystrom.CompletedMatrix, "values", property(assembled))
+    out = run(tiny_cfg(), tmp_path)
+    assert passes == [1]
+    assert "npa_knn_10," in out.files["metrics.csv"].read_text()
 
 
 def test_speclust_pipeline_recovers_blobs(tmp_path):

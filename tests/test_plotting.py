@@ -65,6 +65,15 @@ def test_plain_title_keeps_its_bytes(tmp_path):
     assert b'font-size="14">fed-tsne</text>' in p.read_bytes()
 
 
+def test_quotes_in_text_keep_their_bytes(tmp_path):
+    # only &, < and > are escaped in element text, as in every earlier SVG
+    p = tmp_path / "s.svg"
+    emit_scatter_svg(p, np.zeros((1, 2)), labels=["'b'"], title='it\'s "q" & <x>')
+    svg = p.read_bytes()
+    assert b'font-size="14">it\'s "q" &amp; &lt;x&gt;</text>' in svg
+    assert b'font-size="12">\'b\'</text>' in svg
+
+
 def test_byte_stable_for_fixed_input(tmp_path, rng):
     Z = rng.normal(size=(30, 2))
     labels = rng.integers(0, 3, size=30)

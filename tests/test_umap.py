@@ -13,7 +13,7 @@ from feddl.embed import (
     umap_graph,
 )
 from feddl.errors import NumericalAbort
-from helpers import central_fd, random_sq_distance_matrix, rel_err
+from helpers import central_fd, random_sq_distance_matrix, rel_err, within_cancelled_terms
 import embed_reference as ref
 
 # frozen output of tests/oracles/gen_embed_metrics_reference.py
@@ -96,7 +96,12 @@ def test_edge_pass_matches_the_dense_reference(rng, n, a, b, case):
         a *= 1e4
     loss, g = umap_ce_gradient(mu, Z, a=a, b=b, constants=_ce_constants(mu))
     loss_ref, g_ref = ref.umap_ce_gradient(mu, Z, a=a, b=b)
-    assert rel_err(g, g_ref) <= 1e-12
+    if case == "coincident" and b != 1.0:
+        # a floored d2 gives coefficients near 1e12: the gradient cancels
+        # far larger terms
+        assert within_cancelled_terms(g, g_ref, _ce_direct(mu, Z, a, b)[2], Z)
+    else:
+        assert rel_err(g, g_ref) <= 1e-12
     assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
 
 
@@ -198,7 +203,8 @@ def test_ce_minimised_when_memberships_match():
 
 
 def _ce_direct(mu, Z, a, b):
-    """Fuzzy cross-entropy and gradient, every term taken per call."""
+    """Fuzzy cross-entropy and gradient, every term taken per call, and
+    the gradient's coefficients."""
     n = Z.shape[0]
     sq = np.einsum("ij,ij->i", Z, Z)
     d2 = sq[:, None] - 2.0 * (Z @ Z.T) + sq[None, :]
@@ -220,7 +226,7 @@ def _ce_direct(mu, Z, a, b):
         off & (1.0 - w > 1e-12), (1.0 - mu) / one_minus_w, 0.0
     )
     coeff = np.where(off, dldw * (-a * b * d2bm1 * w * w), 0.0)
-    return loss, 4.0 * (coeff.sum(axis=1)[:, None] * Z - coeff @ Z)
+    return loss, 4.0 * (coeff.sum(axis=1)[:, None] * Z - coeff @ Z), coeff
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.577, 0.895)])
@@ -238,9 +244,12 @@ def test_hoisted_ce_matches_direct_formula(rng, case, a, b):
         mu = np.triu(mu, 1) + np.triu(mu, 1).T
     np.fill_diagonal(mu, 0.0)
     loss, g = umap_ce_gradient(mu, Z, a=a, b=b)
-    loss_ref, g_ref = _ce_direct(mu, Z, a, b)
+    loss_ref, g_ref, C = _ce_direct(mu, Z, a, b)
     assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
-    assert rel_err(g, g_ref) <= 1e-12
+    if case == "coincident" and b != 1.0:  # the gradient cancels far larger terms
+        assert within_cancelled_terms(g, g_ref, C, Z)
+    else:
+        assert rel_err(g, g_ref) <= 1e-12
 
 
 def test_embed_trace_monotone_from_start(rng):
