@@ -19,10 +19,12 @@ UMAP
     and a scale ``sigma_i`` solving
     ``sum_j exp(-max(0, d_ij - rho_i) / sigma_i) = log2(n_neighbors)``;
     fuzzy-union symmetrisation ``mu_ij = mu_{i|j} + mu_{j|i} -
-    mu_{i|j} mu_{j|i}``; full-batch descent on the fuzzy cross-entropy
-    with low-dimensional memberships ``1 / (1 + a ||z_i - z_j||^{2b})``,
-    its attraction taken on the kNN edge list (the nonzero ``mu``) and its
-    repulsion exactly over all pairs.
+    mu_{i|j} mu_{j|i}``, kept as compressed sparse rows (``CSRGraph``);
+    a spectral starting layout by subspace iteration on those rows;
+    full-batch descent on the fuzzy cross-entropy with low-dimensional
+    memberships ``1 / (1 + a ||z_i - z_j||^{2b})``, its attraction taken
+    on the kNN edge list (the nonzero ``mu``) and its repulsion exactly
+    over all pairs.  No step holds an n x n array.
 
 Both calibrations search every row in lockstep: all rows bisect at once,
 each with its own bracket, stop rule and fallback, and each row's
@@ -56,10 +58,11 @@ known, and it floors ``Q`` in the loss by a second, loss-only sweep only
 where an O(n) bound says the floor may bind.  Summed in this order, the
 passes agree with the whole-array formulas to about 1e-13 relative, not
 bit for bit, wherever the gradient is not a cancellation of much larger
-terms: with points 1e7 from the origin, or coincident points at b != 1
-(a floored d2 gives coefficients near 1e12), ``4 (sum_j C_ij z_i -
-sum_j C_ij z_j)`` is rounding of those terms in either form, and the two
-differ by 1e-9 relative or more.
+terms: with points 1e7 from the origin, ``4 (sum_j C_ij z_i - sum_j
+C_ij z_j)`` is rounding of those terms in either form, and the two
+differ by 1e-9 relative or more.  Coincident points at b != 1 (a floored
+d2 gives coefficients near 1e12) would be such a case, so the UMAP pass
+applies those pairs' coefficients to ``z_i - z_j`` directly.
 """
 
 from __future__ import annotations
@@ -79,7 +82,6 @@ from .kernels import (
     _row_panels,
     _sq_norms,
     _symmetrize,
-    normalized_adjacency,
 )
 from .nystrom import CompletedMatrix, MatrixKind, _symmetry_gap
 from .privacy import stream_rng
@@ -98,6 +100,11 @@ __all__ = [
 
 #: probability floor used wherever a log of an affinity is taken.
 _LOG_FLOOR = 1e-12
+#: UMAP gradient coefficients above this, which at b != 1 only pairs
+#: within about 1e-3 of each other reach, are applied to ``z_i - z_j``
+#: directly (``umap_ce_gradient``)
+_DIRECT_COEFF = 1e6
+
 
 @dataclass(frozen=True)
 class EmbedConfig:
@@ -170,17 +177,83 @@ class EmbedConfig:
 
 
 @dataclass(frozen=True)
+class CSRGraph:
+    """A square matrix as compressed sparse rows: row ``i``'s non-zero
+    entries are ``data[indptr[i]:indptr[i + 1]]``, in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    def rows(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def dense(self, r0: int = 0, r1: int | None = None) -> np.ndarray:
+        """Rows ``[r0, r1)`` of the matrix, by default all of them, as a
+        dense array."""
+        r1 = self.n if r1 is None else r1
+        lo, hi = self.indptr[r0], self.indptr[r1]
+        rows = np.repeat(np.arange(r1 - r0), np.diff(self.indptr[r0 : r1 + 1]))
+        M = np.zeros((r1 - r0, self.n))
+        M[rows, self.indices[lo:hi]] = self.data[lo:hi]
+        return M
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        """``M @ X`` for an ``n x m`` block ``X``, at O(nnz) per column:
+        each column is one ``np.bincount`` over the entries, which sums
+        each row's products in column order."""
+        rows = self.rows()
+        out = np.empty((self.n, X.shape[1]))
+        for c in range(X.shape[1]):
+            out[:, c] = np.bincount(rows, weights=self.data * X[self.indices, c], minlength=self.n)
+        return out
+
+    @classmethod
+    def from_entries(cls, n: int, rows, indices, data) -> "CSRGraph":
+        """The n x n matrix of the entries ``(rows, indices, data)``,
+        given in row-major order."""
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(indptr, indices, data)
+
+    @classmethod
+    def from_dense(cls, M: np.ndarray, name: str) -> "CSRGraph":
+        """The non-zero entries of the square ``M``, diagonal included.
+        ``ValueError`` unless ``M`` is symmetric within 1e-12 of its
+        largest entry (``_check_symmetric``)."""
+        _check_symmetric(M, name)
+        rows, indices = np.nonzero(M)  # row-major
+        return cls.from_entries(M.shape[0], rows, indices, M[rows, indices])
+
+
+@dataclass(frozen=True)
 class AffinityMatrix:
     """Symmetric affinity/membership matrix with construction diagnostics.
+
+    ``matrix`` is t-SNE's joint affinities as an n x n array, or UMAP's
+    fuzzy memberships as a ``CSRGraph`` of their O(n n_neighbors)
+    non-zero entries.  ``values`` is the n x n array either way: a
+    graph's is assembled on each access, and no pipeline stage asks for
+    it.
 
     ``fallback_rows`` lists rows where the per-row calibration could not
     bracket its target (e.g. all-equal distances) and a uniform row was
     substituted.
     """
 
-    values: np.ndarray
+    matrix: np.ndarray | CSRGraph
     kind: str
     fallback_rows: tuple[int, ...] = ()
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.matrix.dense() if isinstance(self.matrix, CSRGraph) else self.matrix
 
 
 @dataclass
@@ -273,7 +346,7 @@ class _Calibration:
         _symmetrize(P, np.add)
         P /= 2.0 * P.shape[0]
         np.fill_diagonal(P, 0.0)
-        return AffinityMatrix(values=P, kind="tsne_joint", fallback_rows=tuple(self.fallbacks))
+        return AffinityMatrix(matrix=P, kind="tsne_joint", fallback_rows=tuple(self.fallbacks))
 
 
 def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
@@ -321,16 +394,21 @@ def _mask_lower(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _check_symmetric(M: np.ndarray, name: str) -> None:
+    """``ValueError`` unless ``M`` is symmetric within 1e-12 of its largest
+    entry (``nystrom._symmetry_gap``), because the passes read only its
+    upper triangle."""
+    scale = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
+    if not _symmetry_gap(M) <= 1e-12 * scale:
+        raise ValueError(f"{name} must be symmetric")
+
+
 def _upper_panels(M: np.ndarray, name: str):
     """Each upper-triangle row panel of the square ``M``: rows ``[r0, r1)``
     and columns ``[r0, n)`` as a contiguous copy, its diagonal block's
     diagonal and lower part zeroed (the pairs another panel holds, or
-    none).  ``ValueError`` unless ``M`` is symmetric within 1e-12 of its
-    largest entry (``nystrom._symmetry_gap``), because the passes read
-    only its upper triangle."""
-    scale = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
-    if not _symmetry_gap(M) <= 1e-12 * scale:
-        raise ValueError(f"{name} must be symmetric")
+    none).  ``M`` is checked by ``_check_symmetric``."""
+    _check_symmetric(M, name)
     for r0, r1 in _row_panels(M.shape[0]):
         yield _mask_lower(M[r0:r1, r0:].copy())
 
@@ -454,7 +532,7 @@ def tsne_kl_gradient(
     return kl, grad
 
 
-def _canonical_rank(A: np.ndarray) -> np.ndarray:
+def _canonical_rank(A: np.ndarray | CSRGraph) -> np.ndarray:
     """Canonical position of every point, derived from row statistics.
 
     The keys (row sum, row sum-of-squares, row maximum) are accumulated
@@ -463,12 +541,15 @@ def _canonical_rank(A: np.ndarray) -> np.ndarray:
     canonical position then makes the embedding equivariant to global
     point reordering.  Exact key ties fall back to input order.  Rows are
     sorted 64 at a time, and a row's keys do not depend on the rows
-    sorted with it.
+    sorted with it.  A graph's 64-row blocks are made dense from its
+    entries (``CSRGraph.dense``) before they are sorted, so its keys are
+    those of its dense rows, zeros included.
     """
-    n = A.shape[0]
+    graph = isinstance(A, CSRGraph)
+    n = A.n if graph else A.shape[0]
     k1, k2, k3 = np.empty(n), np.empty(n), np.empty(n)
     for r0, r1 in _row_panels(n):
-        S = np.sort(A[r0:r1], axis=1)
+        S = np.sort(A.dense(r0, r1) if graph else A[r0:r1], axis=1)
         k1[r0:r1] = S.sum(axis=1)
         k2[r0:r1] = (S * S).sum(axis=1)
         k3[r0:r1] = S[:, -1]
@@ -613,15 +694,43 @@ def _smooth_knn_sigmas(shifted: np.ndarray, target: float) -> np.ndarray:
     return sigma
 
 
+def _fuzzy_union(cols: np.ndarray, memberships: np.ndarray) -> CSRGraph:
+    """The fuzzy union ``mu_ij = a + b - a b`` of the conditional
+    memberships ``a = mu_{j|i}`` (row ``i``'s at the columns ``cols[i]``,
+    self excluded) and ``b = mu_{i|j}``, as a ``CSRGraph`` of its
+    non-zero entries.  A pair in one list keeps its ``a`` (``a + 0 - a
+    0`` is ``a``); a pair in both gets ``a + b - a b``, whose addition and
+    product commute, so every entry has the bits of the dense formula."""
+    n = cols.shape[0]
+    rows = np.repeat(np.arange(n), cols.shape[1])
+    cols, vals = cols.ravel(), memberships.ravel()
+    edge = vals != 0.0
+    rows, cols, vals = rows[edge], cols[edge], vals[edge]
+    # every membership as (i, j) and as (j, i), sorted row-major: a pair in
+    # both lists has its two entries next to each other
+    keys = np.concatenate([rows * n + cols, cols * n + rows])
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], np.concatenate([vals, vals])[order]
+    both = keys[1:] == keys[:-1]
+    a, b = vals[:-1][both], vals[1:][both]
+    vals[:-1][both] = a + b - a * b
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = ~both
+    keys = keys[first]
+    return CSRGraph.from_entries(n, keys // n, keys % n, vals[first])
+
+
 def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
-    """Fuzzy neighbourhood graph from squared distances.
+    """Fuzzy neighbourhood graph from squared distances, as a
+    ``CSRGraph`` of its O(n n_neighbors) memberships.
 
     Works on the square roots of the entries (plain distances);
     neighbours are chosen by distance with ties broken by index, on the
     64-row panels of ``D`` by a panel reader (``kernels._NeighbourLists``),
     the one the completion's pass fed when there is one.  Each point's
     nearest neighbour receives membership one; memberships are
-    symmetrised with the fuzzy union, in place (``kernels._symmetrize``).
+    symmetrised with the fuzzy union (``_fuzzy_union``), entry for entry
+    the dense formula's.
     """
     completed = CompletedMatrix.coerce(D, MatrixKind.DISTANCE)
     n = completed.n_points
@@ -638,12 +747,7 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     else:
         sigma = _smooth_knn_sigmas(shifted, math.log2(n_neighbors))
         memberships = np.exp(-shifted / sigma[:, None])
-    cond = np.zeros((n, n))
-    np.put_along_axis(cond, order, memberships, axis=1)
-    _symmetrize(cond, lambda a, b: a + b - a * b)  # the fuzzy union
-    mu = cond
-    np.fill_diagonal(mu, 0.0)
-    return AffinityMatrix(values=mu, kind="umap_membership")
+    return AffinityMatrix(matrix=_fuzzy_union(order, memberships), kind="umap_membership")
 
 
 @dataclass(frozen=True)
@@ -658,16 +762,36 @@ class _CEConstants:
     entropy: float
 
 
-def _ce_constants(mu: np.ndarray) -> _CEConstants:
-    """``_CEConstants`` of the symmetric ``mu``, whose diagonal is not read.
+def _as_graph(mu) -> CSRGraph:
+    """The memberships ``mu`` (an ``AffinityMatrix``, a ``CSRGraph`` or a
+    symmetric array) as a ``CSRGraph``."""
+    if isinstance(mu, AffinityMatrix):
+        mu = mu.matrix
+    if isinstance(mu, CSRGraph):
+        return mu
+    return CSRGraph.from_dense(np.asarray(mu, dtype=np.float64), "mu")
+
+
+def _ce_constants(mu) -> _CEConstants:
+    """``_CEConstants`` of the symmetric ``mu`` (``_as_graph``), whose
+    diagonal is not read: each panel's edges are its rows' entries right
+    of the diagonal, their flat indices into the panel in row-major order.
 
     Off the edges ``mu = 0``, so the entropy's terms are zero there.  Each
     term is taken where its weight is positive, logs floored at 1e-12.
     """
+    G = _as_graph(mu)
+    n = G.n
+    rows = G.rows()
+    upper = G.indices > rows
+    rows, cols, vals = rows[upper], G.indices[upper], G.data[upper]
+    bounds = _row_panels(n)
+    starts = np.searchsorted(rows, [r0 for r0, _ in bounds] + [n])
     edges, ent = [], 0.0
-    for Mk in _upper_panels(mu, "mu"):
-        e = np.flatnonzero(Mk)
-        mu_e = Mk.take(e)
+    for k, (r0, _) in enumerate(bounds):
+        lo, hi = starts[k], starts[k + 1]
+        e = (rows[lo:hi] - r0) * (n - r0) + (cols[lo:hi] - r0)
+        mu_e = vals[lo:hi]
         nu_e = 1.0 - mu_e
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(mu_e > 0, mu_e * np.log(np.maximum(mu_e, _LOG_FLOOR)), 0.0)
@@ -678,7 +802,7 @@ def _ce_constants(mu: np.ndarray) -> _CEConstants:
 
 
 def umap_ce_gradient(
-    mu: np.ndarray,
+    mu,
     Z: np.ndarray,
     a: float = 1.0,
     b: float = 1.0,
@@ -692,9 +816,10 @@ def umap_ce_gradient(
     ``1 - w`` (and ``w``) are floored at 1e-12 consistently in the loss
     and the gradient, so finite differences of the returned loss match
     the returned gradient away from the floor region.  ``mu`` holds
-    symmetric memberships in [0, 1] (its diagonal is not read); its edge
-    lists and ``mu``-only terms come from ``constants``
-    (``_ce_constants(mu)``, computed here when omitted).
+    symmetric memberships in [0, 1] (its diagonal is not read), as
+    ``_as_graph`` takes them; its edge lists and ``mu``-only terms come
+    from ``constants`` (``_ce_constants(mu)``, computed here when
+    omitted).
 
     The sweep (``_panel_sweep``) visits each unordered pair once, in the
     upper-triangle row panels, and writes into ``workspace`` (a
@@ -702,11 +827,16 @@ def umap_ce_gradient(
     the attraction ``mu log w`` is taken on the panel's edges, and the
     repulsion ``(1 - mu) log(1 - w)`` over all its pairs with
     ``1 - mu = 1``, then corrected on the edges; the gradient's
-    coefficients are formed per pair.
+    coefficients are formed per pair.  At ``b != 1`` a pair whose
+    coefficient exceeds ``_DIRECT_COEFF`` is taken out of the folded sums
+    and added as ``C_ij (z_i - z_j)``, which is exactly 0 for coincident
+    points: a floored ``d2`` gives coefficients near 1e12, and ``sum_j
+    C_ij z_i - sum_j C_ij z_j`` would leave rounding noise of their size.
     """
     consts = _ce_constants(mu) if constants is None else constants
     ws = _PanelWorkspace(Z.shape[0]) if workspace is None else workspace
     sums = np.zeros(1)  # the attraction and repulsion over the upper triangle
+    direct = []  # per panel: the pairs (i, j) taken out of the folded sums, and C_ij
 
     def visit(k: int, d2: np.ndarray, one_minus_w: np.ndarray, coeff: np.ndarray):
         edges, mu_e, nu_e = consts.edges[k]
@@ -745,31 +875,51 @@ def umap_ce_gradient(
         on_edges -= np.divide(mu_e, w_e, out=np.zeros_like(w_e), where=w_e > _LOG_FLOOR)
         dldw.put(edges, on_edges)
         coeff *= _mask_lower(dldw)
+        if b != 1.0:
+            big = np.flatnonzero(np.abs(coeff, out=one_minus_w) > _DIRECT_COEFF)
+            if big.size:
+                i, j = np.divmod(big, coeff.shape[1])
+                r0 = k * _TILE
+                direct.append((r0 + i, r0 + j, coeff.take(big)))
+                coeff.put(big, 0.0)
         return (coeff,)
 
     (rs,), (CZ,) = _panel_sweep(Z, ws, visit, 1)
     loss = consts.entropy - 2.0 * float(sums[0])
-    grad = (-4.0 * a * b) * (rs[:, None] * Z - CZ)
-    return loss, grad
+    g = rs[:, None] * Z - CZ
+    if direct:
+        i, j, c = (np.concatenate(parts) for parts in zip(*direct))
+        t = c[:, None] * (Z[i] - Z[j])
+        np.add.at(g, i, t)
+        np.subtract.at(g, j, t)
+    return loss, (-4.0 * a * b) * g
 
 
-def _spectral_layout(M: np.ndarray, out_dim: int, noise: np.ndarray) -> np.ndarray:
-    """Graph-spectral starting layout for the membership matrix ``M``.
+def _spectral_layout(G: CSRGraph, out_dim: int, noise: np.ndarray) -> np.ndarray:
+    """Graph-spectral starting layout for the membership graph ``G``.
 
     Computes the leading non-trivial eigenvectors of the symmetrically
-    normalised adjacency by subspace iteration started from the seeded
-    ``noise`` block.  Subspace iteration (rather than a LAPACK
-    eigensolver) keeps the result equivariant under point reordering
-    even when the leading eigenvalues are degenerate, because every step
-    is an equivariant map of the equivariant starting block.  The layout
-    is scaled to a maximum absolute coordinate of 10.
+    normalised adjacency ``d^{-1/2} G d^{-1/2}`` of the points with
+    degree ``d > 0`` by subspace iteration started from the seeded
+    ``noise`` block, each step one product with the graph's entries
+    (``CSRGraph.__matmul__``, O(nnz)).  Subspace iteration (rather than a
+    LAPACK eigensolver) keeps the result equivariant under point
+    reordering even when the leading eigenvalues are degenerate, because
+    every step is an equivariant map of the equivariant starting block.
+    The layout is scaled to a maximum absolute coordinate of 10.
     """
-    deg, active, S = normalized_adjacency(M)
-    V = np.zeros((M.shape[0], out_dim))
+    rows = G.rows()
+    deg = np.bincount(rows, weights=G.data, minlength=G.n)
+    active = deg > 0
+    V = np.zeros((G.n, out_dim))
     if int(active.sum()) >= 2:
-        trivial = np.sqrt(deg[active])
+        # the other points' rows and columns of S are 0, so they stay at 0
+        d_isqrt = np.zeros(G.n)
+        d_isqrt[active] = 1.0 / np.sqrt(deg[active])
+        S = CSRGraph(G.indptr, G.indices, G.data * d_isqrt[rows] * d_isqrt[G.indices])
+        trivial = np.sqrt(np.maximum(deg, 0.0))
         trivial = trivial / np.linalg.norm(trivial)
-        B = noise[active]
+        B = np.where(active[:, None], noise, 0.0)
         for _ in range(50):
             B = S @ B
             B = B - trivial[:, None] * (trivial @ B)[None, :]
@@ -780,16 +930,17 @@ def _spectral_layout(M: np.ndarray, out_dim: int, noise: np.ndarray) -> np.ndarr
                     B[:, j] -= (B[:, i] @ B[:, j]) * B[:, i]
                 nrm = np.linalg.norm(B[:, j])
                 B[:, j] = B[:, j] / nrm if nrm > 1e-12 else 0.0
-        V[active] = B
+        V = B
     peak = np.abs(V).max()
     if peak > 0:
         V *= 10.0 / peak
     return V
 
 
-def umap_embed(mu: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embedding:
+def umap_embed(mu, config: EmbedConfig) -> Embedding:
     """Descent-safeguarded full-batch gradient descent on the exact
-    fuzzy cross-entropy, started from a graph-spectral layout.
+    fuzzy cross-entropy, started from a graph-spectral layout.  ``mu`` is
+    the memberships as ``_as_graph`` takes them.
 
     Any step that would increase the loss is halved (damping the
     velocity) until it does not, so the objective trace is
@@ -797,19 +948,19 @@ def umap_embed(mu: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embeddin
     halved candidate costs one membership pass; the edge list and the
     ``mu``-only terms of the loss are computed once.
     """
-    M = mu.values if isinstance(mu, AffinityMatrix) else np.asarray(mu, dtype=np.float64)
-    n = M.shape[0]
+    G = _as_graph(mu)
+    n = G.n
     rng = stream_rng(config.seed, "umap_init")
-    rank = _canonical_rank(M)
+    rank = _canonical_rank(G)
     start_noise = rng.normal(size=(n, config.out_dim))[rank]
     jitter = rng.normal(size=(n, config.out_dim))[rank]
-    Z = config.init_scale * (_spectral_layout(M, config.out_dim, start_noise) + 1e-4 * jitter)
-    constants = _ce_constants(M)
+    Z = config.init_scale * (_spectral_layout(G, config.out_dim, start_noise) + 1e-4 * jitter)
+    constants = _ce_constants(G)
     workspace = _PanelWorkspace(n)
 
     def loss_grad(Zc: np.ndarray, it: int) -> tuple[float, np.ndarray]:
         return umap_ce_gradient(
-            M, Zc, a=config.a, b=config.b, constants=constants, workspace=workspace
+            G, Zc, a=config.a, b=config.b, constants=constants, workspace=workspace
         )
 
     # The repulsive part of the cross-entropy diverges for near-coincident

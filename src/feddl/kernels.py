@@ -250,9 +250,9 @@ def _symmetrize(
     """``M <- combine(M, M')`` in place, one pair of 64 x 64 tiles ``(I,
     J), I <= J`` at a time; by default ``0.5 (M + M')``.  ``combine`` is an
     element-wise formula symmetric in its arguments up to commuting float
-    additions and products (t-SNE's ``a + b``, UMAP's fuzzy union ``a + b
-    - a b``), so every entry is the double of the whole-array formula and
-    the result is exactly symmetric."""
+    additions and products (t-SNE's ``a + b``), so every entry is the
+    double of the whole-array formula and the result is exactly
+    symmetric."""
     for i0, i1, j0, j1 in _tile_pairs(M.shape[0]):
         s = combine(M[i0:i1, j0:j1], M[j0:j1, i0:i1].T)
         M[i0:i1, j0:j1] = s

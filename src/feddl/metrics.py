@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _NeighbourLists, knn_indices, sq_dists
+from .kernels import _NeighbourLists, _distances, _operands, _row_panels, knn_indices
 from .nystrom import CompletedMatrix, MatrixKind
 from .privacy import stream_rng
 
@@ -49,6 +49,18 @@ def _ks(k: Sequence[int]) -> tuple[int, ...]:
     return tuple(k)
 
 
+def _panel_sq_dists(A: np.ndarray, B: np.ndarray | None = None, bounds=None):
+    """``(r0, D)`` for each row panel ``[r0, r1)`` of ``bounds`` (by
+    default the 64-row panels, ``kernels._row_panels``) of the squared
+    distances between the rows of ``A`` and those of ``B`` (default
+    ``A``): the panel's product of the operands, built once."""
+    left, right = _operands(A)
+    if B is not None:
+        right = _operands(B)[1]
+    for r0, r1 in _row_panels(A.shape[0]) if bounds is None else bounds:
+        yield r0, _distances(left[r0:r1], right)
+
+
 def ca_knn(
     Z: np.ndarray,
     labels,
@@ -64,6 +76,8 @@ def ca_knn(
     split and one neighbour ordering serve every k: the result maps each
     k the split can score to its accuracy, so a k above the training
     side's size, or any k when the test side is empty, gets no entry.
+    The test points' neighbours are selected on 64-row panels of their
+    distances to the training side, so no test x train array is held.
     """
     ks = _ks(k)
     Z = np.asarray(Z, dtype=np.float64)
@@ -85,7 +99,10 @@ def ca_knn(
     scored = {v for v in ks if v <= train.size} if test.size else set()
     k_max = max(scored, default=0)
     # a stable ordering: its first k columns are exactly the k nearest
-    votes = enc[train][knn_indices(sq_dists(Z[test], Z[train]), k_max, exclude_self=False)]
+    nearest = np.empty((test.size, k_max), dtype=np.intp)
+    for r0, D in _panel_sq_dists(Z[test], Z[train]):
+        nearest[r0 : r0 + D.shape[0]] = knn_indices(D, k_max, exclude_self=False)
+    votes = enc[train][nearest]
     counts = np.zeros((test.size, classes.size), dtype=np.int64)
     acc = {}
     for j in range(k_max):
@@ -112,7 +129,9 @@ def npa_knn(D_high, Z: np.ndarray, k: Sequence[int] = (10,)) -> dict[int, float]
     every k: the result maps each k up to n - 1 to its score, and a
     larger k gets no entry.  The high-dimensional ordering is selected on
     the 64-row panels of ``D_high`` by a panel reader (``_npa_lists``),
-    the one the completion's pass fed when there is one.
+    the one the completion's pass fed when there is one, and the
+    embedding's by the same reader on the 64-row panels of its distances,
+    ranked on their square roots, so neither side holds an n x n array.
     """
     ks = _ks(k)
     completed = CompletedMatrix.coerce(D_high, MatrixKind.DISTANCE)
@@ -126,11 +145,10 @@ def npa_knn(D_high, Z: np.ndarray, k: Sequence[int] = (10,)) -> dict[int, float]
         return {}
     # stable orderings: their first k columns are exactly the k nearest
     nh = completed.read(_npa_lists(ks, n)).indices
-    Dz = sq_dists(Z)
-    np.sqrt(Dz, out=Dz)
-    np.fill_diagonal(Dz, np.inf)  # Dz is ours: self is excluded here, not in a copy
-    nl = knn_indices(Dz, scored[-1], exclude_self=False)
-    del Dz
+    low = _NeighbourLists(scored[-1], root=True)
+    for r0, D in _panel_sq_dists(Z):
+        low.read(r0, D)
+    nl = low.indices
     # neighbour j of row i as the flat index i n + j: sorting each row of
     # the high-dimensional lists sorts them all, so one search tests every
     # embedding neighbour for membership in its row's list
@@ -182,24 +200,28 @@ def nmi(a, b) -> float:
     return mi / math.sqrt(ha * hb)
 
 
-#: rows of the distance matrix ``_cluster_sums`` gathers columns from at a time
-_SUM_ROWS = 256
+def _sum_panels(n: int) -> list[tuple[int, int]]:
+    """The 64-row panels of n rows (``kernels._row_panels``), a last panel
+    of one row joined to the one before it."""
+    bounds = _row_panels(n)
+    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] == 1:
+        bounds[-2:] = [(bounds[-2][0], n)]
+    return bounds
 
 
-def _cluster_sums(D: np.ndarray, enc: np.ndarray, n_classes: int) -> np.ndarray:
-    """``sums[i, c]``: the total of row ``i`` of ``D`` over the columns of
-    cluster ``c``, gathered one block of rows at a time.  numpy sums a
-    gather of two or more rows column by column in index order, as it
-    does the whole-array gather ``D[:, enc == c]``, but a one-row gather
-    pairwise, so no block has one row."""
-    n = D.shape[0]
+def _cluster_sums(Z: np.ndarray, enc: np.ndarray, n_classes: int) -> np.ndarray:
+    """``sums[i, c]``: the total distance from point ``i`` to the points of
+    cluster ``c``, gathered from the row panels (``_sum_panels``) of the
+    distances between the rows of ``Z``.  numpy sums a gather of two or
+    more rows column by column in index order, as it does the whole-array
+    gather ``D[:, enc == c]``, but a one-row gather pairwise, so no panel
+    has one row."""
     members = [np.flatnonzero(enc == ci) for ci in range(n_classes)]
-    sums = np.zeros((n, n_classes))
-    starts = range(0, n - 1, _SUM_ROWS)
-    for i0, i1 in zip(starts, [*starts[1:], n]):
-        block = D[i0:i1]
+    sums = np.zeros((Z.shape[0], n_classes))
+    for r0, D in _panel_sq_dists(Z, bounds=_sum_panels(Z.shape[0])):
+        np.sqrt(D, out=D)
         for ci, cols in enumerate(members):
-            sums[i0:i1, ci] = block[:, cols].sum(axis=1)
+            sums[r0 : r0 + D.shape[0], ci] = D[:, cols].sum(axis=1)
     return sums
 
 
@@ -217,11 +239,8 @@ def silhouette(Z: np.ndarray, labels) -> float:
     classes, enc = np.unique(lab, return_inverse=True)
     if classes.size < 2:
         raise ValueError("silhouette needs at least two clusters")
-    D = sq_dists(Z)
-    np.sqrt(D, out=D)
     sizes = np.bincount(enc, minlength=classes.size)
-    sums = _cluster_sums(D, enc, classes.size)
-    del D
+    sums = _cluster_sums(Z, enc, classes.size)
     rows = np.arange(n)
     own = sizes[enc]
     means = sums / sizes[None, :]

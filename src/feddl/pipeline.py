@@ -121,14 +121,18 @@ def _write(out: Path, writers: list) -> dict:
 #: process at n = 1000: t-SNE 1.80, in its descent (the affinities, their
 #: upper row panels and a few 64-row buffers; the calibration in the
 #: completion's pass holds the conditional affinities and one row block's
-#: work arrays, 1.60), and UMAP 2.07, at ``b != 1`` too, in its spectral
-#: layout (the graph and its normalised copy); no stage reads the
-#: completion's values.  Spectral clustering peaks at 1.09 when its kernel
+#: work arrays, 1.60), and UMAP 0.37, at ``b != 1`` too, in the
+#: completion's pass (one 64-row panel and the work arrays of the
+#: neighbour lists read from it).  A UMAP run holds no n x n array: its
+#: graph is sparse rows (``embed.CSRGraph``) and its descent and metrics
+#: work on 64-row panels, so its multiple, made of O(64 n) arrays, falls
+#: as 1 / n (0.14 at n = 2500).  No stage reads the completion's values.
+#: Spectral clustering peaks at 1.09 when its kernel
 #: completion clips: the one n x n array its ``operator`` assembles.  One
 #: that clips nothing holds no n x n array, but whether it clips is known
 #: only after its pass, so the guard covers the clipped case.  ``fit``
 #: holds no n x n array.
-_DENSE_PEAK_N2 = {"tsne": 1.85, "umap": 2.1, "speclust": 1.1}
+_DENSE_PEAK_N2 = {"tsne": 1.85, "umap": 0.4, "speclust": 1.1}
 #: the fit's peak in n_p^2 x 8 B, n_p the largest shard: the MMD self-term's
 #: n_p x n_p block, one product of the shard's augmented operands turned
 #: into kernel values in place (1.02 for one client at n = 1000)

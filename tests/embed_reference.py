@@ -10,6 +10,13 @@ pass on whole n x n arrays.  The tests check the calibrations, the
 symmetrisations and the ranking against them bit for bit, and the passes
 to within 1e-12 relative (a pass over each unordered pair once sums in
 another order).
+
+``panel_ce_constants`` and ``spectral_layout`` are the UMAP edge lists and
+starting layout as they were made from the dense n x n memberships,
+before the fuzzy graph was kept as sparse rows.  The tests check the
+sparse graph's edge lists and entropy against the first bit for bit, and
+its layout against the second to within 1e-10 (its products sum each row
+in another order).
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ import math
 
 import numpy as np
 
-from feddl.embed import AffinityMatrix
-from feddl.kernels import knn_indices, sq_dists
+from feddl.embed import AffinityMatrix, _upper_panels
+from feddl.kernels import knn_indices, normalized_adjacency, sq_dists
 from feddl.nystrom import CompletedMatrix, MatrixKind
 
 _LOG_FLOOR = 1e-12
@@ -80,7 +87,7 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
             fallbacks.append(i)
     P = (cond + cond.T) / (2.0 * n)
     np.fill_diagonal(P, 0.0)
-    return AffinityMatrix(values=P, kind="tsne_joint", fallback_rows=tuple(fallbacks))
+    return AffinityMatrix(matrix=P, kind="tsne_joint", fallback_rows=tuple(fallbacks))
 
 
 def _smooth_knn_sigma(d_shifted: np.ndarray, target: float) -> float:
@@ -137,7 +144,7 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     np.put_along_axis(cond, order, memberships, axis=1)
     mu = cond + cond.T - cond * cond.T
     np.fill_diagonal(mu, 0.0)
-    return AffinityMatrix(values=mu, kind="umap_membership")
+    return AffinityMatrix(matrix=mu, kind="umap_membership")
 
 
 def _ce_constants(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -268,3 +275,46 @@ def _canonical_rank(A: np.ndarray) -> np.ndarray:
     rank = np.empty(A.shape[0], dtype=np.intp)
     rank[order] = np.arange(A.shape[0])
     return rank
+
+
+def panel_ce_constants(mu: np.ndarray) -> tuple[tuple, float]:
+    """The edge lists of the dense symmetric ``mu``'s upper-triangle row
+    panels, as ``(flat indices into the panel, mu, 1 - mu)`` of each
+    panel's non-zero entries in row-major order, and ``sum mu log mu +
+    (1 - mu) log(1 - mu)`` over the off-diagonal pairs."""
+    edges, ent = [], 0.0
+    for Mk in _upper_panels(mu, "mu"):
+        e = np.flatnonzero(Mk)
+        mu_e = Mk.take(e)
+        nu_e = 1.0 - mu_e
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(mu_e > 0, mu_e * np.log(np.maximum(mu_e, _LOG_FLOOR)), 0.0)
+            t += np.where(nu_e > 0, nu_e * np.log(np.maximum(nu_e, _LOG_FLOOR)), 0.0)
+        ent += float(t.sum())
+        edges.append((e, mu_e, nu_e))
+    return tuple(edges), 2.0 * ent
+
+
+def spectral_layout(M: np.ndarray, out_dim: int, noise: np.ndarray) -> np.ndarray:
+    """The leading non-trivial eigenvectors of the dense normalised
+    adjacency of ``M`` by 50 steps of subspace iteration from ``noise``,
+    scaled to a maximum absolute coordinate of 10."""
+    deg, active, S = normalized_adjacency(M)
+    V = np.zeros((M.shape[0], out_dim))
+    if int(active.sum()) >= 2:
+        trivial = np.sqrt(deg[active])
+        trivial = trivial / np.linalg.norm(trivial)
+        B = noise[active]
+        for _ in range(50):
+            B = S @ B
+            B = B - trivial[:, None] * (trivial @ B)[None, :]
+            for j in range(out_dim):
+                for i in range(j):
+                    B[:, j] -= (B[:, i] @ B[:, j]) * B[:, i]
+                nrm = np.linalg.norm(B[:, j])
+                B[:, j] = B[:, j] / nrm if nrm > 1e-12 else 0.0
+        V[active] = B
+    peak = np.abs(V).max()
+    if peak > 0:
+        V *= 10.0 / peak
+    return V

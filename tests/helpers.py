@@ -22,6 +22,12 @@ def central_fd(f, X: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def assert_bitwise(a: np.ndarray, b: np.ndarray) -> None:
+    """``a`` and ``b`` are the same array bit for bit: dtype, shape, bytes."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     """Relative error in the Frobenius norm."""
     denom = np.linalg.norm(exact)

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import feddl.metrics as metrics
 from feddl.kernels import knn_indices, sq_dists
 from feddl.metrics import (
     MetricsReport,
@@ -14,7 +15,7 @@ from feddl.metrics import (
     npa_knn,
     silhouette,
 )
-from feddl.metrics import _cluster_sums
+from feddl.metrics import _cluster_sums, _panel_sq_dists, _sum_panels
 from feddl.nystrom import CompletedMatrix, MatrixKind
 
 # frozen output of tests/oracles/gen_embed_metrics_reference.py
@@ -87,14 +88,41 @@ def test_silhouette_needs_two_clusters():
         silhouette(np.zeros((3, 1)), [0, 0, 0])
 
 
-@pytest.mark.parametrize("n", [2, 255, 256, 257, 513, 600])
-def test_cluster_sums_by_row_blocks_are_the_whole_array_sums(n):
-    # 256-row blocks: at 257 and 513 points the last row joins the block before it
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 600, 641])
+def test_cluster_sums_by_row_panels_are_the_whole_array_sums(n):
+    # 64-row panels: at 65, 129 and 641 points the last row joins the panel before it
     rng = np.random.default_rng(n)
-    D = np.sqrt(sq_dists(rng.normal(size=(n, 3))))
+    Z = rng.normal(size=(n, 3))
     enc = np.arange(n) % 2 if n < 5 else rng.integers(0, 5, size=n)
+    D = np.sqrt(np.vstack([P for _, P in _panel_sq_dists(Z, bounds=_sum_panels(n))]))
     expected = np.stack([D[:, enc == c].sum(axis=1) for c in range(enc.max() + 1)], axis=1)
-    npt.assert_array_equal(_cluster_sums(D, enc, enc.max() + 1), expected)
+    npt.assert_array_equal(_cluster_sums(Z, enc, enc.max() + 1), expected)
+
+
+def _whole_array(monkeypatch):
+    """Make the metrics take the embedding's distances as one whole
+    array, the way they did before they took them by row panels."""
+    monkeypatch.setattr(
+        metrics, "_panel_sq_dists", lambda A, B=None, bounds=None: iter([(0, sq_dists(A, B))])
+    )
+
+
+@pytest.mark.parametrize("n", [5, 63, 64, 65, 129, 641])
+def test_metrics_by_row_panels_match_the_whole_array(monkeypatch, n):
+    # a last panel of one row at 65, 129 and 641 points
+    rng = np.random.default_rng([n, 7])
+    X = rng.normal(size=(n, 5))
+    Z = X[:, :2] + 0.3 * rng.normal(size=(n, 2))
+    Z[3] = Z[1]  # tied embedding distances
+    labels = rng.integers(0, 3, size=n)
+    Dh = CompletedMatrix(values=sq_dists(X), kind=MatrixKind.DISTANCE)
+    ks = (1, 4, 10)
+    panels = npa_knn(Dh, Z, ks), ca_knn(Z, labels, ks, seed=n), silhouette(Z, labels)
+    _whole_array(monkeypatch)
+    whole = npa_knn(Dh, Z, ks), ca_knn(Z, labels, ks, seed=n), silhouette(Z, labels)
+    assert panels[:2] == whole[:2]
+    # the panels' distances may differ from the whole product's in the last bit
+    assert abs(panels[2] - whole[2]) <= 1e-15 * abs(whole[2])
 
 
 def _traced_peak(f, *args):
@@ -108,17 +136,20 @@ def _traced_peak(f, *args):
     return peak - base
 
 
-def test_npa_and_silhouette_hold_one_n_by_n_array():
+def test_npa_and_silhouette_hold_no_n_by_n_array():
     n = 1000
     rng = np.random.default_rng(0)
     X = rng.normal(size=(n, 5))
     Dh = CompletedMatrix(values=sq_dists(X), kind=MatrixKind.DISTANCE)
     Z = X[:, :2] + 0.3 * rng.normal(size=(n, 2))
     n2 = n * n * 8
-    # the embedding distances, plus 128-row blocks of the selection
-    assert _traced_peak(npa_knn, Dh, Z, [10, 30]) <= 1.35 * n2
-    # the distances, plus 256-row gathers of a cluster's columns
-    assert _traced_peak(silhouette, Z, rng.integers(0, 5, size=n)) <= 1.15 * n2
+    # each side's 64-row panels of the distances and their selection, and
+    # the neighbour lists
+    assert _traced_peak(npa_knn, Dh, Z, [10, 30]) <= 0.35 * n2
+    # the 64-row panels of the distances and their gathers of a cluster's columns
+    assert _traced_peak(silhouette, Z, rng.integers(0, 5, size=n)) <= 0.2 * n2
+    # the test points' 64-row panels of their distances to the training side
+    assert _traced_peak(ca_knn, Z, rng.integers(0, 5, size=n)) <= 0.15 * n2
 
 
 def test_ca_perfectly_separated_clusters():

@@ -24,6 +24,7 @@ from feddl.nystrom import (
     nystrom_complete,
 )
 import embed_reference as ref
+from helpers import assert_bitwise
 
 SIZES = [5, 63, 64, 65, 129, 641]
 NPA_KS = (1, 4, 10)
@@ -56,11 +57,6 @@ def _npa_whole_array(D, Z, ks):
     return out
 
 
-def _assert_bitwise(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert a.tobytes() == b.tobytes()
-
-
 def _counted_passes(monkeypatch):
     calls, real = [], nystrom._panels
     monkeypatch.setattr(nystrom, "_panels", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -86,18 +82,18 @@ def test_panel_readers_match_the_whole_array(monkeypatch, n, source):
     # the fed readers serve every reader of the matrix from the completion's pass
     assert len(passes) == {"fed": 1, "made": 4, "array": 0}[source]
     P_ref = ref.tsne_affinities(D, perplexity=perplexity)
-    _assert_bitwise(P.values, P_ref.values)
+    assert_bitwise(P.values, P_ref.values)
     assert P.fallback_rows == P_ref.fallback_rows
-    _assert_bitwise(mu.values, ref.umap_graph(D, k).values)
+    assert_bitwise(mu.values, ref.umap_graph(D, k).values)
     assert scores == _npa_whole_array(D, Z, NPA_KS)
     if source != "fed":
         lists = completed.read(lists)
         npa = completed.read(npa)
     root = np.sqrt(D)
     order = knn_indices(root, k)
-    _assert_bitwise(lists.indices, order)
-    _assert_bitwise(lists.entries, np.take_along_axis(root, order, axis=1))
-    _assert_bitwise(npa.indices, knn_indices(D, npa.k))
+    assert_bitwise(lists.indices, order)
+    assert_bitwise(lists.entries, np.take_along_axis(root, order, axis=1))
+    assert_bitwise(npa.indices, knn_indices(D, npa.k))
 
 
 def test_a_fed_reader_is_handed_out_once(monkeypatch):
@@ -111,7 +107,7 @@ def test_a_fed_reader_is_handed_out_once(monkeypatch):
     other = tsne_affinities(completed, perplexity=perplexity / 2)
     again = tsne_affinities(completed, perplexity=perplexity)
     assert len(passes) == 2
-    _assert_bitwise(first.values, again.values)
+    assert_bitwise(first.values, again.values)
     assert not np.array_equal(first.values, other.values)
 
 

@@ -359,6 +359,21 @@ def test_factored_speclust_holds_no_n_by_n_array(tmp_path):
     npt.assert_array_equal(K, K.T)
 
 
+def test_umap_run_holds_no_n_by_n_array(tmp_path):
+    # the graph is sparse rows, its layout's products run on them and the
+    # metrics read 64-row panels: beyond its O(n n_neighbors) lists a run
+    # holds the completion's and the passes' 64-row panels, which at
+    # n = 2500 are well below 0.2 n^2 (at n = 1000 they set the guard)
+    n = 2500
+    cfg = parse_config(
+        f"[dataset]\nblob_count = 4\npoints_per_blob = {n // 4}\n\n"
+        "[federation]\nrounds = 1\nlandmarks = 20\n\n[embedding]\niterations = 3\n"
+    )
+    peak, out = _traced_peak(cfg, tmp_path, "umap")
+    assert out.embedding.Z.shape == (n, 2)
+    assert peak < 0.2 * n**2 * 8
+
+
 def test_available_memory_is_the_lower_of_meminfo_and_the_cgroup_limit(tmp_path):
     meminfo, limit = tmp_path / "meminfo", tmp_path / "memory.max"
     meminfo.write_text("MemTotal:        8000000 kB\nMemAvailable:       2048 kB\n")

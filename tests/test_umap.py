@@ -97,9 +97,11 @@ def test_edge_pass_matches_the_dense_reference(rng, n, a, b, case):
     loss, g = umap_ce_gradient(mu, Z, a=a, b=b, constants=_ce_constants(mu))
     loss_ref, g_ref = ref.umap_ce_gradient(mu, Z, a=a, b=b)
     if case == "coincident" and b != 1.0:
-        # a floored d2 gives coefficients near 1e12: the gradient cancels
-        # far larger terms
-        assert within_cancelled_terms(g, g_ref, _ce_direct(mu, Z, a, b)[2], Z)
+        # a floored d2 gives coefficients near 1e12: the reference's gradient
+        # cancels far larger terms, and the pass takes those pairs apart
+        C = _ce_direct(mu, Z, a, b)[2]
+        assert within_cancelled_terms(g, g_ref, C, Z)
+        assert rel_err(g, _pairwise_gradient(C, Z)) <= 1e-12
     else:
         assert rel_err(g, g_ref) <= 1e-12
     assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
@@ -229,6 +231,21 @@ def _ce_direct(mu, Z, a, b):
     return loss, 4.0 * (coeff.sum(axis=1)[:, None] * Z - coeff @ Z), coeff
 
 
+def _pairwise_gradient(C, Z):
+    """``4 sum_j C_ij (z_i - z_j)``, each pair's difference taken first, so
+    that a pair of coincident points adds exactly 0."""
+    return 4.0 * np.einsum("ij,ijk->ik", C, Z[:, None, :] - Z[None, :, :])
+
+
+def test_coincident_points_at_b_not_1_add_no_rounding_noise(rng):
+    # every pair's d2 is floored: each non-edge coefficient is near 1e12, and
+    # folded into sum_j C_ij z_i - sum_j C_ij z_j it left noise of order 1
+    mu = umap_graph(random_sq_distance_matrix(129, 4, rng, scale=2.0), n_neighbors=5)
+    Z = np.tile([[0.3, -1.7]], (129, 1))
+    _, g = umap_ce_gradient(mu, Z, a=1.577, b=0.895)
+    assert np.abs(g).max() <= 1e-12
+
+
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (1.577, 0.895)])
 @pytest.mark.parametrize("case", ["spread", "coincident", "zero_one_memberships"])
 def test_hoisted_ce_matches_direct_formula(rng, case, a, b):
@@ -246,8 +263,9 @@ def test_hoisted_ce_matches_direct_formula(rng, case, a, b):
     loss, g = umap_ce_gradient(mu, Z, a=a, b=b)
     loss_ref, g_ref, C = _ce_direct(mu, Z, a, b)
     assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
-    if case == "coincident" and b != 1.0:  # the gradient cancels far larger terms
+    if case == "coincident" and b != 1.0:  # the reference cancels far larger terms
         assert within_cancelled_terms(g, g_ref, C, Z)
+        assert rel_err(g, _pairwise_gradient(C, Z)) <= 1e-12
     else:
         assert rel_err(g, g_ref) <= 1e-12
 
