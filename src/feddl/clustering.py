@@ -6,25 +6,24 @@ The spectral path follows the normalised-cut recipe: with degree matrix
 ``S = Dg^{-1/2} K Dg^{-1/2}``), normalise the rows of the resulting
 ``n x c`` spectral embedding to unit length, and run k-means on them.
 
-The eigenvectors come from a block eigensolver on the operator ``X -> d
-⊙ (K @ (d ⊙ X))`` with ``d = deg^{-1/2}`` on points of nonzero degree
-and 0 elsewhere, so neither ``S`` nor ``L`` nor any other n x n
-intermediate is formed.  The degrees are the completion's row sums.
-Each iteration is one Rayleigh–Ritz step on an orthonormal basis of
-``[X, S X, X_prev]``, the subspace LOBPCG searches, and applies the
-operator once, to the part of that basis that is new; the residual comes
-from the same products.  When the completion's ``operator`` is its
-``NystromFactors`` (``K = B W_k^+ B' + diag(pin)``, rank ``n_y``: a
-kernel completion that clipped nothing), the operator applies ``K @ Y``
-as ``B (W_k^+ (B' Y)) + pin ⊙ Y``, at ``O(n n_y)`` per column instead of
-``O(n^2)``, and no dense ``K`` is formed at all.  The starting block is
-drawn from the seed's ``spectral_start`` stream and the solver draws
-nothing itself, so a rerun is byte-identical.  A returned block is
-accepted when it is orthonormal and its eigen-residual ``|S v - lambda
-v|``, on the operator the solver used, is at most 1e-6.  A dense
-eigensolve of ``L`` replaces a block that fails, and is the only path
-when fewer than ``5 c`` points are active (too few for a block of ``c``
-vectors); it assembles the dense ``K``.
+This module holds the package's one spectral eigensolver, which UMAP's
+starting layout shares.  Its operator is ``X -> d ⊙ (M @ (d ⊙ X))``
+with ``d = deg^{-1/2}`` on points of positive degree and 0 elsewhere
+(``_normalized_operator``), for any ``@`` operand ``M``: a dense array,
+a completion's ``NystromFactors`` (``B (W_k^+ (B' Y)) + pin ⊙ Y``, at
+``O(n n_y)`` per column) or an ``embed.CSRGraph``; no n x n ``S`` or
+``L`` is formed.  The block solver runs Rayleigh–Ritz steps on an
+orthonormal basis of ``[X, S X, X_prev]``, the subspace LOBPCG searches,
+each applying the operator once.  The dense path applies it to the
+identity columns of the active points, 64 at a time, and solves the
+matrix they give with ``np.linalg.eigh``.
+
+Spectral clustering reads the completion's ``operator`` once; the
+degrees are its row sums.  The block starts from the seed's
+``spectral_start`` stream, so a rerun is byte-identical, and is accepted
+when it is orthonormal and its residual ``|S v - lambda v|`` is at most
+1e-6.  The dense path replaces a block that fails, and is the only path
+when fewer than ``5 c`` points are active.
 
 k-means is implemented here (rather than pulled in) because its exact
 semantics are pinned: k-means++ seeding, Lloyd iterations until the
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, _available_memory
-from .kernels import _distances, _operands, _symmetrize, normalized_adjacency
+from .kernels import _distances, _operands, _row_panels, _symmetrize
 from .nystrom import CompletedMatrix, MatrixKind
 from .privacy import stream_rng
 
@@ -57,9 +56,10 @@ _RESIDUAL_TOL = 1e-6
 _KMEANS_RESTARTS = 10
 _KMEANS_MAX_ITER = 300
 _KMEANS_REL_TOL = 1e-6
-#: the dense fallback's peak in n^2 x 8 B: the assembled kernel values and
-#: the full ``np.linalg.eigh`` of the Laplacian (4.19, measured at n = 2000)
-_DENSE_FALLBACK_PEAK_N2 = 5.2
+#: the dense path's resident peak in n^2 x 8 B with a dense operator: the
+#: operator, its matrix on the active points and ``np.linalg.eigh``'s copy,
+#: eigenvectors and workspace (6.2 by VmHWM at n = 2000; 5.2 on factors)
+_DENSE_FALLBACK_PEAK_N2 = 6.3
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,8 @@ def kmeans(Z: np.ndarray, c: int, seed: int = 0) -> ClusterAssignment:
 
 
 def _check_dense_fallback_fits(n: int) -> None:
-    """``ConfigError`` when the dense fallback's peak on ``n`` points is
-    more than the memory available, before it assembles anything."""
+    """``ConfigError`` when the dense path's peak on ``n`` points is more
+    than the memory available, before it forms its matrix."""
     need = _DENSE_FALLBACK_PEAK_N2 * n * n * 8
     available = _available_memory()
     if available is not None and need > available:
@@ -184,26 +184,25 @@ def _check_dense_fallback_fits(n: int) -> None:
         )
 
 
-def _dense_embedding(Kv: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading ``c`` eigenpairs of ``S`` on the active points, by a dense
-    eigensolve of ``L = I - S`` (the fallback of the iterative path and
-    the reference its tests compare against)."""
-    _, active, Lsym = normalized_adjacency(Kv)
-    # I - S in place: the doubles of np.eye(n) - S (0 - s, not -s, keeps
-    # its +0.0), with no second n x n array
-    np.subtract(0.0, Lsym, out=Lsym)
-    Lsym[np.diag_indices_from(Lsym)] += 1.0
-    _symmetrize(Lsym)
-    w, vecs = np.linalg.eigh(Lsym)
-    return 1.0 - w[:c], vecs[:, :c]
+def _scaled_product(M, d: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``d ⊙ (M @ (d ⊙ X))`` for any ``@`` operand ``M``."""
+    return d[:, None] * (M @ (d[:, None] * X))
 
 
-def _scaled_product(K, d: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``d ⊙ (K @ (d ⊙ X))`` for the dense ``K`` or its ``NystromFactors``."""
-    return d[:, None] * (K @ (d[:, None] * X))
+def _normalized_operator(M, deg: np.ndarray):
+    """The operator ``X -> d ⊙ (M @ (d ⊙ X))`` of the symmetric ``M`` (any
+    ``@`` operand) and the mask of its active points, those of positive
+    degree: ``d`` is ``deg^{-1/2}`` there and 0 elsewhere, the package's
+    one ``deg^{-1/2}``."""
+    active = deg > 0
+    d = np.zeros(deg.size)
+    d[active] = 1.0 / np.sqrt(deg[active])
+    return functools.partial(_scaled_product, M, d), active
 
 
-def _leading_eigenpairs(matmat, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _leading_eigenpairs(
+    matmat, X: np.ndarray, maxiter: int = _EIGEN_MAXITER
+) -> tuple[np.ndarray, np.ndarray]:
     """The ``c = X.shape[1]`` largest eigenvalues, in descending order, and
     their eigenvectors of the symmetric operator ``matmat``, from the
     starting block ``X``.
@@ -215,13 +214,14 @@ def _leading_eigenpairs(matmat, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are combinations of the previous basis, so their images are too, and
     ``matmat`` is applied once per iteration, to ``Z``.  The iteration
     stops when every residual ``|S x - lambda x|``, taken from those same
-    images, is at most ``_EIGEN_TOL``, or after ``_EIGEN_MAXITER`` steps;
-    the caller judges the block it returns.
+    images, is at most ``_EIGEN_TOL``, or after ``maxiter`` steps, which
+    apply ``matmat`` ``maxiter`` times; the caller judges the block it
+    returns.
     """
     c = X.shape[1]
     Q = np.linalg.qr(X)[0]
     SQ = matmat(Q)
-    for _ in range(_EIGEN_MAXITER):
+    for it in range(maxiter):
         H = Q.T @ SQ
         w, U = np.linalg.eigh(0.5 * (H + H.T))
         lam, U = w[: -c - 1 : -1], U[:, : -c - 1 : -1]
@@ -233,7 +233,7 @@ def _leading_eigenpairs(matmat, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         XP, SXP = Q @ V, SQ @ V
         X = XP[:, :c]
         R = SXP[:, :c] - X * lam
-        if np.linalg.norm(R, axis=0).max() <= _EIGEN_TOL:
+        if it == maxiter - 1 or np.linalg.norm(R, axis=0).max() <= _EIGEN_TOL:
             break
         # twice: one pass leaves R short of orthogonal to XP when the
         # residuals lie nearly in its span, as they do near convergence
@@ -244,27 +244,30 @@ def _leading_eigenpairs(matmat, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, X
 
 
-def _iterative_embedding(
-    K, deg: np.ndarray, active: np.ndarray, c: int, seed: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Leading ``c`` eigenpairs of ``d ⊙ (K @ (d ⊙ X))`` by one run of the
-    block solver from a seeded starting block, or ``None`` when the
-    returned block is not an orthonormal set of eigenvectors of that
-    operator within ``_RESIDUAL_TOL``.
+def _dense_embedding(matmat, active: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``c`` (at most all) largest eigenvalues, descending, and their
+    eigenvectors on the ``active`` points of the symmetric ``matmat``, by
+    ``np.linalg.eigh`` of the symmetrised matrix it gives from their
+    identity columns, 64 at a time."""
+    idx = np.flatnonzero(active)
+    A = np.empty((idx.size, idx.size))
+    for j0, j1 in _row_panels(idx.size):
+        E = np.zeros((active.size, j1 - j0))
+        E[idx[j0:j1], np.arange(j1 - j0)] = 1.0
+        A[:, j0:j1] = matmat(E)[idx]
+    _symmetrize(A)
+    w, vecs = np.linalg.eigh(A)
+    return w[: -c - 1 : -1], vecs[:, : -c - 1 : -1]
 
-    ``K`` is the dense matrix or the completion's ``NystromFactors``.
-    ``d`` is ``deg^{-1/2}`` on the ``active`` points and 0 elsewhere.
-    Inactive rows and columns of a non-negative ``K`` are all zero, so the
-    operator runs on the full ``K`` with vectors that are zero on the
-    inactive points, and nothing of size n x n is formed.
-    """
-    n = deg.size
-    d = np.zeros(n)
-    d[active] = 1.0 / np.sqrt(deg[active])
-    rng = stream_rng(seed, "spectral_start")
-    X0 = rng.standard_normal((n, c))
+
+def _iterative_embedding(
+    matmat, active: np.ndarray, c: int, seed: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Leading ``c`` eigenpairs of ``matmat`` on the ``active`` points by one
+    block solver run from ``seed``'s block, or ``None`` when the block is
+    not orthonormal eigenvectors of ``matmat`` within ``_RESIDUAL_TOL``."""
+    X0 = stream_rng(seed, "spectral_start").standard_normal((active.size, c))
     X0[~active] = 0.0
-    matmat = functools.partial(_scaled_product, K, d)
     lam, V = _leading_eigenpairs(matmat, X0)
     resid = np.linalg.norm(matmat(V) - V * lam, axis=0).max(initial=0.0)
     gram_gap = np.abs(V.T @ V - np.eye(c)).max(initial=0.0)
@@ -278,20 +281,14 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     """Normalised spectral clustering of a symmetric non-negative
     similarity matrix (kernel-kind completion or plain array).
 
-    The ``c`` leading eigenvectors of ``S = Dg^{-1/2} K Dg^{-1/2}`` (the
-    ``c`` smallest of the normalised Laplacian) come from the block
-    eigensolver on the operator ``X -> d ⊙ (K @ (d ⊙ X))`` with ``d =
-    deg^{-1/2}``, started from a block drawn from ``seed``; no n x n
-    intermediate is formed.  The degrees are the completion's row sums.
-    The completion's ``operator`` applies ``K`` inside the solver and in
-    the check of the returned block, so a completion whose factors give
-    ``K`` exactly is never made dense on this path, and one that clipped
-    is made dense once for the solver and once more for a fallback.  A dense
-    eigensolve replaces the block when fewer than ``5 c`` points are
-    active, or when the one solver run returns a block that is not
-    orthonormal, or whose largest residual ``|S v - lambda v|`` exceeds
-    1e-6; ``ConfigError`` is raised instead when its peak (about 5.2 n^2
-    x 8 B) is more than the memory available.
+    The ``c`` leading eigenvectors of ``S = Dg^{-1/2} K Dg^{-1/2}`` come
+    from the block eigensolver on the normalised operator of the
+    completion's ``operator``, read once (a completion that clipped is
+    made dense once), from a block drawn from ``seed``.  The dense path,
+    on the same operator, replaces the block when fewer than ``5 c``
+    points are active or the block fails its check; ``ConfigError`` is
+    raised instead when its peak (``_DENSE_FALLBACK_PEAK_N2``) is more
+    than the memory available.
 
     Points with exactly zero degree cannot be related to anything: each
     one is put in its own extra singleton cluster (appended after the
@@ -303,18 +300,17 @@ def spectral_cluster(K, c: int, seed: int = 0) -> ClusterAssignment:
     if not (2 <= c <= n):
         raise ValueError(f"cluster count must lie in [2, {n}], got {c}")
 
-    deg = completed.row_sums()
-    active = deg > 0
+    matmat, active = _normalized_operator(completed.operator, completed.row_sums())
     n_active = int(active.sum())
     if n_active < c:
         raise ValueError(
             f"only {n_active} points have nonzero degree; cannot form {c} clusters"
         )
     solve = n_active >= 5 * c  # enough active points for a block of c vectors
-    found = _iterative_embedding(completed.operator, deg, active, c, seed) if solve else None
+    found = _iterative_embedding(matmat, active, c, seed) if solve else None
     if found is None:
         _check_dense_fallback_fits(n)
-        found = _dense_embedding(completed.values, c)
+        found = _dense_embedding(matmat, active, c)
     _, vecs = found
     norms = np.linalg.norm(vecs, axis=1)
     rows = np.where(norms[:, None] > 0, vecs / np.where(norms == 0, 1.0, norms)[:, None], 0.0)

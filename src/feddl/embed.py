@@ -20,7 +20,8 @@ UMAP
     ``sum_j exp(-max(0, d_ij - rho_i) / sigma_i) = log2(n_neighbors)``;
     fuzzy-union symmetrisation ``mu_ij = mu_{i|j} + mu_{j|i} -
     mu_{i|j} mu_{j|i}``, kept as compressed sparse rows (``CSRGraph``);
-    a spectral starting layout by subspace iteration on those rows;
+    a spectral starting layout by the package's one spectral eigensolver
+    (``clustering``) on those rows;
     full-batch descent on the fuzzy cross-entropy with low-dimensional
     memberships ``1 / (1 + a ||z_i - z_j||^{2b})``, its attraction taken
     on the kNN edge list (the nonzero ``mu``) and its repulsion exactly
@@ -73,6 +74,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .clustering import _dense_embedding, _leading_eigenpairs, _normalized_operator
 from .errors import NumericalAbort
 from .kernels import (
     _TILE,
@@ -100,6 +102,8 @@ __all__ = [
 
 #: probability floor used wherever a log of an affinity is taken.
 _LOG_FLOOR = 1e-12
+#: the block solver's cap in UMAP's spectral start: its operator applications
+_START_MAXITER = 50
 #: UMAP gradient coefficients above this, which at b != 1 only pairs
 #: within about 1e-3 of each other reach, are applied to ``z_i - z_j``
 #: directly (``umap_ce_gradient``)
@@ -720,14 +724,19 @@ def _fuzzy_union(cols: np.ndarray, memberships: np.ndarray) -> CSRGraph:
     return CSRGraph.from_entries(n, keys // n, keys % n, vals[first])
 
 
+def _graph_lists(n_neighbors: int) -> _NeighbourLists:
+    """``umap_graph``'s panel reader: lists ranked on square roots."""
+    return _NeighbourLists(n_neighbors, root=True)
+
+
 def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
     """Fuzzy neighbourhood graph from squared distances, as a
     ``CSRGraph`` of its O(n n_neighbors) memberships.
 
     Works on the square roots of the entries (plain distances);
     neighbours are chosen by distance with ties broken by index, on the
-    64-row panels of ``D`` by a panel reader (``kernels._NeighbourLists``),
-    the one the completion's pass fed when there is one.  Each point's
+    64-row panels of ``D`` by a panel reader (``_graph_lists``), the one
+    the completion's pass fed when there is one.  Each point's
     nearest neighbour receives membership one; memberships are
     symmetrised with the fuzzy union (``_fuzzy_union``), entry for entry
     the dense formula's.
@@ -738,8 +747,7 @@ def umap_graph(D, n_neighbors: int = 15) -> AffinityMatrix:
         raise ValueError(f"the UMAP graph needs >= 2 points, got {n}")
     if not (1 <= n_neighbors <= n - 1):
         raise ValueError(f"n_neighbors must lie in [1, {n - 1}], got {n_neighbors}")
-    # neighbours are ranked on the square roots: sqrt can tie distinct d2
-    lists = completed.read(_NeighbourLists(n_neighbors, root=True))
+    lists = completed.read(_graph_lists(n_neighbors))
     order, nd = lists.indices, lists.entries
     shifted = np.maximum(nd - nd[:, :1], 0.0)  # rho_i is the nearest distance
     if n_neighbors == 1:
@@ -896,41 +904,45 @@ def umap_ce_gradient(
 
 
 def _spectral_layout(G: CSRGraph, out_dim: int, noise: np.ndarray) -> np.ndarray:
-    """Graph-spectral starting layout for the membership graph ``G``.
-
-    Computes the leading non-trivial eigenvectors of the symmetrically
-    normalised adjacency ``d^{-1/2} G d^{-1/2}`` of the points with
-    degree ``d > 0`` by subspace iteration started from the seeded
-    ``noise`` block, each step one product with the graph's entries
-    (``CSRGraph.__matmul__``, O(nnz)).  Subspace iteration (rather than a
-    LAPACK eigensolver) keeps the result equivariant under point
-    reordering even when the leading eigenvalues are degenerate, because
-    every step is an equivariant map of the equivariant starting block.
-    The layout is scaled to a maximum absolute coordinate of 10.
+    """Graph-spectral starting layout for the membership graph ``G``: the
+    leading eigenvectors of its normalised adjacency ``S`` on its points
+    of positive degree, with the trivial one, ``t ∝ sqrt(deg)``, projected
+    out and sent below ``S``'s spectrum [-1, 1] (``P S P - 2 t t'``, ``P = I
+    - t t'``).  The block solver runs from the seeded ``noise`` for at most
+    ``_START_MAXITER`` operator applications; below ``5 out_dim`` active
+    points the dense path keeps the whole eigenspace at the cut.  The
+    columns are the Gram–Schmidt basis of ``noise`` projected onto the
+    subspace found: each sign follows its start column, and the layout is
+    equivariant under point reordering, degenerate eigenvalues included
+    (on the block path, save one at the cut).  Other points, and columns
+    past the ``n_active - 1`` non-trivial ones, are 0; the layout is
+    scaled to a maximum absolute coordinate of 10.
     """
-    rows = G.rows()
-    deg = np.bincount(rows, weights=G.data, minlength=G.n)
-    active = deg > 0
+    deg = np.bincount(G.rows(), weights=G.data, minlength=G.n)
+    S, active = _normalized_operator(G, deg)
+    n_active = int(active.sum())
+    dim = min(out_dim, n_active - 1)
     V = np.zeros((G.n, out_dim))
-    if int(active.sum()) >= 2:
-        # the other points' rows and columns of S are 0, so they stay at 0
-        d_isqrt = np.zeros(G.n)
-        d_isqrt[active] = 1.0 / np.sqrt(deg[active])
-        S = CSRGraph(G.indptr, G.indices, G.data * d_isqrt[rows] * d_isqrt[G.indices])
-        trivial = np.sqrt(np.maximum(deg, 0.0))
-        trivial = trivial / np.linalg.norm(trivial)
-        B = np.where(active[:, None], noise, 0.0)
-        for _ in range(50):
-            B = S @ B
-            B = B - trivial[:, None] * (trivial @ B)[None, :]
-            # Gram-Schmidt keeps the block well conditioned; rank-deficient
-            # directions are left at zero.
-            for j in range(out_dim):
-                for i in range(j):
-                    B[:, j] -= (B[:, i] @ B[:, j]) * B[:, i]
-                nrm = np.linalg.norm(B[:, j])
-                B[:, j] = B[:, j] / nrm if nrm > 1e-12 else 0.0
-        V = B
+    if dim > 0:
+        t = np.sqrt(np.where(active, deg, 0.0))
+        t /= np.linalg.norm(t)
+
+        def deflated(X: np.ndarray) -> np.ndarray:
+            tX = t @ X
+            Y = S(X - t[:, None] * tX)
+            Y -= t[:, None] * (t @ Y + 2.0 * tX)
+            return Y
+
+        start = np.where(active[:, None], noise[:, :dim], 0.0)
+        if n_active >= 5 * out_dim:
+            U = _leading_eigenpairs(deflated, start, _START_MAXITER)[1]
+        else:
+            U = np.zeros((G.n, n_active))
+            w, U[active] = _dense_embedding(deflated, active, n_active)
+            U = U[:, w >= w[dim - 1] - 1e-9]  # the whole eigenspace at the cut
+        # the block's QR can leave rounding on the other points' rows
+        Q, R = np.linalg.qr(U[active] @ (U.T @ start))
+        V[active, :dim] = Q * np.where(np.diagonal(R) < 0.0, -1.0, 1.0)
     peak = np.abs(V).max()
     if peak > 0:
         V *= 10.0 / peak

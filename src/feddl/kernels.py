@@ -28,6 +28,9 @@ fit: each shard's per run and each landmark matrix's once; the embedding
 passes: the layout's once per sweep), so a block is the same double
 whichever way its operands arrived.
 
+Normalised adjacencies are applied, never formed, by
+``clustering._normalized_operator``.
+
 Validation boundary: the public functions here and ``federation.ClientShard``
 check their arrays; ``sq_dists``, ``_distances``, ``_gaussian_block``, the
 MMD terms and ``_mmd_gradient_core`` run unchecked on arrays that were
@@ -410,17 +413,3 @@ def median_heuristic_gamma(Y) -> float:
     if not np.isfinite(med) or med <= 0.0:
         return 1.0
     return 1.0 / (2.0 * med)
-
-
-def normalized_adjacency(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degrees ``d`` of a symmetric non-negative matrix ``M``, the mask of
-    points with ``d > 0``, and the symmetrically normalised adjacency
-    ``d^{-1/2} M d^{-1/2}`` restricted to those points, scaled in place in
-    the one copy of ``M``'s active block."""
-    deg = M.sum(axis=1)
-    active = deg > 0
-    d_isqrt = 1.0 / np.sqrt(deg[active])
-    S = M[np.ix_(active, active)]
-    S *= d_isqrt[:, None]
-    S *= d_isqrt[None, :]
-    return deg, active, S

@@ -35,6 +35,7 @@ from .data import load_dataset, partition
 from .embed import (
     EmbedConfig,
     _Calibration,
+    _graph_lists,
     tsne_affinities,
     tsne_embed,
     umap_embed,
@@ -44,7 +45,6 @@ from .errors import ConfigError, DataError, NumericalAbort, _available_memory, o
 from .federation import FedResult, init_landmarks, perturb_shards, run_feddl
 from .kernels import (
     KernelParams,
-    _NeighbourLists,
     gaussian_kernel,
     median_heuristic_gamma,
     pairwise_sq_dist,
@@ -207,7 +207,7 @@ def _readers(command: str, econf: EmbedConfig, cfg: PipelineConfig, n: int) -> t
     if command == "tsne":
         affinity = _Calibration(econf.perplexity)
     else:
-        affinity = _NeighbourLists(econf.n_neighbors, root=True)
+        affinity = _graph_lists(econf.n_neighbors)
     return affinity, _npa_lists(cfg.npa_ks, n)
 
 

@@ -11,12 +11,13 @@ symmetrisations and the ranking against them bit for bit, and the passes
 to within 1e-12 relative (a pass over each unordered pair once sums in
 another order).
 
-``panel_ce_constants`` and ``spectral_layout`` are the UMAP edge lists and
-starting layout as they were made from the dense n x n memberships,
-before the fuzzy graph was kept as sparse rows.  The tests check the
-sparse graph's edge lists and entropy against the first bit for bit, and
-its layout against the second to within 1e-10 (its products sum each row
-in another order).
+``panel_ce_constants`` is the UMAP edge lists as they were made from the
+dense n x n memberships, before the fuzzy graph was kept as sparse rows;
+the tests check the sparse graph's edge lists and entropy against it bit
+for bit.  ``spectral_layout`` is the UMAP starting layout as it was
+before it shared the block eigensolver: 50 steps of subspace iteration
+with Gram–Schmidt on the dense normalised adjacency.  The tests report
+how far the layouts and the embeddings started from them differ.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import math
 import numpy as np
 
 from feddl.embed import AffinityMatrix, _upper_panels
-from feddl.kernels import knn_indices, normalized_adjacency, sq_dists
+from feddl.kernels import knn_indices, sq_dists
 from feddl.nystrom import CompletedMatrix, MatrixKind
+from kernels_reference import normalized_adjacency
 
 _LOG_FLOOR = 1e-12
 

@@ -8,6 +8,9 @@ set a symmetrised copy with a zero diagonal before ``x -gamma`` and
 ``exp``.  The tests check the augmented core against it within ``(d + 2)
 eps (||a||^2 + ||b||^2)`` per entry, and the kernel block within gamma
 times that bound.
+
+``normalized_adjacency`` is the dense normalised adjacency the spectral
+paths once formed; the tests build their eigensolver references from it.
 """
 
 from __future__ import annotations
@@ -37,3 +40,18 @@ def gram_gaussian_block(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarra
         np.fill_diagonal(D2, 0.0)
     D2 *= -gamma
     return np.exp(D2, out=D2)
+
+
+def normalized_adjacency(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degrees ``d`` of a symmetric matrix ``M``, the mask of points with
+    ``d > 0``, and the symmetrically normalised adjacency ``d^{-1/2} M
+    d^{-1/2}`` restricted to those points, scaled in place in the one
+    copy of ``M``'s active block (``kernels.normalized_adjacency`` before
+    the package's spectral paths shared one normalised operator)."""
+    deg = M.sum(axis=1)
+    active = deg > 0
+    d_isqrt = 1.0 / np.sqrt(deg[active])
+    S = M[np.ix_(active, active)]
+    S *= d_isqrt[:, None]
+    S *= d_isqrt[None, :]
+    return deg, active, S

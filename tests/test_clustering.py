@@ -9,13 +9,12 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from feddl import clustering
-from feddl.clustering import ClusterAssignment, kmeans, spectral_cluster
+from feddl.clustering import ClusterAssignment, _normalized_operator, kmeans, spectral_cluster
 from feddl.config import parse_config
 from feddl.data import BlobSpec, generate_blobs
 from feddl.kernels import (
     KernelParams,
     gaussian_kernel,
-    normalized_adjacency,
     pairwise_sq_dist,
     sq_dists,
 )
@@ -24,6 +23,7 @@ from feddl.metrics import nmi
 from feddl.nystrom import CompletedMatrix, MatrixKind, NystromFactors
 from feddl.pipeline import run_fed_speclust
 from feddl.privacy import stream_rng
+from kernels_reference import normalized_adjacency
 from test_pipeline import TINY_INI
 
 
@@ -334,15 +334,15 @@ def test_iterative_path_matches_dense_reference(monkeypatch, tmp_path, make, c):
     assert out.n_clusters == ref.n_clusters and out.inertia == pytest.approx(ref.inertia)
 
     deg = K.sum(axis=1)
-    lam, _ = clustering._iterative_embedding(K, deg, deg > 0, c, 3)
-    lam_ref, _ = clustering._dense_embedding(K, c)
+    lam, _ = clustering._iterative_embedding(*_normalized_operator(K, deg), c, 3)
+    lam_ref, _ = clustering._dense_embedding(*_normalized_operator(K, deg), c)
     npt.assert_allclose(lam, lam_ref, rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("make,c", SPECTRAL_CASES.values(), ids=SPECTRAL_CASES)
 def test_dense_path_matches_scipy_eigh(tmp_path, make, c):
     K = make(tmp_path)
-    lam, V = clustering._dense_embedding(K, c)
+    lam, V = clustering._dense_embedding(*_normalized_operator(K, K.sum(axis=1)), c)
     _, _, S = normalized_adjacency(K)
     Lsym = np.eye(S.shape[0]) - S
     w_ref, V_ref = scipy.linalg.eigh(0.5 * (Lsym + Lsym.T), subset_by_index=(0, c - 1))
@@ -397,7 +397,8 @@ def test_degenerate_kernel_reruns_are_identical(monkeypatch):
     # k-means would hide a change of basis within the degenerate
     # eigenspace; the eigenvectors themselves repeat bit for bit too
     deg = K.sum(axis=1)
-    bases = {clustering._iterative_embedding(K, deg, deg > 0, 3, 5)[1].tobytes() for _ in range(4)}
+    matmat, active = _normalized_operator(K, deg)
+    bases = {clustering._iterative_embedding(matmat, active, 3, 5)[1].tobytes() for _ in range(4)}
     assert len(bases) == 1
 
 
@@ -478,8 +479,10 @@ def test_factored_path_matches_dense_path(monkeypatch, tmp_path, make, c):
     assert out.n_clusters == dense.n_clusters and out.inertia == pytest.approx(dense.inertia)
 
     deg = K.sum(axis=1)
-    lam, _ = clustering._iterative_embedding(completed.operator, deg, deg > 0, c, 3)
-    lam_dense, _ = clustering._iterative_embedding(K, deg, deg > 0, c, 3)
+    lam, _ = clustering._iterative_embedding(
+        *_normalized_operator(completed.operator, deg), c, 3
+    )
+    lam_dense, _ = clustering._iterative_embedding(*_normalized_operator(K, deg), c, 3)
     npt.assert_allclose(lam, lam_dense, rtol=0, atol=1e-8)
 
 
@@ -495,7 +498,7 @@ def test_block_solver_matches_lobpcg(tmp_path, make, c):
     K = make(tmp_path)
     operand = K.operator if isinstance(K, CompletedMatrix) else K
     deg = CompletedMatrix.coerce(K, MatrixKind.KERNEL).row_sums()
-    lam, V = clustering._iterative_embedding(operand, deg, deg > 0, c, 3)
+    lam, V = clustering._iterative_embedding(*_normalized_operator(operand, deg), c, 3)
     lam_ref, V_ref = _lobpcg_reference(K, c, 3)
     npt.assert_allclose(lam, lam_ref, rtol=0, atol=1e-8)
     assert _largest_principal_angle(V_ref, V) <= 1e-6

@@ -13,13 +13,13 @@ from feddl.kernels import (
     median_heuristic_gamma,
     mmd,
     mmd_gradient,
-    normalized_adjacency,
     pairwise_sq_dist,
     sq_dists,
 )
+from feddl.clustering import _normalized_operator
 from feddl.kernels import _gaussian_block, _operands
 from helpers import central_fd
-from kernels_reference import gram_gaussian_block, gram_sq_dists
+from kernels_reference import gram_gaussian_block, gram_sq_dists, normalized_adjacency
 
 EPS = np.finfo(np.float64).eps
 
@@ -386,13 +386,17 @@ def test_median_heuristic_subsample_deterministic(rng):
     assert median_heuristic_gamma(Y) == median_heuristic_gamma(Y)
 
 
-def test_normalized_adjacency_drops_isolated_points(rng):
+def test_normalized_operator_drops_isolated_points(rng):
     A = rng.random((6, 6))
     M = A + A.T
     M[2, :] = M[:, 2] = 0.0  # an isolated point
-    deg, active, S = normalized_adjacency(M)
+    matmat, active = _normalized_operator(M, M.sum(axis=1))
     keep = [0, 1, 3, 4, 5]
-    npt.assert_array_equal(deg, M.sum(axis=1))
     npt.assert_array_equal(active, [True, True, False, True, True, True])
     d = M.sum(axis=1)[keep]
-    npt.assert_allclose(S, M[np.ix_(keep, keep)] / np.sqrt(np.outer(d, d)), rtol=1e-14)
+    S = matmat(np.eye(6))
+    want = M[np.ix_(keep, keep)] / np.sqrt(np.outer(d, d))
+    npt.assert_allclose(S[np.ix_(keep, keep)], want, rtol=1e-14)
+    assert not S[2].any() and not S[:, 2].any()
+    # the dense reference the eigensolver tests build on agrees
+    npt.assert_allclose(normalized_adjacency(M)[2], want, rtol=1e-14)

@@ -2,7 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from feddl import clustering
 from feddl.embed import (
+    _START_MAXITER,
     AffinityMatrix,
     EmbedConfig,
     _PanelWorkspace,
@@ -13,6 +15,7 @@ from feddl.embed import (
     umap_graph,
 )
 from feddl.errors import NumericalAbort
+from feddl.kernels import pairwise_sq_dist
 from helpers import central_fd, random_sq_distance_matrix, rel_err, within_cancelled_terms
 import embed_reference as ref
 
@@ -300,6 +303,20 @@ def test_embed_equivariant_under_point_reordering(rng):
     shuffled = umap_embed(G[np.ix_(perm, perm)], config)
     # identical up to floating-point drift from permuted reductions
     npt.assert_allclose(shuffled.Z, base.Z[perm], atol=1e-6)
+
+
+def test_spectral_start_applies_its_operator_at_most_50_times(monkeypatch):
+    # 641 points whose leading eigenvalues lie close together: the block
+    # stops at the cap, short of its tolerance
+    X = np.random.default_rng(641).normal(size=(4, 641))
+    G = umap_graph(pairwise_sq_dist(X, X), n_neighbors=15)
+    calls, real = [], clustering._scaled_product
+    monkeypatch.setattr(
+        clustering, "_scaled_product", lambda *args: calls.append(1) or real(*args)
+    )
+    emb = umap_embed(G, EmbedConfig.umap_defaults(iterations=1))
+    assert _START_MAXITER == 50 and len(calls) == 50
+    assert np.isfinite(emb.Z).all()
 
 
 def test_embed_aborts_on_non_finite_coordinates(rng):
