@@ -6,7 +6,7 @@ Data matrices are ``m x n`` with columns as points.  Supported sources:
   0x00000803 for images, 0x00000801 for labels); pixels are scaled to
   ``[0, 1]`` and each image flattened row-major into one column;
 * ``csv`` — one point per row, numeric feature columns, optional label
-  column;
+  column, read by the package's one CSV reader (``matrixio.read_csv``);
 * ``blobs`` — isotropic Gaussian clusters at deterministically placed
   centres.
 
@@ -20,8 +20,6 @@ Partition modes:
 
 from __future__ import annotations
 
-import csv as _csv
-import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -32,7 +30,7 @@ import numpy as np
 
 from .errors import DataError, overflow_aborts
 from .federation import ClientShard
-from .matrixio import check_finite_rows, integer_labels
+from .matrixio import check_finite_rows, read_csv
 from .privacy import stream_rng
 
 __all__ = [
@@ -187,103 +185,19 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     return X, labels
 
 
-def _fast_csv(text: str, label_column: str) -> tuple[np.ndarray, list | None] | None:
-    """Features and label strings of a plain CSV ``text``, the numbers
-    parsed by ``np.loadtxt``; None when the text is not plain or the parse
-    fails.
-
-    Plain means no quote, carriage return or NUL, no blank line, a data
-    row, a feature column and the header's field count on every row.
-    Then each line is one record split at every comma, as ``csv.reader``
-    splits it, and ``np.loadtxt`` and ``float`` both round with
-    ``PyOS_string_to_double``: the features are the doubles of the row
-    loop.  ``loadtxt`` refuses some fields ``float`` takes (``1_0``,
-    non-ASCII digits); those fall back to the loop.
-    """
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or not all(lines):
-        return None
-    header = lines[0].split(",")
-    if any(line.count(",") != len(header) - 1 for line in lines):
-        return None
-    label_idx = header.index(label_column) if label_column in header else None
-    feat_idx = [j for j in range(len(header)) if j != label_idx]
-    if not feat_idx:
-        return None
-    try:
-        feats = np.loadtxt(
-            lines[1:], dtype=np.float64, delimiter=",", comments=None, usecols=feat_idx, ndmin=2
-        )
-    except ValueError:
-        return None
-    if feats.shape != (len(lines) - 1, len(feat_idx)):
-        return None
-    labels = None if label_idx is None else [line.split(",")[label_idx] for line in lines[1:]]
-    return feats, labels
-
-
-def _slow_csv(path: str, text: str, label_column: str) -> tuple[np.ndarray, list | None]:
-    """Features and label strings of the CSV ``text`` by ``csv.reader``
-    and ``float``, row by row, raising ``DataError`` on the first bad row."""
-    reader = _csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty CSV") from None
-    rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: CSV has a header but no data rows")
-    label_idx = header.index(label_column) if label_column in header else None
-    feat_idx = [j for j in range(len(header)) if j != label_idx]
-    feats = np.empty((len(rows), len(feat_idx)))
-    labels = [] if label_idx is not None else None
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {i + 2} has {len(row)} fields, header has {len(header)}"
-            )
-        try:
-            feats[i] = [float(row[j]) for j in feat_idx]
-        except ValueError as exc:
-            raise DataError(f"{path}: non-numeric feature in row {i + 2}: {exc}") from exc
-        if labels is not None:
-            labels.append(row[label_idx])
-    return feats, labels
-
-
 def load_csv_dataset(path, label_column: str = "label") -> tuple[np.ndarray, np.ndarray | None]:
     """Load a CSV with one point per row and a header line.
 
-    The ``label_column`` (if present) becomes the label vector; all other
-    columns must be finite numeric features.  Numeric labels must be
-    integers (``1.0`` counts as 1) and keep their value; labels that are
-    not all numeric are coded by their distinct values.  A plain CSV is
-    parsed by ``np.loadtxt`` (``_fast_csv``); any other, and any the fast
-    parse refuses, row by row with ``csv`` and ``float``, which names the
-    first bad row.
+    The package's one CSV reader, ``matrixio.read_csv``, parses it and
+    applies its row and label rules: the ``label_column`` (if present)
+    becomes the label vector, and all other columns are the features,
+    which must also be finite.  Returns ``(X, labels)`` with one column of
+    ``X`` per point.
     """
     path = str(path)
-    try:
-        with open(path, newline="") as f:
-            text = f.read()
-    except OSError as exc:
-        raise DataError(f"cannot read CSV data: {exc}") from exc
-    feats, labels = _fast_csv(text, label_column) or _slow_csv(path, text, label_column)
+    _, feats, labels = read_csv(path, label_column)
     check_finite_rows(path, feats, "feature")
-    lab = None
-    if labels is not None:
-        arr = np.asarray(labels)
-        try:
-            values = arr.astype(np.float64)
-        except ValueError:
-            lab = np.unique(arr, return_inverse=True)[1].astype(np.int64)
-        else:
-            lab = integer_labels(path, values, labels)
-    return feats.T, lab
+    return feats.T, labels
 
 
 def _blob_centers(spec: BlobSpec) -> np.ndarray:

@@ -135,40 +135,6 @@ def sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     return _distances(left, right)
 
 
-#: rows of ``D`` that ``knn_indices`` selects from at a time
-_KNN_ROWS = 128
-
-
-def knn_indices(D: np.ndarray, k: int, *, exclude_self: bool = True) -> np.ndarray:
-    """Column indices of the ``k`` smallest entries of every row of ``D``.
-
-    Ties break by index, as in a stable sort of the row.  With
-    ``exclude_self`` the square ``D`` is read with its diagonal at
-    infinity, so a row never selects itself; ``D`` is not modified and
-    holds no NaN.  Returns a compact ``rows x k`` array.
-
-    Rows are taken 128 at a time, so the working arrays are
-    ``O(128 n)`` whatever the number of rows.  A partial selection finds
-    each row's k-th smallest value; the row keeps every entry below it
-    and the lowest-index entries equal to it, k in all, and only those k
-    are sorted (stably, from index order).
-    """
-    m, n = D.shape
-    k = min(k, n)
-    out = np.empty((m, max(k, 0)), dtype=np.intp)
-    if k < 1:
-        return out
-    for i0 in range(0, m, _KNN_ROWS):
-        i1 = min(i0 + _KNN_ROWS, m)
-        rows = D[i0:i1]
-        if exclude_self:
-            rows = rows.copy()
-            own = np.arange(i0, min(i1, n))
-            rows[own - i0, own] = np.inf
-        out[i0:i1] = _knn_rows(rows, k)
-    return out
-
-
 @dataclass
 class _NeighbourLists:
     """Panel reader (``nystrom.CompletedMatrix.read``) of a square matrix
@@ -176,8 +142,9 @@ class _NeighbourLists:
     (``indices``) and their entries (``entries``), ranked on the entries
     or, with ``root``, on their square roots, which can tie distinct
     entries.  ``_knn_rows`` selects row by row, so the lists are those of
-    ``knn_indices`` on the whole matrix, or on its square roots.  Readers
-    are equal when they select alike."""
+    a per-row stable argsort of the whole matrix, or of its square roots,
+    with the diagonal at infinity.  Readers are equal when they select
+    alike."""
 
     k: int
     root: bool = False
@@ -192,14 +159,24 @@ class _NeighbourLists:
         D = np.sqrt(panel) if self.root else panel.copy()
         own = np.arange(m)
         D[own, i0 + own] = np.inf  # a row never selects itself
-        order = knn_indices(D, self.k, exclude_self=False)
+        order = _knn_rows(D, self.k)
         self.indices[i0 : i0 + m] = order
         self.entries[i0 : i0 + m] = np.take_along_axis(D, order, axis=1)
 
 
 def _knn_rows(D: np.ndarray, k: int) -> np.ndarray:
-    """``knn_indices`` of the rows ``D``, self included, for ``1 <= k <= n``."""
+    """Column indices of the ``k`` smallest entries of every row of the
+    ``m x n`` array ``D`` (no NaN, ``0 <= k <= n``), as a compact
+    ``m x k`` array.
+
+    Ties break by index, as in a stable sort of the row.  A partial
+    selection finds each row's k-th smallest value; the row keeps every
+    entry below it and the lowest-index entries equal to it, k in all, and
+    only those k are sorted (stably, from index order).
+    """
     m = D.shape[0]
+    if k == 0:
+        return np.empty((m, 0), dtype=np.intp)
     kth = np.partition(D, k - 1, axis=1)[:, k - 1 : k].copy()  # frees the partitioned rows
     below = D < kth
     rows, cols = np.nonzero(D <= kth)  # row-major: each row's columns ascending

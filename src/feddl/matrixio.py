@@ -7,15 +7,18 @@ little-endian float64 payload.
 
 CSV files are RFC-4180-style with a header row.  Floats are written with
 ``repr``, which round-trips float64 exactly, so identical runs produce
-byte-identical files.  Every CSV reader (here and in ``data``) applies
-the same row rules: ``check_finite_rows`` rejects a non-finite value and
-``integer_labels`` a numeric label that is not an integer, each with a
-``DataError`` naming the row (the header is row 1).
+byte-identical files.  The package reads CSV in one place: ``read_csv``
+reads datasets (``data.load_csv_dataset``) and embeddings
+(``read_embedding_csv``) alike.  It rejects a row without the header's
+field count, a non-numeric value and a numeric label that is not an
+integer, and its callers (``check_finite_rows``) a non-finite value, each
+with a ``DataError`` naming the row (the header is row 1).
 """
 
 from __future__ import annotations
 
 import csv as _csv
+import io
 import os
 import stat
 import struct
@@ -31,6 +34,7 @@ __all__ = [
     "read_matrix",
     "write_embedding_csv",
     "read_embedding_csv",
+    "read_csv",
     "write_labels_csv",
     "write_trace_csv",
     "write_metrics_csv",
@@ -124,15 +128,117 @@ def check_finite_rows(path, X: np.ndarray, what: str) -> None:
         raise DataError(f"{path}: non-finite {what} in row {bad[0] + 2}")
 
 
-def integer_labels(path, values: np.ndarray, text) -> np.ndarray:
-    """Numeric labels ``values``, parsed from the strings ``text``, as
-    int64.  A value that is not an integer (non-integral, nan, inf or
-    beyond int64) raises ``DataError`` naming its row; ``1.0`` is 1."""
+def read_csv(path, label_column: str = "label") -> tuple[list[str], np.ndarray, np.ndarray | None]:
+    """The names of the numeric columns of a CSV with a header line, their
+    values (one row per data row) and its labels.
+
+    Every column but ``label_column`` must be numeric; ``label_column``
+    (if present) becomes the label vector.  Numeric labels must be
+    integers (``1.0`` counts as 1) and keep their value; labels that are
+    not all numeric are coded by their distinct values.  Every row must
+    have the header's field count.  A plain CSV is parsed by
+    ``np.loadtxt`` (``_fast_csv``); any other, and any the fast parse
+    refuses, row by row with ``csv`` and ``float`` (``_slow_csv``), which
+    names the first bad row.  The values may be non-finite: the caller
+    checks the columns it keeps (``check_finite_rows``).
+    """
+    path = str(path)
+    try:
+        with open(path, newline="") as f:
+            text = f.read()
+    except OSError as exc:
+        raise DataError(f"cannot read CSV data: {exc}") from exc
+    names, values, text_labels = _fast_csv(text, label_column) or _slow_csv(
+        path, text, label_column
+    )
+    if text_labels is None:
+        return names, values, None
+    arr = np.asarray(text_labels)
+    try:
+        labels = arr.astype(np.float64)
+    except ValueError:
+        return names, values, np.unique(arr, return_inverse=True)[1].astype(np.int64)
     # ``< 2**63`` is false for nan and inf, and keeps the cast exact.
-    bad = np.flatnonzero((values != np.floor(values)) | ~(np.abs(values) < 2.0**63))
+    bad = np.flatnonzero((labels != np.floor(labels)) | ~(np.abs(labels) < 2.0**63))
     if bad.size:
-        raise DataError(f"{path}: label {text[bad[0]]!r} in row {bad[0] + 2} is not an integer")
-    return values.astype(np.int64)
+        raise DataError(
+            f"{path}: label {text_labels[bad[0]]!r} in row {bad[0] + 2} is not an integer"
+        )
+    return names, values, labels.astype(np.int64)
+
+
+def _columns(header: list[str], label_column: str) -> tuple[int | None, list[int]]:
+    """Index of ``label_column`` in ``header`` (None without one) and the
+    indices of the other, numeric, columns."""
+    label_idx = header.index(label_column) if label_column in header else None
+    return label_idx, [j for j in range(len(header)) if j != label_idx]
+
+
+def _fast_csv(text: str, label_column: str) -> tuple[list[str], np.ndarray, list | None] | None:
+    """``read_csv``'s column names, values and label strings of a plain
+    CSV ``text``, the numbers parsed by ``np.loadtxt``; None when the text
+    is not plain or the parse fails.
+
+    Plain means no quote, carriage return or NUL, no blank line, a data
+    row, a numeric column and the header's field count on every row.
+    Then each line is one record split at every comma, as ``csv.reader``
+    splits it, and ``np.loadtxt`` and ``float`` both round with
+    ``PyOS_string_to_double``: the values are the doubles of the row
+    loop.  ``loadtxt`` refuses some fields ``float`` takes (``1_0``,
+    non-ASCII digits); those fall back to the loop.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or not all(lines):
+        return None
+    header = lines[0].split(",")
+    if any(line.count(",") != len(header) - 1 for line in lines):
+        return None
+    label_idx, value_idx = _columns(header, label_column)
+    if not value_idx:
+        return None
+    try:
+        values = np.loadtxt(
+            lines[1:], dtype=np.float64, delimiter=",", comments=None, usecols=value_idx, ndmin=2
+        )
+    except ValueError:
+        return None
+    if values.shape != (len(lines) - 1, len(value_idx)):
+        return None
+    labels = None if label_idx is None else [line.split(",")[label_idx] for line in lines[1:]]
+    return [header[j] for j in value_idx], values, labels
+
+
+def _slow_csv(path: str, text: str, label_column: str) -> tuple[list[str], np.ndarray, list | None]:
+    """``read_csv``'s column names, values and label strings of the CSV
+    ``text`` by ``csv.reader`` and ``float``, row by row, raising
+    ``DataError`` on the first bad row."""
+    reader = _csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty CSV") from None
+    rows = list(reader)
+    if not rows:
+        raise DataError(f"{path}: CSV has a header but no data rows")
+    label_idx, value_idx = _columns(header, label_column)
+    values = np.empty((len(rows), len(value_idx)))
+    labels = [] if label_idx is not None else None
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {i + 2} has {len(row)} fields, header has {len(header)}"
+            )
+        try:
+            values[i] = [float(row[j]) for j in value_idx]
+        except ValueError as exc:
+            raise DataError(f"{path}: non-numeric feature in row {i + 2}: {exc}") from exc
+        if labels is not None:
+            labels.append(row[label_idx])
+    return [header[j] for j in value_idx], values, labels
 
 
 def _fmt(x) -> str:
@@ -157,36 +263,18 @@ def write_embedding_csv(path, Z: np.ndarray, labels=None) -> None:
 
 
 def read_embedding_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
-    """Coordinates and integer labels (``None`` without a ``label``
-    column) of an embedding CSV; coordinates must be finite."""
-    path = str(path)
-    try:
-        with open(path, newline="") as f:
-            reader = _csv.reader(f)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty embedding CSV")
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read embedding CSV: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: embedding CSV has a header but no data rows")
-    has_label = header and header[-1] == "label"
-    zcols = [j for j, h in enumerate(header) if h.startswith("z")]
-    if not zcols or header[0] != "point_id":
-        raise DataError(f"{path}: unexpected embedding header {header!r}")
-    Z = np.empty((len(rows), len(zcols)))
-    labels = np.empty(len(rows)) if has_label else None
-    for i, row in enumerate(rows):
-        try:
-            Z[i] = [float(row[j]) for j in zcols]
-            if labels is not None:
-                labels[i] = float(row[-1])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: malformed row {i + 2}: {exc}") from exc
+    """Coordinates and labels (``None`` without a ``label`` column) of an
+    embedding CSV, read by ``read_csv``.  The first numeric column must be
+    ``point_id`` and the coordinates are the ``z*`` columns, which must be
+    finite; the other numeric columns are dropped."""
+    names, values, labels = read_csv(path)
+    zcols = [j for j, h in enumerate(names) if h.startswith("z")]
+    if not zcols or names[0] != "point_id":
+        raise DataError(f"{path}: unexpected embedding header {names!r}")
+    # C order, as the coordinates were written: the metrics' reductions
+    # round differently on the column-major array the indexing gives
+    Z = np.ascontiguousarray(values[:, zcols])
     check_finite_rows(path, Z, "coordinate")
-    if labels is not None:
-        labels = integer_labels(path, labels, [row[-1] for row in rows])
     return Z, labels
 
 

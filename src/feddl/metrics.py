@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _NeighbourLists, _distances, _operands, _row_panels, knn_indices
+from .kernels import _NeighbourLists, _distances, _knn_rows, _operands, _row_panels
 from .nystrom import CompletedMatrix, MatrixKind
 from .privacy import stream_rng
 
@@ -101,7 +101,7 @@ def ca_knn(
     # a stable ordering: its first k columns are exactly the k nearest
     nearest = np.empty((test.size, k_max), dtype=np.intp)
     for r0, D in _panel_sq_dists(Z[test], Z[train]):
-        nearest[r0 : r0 + D.shape[0]] = knn_indices(D, k_max, exclude_self=False)
+        nearest[r0 : r0 + D.shape[0]] = _knn_rows(D, k_max)
     votes = enc[train][nearest]
     counts = np.zeros((test.size, classes.size), dtype=np.int64)
     acc = {}

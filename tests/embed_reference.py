@@ -27,9 +27,9 @@ import math
 import numpy as np
 
 from feddl.embed import AffinityMatrix, _upper_panels
-from feddl.kernels import knn_indices, sq_dists
+from feddl.kernels import sq_dists
 from feddl.nystrom import CompletedMatrix, MatrixKind
-from kernels_reference import normalized_adjacency
+from kernels_reference import knn_indices, normalized_adjacency
 
 _LOG_FLOOR = 1e-12
 

@@ -11,6 +11,9 @@ times that bound.
 
 ``normalized_adjacency`` is the dense normalised adjacency the spectral
 paths once formed; the tests build their eigensolver references from it.
+
+``knn_indices`` is the whole-matrix neighbour selection the panel readers
+and the metrics are checked against.
 """
 
 from __future__ import annotations
@@ -55,3 +58,12 @@ def normalized_adjacency(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     S *= d_isqrt[:, None]
     S *= d_isqrt[None, :]
     return deg, active, S
+
+
+def knn_indices(D: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the ``k`` nearest other points of every row of the
+    square ``D``: a stable argsort of each row with its own entry at
+    +inf, so ties break by index and a row never selects itself."""
+    D = D.copy()
+    np.fill_diagonal(D, np.inf)
+    return np.argsort(D, axis=1, kind="stable")[:, :k]

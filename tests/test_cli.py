@@ -834,6 +834,23 @@ BAD_INPUTS = {
         lambda p: _eval(p, row="3,0.25,0.5,1.5"),
         "label '1.5' in row 5 is not an integer",
     ),
+    # a row without its label, and one with a stray trailing field
+    "embedding-missing-label": (
+        lambda p: _eval(p, row="3,0.25,0.5"),
+        "row 5 has 3 fields, header has 4",
+    ),
+    "plot-missing-label": (
+        lambda p: ["plot", "--embedding", str(_embedding(p, row="3,0.25,0.5"))],
+        "row 5 has 3 fields, header has 4",
+    ),
+    "embedding-extra-field": (
+        lambda p: _eval(p, row="3,0.25,0.5,1,9"),
+        "row 5 has 5 fields, header has 4",
+    ),
+    "plot-extra-field": (
+        lambda p: ["plot", "--embedding", str(_embedding(p, row="3,0.25,0.5,1,9"))],
+        "row 5 has 5 fields, header has 4",
+    ),
     "fdlm-nan-distances": (
         lambda p: _eval(p, distances=_with_nan),
         "distance matrix contains non-finite entries",

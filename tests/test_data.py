@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feddl import data
+from feddl import matrixio
 from feddl.data import (
     BlobSpec,
     DatasetSpec,
@@ -23,6 +23,7 @@ from feddl.data import (
     subsample,
 )
 from feddl.errors import DataError
+from feddl.matrixio import read_embedding_csv
 from helpers import write_idx_pair
 
 
@@ -161,6 +162,18 @@ def _bits(a):
 _FIELD_FORMATS = [repr, "{:.17e}".format, "{:.3g}".format, "{:E}".format, lambda x: f" {x!r} "]
 
 
+def _quoted_crlf(text):
+    """``text`` with every field quoted and CRLF line ends."""
+    return "".join(
+        ",".join(f'"{field}"' for field in line.split(",")) + "\r\n" for line in text.splitlines()
+    )
+
+
+#: column layouts of the bit test: a dataset's label at column 0-3, and an
+#: embedding's ``point_id, z1..z3`` with and without its trailing label
+_LAYOUTS = [0, 1, 2, 3, "embedding", "embedding-unlabelled"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -177,31 +190,52 @@ _FIELD_FORMATS = [repr, "{:.17e}".format, "{:.3g}".format, "{:E}".format, lambda
         max_size=8,
     ),
     st.sampled_from(range(len(_FIELD_FORMATS))),
-    st.integers(0, 3),
+    st.sampled_from(_LAYOUTS),
 )
-def test_fast_csv_parse_is_the_row_loop_bit_for_bit(tmp_path_factory, rows, fmt, label_at):
+def test_fast_csv_parse_is_the_row_loop_bit_for_bit(tmp_path_factory, rows, fmt, layout):
     write = _FIELD_FORMATS[fmt]
+    embedding = layout in ("embedding", "embedding-unlabelled")
+    header = ["point_id", "z1", "z2", "z3"] if embedding else ["a", "b", "c"]
     lines = []
     for i, row in enumerate(rows):
         fields = [write(v) for v in row]
-        fields.insert(label_at, str(i % 3))
+        if embedding:
+            fields.insert(0, str(i))
+        if layout != "embedding-unlabelled":
+            fields.insert(len(fields) if embedding else layout, str(i % 3))
         lines.append(",".join(fields))
-    header = ["a", "b", "c"]
-    header.insert(label_at, "label")
+    if layout != "embedding-unlabelled":
+        header.insert(len(header) if embedding else layout, "label")
     text = ",".join(header) + "\n" + "\n".join(lines) + "\n"
-    fast = data._fast_csv(text, "label")
+    fast = matrixio._fast_csv(text, "label")
     assert fast is not None
-    slow = data._slow_csv("d.csv", text, "label")
-    npt.assert_array_equal(_bits(fast[0]), _bits(slow[0]))
-    assert fast[1] == slow[1]
+    slow = matrixio._slow_csv("d.csv", text, "label")
+    assert fast[0] == slow[0]
+    npt.assert_array_equal(_bits(fast[1]), _bits(slow[1]))
+    assert fast[2] == slow[2]
     p = tmp_path_factory.mktemp("csv") / "d.csv"
     p.write_text(text)
-    if not np.isfinite(slow[0]).all():  # a short format can round past the largest double
-        with pytest.raises(DataError, match="non-finite feature"):
-            load_csv_dataset(p)
-        return
-    X, labels = load_csv_dataset(p)
-    npt.assert_array_equal(_bits(X.T), _bits(slow[0]))
+    # every field quoted and CRLF line ends: the row loop reads the same bits
+    quoted = p.with_name("quoted.csv")
+    quoted.write_bytes(_quoted_crlf(text).encode())
+    assert matrixio._fast_csv(_quoted_crlf(text), "label") is None
+    for path in (p, quoted):
+        names, values, labels = matrixio.read_csv(path)
+        assert names == slow[0]
+        npt.assert_array_equal(_bits(values), _bits(slow[1]))
+        if slow[2] is not None:
+            npt.assert_array_equal(labels, np.arange(len(rows)) % 3)
+        read, what, kept = (
+            (read_embedding_csv, "coordinate", slice(1, None))
+            if embedding
+            else (load_csv_dataset, "feature", slice(None))
+        )
+        if not np.isfinite(slow[1]).all():  # a short format can round past the largest double
+            with pytest.raises(DataError, match=f"non-finite {what}"):
+                read(path)
+            continue
+        X, _ = read(path)
+        npt.assert_array_equal(_bits(X if embedding else X.T), _bits(slow[1][:, kept]))
 
 
 @pytest.mark.parametrize(
@@ -218,17 +252,17 @@ def test_fast_csv_parse_is_the_row_loop_bit_for_bit(tmp_path_factory, rows, fmt,
     ids=["quoted", "quoted-label", "crlf", "underscore", "blank-line", "short-row", "labels-only"],
 )
 def test_csv_the_fast_parse_refuses_goes_through_the_row_loop(tmp_path, text):
-    assert data._fast_csv(text, "label") is None
+    assert matrixio._fast_csv(text, "label") is None
     p = tmp_path / "d.csv"
     p.write_bytes(text.encode())
     try:
-        slow = data._slow_csv(str(p), text, "label")
+        slow = matrixio._slow_csv(str(p), text, "label")
     except DataError as exc:
         with pytest.raises(DataError, match=re.escape(str(exc))):
             load_csv_dataset(p)
     else:
         X, labels = load_csv_dataset(p)
-        npt.assert_array_equal(X.T, slow[0])
+        npt.assert_array_equal(X.T, slow[1])
         if "7" in text:
             npt.assert_array_equal(labels, [7, 1])
 

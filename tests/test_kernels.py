@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from feddl.kernels import (
     KernelParams,
     gaussian_kernel,
-    knn_indices,
     median_heuristic_gamma,
     mmd,
     mmd_gradient,
@@ -17,9 +16,9 @@ from feddl.kernels import (
     sq_dists,
 )
 from feddl.clustering import _normalized_operator
-from feddl.kernels import _gaussian_block, _operands
+from feddl.kernels import _NeighbourLists, _gaussian_block, _knn_rows, _operands, _row_panels
 from helpers import central_fd
-from kernels_reference import gram_gaussian_block, gram_sq_dists, normalized_adjacency
+from kernels_reference import gram_gaussian_block, gram_sq_dists, knn_indices, normalized_adjacency
 
 EPS = np.finfo(np.float64).eps
 
@@ -151,64 +150,69 @@ def test_same_set_gaussian_blocks_have_a_unit_diagonal(offset):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 40), st.integers(1, 39), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_knn_indices_matches_per_row_stable_argsort(n, k, levels, seed):
+def test_knn_rows_matches_per_row_stable_argsort(n, k, levels, seed):
     k = min(k, n - 1)
     rng = np.random.default_rng(seed)
     D = rng.integers(0, levels + 1, size=(n, n)).astype(np.float64)  # many ties
     D = D + D.T
     with_equal_rows = D.copy()
     with_equal_rows[rng.random(n) < 0.25] = 1.0  # every entry of the row ties
-    for M, kk in [(D, k), (D, n - 1), (with_equal_rows, k), (with_equal_rows, n - 1)]:
-        before = M.copy()
-        expected = []
-        for i in range(n):
-            row = M[i].copy()
-            row[i] = np.inf
-            expected.append(np.argsort(row, kind="stable")[:kk])
-        got = knn_indices(M, kk)
-        npt.assert_array_equal(got, np.array(expected))
-        assert got.shape == (n, kk) and got.base is None  # compact, not a view
-        npt.assert_array_equal(M, before)
-        rect = M[: n // 2 + 1]
-        npt.assert_array_equal(
-            knn_indices(rect, kk, exclude_self=False),
-            np.argsort(rect, axis=1, kind="stable")[:, :kk],
-        )
+    for M in (D, with_equal_rows):
+        # the panel readers' input: self at infinity, against the tests' reference
+        own_at_inf = M.copy()
+        np.fill_diagonal(own_at_inf, np.inf)
+        for kk in (0, k, n - 1):
+            npt.assert_array_equal(_knn_rows(own_at_inf, kk), knn_indices(M, kk))
+        # square, short and wide, tall and narrow; k from 0 to every column
+        for rows in (M, M[: n // 2 + 1], M[:, : n // 2 + 1]):
+            for kk in (0, min(k, rows.shape[1]), rows.shape[1]):
+                before = rows.copy()
+                got = _knn_rows(rows, kk)
+                npt.assert_array_equal(got, np.argsort(rows, axis=1, kind="stable")[:, :kk])
+                assert got.shape == (rows.shape[0], kk) and got.base is None  # compact
+                npt.assert_array_equal(rows, before)
 
 
 @pytest.mark.parametrize(
     "m,n", [(129, 129), (257, 257), (300, 40), (40, 300)], ids=["129", "257", "tall", "wide"]
 )
-def test_knn_indices_across_row_blocks(m, n):
-    # 128-row blocks: the last one has one row at 129 and 257 points
+def test_knn_rows_across_row_panels(m, n):
+    # 64-row panels, as the callers hand them: the last one has one row at
+    # 129 and 257 points
     rng = np.random.default_rng(m + n)
     D = rng.integers(0, 3, size=(m, n)).astype(np.float64)  # many ties
     if m == n:
         D = D + D.T
     D[rng.random(m) < 0.1] = 1.0  # every entry of the row ties
     for k in (1, 15, n - 1, n):
-        for exclude_self in (True, False):
-            expected = []
-            for i in range(m):
-                row = D[i].copy()
-                if exclude_self and i < n:
-                    row[i] = np.inf
-                expected.append(np.argsort(row, kind="stable")[:k])
-            npt.assert_array_equal(knn_indices(D, k, exclude_self=exclude_self), expected)
+        got = np.concatenate([_knn_rows(D[i0:i1], k) for i0, i1 in _row_panels(m)])
+        npt.assert_array_equal(got, np.argsort(D, axis=1, kind="stable")[:, :k])
+    if m == n:  # the panel reader puts each row's own entry at infinity
+        for k in (1, 15, n - 1):
+            lists = _NeighbourLists(k)
+            for i0, i1 in _row_panels(n):
+                lists.read(i0, D[i0:i1])
+            order = knn_indices(D, k)
+            npt.assert_array_equal(lists.indices, order)
+            npt.assert_array_equal(lists.entries, np.take_along_axis(D, order, axis=1))
 
 
-def test_knn_indices_works_in_row_blocks():
+def test_neighbour_lists_work_in_row_panels():
     n = 1000
     D = sq_dists(np.random.default_rng(0).normal(size=(n, 3)))
+    lists = _NeighbourLists(15)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        knn_indices(D, 15)
+        for i0, i1 in _row_panels(n):
+            lists.read(i0, D[i0:i1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # two 128-row copies and their masks, where a whole copy was 2 n^2
-    assert peak - base <= 0.35 * n * n * 8
+    npt.assert_array_equal(lists.indices, knn_indices(D, 15))
+    # a 64-row panel's copy, its selection and the lists, where a copy of
+    # the whole matrix would be n^2
+    assert peak - base <= 0.25 * n * n * 8
 
 
 def test_gaussian_kernel_range_and_gamma_zero():

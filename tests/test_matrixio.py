@@ -202,6 +202,9 @@ def test_embedding_csv_round_trip(tmp_path, rng):
     npt.assert_array_equal(Z, Z2)  # repr round-trips float64 exactly
     npt.assert_array_equal(labels, lab2)
     assert p.read_text().splitlines()[0] == "point_id,z1,z2,label"
+    # labels that are not all numeric are coded by their distinct values
+    p.write_text("point_id,z1,z2,label\n0,1.0,2.0,b\n1,3.0,4.0,a\n2,5.0,6.0,b\n")
+    npt.assert_array_equal(read_embedding_csv(p)[1], [1, 0, 1])
 
 
 def test_embedding_csv_without_labels(tmp_path, rng):
@@ -210,6 +213,7 @@ def test_embedding_csv_without_labels(tmp_path, rng):
     write_embedding_csv(p, Z)
     Z2, lab2 = read_embedding_csv(p)
     npt.assert_array_equal(Z, Z2)
+    assert Z2.flags.c_contiguous  # the layout the metrics' sums were written for
     assert lab2 is None
 
 
@@ -219,8 +223,13 @@ def test_embedding_csv_errors(tmp_path):
     with pytest.raises(DataError, match="unexpected embedding header"):
         read_embedding_csv(p)
     p.write_text("point_id,z1\n0,abc\n")
-    with pytest.raises(DataError, match="malformed row 2"):
+    with pytest.raises(DataError, match="non-numeric feature in row 2"):
         read_embedding_csv(p)
+    # a row without its label, and one with a stray trailing field
+    for row, fields in [("1,2.0,3.0", 3), ("1,2.0,3.0,1,9", 5)]:
+        p.write_text(f"point_id,z1,z2,label\n0,0.5,0.5,0\n{row}\n")
+        with pytest.raises(DataError, match=f"row 3 has {fields} fields, header has 4"):
+            read_embedding_csv(p)
 
 
 def test_labels_csv_round_trip(tmp_path):

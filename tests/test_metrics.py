@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import feddl.metrics as metrics
-from feddl.kernels import knn_indices, sq_dists
+from feddl.kernels import sq_dists
 from feddl.metrics import (
     MetricsReport,
     ari,
@@ -17,6 +17,7 @@ from feddl.metrics import (
 )
 from feddl.metrics import _cluster_sums, _panel_sq_dists, _sum_panels
 from feddl.nystrom import CompletedMatrix, MatrixKind
+from kernels_reference import knn_indices
 
 # frozen output of tests/oracles/gen_embed_metrics_reference.py
 NMI_REFERENCE = 0.34559202994421136  # labels 0011 vs 0111
