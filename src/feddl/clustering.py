@@ -10,8 +10,8 @@ This module holds the package's one spectral eigensolver, which UMAP's
 starting layout shares.  Its operator is ``X -> d ⊙ (M @ (d ⊙ X))``
 with ``d = deg^{-1/2}`` on points of positive degree and 0 elsewhere
 (``_normalized_operator``), for any ``@`` operand ``M``: a dense array,
-a completion's ``NystromFactors`` (``B (W_k^+ (B' Y)) + pin ⊙ Y``, at
-``O(n n_y)`` per column) or an ``embed.CSRGraph``; no n x n ``S`` or
+a completion's ``NystromFactors`` (``F (signs ⊙ (F' Y)) + pin ⊙ Y``, at
+``O(n k)`` per column) or an ``embed.CSRGraph``; no n x n ``S`` or
 ``L`` is formed.  The block solver runs Rayleigh–Ritz steps on an
 orthonormal basis of ``[X, S X, X_prev]``, the subspace LOBPCG searches,
 each applying the operator once.  The dense path applies it to the

@@ -608,6 +608,8 @@ def convergence_diagnostic(trace: RoundTrace) -> float:
     """Mean squared per-step displacement of the averaged iterate.
 
     The quantity driven to zero by the convergence analysis:
-    ``(1/(S Q)) sum_s sum_t ||Y^{s,t} - Y^{s,t-1}||_F^2``.
+    ``(1/(S Q)) sum_s sum_t ||Y^{s,t} - Y^{s,t-1}||_F^2``; nan for a
+    trace of no steps (``rounds = 0``).
     """
-    return float(np.mean(trace.displacement_sq))
+    steps = trace.displacement_sq
+    return float(np.mean(steps)) if steps.size else float("nan")

@@ -135,6 +135,10 @@ def sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     return _distances(left, right)
 
 
+#: rows that ``_NeighbourLists`` selects at a time from a panel
+_SELECT_ROWS = 16
+
+
 @dataclass
 class _NeighbourLists:
     """Panel reader (``nystrom.CompletedMatrix.read``) of a square matrix
@@ -156,12 +160,16 @@ class _NeighbourLists:
         if i0 == 0:
             self.indices = np.empty((n, self.k), dtype=np.intp)
             self.entries = np.empty((n, self.k))
-        D = np.sqrt(panel) if self.root else panel.copy()
-        own = np.arange(m)
-        D[own, i0 + own] = np.inf  # a row never selects itself
-        order = _knn_rows(D, self.k)
-        self.indices[i0 : i0 + m] = order
-        self.entries[i0 : i0 + m] = np.take_along_axis(D, order, axis=1)
+        # a few rows at a time: the work arrays of a selection are row-sized
+        for r0 in range(0, m, _SELECT_ROWS):
+            rows = panel[r0 : r0 + _SELECT_ROWS]
+            D = np.sqrt(rows) if self.root else rows.copy()
+            own = np.arange(D.shape[0])
+            D[own, i0 + r0 + own] = np.inf  # a row never selects itself
+            order = _knn_rows(D, self.k)
+            at = slice(i0 + r0, i0 + r0 + D.shape[0])
+            self.indices[at] = order
+            self.entries[at] = np.take_along_axis(D, order, axis=1)
 
 
 def _knn_rows(D: np.ndarray, k: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import io
 import os
 import stat
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +70,7 @@ def write_matrix(path, M) -> None:
                 # A byte view of the C-contiguous panel, not a copy of the
                 # payload (``memoryview.cast`` would refuse an empty matrix).
                 f.write(P.reshape(-1).view(np.uint8))
+                del P  # let the panel go before the iterator makes the next
         except BaseException:
             f.close()
             if Path(path).is_file():  # a device such as /dev/null stays
@@ -128,9 +129,17 @@ def check_finite_rows(path, X: np.ndarray, what: str) -> None:
         raise DataError(f"{path}: non-finite {what} in row {bad[0] + 2}")
 
 
-def read_csv(path, label_column: str = "label") -> tuple[list[str], np.ndarray, np.ndarray | None]:
+def _feature(column: str) -> str:
+    return "feature"
+
+
+def read_csv(
+    path, label_column: str = "label", what: Callable[[str], str] = _feature
+) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     """The names of the numeric columns of a CSV with a header line, their
-    values (one row per data row) and its labels.
+    values (one row per data row) and its labels.  ``what`` gives the word
+    for a numeric column's values, by its name, in errors: "feature" by
+    default.
 
     Every column but ``label_column`` must be numeric; ``label_column``
     (if present) becomes the label vector.  Numeric labels must be
@@ -149,7 +158,7 @@ def read_csv(path, label_column: str = "label") -> tuple[list[str], np.ndarray, 
     except OSError as exc:
         raise DataError(f"cannot read CSV data: {exc}") from exc
     names, values, text_labels = _fast_csv(text, label_column) or _slow_csv(
-        path, text, label_column
+        path, text, label_column, what
     )
     if text_labels is None:
         return names, values, None
@@ -212,10 +221,13 @@ def _fast_csv(text: str, label_column: str) -> tuple[list[str], np.ndarray, list
     return [header[j] for j in value_idx], values, labels
 
 
-def _slow_csv(path: str, text: str, label_column: str) -> tuple[list[str], np.ndarray, list | None]:
+def _slow_csv(
+    path: str, text: str, label_column: str, what: Callable[[str], str] = _feature
+) -> tuple[list[str], np.ndarray, list | None]:
     """``read_csv``'s column names, values and label strings of the CSV
     ``text`` by ``csv.reader`` and ``float``, row by row, raising
-    ``DataError`` on the first bad row."""
+    ``DataError`` on the first bad row; a non-numeric field is named by
+    ``what`` of its column."""
     reader = _csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -232,10 +244,13 @@ def _slow_csv(path: str, text: str, label_column: str) -> tuple[list[str], np.nd
             raise DataError(
                 f"{path}: row {i + 2} has {len(row)} fields, header has {len(header)}"
             )
-        try:
-            values[i] = [float(row[j]) for j in value_idx]
-        except ValueError as exc:
-            raise DataError(f"{path}: non-numeric feature in row {i + 2}: {exc}") from exc
+        for c, j in enumerate(value_idx):
+            try:
+                values[i, c] = float(row[j])
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}: non-numeric {what(header[j])} in row {i + 2}: {exc}"
+                ) from exc
         if labels is not None:
             labels.append(row[label_idx])
     return [header[j] for j in value_idx], values, labels
@@ -262,12 +277,16 @@ def write_embedding_csv(path, Z: np.ndarray, labels=None) -> None:
             w.writerow(row)
 
 
+def _embedding_column(column: str) -> str:
+    return "point_id" if column == "point_id" else "coordinate"
+
+
 def read_embedding_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Coordinates and labels (``None`` without a ``label`` column) of an
     embedding CSV, read by ``read_csv``.  The first numeric column must be
     ``point_id`` and the coordinates are the ``z*`` columns, which must be
     finite; the other numeric columns are dropped."""
-    names, values, labels = read_csv(path)
+    names, values, labels = read_csv(path, what=_embedding_column)
     zcols = [j for j, h in enumerate(names) if h.startswith("z")]
     if not zcols or names[0] != "point_id":
         raise DataError(f"{path}: unexpected embedding header {names!r}")

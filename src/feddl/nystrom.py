@@ -6,12 +6,17 @@ values ``K_{X_p,Y}``.  Stacking those blocks gives ``B`` (``n_x x n_y``);
 together with the landmark self-block ``W`` (``n_y x n_y``) the full
 matrix over all data points is completed as
 
-    Z_hat = B * pinv_k(W + lambda I) * B'
+    Z_hat = B * pinv_k(W + lambda I) * B' = F * diag(signs) * F'
 
-where ``pinv_k`` keeps the ``k`` eigenvalues of largest magnitude (signed
-inversion, so indefinite squared-distance blocks are handled) and
-``lambda`` a ridge, configured or automatic, that shifts the spectrum of
-``W``, which is decomposed once.
+where ``pinv_k`` keeps the ``k`` eigenpairs ``(w_k, V_k)`` of largest
+magnitude (signed inversion, so indefinite squared-distance blocks are
+handled) and ``lambda`` a ridge, configured or automatic, that shifts the
+spectrum of ``W``, which is decomposed once.  The completion is made from
+one factor, ``F = B V_k |w_k|^-1/2`` (``n_x x k``), and the signs of the
+kept eigenvalues: the one-shot Nystrom factorisation (Williams & Seeger
+2001; Fowlkes, Belongie, Chung & Malik 2004).  ``F`` is made by 64-row
+blocks, in the cross block's own storage when its caller hands ``B``
+over, so a completion holds one n x n_y array.
 
 Matrix kinds and their post-processing:
 
@@ -29,17 +34,18 @@ into a checked completion of the kind a consumer needs.  A completion
 only its finiteness is checked.
 
 Every completion is made in one pass over its 64-row panels.  Each panel
-is assembled from 64 x 64 tiles that are computed with the same operands
-and shape wherever they appear, so the panels are exactly symmetric and
-within rounding of the whole product ``B W_k^+ B'``; each gets the
-diagonal of its kind and is clamped or clipped entry by entry, which
-keeps it symmetric.  The pass checks every entry, records the row sums
-and hands each panel to the caller's *panel readers* and to its writer;
-it holds no n x n array.  Every completion keeps only ``NystromFactors``
-(``B``, ``W_k^+`` and ``pin``, the diagonal of its kind less
-``diag(B W_k^+ B')``), its row sums, whether a kernel panel clipped and
-the readers its pass fed; ``CompletedMatrix`` decides how it is read
-(``read``, ``values``, ``operator``, ``diagonal``).
+is assembled from 64 x 64 tiles ``(F[I] ⊙ signs) F[J]'`` that are
+computed with the same operands and shape wherever they appear, so the
+panels are exactly symmetric and within rounding of the whole product
+``B W_k^+ B'``; each gets the diagonal of its kind and is clamped or
+clipped entry by entry, which keeps it symmetric.  The pass checks every
+entry, records the row sums and hands each panel to the caller's *panel
+readers* and to its writer; it holds no n x n array, and one panel at a
+time.  Every completion keeps only ``NystromFactors`` (``F``, ``signs``
+and ``pin``, the diagonal of its kind less ``diag(F diag(signs) F')``),
+its row sums, whether a kernel panel clipped and the readers its pass
+fed; ``CompletedMatrix`` decides how it is read (``read``, ``values``,
+``operator``, ``diagonal``).
 
 A panel reader is an object whose ``read(i0, panel)`` takes the rows
 ``i0:i0 + 64`` of the matrix, every panel once from the top; it must not
@@ -57,6 +63,7 @@ matrix is available, the realized error.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -231,15 +238,17 @@ def _rank(params: CompletionParams, n: int) -> int:
     return min(params.rank_k if params.rank_k else n, n)
 
 
-def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, float, np.ndarray]:
-    """Signed rank-``k`` pseudo-inverse of ``W + lambda I``, the ridge
-    ``lambda`` it applied and the kept |eigenvalue + lambda|.
+def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, np.ndarray, float]:
+    """The eigenpairs of ``W + lambda I`` that its signed rank-``k``
+    pseudo-inverse ``V_k diag(1 / w_k) V_k'`` keeps, as the eigenvectors
+    ``V_k`` and the shifted eigenvalues ``w_k``, and the ridge ``lambda``
+    it applied.
 
     ``W`` is decomposed once.  The ridge, configured or automatic (see
     ``CompletionParams``), shifts its eigenvalues, which gives those of
     ``W + lambda I`` with the same eigenvectors.  The ``k`` shifted
-    eigenvalues of largest magnitude above the floor are inverted with
-    their signs (indefinite blocks, squared-distance matrices, are valid
+    eigenvalues of largest magnitude above the floor are kept with their
+    signs (indefinite blocks, squared-distance matrices, are valid
     inputs).  A block with no eigenvalue above the floor is numerically
     rank-zero and rejected.
     """
@@ -256,66 +265,86 @@ def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, f
     kept = _select_eigenpairs(w, k, params.eigen_floor)
     if kept.size == 0:
         raise ValueError("landmark block is numerically rank-zero; cannot invert")
-    Vk = V[:, kept]
-    Winv = (Vk / w[kept][None, :]) @ Vk.T
-    _symmetrize(Winv)
-    return Winv, lam, np.abs(w[kept])
+    return V[:, kept], w[kept], lam
+
+
+def _factor(B: np.ndarray, R: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+    """``F = B R`` (``n x k`` from ``n x n_y`` by ``n_y x k``, ``k <=
+    n_y``), one 64-row block at a time.  With ``overwrite_b`` and a
+    C-contiguous, writeable ``B``, ``F`` is made in ``B``'s own storage,
+    whose values are lost: block ``r0:r1`` of ``F`` takes its entries
+    ``r0 k`` to ``r1 k``, which lie in rows of ``B`` above ``r1`` (``k <=
+    n_y``), so every row of ``B`` is read before it is written over.
+    Either way a block's product is the same, so ``F`` has the same
+    bits."""
+    n, k = B.shape[0], R.shape[1]
+    if overwrite_b and B.flags.c_contiguous and B.flags.writeable:
+        F = B.reshape(-1)[: n * k].reshape(n, k)
+    else:
+        F = np.empty((n, k))
+    for r0, r1 in _row_panels(n):
+        F[r0:r1] = B[r0:r1] @ R
+    return F
 
 
 @dataclass(frozen=True)
 class NystromFactors:
-    """The factors of a completion: ``B Winv B' + diag(pin)``.
+    """The factors of a completion: ``F diag(signs) F' + diag(pin)``.
 
-    ``B`` (``n x n_y``) is the stacked cross block the completion shares,
-    ``Winv = pinv_k(W + lambda I)`` and ``pin`` the diagonal of its kind
-    less ``diag(B Winv B')``.  They give the completion exactly, within
-    rounding, only for a kernel completion that clipped nothing.  ``@``
-    costs ``O(n n_y)`` per column, and they hold one ``n x n_y`` array.
+    ``F = B V_k |w_k|^-1/2`` (``n x k``) is the one factor of ``B W_k^+
+    B'``, ``W_k^+ = V_k diag(1 / w_k) V_k'`` the signed pseudo-inverse of
+    ``W + lambda I`` (``_ridged_pinv``), ``signs = sign(w_k)`` and ``pin``
+    the diagonal of its kind less ``diag(F diag(signs) F')``.  They give
+    the completion exactly, within rounding, only for a kernel completion
+    that clipped nothing.  ``@`` costs ``O(n k)`` per column, and they hold
+    one ``n x k`` array.
     """
 
-    B: np.ndarray
-    Winv: np.ndarray
+    F: np.ndarray
+    signs: np.ndarray
     pin: np.ndarray
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         """``K @ X`` for an ``n x m`` block ``X``."""
-        return self.B @ (self.Winv @ (self.B.T @ X)) + self.pin[:, None] * X
+        return self.F @ (self.signs[:, None] * (self.F.T @ X)) + self.pin[:, None] * X
 
 
-def _panels(L: np.ndarray, B: np.ndarray, kind: MatrixKind, out: np.ndarray | None = None):
-    """The completion ``L B'`` (``L = B W_k^+``) of ``kind``, as ``(i0,
-    panel, diagonal, low, high)`` for each 64-row panel from the top: the
-    panel of rows ``i0:i0 + 64`` with the diagonal of its kind (0 or 1),
-    clamped at 0 (distance) or clipped to [0, 1] (kernel); the diagonal of
-    ``L B'`` on those rows; and the panel's least and largest entry before
-    the clamp or clip, nan when an entry is (a tile copied from ``out``,
-    see below, enters as its own panel left it).  Each panel is a new
-    array, or those rows of the n x n ``out``, so that a pass assembles
-    the matrix in ``out``.
+def _panels(F: np.ndarray, signs: np.ndarray, kind: MatrixKind, out: np.ndarray | None = None):
+    """The completion ``F diag(signs) F'`` of ``kind``, as ``(i0, panel,
+    diagonal, low, high)`` for each 64-row panel from the top: the panel of
+    rows ``i0:i0 + 64`` with the diagonal of its kind (0 or 1), clamped at
+    0 (distance) or clipped to [0, 1] (kernel); the diagonal of ``F
+    diag(signs) F'`` on those rows; and the panel's least and largest entry
+    before the clamp or clip, nan when an entry is (a tile copied from
+    ``out``, see below, enters as its own panel left it).  Each panel is a
+    new array, which the pass lets go before it makes the next, or those
+    rows of the n x n ``out``, so that a pass assembles the matrix in
+    ``out``.
 
-    A panel is assembled from tiles of fixed shape: ``t(I, J) = L[I]
-    B[J]'`` for ``I < J`` is computed in panel ``I`` and, from the same
-    operands, again in panel ``J``, which holds its transpose (copied from
-    ``out`` when the panels are assembled there); a diagonal tile is
+    A panel is assembled from tiles of fixed shape: ``t(I, J) = (F[I] ⊙
+    signs) F[J]'`` for ``I < J`` is computed in panel ``I`` and, from the
+    same operands, again in panel ``J``, which holds its transpose (copied
+    from ``out`` when the panels are assembled there); a diagonal tile is
     ``0.5 (t + t')``.  So the panels are exactly symmetric, which products
     of whole row panels are not: those differ in the last bit from the
     whole product, by an amount that depends on the panel height.  The
     clamp and the clip act entry by entry, so they keep the panels
     symmetric.
     """
-    n = L.shape[0]
+    n = F.shape[0]
     kernel = kind is MatrixKind.KERNEL
     bounds = _row_panels(n)
     for i0, i1 in bounds:
+        left = F[i0:i1] * signs
         P = np.empty((i1 - i0, n)) if out is None else out[i0:i1]
         for j0, j1 in bounds:
             if j0 < i0:
-                t = L[j0:j1] @ B[i0:i1].T if out is None else out[j0:j1, i0:i1]
+                t = (F[j0:j1] * signs) @ F[i0:i1].T if out is None else out[j0:j1, i0:i1]
                 P[:, j0:j1] = t.T
             elif j0 > i0:
-                P[:, j0:j1] = L[i0:i1] @ B[j0:j1].T
+                P[:, j0:j1] = left @ F[j0:j1].T
             else:
-                t = L[i0:i1] @ B[i0:i1].T
+                t = left @ F[i0:i1].T
                 diagonal = np.diagonal(t).copy()
                 s = t + t.T
                 s *= 0.5
@@ -329,14 +358,14 @@ def _panels(L: np.ndarray, B: np.ndarray, kind: MatrixKind, out: np.ndarray | No
             # not a clip to [0, inf): np.clip keeps -0.0, np.maximum gives +0.0
             np.maximum(P, 0.0, out=P)
         yield i0, P, diagonal, low, high
+        del P
 
 
-def _dense(L: np.ndarray, B: np.ndarray, kind: MatrixKind) -> np.ndarray:
-    """The completion ``L B'`` of ``kind`` as one n x n array, assembled
-    by a pass of ``_panels``."""
-    M = np.empty((L.shape[0], L.shape[0]))
-    for _ in _panels(L, B, kind, M):
-        pass
+def _dense(F: np.ndarray, signs: np.ndarray, kind: MatrixKind) -> np.ndarray:
+    """The completion ``F diag(signs) F'`` of ``kind`` as one n x n array,
+    assembled by a pass of ``_panels``."""
+    M = np.empty((F.shape[0], F.shape[0]))
+    deque(_panels(F, signs, kind, M), maxlen=0)
     return M
 
 
@@ -348,7 +377,9 @@ class CompletedMatrix:
     symmetric.
 
     A completion ``nystrom_complete`` made holds no n x n array, only its
-    ``factors``, row sums and whether a kernel panel clipped.  Its
+    ``factors`` (one ``n x k`` array ``F``, the signs of the kept
+    eigenvalues and the diagonal's pins), row sums and whether a kernel
+    panel clipped (``clipped``).  Its
     ``values`` are assembled from the factors on each access, at the cost
     of one n x n array, and not kept.  Its ``operator``, what a consumer
     applies by ``@``, is the factors where they give the matrix exactly (a
@@ -389,7 +420,7 @@ class CompletedMatrix:
 
     @property
     def n_points(self) -> int:
-        return (self._values if self.factors is None else self.factors.B).shape[0]
+        return (self._values if self.factors is None else self.factors.F).shape[0]
 
     def read(self, reader):
         """The panel ``reader`` (see the module docstring), fed every row
@@ -410,8 +441,9 @@ class CompletedMatrix:
                     reader.read(i0, self._values[i0:i1])
             else:
                 f = self.factors
-                for i0, P, *_ in _panels(f.B @ f.Winv, f.B, self.kind):
+                for i0, P, *_ in _panels(f.F, f.signs, self.kind):
                     reader.read(i0, P)
+                    del P
         return reader
 
     @property
@@ -420,7 +452,7 @@ class CompletedMatrix:
         if self.factors is None:
             return self._values
         f = self.factors
-        return _dense(f.B @ f.Winv, f.B, self.kind)
+        return _dense(f.F, f.signs, self.kind)
 
     @property
     def operator(self):
@@ -429,6 +461,11 @@ class CompletedMatrix:
         if self.factors is not None and self.kind is MatrixKind.KERNEL and not self._clipped:
             return self.factors
         return self.values
+
+    @property
+    def clipped(self) -> bool:
+        """Whether a made kernel completion's pass clipped an entry to [0, 1]."""
+        return self._clipped and self.kind is MatrixKind.KERNEL
 
     def diagonal(self) -> np.ndarray:
         """The diagonal: a made completion's is pinned to its kind's (0 or
@@ -449,21 +486,30 @@ def nystrom_complete(
     privacy_mode: str = "none",
     write=None,
     readers: Sequence = (),
+    *,
+    overwrite_b: bool = False,
 ) -> CompletedMatrix:
     """Complete the full data-by-data matrix from landmark blocks.
 
     Computes ``B pinv_k(W + lambda I) B'`` from the stacked client blocks
-    ``B`` (``n_x x n_y``, see ``assemble_cross_block``) and applies the
-    kind-specific post-processing.  Provenance records the landmark count,
+    ``B`` (``n_x x n_y``, see ``assemble_cross_block``) as ``F diag(signs)
+    F'``, with the one factor ``F = B V_k |w_k|^-1/2`` of the kept
+    eigenpairs ``(w_k, V_k)`` of ``W + lambda I`` and ``signs =
+    sign(w_k)`` (``NystromFactors``), and applies the kind-specific
+    post-processing.  ``F`` is made by 64-row blocks in a new array, or,
+    with ``overwrite_b``, in ``B``'s own storage, whose values are then
+    lost; both give the same bits.  Provenance records the landmark count,
     the rank asked for, the resolved ridge, the eigenpairs kept
-    (``kept_rank``) and their least and largest |eigenvalue + ridge|
-    (``kept_abs_eigenvalues``), and the privacy mode.
+    (``kept_rank``), their least and largest |eigenvalue + ridge|
+    (``kept_abs_eigenvalues``) and how many of them are negative
+    (``kept_negative``), and the privacy mode.
 
     The completion is made in one pass over its row panels (``_panels``),
     which checks that every entry is finite and records the row sums; it
-    allocates no n x n array.  Every completion, of either kind, is
-    returned in one form: its ``factors``, which share ``B``, its row sums
-    and whether a kernel panel clipped (see ``CompletedMatrix``).
+    allocates no n x n array and holds one panel at a time.  Every
+    completion, of either kind, is returned in one form: its ``factors``,
+    its row sums and whether a kernel panel clipped (see
+    ``CompletedMatrix``).
 
     The pass's panels go to two kinds of readers beside the checks.  Each
     of the panel ``readers`` (see the module docstring) reads every
@@ -479,23 +525,27 @@ def nystrom_complete(
     B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2:
         raise ValueError(f"cross block must be 2-D, got shape {B.shape}")
-    if not np.isfinite(B).all():
+    if not _all_finite(B):
         raise ValueError("cross block contains non-finite entries")
     if B.shape[1] != W.n_landmarks:
         raise ValueError(
             f"cross block has {B.shape[1]} landmark columns but the landmark "
             f"block has {W.n_landmarks}"
         )
-    Winv, lam, mags = _ridged_pinv(W.values, params)
+    V, w, lam = _ridged_pinv(W.values, params)
+    mags = np.abs(w)
     provenance = {
         "n_landmarks": W.n_landmarks,
         "rank_k": _rank(params, W.n_landmarks),
         "ridge_lambda": lam,
-        "kept_rank": int(mags.size),
+        "kept_rank": int(w.size),
         "kept_abs_eigenvalues": (float(mags.min()), float(mags.max())),
+        "kept_negative": int((w < 0.0).sum()),
         "privacy_mode": str(privacy_mode),
     }
-    n = B.shape[0]
+    F, signs = _factor(B, V / np.sqrt(mags), overwrite_b), np.sign(w)
+    del B, V  # the pass reads F alone
+    n = F.shape[0]
     diagonal, row_sums = np.empty(n), np.empty(n)
     clipped = False  # whether a panel left [0, 1] off its diagonal: a kernel one clipped
 
@@ -511,16 +561,16 @@ def nystrom_complete(
             for reader in readers:
                 reader.read(i0, P)
             yield P
+            del P
 
     # An overflow stays non-finite, which the checks reject.
     with np.errstate(over="ignore", invalid="ignore"):
-        panels = checked(_panels(B @ Winv, B, W.kind))
+        panels = checked(_panels(F, signs, W.kind))
         if write is not None:
             write(panels)
-        for _ in panels:  # the whole pass, or what ``write`` left of it
-            pass
+        deque(panels, maxlen=0)  # the whole pass, or what ``write`` left of it
     pin = W.kind.pinned - diagonal
-    factors = NystromFactors(B=B, Winv=Winv, pin=pin)
+    factors = NystromFactors(F=F, signs=signs, pin=pin)
     return CompletedMatrix._made(W.kind, provenance, factors, row_sums, clipped, readers)
 
 

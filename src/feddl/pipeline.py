@@ -42,7 +42,13 @@ from .embed import (
     umap_graph,
 )
 from .errors import ConfigError, DataError, NumericalAbort, _available_memory, overflow_aborts
-from .federation import FedResult, init_landmarks, perturb_shards, run_feddl
+from .federation import (
+    FedResult,
+    convergence_diagnostic,
+    init_landmarks,
+    perturb_shards,
+    run_feddl,
+)
 from .kernels import (
     KernelParams,
     gaussian_kernel,
@@ -121,12 +127,13 @@ def _write(out: Path, writers: list) -> dict:
 #: process at n = 1000: t-SNE 1.80, in its descent (the affinities, their
 #: upper row panels and a few 64-row buffers; the calibration in the
 #: completion's pass holds the conditional affinities and one row block's
-#: work arrays, 1.60), and UMAP 0.37, at ``b != 1`` too, in the
-#: completion's pass (one 64-row panel and the work arrays of the
-#: neighbour lists read from it).  A UMAP run holds no n x n array: its
-#: graph is sparse rows (``embed.CSRGraph``) and its descent and metrics
-#: work on 64-row panels, so its multiple, made of O(64 n) arrays, falls
-#: as 1 / n (0.14 at n = 2500).  No stage reads the completion's values.
+#: work arrays, 1.52), and UMAP 0.35, at ``b != 1`` too, in its embedding
+#: (the completion's pass, one 64-row panel and the row-sized work arrays
+#: of the neighbour lists read from it, holds 0.18).  A UMAP run holds no
+#: n x n array: its graph is sparse rows (``embed.CSRGraph``) and its
+#: descent and metrics work on 64-row panels, so its multiple, made of
+#: O(64 n) arrays, falls as 1 / n (0.14 at n = 2500).  No stage reads the
+#: completion's values.
 #: Spectral clustering peaks at 1.09 when its kernel
 #: completion clips: the one n x n array its ``operator`` assembles.  One
 #: that clips nothing holds no n x n array, but whether it clips is known
@@ -227,7 +234,13 @@ def _complete(
     that leave float64 (finite points whose squared distances overflow, a
     landmark block too small to invert) abort numerically.  The overflow
     is raised rather than looked for in the blocks, because the Gram
-    expansion clamps an overflowing ``2 x.y`` to a distance of 0."""
+    expansion clamps an overflowing ``2 x.y`` to a distance of 0.
+
+    Nothing after the blocks reads the points, so ``shards``, the caller's
+    list, is emptied once they are made.  The client blocks, the landmark
+    distances and the shards are let go before the completion's pass, and
+    the cross block is handed over to it (``overwrite_b``), so that the
+    pass holds the one factor in the cross block's storage and a panel."""
 
     def sq_dist_block(A: np.ndarray, what: str) -> np.ndarray:
         with overflow_aborts(f"{what} overflow float64"):
@@ -236,18 +249,23 @@ def _complete(
             raise NumericalAbort(f"{what} overflow float64")
         return D2
 
-    blocks = []
-    for s in shards:
-        D2 = sq_dist_block(s.data, f"client {s.client_id}: squared distances to the landmarks")
-        blocks.append(D2 if kind is MatrixKind.DISTANCE else gaussian_kernel(D2, kernel))
-    B = assemble_cross_block(blocks, [s.client_id for s in shards])
-    del blocks  # B holds their values; freeing them lowers the completion's peak
-    W_D2 = sq_dist_block(Y, "squared distances between the landmarks")
+    def block(A: np.ndarray, what: str) -> np.ndarray:
+        """``A``'s block against the landmarks, of the completion's kind."""
+        D2 = sq_dist_block(A, what)
+        return D2 if kind is MatrixKind.DISTANCE else gaussian_kernel(D2, kernel)
+
+    blocks = [
+        block(s.data, f"client {s.client_id}: squared distances to the landmarks")
+        for s in shards
+    ]
+    ids = [s.client_id for s in shards]
+    shards.clear()
+    B = assemble_cross_block(blocks, ids)
+    del blocks  # B holds their values
+    W_values = block(Y, "squared distances between the landmarks")
     try:
-        W = LandmarkBlock(
-            values=W_D2 if kind is MatrixKind.DISTANCE else gaussian_kernel(W_D2, kernel),
-            kind=kind,
-        )
+        W = LandmarkBlock(values=W_values, kind=kind)
+        del W_values
         return nystrom_complete(
             B,
             W,
@@ -255,9 +273,27 @@ def _complete(
             privacy_mode=cfg.privacy.mode.value,
             write=None if path is None else (lambda M: write_matrix(path, M)),
             readers=readers,
+            overwrite_b=True,
         )
     except ValueError as exc:
         raise NumericalAbort(f"completion failed: {exc}") from exc
+
+
+def _completion_provenance(completed: CompletedMatrix) -> dict:
+    """The manifest's ``[resolved]`` record of a completion: the ridge it
+    applied, the eigenpairs of the landmark block it kept, their least and
+    largest |eigenvalue + ridge|, how many are negative and, for a kernel
+    completion, whether a panel clipped."""
+    prov = completed.provenance
+    record = {
+        "ridge_lambda": repr(float(prov["ridge_lambda"])),
+        "kept_rank": prov["kept_rank"],
+        "kept_abs_eigenvalues": " ".join(repr(v) for v in prov["kept_abs_eigenvalues"]),
+        "kept_negative": prov["kept_negative"],
+    }
+    if completed.kind is MatrixKind.KERNEL:
+        record["clipped"] = "yes" if completed.clipped else "no"
+    return record
 
 
 def _embedding_metrics(
@@ -353,6 +389,9 @@ def _run(cfg: PipelineConfig, out_dir, command: str) -> RunOutputs:
     resolved = {"gamma": kernel.gamma}
     if fed.gradient_sigmas is not None:
         resolved["gradient_sigmas"] = " ".join(repr(s) for s in fed.gradient_sigmas)
+    resolved["convergence_diagnostic"] = repr(convergence_diagnostic(fed.trace))
+    if res.completed is not None:
+        resolved.update(_completion_provenance(res.completed))
     manifest = render_manifest(
         cfg,
         command,

@@ -13,7 +13,10 @@ times that bound.
 paths once formed; the tests build their eigensolver references from it.
 
 ``knn_indices`` is the whole-matrix neighbour selection the panel readers
-and the metrics are checked against.
+and the metrics are checked against.  ``whole_panel_lists`` is
+``kernels._NeighbourLists.read`` as it was before it selected a few rows
+at a time: one selection of a whole 64-row panel, of its copy or its
+square roots.
 """
 
 from __future__ import annotations
@@ -67,3 +70,22 @@ def knn_indices(D: np.ndarray, k: int) -> np.ndarray:
     D = D.copy()
     np.fill_diagonal(D, np.inf)
     return np.argsort(D, axis=1, kind="stable")[:, :k]
+
+
+def whole_panel_lists(
+    D: np.ndarray, k: int, root: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbour lists of the square ``D`` (indices and entries), each
+    64-row panel's ``k`` nearest other points selected at once."""
+    from feddl.kernels import _knn_rows, _row_panels
+
+    n = D.shape[0]
+    indices, entries = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    for i0, i1 in _row_panels(n):
+        P = np.sqrt(D[i0:i1]) if root else D[i0:i1].copy()
+        own = np.arange(i1 - i0)
+        P[own, i0 + own] = np.inf
+        order = _knn_rows(P, k)
+        indices[i0:i1] = order
+        entries[i0:i1] = np.take_along_axis(P, order, axis=1)
+    return indices, entries

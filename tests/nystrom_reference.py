@@ -1,23 +1,32 @@
-"""The pseudo-inverse of the landmark block with two eigendecompositions,
-kept as a reference.
+"""Earlier forms of the completion, kept as references.
 
-This is ``nystrom._ridged_pinv`` as it was before the landmark block was
-decomposed once: the automatic ridge was sized from the entries next to
-the diagonal of ``W``, so it depended on the order of the landmarks, and
-any ridge took a second eigendecomposition, of ``W + lambda I``.  The
-tests check that the one-decomposition pseudo-inverse completes kernels
-about as accurately.
+``ridged_pinv`` is ``nystrom._ridged_pinv`` as it was before the landmark
+block was decomposed once: the automatic ridge was sized from the entries
+next to the diagonal of ``W``, so it depended on the order of the
+landmarks, and any ridge took a second eigendecomposition, of ``W +
+lambda I``.  The tests check that the one-decomposition pseudo-inverse
+completes kernels about as accurately.
+
+``pinv_product`` and ``product_completion`` are the completion as it was
+made before it had one factor: the pseudo-inverse ``W_k^+`` formed as an
+``n_y x n_y`` matrix (``pinv_product``), and the panels of ``L B'`` with
+``L = B W_k^+``, assembled from tiles ``L[I] B[J]'`` in the same way as
+``nystrom._panels`` assembles ``(F[I] ⊙ signs) F[J]'``.  The tests check
+that the one-factor completion stays within rounding of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from feddl.kernels import _row_panels
 from feddl.nystrom import (
     _AUTO_RIDGE_FACTOR,
     _AUTO_RIDGE_TRIGGER,
     CompletionParams,
+    MatrixKind,
     _rank,
+    _ridged_pinv,
     _select_eigenpairs,
     _symmetrize,
 )
@@ -55,3 +64,39 @@ def ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, fl
     Winv = (Vk / w[kept][None, :]) @ Vk.T
     _symmetrize(Winv)
     return Winv, lam
+
+
+def pinv_product(W: np.ndarray, params: CompletionParams) -> np.ndarray:
+    """The signed rank-``k`` pseudo-inverse ``V_k diag(1 / w_k) V_k'`` of
+    ``W + lambda I``, of the eigenpairs ``nystrom._ridged_pinv`` keeps, as
+    one exactly symmetric ``n_y x n_y`` matrix."""
+    V, w, _ = _ridged_pinv(W, params)
+    Winv = (V / w[None, :]) @ V.T
+    _symmetrize(Winv)
+    return Winv
+
+
+def product_completion(B: np.ndarray, Winv: np.ndarray, kind: MatrixKind) -> np.ndarray:
+    """The completion ``L B'``, ``L = B Winv``, of ``kind`` as one n x n
+    array: tile ``L[I] B[J]'`` for ``I < J`` and its transpose below the
+    diagonal, ``0.5 (t + t')`` on it, the diagonal of its kind pinned, then
+    clamped at 0 (distance) or clipped to [0, 1] (kernel)."""
+    L = B @ Winv
+    n = L.shape[0]
+    M = np.empty((n, n))
+    bounds = _row_panels(n)
+    for i0, i1 in bounds:
+        for j0, j1 in bounds:
+            if j0 < i0:
+                M[i0:i1, j0:j1] = M[j0:j1, i0:i1].T
+            elif j0 > i0:
+                M[i0:i1, j0:j1] = L[i0:i1] @ B[j0:j1].T
+            else:
+                t = L[i0:i1] @ B[i0:i1].T
+                s = t + t.T
+                s *= 0.5
+                np.fill_diagonal(s, kind.pinned)
+                M[i0:i1, i0:i1] = s
+    if kind is MatrixKind.KERNEL:
+        return np.clip(M, 0.0, 1.0, out=M)
+    return np.maximum(M, 0.0, out=M)

@@ -424,7 +424,7 @@ def _factored(K):
     they are ``K`` within rounding only where ``K``'s diagonal is 1."""
     w, V = np.linalg.eigh(K)
     pin = np.diagonal(K) - np.einsum("ij,ij->i", V * w, V)
-    factors = NystromFactors(B=V, Winv=np.diag(w), pin=pin)
+    factors = NystromFactors(F=V * np.sqrt(np.abs(w)), signs=np.sign(w), pin=pin)
     return CompletedMatrix._made(MatrixKind.KERNEL, {}, factors, K.sum(axis=1), False)
 
 

@@ -18,7 +18,13 @@ from feddl.kernels import (
 from feddl.clustering import _normalized_operator
 from feddl.kernels import _NeighbourLists, _gaussian_block, _knn_rows, _operands, _row_panels
 from helpers import central_fd
-from kernels_reference import gram_gaussian_block, gram_sq_dists, knn_indices, normalized_adjacency
+from kernels_reference import (
+    gram_gaussian_block,
+    gram_sq_dists,
+    knn_indices,
+    normalized_adjacency,
+    whole_panel_lists,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -210,9 +216,31 @@ def test_neighbour_lists_work_in_row_panels():
     finally:
         tracemalloc.stop()
     npt.assert_array_equal(lists.indices, knn_indices(D, 15))
-    # a 64-row panel's copy, its selection and the lists, where a copy of
-    # the whole matrix would be n^2
-    assert peak - base <= 0.25 * n * n * 8
+    # a few rows' copy, their selection and the lists (0.03 n^2 x 8 B),
+    # where a copy of the whole matrix would be n^2 and one of a 64-row
+    # panel and its selection about 0.13 (measured 0.064)
+    assert peak - base <= 0.1 * n * n * 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 129, 257])
+@pytest.mark.parametrize("root", [False, True], ids=["entries", "roots"])
+def test_neighbour_lists_are_the_whole_panel_selection(n, root):
+    # selected a few rows at a time, the lists of every panel are those of
+    # one selection of the whole panel, bit for bit, ties and square roots
+    # that tie distinct entries included
+    rng = np.random.default_rng(n)
+    D = rng.integers(0, 4, size=(n, n)).astype(np.float64)
+    D = D + D.T
+    D[rng.random(n) < 0.1] = 1.0
+    # the next double up: distinct entries whose square roots tie
+    D = np.where(rng.random((n, n)) < 0.3, np.nextafter(D, np.inf), D)
+    for k in sorted({0, min(1, n - 1), min(15, n - 1), n - 1}):
+        lists = _NeighbourLists(k, root=root)
+        for i0, i1 in _row_panels(n):
+            lists.read(i0, D[i0:i1])
+        indices, entries = whole_panel_lists(D, k, root)
+        npt.assert_array_equal(lists.indices, indices)
+        npt.assert_array_equal(lists.entries.view(np.int64), entries.view(np.int64))
 
 
 def test_gaussian_kernel_range_and_gamma_zero():

@@ -222,9 +222,17 @@ def test_embedding_csv_errors(tmp_path):
     p.write_text("who,what\n1,2\n")
     with pytest.raises(DataError, match="unexpected embedding header"):
         read_embedding_csv(p)
-    p.write_text("point_id,z1\n0,abc\n")
-    with pytest.raises(DataError, match="non-numeric feature in row 2"):
-        read_embedding_csv(p)
+    # a non-numeric field is named by its column's role, in any numeric column
+    for text, word in [
+        ("point_id,z1\n0,abc\n", "coordinate"),
+        ("point_id,z1,z2,label\n0,0.5,0.5,0\n1,0.5,x,0\n", "coordinate"),
+        ("point_id,z1,label\n0,0.5,0\nfirst,0.5,1\n", "point_id"),
+        ("point_id,z1,weight\n0,0.5,heavy\n", "coordinate"),
+    ]:
+        p.write_text(text)
+        row = text.count("\n")
+        with pytest.raises(DataError, match=f"non-numeric {word} in row {row}:"):
+            read_embedding_csv(p)
     # a row without its label, and one with a stray trailing field
     for row, fields in [("1,2.0,3.0", 3), ("1,2.0,3.0,1,9", 5)]:
         p.write_text(f"point_id,z1,z2,label\n0,0.5,0.5,0\n{row}\n")

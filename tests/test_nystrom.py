@@ -25,6 +25,7 @@ from feddl.nystrom import (
     evaluate_bounds,
     nystrom_complete,
 )
+from nystrom_reference import pinv_product, product_completion
 from nystrom_reference import ridged_pinv as reference_ridged_pinv
 
 PARAMS = KernelParams(gamma=0.5)
@@ -35,8 +36,9 @@ def kernel_block(Xa, Xb):
 
 
 def pinv(W, params):
-    """The rank-k pseudo-inverse ``nystrom_complete`` uses, without its ridge."""
-    return _ridged_pinv(W.values, params)[0]
+    """The rank-k pseudo-inverse of the eigenpairs ``nystrom_complete``
+    keeps, as one matrix."""
+    return pinv_product(W.values, params)
 
 
 def test_ridged_pinv_full_rank_is_inverse():
@@ -143,6 +145,7 @@ def test_nystrom_provenance(rng):
         "ridge_lambda": 0.0,
         "kept_rank": 2,
         "kept_abs_eigenvalues": pytest.approx((top[1], top[0]), rel=1e-12),
+        "kept_negative": 0,
         "privacy_mode": "data",
     }
     assert completed.n_points == 6
@@ -243,12 +246,13 @@ def test_one_decomposition_is_as_accurate_as_two(dim, n_y, gamma):
     # eigendecomposition and with the two-decomposition reference
     _, _, B, Wv, K = _ridged_gaussian_case(dim, n_y, gamma)
     params = CompletionParams()
-    ours, ridge, _ = _ridged_pinv(Wv, params)
+    ours = nystrom_complete(B, LandmarkBlock(values=Wv, kind=MatrixKind.KERNEL), params)
+    ridge = ours.provenance["ridge_lambda"]
     ref, ref_ridge = reference_ridged_pinv(Wv, params)
     assert ridge > 0 and ref_ridge > 0
     err, ref_err = (
-        np.linalg.norm(_dense(B @ Winv, B, MatrixKind.KERNEL) - K) / np.linalg.norm(K)
-        for Winv in (ours, ref)
+        np.linalg.norm(M - K) / np.linalg.norm(K)
+        for M in (ours.values, product_completion(B, ref, MatrixKind.KERNEL))
     )
     assert err <= 1.1 * ref_err
 
@@ -454,9 +458,11 @@ def test_kernel_completion_keeps_its_factors(rng):
     # and W is well enough conditioned for rounding to stay near 1e-16
     B, W, completed = _kernel_completion(rng, gamma=0.05, n_y=8)
     f = completed.factors
-    assert isinstance(f, NystromFactors) and f.B is B
+    assert isinstance(f, NystromFactors) and f.F.shape == B.shape
+    V, w, _ = _ridged_pinv(W.values, CompletionParams())
+    npt.assert_array_equal(f.signs, np.sign(w))
+    npt.assert_allclose(f.F, B @ (V / np.sqrt(np.abs(w))), rtol=0, atol=1e-12)
     Winv = pinv(W, CompletionParams())
-    npt.assert_array_equal(f.Winv, Winv)
     raw = B @ Winv @ B.T
     npt.assert_allclose(f.pin, 1.0 - np.diagonal(raw), rtol=0, atol=1e-12)
     # exactly symmetric, and within rounding of the whole-array formula
@@ -475,11 +481,11 @@ def test_factors_apply_the_completed_matrix(rng):
     npt.assert_allclose(completed.factors @ X, KX, rtol=0, atol=1e-12 * np.abs(KX).max())
 
 
-def _whole_product(B, Winv, kind):
+def _whole_product(F, signs, kind):
     """The completion as it was made before the panel pass, and the raw
-    product: ``B Winv B'`` formed whole, symmetrised as a whole, clamped
-    at 0 or clipped to [0, 1] and its diagonal pinned to 0 or 1."""
-    raw = B @ Winv @ B.T
+    product: ``F diag(signs) F'`` formed whole, symmetrised as a whole,
+    clamped at 0 or clipped to [0, 1] and its diagonal pinned to 0 or 1."""
+    raw = (F * signs) @ F.T
     M = 0.5 * (raw + raw.T)
     if kind is MatrixKind.DISTANCE:
         M = np.maximum(M, 0.0)
@@ -491,21 +497,23 @@ def _whole_product(B, Winv, kind):
 
 
 def _panel_inputs(r, n, n_y, case):
-    """``B`` and ``Winv`` whose product is a kernel completion with every
-    entry in [0, 1], one with entries above 1 and none below 0, one whose
-    last row and column lie below 0, or squared distances of an indefinite
-    ``Winv``."""
+    """A factor ``F`` and signs whose product ``F diag(signs) F'`` is a
+    kernel completion with every entry in [0, 1], one with entries above 1
+    and none below 0, one whose last row and column lie below 0, or
+    squared distances of an indefinite pseudo-inverse ``(A + A') / n_y``:
+    ``F = B V |w|^1/2`` of its eigenpairs, with their signs."""
     B = r.uniform(size=(n, n_y))
     if case == "distance":
         A = r.normal(size=(n_y, n_y))
-        return B, (A + A.T) / n_y, MatrixKind.DISTANCE
+        w, V = np.linalg.eigh((A + A.T) / n_y)
+        return B @ (V * np.sqrt(np.abs(w))), np.sign(w), MatrixKind.DISTANCE
     A = r.uniform(size=(n_y, n_y))
-    Winv = A @ A.T / n_y**3  # each entry of B Winv B' is in [0, 1]
+    F = B @ A / n_y**1.5  # each entry of F F' is in [0, 1]
     if case == "above-1":
-        B = 8.0 * B
+        F = 8.0 * F
     if case == "below-0":
-        B[-1] *= -1.0
-    return B, Winv, MatrixKind.KERNEL
+        F[-1] *= -1.0
+    return F, np.ones(n_y), MatrixKind.KERNEL
 
 
 @pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 641])
@@ -513,15 +521,15 @@ def _panel_inputs(r, n, n_y, case):
 @pytest.mark.parametrize("case", ["kernel", "above-1", "below-0", "distance"])
 def test_kernel_panels_are_exactly_symmetric(n, n_y, case):
     r = np.random.default_rng(1000 * n + n_y)
-    B, Winv, kind = _panel_inputs(r, n, n_y, case)
-    panels = list(_panels(B @ Winv, B, kind))
+    F, signs, kind = _panel_inputs(r, n, n_y, case)
+    panels = list(_panels(F, signs, kind))
     assert [i0 for i0, *_ in panels] == list(range(0, n, 64))
     M = np.vstack([P for _, P, *_ in panels])
     npt.assert_array_equal(M, M.T)
     # assembled in one array, with its lower tiles copied, it is the same
-    npt.assert_array_equal(_dense(B @ Winv, B, kind).view(np.int64), M.view(np.int64))
+    npt.assert_array_equal(_dense(F, signs, kind).view(np.int64), M.view(np.int64))
     # the reference: the whole product, symmetrised as a whole
-    expected, raw = _whole_product(B, Winv, kind)
+    expected, raw = _whole_product(F, signs, kind)
     scale = np.abs(raw).max()
     npt.assert_allclose(M, expected, rtol=0, atol=1e-12 * scale)
     npt.assert_array_equal(np.diagonal(M), np.diagonal(expected))
@@ -699,3 +707,110 @@ def test_evaluate_bounds_without_k_true_never_assembles_the_values(monkeypatch, 
     )
     rep = evaluate_bounds(rng.normal(size=(3, 8)), K_hat, PARAMS)
     assert rep.spectral_rho == 1.0 and rep.realized_frobenius is None
+
+
+REFERENCE_CASES = {
+    # (kind, n_y, gamma of a kernel, rank_k, clips): a kernel completion
+    # clips nothing at a wide bandwidth and clips at rank 2 of a narrow one
+    "kernel": (MatrixKind.KERNEL, 8, 0.05, 0, False),
+    "kernel-rank-5": (MatrixKind.KERNEL, 8, 0.05, 5, False),
+    "kernel-clipping": (MatrixKind.KERNEL, 20, 0.5, 0, True),
+    "kernel-clipping-rank-2": (MatrixKind.KERNEL, 20, 0.5, 2, True),
+    # squared distances of 3-D points have rank 5 <= n_y: an indefinite W
+    "distance": (MatrixKind.DISTANCE, 5, None, 0, None),
+    "distance-rank-3": (MatrixKind.DISTANCE, 12, None, 3, None),
+}
+
+
+def _reference_inputs(rng, kind, n_y, gamma, n=150):
+    X, Y = rng.normal(size=(3, n)), rng.normal(size=(3, n_y))
+    if kind is MatrixKind.KERNEL:
+        params = KernelParams(gamma=gamma)
+        block = lambda A, C: gaussian_kernel(pairwise_sq_dist(A, C), params)  # noqa: E731
+    else:
+        block = pairwise_sq_dist
+    return block(X, Y), LandmarkBlock(values=block(Y, Y), kind=kind)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_one_factor_completion_is_the_product_completion(rng, case):
+    # F diag(signs) F' against L B', L = B W_k^+, as it was made before
+    kind, n_y, gamma, rank_k, clips = REFERENCE_CASES[case]
+    B, W = _reference_inputs(rng, kind, n_y, gamma)
+    params = CompletionParams(rank_k=rank_k)
+    completed = nystrom_complete(B, W, params)
+    assert completed.provenance["kept_rank"] == (rank_k or n_y)  # k < n_y and k = n_y
+    if clips is not None:
+        assert completed.clipped is clips
+    M, ref = completed.values, product_completion(B, pinv(W, params), kind)
+    npt.assert_array_equal(M, M.T)
+    npt.assert_array_equal(np.diagonal(M), np.full(M.shape[0], kind.pinned))
+    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", ["kernel", "kernel-clipping-rank-2", "distance"])
+def test_overwrite_b_gives_the_default_bits(tmp_path, rng, case):
+    kind, n_y, gamma, rank_k, _ = REFERENCE_CASES[case]
+    B, W = _reference_inputs(rng, kind, n_y, gamma)
+    before = B.copy()
+    params = CompletionParams(rank_k=rank_k)
+    files = tmp_path / "default.fdlm", tmp_path / "overwrite.fdlm"
+    default = nystrom_complete(B, W, params, write=lambda P: write_matrix(files[0], P))
+    npt.assert_array_equal(B.view(np.int64), before.view(np.int64))  # the caller's B is kept
+    handed = nystrom_complete(
+        B, W, params, write=lambda P: write_matrix(files[1], P), overwrite_b=True
+    )
+    assert np.shares_memory(handed.factors.F, B)
+    assert not np.shares_memory(default.factors.F, B)
+    assert files[0].read_bytes() == files[1].read_bytes()
+    for got, want in [
+        (handed.factors.F, default.factors.F),
+        (handed.factors.signs, default.factors.signs),
+        (handed.factors.pin, default.factors.pin),
+        (handed.row_sums(), default.row_sums()),
+        (handed.values, default.values),
+    ]:
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("overwrite_b", [True, False], ids=["overwrite", "default"])
+def test_completion_pass_holds_one_block_and_one_panel(rng, overwrite_b):
+    # the cross block, made in the traced span, and the pass: with B
+    # handed over, F is made in its storage and the pass adds one 64-row
+    # panel and O(64 n) work; by default F is a second n x n_y array
+    n, n_y = 2500, 200
+    X, Y = rng.normal(size=(3, n)), rng.normal(size=(3, n_y))
+    B0 = kernel_block(X, Y)
+    W = LandmarkBlock(values=kernel_block(Y, Y), kind=MatrixKind.KERNEL)
+    tracemalloc.start()
+    try:
+        B = B0.copy()
+        completed = nystrom_complete(B, W, CompletionParams(), overwrite_b=overwrite_b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert completed.factors.F.shape == (n, completed.provenance["kept_rank"])
+    block, panel, work = n * n_y * 8, 64 * n * 8, 4 * 64 * n_y * 8
+    blocks = 1 if overwrite_b else 2
+    assert blocks * block + panel < peak <= blocks * block + panel + work
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps, reason="no extended precision"
+)
+@pytest.mark.parametrize("dim,n_y,gamma", [(2, 30, 0.05), (2, 40, 0.05), (3, 60, 0.05)])
+def test_one_factor_is_accurate_where_the_product_is_not(dim, n_y, gamma):
+    # a landmark block near enough to singular for the automatic ridge:
+    # against the kept eigenpairs' completion in extended precision, the
+    # one factor is within rounding and L B' is not
+    _, _, B, Wv, _ = _ridged_gaussian_case(dim, n_y, gamma)
+    W, params = LandmarkBlock(values=Wv, kind=MatrixKind.KERNEL), CompletionParams()
+    completed = nystrom_complete(B, W, params)
+    assert completed.provenance["ridge_lambda"] > 0
+    V, w, _ = _ridged_pinv(Wv, params)
+    BV = B.astype(np.longdouble) @ V.astype(np.longdouble)
+    exact = np.clip(((BV / w.astype(np.longdouble)) @ BV.T).astype(np.float64), 0.0, 1.0)
+    np.fill_diagonal(exact, 1.0)
+    err = np.abs(completed.values - exact).max()
+    ref_err = np.abs(product_completion(B, pinv(W, params), MatrixKind.KERNEL) - exact).max()
+    assert err <= 1e-12 < ref_err

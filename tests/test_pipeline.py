@@ -1,3 +1,4 @@
+import configparser
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from feddl import nystrom, pipeline
 from feddl.config import parse_config
 from feddl.data import load_dataset
 from feddl.errors import ConfigError, DataError, NumericalAbort
-from feddl.federation import ClientShard
+from feddl.federation import ClientShard, convergence_diagnostic
 from feddl.kernels import KernelParams
 from feddl.matrixio import read_embedding_csv, read_matrix
 from feddl.nystrom import MatrixKind, NystromFactors
@@ -178,6 +179,52 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
     assert _strip_created(first.files["manifest.ini"].read_text()) == _strip_created(
         second.files["manifest.ini"].read_text()
     )
+
+
+@pytest.mark.parametrize(
+    "command,rank",
+    [("fit", 0), ("tsne", 0), ("umap", 0), ("speclust", 0), ("speclust", 3)],
+    ids=["fit", "tsne", "umap", "speclust", "speclust-rank-3"],
+)
+def test_manifest_records_the_completion_and_convergence(tmp_path, command, rank):
+    cfg = parse_config(TINY_INI + f"\n[completion]\nrank = {rank}\n")
+    first = pipeline._run(cfg, tmp_path / "a", command)
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(first.files["manifest.ini"].read_text())
+    resolved = dict(cp["resolved"])
+    assert float(resolved.pop("convergence_diagnostic")) == convergence_diagnostic(first.fed.trace)
+    if command == "fit":
+        assert resolved == {}
+    else:
+        completed = first.completed
+        prov = completed.provenance
+        low, high = prov["kept_abs_eigenvalues"]
+        expected = {
+            "ridge_lambda": repr(prov["ridge_lambda"]),
+            "kept_rank": str(prov["kept_rank"]),
+            "kept_abs_eigenvalues": f"{low!r} {high!r}",
+            "kept_negative": str(prov["kept_negative"]),
+        }
+        if command == "speclust":  # rank 3 of the landmark block undershoots 0
+            assert completed.clipped is (rank == 3)
+            expected["clipped"] = "yes" if rank == 3 else "no"
+        else:  # an indefinite distance block keeps negative eigenvalues
+            assert prov["kept_negative"] > 0
+        assert resolved == expected
+    # [resolved] is not read back: a rerun reproduces every artifact
+    second = rerun_manifest(first.files["manifest.ini"], tmp_path / "b")
+    assert sorted(second.files) == sorted(first.files)
+    for name, path in first.files.items():
+        if name == "trace.csv":
+            assert _strip_timing(path.read_text()) == _strip_timing(
+                second.files[name].read_text()
+            )
+        elif name == "manifest.ini":
+            assert _strip_created(path.read_text()) == _strip_created(
+                second.files[name].read_text()
+            )
+        else:
+            assert path.read_bytes() == second.files[name].read_bytes(), name
 
 
 def test_budget_gradient_privacy_records_sigmas_and_reruns(tmp_path):
