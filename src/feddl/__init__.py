@@ -3,14 +3,15 @@
 Clients holding horizontal shards of a dataset jointly learn a compact
 landmark set by minimising a kernel discrepancy between each shard and
 the landmarks.  Pairwise distance or kernel matrices over the full
-dataset are then completed from per-client landmark blocks, and the
+dataset are then completed from each client's rows of a landmark
+factor, its block against the landmarks times the factor, and the
 completed matrices feed t-SNE, UMAP, or spectral clustering.  Optional
 Gaussian perturbation of data, gradients, or shared variables trades
 accuracy for privacy.
 """
 
 # Defined before the submodules load: ``config`` records it in manifests.
-__version__ = "0.1.10"
+__version__ = "0.1.11"
 
 from .clustering import ClusterAssignment, kmeans, spectral_cluster
 from .config import PipelineConfig, parse_config, parse_config_file, render_manifest
@@ -67,9 +68,11 @@ from .nystrom import (
     CompletedMatrix,
     CompletionParams,
     LandmarkBlock,
+    LandmarkFactor,
     MatrixKind,
     assemble_cross_block,
     evaluate_bounds,
+    landmark_factor,
     nystrom_complete,
 )
 from .pipeline import (
@@ -131,9 +134,11 @@ __all__ = [
     "MatrixKind",
     "CompletionParams",
     "LandmarkBlock",
+    "LandmarkFactor",
     "CompletedMatrix",
     "BoundReport",
     "assemble_cross_block",
+    "landmark_factor",
     "nystrom_complete",
     "evaluate_bounds",
     # embedding

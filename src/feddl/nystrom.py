@@ -1,22 +1,27 @@
 """Landmark-based (Nystrom) completion of global distance/kernel matrices.
 
-Clients never share raw points.  Each client ``p`` uploads only its block
-against the shared landmarks: squared distances ``D2_{X_p,Y}`` or kernel
-values ``K_{X_p,Y}``.  Stacking those blocks gives ``B`` (``n_x x n_y``);
-together with the landmark self-block ``W`` (``n_y x n_y``) the full
-matrix over all data points is completed as
+Clients never share raw points, nor their blocks against the shared
+landmarks: squared distances ``D2_{X_p,Y}`` or kernel values
+``K_{X_p,Y}``, ``B_p`` (``n_p x n_y``).  With the landmark self-block
+``W`` (``n_y x n_y``) the full matrix over all data points is completed
+as
 
     Z_hat = B * pinv_k(W + lambda I) * B' = F * diag(signs) * F'
 
-where ``pinv_k`` keeps the ``k`` eigenpairs ``(w_k, V_k)`` of largest
-magnitude (signed inversion, so indefinite squared-distance blocks are
-handled) and ``lambda`` a ridge, configured or automatic, that shifts the
-spectrum of ``W``, which is decomposed once.  The completion is made from
-one factor, ``F = B V_k |w_k|^-1/2`` (``n_x x k``), and the signs of the
-kept eigenvalues: the one-shot Nystrom factorisation (Williams & Seeger
-2001; Fowlkes, Belongie, Chung & Malik 2004).  ``F`` is made by 64-row
-blocks, in the cross block's own storage when its caller hands ``B``
-over, so a completion holds one n x n_y array.
+where ``B`` stacks the client blocks, ``pinv_k`` keeps the ``k``
+eigenpairs ``(w_k, V_k)`` of largest magnitude (signed inversion, so
+indefinite squared-distance blocks are handled) and ``lambda`` is a
+ridge, configured or automatic, that shifts the spectrum of ``W``, which
+is decomposed once.  The completion is made from one factor, ``F = B
+R`` (``n_x x k``) with ``R = V_k |w_k|^-1/2``, and the signs of the kept
+eigenvalues: the one-shot Nystrom factorisation (Williams & Seeger 2001;
+Fowlkes, Belongie, Chung & Malik 2004).  ``R`` depends on the landmarks
+alone, so the server broadcasts it (``landmark_factor``) and each client
+uploads its own rows of ``F``, ``B_p R`` (``LandmarkFactor.project``),
+which ``assemble_cross_block`` stacks in client order; the server never
+holds the cross block ``B``.  The upload is post-processing of ``B_p``
+with public values, so it reveals no more of the client's points than
+its block would.
 
 Matrix kinds and their post-processing:
 
@@ -85,8 +90,10 @@ __all__ = [
     "LandmarkBlock",
     "CompletedMatrix",
     "NystromFactors",
+    "LandmarkFactor",
     "BoundReport",
     "assemble_cross_block",
+    "landmark_factor",
     "nystrom_complete",
     "evaluate_bounds",
 ]
@@ -205,22 +212,23 @@ class LandmarkBlock:
 
 
 def assemble_cross_block(blocks: Sequence[np.ndarray], client_ids: Sequence[int]) -> np.ndarray:
-    """Stack per-client landmark blocks in client order into ``B``
+    """Stack per-client blocks in client order: the clients' uploads ``B_p
+    R`` into ``F`` (``n_x x k``), or their landmark blocks into ``B``
     (``n_x x n_y``).
 
-    All blocks must share the landmark (column) count; ``client_ids``
-    name the offending client in errors.
+    All blocks must share the column count; ``client_ids`` name the
+    offending client in errors.
     """
     if not blocks:
         raise ValueError("at least one client block is required")
     if len(client_ids) != len(blocks):
         raise ValueError(f"got {len(blocks)} blocks but {len(client_ids)} client ids")
     mats = [np.asarray(b, dtype=np.float64) for b in blocks]
-    n_y = mats[0].shape[1]
+    columns = mats[0].shape[1]
     for cid, b in zip(client_ids, mats):
-        if b.ndim != 2 or b.shape[1] != n_y:
+        if b.ndim != 2 or b.shape[1] != columns:
             raise ValueError(
-                f"client {cid}: block shape {b.shape} incompatible with {n_y} landmarks"
+                f"client {cid}: block shape {b.shape} incompatible with {columns} columns"
             )
     return np.vstack(mats)
 
@@ -268,23 +276,51 @@ def _ridged_pinv(W: np.ndarray, params: CompletionParams) -> tuple[np.ndarray, n
     return V[:, kept], w[kept], lam
 
 
-def _factor(B: np.ndarray, R: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
-    """``F = B R`` (``n x k`` from ``n x n_y`` by ``n_y x k``, ``k <=
-    n_y``), one 64-row block at a time.  With ``overwrite_b`` and a
-    C-contiguous, writeable ``B``, ``F`` is made in ``B``'s own storage,
-    whose values are lost: block ``r0:r1`` of ``F`` takes its entries
-    ``r0 k`` to ``r1 k``, which lie in rows of ``B`` above ``r1`` (``k <=
-    n_y``), so every row of ``B`` is read before it is written over.
-    Either way a block's product is the same, so ``F`` has the same
-    bits."""
-    n, k = B.shape[0], R.shape[1]
-    if overwrite_b and B.flags.c_contiguous and B.flags.writeable:
-        F = B.reshape(-1)[: n * k].reshape(n, k)
-    else:
-        F = np.empty((n, k))
-    for r0, r1 in _row_panels(n):
-        F[r0:r1] = B[r0:r1] @ R
-    return F
+@dataclass(frozen=True)
+class LandmarkFactor:
+    """What the server broadcasts for a completion: ``R = V_k |w_k|^-1/2``
+    (``n_y x k``) of the kept eigenpairs ``(w_k, V_k)`` of ``W + lambda
+    I`` (``_ridged_pinv``), their signs ``sign(w_k)``, the kind of the
+    landmark block and the completion's provenance (``landmark_factor``).
+
+    ``R`` is made from the landmarks alone, so a client's upload
+    (``project``) is post-processing of its block with public values.
+    """
+
+    R: np.ndarray
+    signs: np.ndarray
+    kind: MatrixKind
+    provenance: dict
+
+    @property
+    def kept_rank(self) -> int:
+        return self.R.shape[1]
+
+    def project(self, block: np.ndarray) -> np.ndarray:
+        """A client's upload, its rows of ``F``: its block against the
+        landmarks (``n_p x n_y``) times ``R``, one product of the whole
+        block (``n_p x k``)."""
+        return block @ self.R
+
+
+def landmark_factor(W: LandmarkBlock, params: CompletionParams) -> LandmarkFactor:
+    """The factor ``R = V_k |w_k|^-1/2`` and signs of one decomposition of
+    ``W`` (``_ridged_pinv``).  Its provenance records the landmark count,
+    the rank asked for, the resolved ridge, the eigenpairs kept
+    (``kept_rank``), their least and largest |eigenvalue + ridge|
+    (``kept_abs_eigenvalues``) and how many of them are negative
+    (``kept_negative``)."""
+    V, w, lam = _ridged_pinv(W.values, params)
+    mags = np.abs(w)
+    provenance = {
+        "n_landmarks": W.n_landmarks,
+        "rank_k": _rank(params, W.n_landmarks),
+        "ridge_lambda": lam,
+        "kept_rank": int(w.size),
+        "kept_abs_eigenvalues": (float(mags.min()), float(mags.max())),
+        "kept_negative": int((w < 0.0).sum()),
+    }
+    return LandmarkFactor(R=V / np.sqrt(mags), signs=np.sign(w), kind=W.kind, provenance=provenance)
 
 
 @dataclass(frozen=True)
@@ -481,28 +517,25 @@ class CompletedMatrix:
 
 def nystrom_complete(
     B: np.ndarray,
-    W: LandmarkBlock,
-    params: CompletionParams,
+    W: LandmarkBlock | LandmarkFactor,
+    params: CompletionParams = CompletionParams(),
     privacy_mode: str = "none",
     write=None,
     readers: Sequence = (),
-    *,
-    overwrite_b: bool = False,
 ) -> CompletedMatrix:
     """Complete the full data-by-data matrix from landmark blocks.
 
-    Computes ``B pinv_k(W + lambda I) B'`` from the stacked client blocks
-    ``B`` (``n_x x n_y``, see ``assemble_cross_block``) as ``F diag(signs)
-    F'``, with the one factor ``F = B V_k |w_k|^-1/2`` of the kept
-    eigenpairs ``(w_k, V_k)`` of ``W + lambda I`` and ``signs =
+    Computes ``B pinv_k(W + lambda I) B'`` as ``F diag(signs) F'``, with
+    the one factor ``F = B R``, ``R = V_k |w_k|^-1/2`` of the kept
+    eigenpairs ``(w_k, V_k)`` of ``W + lambda I``, and ``signs =
     sign(w_k)`` (``NystromFactors``), and applies the kind-specific
-    post-processing.  ``F`` is made by 64-row blocks in a new array, or,
-    with ``overwrite_b``, in ``B``'s own storage, whose values are then
-    lost; both give the same bits.  Provenance records the landmark count,
-    the rank asked for, the resolved ridge, the eigenpairs kept
-    (``kept_rank``), their least and largest |eigenvalue + ridge|
-    (``kept_abs_eigenvalues``) and how many of them are negative
-    (``kept_negative``), and the privacy mode.
+    post-processing.  Given the landmark block ``W``, ``B`` is the stacked
+    cross block (``n_x x n_y``, see ``assemble_cross_block``), ``W`` is
+    decomposed with ``params`` (``landmark_factor``) and ``F`` is one
+    client's upload of all of ``B``.  Given the ``LandmarkFactor`` the
+    server broadcast, ``B`` is ``F`` itself, the clients' stacked uploads
+    (``n_x x k``), and ``params`` is not read.  Provenance is the
+    factor's (see ``landmark_factor``) and the privacy mode.
 
     The completion is made in one pass over its row panels (``_panels``),
     which checks that every entry is finite and records the row sums; it
@@ -523,28 +556,30 @@ def nystrom_complete(
     consumes, each panel after the readers have read it.
     """
     B = np.asarray(B, dtype=np.float64)
+    factored = isinstance(W, LandmarkFactor)
+    what = "uploads" if factored else "cross block"
     if B.ndim != 2:
-        raise ValueError(f"cross block must be 2-D, got shape {B.shape}")
-    if not _all_finite(B):
-        raise ValueError("cross block contains non-finite entries")
-    if B.shape[1] != W.n_landmarks:
-        raise ValueError(
-            f"cross block has {B.shape[1]} landmark columns but the landmark "
-            f"block has {W.n_landmarks}"
-        )
-    V, w, lam = _ridged_pinv(W.values, params)
-    mags = np.abs(w)
-    provenance = {
-        "n_landmarks": W.n_landmarks,
-        "rank_k": _rank(params, W.n_landmarks),
-        "ridge_lambda": lam,
-        "kept_rank": int(w.size),
-        "kept_abs_eigenvalues": (float(mags.min()), float(mags.max())),
-        "kept_negative": int((w < 0.0).sum()),
-        "privacy_mode": str(privacy_mode),
-    }
-    F, signs = _factor(B, V / np.sqrt(mags), overwrite_b), np.sign(w)
-    del B, V  # the pass reads F alone
+        raise ValueError(f"{what} must be 2-D, got shape {B.shape}")
+    if factored:
+        if B.shape[1] != W.kept_rank:
+            raise ValueError(
+                f"uploads have {B.shape[1]} columns but the landmark factor keeps "
+                f"{W.kept_rank} eigenpairs"
+            )
+        factor, F = W, B
+    else:
+        if not _all_finite(B):
+            raise ValueError("cross block contains non-finite entries")
+        if B.shape[1] != W.n_landmarks:
+            raise ValueError(
+                f"cross block has {B.shape[1]} landmark columns but the landmark "
+                f"block has {W.n_landmarks}"
+            )
+        factor = landmark_factor(W, params)
+        F = factor.project(B)
+    del B  # the pass reads F alone
+    provenance = {**factor.provenance, "privacy_mode": str(privacy_mode)}
+    kind, signs = factor.kind, factor.signs
     n = F.shape[0]
     diagonal, row_sums = np.empty(n), np.empty(n)
     clipped = False  # whether a panel left [0, 1] off its diagonal: a kernel one clipped
@@ -554,7 +589,7 @@ def nystrom_complete(
         for i0, P, d, low, high in panels:
             i1 = i0 + P.shape[0]
             if not (math.isfinite(low) and math.isfinite(high) and np.isfinite(d).all()):
-                raise ValueError(f"{W.kind.value} matrix contains non-finite entries")
+                raise ValueError(f"{kind.value} matrix contains non-finite entries")
             clipped |= low < 0.0 or high > 1.0
             diagonal[i0:i1] = d
             row_sums[i0:i1] = P.sum(axis=1)
@@ -565,13 +600,13 @@ def nystrom_complete(
 
     # An overflow stays non-finite, which the checks reject.
     with np.errstate(over="ignore", invalid="ignore"):
-        panels = checked(_panels(F, signs, W.kind))
+        panels = checked(_panels(F, signs, kind))
         if write is not None:
             write(panels)
         deque(panels, maxlen=0)  # the whole pass, or what ``write`` left of it
-    pin = W.kind.pinned - diagonal
+    pin = kind.pinned - diagonal
     factors = NystromFactors(F=F, signs=signs, pin=pin)
-    return CompletedMatrix._made(W.kind, provenance, factors, row_sums, clipped, readers)
+    return CompletedMatrix._made(kind, provenance, factors, row_sums, clipped, readers)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Every pipeline command (``COMMANDS``) runs through one driver, ``_run``:
 load the data and reject any setting infeasible for the points loaded
 (``_check_feasible``), learn landmarks federatedly (``fit`` stops here),
 complete the squared-distance (``tsne``/``umap``) or kernel
-(``speclust``) matrix from per-client blocks, embed and evaluate or
+(``speclust``) matrix from each client's rows of the landmark factor
+(``_complete``), embed and evaluate or
 cluster, and write the artefacts from one ordered list of ``(file name,
 writer)`` entries that also gives the manifest its ``[outputs]``.  The
 completed matrix is written as it is made, so its entry has no writer
@@ -15,6 +16,10 @@ preservation (``_readers``), so that no stage after it reads the
 distances as an n x n array.  Stage functions are called through this
 module's names at call time, so a wrapper installed on one of them sees
 every call.
+
+The manifest's ``[resolved]`` section records what the run resolved:
+the bandwidth, the fit's convergence diagnostic, the completion's
+provenance and each client's upload in bytes (``client_upload_bytes``).
 
 ``rerun_manifest`` re-executes a run's manifest.  With a fixed seed all
 outputs except the manifest and the optimisation trace (both carry
@@ -71,6 +76,7 @@ from .nystrom import (
     MatrixKind,
     _zero_diagonal,
     assemble_cross_block,
+    landmark_factor,
     nystrom_complete,
 )
 from .plotting import emit_scatter_svg
@@ -228,19 +234,23 @@ def _complete(
     readers: tuple = (),
 ) -> CompletedMatrix:
     """Clients compute their blocks against the final landmarks; the
-    server assembles and completes, writing the completion to ``path``,
-    when given, by row panels as it is made, and feeding its panels to
-    ``readers``.  Blocks or a completion
-    that leave float64 (finite points whose squared distances overflow, a
-    landmark block too small to invert) abort numerically.  The overflow
-    is raised rather than looked for in the blocks, because the Gram
-    expansion clamps an overflowing ``2 x.y`` to a distance of 0.
+    server decomposes the landmark block and broadcasts its factor ``R``
+    (``nystrom.landmark_factor``); each client uploads its block times
+    ``R``, its rows of the one Nystrom factor ``F``; the server stacks
+    them and completes, writing the completion to ``path``, when given,
+    by row panels as it is made, and feeding its panels to ``readers``.
+    Blocks or a completion that leave float64 (finite points whose
+    squared distances overflow, a landmark block too small to invert)
+    abort numerically.  The overflow is raised rather than looked for in
+    the blocks, because the Gram expansion clamps an overflowing ``2
+    x.y`` to a distance of 0.  Every client's block is made and checked
+    before the landmark block, so a client's overflow is reported before
+    any fault of the landmarks.
 
     Nothing after the blocks reads the points, so ``shards``, the caller's
-    list, is emptied once they are made.  The client blocks, the landmark
-    distances and the shards are let go before the completion's pass, and
-    the cross block is handed over to it (``overwrite_b``), so that the
-    pass holds the one factor in the cross block's storage and a panel."""
+    list, is emptied once they are made.  Each block is let go once it is
+    projected, and the server never holds the ``n x n_y`` cross block:
+    the pass holds ``F`` (``n x k``) and a panel."""
 
     def sq_dist_block(A: np.ndarray, what: str) -> np.ndarray:
         with overflow_aborts(f"{what} overflow float64"):
@@ -260,20 +270,23 @@ def _complete(
     ]
     ids = [s.client_id for s in shards]
     shards.clear()
-    B = assemble_cross_block(blocks, ids)
-    del blocks  # B holds their values
     W_values = block(Y, "squared distances between the landmarks")
     try:
         W = LandmarkBlock(values=W_values, kind=kind)
         del W_values
+        factor = landmark_factor(W, cfg.completion)
+        del W
+        uploads = []
+        while blocks:  # a client's block is not read once it is projected
+            uploads.append(factor.project(blocks.pop(0)))
+        F = assemble_cross_block(uploads, ids)
+        del uploads  # F holds their values
         return nystrom_complete(
-            B,
-            W,
-            cfg.completion,
+            F,
+            factor,
             privacy_mode=cfg.privacy.mode.value,
             write=None if path is None else (lambda M: write_matrix(path, M)),
             readers=readers,
-            overwrite_b=True,
         )
     except ValueError as exc:
         raise NumericalAbort(f"completion failed: {exc}") from exc
@@ -294,6 +307,15 @@ def _completion_provenance(completed: CompletedMatrix) -> dict:
     if completed.kind is MatrixKind.KERNEL:
         record["clipped"] = "yes" if completed.clipped else "no"
     return record
+
+
+def _client_upload_bytes(fit_bytes: int, rows: list, completed: CompletedMatrix | None) -> list:
+    """Each client's upload in bytes, in client order: ``fit_bytes``, one
+    array of the landmarks' shape a round, and its rows of the
+    completion's factor ``F``."""
+    F = None if completed is None else completed.factors.F
+    row_bytes = 0 if F is None else F.shape[1] * F.itemsize
+    return [fit_bytes + n_p * row_bytes for n_p in rows]
 
 
 def _embedding_metrics(
@@ -339,6 +361,7 @@ def _run(cfg: PipelineConfig, out_dir, command: str) -> RunOutputs:
     except ValueError as exc:  # only the heuristic can fail: cfg.gamma is checked
         raise NumericalAbort(f"bandwidth heuristic on the initial landmarks: {exc}") from exc
     order = np.concatenate([s.indices for s in shards])
+    rows = [s.n_points for s in shards]  # each client's rows of the completion
     row_labels = labels[order] if labels is not None else None  # completion row order
 
     fed = run_feddl(shards, cfg.fed, kernel, privacy=cfg.privacy, Y0=Y0)
@@ -392,6 +415,8 @@ def _run(cfg: PipelineConfig, out_dir, command: str) -> RunOutputs:
     resolved["convergence_diagnostic"] = repr(convergence_diagnostic(fed.trace))
     if res.completed is not None:
         resolved.update(_completion_provenance(res.completed))
+    uploads = _client_upload_bytes(cfg.fed.rounds * fed.landmarks.nbytes, rows, res.completed)
+    resolved["client_upload_bytes"] = " ".join(str(b) for b in uploads)
     manifest = render_manifest(
         cfg,
         command,

@@ -13,6 +13,13 @@ made before it had one factor: the pseudo-inverse ``W_k^+`` formed as an
 ``L = B W_k^+``, assembled from tiles ``L[I] B[J]'`` in the same way as
 ``nystrom._panels`` assembles ``(F[I] ⊙ signs) F[J]'``.  The tests check
 that the one-factor completion stays within rounding of it.
+
+``stacked_completion`` is the one-factor completion as the server made
+it before clients uploaded their rows of the factor: from the whole
+stacked cross block ``B``, ``F = B R`` made one 64-row block at a time,
+then the completion's pass.  The tests check that the completion from
+the clients' uploads gives its bits where the uploads are its blocks'
+products, and stays within rounding of it otherwise.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from feddl.nystrom import (
     _AUTO_RIDGE_TRIGGER,
     CompletionParams,
     MatrixKind,
+    _dense,
     _rank,
     _ridged_pinv,
     _select_eigenpairs,
@@ -100,3 +108,16 @@ def product_completion(B: np.ndarray, Winv: np.ndarray, kind: MatrixKind) -> np.
     if kind is MatrixKind.KERNEL:
         return np.clip(M, 0.0, 1.0, out=M)
     return np.maximum(M, 0.0, out=M)
+
+
+def stacked_completion(B: np.ndarray, W: np.ndarray, params: CompletionParams, kind: MatrixKind):
+    """The completion of ``kind`` from the stacked cross block ``B`` and
+    the landmark block ``W``, as one n x n array: ``F = B R``, ``R = V_k
+    |w_k|^-1/2``, one 64-row block of ``B`` at a time, then the pass of
+    ``nystrom._panels``."""
+    V, w, _ = _ridged_pinv(W, params)
+    R = V / np.sqrt(np.abs(w))
+    F = np.empty((B.shape[0], R.shape[1]))
+    for r0, r1 in _row_panels(B.shape[0]):
+        F[r0:r1] = B[r0:r1] @ R
+    return _dense(F, np.sign(w), kind)

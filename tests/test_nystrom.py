@@ -23,9 +23,10 @@ from feddl.nystrom import (
     _symmetry_gap,
     assemble_cross_block,
     evaluate_bounds,
+    landmark_factor,
     nystrom_complete,
 )
-from nystrom_reference import pinv_product, product_completion
+from nystrom_reference import pinv_product, product_completion, stacked_completion
 from nystrom_reference import ridged_pinv as reference_ridged_pinv
 
 PARAMS = KernelParams(gamma=0.5)
@@ -749,50 +750,105 @@ def test_one_factor_completion_is_the_product_completion(rng, case):
 
 
 @pytest.mark.parametrize("case", ["kernel", "kernel-clipping-rank-2", "distance"])
-def test_overwrite_b_gives_the_default_bits(tmp_path, rng, case):
+def test_one_upload_of_the_cross_block_gives_its_bits(tmp_path, rng, case):
+    # a whole cross block is completed as the one upload of a single client
     kind, n_y, gamma, rank_k, _ = REFERENCE_CASES[case]
     B, W = _reference_inputs(rng, kind, n_y, gamma)
     before = B.copy()
     params = CompletionParams(rank_k=rank_k)
-    files = tmp_path / "default.fdlm", tmp_path / "overwrite.fdlm"
-    default = nystrom_complete(B, W, params, write=lambda P: write_matrix(files[0], P))
+    files = tmp_path / "block.fdlm", tmp_path / "upload.fdlm"
+    whole = nystrom_complete(B, W, params, write=lambda P: write_matrix(files[0], P))
     npt.assert_array_equal(B.view(np.int64), before.view(np.int64))  # the caller's B is kept
-    handed = nystrom_complete(
-        B, W, params, write=lambda P: write_matrix(files[1], P), overwrite_b=True
-    )
-    assert np.shares_memory(handed.factors.F, B)
-    assert not np.shares_memory(default.factors.F, B)
+    assert not np.shares_memory(whole.factors.F, B)
+    factor = landmark_factor(W, params)
+    upload = factor.project(B)
+    assert upload.shape == (B.shape[0], factor.kept_rank)
+    uploaded = nystrom_complete(upload, factor, write=lambda P: write_matrix(files[1], P))
+    assert uploaded.factors.F is upload
+    assert uploaded.provenance == whole.provenance
     assert files[0].read_bytes() == files[1].read_bytes()
     for got, want in [
-        (handed.factors.F, default.factors.F),
-        (handed.factors.signs, default.factors.signs),
-        (handed.factors.pin, default.factors.pin),
-        (handed.row_sums(), default.row_sums()),
-        (handed.values, default.values),
+        (uploaded.factors.F, whole.factors.F),
+        (uploaded.factors.signs, whole.factors.signs),
+        (uploaded.factors.pin, whole.factors.pin),
+        (uploaded.row_sums(), whole.row_sums()),
+        (uploaded.values, whole.values),
     ]:
         npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("overwrite_b", [True, False], ids=["overwrite", "default"])
-def test_completion_pass_holds_one_block_and_one_panel(rng, overwrite_b):
-    # the cross block, made in the traced span, and the pass: with B
-    # handed over, F is made in its storage and the pass adds one 64-row
-    # panel and O(64 n) work; by default F is a second n x n_y array
+#: client row counts of 150 points: the 64-row blocks of the stacked cross
+#: block, and splits that cut across them
+CLIENT_SPLITS = {
+    "blocks": ([64, 64, 22], True),
+    "sixties": ([60, 60, 30], False),
+    "ragged": ([1, 64, 13, 64, 8], False),
+    "one-client": ([150], False),
+}
+
+
+@pytest.mark.parametrize("split", CLIENT_SPLITS)
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_uploads_complete_as_the_stacked_cross_block(rng, case, split):
+    # each client uploads B_p R, one product of its whole block; the
+    # reference made F = B R from the stacked B by 64-row blocks.  A client
+    # whose rows are one of those blocks makes the same product, so the
+    # bits agree; other splits agree within rounding
+    kind, n_y, gamma, rank_k, _ = REFERENCE_CASES[case]
+    sizes, same_products = CLIENT_SPLITS[split]
+    B, W = _reference_inputs(rng, kind, n_y, gamma)
+    params = CompletionParams(rank_k=rank_k)
+    factor = landmark_factor(W, params)
+    bounds = np.cumsum([0] + sizes)
+    uploads = [factor.project(B[r0:r1]) for r0, r1 in zip(bounds[:-1], bounds[1:])]
+    assert [u.shape for u in uploads] == [(n_p, factor.kept_rank) for n_p in sizes]
+    F = assemble_cross_block(uploads, list(range(len(sizes))))
+    M = nystrom_complete(F, factor).values
+    ref = stacked_completion(B, W.values, params, kind)
+    if same_products:
+        npt.assert_array_equal(M.view(np.int64), ref.view(np.int64))
+    assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_nystrom_complete_checks_the_uploads(rng):
+    B, W = _reference_inputs(rng, MatrixKind.DISTANCE, 12, None)
+    factor = landmark_factor(W, CompletionParams(rank_k=3))
+    with pytest.raises(ValueError, match="uploads must be 2-D"):
+        nystrom_complete(np.zeros(3), factor)
+    with pytest.raises(ValueError, match="uploads have 12 columns but the landmark factor keeps 3"):
+        nystrom_complete(B, factor)
+    # a non-finite upload is caught by the pass, as an overflowing one is
+    with pytest.raises(ValueError, match="distance matrix contains non-finite entries"):
+        nystrom_complete(np.full((4, 3), np.nan), factor)
+
+
+@pytest.mark.parametrize("uploads", [True, False], ids=["uploads", "default"])
+def test_completion_pass_holds_one_block_and_one_panel(rng, uploads):
+    # the pass adds one 64-row panel and O(64 n_y) work to F: given the
+    # clients' stacked uploads, F is theirs; given a cross block, made in
+    # the traced span, F (k = n_y here) is a second n x n_y array, beside
+    # the factor R (n_y x k) that the completion made
     n, n_y = 2500, 200
     X, Y = rng.normal(size=(3, n)), rng.normal(size=(3, n_y))
     B0 = kernel_block(X, Y)
     W = LandmarkBlock(values=kernel_block(Y, Y), kind=MatrixKind.KERNEL)
+    factor = landmark_factor(W, CompletionParams())
+    F = factor.project(B0) if uploads else None
     tracemalloc.start()
     try:
-        B = B0.copy()
-        completed = nystrom_complete(B, W, CompletionParams(), overwrite_b=overwrite_b)
+        if uploads:
+            completed = nystrom_complete(F, factor)
+        else:
+            B = B0.copy()
+            completed = nystrom_complete(B, W, CompletionParams())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert completed.factors.F.shape == (n, completed.provenance["kept_rank"])
+    assert (completed.factors.F is F) is uploads
     block, panel, work = n * n_y * 8, 64 * n * 8, 4 * 64 * n_y * 8
-    blocks = 1 if overwrite_b else 2
-    assert blocks * block + panel < peak <= blocks * block + panel + work
+    held = panel if uploads else 2 * block + factor.R.nbytes + panel
+    assert held < peak <= held + work
 
 
 @pytest.mark.skipif(

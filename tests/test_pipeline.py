@@ -5,9 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from feddl import nystrom, pipeline
+from feddl import federation, nystrom, pipeline
 from feddl.config import parse_config
-from feddl.data import load_dataset
+from feddl.data import load_dataset, partition
 from feddl.errors import ConfigError, DataError, NumericalAbort
 from feddl.federation import ClientShard, convergence_diagnostic
 from feddl.kernels import KernelParams
@@ -181,18 +181,101 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
     )
 
 
+def _record_uploads(monkeypatch) -> list:
+    """Record, as lists in client order, what each server call receives:
+    the updates every round aggregates and the completion's uploads."""
+    calls = []
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def wrapper(uploads, *args, **kwargs):
+            calls.append((name, list(uploads)))
+            return real(uploads, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(federation, "aggregate")
+    recording(pipeline, "assemble_cross_block")
+    return calls
+
+
+@pytest.mark.parametrize("rank", [0, 3])
+@pytest.mark.parametrize("command", ["tsne", "umap", "speclust"])
+def test_clients_upload_their_rows_of_the_factor(tmp_path, monkeypatch, command, rank):
+    # each client uploads B_p R, n_p x kept_rank, and never its n_p x n_y block
+    calls = _record_uploads(monkeypatch)
+    cfg = parse_config(TINY_INI + f"\n[completion]\nrank = {rank}\n")
+    out = pipeline._run(cfg, tmp_path, command)
+    completion = [uploads for name, uploads in calls if name == "assemble_cross_block"]
+    assert len(completion) == 1
+    k = out.completed.provenance["kept_rank"]
+    if command == "speclust" and not rank:
+        assert k == 12  # every landmark
+    else:
+        assert k < 12
+    sizes = [s.n_points for s in partition(*load_dataset(cfg.dataset), cfg.part)]
+    assert [u.shape for u in completion[0]] == [(n_p, k) for n_p in sizes]
+    npt.assert_array_equal(np.vstack(completion[0]), out.completed.factors.F)
+
+
+@pytest.mark.parametrize("kind", list(MatrixKind), ids=lambda k: k.value)
+def test_completion_server_holds_no_n_by_n_y_array(kind):
+    # from the first upload it receives to the end of the completion's pass
+    # the server holds F (n x k) and one 64-row panel, never the n x n_y
+    # cross block
+    cfg = parse_config(TINY_INI + "\n[completion]\nrank = 3\n")
+    n, n_y = 600, 200
+    X = np.random.default_rng(0).normal(size=(2, n))
+    Y = np.random.default_rng(1).normal(size=(2, n_y))
+    shards = partition(X, None, cfg.part)
+    seen = {}
+
+    def assemble(uploads, ids):
+        tracemalloc.reset_peak()
+        seen["base"] = tracemalloc.get_traced_memory()[0]
+        return real_assemble(uploads, ids)
+
+    def complete(*args, **kwargs):
+        completed = real_complete(*args, **kwargs)
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        return completed
+
+    real_assemble, real_complete = pipeline.assemble_cross_block, pipeline.nystrom_complete
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "assemble_cross_block", assemble)
+        mp.setattr(pipeline, "nystrom_complete", complete)
+        tracemalloc.start()
+        try:
+            completed = _complete(shards, Y, KernelParams(gamma=0.5), cfg, kind)
+        finally:
+            tracemalloc.stop()
+    k = completed.provenance["kept_rank"]
+    assert k == 3
+    # the pass's work: a few 64 x 64 tiles and its diagonal, row sums and pins
+    factor, panel, work = n * k * 8, 64 * n * 8, 4 * 64 * 64 * 8 + 3 * n * 8
+    assert seen["peak"] - seen["base"] <= factor + panel + work < n * n_y * 8 / 2
+
+
 @pytest.mark.parametrize(
     "command,rank",
     [("fit", 0), ("tsne", 0), ("umap", 0), ("speclust", 0), ("speclust", 3)],
     ids=["fit", "tsne", "umap", "speclust", "speclust-rank-3"],
 )
-def test_manifest_records_the_completion_and_convergence(tmp_path, command, rank):
+def test_manifest_records_the_completion_and_convergence(tmp_path, monkeypatch, command, rank):
+    calls = _record_uploads(monkeypatch)
     cfg = parse_config(TINY_INI + f"\n[completion]\nrank = {rank}\n")
     first = pipeline._run(cfg, tmp_path / "a", command)
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(first.files["manifest.ini"].read_text())
     resolved = dict(cp["resolved"])
     assert float(resolved.pop("convergence_diagnostic")) == convergence_diagnostic(first.fed.trace)
+    # every client's round updates and completion rows, in client order
+    uploaded = np.zeros(3, dtype=np.int64)
+    for _, uploads in calls:
+        uploaded += [u.nbytes for u in uploads]
+    assert len(calls) == cfg.fed.rounds + (command != "fit")
+    assert resolved.pop("client_upload_bytes") == " ".join(str(b) for b in uploaded)
     if command == "fit":
         assert resolved == {}
     else:
