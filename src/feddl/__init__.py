@@ -11,7 +11,7 @@ accuracy for privacy.
 """
 
 # Defined before the submodules load: ``config`` records it in manifests.
-__version__ = "0.1.11"
+__version__ = "0.1.12"
 
 from .clustering import ClusterAssignment, kmeans, spectral_cluster
 from .config import PipelineConfig, parse_config, parse_config_file, render_manifest

@@ -12,11 +12,18 @@ Client updates within a round are independent and may run on a thread
 pool; aggregation reduces contributions in fixed client order, so the
 result is identical for any worker count.
 
-The per-round trace logs, for every local step ``t`` of round ``s``, the
-weighted-average iterate ``Y^{s,t} = sum_p w_p Y_p^{s,t}``: the global
-objective ``F = sum_p w_p mmd(X_p, Y^{s,t})``, the squared displacement
-``||Y^{s,t} - Y^{s,t-1}||_F^2`` (whose mean is the convergence
-diagnostic), and wall-clock time per round.
+The trace logs, for every local step ``t`` of round ``s``, the squared
+displacement ``||Y^{s,t} - Y^{s,t-1}||_F^2`` of the weighted-average
+iterate ``Y^{s,t} = sum_p w_p Y_p^{s,t}`` (whose mean is the convergence
+diagnostic) and the round's wall-clock time.  The global objective
+``F = sum_p w_p mmd(X_p, Y)`` is logged once per round, on its step-``Q``
+row, at the landmarks the round produced (the next broadcast, after
+aggregation and any variable-mode noise); the other rows read ``nan``.
+It is what the server can know: F at a broadcast follows from every
+client's step-1 total ``1' K_XY 1`` and the broadcast's ``1' K_YY 1``,
+so row ``(s, Q)`` is filled in during round ``s + 1``, and only the last
+round's landmarks, which no client receives, take kernel blocks of their
+own.
 
 The kernel blocks of one round are shared where the arithmetic allows:
 every client's local step 1 starts from the broadcast, so the landmark
@@ -25,12 +32,6 @@ operand) is computed once per round and is what ``local_update``
 receives as the broadcast.  Each shard's left operand
 (``kernels._operands``) is built once per ``run_feddl`` and dropped when
 it returns.
-Under landmark averaging without variable-mode noise the step-``Q``
-average *is* the next broadcast, so the objective of row ``(s, Q)`` is
-filled in during round ``s + 1`` from the clients' step-1 totals
-``1' K_XY 1`` and that round's ``1' K_YY 1``, with the same arithmetic
-as a direct evaluation; the last round, the other steps and the other
-modes evaluate it directly.
 """
 
 from __future__ import annotations
@@ -317,7 +318,12 @@ def aggregate(
 
 @dataclass
 class RoundTrace:
-    """Per-local-step optimisation log (row-aligned arrays)."""
+    """Per-local-step optimisation log (row-aligned arrays).
+
+    ``displacement_sq`` has a value on every row; ``objective`` only on
+    each round's step-``Q`` row, where it is ``F`` at the landmarks the
+    round produced, and ``nan`` on the others.
+    """
 
     round_idx: np.ndarray
     local_step: np.ndarray
@@ -464,19 +470,9 @@ def run_feddl(
         )
         return const_x + cross + _self_term(k_yy, n_y) * float(np.sum(weights))
 
-    def objective_at(Y: np.ndarray) -> float:
-        """``F`` at ``Y``: every cross block shares ``Y``'s right operand."""
-        left_y, right_y = _operands(Y.T)
-        cross_sums = [float(_gaussian_block(left, right_y, g).sum()) for left in lefts]
-        return objective(cross_sums, float(_gaussian_block(left_y, right_y, g, same=True).sum()))
-
     S, Q, eta = config.rounds, config.local_steps, config.step_size
     grad_agg = config.aggregation is Aggregation.AVERAGE_GRADIENTS
     gradient_noise = privacy.mode is PrivacyMode.GRADIENT
-    # Under landmark averaging with no server noise the step-Q average is
-    # the next broadcast bit for bit, so its objective is taken from the
-    # next round's step-1 blocks instead of being evaluated twice.
-    defer_step_q = not grad_agg and privacy.mode is not PrivacyMode.VARIABLE
 
     noise_setting = _noise_setting(privacy)  # named when noise breaks the norm cap
 
@@ -512,14 +508,11 @@ def run_feddl(
         return Yp, iterates, upload, cross_sum
 
     P = len(shards)
-    rows_s = np.empty(S * Q, dtype=np.int64)
-    rows_t = np.empty(S * Q, dtype=np.int64)
-    rows_f = np.empty(S * Q)
+    rows_f = np.full(S * Q, np.nan)
     rows_d = np.empty(S * Q)
     rows_e = np.empty(S * Q)
 
     Y = Y0
-    deferred_row = None
     pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     try:
         for s in range(1, S + 1):
@@ -553,21 +546,13 @@ def run_feddl(
                     f"them is 0 at gamma = {g:g}; lower [kernel] gamma or use "
                     f"[federation] init = seed_sample"
                 )
-            if deferred_row is not None:
-                rows_f[deferred_row] = objective(cross_sums, broadcast.k_sum)
-                deferred_row = None
+            if s > 1:
+                # F at this round's broadcast: the landmarks round s - 1 produced
+                rows_f[(s - 1) * Q - 1] = objective(cross_sums, broadcast.k_sum)
 
-            # The weighted-average iterate at every local step (the step-Q
-            # average coincides bit-for-bit with landmark aggregation).
+            # The weighted-average iterate's displacement at every local step.
             prev_virtual = Y
-            for t, virtual in enumerate(virtuals, start=1):
-                row = (s - 1) * Q + (t - 1)
-                rows_s[row] = s
-                rows_t[row] = t
-                if defer_step_q and t == Q and s < S:
-                    deferred_row = row
-                else:
-                    rows_f[row] = objective_at(virtual)
+            for row, virtual in enumerate(virtuals, start=(s - 1) * Q):
                 rows_d[row] = float(np.linalg.norm(virtual - prev_virtual) ** 2)
                 prev_virtual = virtual
 
@@ -594,9 +579,17 @@ def run_feddl(
         if pool is not None:
             pool.shutdown()
 
+    if S:
+        # The last round's landmarks reach no client, so F at them takes
+        # blocks of its own; every cross block shares their right operand.
+        left_y, right_y = _operands(Y.T)
+        cross_sums = [float(_gaussian_block(left, right_y, g).sum()) for left in lefts]
+        k_yy = float(_gaussian_block(left_y, right_y, g, same=True).sum())
+        rows_f[-1] = objective(cross_sums, k_yy)
+
     trace = RoundTrace(
-        round_idx=rows_s,
-        local_step=rows_t,
+        round_idx=np.repeat(np.arange(1, S + 1, dtype=np.int64), Q),
+        local_step=np.tile(np.arange(1, Q + 1, dtype=np.int64), S),
         objective=rows_f,
         displacement_sq=rows_d,
         elapsed_ms=rows_e,

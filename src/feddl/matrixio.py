@@ -311,7 +311,11 @@ def write_labels_csv(path, labels, true_labels=None) -> None:
 
 
 def write_trace_csv(path, trace) -> None:
-    """Optimisation trace: ``round, local_step, F, displacement_sq, elapsed_ms``."""
+    """Optimisation trace: ``round, local_step, F, displacement_sq, elapsed_ms``.
+
+    ``F`` is logged once per round, on its last local step, at the
+    landmarks the round produced; the other rows read ``nan``.
+    """
     with open(path, "w", newline="") as f:
         w = _csv.writer(f, lineterminator="\n")
         w.writerow(["round", "local_step", "F", "displacement_sq", "elapsed_ms"])

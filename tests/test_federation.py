@@ -188,7 +188,8 @@ def test_trace_objective_matches_external_reconstruction(
 
     gradient_noise = privacy.mode is PrivacyMode.GRADIENT
     Y = Y0
-    expected_f, expected_d = [], []
+    # F at every step's virtual average, F at each round's landmarks
+    virtual_f, expected_f, expected_d = [], [], []
     for s in range(1, cfg.rounds + 1):
         locals_prev = [Y] * len(shards)
         prev_virtual = Y
@@ -200,7 +201,7 @@ def test_trace_objective_matches_external_reconstruction(
                     g = noised(g, p, s, t)
                 locals_t.append(locals_prev[p] - cfg.step_size * g)
             virtual = sum(w * L for w, L in zip(weights, locals_t))
-            expected_f.append(global_objective(virtual))
+            virtual_f.append(global_objective(virtual))
             expected_d.append(float(np.linalg.norm(virtual - prev_virtual) ** 2))
             prev_virtual = virtual
             locals_prev = locals_t
@@ -213,9 +214,40 @@ def test_trace_objective_matches_external_reconstruction(
             Y = sum(w * L for w, L in zip(weights, locals_prev))
         if privacy.mode is PrivacyMode.VARIABLE:
             Y = perturb_variable(Y, privacy.sigma, noise_rng(privacy.seed, SERVER_STREAM_ID, s, 0))
+        expected_f += [np.nan] * (Q - 1) + [global_objective(Y)]
+    # F is logged once per round, at the landmarks the round produced
     npt.assert_array_equal(fed.trace.objective, expected_f)
+    assert np.isnan(fed.trace.objective[fed.trace.local_step < Q]).all()
+    if not grad_agg and privacy.mode is not PrivacyMode.VARIABLE:
+        # the step-Q average is the round's landmarks
+        step_q = fed.trace.local_step == Q
+        npt.assert_array_equal(fed.trace.objective[step_q], np.asarray(virtual_f)[step_q])
     npt.assert_array_equal(fed.trace.displacement_sq, expected_d)
     npt.assert_array_equal(fed.landmarks, Y)
+
+
+@pytest.mark.parametrize("privacy", REPLAY_PRIVACY.values(), ids=REPLAY_PRIVACY)
+@pytest.mark.parametrize("aggregation", list(Aggregation), ids=lambda a: a.value)
+def test_objective_trace_takes_kernel_blocks_once_per_run(aggregation, privacy, monkeypatch):
+    """P self-terms and one final objective, for any rounds and local steps."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _gaussian_block(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "_gaussian_block", counted)
+    shards = perturb_shards(make_shards(n_clients=3, per=6, seed=9), privacy)
+    Y0 = np.random.default_rng(1).normal(size=(2, 4))
+    for rounds in (1, 4):
+        for local_steps in (1, 3):
+            cfg = FedConfig(
+                rounds=rounds, local_steps=local_steps, step_size=0.4, n_landmarks=4,
+                aggregation=aggregation, server_step_size=0.7,
+            )
+            calls.clear()
+            run_feddl(shards, cfg, PARAMS, privacy=privacy, Y0=Y0)
+            assert len(calls) == 2 * len(shards) + 1, (rounds, local_steps)
 
 
 def test_trace_shape_and_ordering():
@@ -385,11 +417,14 @@ def test_gradient_averaging_noises_only_the_upload():
     noisy, threaded = (
         run_feddl(shards, replace(cfg, workers=w), PARAMS, privacy=spec, Y0=Y0) for w in (1, 2)
     )
-    # round 1's local steps start from Y0 and see no noise; its upload does
+    # round 1's local steps start from Y0 and see no noise; its upload
+    # does, and so do the landmarks made from it, where round 1's F sits
     Q = cfg.local_steps
-    npt.assert_array_equal(noisy.trace.objective[:Q], clean.trace.objective[:Q])
     npt.assert_array_equal(noisy.trace.displacement_sq[:Q], clean.trace.displacement_sq[:Q])
-    assert np.all(noisy.trace.objective[Q:] != clean.trace.objective[Q:])
+    for run in (clean, noisy):
+        assert np.isnan(run.trace.objective[run.trace.local_step < Q]).all()
+    step_q = noisy.trace.local_step == Q
+    assert np.all(noisy.trace.objective[step_q] != clean.trace.objective[step_q])
     assert np.any(noisy.landmarks != clean.landmarks)
     npt.assert_array_equal(threaded.landmarks, noisy.landmarks)
     npt.assert_array_equal(threaded.trace.objective, noisy.trace.objective)

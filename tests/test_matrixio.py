@@ -251,6 +251,7 @@ class _StubTrace:
     def to_rows(self):
         yield (0, 0, 1.5, 0.25, 12.3456)
         yield (0, 1, 1.25, 0.0625, 7.0)
+        yield (1, 1, float("nan"), 0.5, 3.0)
 
 
 def test_trace_csv_format(tmp_path):
@@ -260,6 +261,7 @@ def test_trace_csv_format(tmp_path):
     assert lines[0] == "round,local_step,F,displacement_sq,elapsed_ms"
     assert lines[1] == "0,0,1.5,0.25,12.346"
     assert lines[2] == "0,1,1.25,0.0625,7.000"
+    assert lines[3] == "1,1,nan,0.5,3.000"  # a step without an objective
 
 
 def test_metrics_csv_format(tmp_path):
