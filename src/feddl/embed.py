@@ -33,6 +33,9 @@ arithmetic is that of a search on the row alone.  Neither reads the
 distances as one n x n array: t-SNE's calibration and UMAP's neighbour
 lists are panel readers (``CompletedMatrix.read``) of the completion's
 64-row panels, which a pipeline run feeds from the completion's own pass.
+t-SNE's calibration sums each pair's two conditional affinities straight
+into the upper-triangle row panels its descent reads (``UpperPanels``),
+so no t-SNE stage holds an n x n array either.
 
 Both descents run in ``_safeguarded_descent``: every step costs one pass
 over the Student-t (or membership) weights of all pairs, which returns
@@ -40,8 +43,8 @@ the loss and the gradient at the point reached, and an accepted step
 carries both into the next iteration.  The terms of each objective that
 do not depend on the embedding (``sum P log P``; ``sum mu log mu + (1 -
 mu) log(1 - mu)``) are computed once per run, with the affinities'
-upper-triangle row panels: contiguous copies of ``P`` (about n^2 / 2
-doubles) for t-SNE, per-panel kNN edge lists of ``mu`` for UMAP.
+upper-triangle row panels: ``P``'s own (about n^2 / 2 doubles) for
+t-SNE, per-panel kNN edge lists of ``mu`` for UMAP.
 
 Both losses are sums over unordered pairs, so a pass is one sweep
 (``_panel_sweep``) over the upper-triangle row panels of the pairs:
@@ -83,7 +86,6 @@ from .kernels import (
     _operands,
     _row_panels,
     _sq_norms,
-    _symmetrize,
 )
 from .nystrom import CompletedMatrix, MatrixKind, _symmetry_gap
 from .privacy import stream_rng
@@ -237,27 +239,53 @@ class CSRGraph:
 
 
 @dataclass(frozen=True)
+class UpperPanels:
+    """A symmetric n x n matrix as its upper-triangle row panels: panel
+    ``k`` holds rows ``[r0, r1)`` (``kernels._row_panels``) and columns
+    ``[r0, n)``, its diagonal block zero on and below its diagonal, so
+    each unordered pair is held once and the diagonal is zero."""
+
+    n: int
+    panels: tuple[np.ndarray, ...]
+
+    def dense(self, r0: int = 0, r1: int | None = None) -> np.ndarray:
+        """Rows ``[r0, r1)`` of the matrix, by default all of them, as a
+        dense array: each panel's rows and, transposed, its columns, added
+        to zeros, so every entry has the bits it has in its panel."""
+        r1 = self.n if r1 is None else r1
+        M = np.zeros((r1 - r0, self.n))
+        for (p0, p1), U in zip(_row_panels(self.n), self.panels):
+            if p0 >= r1:
+                break
+            lo, hi = max(r0, p0), min(r1, p1)
+            if lo < hi:
+                M[lo - r0 : hi - r0, p0:] += U[lo - p0 : hi - p0]
+            M[lo - r0 :, p0:p1] += U[:, lo - p0 : r1 - p0].T
+        return M
+
+
+@dataclass(frozen=True)
 class AffinityMatrix:
     """Symmetric affinity/membership matrix with construction diagnostics.
 
-    ``matrix`` is t-SNE's joint affinities as an n x n array, or UMAP's
-    fuzzy memberships as a ``CSRGraph`` of their O(n n_neighbors)
-    non-zero entries.  ``values`` is the n x n array either way: a
-    graph's is assembled on each access, and no pipeline stage asks for
-    it.
+    ``matrix`` is t-SNE's joint affinities as their upper-triangle row
+    panels (``UpperPanels``, 0.5 n^2 doubles), or UMAP's fuzzy
+    memberships as a ``CSRGraph`` of their O(n n_neighbors) non-zero
+    entries.  ``values`` is the n x n array either way, assembled on each
+    access; no pipeline stage asks for it.
 
     ``fallback_rows`` lists rows where the per-row calibration could not
     bracket its target (e.g. all-equal distances) and a uniform row was
     substituted.
     """
 
-    matrix: np.ndarray | CSRGraph
+    matrix: np.ndarray | UpperPanels | CSRGraph
     kind: str
     fallback_rows: tuple[int, ...] = ()
 
     @property
     def values(self) -> np.ndarray:
-        return self.matrix.dense() if isinstance(self.matrix, CSRGraph) else self.matrix
+        return self.matrix if isinstance(self.matrix, np.ndarray) else self.matrix.dense()
 
 
 @dataclass
@@ -325,32 +353,58 @@ def _row_affinities(d2_rows: np.ndarray, target_perp: float) -> tuple[np.ndarray
 class _Calibration:
     """Panel reader (``CompletedMatrix.read``) of ``tsne_affinities``: the
     conditional affinities of each 64-row panel of the squared distances
-    (``_row_affinities``, self left out), written into the panel's rows of
-    one n x n array, and the rows that fell back to the uniform
-    distribution.  Readers of one perplexity are equal."""
+    (``_row_affinities``, self left out), summed pair by pair into the
+    upper-triangle row panels of ``p_{j|i} + p_{i|j}``, and the rows that
+    fell back to the uniform distribution.  Readers of one perplexity are
+    equal.
+
+    A row's entries at columns from its panel's first row on go into its
+    own panel (the diagonal block as ``B + B'``); its entries left of them
+    are added into the earlier panels' columns of its rows, which already
+    hold the earlier rows' entries.  Each sum adds the same two doubles as
+    ``cond + cond'``, so no n x n array is held: the panels must come once
+    each, from the top (``ValueError`` otherwise)."""
 
     perplexity: float
-    cond: np.ndarray | None = field(default=None, compare=False, repr=False)
+    panels: list = field(default_factory=list, compare=False, repr=False)
     fallbacks: list = field(default_factory=list, compare=False, repr=False)
 
     def read(self, r0: int, D2: np.ndarray) -> None:
         m, n = D2.shape
         if r0 == 0:
-            self.cond, self.fallbacks = np.zeros((n, n)), []
+            self.panels, self.fallbacks = [], []
+        if r0 != _TILE * len(self.panels) or m != min(_TILE, n - r0):
+            raise ValueError(
+                f"t-SNE calibration expects the 64-row panel at row {_TILE * len(self.panels)}, "
+                f"got {m} rows at row {r0}"
+            )
         cols = np.arange(n)
         off = cols != cols[r0 : r0 + m, None]
         rows, fb = _row_affinities(D2[off].reshape(-1, n - 1), self.perplexity)
-        self.cond[r0 : r0 + m][off] = rows.ravel()
+        # self is left out of each row: column j sits at j left of the
+        # panel's first row and at j - 1 right of its diagonal block
+        for (p0, p1), U in zip(_row_panels(r0), self.panels):
+            U[:, r0 - p0 : r0 - p0 + m] += rows[:, p0:p1].T
+        Pk = np.empty((m, n - r0))
+        Pk[:, m:] = rows[:, r0 + m - 1 :]
+        block = np.zeros((m, m))
+        block[off[:, r0 : r0 + m]] = rows[:, r0 : r0 + m - 1].ravel()
+        np.add(block, block.T, out=Pk[:, :m])
+        self.panels.append(Pk)
         self.fallbacks += (r0 + np.flatnonzero(fb)).tolist()
 
     def affinities(self) -> AffinityMatrix:
         """The joint affinities ``(P + P') / (2N)`` with a zero diagonal,
-        made in place in the conditional array (``kernels._symmetrize``)."""
-        P = self.cond
-        _symmetrize(P, np.add)
-        P /= 2.0 * P.shape[0]
-        np.fill_diagonal(P, 0.0)
-        return AffinityMatrix(matrix=P, kind="tsne_joint", fallback_rows=tuple(self.fallbacks))
+        made in place in the panels."""
+        n = self.panels[0].shape[1]
+        for Pk in self.panels:
+            Pk /= 2.0 * n
+            _mask_lower(Pk)
+        return AffinityMatrix(
+            matrix=UpperPanels(n, tuple(self.panels)),
+            kind="tsne_joint",
+            fallback_rows=tuple(self.fallbacks),
+        )
 
 
 def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
@@ -360,8 +414,10 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     conditional row sums to one; the joint matrix ``(P + P') / (2N)``
     sums to one and has a zero diagonal.  Rows are calibrated on the
     64-row panels of ``D`` by a panel reader (``_Calibration``), the one
-    the completion's pass fed when there is one, and symmetrised in place
-    (``kernels._symmetrize``).
+    the completion's pass fed when there is one, which sums each pair's
+    two conditional entries straight into the upper-triangle row panels
+    (``UpperPanels``) the descent reads: no n x n array is held, only
+    those panels' 0.5 n^2 doubles.
     """
     completed = CompletedMatrix.coerce(D, MatrixKind.DISTANCE)
     n = completed.n_points
@@ -453,17 +509,30 @@ def _panel_sweep(
 @dataclass(frozen=True)
 class _KLConstants:
     """The ``Z``-free parts of ``KL(P || Q)``: ``P``'s upper-triangle row
-    panels (``_upper_panels``), ``sum_{P>0} P log max(P, 1e-12)`` and
-    ``sum_{P>0} P`` over the off-diagonal pairs."""
+    panels, ``sum_{P>0} P log max(P, 1e-12)`` and ``sum_{P>0} P`` over the
+    off-diagonal pairs."""
 
     panels: tuple[np.ndarray, ...]
     p_log_p: float
     p_mass: float
 
 
-def _kl_constants(P: np.ndarray) -> _KLConstants:
-    """``_KLConstants`` of the symmetric ``P``, whose diagonal is not read."""
-    panels = tuple(_upper_panels(P, "P"))
+def _as_panels(P) -> UpperPanels:
+    """The joint affinities ``P`` (an ``AffinityMatrix``, ``UpperPanels``
+    or a symmetric array, whose diagonal is not read) as ``UpperPanels``;
+    an array's are copied by ``_upper_panels``."""
+    if isinstance(P, AffinityMatrix):
+        P = P.matrix
+    if isinstance(P, UpperPanels):
+        return P
+    P = np.asarray(P, dtype=np.float64)
+    return UpperPanels(P.shape[0], tuple(_upper_panels(P, "P")))
+
+
+def _kl_constants(P) -> _KLConstants:
+    """``_KLConstants`` of the symmetric ``P`` (``_as_panels``): the
+    panels are taken as they are."""
+    panels = _as_panels(P).panels
     p_log_p = p_mass = 0.0
     for Pk in panels:
         p = Pk[Pk > 0]
@@ -473,7 +542,7 @@ def _kl_constants(P: np.ndarray) -> _KLConstants:
 
 
 def tsne_kl_gradient(
-    P: np.ndarray,
+    P,
     Z: np.ndarray,
     *,
     exaggeration: float = 1.0,
@@ -485,7 +554,7 @@ def tsne_kl_gradient(
     ``Q`` uses Student-t affinities; the gradient is
     ``4 sum_j (p_ij - q_ij) (1 + ||z_i - z_j||^2)^{-1} (z_i - z_j)``.
     Probabilities are floored at 1e-12 inside the logarithm only.  ``P``
-    is symmetric (its diagonal is not read).
+    is symmetric, as ``_as_panels`` takes it.
 
     One sweep over the unnormalised weights ``W`` (sum ``s``) gives both:
     for non-negative ``P``, ``KL = sum_{P>0} P log max(P, f)
@@ -506,9 +575,8 @@ def tsne_kl_gradient(
     the rounding of ``W``); otherwise a second, loss-only sweep takes
     ``P log max(W, f s)``.
     """
-    n = P.shape[0]
     consts = _kl_constants(P) if constants is None else constants
-    ws = _PanelWorkspace(n) if workspace is None else workspace
+    ws = _PanelWorkspace(Z.shape[0]) if workspace is None else workspace
     sums = np.zeros(2)  # sum of P log W and of W over the upper triangle
 
     def visit(k: int, D: np.ndarray, L: np.ndarray, WW: np.ndarray):
@@ -536,7 +604,7 @@ def tsne_kl_gradient(
     return kl, grad
 
 
-def _canonical_rank(A: np.ndarray | CSRGraph) -> np.ndarray:
+def _canonical_rank(A: np.ndarray | UpperPanels | CSRGraph) -> np.ndarray:
     """Canonical position of every point, derived from row statistics.
 
     The keys (row sum, row sum-of-squares, row maximum) are accumulated
@@ -549,15 +617,16 @@ def _canonical_rank(A: np.ndarray | CSRGraph) -> np.ndarray:
     16-point graph and of its permutation differ by units (3.2 and 11.4
     for two draws of 16 random points), against 2e-13 or less at
     ``n_neighbors`` 4.  Rows are sorted 64 at a time, and a row's keys do
-    not depend on the rows sorted with it.  A graph's 64-row blocks are
-    made dense from its entries (``CSRGraph.dense``) before they are
-    sorted, so its keys are those of its dense rows, zeros included.
+    not depend on the rows sorted with it.  The 64-row blocks of t-SNE's
+    panels or of UMAP's graph are made dense (``dense(r0, r1)``) before
+    they are sorted, so their keys are those of the dense rows, zeros
+    included.
     """
-    graph = isinstance(A, CSRGraph)
-    n = A.n if graph else A.shape[0]
+    array = isinstance(A, np.ndarray)
+    n = A.shape[0] if array else A.n
     k1, k2, k3 = np.empty(n), np.empty(n), np.empty(n)
     for r0, r1 in _row_panels(n):
-        S = np.sort(A.dense(r0, r1) if graph else A[r0:r1], axis=1)
+        S = np.sort(A[r0:r1] if array else A.dense(r0, r1), axis=1)
         k1[r0:r1] = S.sum(axis=1)
         k2[r0:r1] = (S * S).sum(axis=1)
         k3[r0:r1] = S[:, -1]
@@ -627,7 +696,7 @@ def _safeguarded_descent(
     return Z, trace, damped_steps
 
 
-def tsne_embed(P: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embedding:
+def tsne_embed(P: AffinityMatrix | UpperPanels | np.ndarray, config: EmbedConfig) -> Embedding:
     """Momentum gradient descent on ``KL(P || Q)``.
 
     Early exaggeration multiplies ``P`` for the configured number of
@@ -642,20 +711,22 @@ def tsne_embed(P: AffinityMatrix | np.ndarray, config: EmbedConfig) -> Embedding
 
     Every iterate and every halved candidate costs one Student-t pass,
     which gives the unexaggerated KL and the (exaggerated) gradient
-    together; the ``Z``-free terms of the KL and the pass's workspace
-    are made once.
+    together; the pass's workspace and the ``Z``-free terms of the KL
+    are made once, the latter from ``P``'s upper-triangle row panels
+    (``_as_panels``): ``tsne_affinities``' own, or an array's copied
+    once, so the descent itself allocates no n x n array.
     """
-    Pm = P.values if isinstance(P, AffinityMatrix) else np.asarray(P, dtype=np.float64)
-    n = Pm.shape[0]
+    panels = _as_panels(P)
+    n = panels.n
     rng = stream_rng(config.seed, "tsne_init")
     noise = rng.normal(size=(n, config.out_dim))
-    Z = config.init_scale * noise[_canonical_rank(Pm)]
-    constants = _kl_constants(Pm)
+    Z = config.init_scale * noise[_canonical_rank(panels)]
+    constants = _kl_constants(panels)
     workspace = _PanelWorkspace(n)
 
     def loss_grad(Zc: np.ndarray, it: int) -> tuple[float, np.ndarray]:
         ex = config.early_exaggeration if it < config.early_exaggeration_iters else 1.0
-        return tsne_kl_gradient(Pm, Zc, exaggeration=ex, constants=constants, workspace=workspace)
+        return tsne_kl_gradient(P, Zc, exaggeration=ex, constants=constants, workspace=workspace)
 
     Z, trace, damped_steps = _safeguarded_descent(
         Z, loss_grad, config, guard_from=config.early_exaggeration_iters, clip=None,

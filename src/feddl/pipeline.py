@@ -130,22 +130,23 @@ def _write(out: Path, writers: list) -> dict:
 
 #: each command's peak of dense n x n float64 arrays, in units of
 #: n^2 x 8 B, as tracemalloc measured it over the second whole run in a
-#: process at n = 1000: t-SNE 1.80, in its descent (the affinities, their
-#: upper row panels and a few 64-row buffers; the calibration in the
-#: completion's pass holds the conditional affinities and one row block's
-#: work arrays, 1.52), and UMAP 0.35, at ``b != 1`` too, in its embedding
-#: (the completion's pass, one 64-row panel and the row-sized work arrays
-#: of the neighbour lists read from it, holds 0.18).  A UMAP run holds no
-#: n x n array: its graph is sparse rows (``embed.CSRGraph``) and its
-#: descent and metrics work on 64-row panels, so its multiple, made of
-#: O(64 n) arrays, falls as 1 / n (0.14 at n = 2500).  No stage reads the
-#: completion's values.
-#: Spectral clustering peaks at 1.09 when its kernel
-#: completion clips: the one n x n array its ``operator`` assembles.  One
-#: that clips nothing holds no n x n array, but whether it clips is known
-#: only after its pass, so the guard covers the clipped case.  ``fit``
-#: holds no n x n array.
-_DENSE_PEAK_N2 = {"tsne": 1.85, "umap": 0.4, "speclust": 1.1}
+#: process at n = 1000: t-SNE 1.02, in the completion's pass (the
+#: calibration's upper row panels of the joint affinities, 0.5, and about
+#: eight 64 x n work arrays of the pass and one row block's bisection;
+#: its descent holds the panels and its 64-row work arrays, 0.79).  A t-SNE
+#: run holds no n x n array, so its multiple falls toward 0.5 as n grows
+#: (0.71 at n = 2500).  UMAP peaks at 0.35, at ``b != 1`` too, in its
+#: embedding (the completion's pass, one 64-row panel and the row-sized
+#: work arrays of the neighbour lists read from it, holds 0.18).  A UMAP
+#: run holds no n x n array: its graph is sparse rows (``embed.CSRGraph``)
+#: and its descent and metrics work on 64-row panels, so its multiple,
+#: made of O(64 n) arrays, falls as 1 / n (0.14 at n = 2500).  No stage
+#: reads the completion's values.  Spectral clustering peaks at 1.09 when
+#: its kernel completion clips: the one n x n array its ``operator``
+#: assembles.  One that clips nothing holds no n x n array, but whether it
+#: clips is known only after its pass, so the guard covers the clipped
+#: case.  ``fit`` holds no n x n array.
+_DENSE_PEAK_N2 = {"tsne": 1.05, "umap": 0.4, "speclust": 1.1}
 #: the fit's peak in n_p^2 x 8 B, n_p the largest shard: the MMD self-term's
 #: n_p x n_p block, one product of the shard's augmented operands turned
 #: into kernel values in place (1.02 for one client at n = 1000)

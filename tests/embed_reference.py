@@ -11,6 +11,12 @@ symmetrisations and the ranking against them bit for bit, and the passes
 to within 1e-12 relative (a pass over each unordered pair once sums in
 another order).
 
+``DenseCalibration`` is the t-SNE calibration as it was before it summed
+the joint affinities straight into their upper-triangle row panels: the
+lockstep bisection's conditional affinities written into one n x n
+array, symmetrised in place by 64 x 64 tiles, divided by 2n, the
+diagonal zeroed.  The tests check the panels against it bit for bit.
+
 ``panel_ce_constants`` is the UMAP edge lists as they were made from the
 dense n x n memberships, before the fuzzy graph was kept as sparse rows;
 the tests check the sparse graph's edge lists and entropy against it bit
@@ -23,11 +29,12 @@ how far the layouts and the embeddings started from them differ.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from feddl.embed import AffinityMatrix, _upper_panels
-from feddl.kernels import sq_dists
+from feddl.embed import AffinityMatrix, _row_affinities, _upper_panels
+from feddl.kernels import _symmetrize, sq_dists
 from feddl.nystrom import CompletedMatrix, MatrixKind
 from kernels_reference import knn_indices, normalized_adjacency
 
@@ -90,6 +97,35 @@ def tsne_affinities(D, perplexity: float = 30.0) -> AffinityMatrix:
     P = (cond + cond.T) / (2.0 * n)
     np.fill_diagonal(P, 0.0)
     return AffinityMatrix(matrix=P, kind="tsne_joint", fallback_rows=tuple(fallbacks))
+
+
+@dataclass
+class DenseCalibration:
+    """Panel reader of the t-SNE calibration on one n x n array: each
+    64-row panel's conditional affinities (``_row_affinities``, self left
+    out) written into its rows of ``cond``; ``affinities`` symmetrises
+    ``cond`` in place into ``(P + P') / (2N)`` with a zero diagonal."""
+
+    perplexity: float
+    cond: np.ndarray | None = field(default=None, compare=False, repr=False)
+    fallbacks: list = field(default_factory=list, compare=False, repr=False)
+
+    def read(self, r0: int, D2: np.ndarray) -> None:
+        m, n = D2.shape
+        if r0 == 0:
+            self.cond, self.fallbacks = np.zeros((n, n)), []
+        cols = np.arange(n)
+        off = cols != cols[r0 : r0 + m, None]
+        rows, fb = _row_affinities(D2[off].reshape(-1, n - 1), self.perplexity)
+        self.cond[r0 : r0 + m][off] = rows.ravel()
+        self.fallbacks += (r0 + np.flatnonzero(fb)).tolist()
+
+    def affinities(self) -> AffinityMatrix:
+        P = self.cond
+        _symmetrize(P, np.add)
+        P /= 2.0 * P.shape[0]
+        np.fill_diagonal(P, 0.0)
+        return AffinityMatrix(matrix=P, kind="tsne_joint", fallback_rows=tuple(self.fallbacks))
 
 
 def _smooth_knn_sigma(d_shifted: np.ndarray, target: float) -> float:

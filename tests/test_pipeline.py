@@ -504,6 +504,21 @@ def test_umap_run_holds_no_n_by_n_array(tmp_path):
     assert peak < 0.2 * n**2 * 8
 
 
+def test_tsne_run_holds_only_its_upper_panels(tmp_path):
+    # the calibration sums the joint affinities into their upper row panels
+    # (0.5 n^2) and the descent reads them: beyond those a run holds 64-row
+    # panels and O(n) arrays, so at n = 2500 it stays well below 0.8 n^2
+    # (symmetrising an n x n array of conditional affinities traced 1.62)
+    n = 2500
+    cfg = parse_config(
+        f"[dataset]\nblob_count = 4\npoints_per_blob = {n // 4}\n\n"
+        "[federation]\nrounds = 1\nlandmarks = 20\n\n[embedding]\niterations = 3\n"
+    )
+    peak, out = _traced_peak(cfg, tmp_path, "tsne")
+    assert out.embedding.Z.shape == (n, 2)
+    assert peak < 0.8 * n**2 * 8
+
+
 def test_available_memory_is_the_lower_of_meminfo_and_the_cgroup_limit(tmp_path):
     meminfo, limit = tmp_path / "meminfo", tmp_path / "memory.max"
     meminfo.write_text("MemTotal:        8000000 kB\nMemAvailable:       2048 kB\n")
